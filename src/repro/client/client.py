@@ -56,7 +56,7 @@ from repro.matching.stream import decode_page
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import PatternQuery
-from repro.server.protocol import decode_error, encode_frame, read_frame_sync
+from repro.server.protocol import connect, decode_error, encode_frame, read_frame_sync
 from repro.service.service import ServiceBatchReport
 
 #: A query, as a parsed pattern or DSL text (mirrors ``repro.api.QueryLike``).
@@ -403,7 +403,7 @@ class GraphClient:
         self._host = host
         self._port = int(port)
         self._connect_timeout = connect_timeout
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self._sock = connect(host, port, connect_timeout)
         self._sock.settimeout(timeout)
         self._timeout = timeout
         self._lock = threading.RLock()
@@ -457,9 +457,7 @@ class GraphClient:
         except OSError:
             pass
         self._streams.clear()
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._connect_timeout
-        )
+        self._sock = connect(self._host, self._port, self._connect_timeout)
         self._sock.settimeout(self._timeout)
         self.reconnects += 1
         self._m_reconnects.inc()

@@ -138,6 +138,14 @@ class GraphMatcher:
             self.rig_cache[query] = report
         return report, False
 
+    def _search_order(self, rig) -> list:
+        """This matcher's search order over ``rig``, computed once per RIG."""
+        order = rig.memo(
+            ("order", self.ordering),
+            lambda: search_order(rig.query, rig, self.ordering),
+        )
+        return list(order)
+
     def iter_matches(
         self,
         query: PatternQuery,
@@ -153,8 +161,8 @@ class GraphMatcher:
         1–4: reduction, filtering, RIG, search order) runs on the first
         ``next()``, then occurrences stream straight out of the MJoin
         backtracking search — each one yielded the moment its embedding
-        completes, with the budget clock's time / cancellation checks in
-        the yield loop.  Stops at ``budget.max_matches``; raises
+        completes; the match cap and the budget clock's time / cancellation
+        checks are the enumerator's.  Stops at ``budget.max_matches``; raises
         :class:`~repro.exceptions.TimeoutExceeded` /
         :class:`~repro.exceptions.QueryCancelled` on budget exhaustion;
         closing the generator abandons the search mid-backtrack.
@@ -176,9 +184,7 @@ class GraphMatcher:
                     "rig_cached": rig_cached,
                 }
             return
-        chosen_order = list(order) if order is not None else search_order(
-            report.query, rig, self.ordering
-        )
+        chosen_order = list(order) if order is not None else self._search_order(rig)
         # Shared with the enumerator: mjoin_iter flushes its candidate /
         # intersection work counters into this dict when it finishes (or is
         # closed), and because MatchStream reads ``extra`` at report time
@@ -201,20 +207,14 @@ class GraphMatcher:
                     self.algorithm_name(), self.ordering.value, chosen_order
                 ),
             }
-        clock = budget.start_clock()
-        count = 0
-        for occurrence in mjoin_iter(
+        yield from mjoin_iter(
             rig,
             order=chosen_order,
             budget=budget,
             injective=injective,
-            stats=mjoin_stats if _info is not None else None,
+            stats=mjoin_stats,
             step_stats=step_stats,
-        ):
-            yield occurrence
-            count += 1
-            if clock.check_matches(count):
-                return
+        )
 
     def match_stream(
         self,
@@ -321,7 +321,7 @@ class GraphMatcher:
         elif empty:
             chosen_order = list(reduced.nodes())
         else:
-            chosen_order = search_order(reduced, rig, self.ordering)
+            chosen_order = self._search_order(rig)
 
         steps = []
         root_estimate = None if empty else self._estimate_rows(reduced, rig)

@@ -7,6 +7,13 @@ its RIG candidate set with the RIG adjacency lists of every already-matched
 neighbour — a node-at-a-time (worst-case-optimal-style) multiway join that
 never materialises intermediate relations.
 
+The join structure depends only on the RIG and the search order, so it is
+resolved once — :func:`compile_plan` — into, per position, the adjacency
+dicts to probe and the earlier positions whose values key them.  The search
+loop then only looks adjacency up and intersects it: ``dict.get`` and ``&``
+(``-`` under ``injective``), ``len`` and iteration — one protocol, which
+every RIG set kind (``set``, ``roaring``, ``intbitset``) implements itself.
+
 The enumerator supports the paper's match cap and wall-clock budget, and an
 ``injective`` flag that adds the one-to-one constraint of subgraph
 isomorphism (the extension the paper calls "promising" in §7.2).
@@ -17,63 +24,47 @@ from __future__ import annotations
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import TimeoutExceeded
 from repro.matching.ordering import OrderingMethod, search_order
-from repro.matching.result import Budget, BudgetClock
+from repro.matching.result import Budget
 from repro.rig.graph import RuntimeIndexGraph
 
+#: One compiled search position: ``(node, base, probes, clashes)``.
+#:
+#: * ``node`` — the query node matched here, which is also its slot in the
+#:   row buffer (rows are indexed by query node, not by position);
+#: * ``base`` — ``cos(node)``;
+#: * ``probes`` — ``(adjacency dict, earlier node)`` pairs: the local
+#:   candidates are the intersection of ``dict[row[earlier node]]`` over all
+#:   pairs, and of ``base``;
+#: * ``clashes`` — injective plans only: earlier nodes whose candidates
+#:   overlap ``base``, i.e. the only values this position could repeat.
+Step = Tuple[int, object, Tuple[Tuple[dict, int], ...], Tuple[int, ...]]
 
-def _local_candidates(
-    rig: RuntimeIndexGraph,
-    order: Sequence[int],
-    assignment: List[Optional[int]],
-    position: int,
-    counters: Optional[List[int]] = None,
-) -> List[int]:
-    """Compute ``cos_i`` for the query node at ``order[position]``.
 
-    Intersects the node's RIG candidate set with the adjacency lists of the
-    already-matched neighbours, smallest operand first.  ``counters`` is an
-    optional two-slot accumulator ``[candidates_scanned, intersections]``
-    the enumerator threads through to count work without touching shared
-    state on the hot path.
-    """
+def compile_plan(
+    rig: RuntimeIndexGraph, order: Sequence[int], injective: bool = False
+) -> Tuple[Step, ...]:
+    """The enumeration plan of ``rig`` under ``order``, memoised on the RIG."""
+    order = tuple(order)
+    return rig.memo(("mjoin_plan", order, injective), lambda: _compile(rig, order, injective))
+
+
+def _compile(rig: RuntimeIndexGraph, order: Tuple[int, ...], injective: bool) -> Tuple[Step, ...]:
     query = rig.query
-    current = order[position]
-    operands = []
-    for earlier_position in range(position):
-        previous = order[earlier_position]
-        value = assignment[earlier_position]
-        if query.has_edge(current, previous):
-            operands.append(rig.backward_adjacency(current, previous, value))
-        if query.has_edge(previous, current):
-            operands.append(rig.forward_adjacency(previous, current, value))
-    base = rig.candidates(current)
-    if not operands:
-        if counters is not None:
-            counters[0] += len(base)
-        return list(base)
-    operands.sort(key=len)  # type: ignore[arg-type]
-    result = None
-    for operand in operands:
-        if result is None:
-            result = set(operand)
-        else:
-            result &= set(operand) if not isinstance(operand, (set, frozenset)) else operand
-        if not result:
-            if counters is not None:
-                counters[1] += len(operands)
-            return []
-    # Finally restrict to the candidate set (cheap when result is small).
-    if counters is not None:
-        counters[1] += len(operands)
-    if isinstance(base, (set, frozenset)):
-        local = [value for value in result if value in base]
-    else:
-        local = [value for value in result if value in base]
-    if counters is not None:
-        counters[0] += len(local)
-    return local
+    steps: List[Step] = []
+    for position, node in enumerate(order):
+        base = rig.candidates(node)
+        probes = []
+        clashes = []
+        for earlier in order[:position]:
+            if query.has_edge(node, earlier):
+                probes.append((rig.backward_index(node, earlier), earlier))
+            if query.has_edge(earlier, node):
+                probes.append((rig.forward_index(earlier, node), earlier))
+            if injective and len(base & rig.candidates(earlier)):
+                clashes.append(earlier)
+        steps.append((node, base, tuple(probes), tuple(clashes)))
+    return tuple(steps)
 
 
 def mjoin_iter(
@@ -87,113 +78,107 @@ def mjoin_iter(
     """Lazily enumerate occurrences from ``rig``.
 
     Yields tuples indexed by *query node id* (not search-order position), so
-    the tuple layout is stable across orderings.  Raises
-    :class:`TimeoutExceeded` if the budget's time limit is hit; the match cap
-    is handled by the caller simply stopping iteration.
+    the tuple layout is stable across orderings.  Stops by itself after
+    ``budget.max_matches`` occurrences.  When the budget carries a time limit
+    or a cancel event, the clock is consulted once per local candidate set
+    (never when it carries neither), so :class:`TimeoutExceeded` /
+    :class:`QueryCancelled` are raised at most one candidate set's worth of
+    occurrences late.
 
     ``stats`` (a mutable mapping) receives the enumeration's work counters
     — ``candidates`` (local candidate vertices produced across all search
-    positions) and ``intersections`` (multiway set intersections performed)
-    — accumulated in plain local integers and flushed once when the
-    generator finishes or is closed, so instrumentation adds no per-step
-    synchronisation to the inner loop.
-
-    ``step_stats`` (a mutable list, EXPLAIN ANALYZE only) additionally
-    receives one dict per search-order position — ``{"node", "candidates",
-    "intersections", "rows"}`` where ``rows`` counts the partial assignments
-    accepted at that position (at the last position: occurrences yielded).
-    Per-position counters live in plain local lists and are flushed in the
-    same ``finally`` block, so the extra cost is one list increment per
-    accepted candidate.
+    positions) and ``intersections`` (adjacency lists intersected) — and
+    ``step_stats`` (a mutable list, EXPLAIN ANALYZE) one dict per position:
+    ``{"node", "candidates", "intersections", "rows"}``, where ``rows``
+    counts the partial assignments extended at that position (at the last
+    position: occurrences yielded).  Both are flushed once, when the
+    generator finishes or is closed.
     """
-    query = rig.query
     if rig.is_empty():
         if stats is not None:
-            stats["candidates"] = stats.get("candidates", 0)
-            stats["intersections"] = stats.get("intersections", 0)
+            stats.setdefault("candidates", 0)
+            stats.setdefault("intersections", 0)
         return
     if order is None:
-        order = search_order(query, rig, OrderingMethod.JO)
-    order = list(order)
-    n = query.num_nodes
-    clock = budget.start_clock() if budget is not None else None
+        order = search_order(rig.query, rig, OrderingMethod.JO)
+    plan = compile_plan(rig, order, injective)
+    check = budget.start_clock().checker() if budget is not None else None
+    cap = budget.max_matches if budget is not None else None
+    if cap is None:
+        cap = -1  # counts down past zero: never "just reached"
+    remaining = cap
 
-    counters: List[int] = [0, 0]  # [candidates scanned, intersections]
-    # EXPLAIN ANALYZE: per-position [candidates, intersections, rows] slots
-    # (``_local_candidates`` only ever touches slots 0 and 1).
-    per_position: Optional[List[List[int]]] = None
-    if step_stats is not None:
-        per_position = [[0, 0, 0] for _ in range(n)]
-    assignment: List[Optional[int]] = [None] * n
-    used: set = set()
+    last = len(plan) - 1
+    empty = rig.make_set(())
+    row = [0] * (last + 1)
+    # Per position: candidate sets computed, and their summed sizes.
+    computed = [0] * (last + 2)
+    sizes = [0] * (last + 1)
+    local = plan[0][1]
+    computed[0] = 1
+    sizes[0] = len(local)
+    iterators: List[Optional[Iterator[int]]] = [None] * (last + 1)
+    depth = 0
     try:
-        # Iterative backtracking: stack of candidate iterators per position.
-        iterators: List[Iterator[int]] = [
-            iter(
-                _local_candidates(
-                    rig, order, assignment, 0,
-                    counters if per_position is None else per_position[0],
-                )
-            )
-        ]
-        position = 0
-        while position >= 0:
-            if clock is not None:
-                clock.check_time()
-            try:
-                candidate = next(iterators[position])
-            except StopIteration:
-                position -= 1
-                if position >= 0 and assignment[position] is not None and injective:
-                    used.discard(assignment[position])
-                if position >= 0:
-                    assignment[position] = None
-                iterators.pop()
-                continue
-            if injective and candidate in used:
-                continue
-            assignment[position] = candidate
-            if per_position is not None:
-                per_position[position][2] += 1
-            if injective:
-                used.add(candidate)
-            if position + 1 == n:
-                occurrence = [0] * n
-                for index, query_node in enumerate(order):
-                    occurrence[query_node] = assignment[index]  # type: ignore[assignment]
-                yield tuple(occurrence)
-                if injective:
-                    used.discard(candidate)
-                assignment[position] = None
-                continue
-            position += 1
-            iterators.append(
-                iter(
-                    _local_candidates(
-                        rig, order, assignment, position,
-                        counters if per_position is None else per_position[position],
-                    )
-                )
-            )
+        if not remaining:
+            return
+        if check is not None:
+            check()
+        if last == 0:
+            for final in local:
+                remaining -= 1
+                yield (final,)
+                if not remaining:
+                    return
+            return
+        iterators[0] = iter(local)
+        while depth >= 0:
+            node = plan[depth][0]
+            below = depth + 1
+            next_node, base, probes, clashes = plan[below]
+            for value in iterators[depth]:
+                row[node] = value
+                local = base
+                for index, earlier in probes:
+                    local = local & index.get(row[earlier], empty)
+                computed[below] += 1
+                size = len(local)
+                if not size:
+                    continue
+                sizes[below] += size
+                if check is not None:
+                    check()
+                if clashes:
+                    local = local - rig.make_set([row[earlier] for earlier in clashes])
+                if below == last:
+                    for final in local:
+                        row[next_node] = final
+                        remaining -= 1
+                        yield tuple(row)
+                        if not remaining:
+                            return
+                else:
+                    iterators[below] = iter(local)
+                    depth = below
+                    break
+            else:
+                depth -= 1
     finally:
-        if per_position is not None:
-            for slots in per_position:
-                counters[0] += slots[0]
-                counters[1] += slots[1]
-            if step_stats is not None:
-                del step_stats[:]
-                step_stats.extend(
-                    {
-                        "node": order[index],
-                        "candidates": slots[0],
-                        "intersections": slots[1],
-                        "rows": slots[2],
-                    }
-                    for index, slots in enumerate(per_position)
-                )
+        computed[last + 1] = cap - remaining  # occurrences yielded
+        intersections = [computed[i] * len(step[2]) for i, step in enumerate(plan)]
+        if step_stats is not None:
+            step_stats[:] = [
+                {
+                    "node": step[0],
+                    "candidates": sizes[i],
+                    "intersections": intersections[i],
+                    "rows": computed[i + 1],
+                }
+                for i, step in enumerate(plan)
+            ]
         if stats is not None:
-            stats["candidates"] = stats.get("candidates", 0) + counters[0]
-            stats["intersections"] = stats.get("intersections", 0) + counters[1]
+            stats["candidates"] = stats.get("candidates", 0) + sum(sizes)
+            stats["intersections"] = stats.get("intersections", 0) + sum(intersections)
 
 
 def mjoin(
@@ -209,14 +194,9 @@ def mjoin(
     it into a timed-out :class:`MatchReport`).
     """
     start = time.perf_counter()
-    occurrences: List[Tuple[int, ...]] = []
-    hit_limit = False
-    clock = budget.start_clock() if budget is not None else None
-    for occurrence in mjoin_iter(rig, order=order, budget=budget, injective=injective):
-        occurrences.append(occurrence)
-        if clock is not None and clock.check_matches(len(occurrences)):
-            hit_limit = True
-            break
+    occurrences = list(mjoin_iter(rig, order=order, budget=budget, injective=injective))
+    cap = budget.max_matches if budget is not None else None
+    hit_limit = cap is not None and len(occurrences) >= cap
     return occurrences, hit_limit, time.perf_counter() - start
 
 
@@ -226,10 +206,4 @@ def count_matches(
     budget: Optional[Budget] = None,
 ) -> int:
     """Count occurrences without materialising them (subject to the budget)."""
-    count = 0
-    clock = budget.start_clock() if budget is not None else None
-    for _ in mjoin_iter(rig, order=order, budget=budget):
-        count += 1
-        if clock is not None and clock.check_matches(count):
-            break
-    return count
+    return sum(1 for _ in mjoin_iter(rig, order=order, budget=budget))

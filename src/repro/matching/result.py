@@ -9,10 +9,11 @@ evaluation — matches found, phase timings, and how the evaluation ended.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import MemoryBudgetExceeded, QueryCancelled, TimeoutExceeded
 
@@ -140,6 +141,30 @@ class BudgetClock:
         if limit is not None and self.elapsed > limit:
             raise TimeoutExceeded(limit)
 
+    def checker(self) -> Optional[Callable[[], None]]:
+        """An un-amortised :meth:`check_time`, or None with nothing to check.
+
+        For loops whose iterations are coarse enough (MJoin: one local
+        candidate set each) to consult the cancel event and the wall clock
+        every time — and to skip the call altogether when the budget has
+        neither a time limit nor a cancel event.
+        """
+        limit = self.budget.time_limit_seconds
+        event = self.budget.cancel_event
+        if limit is None and event is None:
+            return None
+        deadline = None if limit is None else self._start + limit
+        cancelled = None if event is None else event.is_set
+        now = time.perf_counter
+
+        def check() -> None:
+            if cancelled is not None and cancelled():
+                raise QueryCancelled()
+            if deadline is not None and now() > deadline:
+                raise TimeoutExceeded(limit)
+
+        return check
+
     def check_matches(self, count: int) -> bool:
         """Return True if the match cap has been reached."""
         limit = self.budget.max_matches
@@ -204,11 +229,8 @@ class MatchReport:
             "query_name": self.query_name,
             "algorithm": self.algorithm,
             "status": self.status.value,
-            "occurrences": (
-                [list(occurrence) for occurrence in self.occurrences]
-                if include_occurrences
-                else []
-            ),
+            # Tuples as they are: the frame encoder writes them as arrays.
+            "occurrences": self.occurrences if include_occurrences else [],
             "num_matches": self.num_matches,
             "matching_seconds": self.matching_seconds,
             "enumeration_seconds": self.enumeration_seconds,
@@ -222,9 +244,7 @@ class MatchReport:
             query_name=str(payload.get("query_name", "query")),
             algorithm=str(payload.get("algorithm", "?")),
             status=MatchStatus(payload.get("status", MatchStatus.OK.value)),
-            occurrences=[
-                tuple(occurrence) for occurrence in payload.get("occurrences", ())
-            ],
+            occurrences=list(map(tuple, payload.get("occurrences", ()))),
             num_matches=int(payload.get("num_matches", 0)),
             matching_seconds=float(payload.get("matching_seconds", 0.0)),
             enumeration_seconds=float(payload.get("enumeration_seconds", 0.0)),
@@ -232,14 +252,29 @@ class MatchReport:
         )
 
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
 def jsonable(value):
     """``value`` if it serialises to JSON as-is, else its ``repr``.
 
     The wire encoders use this on open-ended ``extra`` mappings, which may
     hold arbitrary objects in-process (RIG build reports, index handles).
+    Scalars and flat lists / string-keyed dicts of scalars — nearly every
+    ``extra`` value — are recognised by type; only other shapes pay for a
+    trial ``json.dumps`` (the frame encoder serialises the value again).
     """
-    import json
-
+    if isinstance(value, _JSON_SCALARS):
+        return value
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(item, _JSON_SCALARS) for item in value):
+            return value
+    elif isinstance(value, dict):
+        if all(
+            isinstance(key, str) and isinstance(item, _JSON_SCALARS)
+            for key, item in value.items()
+        ):
+            return value
     try:
         json.dumps(value)
     except (TypeError, ValueError):

@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.exceptions import (
     BudgetExceeded,
     MemoryBudgetExceeded,
+    ProtocolError,
     QueryCancelled,
     TimeoutExceeded,
 )
@@ -48,19 +49,28 @@ Occurrence = Tuple[int, ...]
 Page = Tuple[Occurrence, ...]
 
 
-def encode_page(page: Page) -> List[List[int]]:
+def encode_page(page: Page) -> Page:
     """JSON-serialisable form of one streamed occurrence page.
 
-    The wire protocol's page frames carry occurrence tuples as plain nested
-    lists; :func:`decode_page` restores the tuple-of-tuples shape every
-    in-process consumer (and report comparison) expects.
+    The page itself: the frame encoder writes tuples as JSON arrays, so
+    nothing is copied.  :func:`decode_page` restores the tuple-of-tuples
+    shape every in-process consumer (and report comparison) expects.
     """
-    return [list(occurrence) for occurrence in page]
+    return page
 
 
 def decode_page(payload) -> Page:
-    """Rebuild a page from :func:`encode_page` output."""
-    return tuple(tuple(int(value) for value in occurrence) for occurrence in payload)
+    """Rebuild a page from the wire form of :func:`encode_page` output.
+
+    The shape is checked once per page, not per value: the values are
+    whatever the JSON decoder produced from the server's integers.
+    """
+    if isinstance(payload, (list, tuple)):
+        try:
+            return tuple(map(tuple, payload))
+        except TypeError:
+            pass
+    raise ProtocolError(f"a stream page must be a list of rows, got {payload!r:.80}")
 
 
 class MatchStream:

@@ -54,7 +54,7 @@ from repro.exceptions import (
 )
 from repro.graph.digraph import DataGraph
 from repro.obs import context as trace_context
-from repro.server.protocol import decode_error, encode_frame, read_frame_sync
+from repro.server.protocol import connect, decode_error, encode_frame, read_frame_sync
 from repro.service.service import QueryService, ServiceConfig
 from repro.store.versioned import VersionedGraphStore
 from repro.wal.durability import (
@@ -338,7 +338,7 @@ class ReplicaTail:
         from_version = None
         if self.database is not None and not self._force_bootstrap:
             from_version = int(self.database.head_version)
-        sock = socket.create_connection((self.host, self.port), timeout=10.0)
+        sock = connect(self.host, self.port, 10.0)
         try:
             sock.settimeout(1.0)
             ident = next(self._ids)

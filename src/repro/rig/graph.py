@@ -55,6 +55,10 @@ class RuntimeIndexGraph:
         self._backward: Dict[Tuple[int, int], Dict[int, object]] = {
             edge.endpoints(): {} for edge in query.edges()
         }
+        # Values derived from the sets above (aggregate sizes, search orders,
+        # MJoin plans).  Every mutator clears it, so a derived value lives
+        # exactly as long as the RIG state it was computed from.
+        self._memo: Dict[object, object] = {}
 
     # ------------------------------------------------------------------ #
     # construction API (used by BuildRIG)
@@ -66,6 +70,7 @@ class RuntimeIndexGraph:
 
     def set_candidates(self, query_node: int, candidates: Iterable[int]) -> None:
         """Define ``cos(query_node)``."""
+        self._memo.clear()
         self._cos[query_node] = self._factory(candidates)
 
     def add_edge_candidates(
@@ -76,6 +81,7 @@ class RuntimeIndexGraph:
         head_list = list(heads)
         if not head_list:
             return
+        self._memo.clear()
         forward = self._forward[key]
         existing = forward.get(tail)
         if existing is None:
@@ -94,6 +100,20 @@ class RuntimeIndexGraph:
     # ------------------------------------------------------------------ #
     # read API (used by MJoin and statistics)
     # ------------------------------------------------------------------ #
+
+    def memo(self, key, compute: Callable[[], object]):
+        """``compute()``, remembered under ``key`` until the RIG next changes.
+
+        The one place derived read-side state lives: the aggregate sizes
+        below, the search order per ordering method, and MJoin's compiled
+        plans.  It dies with the RIG (a session dropping its RIG cache drops
+        these too) and is cleared by every mutator.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def candidates(self, query_node: int):
         """``cos(query_node)`` as a set-like object."""
@@ -120,9 +140,20 @@ class RuntimeIndexGraph:
             return self._factory(())
         return adjacency
 
+    def forward_index(self, source: int, target: int) -> Dict[int, object]:
+        """The whole forward adjacency of edge (source, target): tail -> heads."""
+        return self._forward[(source, target)]
+
+    def backward_index(self, source: int, target: int) -> Dict[int, object]:
+        """The whole backward adjacency of edge (source, target): head -> tails."""
+        return self._backward[(source, target)]
+
     def edge_candidate_count(self, source: int, target: int) -> int:
         """``|cos(e)|`` for the query edge ``(source, target)``."""
-        return sum(len(heads) for heads in self._forward[(source, target)].values())  # type: ignore[arg-type]
+        return self.memo(
+            ("edge_count", source, target),
+            lambda: sum(map(len, self._forward[(source, target)].values())),
+        )
 
     def edge_candidates(self, source: int, target: int) -> Iterator[Tuple[int, int]]:
         """Iterate over the candidate pairs of a query edge."""
@@ -136,12 +167,13 @@ class RuntimeIndexGraph:
 
     def num_rig_nodes(self) -> int:
         """Total number of candidate (query node, data node) pairs."""
-        return sum(len(candidates) for candidates in self._cos.values())  # type: ignore[arg-type]
+        return self.memo("nodes", lambda: sum(map(len, self._cos.values())))
 
     def num_rig_edges(self) -> int:
         """Total number of candidate edge pairs across all query edges."""
-        return sum(
-            self.edge_candidate_count(source, target) for (source, target) in self._forward
+        return self.memo(
+            "edges",
+            lambda: sum(self.edge_candidate_count(*endpoints) for endpoints in self._forward),
         )
 
     def size(self) -> int:
@@ -150,7 +182,7 @@ class RuntimeIndexGraph:
 
     def is_empty(self) -> bool:
         """True if some query node has no candidates (the answer is empty)."""
-        return any(len(candidates) == 0 for candidates in self._cos.values())  # type: ignore[arg-type]
+        return self.memo("empty", lambda: not all(map(len, self._cos.values())))
 
     def prune_unmatched_candidates(self) -> int:
         """Drop candidates that lost all adjacency on some incident query edge.
@@ -189,6 +221,7 @@ class RuntimeIndexGraph:
                     target_candidates.discard(head)  # type: ignore[attr-defined]
                     removed_total += 1
                     changed = True
+        self._memo.clear()
         return removed_total
 
     @staticmethod

@@ -93,6 +93,19 @@ __all__ = [
 ]
 
 
+def connect(host: str, port: int, timeout: Optional[float]) -> socket.socket:
+    """A client-side connection to a graph server, with ``TCP_NODELAY`` set.
+
+    The protocol is small request frames answered by small reply frames;
+    with Nagle's algorithm on, a request written right after another small
+    write (a stream's last ``credit`` frame) waits for the peer's delayed
+    ACK — about 40 ms per occurrence.
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def read_frame_sync(sock: socket.socket) -> Optional[Dict[str, object]]:
     """Blocking frame read from a plain socket (the sync client's reader).
 

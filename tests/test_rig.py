@@ -60,6 +60,22 @@ class TestRuntimeIndexGraphStructure:
         rig.add_edge_candidates(paper_query.edge(0, 1), A1, [])
         assert rig.num_rig_edges() == before
 
+    def test_aggregates_are_memoised_until_the_rig_changes(self, rig, paper_query):
+        assert (rig.num_rig_nodes(), rig.num_rig_edges(), rig.size()) == (7, 7, 14)
+        assert not rig.is_empty()
+        derived = rig.memo("derived", object)
+        assert rig.memo("derived", object) is derived  # computed once
+        # Each mutator drops every derived value.
+        rig.add_edge_candidates(paper_query.edge(0, 1), A1, [B2])
+        assert (rig.num_rig_edges(), rig.edge_candidate_count(0, 1), rig.size()) == (8, 3, 15)
+        rig.set_candidates(2, [C0])
+        assert (rig.num_rig_nodes(), rig.size()) == (5, 13)
+        rig.set_candidates(1, [])
+        assert rig.is_empty()
+        rig.set_candidates(1, [B0, B2])
+        assert not rig.is_empty() and rig.num_rig_nodes() == 5
+        assert rig.memo("derived", object) is not derived
+
     def test_unknown_set_kind(self, paper_query):
         with pytest.raises(MatchingError):
             RuntimeIndexGraph(paper_query, set_kind="bogus")
@@ -77,9 +93,11 @@ class TestRuntimeIndexGraphStructure:
         rig.add_edge_candidates(paper_query.edge(0, 1), A1, [B0])
         rig.add_edge_candidates(paper_query.edge(0, 2), A1, [C0])
         rig.add_edge_candidates(paper_query.edge(1, 2), B0, [C0])
+        assert rig.num_rig_nodes() == 4
         removed = rig.prune_unmatched_candidates()
         assert removed == 1
         assert set(rig.candidates(1)) == {B0}
+        assert rig.num_rig_nodes() == 3  # the memoised aggregate was dropped
 
 
 class TestBuildRIG:

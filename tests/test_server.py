@@ -412,6 +412,19 @@ class TestWireStreaming:
         report = stream.report(timeout=30.0)
         assert report.status is MatchStatus.MATCH_LIMIT
 
+    def test_client_sockets_disable_nagle(self, client):
+        # A request written right after a stream's last ``credit`` frame
+        # must not wait ~40 ms for the server's delayed ACK.
+        def nodelay() -> int:
+            return client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        assert nodelay() == 1
+        before = client._sock
+        client._reopen()
+        assert client._sock is not before
+        assert nodelay() == 1
+        assert client.count(build_paper_query()) == len(PAPER_ANSWER)
+
     def test_pinned_stream(self, client):
         with client.pin() as snapshot:
             base = client.num_nodes

@@ -25,7 +25,7 @@ from fixtures_paper import (
 from repro.engines import BinaryJoinEngine, RelationalEngine, TreeDecompEngine, WCOJEngine
 from repro.engines.base import Engine
 from repro.graph.digraph import DataGraph
-from repro.matching.gm import GraphMatcher
+from repro.matching.gm import GraphMatcher, mjoin_iter
 from repro.matching.result import Budget, MatchStatus
 from repro.matching.stream import MatchStream
 from repro.query.pattern import EdgeType, PatternQuery
@@ -298,35 +298,23 @@ class TestLaziness:
         assert first_match_reads <= 4
         assert full_reads > 4 * first_match_reads
 
-    def test_gm_first_match_expands_far_fewer_candidates(self, monkeypatch):
-        import importlib
+    def test_gm_first_match_expands_far_fewer_candidates(self):
+        # Laziness through the enumerator's own ``stats`` channel (flushed
+        # when the generator finishes *or is closed*): one row pulled means
+        # one descent's worth of candidate sets, not the whole search.
+        rig = GraphMatcher(fanout_graph(width=12)).build_rig(path_query()).rig
+        unlimited = Budget(max_matches=None)
 
-        # The package re-exports the ``mjoin`` *function* under the same
-        # name as the submodule; go through importlib for the module.
-        mjoin_module = importlib.import_module("repro.matching.mjoin")
-
-        calls = {"n": 0}
-        original = mjoin_module._local_candidates
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mjoin_module, "_local_candidates", counting)
-        matcher = GraphMatcher(fanout_graph(width=12))
-
-        calls["n"] = 0
-        iterator = matcher.iter_matches(path_query(), budget=Budget(max_matches=None))
+        first: dict = {}
+        iterator = mjoin_iter(rig, budget=unlimited, stats=first)
         next(iterator)
-        first_match_calls = calls["n"]
+        assert first == {}  # nothing is flushed while the search is live
         iterator.close()
 
-        calls["n"] = 0
-        assert matcher.count(path_query(), budget=Budget(max_matches=None)) == 144
-        full_calls = calls["n"]
-
-        assert first_match_calls <= 4
-        assert full_calls > 4 * first_match_calls
+        full: dict = {}
+        assert sum(1 for _ in mjoin_iter(rig, budget=unlimited, stats=full)) == 144
+        assert full["intersections"] > 4 * first["intersections"]
+        assert full["candidates"] > 4 * first["candidates"]
 
     def test_session_stream_is_lazy_for_gm(self):
         session = QuerySession(fanout_graph())

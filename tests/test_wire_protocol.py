@@ -9,6 +9,7 @@ client share, tested without a socket where possible and over a local
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
@@ -34,11 +35,12 @@ from repro.exceptions import (
     StoreError,
     UnknownGraphError,
 )
-from repro.matching.result import Budget, MatchReport, MatchStatus
+from repro.matching.result import Budget, MatchReport, MatchStatus, jsonable
 from repro.matching.stream import decode_page, encode_page
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
+    connect,
     decode_error,
     encode_error,
     encode_frame,
@@ -80,6 +82,15 @@ class TestFraming:
     def test_unicode_payload(self):
         payload = {"id": 1, "op": "create_graph", "name": "社交-𝔤𝔯𝔞𝔭𝔥"}
         assert roundtrip_frames(payload) == [payload]
+
+    def test_connect_disables_nagle(self):
+        # The one way GraphClient and ReplicaTail open their sockets.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            sock = connect(*listener.getsockname(), timeout=5.0)
+            try:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+            finally:
+                sock.close()
 
     def test_clean_eof_returns_none(self):
         left, right = socket.socketpair()
@@ -262,10 +273,49 @@ class TestDomainWireForms:
         assert wire["occurrences"] == []
         assert MatchReport.from_wire(wire).num_matches == 1
 
+    def test_match_report_roundtrip_through_json(self):
+        report = MatchReport(
+            query_name="q",
+            algorithm="GM",
+            status=MatchStatus.OK,
+            occurrences=[(1, 2), (3, 4)],
+            num_matches=2,
+            matching_seconds=0.25,
+            enumeration_seconds=0.5,
+            extra={
+                "rig_size": 14,
+                "search_order": [1, 0, 2],
+                "mjoin": {"candidates": 9, "intersections": 4},
+                "rig_cached": True,
+                "first_match_seconds": None,
+            },
+        )
+        assert report.to_wire()["occurrences"] is report.occurrences  # not copied
+        restored = MatchReport.from_wire(json.loads(json.dumps(report.to_wire())))
+        assert restored == report
+
+    def test_jsonable_keeps_json_values_and_reprs_the_rest(self):
+        keep = [None, True, 3, 2.5, "s", [1, "a", None], (1, 2), {"k": 1.5}, [[1], {"k": [2]}]]
+        for value in keep:
+            assert jsonable(value) is value
+        marker = object()
+        for value in (marker, [marker], {"k": marker}, {1: "non-string key is fine"}):
+            assert jsonable(value) is value or jsonable(value) == repr(value)
+        assert jsonable(marker) == repr(marker)
+        assert jsonable([marker]) == repr([marker])
+        assert jsonable({"k": marker}) == repr({"k": marker})
+
     def test_page_roundtrip(self):
         page = ((1, 2, 3), (4, 5, 6))
+        assert encode_page(page) is page  # tuples go to the frame encoder as-is
+        assert decode_page(json.loads(json.dumps(encode_page(page)))) == page
         assert decode_page(encode_page(page)) == page
         assert decode_page([]) == ()
+
+    @pytest.mark.parametrize("payload", [None, 7, "rows", {"0": [1]}, [1, 2], [[1], None]])
+    def test_malformed_page_rejected(self, payload):
+        with pytest.raises(ProtocolError, match="list of rows"):
+            decode_page(payload)
 
     def test_apply_report_roundtrip(self):
         report = ApplyReport(
