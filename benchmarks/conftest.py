@@ -196,7 +196,6 @@ def matcher_benchmark(benchmark, name: str, graph, context, query, budget: Budge
     """Benchmark one matcher on one query and record the match count."""
     matcher = make_matcher(name, graph, context, budget)
     report = benchmark(lambda: matcher.match(query, budget=budget))
-    result = report.report if hasattr(report, "report") else report
-    benchmark.extra_info["matches"] = result.num_matches
-    benchmark.extra_info["status"] = result.status.value
-    return result
+    benchmark.extra_info["matches"] = report.num_matches
+    benchmark.extra_info["status"] = report.status.value
+    return report

@@ -14,16 +14,19 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.exceptions import TimeoutExceeded
 from repro.graph.digraph import DataGraph
-from repro.matching.result import Budget, MatchReport, MatchStatus
-from repro.matching.stream import MatchStream
+from repro.matching.result import Budget
+from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternQuery
 from repro.simulation.context import MatchContext
 
 
-class ISOMatcher:
+class ISOMatcher(Evaluator):
     """Backtracking subgraph-isomorphism matcher."""
+
+    name = "ISO"
+    #: Always one-to-one: ``injective`` is accepted, never switchable.
+    options = ("injective",)
 
     def __init__(
         self,
@@ -84,97 +87,20 @@ class ISOMatcher:
     # evaluation
     # ------------------------------------------------------------------ #
 
-    def match(self, query: PatternQuery, budget: Optional[Budget] = None) -> MatchReport:
-        """Enumerate the isomorphic (injective) occurrences of ``query``."""
-        budget = budget or self.budget
-        clock = budget.start_clock()
-        start = time.perf_counter()
-        context = self.context
-        try:
-            candidates = self._candidates(query)
-            order = self._order(query, candidates)
-            matching_seconds = time.perf_counter() - start
-
-            enumeration_start = time.perf_counter()
-            n = query.num_nodes
-            assignment: List[Optional[int]] = [None] * n
-            used: Set[int] = set()
-            occurrences: List[Tuple[int, ...]] = []
-            hit_limit = False
-
-            def consistent(node: int, value: int) -> bool:
-                for neighbor in query.neighbors(node):
-                    other_value = assignment[neighbor]
-                    if other_value is None:
-                        continue
-                    if query.has_edge(node, neighbor):
-                        edge = query.edge(node, neighbor)
-                        if not context.edge_match(edge, value, other_value):
-                            return False
-                    if query.has_edge(neighbor, node):
-                        edge = query.edge(neighbor, node)
-                        if not context.edge_match(edge, other_value, value):
-                            return False
-                return True
-
-            def recurse(position: int) -> bool:
-                clock.check_time()
-                if position == n:
-                    occurrences.append(tuple(assignment))
-                    return clock.check_matches(len(occurrences))
-                node = order[position]
-                for value in candidates[node]:
-                    if value in used:
-                        continue
-                    if not consistent(node, value):
-                        continue
-                    assignment[node] = value
-                    used.add(value)
-                    stop = recurse(position + 1)
-                    used.discard(value)
-                    assignment[node] = None
-                    if stop:
-                        return True
-                return False
-
-            hit_limit = recurse(0)
-            enumeration_seconds = time.perf_counter() - enumeration_start
-            status = MatchStatus.MATCH_LIMIT if hit_limit else MatchStatus.OK
-            return MatchReport(
-                query_name=query.name,
-                algorithm="ISO",
-                status=status,
-                occurrences=occurrences,
-                num_matches=len(occurrences),
-                matching_seconds=matching_seconds,
-                enumeration_seconds=enumeration_seconds,
-            )
-        except TimeoutExceeded:
-            return MatchReport(
-                query_name=query.name,
-                algorithm="ISO",
-                status=MatchStatus.TIMEOUT,
-                matching_seconds=time.perf_counter() - start,
-            )
-
-    # ------------------------------------------------------------------ #
-    # streaming execution
-    # ------------------------------------------------------------------ #
-
     def iter_matches(
         self,
         query: PatternQuery,
         budget: Optional[Budget] = None,
         info: Optional[Dict[str, object]] = None,
+        injective: bool = True,
     ) -> Iterator[Tuple[int, ...]]:
-        """Lazily enumerate occurrences straight out of the backtracking.
+        """Lazily enumerate the isomorphic (injective) occurrences of ``query``.
 
         The recursive search yields each completed injective assignment the
         moment the last query node is placed, so consumers see the first
         occurrence at time-to-first-solution rather than after the whole
-        search space is exhausted.  Occurrence order matches the eager
-        :meth:`match`.  Budget exceptions propagate; :meth:`match_stream`
-        converts them into terminal statuses.
+        search space is exhausted.  Budget exceptions propagate;
+        ``match_stream`` converts them into terminal statuses.
 
         ``info`` follows the mutable-mapping contract of
         :class:`~repro.matching.stream.MatchStream`.
@@ -230,27 +156,3 @@ class ISOMatcher:
             count += 1
             if clock.check_matches(count):
                 return
-
-    def match_stream(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        keep_occurrences: bool = True,
-    ) -> MatchStream:
-        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
-
-        Streams genuinely (no replay of a finished report): abandoning the
-        stream closes the generator and stops the backtracking search
-        mid-flight.  ``stream.report()`` finalises into a report equivalent
-        to the eager :meth:`match`.
-        """
-        budget = budget or self.budget
-        info: Dict[str, object] = {}
-        return MatchStream(
-            self.iter_matches(query, budget=budget, info=info),
-            query_name=query.name,
-            algorithm="ISO",
-            budget=budget,
-            info=info,
-            keep_occurrences=keep_occurrences,
-        )

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.exceptions import MemoryBudgetExceeded, TimeoutExceeded
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
-from repro.matching.stream import MatchStream
+from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.simulation.context import MatchContext
@@ -36,8 +36,17 @@ from repro.simulation.matchsets import node_prefilter
 EdgeRelation = List[Tuple[int, int]]
 
 
-class JMMatcher:
-    """Join-based pattern matcher (the JM baseline)."""
+class JMMatcher(Evaluator):
+    """Join-based pattern matcher (the JM baseline).
+
+    The one evaluator that keeps its own materialising :meth:`match`: it is
+    the reference the tests and ``perf/check.py`` compare against, and its
+    materialised final join (``check_intermediate``, ``peak_intermediate``)
+    is the cost profile the paper's tables report, which the streaming
+    final join of :meth:`iter_matches` does not reproduce under a match cap.
+    """
+
+    name = "JM"
 
     def __init__(
         self,
@@ -395,7 +404,7 @@ class JMMatcher:
         occurrence before the final join (typically the largest) finishes.
         Budget exceptions (:class:`~repro.exceptions.TimeoutExceeded`,
         :class:`~repro.exceptions.MemoryBudgetExceeded`) propagate to the
-        caller; :meth:`match_stream` converts them into terminal statuses.
+        caller; ``match_stream`` converts them into terminal statuses.
 
         ``info`` is the mutable mapping contract of
         :class:`~repro.matching.stream.MatchStream`: ``matching_seconds``
@@ -463,28 +472,3 @@ class JMMatcher:
                 count += 1
                 if clock.check_matches(count):
                     return
-
-    def match_stream(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        keep_occurrences: bool = True,
-    ) -> MatchStream:
-        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
-
-        Unlike the TM / ISO baselines (which replay a finished report), JM
-        streams genuinely: occurrences flow out of :meth:`iter_matches` as
-        the final hash join probes.  ``stream.report()`` finalises into a
-        report equivalent to the eager :meth:`match` (same occurrence set
-        and order, same status for solved runs).
-        """
-        budget = budget or self.budget
-        info: Dict[str, object] = {}
-        return MatchStream(
-            self.iter_matches(query, budget=budget, info=info),
-            query_name=query.name,
-            algorithm="JM",
-            budget=budget,
-            info=info,
-            keep_occurrences=keep_occurrences,
-        )

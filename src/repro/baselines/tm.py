@@ -19,18 +19,19 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.exceptions import MemoryBudgetExceeded, TimeoutExceeded
 from repro.graph.digraph import DataGraph
-from repro.matching.result import Budget, MatchReport, MatchStatus
-from repro.matching.stream import MatchStream
+from repro.matching.result import Budget
+from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.simulation.context import MatchContext
 from repro.simulation.matchsets import node_prefilter
 
 
-class TMMatcher:
+class TMMatcher(Evaluator):
     """Tree-based pattern matcher (the TM baseline)."""
+
+    name = "TM"
 
     def __init__(
         self,
@@ -202,80 +203,7 @@ class TMMatcher:
         yield from recurse(0)
 
     # ------------------------------------------------------------------ #
-    # full evaluation
-    # ------------------------------------------------------------------ #
-
-    def match(self, query: PatternQuery, budget: Optional[Budget] = None) -> MatchReport:
-        """Evaluate ``query``: tree evaluation plus non-tree edge filtering."""
-        budget = budget or self.budget
-        clock = budget.start_clock()
-        start = time.perf_counter()
-        original_query = query
-        try:
-            if self.apply_transitive_reduction:
-                query = transitive_reduction(query)
-            candidates = (
-                node_prefilter(self.context, query)
-                if self.prefilter
-                else self.context.match_sets(query)
-            )
-            tree_edges, non_tree_edges = self.spanning_tree(query)
-            if tree_edges or query.num_edges == 0:
-                candidates = self._refine_tree_candidates(query, tree_edges, candidates, clock)
-            adjacency = self._tree_adjacency(tree_edges, candidates, clock)
-            matching_seconds = time.perf_counter() - start
-
-            enumeration_start = time.perf_counter()
-            occurrences: List[Tuple[int, ...]] = []
-            tree_solutions = 0
-            hit_limit = False
-            context = self.context
-            if all(candidates[node] for node in query.nodes()):
-                for tree_occurrence in self._enumerate_tree(
-                    query, tree_edges, candidates, adjacency, clock
-                ):
-                    tree_solutions += 1
-                    clock.check_intermediate(tree_solutions)
-                    satisfied = all(
-                        context.edge_match(
-                            edge, tree_occurrence[edge.source], tree_occurrence[edge.target]
-                        )
-                        for edge in non_tree_edges
-                    )
-                    if satisfied:
-                        occurrences.append(tree_occurrence)
-                        if clock.check_matches(len(occurrences)):
-                            hit_limit = True
-                            break
-            enumeration_seconds = time.perf_counter() - enumeration_start
-            status = MatchStatus.MATCH_LIMIT if hit_limit else MatchStatus.OK
-            return MatchReport(
-                query_name=original_query.name,
-                algorithm="TM",
-                status=status,
-                occurrences=occurrences,
-                num_matches=len(occurrences),
-                matching_seconds=matching_seconds,
-                enumeration_seconds=enumeration_seconds,
-                extra={"tree_solutions": tree_solutions, "non_tree_edges": len(non_tree_edges)},
-            )
-        except TimeoutExceeded:
-            return MatchReport(
-                query_name=original_query.name,
-                algorithm="TM",
-                status=MatchStatus.TIMEOUT,
-                matching_seconds=time.perf_counter() - start,
-            )
-        except MemoryBudgetExceeded:
-            return MatchReport(
-                query_name=original_query.name,
-                algorithm="TM",
-                status=MatchStatus.OUT_OF_MEMORY,
-                matching_seconds=time.perf_counter() - start,
-            )
-
-    # ------------------------------------------------------------------ #
-    # streaming execution
+    # full evaluation: tree evaluation plus non-tree edge filtering
     # ------------------------------------------------------------------ #
 
     def iter_matches(
@@ -291,8 +219,8 @@ class TMMatcher:
         occurrence is checked against the non-tree edges as it is produced
         and yielded immediately if it survives, so a consumer sees the first
         occurrence before the (possibly huge) tree-solution space is
-        exhausted.  Budget exceptions propagate; :meth:`match_stream`
-        converts them into terminal statuses.
+        exhausted.  Budget exceptions propagate; ``match_stream`` converts
+        them into terminal statuses.
 
         ``info`` follows the mutable-mapping contract of
         :class:`~repro.matching.stream.MatchStream`; ``extra`` is updated
@@ -343,27 +271,3 @@ class TMMatcher:
                 count += 1
                 if clock.check_matches(count):
                     return
-
-    def match_stream(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        keep_occurrences: bool = True,
-    ) -> MatchStream:
-        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
-
-        Streams genuinely (no replay of a finished report): occurrences flow
-        out of :meth:`iter_matches` as tree solutions survive the non-tree
-        edge filter.  ``stream.report()`` finalises into a report equivalent
-        to the eager :meth:`match`.
-        """
-        budget = budget or self.budget
-        info: Dict[str, object] = {}
-        return MatchStream(
-            self.iter_matches(query, budget=budget, info=info),
-            query_name=query.name,
-            algorithm="TM",
-            budget=budget,
-            info=info,
-            keep_occurrences=keep_occurrences,
-        )

@@ -9,7 +9,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher
 from repro.baselines.tm import TMMatcher
-from repro.engines.base import Engine
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.engines.relational import RelationalEngine
 from repro.engines.treedecomp import TreeDecompEngine
@@ -152,23 +151,16 @@ class WorkloadResult:
 
 
 def _evaluate(matcher, query: PatternQuery, budget: Budget) -> QueryRun:
-    name = getattr(matcher, "name", None) or getattr(matcher, "algorithm_name", lambda: "?")()
     start = time.perf_counter()
-    if isinstance(matcher, Engine):
-        result = matcher.match(query, budget=budget)
-        report = result.report
-        extra = {"precompute_seconds": result.precompute_seconds}
-    else:
-        report = matcher.match(query, budget=budget)
-        extra = dict(report.extra)
+    report = matcher.match(query, budget=budget)
     elapsed = time.perf_counter() - start
     return QueryRun(
-        matcher=name if isinstance(name, str) else str(name),
+        matcher=matcher.name,
         query=query.name,
         seconds=report.total_seconds if report.total_seconds > 0 else elapsed,
         matches=report.num_matches,
         status=report.status.value,
-        extra=extra,
+        extra=dict(report.extra),
     )
 
 

@@ -56,7 +56,7 @@ from repro.matching.stream import decode_page
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import PatternQuery
-from repro.server.protocol import connect, decode_error, encode_frame, read_frame_sync
+from repro.server.protocol import OPS, connect, decode_error, encode_frame, read_frame_sync
 from repro.service.service import ServiceBatchReport
 
 #: A query, as a parsed pattern or DSL text (mirrors ``repro.api.QueryLike``).
@@ -69,25 +69,7 @@ QueryLike = Union[PatternQuery, str]
 #: (its pages are connection-scoped), as is anything pin-scoped: pin
 #: tokens die with the connection, so a retried read naming one fails
 #: loudly rather than silently reading a different version.
-_IDEMPOTENT_OPS = frozenset(
-    {
-        "ping",
-        "graphs",
-        "info",
-        "query",
-        "count",
-        "explain",
-        "histogram",
-        "run_batch",
-        "stats",
-        "metrics",
-        "slow_queries",
-        "replica_status",
-        "health",
-        "events",
-        "spans",
-    }
-)
+_IDEMPOTENT_OPS = frozenset(op for op, flags in OPS.items() if flags.idempotent)
 
 
 def _encode_trace(trace) -> Optional[object]:

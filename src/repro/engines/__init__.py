@@ -26,11 +26,11 @@ Execution is incremental-first: every engine implements a lazy
 ``_iter_evaluate`` generator, :meth:`Engine.iter_matches` is the public
 streaming primitive (GF and RM yield each embedding as the innermost
 extension completes; EH and Neo4j stream their projection tails over
-materialised join pipelines), and ``match()`` / ``count()`` are thin
-drivers that drain the iterator.
+materialised join pipelines), and ``match()`` / ``count()`` / ``explain()``
+are the drivers every :class:`~repro.matching.stream.Evaluator` inherits.
 """
 
-from repro.engines.base import Engine, EngineResult, expand_descendant_edges
+from repro.engines.base import Engine, expand_descendant_edges
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.engines.relational import RelationalEngine
 from repro.engines.wcoj import WCOJEngine, Catalog
@@ -38,7 +38,6 @@ from repro.engines.treedecomp import TreeDecompEngine
 
 __all__ = [
     "Engine",
-    "EngineResult",
     "expand_descendant_edges",
     "BinaryJoinEngine",
     "RelationalEngine",

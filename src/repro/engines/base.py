@@ -1,45 +1,26 @@
 """Common scaffolding for the comparator query engines.
 
-The execution primitive is :meth:`Engine.iter_matches`: a lazy generator
-that yields occurrences as the engine's search finds them.  ``match()`` is
-a thin driver that drains the iterator into a
-:class:`~repro.matching.result.MatchReport` (via
-:class:`~repro.matching.stream.MatchStream`), so eager and incremental
-consumption always agree on the occurrence set, the status and the budget
-semantics.  Early termination — the match cap, a deadline, cooperative
-cancellation, or the consumer simply abandoning the generator
-(``generator.close()``) — stops the enumeration mid-search.
+An :class:`Engine` is an :class:`~repro.matching.stream.Evaluator`: it
+writes :meth:`Engine.iter_matches` — a lazy generator that yields
+occurrences as the engine's search finds them — and inherits
+``match_stream`` / ``match`` / ``count`` / ``explain``.  Early termination
+— the match cap, a deadline, cooperative cancellation, or the consumer
+simply abandoning the generator (``generator.close()``) — stops the
+enumeration mid-search.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from abc import ABC
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import EngineError, StaleIndexError
-from repro.explain.plan import PlanOperator, QueryPlan
+from repro.explain.plan import QueryPlan
 from repro.graph.digraph import DataGraph
-from repro.matching.result import Budget, MatchReport
-from repro.matching.stream import MatchStream
+from repro.matching.result import Budget
+from repro.matching.stream import Evaluator
 from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
 from repro.reachability.transitive_closure import TransitiveClosureIndex
-
-
-@dataclass
-class EngineResult:
-    """Engine-level outcome: a :class:`MatchReport` plus precomputation cost."""
-
-    report: MatchReport
-    precompute_seconds: float = 0.0
-    extra: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Query time excluding precomputation (the paper reports both)."""
-        return self.report.total_seconds
 
 
 def expand_descendant_edges(
@@ -74,7 +55,7 @@ ClosureSource = Union[TransitiveClosureIndex, Callable[[], TransitiveClosureInde
 ExpandedGraphSource = Union[DataGraph, Callable[[], DataGraph]]
 
 
-class Engine(ABC):
+class Engine(Evaluator):
     """Base class for the comparator engines.
 
     Engines natively support child-only queries.  If a query contains
@@ -139,60 +120,10 @@ class Engine(ABC):
         a list of actual-counter dicts aligned with the children of the
         plan :meth:`_describe_plan` produces, flushed in a ``finally``
         block so an abandoned (first-``k``) run still records its work.
-        Overrides that predate profiling are still called without the
-        keyword (see :meth:`_call_iter_evaluate`).
-
-        The default implementation adapts a legacy blocking
-        :meth:`_evaluate` override (materialise, then replay); that path
-        bypasses the streaming budget plumbing and is deprecated.
         """
-        if type(self)._evaluate is Engine._evaluate:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement _iter_evaluate "
-                "(preferred) or the legacy _evaluate"
-            )
-        warnings.warn(
-            f"{type(self).__name__} only implements the blocking _evaluate; "
-            "occurrences are fully materialised before the first one is "
-            "yielded, bypassing the streaming budget plumbing. "
-            "Implement _iter_evaluate instead.",
-            DeprecationWarning,
-            stacklevel=3,
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _iter_evaluate"
         )
-        yield from self._evaluate(graph, query, budget)
-
-    def _evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget
-    ) -> List[Tuple[int, ...]]:
-        """Eagerly enumerate occurrences (legacy hook).
-
-        Kept for backwards compatibility with pre-streaming subclasses;
-        the default drains :meth:`_iter_evaluate` under the match cap.
-        """
-        clock = budget.start_clock()
-        occurrences: List[Tuple[int, ...]] = []
-        for occurrence in self._iter_evaluate(graph, query, budget):
-            occurrences.append(occurrence)
-            if clock.check_matches(len(occurrences)):
-                break
-        return occurrences
-
-    def _call_iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
-    ) -> Iterator[Tuple[int, ...]]:
-        """Invoke :meth:`_iter_evaluate`, tolerating pre-profiling overrides.
-
-        Third-party subclasses registered before the ``profile`` keyword
-        existed are called with the original three-argument shape (a
-        generator function raises ``TypeError`` at call time, before any
-        iteration, so the fallback is safe).
-        """
-        if profile is None:
-            return self._iter_evaluate(graph, query, budget)
-        try:
-            return self._iter_evaluate(graph, query, budget, profile=profile)
-        except TypeError:
-            return self._iter_evaluate(graph, query, budget)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -249,7 +180,10 @@ class Engine(ABC):
         return self._expanded_graph, query.with_edges(rewritten_edges, name=query.name)
 
     def iter_matches(
-        self, query: PatternQuery, budget: Optional[Budget] = None, profile=None
+        self,
+        query: PatternQuery,
+        budget: Optional[Budget] = None,
+        info: Optional[Dict[str, object]] = None,
     ) -> Iterator[Tuple[int, ...]]:
         """Lazily enumerate occurrences of ``query`` (the streaming primitive).
 
@@ -262,94 +196,28 @@ class Engine(ABC):
         exhausted mid-enumeration.  Closing the generator (or breaking out
         of a ``for`` loop that owns it) stops the search immediately.
 
-        ``profile`` (EXPLAIN ANALYZE) threads the per-operator counter dict
-        through to :meth:`_iter_evaluate`; the driver itself records the
-        rows it yielded as ``profile["root_rows"]`` in a ``finally`` block,
-        so the root operator's actual count reconciles exactly with the
-        report's ``num_matches`` even when the match cap or the consumer
-        truncates the stream.
-
-        Wrap with :meth:`match_stream` for exception-free consumption with
-        running counters and report finalisation.
+        ``info`` receives the engine's precomputation cost, and — when it
+        asks for per-operator actuals (EXPLAIN ANALYZE) — is threaded
+        through to :meth:`_iter_evaluate` as its ``profile``.
         """
         budget = budget or self.budget
         graph, rewritten = self._graph_for(query)
+        profile = None
+        if info is not None:
+            info["extra"] = {"precompute_seconds": self._precompute_seconds}
+            if "operators" in info:
+                profile = info
         clock = budget.start_clock()
         count = 0
-        try:
-            for occurrence in self._call_iter_evaluate(graph, rewritten, budget, profile):
-                clock.check_time()
-                yield occurrence
-                count += 1
-                if clock.check_matches(count):
-                    return
-        finally:
-            if profile is not None:
-                profile["root_rows"] = count
-
-    def match_stream(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        keep_occurrences: bool = True,
-    ) -> MatchStream:
-        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
-
-        Budget exhaustion terminates the stream with the corresponding
-        :class:`~repro.matching.result.MatchStatus` instead of raising;
-        ``stream.report()`` finalises into the same :class:`MatchReport`
-        the eager :meth:`match` would have produced.
-        """
-        budget = budget or self.budget
-        info: Dict[str, object] = {
-            "extra": {"precompute_seconds": self._precompute_seconds}
-        }
-        return MatchStream(
-            self.iter_matches(query, budget=budget),
-            query_name=query.name,
-            algorithm=self.name,
-            budget=budget,
-            info=info,
-            keep_occurrences=keep_occurrences,
-        )
-
-    def match(self, query: PatternQuery, budget: Optional[Budget] = None) -> EngineResult:
-        """Evaluate ``query`` and wrap the outcome in an :class:`EngineResult`.
-
-        A thin driver over :meth:`iter_matches`: the stream is drained to
-        completion and finalised into a :class:`MatchReport`.
-        """
-        budget = budget or self.budget
-        start = time.perf_counter()
-        report = self.match_stream(query, budget=budget).report()
-        if not report.status.is_solved():
-            # Match the historical eager shape: a failed evaluation reports
-            # its elapsed time under matching_seconds with no occurrences.
-            report = MatchReport(
-                query_name=query.name,
-                algorithm=self.name,
-                status=report.status,
-                matching_seconds=time.perf_counter() - start,
-            )
-        return EngineResult(report=report, precompute_seconds=self._precompute_seconds)
-
-    def count(self, query: PatternQuery, budget: Optional[Budget] = None) -> int:
-        """Number of occurrences of ``query``, without materialising them.
-
-        Routed through :meth:`iter_matches` with a counting drain, so
-        ``max_matches`` / deadline budgets short-circuit the enumeration
-        without ever building the occurrence list.  A non-solved
-        termination (timeout, cancellation, memory budget) stops the
-        drain and returns the matches counted *so far*; use :meth:`match`
-        when the terminal status matters.
-        """
-        stream = self.match_stream(query, budget=budget, keep_occurrences=False)
-        for _ in stream:
-            pass
-        return stream.num_yielded
+        for occurrence in self._iter_evaluate(graph, rewritten, budget, profile=profile):
+            clock.check_time()
+            yield occurrence
+            count += 1
+            if clock.check_matches(count):
+                return
 
     # ------------------------------------------------------------------ #
-    # EXPLAIN / EXPLAIN ANALYZE
+    # EXPLAIN
     # ------------------------------------------------------------------ #
 
     def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
@@ -361,62 +229,15 @@ class Engine(ABC):
         the same order as the actual-counter dicts the engine's
         :meth:`_iter_evaluate` flushes into ``profile["operators"]``.
         """
-        return QueryPlan(
-            query=query.name or "query",
-            engine=self.name,
-            analyze=False,
-            root=PlanOperator(op="evaluate", label=f"Evaluate [{self.name}]"),
-        )
+        return Evaluator.describe_plan(self, query)
 
-    def explain(
-        self,
-        query: PatternQuery,
-        analyze: bool = False,
-        budget: Optional[Budget] = None,
-    ) -> QueryPlan:
-        """The engine's :class:`QueryPlan` for ``query``.
-
-        Plan-only mode never enumerates (it runs only the engine's planner
-        over precomputed statistics).  ``analyze=True`` executes the query
-        under ``budget`` with per-operator counters threaded through
-        :meth:`iter_matches` and attaches the actuals; the root operator's
-        actual row count equals the ``num_matches`` of the run's
-        :class:`MatchReport`.
-        """
-        budget = budget or self.budget
+    def describe_plan(self, query: PatternQuery) -> QueryPlan:
+        """The engine's plan for ``query``, planned over precomputed statistics."""
         graph, rewritten = self._graph_for(query)
         plan = self._describe_plan(graph, rewritten)
         plan.query = query.name or "query"
-        plan.analyze = analyze
         expanded = graph is not self.graph
         plan.artifacts.setdefault("expanded_graph", expanded)
         if expanded:
             plan.artifacts.setdefault("descendant_mode", self.descendant_mode)
-        if not analyze:
-            return plan
-        profile: Dict[str, object] = {}
-        info: Dict[str, object] = {
-            "extra": {"precompute_seconds": self._precompute_seconds}
-        }
-        stream = MatchStream(
-            self.iter_matches(query, budget=budget, profile=profile),
-            query_name=query.name,
-            algorithm=self.name,
-            budget=budget,
-            info=info,
-            keep_occurrences=False,
-        )
-        for _ in stream:
-            pass
-        report = stream.report()
-        operators = profile.get("operators") or []
-        for child, actual in zip(plan.root.children, operators):
-            child.actual = dict(actual)
-        plan.root.actual = {"rows": profile.get("root_rows", report.num_matches)}
-        plan.execution = {
-            "status": report.status.value,
-            "rows": report.num_matches,
-            "matching_seconds": report.matching_seconds,
-            "enumeration_seconds": report.enumeration_seconds,
-        }
         return plan

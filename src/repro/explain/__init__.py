@@ -2,10 +2,12 @@
 
 The plan document lives here (:class:`QueryPlan`, :class:`PlanOperator`,
 :func:`plan_digest`); the builders live with the code they introspect —
-:meth:`repro.matching.gm.GraphMatcher.explain` for the GM pipeline,
-:meth:`repro.engines.base.Engine.explain` for the alternative engines, and
+every evaluator's ``describe_plan`` (GM's pipeline in
+:mod:`repro.matching.gm`, the engines' operator trees under
+:mod:`repro.engines`), with the execute-and-attach-actuals half written
+once in :meth:`repro.matching.stream.Evaluator.explain` — and
 :meth:`repro.session.QuerySession.explain` /
-:meth:`repro.api.GraphDB.explain` as the cache-aware entry points.
+:meth:`repro.api.GraphDB.explain` are the cache-aware entry points.
 """
 
 from repro.explain.plan import PlanOperator, QueryPlan, plan_digest

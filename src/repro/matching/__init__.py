@@ -15,13 +15,14 @@ from repro.matching.ordering import (
     search_order,
 )
 from repro.matching.mjoin import mjoin, mjoin_iter, count_matches
-from repro.matching.stream import MatchStream
+from repro.matching.stream import Evaluator, MatchStream
 from repro.matching.gm import GraphMatcher, GMVariant
 
 __all__ = [
     "Budget",
     "MatchReport",
     "MatchStatus",
+    "Evaluator",
     "MatchStream",
     "OrderingMethod",
     "jo_order",

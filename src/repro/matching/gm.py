@@ -9,9 +9,10 @@
 4. search-order selection (JO / RI / BJ, §5.2);
 5. MJoin occurrence enumeration (§5.1).
 
-``match`` returns a :class:`MatchReport` with the matching time (steps 1–4)
-and the enumeration time (step 5) separated, which is how the paper reports
-query time.
+``match`` (inherited, like ``match_stream`` / ``count`` / ``explain``, from
+:class:`~repro.matching.stream.Evaluator`) returns a :class:`MatchReport`
+with the matching time (steps 1–4) and the enumeration time (step 5)
+separated, which is how the paper reports query time.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.explain.plan import PlanOperator, QueryPlan, plan_digest
 from repro.graph.digraph import DataGraph
 from repro.matching.mjoin import mjoin_iter
 from repro.matching.ordering import OrderingMethod, search_order
-from repro.matching.result import Budget, MatchReport
-from repro.matching.stream import MatchStream
+from repro.matching.result import Budget
+from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import ReachabilityIndex
 from repro.rig.build import RIGBuildReport, RIGOptions, build_rig
@@ -58,7 +59,7 @@ def _options_for_variant(variant: GMVariant, base: RIGOptions) -> RIGOptions:
     raise ValueError(f"unknown GM variant {variant!r}")
 
 
-class GraphMatcher:
+class GraphMatcher(Evaluator):
     """Evaluate hybrid pattern queries on a data graph with the GM pipeline.
 
     Parameters
@@ -119,6 +120,11 @@ class GraphMatcher:
             return self.variant.value
         return f"{self.variant.value}-{self.ordering.value.upper()}"
 
+    name = property(algorithm_name)
+    #: ``order`` fixes the search order; ``injective`` enumerates isomorphic
+    #: (one-to-one) matches instead of homomorphic ones.
+    options = ("order", "injective")
+
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
@@ -150,10 +156,9 @@ class GraphMatcher:
         self,
         query: PatternQuery,
         budget: Optional[Budget] = None,
+        info: Optional[dict] = None,
         order: Optional[Sequence[int]] = None,
         injective: bool = False,
-        _info: Optional[dict] = None,
-        step_stats: Optional[list] = None,
     ) -> Iterator[Tuple[int, ...]]:
         """Lazily enumerate occurrences of ``query`` (the streaming primitive).
 
@@ -167,32 +172,33 @@ class GraphMatcher:
         :class:`~repro.exceptions.QueryCancelled` on budget exhaustion;
         closing the generator abandons the search mid-backtrack.
 
-        ``_info`` is the mutable channel to :meth:`match_stream`: the
-        matching-phase timing and RIG statistics are recorded there once
-        the pipeline reaches enumeration.
+        The matching-phase timing and RIG statistics are recorded in
+        ``info`` once the pipeline reaches enumeration.
         """
         budget = budget or self.budget
         start = time.perf_counter()
         report, rig_cached = self._rig_for(query)
         rig = report.rig
+        # Shared with the enumerator: mjoin_iter flushes its candidate /
+        # intersection work counters into this dict when it finishes (or is
+        # closed), and because MatchStream reads ``extra`` at report time
+        # the late flush is visible in the final MatchReport.
+        mjoin_stats = {"candidates": 0, "intersections": 0}
         if rig.is_empty():
-            if _info is not None:
-                _info["matching_seconds"] = time.perf_counter() - start
-                _info["extra"] = {
+            if info is not None:
+                info["matching_seconds"] = time.perf_counter() - start
+                info["root"] = mjoin_stats
+                info["extra"] = {
                     "rig_size": rig.size(),
                     "empty_rig": True,
                     "rig_cached": rig_cached,
                 }
             return
         chosen_order = list(order) if order is not None else self._search_order(rig)
-        # Shared with the enumerator: mjoin_iter flushes its candidate /
-        # intersection work counters into this dict when it finishes (or is
-        # closed), and because MatchStream reads ``extra`` at report time
-        # the late flush is visible in the final MatchReport.
-        mjoin_stats: dict = {}
-        if _info is not None:
-            _info["matching_seconds"] = time.perf_counter() - start
-            _info["extra"] = {
+        if info is not None:
+            info["matching_seconds"] = time.perf_counter() - start
+            info["root"] = mjoin_stats
+            info["extra"] = {
                 "rig_size": rig.size(),
                 "rig_nodes": rig.num_rig_nodes(),
                 "rig_edges": rig.num_rig_edges(),
@@ -201,11 +207,9 @@ class GraphMatcher:
                 "rig_cached": rig_cached,
                 "mjoin": mjoin_stats,
                 # Joins this execution to its EXPLAIN output: the slow-query
-                # log copies the digest, and GraphMatcher.explain() on the
-                # same query/ordering produces the same value.
-                "plan_digest": plan_digest(
-                    self.algorithm_name(), self.ordering.value, chosen_order
-                ),
+                # log copies the digest, and explain() on the same
+                # query/ordering produces the same value.
+                "plan_digest": plan_digest(self.name, self.ordering.value, chosen_order),
             }
         yield from mjoin_iter(
             rig,
@@ -213,105 +217,27 @@ class GraphMatcher:
             budget=budget,
             injective=injective,
             stats=mjoin_stats,
-            step_stats=step_stats,
+            step_stats=info.get("operators") if info is not None else None,
         )
 
-    def match_stream(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        order: Optional[Sequence[int]] = None,
-        injective: bool = False,
-        keep_occurrences: bool = True,
-    ) -> MatchStream:
-        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
-
-        Nothing runs until the first occurrence is pulled; budget
-        exhaustion terminates the stream with the matching
-        :class:`MatchStatus` instead of raising, and ``stream.report()``
-        finalises into the exact report :meth:`match` would return.
-        """
-        budget = budget or self.budget
-        info: dict = {}
-        return MatchStream(
-            self.iter_matches(
-                query, budget=budget, order=order, injective=injective, _info=info
-            ),
-            query_name=query.name,
-            algorithm=self.algorithm_name(),
-            budget=budget,
-            info=info,
-            keep_occurrences=keep_occurrences,
-        )
-
-    def match(
-        self,
-        query: PatternQuery,
-        budget: Optional[Budget] = None,
-        order: Optional[Sequence[int]] = None,
-        injective: bool = False,
-    ) -> MatchReport:
-        """Evaluate ``query`` and return a :class:`MatchReport`.
-
-        A thin driver that drains :meth:`iter_matches` to completion.
-        ``injective=True`` enumerates isomorphic (one-to-one) matches instead
-        of homomorphic ones.
-        """
-        budget = budget or self.budget
-        start = time.perf_counter()
-        report = self.match_stream(
-            query, budget=budget, order=order, injective=injective
-        ).report()
-        if not report.status.is_solved():
-            # Historical shape for failed evaluations: elapsed time under
-            # matching_seconds, no occurrences, no RIG statistics.
-            return MatchReport(
-                query_name=query.name,
-                algorithm=self.algorithm_name(),
-                status=report.status,
-                occurrences=[],
-                num_matches=0,
-                matching_seconds=time.perf_counter() - start,
-                enumeration_seconds=0.0,
-            )
-        return report
-
-    def count(self, query: PatternQuery, budget: Optional[Budget] = None) -> int:
-        """Number of occurrences of ``query`` (subject to budget).
-
-        Routed through :meth:`iter_matches` with a counting drain: the
-        occurrences are never accumulated, and ``max_matches`` / deadline
-        budgets short-circuit the enumeration.  A non-solved termination
-        (timeout, cancellation) returns the matches counted *so far*; use
-        :meth:`match` when the terminal status matters.
-        """
-        stream = self.match_stream(query, budget=budget, keep_occurrences=False)
-        for _ in stream:
-            pass
-        return stream.num_yielded
-
     # ------------------------------------------------------------------ #
-    # EXPLAIN / EXPLAIN ANALYZE
+    # EXPLAIN
     # ------------------------------------------------------------------ #
 
-    def explain(
+    def describe_plan(
         self,
         query: PatternQuery,
-        analyze: bool = False,
-        budget: Optional[Budget] = None,
         order: Optional[Sequence[int]] = None,
         injective: bool = False,
     ) -> QueryPlan:
-        """The GM pipeline's :class:`QueryPlan` for ``query``.
+        """The GM pipeline's plan-only :class:`QueryPlan` for ``query``.
 
-        Plan-only mode runs the matching phase (reduction, filtering, RIG,
-        search order) but never enumerates: the per-step estimates are the
-        RIG candidate-set cardinalities the order selector itself consulted.
-        ``analyze=True`` additionally executes the enumeration under the
-        budget with per-position counters and reconciles the root operator's
-        actual row count against the :class:`MatchReport` of the same run.
+        Runs the matching phase (reduction, filtering, RIG, search order)
+        but never enumerates: the per-step estimates are the RIG
+        candidate-set cardinalities the order selector itself consulted.
+        Under ``explain(analyze=True)`` each step also carries MJoin's
+        per-position counters.
         """
-        budget = budget or self.budget
         build, rig_cached = self._rig_for(query)
         rig = build.rig
         reduced = build.query
@@ -324,7 +250,6 @@ class GraphMatcher:
             chosen_order = self._search_order(rig)
 
         steps = []
-        root_estimate = None if empty else self._estimate_rows(reduced, rig)
         for position, node in enumerate(chosen_order):
             constraints = []
             uses_reachability = False
@@ -350,70 +275,27 @@ class GraphMatcher:
             )
         root = PlanOperator(
             op="mjoin",
-            label=f"MJoin [{self.algorithm_name()}]",
-            estimate=root_estimate,
+            label=f"MJoin [{self.name}]",
+            estimate=None if empty else self._estimate_rows(reduced, rig),
             details={"injective": injective},
             children=steps,
         )
-        artifacts = {
-            "reachability_index": type(self.reachability).__name__,
-            "rig_cached": rig_cached,
-            "rig_size": rig.size(),
-            "set_kind": rig.set_kind,
-            "simulation_passes": build.simulation.passes if build.simulation else 0,
-            "transitive_reduction": self.rig_options.transitive_reduction,
-        }
-        plan = QueryPlan(
+        return QueryPlan(
             query=query.name or "query",
-            engine=self.algorithm_name(),
-            analyze=analyze,
+            engine=self.name,
+            analyze=False,
             root=root,
             ordering=self.ordering.value,
             vertex_order=chosen_order,
-            artifacts=artifacts,
+            artifacts={
+                "reachability_index": type(self.reachability).__name__,
+                "rig_cached": rig_cached,
+                "rig_size": rig.size(),
+                "set_kind": rig.set_kind,
+                "simulation_passes": build.simulation.passes if build.simulation else 0,
+                "transitive_reduction": self.rig_options.transitive_reduction,
+            },
         )
-        if not analyze:
-            return plan
-
-        step_stats: list = []
-        info: dict = {}
-        stream = MatchStream(
-            self.iter_matches(
-                query,
-                budget=budget,
-                order=chosen_order,
-                injective=injective,
-                _info=info,
-                step_stats=step_stats,
-            ),
-            query_name=query.name,
-            algorithm=self.algorithm_name(),
-            budget=budget,
-            info=info,
-            keep_occurrences=False,
-        )
-        for _ in stream:
-            pass
-        report = stream.report()
-        for operator, stats in zip(steps, step_stats):
-            operator.actual = {
-                "rows": stats["rows"],
-                "candidates": stats["candidates"],
-                "intersections": stats["intersections"],
-            }
-        mjoin_stats = report.extra.get("mjoin", {}) if report.extra else {}
-        root.actual = {
-            "rows": report.num_matches,
-            "candidates": mjoin_stats.get("candidates", 0),
-            "intersections": mjoin_stats.get("intersections", 0),
-        }
-        plan.execution = {
-            "status": report.status.value,
-            "rows": report.num_matches,
-            "matching_seconds": report.matching_seconds,
-            "enumeration_seconds": report.enumeration_seconds,
-        }
-        return plan
 
     @staticmethod
     def _estimate_rows(query: PatternQuery, rig) -> int:

@@ -89,7 +89,7 @@ def mjoin_iter(
     — ``candidates`` (local candidate vertices produced across all search
     positions) and ``intersections`` (adjacency lists intersected) — and
     ``step_stats`` (a mutable list, EXPLAIN ANALYZE) one dict per position:
-    ``{"node", "candidates", "intersections", "rows"}``, where ``rows``
+    ``{"candidates", "intersections", "rows"}``, where ``rows``
     counts the partial assignments extended at that position (at the last
     position: occurrences yielded).  Both are flushed once, when the
     generator finishes or is closed.
@@ -169,12 +169,11 @@ def mjoin_iter(
         if step_stats is not None:
             step_stats[:] = [
                 {
-                    "node": step[0],
                     "candidates": sizes[i],
                     "intersections": intersections[i],
                     "rows": computed[i + 1],
                 }
-                for i, step in enumerate(plan)
+                for i in range(last + 1)
             ]
         if stats is not None:
             stats["candidates"] = stats.get("candidates", 0) + sum(sizes)

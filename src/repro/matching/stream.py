@@ -1,12 +1,12 @@
-"""MatchStream: incremental match iteration with running counters.
+"""MatchStream and the Evaluator contract: one shape for every algorithm.
 
 The eager execution contract — evaluate, materialise every occurrence,
 *then* hand the caller a finished :class:`~repro.matching.result.MatchReport`
 — makes downstream consumers wait for the slowest part of query evaluation
 (the paper caps enumeration at 10^7 matches precisely because it dominates).
 :class:`MatchStream` is the incremental half of the redesigned execution
-API: it wraps a lazy occurrence iterator (``Engine.iter_matches`` /
-``GraphMatcher.iter_matches``), tracks running counters (matches yielded,
+API: it wraps a lazy occurrence iterator (an :class:`Evaluator`'s
+``iter_matches``), tracks running counters (matches yielded,
 time to first match, elapsed wall clock), converts budget exhaustion into a
 terminal :class:`~repro.matching.result.MatchStatus` instead of an
 exception, and *finalises* into the exact :class:`MatchReport` the eager
@@ -26,6 +26,11 @@ Abandoning a stream (``close()``, context-manager exit, or letting it be
 garbage-collected) closes the underlying generator, which stops the
 producer's backtracking search mid-flight — early termination costs
 nothing beyond the matches already produced.
+
+:class:`Evaluator` is the contract GM, the four comparator engines and the
+JM / TM / ISO baselines all implement: a subclass writes ``iter_matches``
+(and ``describe_plan`` if it has a planner); ``match_stream``, ``match``,
+``count`` and ``explain`` are written once, here.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import (
     BudgetExceeded,
+    EngineError,
     MemoryBudgetExceeded,
     ProtocolError,
     QueryCancelled,
     TimeoutExceeded,
 )
+from repro.explain.plan import PlanOperator, QueryPlan
 from repro.matching.result import Budget, MatchReport, MatchStatus
 
 #: One occurrence: data-node ids indexed by query-node id.
@@ -84,8 +91,8 @@ class MatchStream:
         :class:`~repro.exceptions.QueryCancelled` or
         :class:`~repro.exceptions.MemoryBudgetExceeded`; the stream converts
         each into the corresponding terminal status and stops iteration.
-        It is expected to stop on its own at the budget's match cap (both
-        ``Engine.iter_matches`` and ``GraphMatcher.iter_matches`` do).
+        It is expected to stop on its own at the budget's match cap (every
+        :meth:`Evaluator.iter_matches` does).
     query_name / algorithm:
         Report identity, copied into the finalised :class:`MatchReport`.
     budget:
@@ -101,7 +108,7 @@ class MatchStream:
     keep_occurrences:
         When False the stream only counts matches — the finalised report
         has ``num_matches`` but an empty ``occurrences`` list.  This is the
-        counting drain behind ``Engine.count`` / ``QuerySession.count``.
+        counting drain behind :meth:`Evaluator.count`.
     """
 
     def __init__(
@@ -215,11 +222,6 @@ class MatchStream:
                     pass
             else:
                 self.close()
-        source: Optional[MatchReport] = getattr(self, "_source_report", None)
-        if source is not None and self.num_yielded == source.num_matches:
-            # A fully drained pre-materialised stream: the original report
-            # (with its true phase timings) is strictly more faithful.
-            return source
         matching_seconds = float(self._info.get("matching_seconds", 0.0))
         extra = dict(self._info.get("extra", ()))
         if self.first_match_seconds is not None:
@@ -256,37 +258,169 @@ class MatchStream:
             f"{self.num_yielded} yielded, {state})"
         )
 
-    # ------------------------------------------------------------------ #
-    # adapters
-    # ------------------------------------------------------------------ #
 
-    @classmethod
-    def from_report(cls, report: MatchReport, budget: Optional[Budget] = None) -> "MatchStream":
-        """Wrap a finished :class:`MatchReport` as a (degenerate) stream.
+class Evaluator:
+    """The one contract every query evaluator implements.
 
-        Used for matchers whose algorithm is inherently blocking (the JM /
-        TM / ISO baselines): the evaluation has already completed, so the
-        stream merely replays its occurrences.  The finalised report keeps
-        the original's status and phase timings.
+    GM, the four comparator engines and the JM / TM / ISO baselines are
+    interchangeable algorithms over one workload, so they share one call
+    shape.  A subclass supplies:
+
+    * :attr:`name` — the report / plan identity;
+    * ``budget`` — its default :class:`Budget` (an instance attribute);
+    * :meth:`iter_matches` — the lazy occurrence generator;
+    * :attr:`options` — the ``iter_matches`` keyword options it implements
+      (``order`` and ``injective`` exist; GM honours both, ISO is always
+      injective, everything else honours neither);
+    * :meth:`describe_plan` — only if it has a planner worth showing.
+
+    and inherits :meth:`match_stream`, :meth:`match`, :meth:`count` and
+    :meth:`explain`, so eager, incremental, counting and analysed runs of
+    one evaluator agree on the occurrence set, the status and the budget
+    semantics by construction.
+    """
+
+    name = "evaluator"
+    options: Tuple[str, ...] = ()
+
+    def iter_matches(
+        self,
+        query,
+        budget: Optional[Budget] = None,
+        info: Optional[Dict[str, object]] = None,
+        **options,
+    ) -> Iterator[Occurrence]:
+        """Lazily enumerate occurrences of ``query`` (the one primitive).
+
+        A generator: nothing runs until the first ``next()``.  It yields
+        occurrence tuples indexed by query-node id, stops by itself at
+        ``budget.max_matches``, raises the budget exceptions
+        :class:`MatchStream` classifies, and abandons its search when
+        closed.  ``info`` is :class:`MatchStream`'s mutable channel; an
+        ``info`` that carries an ``"operators"`` list (EXPLAIN ANALYZE)
+        asks for per-operator actual counters, aligned with the children
+        of :meth:`describe_plan`'s root, plus optional extra root counters
+        under ``"root"``.
         """
-        stream = cls(
-            iter(report.occurrences),
-            query_name=report.query_name,
-            algorithm=report.algorithm,
-            budget=budget,
-            info={
-                "matching_seconds": report.matching_seconds,
-                "extra": dict(report.extra, pre_materialized=True),
-            },
+        raise NotImplementedError(f"{type(self).__name__} must implement iter_matches")
+
+    def describe_plan(self, query, **options) -> QueryPlan:
+        """The plan-only :class:`QueryPlan` for ``query`` (never enumerates).
+
+        The default — for evaluators with no operator pipeline to
+        introspect — is a single opaque ``evaluate`` operator.
+        """
+        return QueryPlan(
+            query=query.name or "query",
+            engine=self.name,
+            analyze=False,
+            root=PlanOperator(op="evaluate", label=f"Evaluate [{self.name}]"),
         )
-        stream._source_report = report  # type: ignore[attr-defined]
-        original = stream._exhausted_status
 
-        def exhausted() -> MatchStatus:
-            status = original()
-            # A blocking producer may have ended on a budget failure the
-            # occurrences alone cannot reveal; trust its recorded status.
-            return report.status if status is MatchStatus.OK else status
+    def checked_options(self, **options) -> Dict[str, object]:
+        """The options that are set; :class:`EngineError` for an unsupported one.
 
-        stream._exhausted_status = exhausted  # type: ignore[method-assign]
-        return stream
+        An unset option (``None`` / ``False``) is dropped, so callers can
+        forward their own defaults unconditionally; a set option this
+        evaluator does not implement raises instead of being ignored.
+        """
+        given = {
+            key: value
+            for key, value in options.items()
+            if value is not None and value is not False
+        }
+        for key in given:
+            if key not in self.options:
+                raise EngineError(f"{self.name} does not support the {key!r} option")
+        return given
+
+    def match_stream(
+        self,
+        query,
+        budget: Optional[Budget] = None,
+        keep_occurrences: bool = True,
+        info: Optional[Dict[str, object]] = None,
+        **options,
+    ) -> MatchStream:
+        """An incremental evaluation of ``query`` as a :class:`MatchStream`.
+
+        Nothing runs until the first occurrence is pulled; budget
+        exhaustion terminates the stream with the matching
+        :class:`MatchStatus` instead of raising, and ``stream.report()``
+        finalises into the report :meth:`match` returns.
+        """
+        budget = budget or self.budget
+        info = {} if info is None else info
+        return MatchStream(
+            self.iter_matches(
+                query, budget=budget, info=info, **self.checked_options(**options)
+            ),
+            query_name=query.name,
+            algorithm=self.name,
+            budget=budget,
+            info=info,
+            keep_occurrences=keep_occurrences,
+        )
+
+    def match(self, query, budget: Optional[Budget] = None, **options) -> MatchReport:
+        """Evaluate ``query`` to completion and return its :class:`MatchReport`."""
+        start = time.perf_counter()
+        report = self.match_stream(query, budget=budget, **options).report()
+        if not report.status.is_solved():
+            # The historical shape of a failed run: its elapsed time under
+            # matching_seconds, no occurrences, no per-run statistics (an
+            # engine's precomputation is not per-run, so it stays).
+            kept = {}
+            if "precompute_seconds" in report.extra:
+                kept["precompute_seconds"] = report.extra["precompute_seconds"]
+            report = MatchReport(
+                query_name=query.name,
+                algorithm=self.name,
+                status=report.status,
+                matching_seconds=time.perf_counter() - start,
+                extra=kept,
+            )
+        return report
+
+    def count(self, query, budget: Optional[Budget] = None, **options) -> int:
+        """Number of occurrences of ``query``, without materialising them.
+
+        A counting drain: ``max_matches`` / deadline budgets short-circuit
+        the enumeration.  A non-solved termination (timeout, cancellation,
+        memory budget) returns the matches counted *so far*; use
+        :meth:`match` when the terminal status matters.
+        """
+        stream = self.match_stream(query, budget=budget, keep_occurrences=False, **options)
+        for _ in stream:
+            pass
+        return stream.num_yielded
+
+    def explain(
+        self, query, analyze: bool = False, budget: Optional[Budget] = None, **options
+    ) -> QueryPlan:
+        """EXPLAIN (``analyze=False``) or EXPLAIN ANALYZE ``query``.
+
+        Plan-only mode is :meth:`describe_plan`.  ``analyze=True`` also
+        executes the query under ``budget`` and attaches the actuals; the
+        root operator's row count is the ``num_matches`` of that run's
+        :class:`MatchReport`, capped and streamed runs included.
+        """
+        options = self.checked_options(**options)
+        plan = self.describe_plan(query, **options)
+        plan.analyze = analyze
+        if not analyze:
+            return plan
+        info: Dict[str, object] = {"operators": []}
+        report = self.match_stream(
+            query, budget=budget, keep_occurrences=False, info=info, **options
+        ).report()
+        for child, actual in zip(plan.root.children, info["operators"]):
+            child.actual = dict(actual)
+        plan.root.actual = {"rows": report.num_matches, **info.get("root", {})}
+        plan.execution = {
+            "status": report.status.value,
+            "rows": report.num_matches,
+            "matching_seconds": report.matching_seconds,
+            "enumeration_seconds": report.enumeration_seconds,
+        }
+        return plan

@@ -24,6 +24,12 @@ Truncated, oversized or non-JSON frames raise
 recoverable past one (the stream position is lost), so both endpoints
 close on it.
 
+Ops
+---
+:data:`OPS` declares every request op once — whether it addresses one
+tenant or the node, whether it writes, whether a client may resend it —
+and the server's dispatch and the client's reconnect logic both read it.
+
 Error mapping
 -------------
 :func:`encode_error` flattens the library's exception hierarchy into a
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import socket
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.framing import (
     HEADER_BYTES,
@@ -81,6 +87,7 @@ from repro.exceptions import (
 __all__ = [
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
+    "OPS",
     "check_length",
     "decode_body",
     "decode_error",
@@ -91,6 +98,56 @@ __all__ = [
     "read_frame",
     "read_frame_sync",
 ]
+
+
+class OpFlags(NamedTuple):
+    """What dispatch and clients need to know about one wire op."""
+
+    #: ``"graph"`` — the frame's ``graph`` field names the tenant the op runs
+    #: on: dispatch resolves it, refuses the op without it, and counts it in
+    #: the tenant's ``server_requests_total{op}``.  ``"node"`` — the op
+    #: addresses the server (or a connection-scoped token).
+    scope: str
+    #: Mutates a tenant or the catalog: refused with
+    #: :class:`~repro.exceptions.ReadOnlyReplicaError` on a read-only tenant
+    #: and on every tenant of a ``role="replica"`` server.
+    write: bool = False
+    #: Safe to resend after a reconnect (never true of a write, a stream —
+    #: its pages are connection-scoped — or anything naming a pin token).
+    idempotent: bool = False
+
+
+#: The request ops of the wire protocol (``credit`` / ``stream_cancel``
+#: are reply-less flow-control frames, not requests).
+OPS: Dict[str, OpFlags] = {
+    "ping": OpFlags("node", idempotent=True),
+    "graphs": OpFlags("node", idempotent=True),
+    "create_graph": OpFlags("node", write=True),
+    "drop_graph": OpFlags("node", write=True),
+    "info": OpFlags("graph", idempotent=True),
+    "ingest": OpFlags("graph", write=True),
+    "apply": OpFlags("graph", write=True),
+    "apply_async": OpFlags("graph", write=True),
+    "apply_wait": OpFlags("node"),
+    "query": OpFlags("graph", idempotent=True),
+    "count": OpFlags("graph", idempotent=True),
+    "explain": OpFlags("graph", idempotent=True),
+    "histogram": OpFlags("graph", idempotent=True),
+    "run_batch": OpFlags("graph", idempotent=True),
+    "pin": OpFlags("graph"),
+    "release": OpFlags("node"),
+    "stats": OpFlags("graph", idempotent=True),
+    "metrics": OpFlags("graph", idempotent=True),
+    "slow_queries": OpFlags("graph", idempotent=True),
+    "checkpoint": OpFlags("graph", write=True),
+    "save": OpFlags("graph"),
+    "stream_open": OpFlags("graph"),
+    "subscribe_log": OpFlags("graph"),
+    "replica_status": OpFlags("graph", idempotent=True),
+    "health": OpFlags("node", idempotent=True),
+    "events": OpFlags("node", idempotent=True),
+    "spans": OpFlags("graph", idempotent=True),
+}
 
 
 def connect(host: str, port: int, timeout: Optional[float]) -> socket.socket:

@@ -52,6 +52,7 @@ from repro.exceptions import (
     ProtocolError,
     ReadOnlyReplicaError,
     ReplicationError,
+    ReproError,
     ServiceOverloadedError,
     StoreError,
     UnknownGraphError,
@@ -65,7 +66,7 @@ from repro.obs.log import configure as configure_logging, get_logger
 from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
 from repro.server.catalog import GraphCatalog
-from repro.server.protocol import encode_error, error_code, encode_frame, read_frame
+from repro.server.protocol import OPS, encode_error, error_code, encode_frame, read_frame
 from repro.service.service import ServiceConfig, StreamingResult
 
 
@@ -112,9 +113,8 @@ class _ServerStream:
         self._encode_seconds = 0.0
 
     def grant(self, credits: int) -> None:
-        """Replenish the send window (a client ``credit`` frame)."""
-        for _ in range(max(0, int(credits))):
-            self._credits.release()
+        """Replenish the send window (a validated client ``credit`` frame)."""
+        self._credits.release(credits)
 
     def close(self) -> None:
         """Stop pumping: cancel the producer and release the snapshot pin.
@@ -215,6 +215,10 @@ class _ServerStream:
             except Exception:  # connection already gone
                 pass
 
+
+#: Most pages one ``credit`` frame may add to a stream's send window; a
+#: larger grant is clamped (no honest client runs this far ahead).
+MAX_CREDIT_GRANT = 1 << 16
 
 #: Delta frames batched into one ``log_frames`` wire frame.
 LOG_SHIP_BATCH = 64
@@ -356,9 +360,20 @@ class _Connection:
                     break
                 op = frame.get("op")
                 if op == "credit":
+                    # Outside input, handled on the event loop: a malformed
+                    # grant answers a typed error and the connection lives.
+                    credits = frame.get("n", 1)
+                    if type(credits) is not int or credits < 1:
+                        error = ProtocolError(
+                            f"credit 'n' must be an integer >= 1, got {credits!r:.40}"
+                        )
+                        await self._safe_send(
+                            {"id": None, "ok": False, "error": encode_error(error)}
+                        )
+                        continue
                     stream = self._streams.get(frame.get("stream"))
                     if stream is not None:
-                        stream.grant(frame.get("n", 1))
+                        stream.grant(min(credits, MAX_CREDIT_GRANT))
                     continue
                 if op == "stream_cancel":
                     self.discard_stream(frame.get("stream"), close=True)
@@ -371,15 +386,48 @@ class _Connection:
 
     async def _dispatch(self, frame: Dict[str, object]) -> None:
         ident = frame.get("id")
+        op = frame.get("op")
+        # The tenant the frame names, resolved once per request: a
+        # graph-scoped handler runs on it, and its registry takes the
+        # request, error and byte counts.  For every other op the lookup is
+        # best-effort — a frame naming no live tenant has no registry.
+        name = frame.get("graph")
+        database = unresolved = None
+        if isinstance(name, str) and name:
+            try:
+                database = self.server.catalog.get(name)
+            except ReproError as exc:
+                unresolved = exc
         try:
             if not isinstance(ident, int):
                 raise ProtocolError(f"request carries no integer 'id': {frame!r}")
-            handler = self._HANDLERS.get(frame.get("op"))
+            handler = self._HANDLERS.get(op)
             if handler is None:
-                raise ProtocolError(f"unknown op {frame.get('op')!r}")
-            result = await handler(self, frame)
+                raise ProtocolError(f"unknown op {op!r}")
+            flags = OPS[op]
+            tenant = ()
+            if flags.scope == "graph":
+                if database is None:
+                    raise unresolved or ProtocolError(
+                        "request names no graph (missing 'graph' field)"
+                    )
+                self._count(
+                    database,
+                    "server_requests_total",
+                    "Wire requests handled for this tenant, by op",
+                    op=op,
+                )
+                tenant = (name, database)
+            if flags.write and (
+                self.server.role == "replica" or getattr(database, "read_only", False)
+            ):
+                raise ReadOnlyReplicaError(
+                    f"{op} refused: {name or frame.get('name')!r} is served by a "
+                    "read-only replica — writes must go to the primary"
+                )
+            result = await handler(self, frame, *tenant)
             sent = await self._safe_send({"id": ident, "ok": True, "result": result})
-            self._note_bytes_for(frame, sent)
+            self.note_tenant_bytes(database, sent)
         except Exception as exc:
             # A traced request that fails still correlates: the client's
             # propagated trace id rides on the error payload (and on the
@@ -393,21 +441,26 @@ class _Connection:
                     exc.trace_id = trace_id
                 except Exception:  # pragma: no cover - exotic exception types
                     pass
-            kind = error_code(exc)
-            self._note_error(frame, kind)
+            self._count(
+                database,
+                "server_errors_total",
+                "Wire requests that answered with an error, by op and error kind",
+                op=str(op),
+                kind=error_code(exc),
+            )
             if isinstance(exc, ServiceOverloadedError):
                 self.server._log.warning(
                     "shed %s request for graph %r (trace_id=%s): %s",
-                    frame.get("op"),
-                    frame.get("graph"),
+                    op,
+                    name,
                     trace_id or "-",
                     exc,
                 )
                 self.server.events.emit(
                     "shed",
-                    f"shed {frame.get('op')} for {frame.get('graph')!r}: {exc}",
-                    op=frame.get("op"),
-                    graph=frame.get("graph"),
+                    f"shed {op} for {name!r}: {exc}",
+                    op=op,
+                    graph=name,
                     trace_id=trace_id,
                 )
             try:
@@ -418,7 +471,7 @@ class _Connection:
                         "error": encode_error(exc),
                     }
                 )
-                self._note_bytes_for(frame, sent)
+                self.note_tenant_bytes(database, sent)
             except Exception:  # pragma: no cover - reply path is best-effort
                 pass
 
@@ -458,42 +511,20 @@ class _Connection:
         """Run a blocking call on the server executor."""
         return await self._loop.run_in_executor(self.server._executor, fn, *args)
 
-    def _db(self, frame: Dict[str, object]) -> Tuple[str, GraphDB]:
-        name = frame.get("graph")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("request names no graph (missing 'graph' field)")
-        database = self.server.catalog.get(name)
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is not None:
-            telemetry.registry.counter(
-                "server_requests_total",
-                "Wire requests handled for this tenant, by op",
-                labelnames=("op",),
-            ).labels(str(frame.get("op"))).inc()
-        return name, database
+    @staticmethod
+    def _count(database, family: str, help: str, amount: int = 1, **labels) -> None:
+        """Bump one of a tenant's ``server_*`` counter families.
 
-    def _note_error(self, frame: Dict[str, object], kind: str) -> None:
-        """Count one failed request in ``server_errors_total{op,kind}``.
-
-        Best-effort: errors raised before (or because) the tenant lookup
-        failed still count when the frame names a live tenant; frames
-        naming none (or a dropped one) have no registry to land in.
+        A no-op when the request resolved no tenant, or the tenant runs
+        without telemetry.
         """
-        name = frame.get("graph")
-        if not isinstance(name, str) or not name:
-            return
-        try:
-            database = self.server.catalog.get(name)
-        except Exception:
-            return
         telemetry = getattr(database, "telemetry", None)
         if telemetry is None:
             return
-        telemetry.registry.counter(
-            "server_errors_total",
-            "Wire requests that answered with an error, by op and error kind",
-            labelnames=("op", "kind"),
-        ).labels(str(frame.get("op")), str(kind)).inc()
+        counter = telemetry.registry.counter(family, help, labelnames=tuple(labels))
+        if labels:
+            counter = counter.labels(*labels.values())
+        counter.inc(amount)
 
     def _trace_scope(self, frame: Dict[str, object], database: GraphDB):
         """Decode the frame's trace context and find the tenant's span ring."""
@@ -506,28 +537,13 @@ class _Connection:
 
     def note_tenant_bytes(self, database: Optional[GraphDB], nbytes: int) -> None:
         """Account response/stream egress against the tenant's registry."""
-        if not nbytes or database is None:
-            return
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is None:
-            return
-        telemetry.registry.counter(
-            "server_bytes_sent_total",
-            "Bytes of response and stream frames sent for this tenant",
-        ).inc(nbytes)
-
-    def _note_bytes_for(self, frame: Dict[str, object], nbytes: int) -> None:
-        """Attribute one reply's bytes to the tenant the request named."""
-        if not nbytes:
-            return
-        name = frame.get("graph")
-        if not isinstance(name, str) or not name:
-            return
-        try:
-            database = self.server.catalog.get(name)
-        except Exception:
-            return  # tenant dropped between handling and accounting
-        self.note_tenant_bytes(database, nbytes)
+        if nbytes:
+            self._count(
+                database,
+                "server_bytes_sent_total",
+                "Bytes of response and stream frames sent for this tenant",
+                amount=nbytes,
+            )
 
     def _pin_for(self, frame: Dict[str, object], graph_name: str):
         token = frame.get("pin")
@@ -562,14 +578,6 @@ class _Connection:
     def _track_ticket(self, ticket) -> None:
         self._tickets.add(ticket)
         ticket.add_done_callback(self._tickets.discard)
-
-    @staticmethod
-    def _require_writable(name: str, database: GraphDB) -> None:
-        if getattr(database, "read_only", False):
-            raise ReadOnlyReplicaError(
-                f"graph {name!r} is a read-only replica — "
-                "writes must go to the primary"
-            )
 
     def _info(self, name: str, database: GraphDB) -> Dict[str, object]:
         graph = database.graph
@@ -634,18 +642,13 @@ class _Connection:
         self.server.events.emit("drop_graph", f"dropped graph {name!r}", graph=name)
         return {"dropped": name}
 
-    async def _op_checkpoint(self, frame):
-        name, database = self._db(frame)
-        self._require_writable(name, database)
+    async def _op_checkpoint(self, frame, name, database):
         return await self._run(database.checkpoint)
 
-    async def _op_info(self, frame):
-        name, database = self._db(frame)
+    async def _op_info(self, frame, name, database):
         return self._info(name, database)
 
-    async def _op_ingest(self, frame):
-        name, database = self._db(frame)
-        self._require_writable(name, database)
+    async def _op_ingest(self, frame, name, database):
         context, recorder = self._trace_scope(frame, database)
 
         def run():
@@ -667,9 +670,7 @@ class _Connection:
 
         return encode_apply_report(await self._run(run))
 
-    async def _op_apply(self, frame):
-        name, database = self._db(frame)
-        self._require_writable(name, database)
+    async def _op_apply(self, frame, name, database):
         delta = GraphDelta.from_dict(frame.get("delta") or {})
         context, recorder = self._trace_scope(frame, database)
 
@@ -683,9 +684,7 @@ class _Connection:
         report = await self._run(run)
         return encode_apply_report(report)
 
-    async def _op_apply_async(self, frame):
-        name, database = self._db(frame)
-        self._require_writable(name, database)
+    async def _op_apply_async(self, frame, name, database):
         delta = GraphDelta.from_dict(frame.get("delta") or {})
         future = database.apply_async(delta)
         token = f"a{next(self._pin_ids)}"
@@ -701,8 +700,7 @@ class _Connection:
         self._apply_futures.pop(token, None)
         return encode_apply_report(report)
 
-    async def _op_query(self, frame):
-        name, database = self._db(frame)
+    async def _op_query(self, frame, name, database):
         query = _decode_query(frame.get("query"), frame.get("name"))
         snapshot = self._pin_for(frame, name)
         context, recorder = self._trace_scope(frame, database)
@@ -745,8 +743,7 @@ class _Connection:
             wire["extra"]["trace"] = trace.to_dict()
         return wire
 
-    async def _op_count(self, frame):
-        name, database = self._db(frame)
+    async def _op_count(self, frame, name, database):
         query = _decode_query(frame.get("query"), frame.get("name"))
         budget = _decode_budget(frame.get("budget"))
         engine = frame.get("engine") or "GM"
@@ -760,8 +757,7 @@ class _Connection:
 
         return {"count": await self._run(run)}
 
-    async def _op_explain(self, frame):
-        name, database = self._db(frame)
+    async def _op_explain(self, frame, name, database):
         query = _decode_query(frame.get("query"), frame.get("name"))
         budget = _decode_budget(frame.get("budget"))
         engine = frame.get("engine") or "GM"
@@ -779,8 +775,7 @@ class _Connection:
         plan = await self._run(run)
         return {"plan": plan.to_wire()}
 
-    async def _op_histogram(self, frame):
-        name, database = self._db(frame)
+    async def _op_histogram(self, frame, name, database):
         query = _decode_query(frame.get("query"), frame.get("name"))
         budget = _decode_budget(frame.get("budget"))
         engine = frame.get("engine") or "GM"
@@ -795,8 +790,7 @@ class _Connection:
 
         return {"histogram": await self._run(run)}
 
-    async def _op_run_batch(self, frame):
-        name, database = self._db(frame)
+    async def _op_run_batch(self, frame, name, database):
         raw_queries = frame.get("queries")
         if not isinstance(raw_queries, list):
             raise ProtocolError("run_batch needs a 'queries' list")
@@ -821,8 +815,7 @@ class _Connection:
 
         return encode_batch_report(await self._run(run))
 
-    async def _op_pin(self, frame):
-        name, database = self._db(frame)
+    async def _op_pin(self, frame, name, database):
         snapshot = database.store.pin(frame.get("version"))
         token = f"p{next(self._pin_ids)}"
         self._pins[token] = (name, snapshot)
@@ -836,20 +829,17 @@ class _Connection:
         entry[1].release()
         return {"released": token}
 
-    async def _op_stats(self, frame):
-        _, database = self._db(frame)
+    async def _op_stats(self, frame, name, database):
         stats = await self._run(database.stats)
         return {key: jsonable(value) for key, value in stats.items()}
 
-    async def _op_save(self, frame):
-        _, database = self._db(frame)
+    async def _op_save(self, frame, name, database):
         path = frame.get("path")
         if not isinstance(path, str) or not path:
             raise ProtocolError("save needs a 'path' string")
         return {"path": await self._run(database.save, path)}
 
-    async def _op_metrics(self, frame):
-        _, database = self._db(frame)
+    async def _op_metrics(self, frame, name, database):
         format = frame.get("format") or "json"
 
         def run():
@@ -860,14 +850,12 @@ class _Connection:
             return {"format": "prometheus", "text": payload}
         return {"format": "json", "metrics": payload}
 
-    async def _op_slow_queries(self, frame):
-        _, database = self._db(frame)
+    async def _op_slow_queries(self, frame, name, database):
         limit = frame.get("limit")
         entries = await self._run(database.slow_queries, limit)
         return {"slow_queries": [jsonable(entry) for entry in entries]}
 
-    async def _op_stream_open(self, frame):
-        name, database = self._db(frame)
+    async def _op_stream_open(self, frame, name, database):
         query = _decode_query(frame.get("query"), frame.get("name"))
         budget = _decode_budget(frame.get("budget"))
         page_size = int(frame.get("page_size", 256))
@@ -876,12 +864,11 @@ class _Connection:
         ident = frame["id"]
         context, _ = self._trace_scope(frame, database)
         stream_trace_id = context.trace_id if context is not None else None
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is not None:
-            telemetry.registry.counter(
-                "server_streams_opened_total",
-                "Streaming queries opened for this tenant",
-            ).inc()
+        self._count(
+            database,
+            "server_streams_opened_total",
+            "Streaming queries opened for this tenant",
+        )
 
         def open_stream() -> StreamingResult:
             # Pages never accumulate server-side (keep_occurrences=False):
@@ -936,8 +923,7 @@ class _Connection:
         self._loop.run_in_executor(self.server._executor, stream.pump)
         return reply
 
-    async def _op_subscribe_log(self, frame):
-        name, database = self._db(frame)
+    async def _op_subscribe_log(self, frame, name, database):
         # Lazy import: repro.replication imports the api/server layers,
         # so the hub cannot be a module-level dependency of the server.
         from repro.replication.hub import get_hub
@@ -971,8 +957,7 @@ class _Connection:
         ).start()
         return reply
 
-    async def _op_replica_status(self, frame):
-        name, database = self._db(frame)
+    async def _op_replica_status(self, frame, name, database):
         status = {
             "graph": name,
             "replica": False,
@@ -1061,9 +1046,8 @@ class _Connection:
         )
         return {"events": events, "last_seq": self.server.events.last_seq}
 
-    async def _op_spans(self, frame):
+    async def _op_spans(self, frame, name, database):
         """Finished distributed-trace spans from one tenant's span ring."""
-        _, database = self._db(frame)
         telemetry = getattr(database, "telemetry", None)
         recorder = telemetry.spans if telemetry is not None else None
         if recorder is None:

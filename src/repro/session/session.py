@@ -29,9 +29,9 @@ from repro.dynamic.maintenance import (
     should_patch,
 )
 from repro.exceptions import QueryError, StoreError
-from repro.explain.plan import PlanOperator, QueryPlan
+from repro.explain.plan import QueryPlan
 from repro.dynamic.overlay import MutableDataGraph
-from repro.engines.base import Engine, EngineResult, expand_descendant_edges
+from repro.engines.base import Engine, expand_descendant_edges
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.engines.relational import RelationalEngine, build_edge_partitions
 from repro.engines.treedecomp import TreeDecompEngine
@@ -540,18 +540,16 @@ class QuerySession:
         """Evaluate one query through the session's cached state.
 
         Returns a :class:`MatchReport`; for comparator engines the engine's
-        precomputation time is recorded in ``report.extra``.
+        precomputation time is recorded in ``report.extra``.  An option the
+        named evaluator does not implement (``injective`` on anything but
+        GM / ISO) raises :class:`~repro.exceptions.EngineError`.
         """
-        matcher = self.matcher(engine)
-        budget = budget or self.budget
-        if isinstance(matcher, Engine):
-            result: EngineResult = matcher.match(query, budget=budget)
-            report = result.report
-            report.extra.setdefault("precompute_seconds", result.precompute_seconds)
-            return report
-        if isinstance(matcher, GraphMatcher):
-            return matcher.match(query, budget=budget, injective=injective)
-        return matcher.match(query, budget=budget)
+        evaluator = self.matcher(engine)
+        return evaluator.match(
+            query,
+            budget=budget or self.budget,
+            **evaluator.checked_options(injective=injective),
+        )
 
     def stream(
         self,
@@ -563,33 +561,16 @@ class QuerySession:
     ) -> MatchStream:
         """Incrementally evaluate one query as a :class:`MatchStream`.
 
-        Occurrences flow out as the matcher finds them (lazily for GM, the
-        streaming-capable engines, and the JM / TM / ISO baselines, each of
-        which streams genuinely from its enumeration phase);
-        ``stream.report()`` drains the rest and finalises into the same
-        :class:`MatchReport` :meth:`query` returns.  Matchers without a
-        streaming path evaluate eagerly and replay their finished result
-        through the same interface.
+        Occurrences flow out as the evaluator finds them — every evaluator
+        streams genuinely from its enumeration phase; ``stream.report()``
+        drains the rest and finalises into the :class:`MatchReport` of a
+        drained run.
         """
-        matcher = self.matcher(engine)
-        budget = budget or self.budget
-        if isinstance(matcher, GraphMatcher):
-            return matcher.match_stream(
-                query,
-                budget=budget,
-                injective=injective,
-                keep_occurrences=keep_occurrences,
-            )
-        stream_method = getattr(matcher, "match_stream", None)
-        if stream_method is not None:
-            # Engines and the baselines, each with a genuine streaming path
-            # (JM's final hash join emits as it probes, TM yields per
-            # surviving tree solution, ISO yields per completed assignment).
-            return stream_method(
-                query, budget=budget, keep_occurrences=keep_occurrences
-            )
-        return MatchStream.from_report(
-            matcher.match(query, budget=budget), budget=budget
+        return self.matcher(engine).match_stream(
+            query,
+            budget=budget or self.budget,
+            keep_occurrences=keep_occurrences,
+            injective=injective,
         )
 
     def explain(
@@ -605,8 +586,9 @@ class QuerySession:
         With ``analyze=False`` the query is planned but never executed:
         GM runs its real pipeline up to (and including) search-order
         selection — RIG build, ordering strategy, per-step candidate
-        estimates — and the comparator engines describe their operator
-        trees with catalog / label-cardinality estimates.  With
+        estimates — the comparator engines describe their operator
+        trees with catalog / label-cardinality estimates, and the JM / TM /
+        ISO baselines are a single opaque evaluate node.  With
         ``analyze=True`` the query *is* executed (under ``budget``) with
         lightweight per-operator counters, and the plan carries
         estimate-vs-actual columns whose root row count equals the
@@ -616,33 +598,9 @@ class QuerySession:
         which of the session's shared artifacts were already cached at
         explain time (nothing is built just to report on it).
         """
-        matcher = self.matcher(engine)
-        budget = budget or self.budget
-        if isinstance(matcher, GraphMatcher):
-            plan = matcher.explain(
-                query, analyze=analyze, budget=budget, injective=injective
-            )
-        elif isinstance(matcher, Engine):
-            plan = matcher.explain(query, analyze=analyze, budget=budget)
-        else:
-            # JM / TM / ISO baselines: no operator pipeline to introspect —
-            # a single opaque evaluate node, still reconciled under analyze.
-            root = PlanOperator(op="evaluate", label=f"Evaluate [{engine}]")
-            plan = QueryPlan(
-                query=query.name or "query",
-                engine=engine,
-                analyze=analyze,
-                root=root,
-            )
-            if analyze:
-                report = matcher.match(query, budget=budget)
-                root.actual = {"rows": report.num_matches}
-                plan.execution = {
-                    "status": report.status.value,
-                    "rows": report.num_matches,
-                    "matching_seconds": report.matching_seconds,
-                    "enumeration_seconds": report.enumeration_seconds,
-                }
+        plan = self.matcher(engine).explain(
+            query, analyze=analyze, budget=budget or self.budget, injective=injective
+        )
         # Session-level context: the reachability scheme and which shared
         # artifacts were already cached when this plan was produced.
         plan.artifacts.setdefault("reachability_kind", self.reachability_kind)
@@ -671,17 +629,12 @@ class QuerySession:
     def count(self, query: PatternQuery, engine: str = "GM", budget: Optional[Budget] = None) -> int:
         """Number of occurrences of ``query`` (subject to the budget).
 
-        Uses a counting drain over the matcher's streaming iterator, so
-        the occurrence list is never materialised and ``max_matches`` /
-        deadline budgets short-circuit the enumeration.  A non-solved
-        termination (timeout, cancellation, memory budget) returns the
-        matches counted *so far*; use :meth:`query` when the terminal
-        status matters.
+        The evaluator's counting drain (:meth:`Evaluator.count
+        <repro.matching.stream.Evaluator.count>`): the occurrence list is
+        never materialised, and a non-solved termination returns the
+        matches counted *so far*.
         """
-        stream = self.stream(query, engine=engine, budget=budget, keep_occurrences=False)
-        for _ in stream:
-            pass
-        return stream.num_yielded
+        return self.matcher(engine).count(query, budget=budget or self.budget)
 
     def histogram(
         self,

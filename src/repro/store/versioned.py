@@ -178,14 +178,27 @@ class StoreSnapshot:
             query, engine=engine, analyze=analyze, budget=budget, injective=injective
         )
 
-    def stream(self, query: PatternQuery, engine: str = "GM", budget: Optional[Budget] = None):
+    def stream(
+        self,
+        query: PatternQuery,
+        engine: str = "GM",
+        budget: Optional[Budget] = None,
+        injective: bool = False,
+        keep_occurrences: bool = True,
+    ):
         """Incrementally evaluate ``query`` at the pinned version.
 
         Returns a :class:`~repro.matching.stream.MatchStream` whose
         occurrences are guaranteed to describe this snapshot's version; the
         caller keeps the pin until it is done consuming.
         """
-        return self._require_pinned().session.stream(query, engine=engine, budget=budget)
+        return self._require_pinned().session.stream(
+            query,
+            engine=engine,
+            budget=budget,
+            injective=injective,
+            keep_occurrences=keep_occurrences,
+        )
 
     def run_batch(self, queries, **kwargs) -> BatchReport:
         """Execute a batch against the pinned version (see

@@ -217,8 +217,8 @@ class TestCancellationCheckpoints:
         budget = Budget(cancel_event=self._SetEvent())
         engine = BinaryJoinEngine(paper_graph, budget=budget)
         result = engine.match(paper_query, budget=budget)
-        assert result.report.status is MatchStatus.CANCELLED
-        assert not result.report.solved
+        assert result.status is MatchStatus.CANCELLED
+        assert not result.solved
 
     def test_gm_reports_cancelled_status(self, paper_graph, paper_query, monkeypatch):
         from repro.matching.gm import GraphMatcher

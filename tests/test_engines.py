@@ -31,27 +31,27 @@ class TestEnginesOnChildQueries:
         engine = engine_class(paper_graph)
         result = engine.match(child_query)
         expected = frozenset(bruteforce_homomorphisms(paper_graph, child_query))
-        assert result.report.occurrence_set() == expected
-        assert result.report.algorithm == engine.name
+        assert result.occurrence_set() == expected
+        assert result.algorithm == engine.name
 
     def test_child_only_paper_query(self, paper_graph, paper_query, engine_class):
         query = to_child_only(paper_query, name="CQ-paper")
         expected = frozenset(bruteforce_homomorphisms(paper_graph, query))
         result = engine_class(paper_graph).match(query)
-        assert result.report.occurrence_set() == expected
+        assert result.occurrence_set() == expected
 
     def test_random_child_queries(self, small_random_graph, engine_class):
         for seed in (1, 2, 3):
             query = to_child_only(random_pattern_query(small_random_graph, 4, seed=seed))
             expected = frozenset(bruteforce_homomorphisms(small_random_graph, query))
             result = engine_class(small_random_graph).match(query)
-            assert result.report.occurrence_set() == expected, seed
+            assert result.occurrence_set() == expected, seed
 
     def test_match_cap(self, paper_graph, engine_class):
         query = PatternQuery(["A", "B"], [(0, 1, "child")], name="edge")
         result = engine_class(paper_graph, budget=Budget(max_matches=1)).match(query)
-        assert result.report.num_matches == 1
-        assert result.report.status is MatchStatus.MATCH_LIMIT
+        assert result.num_matches == 1
+        assert result.status is MatchStatus.MATCH_LIMIT
 
     def test_precompute_seconds_nonnegative(self, paper_graph, engine_class):
         engine = engine_class(paper_graph)
@@ -76,7 +76,7 @@ class TestDescendantHandling:
         relaxed = to_descendant_only(paper_query, name="DQ-paper")
         expected = frozenset(bruteforce_homomorphisms(paper_graph, relaxed))
         result = BinaryJoinEngine(paper_graph).match(paper_query)
-        assert result.report.occurrence_set() == expected
+        assert result.occurrence_set() == expected
 
     def test_reject_mode(self, paper_graph, paper_query):
         engine = BinaryJoinEngine(paper_graph, descendant_mode="reject")
@@ -90,7 +90,7 @@ class TestDescendantHandling:
         expected = frozenset(bruteforce_homomorphisms(paper_graph, query))
         for engine_class in ENGINE_CLASSES:
             result = engine_class(paper_graph).match(query)
-            assert result.report.occurrence_set() == expected, engine_class
+            assert result.occurrence_set() == expected, engine_class
 
 
 class TestCatalog:
@@ -128,7 +128,7 @@ class TestEngineFailureModes:
             small_random_graph, budget=Budget(max_intermediate_results=2, max_matches=None)
         )
         result = engine.match(query)
-        assert result.report.status in (MatchStatus.OUT_OF_MEMORY, MatchStatus.OK)
+        assert result.status in (MatchStatus.OUT_OF_MEMORY, MatchStatus.OK)
 
     def test_timeout(self, small_random_graph):
         query = to_child_only(random_pattern_query(small_random_graph, 5, seed=6, dense=True))
@@ -136,4 +136,4 @@ class TestEngineFailureModes:
             small_random_graph, budget=Budget(time_limit_seconds=0.0, max_matches=None)
         )
         result = engine.match(query)
-        assert result.report.status in (MatchStatus.TIMEOUT, MatchStatus.OK)
+        assert result.status in (MatchStatus.TIMEOUT, MatchStatus.OK)

@@ -156,7 +156,7 @@ class TestEngineExplain:
         # the parity contract is against their *own* eager report.
         engine = engine_class(paper_graph)
         plan = engine.explain(paper_query, analyze=True)
-        report = engine.match(paper_query).report
+        report = engine.match(paper_query)
         assert plan.root.actual["rows"] == report.num_matches
         assert plan.execution["rows"] == report.num_matches
         assert len(plan.root.children) >= 1
@@ -168,7 +168,7 @@ class TestEngineExplain:
         budget = Budget(max_matches=1)
         engine = engine_class(paper_graph)
         plan = engine.explain(paper_query, analyze=True, budget=budget)
-        report = engine.match(paper_query, budget=budget).report
+        report = engine.match(paper_query, budget=budget)
         assert plan.root.actual["rows"] == report.num_matches == 1
 
 

@@ -200,6 +200,13 @@ class TestReplicaServer:
                         client.ingest(labels=["D"], edges=())
                     with pytest.raises(ReadOnlyReplicaError):
                         client.checkpoint()
+                    # ... catalog writes included: a replica's tenants are
+                    # the primary's, not a client's to add or drop
+                    with pytest.raises(ReadOnlyReplicaError):
+                        client.create_graph("rogue", switch=False)
+                    with pytest.raises(ReadOnlyReplicaError):
+                        client.drop_graph("paper", force=True)
+                    assert [info["name"] for info in client.graphs()] == ["paper"]
 
                     # replica status over the wire
                     status = client.replica_status()

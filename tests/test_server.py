@@ -32,6 +32,7 @@ from repro.exceptions import (
     ProtocolError,
     QueryCancelled,
     QueryParseError,
+    ReadOnlyReplicaError,
     ServiceOverloadedError,
     StoreError,
     UnknownGraphError,
@@ -39,7 +40,8 @@ from repro.exceptions import (
 from repro.matching.result import Budget, MatchStatus
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.server import GraphCatalog, GraphServer
-from repro.server.protocol import encode_frame, read_frame_sync
+from repro.server.protocol import OPS, encode_frame, read_frame_sync
+from repro.server.server import _Connection
 from repro.service import ServiceConfig
 from repro.session import QuerySession
 
@@ -62,7 +64,7 @@ class SlowEngine(Engine):
     total = 60
     delay = 0.01
 
-    def _iter_evaluate(self, graph, query, budget):
+    def _iter_evaluate(self, graph, query, budget, profile=None):
         event = budget.cancel_event
         for index in range(self.total):
             if event is not None and event.is_set():
@@ -78,7 +80,7 @@ class FirehoseEngine(Engine):
     total = 10_000
     produced = 0  # class-level: reset per test
 
-    def _iter_evaluate(self, graph, query, budget):
+    def _iter_evaluate(self, graph, query, budget, profile=None):
         for index in range(self.total):
             type(self).produced += 1
             yield tuple(index for _ in query.nodes())
@@ -559,6 +561,117 @@ class TestFailureSurface:
                 client.count(simple_query(), graph="other", pin=snapshot.token)
         finally:
             snapshot.release()
+
+
+    @pytest.mark.parametrize("bad", ["lots", -3, 0, 2.5, True, None, [4]])
+    def test_malformed_credit_answers_error_and_keeps_the_connection(self, server, client, bad):
+        raw = socket.create_connection(server.address, timeout=10.0)
+        try:
+            raw.sendall(
+                encode_frame(
+                    {
+                        "id": 1,
+                        "op": "stream_open",
+                        "graph": "paper",
+                        "query": PAPER_DSL,
+                        "engine": SlowEngine.name,
+                        "page_size": 1,
+                        "window": 1,
+                    }
+                )
+            )
+            opened = read_frame_sync(raw)
+            assert opened["ok"] is True
+            stream_id = opened["result"]["stream"]
+            raw.sendall(encode_frame({"op": "credit", "stream": stream_id, "n": bad}))
+            raw.sendall(encode_frame({"id": 2, "op": "ping"}))
+            replies = {}
+            while 2 not in replies:  # page frames interleave; replies carry "ok"
+                frame = read_frame_sync(raw)
+                assert frame is not None, "the server dropped the connection"
+                if "ok" in frame:
+                    replies[frame["id"]] = frame
+            assert replies[None]["error"]["code"] == "protocol"
+            assert replies[2]["result"]["pong"] is True
+        finally:
+            raw.close()
+
+    def test_huge_credit_does_not_stall_other_connections(self, server, client):
+        stream = client.stream(build_paper_query(), engine=SlowEngine.name, page_size=1)
+        try:
+            next(iter(stream))
+            client._send({"op": "credit", "stream": stream.stream_id, "n": 50_000_000})
+            with GraphClient(*server.address, timeout=10.0) as other:
+                started = time.monotonic()
+                assert other.ping()
+                assert time.monotonic() - started < 1.0
+        finally:
+            stream.close()
+        assert client.ping()  # and the granting connection is still served
+
+
+# ---------------------------------------------------------------------- #
+# the op-flags table
+# ---------------------------------------------------------------------- #
+
+
+class TestOpTable:
+    def test_table_declares_exactly_the_dispatched_ops(self):
+        assert set(OPS) == set(_Connection._HANDLERS)
+        assert {flags.scope for flags in OPS.values()} == {"node", "graph"}
+
+    def test_no_write_op_is_idempotent(self):
+        writes = {op for op, flags in OPS.items() if flags.write}
+        assert writes == {
+            "create_graph", "drop_graph", "ingest", "apply", "apply_async", "checkpoint"
+        }
+        assert not [op for op in writes if OPS[op].idempotent]
+
+    def test_every_write_op_is_refused_on_a_replica_role_server(self):
+        graph = build_paper_graph()
+        catalog = GraphCatalog()
+        catalog.create("paper", labels=graph.labels, edges=graph.edges())
+        try:
+            with GraphServer(catalog=catalog, role="replica") as replica:
+                raw = socket.create_connection(replica.address, timeout=10.0)
+                try:
+                    for ident, op in enumerate(sorted(OPS), start=1):
+                        if not OPS[op].write:
+                            continue
+                        raw.sendall(
+                            encode_frame(
+                                {"id": ident, "op": op, "graph": "paper", "name": "paper",
+                                 "force": True}
+                            )
+                        )
+                        frame = read_frame_sync(raw)
+                        assert frame["id"] == ident and frame["ok"] is False, op
+                        assert frame["error"]["code"] == "read_only_replica", op
+                finally:
+                    raw.close()
+                with GraphClient(*replica.address, timeout=10.0) as cli:
+                    with pytest.raises(ReadOnlyReplicaError):
+                        cli.create_graph("rogue")
+                    with pytest.raises(ReadOnlyReplicaError):
+                        cli.drop_graph("paper", force=True)
+                    # nothing was created or dropped, and reads still work
+                    assert [info["name"] for info in cli.graphs()] == ["paper"]
+                    assert cli.count(PAPER_DSL, graph="paper") == len(PAPER_ANSWER)
+        finally:
+            catalog.close()
+
+    def test_requests_total_counts_graph_scoped_ops_only(self, client):
+        client.ping()
+        client.graphs()
+        snapshot = client.pin()
+        snapshot.release()
+        client.info()
+        client.count(simple_query())
+        values = client.server_metrics()["server_requests_total"]["values"]
+        counted = {value["labels"]["op"] for value in values}
+        assert {"pin", "info", "count", "metrics"} <= counted
+        assert not counted & {"ping", "graphs", "release", "create_graph"}
+        assert all(OPS[op].scope == "graph" for op in counted)
 
 
 # ---------------------------------------------------------------------- #

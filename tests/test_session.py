@@ -49,7 +49,7 @@ class TestCachedResultsIdentical:
     def test_engines_equal_standalone(self, session, paper_graph, paper_query, name):
         standalone = ENGINE_CLASSES[name](paper_graph).match(paper_query)
         via_session = session.query(paper_query, engine=name)
-        assert via_session.occurrence_set() == standalone.report.occurrence_set()
+        assert via_session.occurrence_set() == standalone.occurrence_set()
 
     @pytest.mark.parametrize("name", ["JM", "TM"])
     def test_baselines_equal_paper_answer(self, session, paper_query, name):

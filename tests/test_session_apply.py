@@ -196,7 +196,7 @@ class TestEngineVersionChecks:
         assert expanded.version == paper_graph.version
         engine = BinaryJoinEngine(paper_graph, expanded_graph=expanded)
         result = engine.match(paper_query)
-        assert result.report.num_matches > 0
+        assert result.num_matches > 0
 
     def test_stale_lazy_provider_rejected(self, paper_graph, paper_query):
         expanded, _seconds = expand_descendant_edges(paper_graph)

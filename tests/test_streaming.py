@@ -8,12 +8,10 @@ Covers the new execution primitives across the matcher layer:
   produce the first ``k`` matches is measured (candidate-expansion /
   adjacency-read counters), not guessed from wall clocks;
 * early termination — closing a generator mid-search stops it;
-* the deprecation shim for legacy blocking ``_evaluate``-only engines.
+* an engine without ``_iter_evaluate`` raises ``NotImplementedError``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -119,17 +117,6 @@ class TestMatchStream:
         assert stream.status is MatchStatus.TIMEOUT
         assert len(drained) < 2500  # stopped before full enumeration
 
-    def test_from_report_replays_blocking_matchers(self):
-        # TM and ISO have no streaming path and replay their eager result.
-        graph = build_paper_graph()
-        session = QuerySession(graph)
-        stream = session.stream(build_paper_query(), engine="TM")
-        occurrences = set(stream)
-        assert occurrences == set(PAPER_ANSWER)
-        report = stream.report()
-        assert report.status is MatchStatus.OK
-        assert report.extra.get("pre_materialized") is True or report.num_matches == 4
-
 
 # ---------------------------------------------------------------------- #
 # JM baseline streaming (the final hash join emits as it probes)
@@ -231,8 +218,8 @@ class TestEngineIterMatches:
         engine = engine_class(graph)
         eager = engine.match(build_paper_query())
         streamed = engine.match_stream(build_paper_query()).report()
-        assert streamed.occurrence_set() == eager.report.occurrence_set()
-        assert streamed.status == eager.report.status
+        assert streamed.occurrence_set() == eager.occurrence_set()
+        assert streamed.status == eager.status
 
     @pytest.mark.parametrize("engine_class", ENGINE_CLASSES)
     def test_count_short_circuits_on_match_cap(self, engine_class):
@@ -328,40 +315,11 @@ class TestLaziness:
 
 
 # ---------------------------------------------------------------------- #
-# legacy blocking engines: shimmed, warned, still correct
+# an engine must implement the streaming primitive
 # ---------------------------------------------------------------------- #
 
 
-class LegacyEngine(Engine):
-    """A pre-streaming engine: only implements the blocking ``_evaluate``."""
-
-    name = "legacy"
-
-    def _evaluate(self, graph, query, budget):
-        occurrences = []
-        for occurrence in itertools.product(*(
-            graph.inverted_list(query.label(node)) for node in query.nodes()
-        )):
-            if all(
-                graph.has_edge(occurrence[edge.source], occurrence[edge.target])
-                for edge in query.edges()
-            ):
-                occurrences.append(tuple(occurrence))
-                if budget.max_matches is not None and len(occurrences) >= budget.max_matches:
-                    break
-        return occurrences
-
-
 class TestLegacyShim:
-    def test_blocking_evaluate_warns_but_matches(self):
-        graph = build_paper_graph()
-        query = path_query()  # child-only, small enough for the brute force
-        engine = LegacyEngine(graph)
-        reference = BinaryJoinEngine(graph).match(query)
-        with pytest.warns(DeprecationWarning, match="bypassing the streaming budget"):
-            result = engine.match(query)
-        assert result.report.occurrence_set() == reference.report.occurrence_set()
-
     def test_engine_without_any_evaluate_raises(self):
         class Empty(Engine):
             name = "empty"
