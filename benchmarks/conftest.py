@@ -1,7 +1,8 @@
 """Shared helpers for the pytest-benchmark suite.
 
-Each benchmark module corresponds to one paper table or figure (see
-DESIGN.md's per-experiment index).  A module typically contains:
+Each benchmark module corresponds to one paper table or figure (the
+drivers are :data:`repro.bench.experiments.ALL_EXPERIMENTS`).  A module
+typically contains:
 
 * micro-benchmarks of the matchers involved, on a representative query of
   that experiment's workload (what pytest-benchmark times);
@@ -45,102 +46,6 @@ def write_report(report) -> Path:
     path = RESULTS_DIR / f"{report.experiment_id.lower()}.txt"
     path.write_text(report.text() + "\n", encoding="utf-8")
     return path
-
-
-#: Machine-readable benchmark trajectory shared by the session benchmarks.
-BENCH_JSON_PATH = RESULTS_DIR / "BENCH_session.json"
-
-#: Machine-readable trajectory of the concurrent-service benchmarks.
-SERVICE_JSON_PATH = RESULTS_DIR / "BENCH_service.json"
-
-#: Machine-readable trajectory of the pipelined-streaming benchmarks.
-STREAMING_JSON_PATH = RESULTS_DIR / "BENCH_streaming.json"
-
-#: Machine-readable trajectory of the wire-protocol server benchmarks.
-SERVER_JSON_PATH = RESULTS_DIR / "BENCH_server.json"
-
-#: Machine-readable trajectory of the write-ahead-log durability benchmarks.
-WAL_JSON_PATH = RESULTS_DIR / "BENCH_wal.json"
-
-#: Machine-readable trajectory of the telemetry-overhead benchmarks.
-OBS_JSON_PATH = RESULTS_DIR / "BENCH_obs.json"
-
-#: Machine-readable trajectory of the EXPLAIN ANALYZE benchmarks.
-EXPLAIN_JSON_PATH = RESULTS_DIR / "BENCH_explain.json"
-
-#: Machine-readable trajectory of the replication benchmarks.
-REPLICATION_JSON_PATH = RESULTS_DIR / "BENCH_replication.json"
-
-#: Machine-readable trajectory of the cluster-observability benchmarks.
-OBS_CLUSTER_JSON_PATH = RESULTS_DIR / "BENCH_obs_cluster.json"
-
-
-def _update_json(path: Path, section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into a sectioned JSON document.
-
-    Each benchmark module owns a top-level ``section`` key; re-running a
-    benchmark overwrites only its own section, so the file accumulates the
-    full trajectory across runs.
-    """
-    import json
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    document = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            document = {}
-    document[section] = payload
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
-
-
-def update_bench_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_session.json``."""
-    return _update_json(BENCH_JSON_PATH, section, payload)
-
-
-def update_service_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_service.json``."""
-    return _update_json(SERVICE_JSON_PATH, section, payload)
-
-
-def update_streaming_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_streaming.json``."""
-    return _update_json(STREAMING_JSON_PATH, section, payload)
-
-
-def update_server_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_server.json``."""
-    return _update_json(SERVER_JSON_PATH, section, payload)
-
-
-def update_wal_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_wal.json``."""
-    return _update_json(WAL_JSON_PATH, section, payload)
-
-
-def update_obs_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_obs.json``."""
-    return _update_json(OBS_JSON_PATH, section, payload)
-
-
-def update_explain_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_explain.json``."""
-    return _update_json(EXPLAIN_JSON_PATH, section, payload)
-
-
-def update_replication_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_replication.json``."""
-    return _update_json(REPLICATION_JSON_PATH, section, payload)
-
-
-def update_obs_cluster_json(section: str, payload: dict) -> Path:
-    """Merge one benchmark's results into ``results/BENCH_obs_cluster.json``."""
-    return _update_json(OBS_CLUSTER_JSON_PATH, section, payload)
 
 
 @pytest.fixture(scope="session")

@@ -53,10 +53,6 @@ GraphSource = Union[DataGraph, QuerySession, VersionedGraphStore, str, os.PathLi
 #: A query, as a parsed pattern or DSL text (``node a L\nedge a -> b`` ...).
 QueryLike = Union[PatternQuery, str]
 
-#: Sentinel for "create a default Telemetry" (so explicit ``None`` can
-#: mean "telemetry disabled" — the zero-overhead arm of bench_obs).
-_DEFAULT_TELEMETRY = object()
-
 
 class GraphDB:
     """One graph database: storage, versioning, serving, streaming.
@@ -85,14 +81,13 @@ class GraphDB:
         store: VersionedGraphStore,
         config: Optional[ServiceConfig] = None,
         owns_store: bool = True,
-        telemetry=_DEFAULT_TELEMETRY,
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if telemetry is _DEFAULT_TELEMETRY:
+        if telemetry is None:
             telemetry = Telemetry()
         #: The database's :class:`~repro.obs.Telemetry` context — metrics
         #: registry, tracer and slow-query log — shared by every layer
-        #: (store, sessions, WAL, service).  ``None`` when the database
-        #: was opened with ``telemetry=None`` (instrumentation disabled).
+        #: (store, sessions, WAL, service).
         self.telemetry = telemetry
         self.store = store
         store.bind_telemetry(telemetry)
@@ -114,7 +109,7 @@ class GraphDB:
         config: Optional[ServiceConfig] = None,
         warm_on_publish: bool = False,
         durability=None,
-        telemetry=_DEFAULT_TELEMETRY,
+        telemetry: Optional[Telemetry] = None,
         **session_kwargs,
     ) -> "GraphDB":
         """Open a database over ``source``.
@@ -135,11 +130,10 @@ class GraphDB:
         store created here: every fold journals before it publishes.
 
         ``telemetry`` is the database's observability context: by default
-        every database gets its own :class:`~repro.obs.Telemetry` (metrics
-        registry always on; tracing and slow-query logging governed by
-        its knobs).  Pass an explicit ``Telemetry(...)`` to share a
-        registry or enable tracing, or ``None`` to disable instrumentation
-        entirely (the baseline arm of ``benchmarks/bench_obs.py``).
+        (``None``) every database gets its own :class:`~repro.obs.Telemetry`
+        (metrics registry always on; tracing and slow-query logging
+        governed by its knobs).  Pass an explicit ``Telemetry(...)`` to
+        share a registry or enable tracing.
 
         ``session_kwargs`` (``reachability_kind``, ``budget``, ...) are
         forwarded to the underlying :class:`QuerySession` when one is
@@ -509,14 +503,8 @@ class GraphDB:
         ``format="json"`` returns the structured snapshot
         (:meth:`~repro.obs.MetricsRegistry.snapshot`); ``"prometheus"``
         returns the text exposition format ready for a scrape endpoint.
-        Raises :class:`ValueError` on other formats and
-        :class:`~repro.exceptions.StoreError` when the database was opened
-        with ``telemetry=None``.
+        Raises :class:`ValueError` on other formats.
         """
-        if self.telemetry is None:
-            from repro.exceptions import StoreError
-
-            raise StoreError("database was opened with telemetry disabled")
         if format == "json":
             return self.telemetry.registry.snapshot()
         if format == "prometheus":
@@ -524,9 +512,7 @@ class GraphDB:
         raise ValueError(f"unknown metrics format {format!r} (json | prometheus)")
 
     def slow_queries(self, limit: Optional[int] = None):
-        """Recent slow-query log entries, oldest first (empty if disabled)."""
-        if self.telemetry is None:
-            return []
+        """Recent slow-query log entries, oldest first (empty if the log is off)."""
         return self.telemetry.slow_log.recent(limit)
 
     def trace_spans(
@@ -538,10 +524,7 @@ class GraphDB:
         contribution to the cross-node tree —
         :func:`repro.obs.assemble_trace` stitches contributions from
         several nodes).  Without: the most recent spans, oldest first.
-        Empty when telemetry is disabled.
         """
-        if self.telemetry is None:
-            return []
         if trace_id is not None:
             return self.telemetry.spans.for_trace(trace_id)
         return self.telemetry.spans.recent(limit)

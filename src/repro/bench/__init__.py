@@ -7,21 +7,9 @@ collects per-query timings and statuses, :mod:`repro.bench.reporting`
 renders text tables / series, and :mod:`repro.bench.experiments` contains
 one driver per paper table or figure.  ``python -m repro.bench.run_all``
 runs everything and prints the results.
-
-Beyond the paper's experiments, :mod:`repro.bench.concurrency` drives a
-mixed reader/writer workload through the serialised single-session model
-and the MVCC store + service, including per-pinned-version answer
-verification (see ``benchmarks/bench_service_concurrency.py``).
 """
 
-from repro.bench.concurrency import (
-    BatchRecord,
-    MixedWorkloadResult,
-    run_concurrent_workload,
-    run_serialised_workload,
-    verify_batch_consistency,
-)
-from repro.bench.harness import MatcherSpec, QueryRun, WorkloadResult, make_matcher, run_workload
+from repro.bench.harness import QueryRun, WorkloadResult, make_matcher, run_workload
 from repro.bench.workloads import bench_graph, query_set, representative_templates
 from repro.bench.reporting import format_table, format_series
 from repro.bench.experiments import (
@@ -44,12 +32,6 @@ from repro.bench.experiments import (
 )
 
 __all__ = [
-    "BatchRecord",
-    "MixedWorkloadResult",
-    "run_concurrent_workload",
-    "run_serialised_workload",
-    "verify_batch_consistency",
-    "MatcherSpec",
     "QueryRun",
     "WorkloadResult",
     "make_matcher",

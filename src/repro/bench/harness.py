@@ -30,18 +30,6 @@ DEFAULT_BENCH_BUDGET = Budget(
 )
 
 
-@dataclass
-class MatcherSpec:
-    """A named matcher configuration the harness can instantiate."""
-
-    name: str
-    factory: Callable[[DataGraph, MatchContext, Budget], object]
-
-    def build(self, graph: DataGraph, context: MatchContext, budget: Budget):
-        """Instantiate the matcher for one graph/context."""
-        return self.factory(graph, context, budget)
-
-
 def _gm_factory(variant: GMVariant, ordering: OrderingMethod = OrderingMethod.JO):
     def factory(graph: DataGraph, context: MatchContext, budget: Budget) -> GraphMatcher:
         return GraphMatcher(graph, context=context, variant=variant, ordering=ordering, budget=budget)

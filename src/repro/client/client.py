@@ -929,9 +929,7 @@ class GraphClient:
         :meth:`~repro.obs.MetricsRegistry.snapshot` document — every
         ``session_cache_*`` / ``store_*`` / ``service_*`` / ``server_*`` /
         ``wal_*`` / ``engine_*`` family with labelled values;
-        ``format="prometheus"`` returns the text exposition format.  A
-        tenant opened with telemetry disabled raises
-        :class:`~repro.exceptions.StoreError`.
+        ``format="prometheus"`` returns the text exposition format.
         """
         payload = self._request(
             "metrics", graph=self._graph_name(graph), format=format

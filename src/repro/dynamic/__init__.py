@@ -2,7 +2,7 @@
 
 The rest of the library treats a :class:`repro.graph.digraph.DataGraph` as
 immutable-after-construction — the property the per-graph artifact caches
-(reachability index, transitive closure, bitmaps, RIGs) rely on.  Real
+(reachability index, transitive closure, RIGs) rely on.  Real
 serving scenarios mutate their graphs, though: hierarchies evolve, edge
 feeds stream in.  This package provides the machinery that makes
 *update-then-query* cheap instead of forcing a cold rebuild:
@@ -15,7 +15,7 @@ feeds stream in.  This package provides the machinery that makes
   immutable graph carrying a bumped monotone version;
 * :func:`should_patch` plus the patch helpers in
   :mod:`repro.dynamic.maintenance` — the rebuild-vs-patch cost heuristic
-  and in-place refresh paths for bitmaps and edge partitions (the
+  and in-place refresh paths for the expanded graph and edge partitions (the
   reachability indexes carry their own ``apply_delta`` methods);
 * :class:`ApplyReport` — the outcome record of
   :meth:`repro.session.QuerySession.apply`, which ties it all together:
@@ -33,9 +33,7 @@ from repro.dynamic.delta import GraphDelta, merged_delta
 from repro.dynamic.maintenance import (
     ApplyReport,
     patch_expanded_graph,
-    patch_label_bitmaps,
     patch_partitions,
-    patch_universe,
     should_patch,
 )
 from repro.dynamic.overlay import MutableDataGraph
@@ -46,8 +44,6 @@ __all__ = [
     "MutableDataGraph",
     "merged_delta",
     "patch_expanded_graph",
-    "patch_label_bitmaps",
     "patch_partitions",
-    "patch_universe",
     "should_patch",
 ]

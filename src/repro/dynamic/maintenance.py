@@ -5,8 +5,8 @@ alive across graph updates.  Each cached artifact falls into one of three
 maintenance classes:
 
 * **incrementally patchable** — the reachability index and the transitive
-  closure (``apply_delta`` on the index classes), the per-label bitmaps and
-  the EH edge partitions (helpers below), and — for insert-only deltas —
+  closure (``apply_delta`` on the index classes), the EH edge partitions
+  (:func:`patch_partitions`), and — for insert-only deltas —
   the closure-expanded graph (:func:`patch_expanded_graph`, fed by the
   closure patch's added pairs) and the GF catalog
   (:func:`repro.engines.wcoj.patch_catalog`);
@@ -58,48 +58,6 @@ def should_patch(graph, delta: GraphDelta) -> bool:
 # ---------------------------------------------------------------------- #
 # artifact patch helpers
 # ---------------------------------------------------------------------- #
-
-
-def patch_label_bitmaps(bitmaps: Dict[str, object], graph, delta: GraphDelta) -> bool:
-    """Refresh per-label Roaring bitmaps in place for ``delta``.
-
-    Edge operations do not touch label membership, so any delta is
-    patchable: added nodes are appended to their label's bitmap, and the
-    (at most two) bitmaps affected by each relabel are rebuilt from the
-    patched graph's inverted lists — a targeted rebuild touching only dirty
-    labels.  ``graph`` is the post-delta graph.  Always returns True.
-    """
-    from repro.bitmap.roaring import RoaringBitmap
-
-    for node_id, label in delta.added_nodes:
-        bitmap = bitmaps.get(label)
-        if bitmap is None:
-            bitmaps[label] = RoaringBitmap((node_id,))
-        else:
-            bitmap.add(node_id)
-    if delta.has_relabels:
-        # Every label that gained members is a relabel target; labels that
-        # only lost members show up as a size mismatch against the graph.
-        # (A pure membership swap leaves sizes equal, but then both labels
-        # are relabel targets and are already dirty.)
-        dirty = {new_label for _node, new_label in delta.relabels}
-        for label in list(bitmaps):
-            if len(bitmaps[label]) != len(graph.inverted_list(label)):
-                dirty.add(label)
-        for label in dirty:
-            members = graph.inverted_list(label)
-            if members:
-                bitmaps[label] = RoaringBitmap.from_sorted(members)
-            else:
-                bitmaps.pop(label, None)
-    return True
-
-
-def patch_universe(universe, delta: GraphDelta) -> bool:
-    """Extend the node-universe bitmap with the delta's added node ids."""
-    for node_id, _label in delta.added_nodes:
-        universe.add(node_id)
-    return True
 
 
 def patch_expanded_graph(expanded, new_graph, delta: GraphDelta, closure_additions):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import MatchingError
 from repro.query.pattern import PatternQuery
@@ -33,16 +33,6 @@ class OrderingMethod(Enum):
     JO = "jo"
     RI = "ri"
     BJ = "bj"
-
-
-def _connected_prefix_check(query: PatternQuery, order: Sequence[int]) -> bool:
-    """True if every prefix of ``order`` induces a connected subquery."""
-    placed = set()
-    for index, node in enumerate(order):
-        if index and not any(neighbor in placed for neighbor in query.neighbors(node)):
-            return False
-        placed.add(node)
-    return True
 
 
 # ---------------------------------------------------------------------- #

@@ -10,9 +10,11 @@ store (which binds the WAL and every published session epoch) and its query
 service; the wire server then merely *reads* the tenant's bundle for the
 ``metrics`` and ``slow_queries`` ops.
 
-Passing ``telemetry=None`` to ``GraphDB.open`` switches the whole subsystem
-off — no registry mirroring, no sampling decision, no slow-log check — which
-is the "disabled" arm of ``benchmarks/bench_obs.py``'s overhead comparison.
+A :class:`~repro.api.GraphDB` always owns one; the lower layers
+(:class:`~repro.store.VersionedGraphStore`,
+:class:`~repro.service.QueryService`,
+:class:`~repro.session.QuerySession`) stay usable bare and take a bundle
+through their optional ``bind_telemetry``.
 """
 
 from __future__ import annotations

@@ -119,29 +119,24 @@ class ReplicationHub:
         self.frames_fanout = 0
         self.overflows = 0
         self.snapshots_shipped = 0
-        telemetry = getattr(database, "telemetry", None)
-        registry = telemetry.registry if telemetry is not None else None
-        self._m_fanout = None
-        self._m_overflows = None
-        self._m_snapshots = None
-        if registry is not None:
-            registry.gauge(
-                "replication_subscribers",
-                "Live log-shipping subscriptions on this primary",
-                fn=lambda: float(self.subscriber_count()),
-            )
-            self._m_fanout = registry.counter(
-                "replication_frames_fanout_total",
-                "Delta frames offered to log-shipping subscribers",
-            )
-            self._m_overflows = registry.counter(
-                "replication_subscriber_overflows_total",
-                "Log subscriptions dropped because their buffer overflowed",
-            )
-            self._m_snapshots = registry.counter(
-                "replication_snapshots_shipped_total",
-                "Snapshot bootstraps served to subscribers",
-            )
+        registry = database.telemetry.registry
+        registry.gauge(
+            "replication_subscribers",
+            "Live log-shipping subscriptions on this primary",
+            fn=lambda: float(self.subscriber_count()),
+        )
+        self._m_fanout = registry.counter(
+            "replication_frames_fanout_total",
+            "Delta frames offered to log-shipping subscribers",
+        )
+        self._m_overflows = registry.counter(
+            "replication_subscriber_overflows_total",
+            "Log subscriptions dropped because their buffer overflowed",
+        )
+        self._m_snapshots = registry.counter(
+            "replication_snapshots_shipped_total",
+            "Snapshot bootstraps served to subscribers",
+        )
         database.store.add_publish_listener(self._on_publish)
 
     # ------------------------------------------------------------------ #
@@ -174,13 +169,11 @@ class ReplicationHub:
             for subscription in subscribers:
                 subscription.offer(frame)
         self.frames_fanout += len(subscribers)
-        if self._m_fanout is not None:
-            self._m_fanout.inc(len(subscribers))
+        self._m_fanout.inc(len(subscribers))
 
     def _note_overflow(self) -> None:
         self.overflows += 1
-        if self._m_overflows is not None:
-            self._m_overflows.inc()
+        self._m_overflows.inc()
 
     # ------------------------------------------------------------------ #
     # subscribe side
@@ -269,8 +262,7 @@ class ReplicationHub:
             entry for entry in entries if int(entry["new_version"]) > base
         ]
         self.snapshots_shipped += 1
-        if self._m_snapshots is not None:
-            self._m_snapshots.inc()
+        self._m_snapshots.inc()
         return {
             "mode": "bootstrap",
             "snapshot": snapshot,

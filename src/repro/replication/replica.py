@@ -122,7 +122,6 @@ class ReplicaTail:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._force_bootstrap = False
-        self._metrics_bound = False
 
         # Status, read by replica_status / the lag gauges.
         self.mode: Optional[str] = None
@@ -134,10 +133,6 @@ class ReplicaTail:
         self.bootstraps = 0
         self.last_error: Optional[str] = None
         self._last_published_at: Optional[float] = None
-        self._m_applied = None
-        self._m_skipped = None
-        self._m_resubscribes = None
-        self._m_bootstraps = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -230,11 +225,7 @@ class ReplicaTail:
         database.replication_status = self.status
         database.replication_tail = self
         database._close_hooks.append(self.close)
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is None or self._metrics_bound:
-            return
-        self._metrics_bound = True
-        registry = telemetry.registry
+        registry = database.telemetry.registry
         registry.gauge(
             "replication_lag_versions",
             "Versions the primary's head is ahead of this replica",
@@ -309,8 +300,7 @@ class ReplicaTail:
                 except Exception:
                     pass
         self.bootstraps += 1
-        if self._m_bootstraps is not None:
-            self._m_bootstraps.inc()
+        self._m_bootstraps.inc()
 
     # ------------------------------------------------------------------ #
     # the subscribe protocol
@@ -404,8 +394,7 @@ class ReplicaTail:
         head = int(self.database.head_version)
         if new_version <= head:
             self.frames_skipped += 1
-            if self._m_skipped is not None:
-                self._m_skipped.inc()
+            self._m_skipped.inc()
             return
         if base_version > head:
             raise _Gap(
@@ -418,8 +407,7 @@ class ReplicaTail:
             # primary's fold span) so this replica's apply — and the
             # nested fold/journal spans its own store opens — lands in the
             # replica's span ring under the same trace id.
-            telemetry = getattr(self.database, "telemetry", None)
-            recorder = telemetry.spans if telemetry is not None else None
+            recorder = self.database.telemetry.spans
             with trace_context.activate(context, recorder=recorder, node=self.node):
                 with trace_context.trace_span(
                     "replica_apply", version=new_version
@@ -430,8 +418,7 @@ class ReplicaTail:
         if int(report.new_version) != new_version:
             raise ReplicaDivergedError(new_version, int(report.new_version))
         self.frames_applied += 1
-        if self._m_applied is not None:
-            self._m_applied.inc()
+        self._m_applied.inc()
         published_at = frame.get("published_at")
         if published_at is not None:
             self._last_published_at = float(published_at)
@@ -445,8 +432,7 @@ class ReplicaTail:
 
     def _note_resubscribe(self) -> None:
         self.resubscribes += 1
-        if self._m_resubscribes is not None:
-            self._m_resubscribes.inc()
+        self._m_resubscribes.inc()
 
     def _run(self) -> None:
         delay = self._backoff_base

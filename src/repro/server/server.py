@@ -164,8 +164,7 @@ class _ServerStream:
                     "page": encode_page(page),
                 }
                 self._encode_seconds += time.perf_counter() - encode_started
-                sent = self.connection.send_from_thread(frame)
-                self.connection.note_tenant_bytes(self.database, sent)
+                self.connection.send_from_thread(frame, self.database)
                 sequence += 1
             if self._closed.is_set():
                 return
@@ -188,10 +187,10 @@ class _ServerStream:
                 if flush > 0:
                     trace.add_span("stream_flush", flush)
                 wire["extra"]["trace"] = trace.to_dict()
-            sent = self.connection.send_from_thread(
-                {"stream": self.stream_id, "end": True, "report": wire}
+            self.connection.send_from_thread(
+                {"stream": self.stream_id, "end": True, "report": wire},
+                self.database,
             )
-            self.connection.note_tenant_bytes(self.database, sent)
         except Exception as exc:
             error = exc
         finally:
@@ -264,14 +263,14 @@ class _LogShipper:
         self.subscription.close()
 
     def _send(self, frames) -> None:
-        sent = self.connection.send_from_thread(
+        self.connection.send_from_thread(
             {
                 "sub": self.ident,
                 "frames": frames,
                 "head": int(self.database.head_version),
-            }
+            },
+            self.database,
         )
-        self.connection.note_tenant_bytes(self.database, sent)
 
     def pump(self) -> None:
         """Forward catch-up + live delta frames (runs on its own thread)."""
@@ -426,8 +425,9 @@ class _Connection:
                     "read-only replica — writes must go to the primary"
                 )
             result = await handler(self, frame, *tenant)
-            sent = await self._safe_send({"id": ident, "ok": True, "result": result})
-            self.note_tenant_bytes(database, sent)
+            await self._safe_send(
+                {"id": ident, "ok": True, "result": result}, database
+            )
         except Exception as exc:
             # A traced request that fails still correlates: the client's
             # propagated trace id rides on the error payload (and on the
@@ -464,14 +464,14 @@ class _Connection:
                     trace_id=trace_id,
                 )
             try:
-                sent = await self._safe_send(
+                await self._safe_send(
                     {
                         "id": ident if isinstance(ident, int) else None,
                         "ok": False,
                         "error": encode_error(exc),
-                    }
+                    },
+                    database,
                 )
-                self.note_tenant_bytes(database, sent)
             except Exception:  # pragma: no cover - reply path is best-effort
                 pass
 
@@ -479,29 +479,49 @@ class _Connection:
     # sending
     # ------------------------------------------------------------------ #
 
-    async def _send(self, payload: Dict[str, object]) -> int:
+    async def _send(
+        self, payload: Dict[str, object], database: Optional[GraphDB] = None
+    ) -> None:
+        """Write one frame; its bytes count against ``database``'s registry.
+
+        The count is taken under the send lock before the frame reaches
+        the transport (``write`` may put it on the socket at once), so
+        whoever has read this frame — a client about to ask for
+        ``server_metrics()``, a thread reading the registry — sees it
+        counted.
+        """
         if self._closing:
             raise ConnectionError("connection is closing")
         data = encode_frame(payload)
         async with self._send_lock:
+            self._count(
+                database,
+                "server_bytes_sent_total",
+                "Bytes of response and stream frames sent for this tenant",
+                amount=len(data),
+            )
             self._writer.write(data)
             await self._writer.drain()
-        return len(data)
 
-    async def _safe_send(self, payload: Dict[str, object]) -> int:
+    async def _safe_send(
+        self, payload: Dict[str, object], database: Optional[GraphDB] = None
+    ) -> None:
         try:
-            return await self._send(payload)
+            await self._send(payload, database)
         except (ConnectionError, RuntimeError, OSError):
-            return 0  # client went away mid-reply; teardown will follow
+            pass  # client went away mid-reply; teardown will follow
 
-    def send_from_thread(self, payload: Dict[str, object], timeout: float = 30.0) -> int:
-        """Send one frame from a pump thread (raises once the connection dies).
-
-        Returns the encoded frame size so callers can account per-tenant
-        egress.
-        """
-        future = asyncio.run_coroutine_threadsafe(self._send(payload), self._loop)
-        return future.result(timeout)
+    def send_from_thread(
+        self,
+        payload: Dict[str, object],
+        database: Optional[GraphDB] = None,
+        timeout: float = 30.0,
+    ) -> None:
+        """Send one frame from a pump thread (raises once the connection dies)."""
+        future = asyncio.run_coroutine_threadsafe(
+            self._send(payload, database), self._loop
+        )
+        future.result(timeout)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -515,13 +535,13 @@ class _Connection:
     def _count(database, family: str, help: str, amount: int = 1, **labels) -> None:
         """Bump one of a tenant's ``server_*`` counter families.
 
-        A no-op when the request resolved no tenant, or the tenant runs
-        without telemetry.
+        A no-op when the request resolved no tenant.
         """
-        telemetry = getattr(database, "telemetry", None)
-        if telemetry is None:
+        if database is None:
             return
-        counter = telemetry.registry.counter(family, help, labelnames=tuple(labels))
+        counter = database.telemetry.registry.counter(
+            family, help, labelnames=tuple(labels)
+        )
         if labels:
             counter = counter.labels(*labels.values())
         counter.inc(amount)
@@ -531,19 +551,7 @@ class _Connection:
         context = trace_context.TraceContext.from_wire(frame.get("trace"))
         if context is None:
             return None, None
-        telemetry = getattr(database, "telemetry", None)
-        recorder = telemetry.spans if telemetry is not None else None
-        return context, recorder
-
-    def note_tenant_bytes(self, database: Optional[GraphDB], nbytes: int) -> None:
-        """Account response/stream egress against the tenant's registry."""
-        if nbytes:
-            self._count(
-                database,
-                "server_bytes_sent_total",
-                "Bytes of response and stream frames sent for this tenant",
-                amount=nbytes,
-            )
+        return context, database.telemetry.spans
 
     def _pin_for(self, frame: Dict[str, object], graph_name: str):
         token = frame.get("pin")
@@ -1048,10 +1056,7 @@ class _Connection:
 
     async def _op_spans(self, frame, name, database):
         """Finished distributed-trace spans from one tenant's span ring."""
-        telemetry = getattr(database, "telemetry", None)
-        recorder = telemetry.spans if telemetry is not None else None
-        if recorder is None:
-            return {"spans": []}
+        recorder = database.telemetry.spans
         trace_id = frame.get("trace_id")
         if trace_id is not None:
             spans = recorder.for_trace(str(trace_id))

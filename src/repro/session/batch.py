@@ -68,11 +68,6 @@ class BatchReport:
         """Sum of match counts over the batch."""
         return sum(outcome.num_matches for outcome in self.outcomes)
 
-    @property
-    def total_query_seconds(self) -> float:
-        """Sum of per-query latencies (>= wall time when workers > 1)."""
-        return sum(outcome.seconds for outcome in self.outcomes)
-
     def latency_percentile(self, fraction: float) -> float:
         """Nearest-rank latency percentile over the batch."""
         return percentile([outcome.seconds for outcome in self.outcomes], fraction)

@@ -1,8 +1,8 @@
 """QuerySession: per-graph cached state shared by every query.
 
 The paper's headline result rests on expensive per-graph artifacts — the
-reachability index, the transitive closure, label bitmaps, runtime index
-graphs — being built *once* and reused across queries.  A
+reachability index, the transitive closure, runtime index graphs — being
+built *once* and reused across queries.  A
 :class:`QuerySession` is the object that owns that cached state: construct
 one per data graph, then push any number of queries (and any mix of
 matchers) through it.  Every artifact is built lazily on first use, guarded
@@ -18,14 +18,11 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher
 from repro.baselines.tm import TMMatcher
-from repro.bitmap.roaring import RoaringBitmap
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import (
     ApplyReport,
     patch_expanded_graph,
-    patch_label_bitmaps,
     patch_partitions,
-    patch_universe,
     should_patch,
 )
 from repro.exceptions import QueryError, StoreError
@@ -55,9 +52,9 @@ class CacheStats:
     A *miss* means the artifact was built (the expensive path); a *hit*
     means an already-built artifact was reused.  Counters are keyed by
     artifact name (``"reachability"``, ``"closure"``, ``"expanded_graph"``,
-    ``"catalog"``, ``"partitions"``, ``"bitmaps"``, ``"universe"``,
-    ``"rig"``, ``"matcher"``).  ``"matcher"`` only records builds: instance
-    lookups happen on every query and are not an interesting reuse signal.
+    ``"catalog"``, ``"partitions"``, ``"rig"``, ``"matcher"``).  ``"matcher"``
+    only records builds: instance lookups happen on every query and are not
+    an interesting reuse signal.
 
     Graph updates (:meth:`QuerySession.apply`) add two more outcomes: a
     *patch* means the artifact was updated in place and its build cost was
@@ -248,7 +245,6 @@ class QuerySession:
     * the materialised transitive closure and the closure-expanded data
       graph the comparator engines need for descendant queries;
     * the GF catalog and the EH edge-relation partitions;
-    * per-label Roaring bitmaps and the node-universe bitmap;
     * one RIG per distinct (GM variant, query) pair;
     * one matcher / engine instance per matcher name.
 
@@ -290,13 +286,10 @@ class QuerySession:
         self._expanded_graph: Optional[DataGraph] = None
         self._catalog = None
         self._partitions = None
-        self._label_bitmaps: Optional[Dict[str, RoaringBitmap]] = None
-        self._universe: Optional[RoaringBitmap] = None
         # RIG caches are keyed by (GM variant, graph version): a version bump
         # automatically strands every stale per-query RIG.
         self._rig_caches: Dict[Tuple[str, int], _ObservedRigCache] = {}
         self._matchers: Dict[str, object] = {}
-        self._artifact_versions: Dict[str, int] = {}
         # A frozen session is one epoch of a VersionedGraphStore: it serves
         # reads forever at its version and refuses in-place mutation.
         self._frozen = False
@@ -313,7 +306,6 @@ class QuerySession:
                 self.stats.record_miss(key)
                 value = builder()
                 setattr(self, attr, value)
-                self._artifact_versions[key] = self.version
             else:
                 self.stats.record_hit(key)
             return value
@@ -334,11 +326,6 @@ class QuerySession:
     def version(self) -> int:
         """The monotone version of the session's current graph."""
         return getattr(self.graph, "version", 0)
-
-    def artifact_version(self, key: str) -> Optional[int]:
-        """Graph version an artifact was built/patched at (None if unbuilt)."""
-        with self._lock:
-            return self._artifact_versions.get(key)
 
     @property
     def context(self) -> MatchContext:
@@ -390,29 +377,6 @@ class QuerySession:
         """The EH edge relations partitioned by label pair."""
         return self._artifact(
             "_partitions", "partitions", lambda: build_edge_partitions(self.graph)
-        )
-
-    @property
-    def label_bitmaps(self) -> Dict[str, RoaringBitmap]:
-        """Per-label Roaring bitmaps of the inverted lists (the bitmap universe)."""
-
-        def build() -> Dict[str, RoaringBitmap]:
-            return {
-                label: RoaringBitmap(self.graph.inverted_list(label))
-                for label in self.graph.label_alphabet()
-            }
-
-        return self._artifact("_label_bitmaps", "bitmaps", build)
-
-    def label_bitmap(self, label: str) -> RoaringBitmap:
-        """The Roaring bitmap of one label's inverted list (empty if unknown)."""
-        return self.label_bitmaps.get(label) or RoaringBitmap(())
-
-    @property
-    def bitmap_universe(self) -> RoaringBitmap:
-        """Bitmap of every node id of the data graph."""
-        return self._artifact(
-            "_universe", "universe", lambda: RoaringBitmap(range(self.graph.num_nodes))
         )
 
     # ------------------------------------------------------------------ #
@@ -613,7 +577,6 @@ class QuerySession:
                     ("expanded_graph", "_expanded_graph"),
                     ("catalog", "_catalog"),
                     ("partitions", "_partitions"),
-                    ("bitmaps", "_label_bitmaps"),
                 )
                 if getattr(self, attr) is not None
             ]
@@ -813,12 +776,10 @@ class QuerySession:
             def note_patch(key: str) -> None:
                 self.stats.record_patch(key)
                 patched.append(key)
-                self._artifact_versions[key] = getattr(new_graph, "version", 0)
 
             def note_invalidate(key: str) -> None:
                 self.stats.record_invalidation(key)
                 invalidated.append(key)
-                self._artifact_versions.pop(key, None)
 
             patchable = should_patch(self.graph, effective)
 
@@ -884,12 +845,6 @@ class QuerySession:
                 else:
                     self._partitions = None
                     note_invalidate("partitions")
-            if self._label_bitmaps is not None:
-                patch_label_bitmaps(self._label_bitmaps, new_graph, effective)
-                note_patch("bitmaps")
-            if self._universe is not None:
-                patch_universe(self._universe, effective)
-                note_patch("universe")
 
             # Per-query state: stranded by the version bump.
             new_version = getattr(new_graph, "version", 0)
@@ -936,9 +891,9 @@ class QuerySession:
 
         The clone serves the same graph at the same version, but every
         cached artifact that in-place patching could mutate — reachability
-        index, transitive closure, catalog, partitions, bitmaps — is
-        copied, so ``clone.apply(delta)`` never changes an answer this
-        session returns.  Immutable artifacts (the closure-expanded
+        index, transitive closure, catalog, partitions — is copied, so
+        ``clone.apply(delta)`` never changes an answer this session
+        returns.  Immutable artifacts (the closure-expanded
         :class:`DataGraph`) are shared.  RIG caches are carried over (their
         entries are immutable per (variant, query, version)) unless
         ``copy_rig_caches=False`` — the right choice when the clone is
@@ -976,14 +931,6 @@ class QuerySession:
                 clone._partitions = {
                     key: list(edges) for key, edges in self._partitions.items()
                 }
-            if self._label_bitmaps is not None:
-                clone._label_bitmaps = {
-                    label: bitmap.copy()
-                    for label, bitmap in self._label_bitmaps.items()
-                }
-            if self._universe is not None:
-                clone._universe = self._universe.copy()
-            clone._artifact_versions = dict(self._artifact_versions)
             clone.bind_telemetry(self.telemetry)
             if copy_rig_caches:
                 for key, cache in self._rig_caches.items():
@@ -1006,11 +953,8 @@ class QuerySession:
             self._expanded_graph = None
             self._catalog = None
             self._partitions = None
-            self._label_bitmaps = None
-            self._universe = None
             self._rig_caches.clear()
             self._matchers.clear()
-            self._artifact_versions.clear()
             self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,7 +4,7 @@ The store keeps an **immutable version chain**: one :class:`VersionRecord`
 per published graph version, each owning the frozen :class:`DataGraph`
 snapshot of that version plus its per-version artifact cache (a frozen
 :class:`~repro.session.QuerySession` — the reachability index, closure,
-bitmaps, catalogs and RIGs of exactly that epoch).
+catalogs and RIGs of exactly that epoch).
 
 Concurrency contract
 --------------------
@@ -543,8 +543,6 @@ class VersionedGraphStore:
         "expanded_graph": lambda session: session.expanded_graph,
         "catalog": lambda session: session.catalog,
         "partitions": lambda session: session.partitions,
-        "bitmaps": lambda session: session.label_bitmaps,
-        "universe": lambda session: session.bitmap_universe,
     }
 
     def apply(self, delta: GraphDelta, materialize: bool = True) -> ApplyReport:

@@ -54,6 +54,18 @@ def build_paper_graph() -> DataGraph:
     return DataGraph(labels, edges, name="paper-example")
 
 
+def one_more_occurrence(base: int) -> dict:
+    """``ingest`` kwargs that add exactly one occurrence of the paper query.
+
+    A fresh A -> B, A -> C, B -> C triangle on the next three node ids
+    (``base`` is the graph's ``num_nodes`` before the write).
+    """
+    return dict(
+        labels=["A", "B", "C"],
+        edges=[(base, base + 1), (base, base + 2), (base + 1, base + 2)],
+    )
+
+
 def build_paper_query() -> PatternQuery:
     """The hybrid query Q of Fig. 2(a): A->B, A->C direct; B=>C reachability."""
     return PatternQuery(

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness, the experiment drivers and the examples."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -28,7 +29,8 @@ from repro.matching.result import Budget
 from repro.simulation.context import MatchContext
 
 TINY_BUDGET = Budget(max_matches=500, time_limit_seconds=5.0, max_intermediate_results=50_000)
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
 class TestWorkloads:
@@ -165,3 +167,32 @@ class TestExamples:
         runpy.run_path(str(path), run_name="__main__")
         captured = capsys.readouterr()
         assert "occurrence" in captured.out or "patterns" in captured.out
+
+
+class TestOneMeasurementSystem:
+    """`benchmarks/` holds the paper's figures and tables and nothing else;
+    every other number comes from `python3 -m perf` (see perf/README.md)."""
+
+    def test_ci_mentions_only_paths_that_exist(self):
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8"
+        )
+        commands = "\n".join(
+            line for line in workflow.splitlines() if not line.lstrip().startswith("#")
+        )
+        mentioned = set(
+            re.findall(r"\b(?:benchmarks|tests|examples|results)/[\w./*-]+", commands)
+        )
+        assert "examples/quickstart.py" in mentioned  # the regex still bites
+        missing = sorted(path for path in mentioned if not list(REPO_ROOT.glob(path)))
+        assert not missing, f"ci.yml points at files that are gone: {missing}"
+
+    def test_benchmarks_are_the_paper_drivers(self):
+        scripts = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+        assert len(scripts) == len(ALL_EXPERIMENTS)
+        strays = [
+            script.name
+            for script in scripts
+            if re.search(r"not a paper figure", script.read_text(encoding="utf-8"), re.I)
+        ]
+        assert not strays, f"subsystem numbers belong to perf/, not benchmarks/: {strays}"

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic import GraphDelta, MutableDataGraph, should_patch
-from repro.dynamic.maintenance import (
-    patch_label_bitmaps,
-    patch_partitions,
-    patch_universe,
-)
-from repro.bitmap.roaring import RoaringBitmap
+from repro.dynamic.maintenance import patch_partitions
 from repro.engines.relational import build_edge_partitions
 from repro.graph.generators import random_labeled_graph
 from repro.reachability.base import BFSReachability
@@ -140,49 +135,6 @@ class TestShouldPatch:
 
 
 class TestArtifactPatchHelpers:
-    def _bitmaps_for(self, graph):
-        return {
-            label: RoaringBitmap(graph.inverted_list(label))
-            for label in graph.label_alphabet()
-        }
-
-    def test_bitmap_patch_add_and_relabel(self, paper_graph):
-        bitmaps = self._bitmaps_for(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph)
-        new = delta.add_node("D")
-        delta.relabel(0, "C")
-        overlay = MutableDataGraph(paper_graph, delta)
-        patched = overlay.materialize()
-        assert patch_label_bitmaps(bitmaps, patched, overlay.delta_since_base())
-        expected = self._bitmaps_for(patched)
-        assert set(bitmaps) == set(expected)
-        for label in expected:
-            assert bitmaps[label].to_list() == expected[label].to_list(), label
-        assert new in bitmaps["D"]
-
-    def test_bitmap_patch_drops_emptied_label(self):
-        graph = random_labeled_graph(4, 4, num_labels=4, seed=11)
-        # Relabel every node of one label away so its bitmap disappears.
-        victim = graph.label(0)
-        bitmaps = self._bitmaps_for(graph)
-        delta = GraphDelta.for_graph(graph)
-        target = next(l for l in graph.label_alphabet() if l != victim)
-        for node in graph.inverted_list(victim):
-            delta.relabel(node, target)
-        overlay = MutableDataGraph(graph, delta)
-        patched = overlay.materialize()
-        patch_label_bitmaps(bitmaps, patched, overlay.delta_since_base())
-        assert victim not in bitmaps
-        assert bitmaps[target].to_list() == list(patched.inverted_list(target))
-
-    def test_universe_patch(self, paper_graph):
-        universe = RoaringBitmap(range(paper_graph.num_nodes))
-        delta = GraphDelta.for_graph(paper_graph)
-        new = delta.add_node("A")
-        patch_universe(universe, delta)
-        assert new in universe
-        assert len(universe) == paper_graph.num_nodes + 1
-
     def test_partitions_patch_insert_only(self, paper_graph):
         partitions = build_edge_partitions(paper_graph)
         delta = GraphDelta.for_graph(paper_graph)

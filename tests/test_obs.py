@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import ExitStack
 
 import pytest
 
 from repro.api import GraphDB
-from repro.exceptions import ServiceOverloadedError, StoreError
+from repro.exceptions import ServiceOverloadedError
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -30,6 +31,7 @@ from repro.obs import (
     new_trace_id,
     percentile,
 )
+from repro.server import GraphCatalog, GraphServer
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -532,11 +534,35 @@ class TestTelemetryWiring:
         ]:
             assert key in document, key
 
-    def test_metrics_disabled_database(self):
-        with GraphDB.from_edges(["A"], [], telemetry=None) as db:
-            assert db.telemetry is None
-            with pytest.raises(StoreError):
-                db.metrics()
+    @pytest.mark.parametrize(
+        "constructor",
+        ["open", "from_edges", "open_durable", "catalog", "durable_catalog", "open_replica"],
+    )
+    def test_every_database_owns_a_telemetry(self, constructor, tmp_path):
+        # A GraphDB always has a live registry: no constructor yields a
+        # database whose metrics() / slow_queries() cannot answer.
+        labels, edges = ["A", "B"], [(0, 1)]
+        with ExitStack() as stack:
+            if constructor == "open":
+                db = stack.enter_context(GraphDB.open())
+            elif constructor == "from_edges":
+                db = stack.enter_context(GraphDB.from_edges(labels, edges))
+            elif constructor == "open_durable":
+                db = stack.enter_context(
+                    GraphDB.open_durable(tmp_path / "t", labels=labels, edges=edges)
+                )
+            elif constructor == "catalog":
+                catalog = stack.enter_context(GraphCatalog())
+                db = catalog.create("g", labels=labels, edges=edges)
+            elif constructor == "durable_catalog":
+                catalog = stack.enter_context(GraphCatalog(data_dir=tmp_path / "c"))
+                db = catalog.create("g", labels=labels, edges=edges)
+            else:
+                server = stack.enter_context(GraphServer())
+                server.catalog.create("g", labels=labels, edges=edges)
+                db = stack.enter_context(GraphDB.open_replica(*server.address, "g"))
+            assert isinstance(db.telemetry, Telemetry)
+            assert "store_head_version" in db.metrics()
             assert db.slow_queries() == []
 
     def test_local_slow_query_log_records_trace(self):

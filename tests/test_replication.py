@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from fixtures_paper import PAPER_ANSWER, build_paper_graph
+from fixtures_paper import PAPER_ANSWER, build_paper_graph, one_more_occurrence
 from repro.api import GraphDB
 from repro.client import GraphClient, RoutedClient
 from repro.exceptions import PrimaryUnavailableError, ReadOnlyReplicaError
@@ -334,6 +334,49 @@ class TestReplicaCrashRecovery:
 # ---------------------------------------------------------------------- #
 # the failover bar: primary dies, routed reads keep flowing
 # ---------------------------------------------------------------------- #
+
+
+class TestRoutedReads:
+    def test_read_sees_own_write_and_replicas_take_reads(self):
+        # Each routed write adds one occurrence; the routed read issued right
+        # after it must already count it (read-your-writes: a replica that
+        # has not folded that version may not answer), and once the fleet
+        # has caught up the reads really are served by the replicas.
+        graph = build_paper_graph()
+        with GraphServer() as server:
+            host, port = server.address
+            with GraphClient(host, port, timeout=60.0) as client:
+                client.create_graph("paper", labels=graph.labels, edges=graph.edges())
+            with ReplicaServer(host, port) as first, ReplicaServer(host, port) as second:
+                routed = RoutedClient(
+                    (host, port),
+                    replicas=[first.address, second.address],
+                    graph="paper",
+                    timeout=60.0,
+                )
+                try:
+                    for written in range(1, 6):
+                        base = graph.num_nodes + 3 * (written - 1)
+                        routed.ingest(**one_more_occurrence(base))
+                        assert routed.count(PAPER_DSL) == len(PAPER_ANSWER) + written
+                    wait_until(
+                        lambda: all(
+                            status.get("head_version") == 5
+                            for status in routed.replica_status()
+                        ),
+                        message="both replicas to reach the last write",
+                    )
+                    routed.health()  # refresh the router's view of replica heads
+                    for _ in range(4):
+                        assert routed.count(PAPER_DSL) == len(PAPER_ANSWER) + 5
+                    reads = routed.local_metrics()["routed_reads_total"]["values"]
+                    assert sum(
+                        sample["value"]
+                        for sample in reads
+                        if sample["labels"].get("target") != "primary"
+                    ) >= 4
+                finally:
+                    routed.close()
 
 
 class TestRoutedFailover:

@@ -23,7 +23,12 @@ import time
 
 import pytest
 
-from fixtures_paper import PAPER_ANSWER, build_paper_graph, build_paper_query
+from fixtures_paper import (
+    PAPER_ANSWER,
+    build_paper_graph,
+    build_paper_query,
+    one_more_occurrence,
+)
 from repro.api import GraphDB
 from repro.client import GraphClient
 from repro.engines.base import Engine
@@ -331,6 +336,65 @@ class TestCatalog:
             thread.join(timeout=60.0)
         assert not errors, errors
 
+    def test_concurrent_pinned_clients_on_one_tenant(self, server, client):
+        # Eight connections share ONE tenant while a writer keeps publishing
+        # deltas that change the answer.  Each client pins whatever head it
+        # finds, and every batch / stream it reads through the pin must
+        # equal an in-process run on that same (still retained) version.
+        db = server.catalog.get("paper")
+        queries = {"paper": build_paper_query(), "ab": simple_query()}
+        num_clients, rounds = 8, 2
+        verified, errors = [], []
+        done = threading.Event()
+
+        def writer() -> None:
+            try:
+                for _ in range(200):
+                    if done.is_set():
+                        break
+                    db.ingest(**one_more_occurrence(db.num_nodes))
+                    time.sleep(0.002)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(("writer", exc))
+
+        def reader(index: int) -> None:
+            try:
+                with GraphClient(*server.address, graph="paper", timeout=60.0) as cli:
+                    for _ in range(rounds):
+                        with cli.pin() as remote, db.store.pin(remote.version) as local:
+                            batch = remote.run_batch(queries)
+                            assert batch.version == remote.version
+                            for outcome in batch.outcomes:
+                                truth = local.query(queries[outcome.name])
+                                assert outcome.occurrence_set() == truth.occurrence_set()
+                                assert outcome.num_matches == truth.num_matches
+                            with remote.stream(queries["paper"], page_size=2) as stream:
+                                assert stream.version == remote.version
+                                streamed = [
+                                    occurrence
+                                    for page in stream.pages(timeout=30.0)
+                                    for occurrence in page
+                                ]
+                            truth = local.query(queries["paper"])
+                            assert len(streamed) == truth.num_matches
+                            assert set(streamed) == truth.occurrence_set()
+                            verified.append(remote.version)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append((index, exc))
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(num_clients)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads[:-1]:
+            thread.join(timeout=60.0)
+        done.set()
+        threads[-1].join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(verified) == num_clients * rounds
+        assert db.head_version > 0  # the writer really published behind the pins
+
 
 # ---------------------------------------------------------------------- #
 # pipelined streaming over the wire
@@ -426,6 +490,39 @@ class TestWireStreaming:
         assert client._sock is not before
         assert nodelay() == 1
         assert client.count(build_paper_query()) == len(PAPER_ANSWER)
+
+    def test_bytes_sent_counts_every_frame_the_client_has_read(self, server, client):
+        # The counter is bumped before a frame reaches the socket, so it can
+        # never lag what a client has already received: after draining three
+        # streams to their end frames, the tenant's byte delta equals the
+        # bytes read off the socket — every time, not "usually" (the count
+        # used to be taken by the pump thread after the send returned).
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock, self.received = sock, 0
+
+            def recv(self, count):
+                chunk = self.sock.recv(count)
+                self.received += len(chunk)
+                return chunk
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        def bytes_sent():
+            family = server.catalog.get("paper").metrics()["server_bytes_sent_total"]
+            return int(family["values"][0]["value"])
+
+        client._sock = counting = CountingSocket(client._sock)
+        client.info()  # the first tenant-scoped reply registers the family
+        for repetition in range(50):
+            counted, received = bytes_sent(), counting.received
+            for _ in range(3):
+                with client.stream(build_paper_query(), page_size=1) as stream:
+                    assert sum(len(page) for page in stream.pages(timeout=30.0)) == len(
+                        PAPER_ANSWER
+                    )
+            assert bytes_sent() - counted == counting.received - received, repetition
 
     def test_pinned_stream(self, client):
         with client.pin() as snapshot:

@@ -105,21 +105,6 @@ class TestCacheReuse:
         assert session.stats.misses("matcher") == 1
         assert session.stats.hits("matcher") == 0
 
-    def test_bitmap_artifacts_cached(self, session, paper_graph):
-        bitmaps = session.label_bitmaps
-        assert session.label_bitmaps is bitmaps
-        assert set(bitmaps) == set(paper_graph.label_alphabet())
-        assert list(session.label_bitmap("A")) == list(paper_graph.inverted_list("A"))
-        assert len(session.label_bitmap("missing")) == 0
-        universe = session.bitmap_universe
-        assert len(universe) == paper_graph.num_nodes
-        assert session.bitmap_universe is universe
-        # Distinct artifacts, distinct counters: one build + one reuse each.
-        assert session.stats.misses("bitmaps") == 1
-        assert session.stats.misses("universe") == 1
-        assert session.stats.hits("bitmaps") >= 1
-        assert session.stats.hits("universe") == 1
-
     def test_variants_do_not_share_rig_caches(self, session, paper_query):
         full = session.query(paper_query, engine="GM")
         no_filter = session.query(paper_query, engine="GM-F")

@@ -39,8 +39,6 @@ class TestApplySemantics:
     def test_patched_equals_cold_session(self, session, paper_graph, paper_query):
         session.query(paper_query)
         session.transitive_closure
-        session.label_bitmaps
-        session.bitmap_universe
         session.partitions
         delta, _node = _new_a_delta(paper_graph)
         session.apply(delta)
@@ -57,14 +55,12 @@ class TestApplySemantics:
     def test_insert_only_delta_patches_expensive_artifacts(self, session, paper_query):
         session.query(paper_query)
         session.transitive_closure
-        session.label_bitmaps
         session.partitions
         delta, _node = _new_a_delta(session.graph)
         report = session.apply(delta)
         assert "reachability" in report.patched
         assert "closure" in report.patched
         assert "partitions" in report.patched
-        assert "bitmaps" in report.patched
         assert session.stats.patches("reachability") == 1
         assert session.stats.invalidations("reachability") == 0
         # the reachability index was not rebuilt by the next query

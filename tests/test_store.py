@@ -123,7 +123,6 @@ class TestCopyOnWrite:
         # warm the head's expensive artifacts, then pin it
         with store.pin() as warmup:
             warmup.session.transitive_closure
-            warmup.session.label_bitmaps
             warmup.session.partitions
             warmup.query(paper_query)
         snap = store.pin()

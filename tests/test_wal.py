@@ -28,7 +28,12 @@ import time
 
 import pytest
 
-from fixtures_paper import PAPER_ANSWER, build_paper_graph, build_paper_query
+from fixtures_paper import (
+    PAPER_ANSWER,
+    build_paper_graph,
+    build_paper_query,
+    one_more_occurrence,
+)
 from repro.api import GraphDB
 from repro.client import GraphClient
 from repro.dynamic import GraphDelta, MutableDataGraph
@@ -403,6 +408,32 @@ class TestGraphDBDurable:
             # cross-engine agreement on the recovered graph
             for engine in ("GM", "JM", "TM"):
                 assert db.query(PAPER_DSL, engine=engine).occurrence_set() == expected
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_recovery_equals_in_memory_reingest(self, tmp_path, fsync):
+        # A durable history (checkpoint mid-way, journal tail beyond it,
+        # with or without per-append fsync) recovers to the very graph an
+        # in-memory database reaches by folding the same deltas.
+        directory = str(tmp_path / "tenant")
+        graph = build_paper_graph()
+        with GraphDB.open(graph) as memory:
+            with GraphDB.open(
+                graph, durability=WalDurability.create(directory, graph, fsync=fsync)
+            ) as durable:
+                for index in range(4):
+                    change = one_more_occurrence(durable.num_nodes)
+                    durable.ingest(**change)
+                    memory.ingest(**change)
+                    if index == 1:
+                        durable.checkpoint()
+            with GraphDB.open_durable(directory) as recovered:
+                assert recovered.last_recovery.checkpoint_version == 2
+                assert recovered.last_recovery.entries_applied == 2
+                assert recovered.head_version == memory.head_version == 4
+                assert recovered.graph == memory.graph
+                answer = recovered.query(PAPER_DSL).occurrence_set()
+                assert answer == memory.query(PAPER_DSL).occurrence_set()
+                assert len(answer) == len(PAPER_ANSWER) + 4
 
     def test_facade_checkpoint_and_stats(self, tmp_path):
         directory = str(tmp_path / "tenant")
