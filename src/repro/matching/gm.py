@@ -144,6 +144,17 @@ class GraphMatcher(Evaluator):
             self.rig_cache[query] = report
         return report, False
 
+    @staticmethod
+    def _phase_seconds(build: RIGBuildReport, rig_cached: bool) -> dict:
+        """BuildRIG's phase timings, reported by the run that paid them (a
+        RIG-cache miss); a cache hit adds nothing."""
+        if rig_cached:
+            return {}
+        return {
+            "rig_select_seconds": build.select_seconds,
+            "rig_expand_seconds": build.expand_seconds,
+        }
+
     def _search_order(self, rig) -> list:
         """This matcher's search order over ``rig``, computed once per RIG."""
         order = rig.memo(
@@ -192,6 +203,7 @@ class GraphMatcher(Evaluator):
                     "rig_size": rig.size(),
                     "empty_rig": True,
                     "rig_cached": rig_cached,
+                    **self._phase_seconds(report, rig_cached),
                 }
             return
         chosen_order = list(order) if order is not None else self._search_order(rig)
@@ -205,6 +217,7 @@ class GraphMatcher(Evaluator):
                 "search_order": chosen_order,
                 "simulation_passes": report.simulation.passes if report.simulation else 0,
                 "rig_cached": rig_cached,
+                **self._phase_seconds(report, rig_cached),
                 "mjoin": mjoin_stats,
                 # Joins this execution to its EXPLAIN output: the slow-query
                 # log copies the digest, and explain() on the same
@@ -290,6 +303,7 @@ class GraphMatcher(Evaluator):
             artifacts={
                 "reachability_index": type(self.reachability).__name__,
                 "rig_cached": rig_cached,
+                **self._phase_seconds(build, rig_cached),
                 "rig_size": rig.size(),
                 "set_kind": rig.set_kind,
                 "simulation_passes": build.simulation.passes if build.simulation else 0,

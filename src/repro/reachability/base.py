@@ -5,9 +5,10 @@ from __future__ import annotations
 import copy as _copy
 import time
 from abc import ABC, abstractmethod
-from typing import Iterable, Tuple
+from typing import Iterable, Optional
 
 from repro.graph.digraph import DataGraph
+from repro.graph.transform import Condensation
 
 
 class ReachabilityIndex(ABC):
@@ -23,6 +24,9 @@ class ReachabilityIndex(ABC):
     Fig. 18(a) (BFL vs transitive closure vs catalog build time) can report
     it without re-measuring.
     """
+
+    #: The SCC condensation of ``graph``, for the schemes built on one.
+    _cond: Optional[Condensation] = None
 
     def __init__(self, graph: DataGraph) -> None:
         self._graph = graph
@@ -40,6 +44,11 @@ class ReachabilityIndex(ABC):
     def build_seconds(self) -> float:
         """Wall-clock seconds spent building the index."""
         return self._build_seconds
+
+    def condensation(self) -> Optional[Condensation]:
+        """The SCC condensation of :attr:`graph` if this scheme keeps one
+        (BFL, interval), kept current by :meth:`apply_delta`; else ``None``."""
+        return self._cond
 
     @abstractmethod
     def _build(self, graph: DataGraph) -> None:

@@ -119,7 +119,3 @@ class IntervalIndex(ReachabilityIndex):
             frontier = next_frontier
         self._reach_cache[component] = reachable
         return reachable
-
-    def condensation_result(self) -> Condensation:
-        """Expose the condensation (components and mapping) for callers."""
-        return self._cond

@@ -9,9 +9,9 @@ Two phases:
 2. **node expansion** — for every query edge and every tail candidate,
    compute the head candidates it connects to.  Direct edges use adjacency
    intersections (bitIter) or per-pair binary search (binSearch, for the
-   Fig. 12(a) ablation); reachability edges use the reachability index, with
-   a multi-source-BFS fallback when the head candidate set is large and an
-   interval-label early-termination cut on dag data (§4.5).
+   Fig. 12(a) ablation); a reachability edge is expanded for all its tails at
+   once, by one sweep of the SCC condensation
+   (:meth:`MatchContext.expand_reachability`, the batch checking of §4.5).
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class RIGOptions:
     set_kind: str = "set"
     #: Drop candidates with no surviving adjacency after expansion.
     prune_after_expand: bool = True
-    #: Head-candidate count above which descendant-edge expansion switches
-    #: from per-pair reachability probes to one BFS per tail candidate.
-    bfs_expansion_threshold: int = 32
 
 
 @dataclass
@@ -117,23 +114,9 @@ def _expand_edge(
                     rig.add_edge_candidates(edge, tail, matched)
         return
 
-    # Reachability edge.
-    reachability = context.reachability
-    use_bfs = len(heads) > options.bfs_expansion_threshold
-    for tail in tails:
-        if use_bfs:
-            reachable = context.forward_reachable_set((tail,))
-            matched = [head for head in heads if head in reachable or (head == tail and tail in reachable)]
-        else:
-            matched = []
-            for head in heads:
-                if head == tail:
-                    if reachability.reaches_strict(tail, head):
-                        matched.append(head)
-                elif reachability.reaches(tail, head):
-                    matched.append(head)
-        if matched:
-            rig.add_edge_candidates(edge, tail, matched)
+    # Reachability edge: every tail's heads from one condensation sweep.
+    for tail, matched in context.expand_reachability(tails, heads).items():
+        rig.add_edge_candidates(edge, tail, matched)
 
 
 def build_rig(

@@ -994,6 +994,12 @@ class QueryService:
             trace_id=ticket.trace.trace_id,
             plan_digest=report.extra.get("plan_digest"),
             trace=ticket.trace.to_dict(),
+            # BuildRIG's phase timings, present when this query paid them.
+            **{
+                key: report.extra[key]
+                for key in ("rig_select_seconds", "rig_expand_seconds")
+                if key in report.extra
+            },
         )
 
     def stats_snapshot(self) -> Dict[str, object]:

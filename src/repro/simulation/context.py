@@ -7,17 +7,44 @@ derived structures every phase of query evaluation needs:
 * per-node label summaries of ancestors / descendants (used by node
   pre-filtering);
 * edge-match tests ``(u, v) ∈ ms(e)`` for child and descendant edges;
-* *batch* forward / backward expansion over candidate sets, which is the
+* *batch* forward / backward expansion over candidate sets, the
   set-at-a-time formulation (§4.5 "batch checking direct connectivity
-  constraints") that both the simulation algorithms and BuildRIG use.
+  constraints"): adjacency unions for direct edges, and for reachability
+  edges two operations on the SCC condensation —
+  :meth:`MatchContext.expand_reachability` (every tail's head list from one
+  bottom-up sweep, what BuildRIG uses) and
+  :meth:`MatchContext.tails_reaching` / :meth:`MatchContext.heads_reached`
+  (the semijoins double simulation uses).  The label summaries run on the
+  same condensation arrays.
+
+The condensation is the reachability index's own when it keeps one for this
+graph (BFL, interval) and is computed from the graph otherwise; its derived
+arrays are built lazily, once per context.  A context never outlives a graph
+version (``QuerySession.apply`` makes a new one), so nothing is invalidated.
+
+:meth:`MatchContext.forward_reachable_set` / ``backward_reachable_set`` are
+the plain whole-graph BFS: the reference the condensation operations are
+tested against, and what the JM / TM baselines still expand with.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.digraph import DataGraph
+from repro.graph.transform import condensation
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.factory import build_reachability_index
@@ -34,6 +61,56 @@ class ChildCheckMethod(Enum):
     BIT_BAT = "bitBat"
 
 
+class _Components(NamedTuple):
+    """The condensation as flat per-component arrays (see ``_components``)."""
+
+    #: Data node -> component id.
+    component_of: Sequence[int]
+    #: Component -> child / parent components in the condensation dag.
+    children: Sequence[Tuple[int, ...]]
+    parents: Sequence[Tuple[int, ...]]
+    #: Component -> does a member reach itself by a path of length >= 1?
+    cyclic: Sequence[bool]
+    #: Every component, parents before children.
+    order: Sequence[int]
+    #: Component -> its position in ``order``.
+    rank: Sequence[int]
+
+
+def _strict_closure(adjacency: Sequence[Tuple[int, ...]], seeds: Iterable[int]) -> Set[int]:
+    """Components reachable from ``seeds`` over ``adjacency`` by >= 1 dag edge."""
+    seen: Set[int] = set()
+    frontier = seeds
+    while frontier:
+        reached: Set[int] = set()
+        for component in frontier:
+            reached.update(adjacency[component])
+        reached -= seen
+        seen |= reached
+        frontier = reached
+    return seen
+
+
+def _with_partner(
+    arrays: _Components,
+    toward_candidates: Sequence[Tuple[int, ...]],
+    candidates: Iterable[int],
+    partners: Iterable[int],
+) -> Set[int]:
+    """The candidates whose component is strictly beyond a partner's component
+    along ``toward_candidates``, or is cyclic and holds a partner."""
+    component_of, cyclic = arrays.component_of, arrays.cyclic
+    partner_components = {component_of[partner] for partner in partners}
+    allowed = _strict_closure(toward_candidates, partner_components)
+    allowed.update(c for c in partner_components if cyclic[c])
+    return {node for node in candidates if component_of[node] in allowed}
+
+
+def _decode(mask: int, numbered: Sequence[int]) -> List[int]:
+    """The entries of ``numbered`` whose bit is set in ``mask``."""
+    return [node for node, bit in zip(numbered, reversed(bin(mask))) if bit == "1"]
+
+
 class MatchContext:
     """Evaluation context shared by simulation, RIG construction and joins."""
 
@@ -47,6 +124,7 @@ class MatchContext:
         self.reachability = reachability or build_reachability_index(graph, kind=reachability_kind)
         self._descendant_labels: Optional[list] = None
         self._ancestor_labels: Optional[list] = None
+        self._component_arrays: Optional[_Components] = None
 
     # ------------------------------------------------------------------ #
     # match sets
@@ -144,46 +222,154 @@ class MatchContext:
         return self.backward_reachable_set(targets)
 
     # ------------------------------------------------------------------ #
+    # reachability edges, set-at-a-time on the SCC condensation
+    # ------------------------------------------------------------------ #
+
+    def _components(self) -> _Components:
+        """The condensation's flat arrays, built on first use.
+
+        The condensation is the reachability index's when it keeps one for
+        this very graph.  No source promises an id order — Tarjan numbers
+        children first, but ``BloomFilterLabeling.apply_delta`` appends new
+        components and adds dag edges that point "up" — so the topological
+        ``order`` is computed here.  ``condensation()`` drops edges inside a
+        component, so a singleton's ``cyclic`` flag is its self-loop in the
+        data graph.  Published by one attribute assignment: concurrent first
+        callers at worst both build it.
+        """
+        arrays = self._component_arrays
+        if arrays is not None:
+            return arrays
+        graph = self.graph
+        index = self.reachability
+        cond = index.condensation() if index.graph is graph else None
+        if cond is None:
+            cond = condensation(graph)
+        dag = cond.dag
+        children = [dag.successors(component) for component in dag.nodes()]
+        parents = [dag.predecessors(component) for component in dag.nodes()]
+        cyclic = [
+            len(members) > 1 or graph.has_edge(members[0], members[0])
+            for members in cond.components
+        ]
+        # Kahn's algorithm; ``order`` grows while it is iterated.
+        waiting = [len(component_parents) for component_parents in parents]
+        order = [component for component, count in enumerate(waiting) if not count]
+        for component in order:
+            for child in children[component]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    order.append(child)
+        rank = [0] * len(order)
+        for position, component in enumerate(order):
+            rank[component] = position
+        arrays = self._component_arrays = _Components(
+            cond.component_of, children, parents, cyclic, order, rank
+        )
+        return arrays
+
+    def expand_reachability(
+        self, tails: Collection[int], heads: Iterable[int]
+    ) -> Dict[int, List[int]]:
+        """Expansion of a reachability edge: ``tail -> [heads it reaches]``.
+
+        "Reaches" is a path of length >= 1, so ``(u, u)`` is a pair only when
+        ``u`` lies on a cycle.  Tails that reach no head are absent; tails
+        with equal answers share one list, so callers must not mutate them.
+
+        One sweep per call instead of one BFS per tail: heads are numbered,
+        every component's mask (a Python ``int``) gets the bits of the heads
+        in it, and the components reachable from the tails are folded
+        children-first, ``reached[c] = own[c] | OR(reached[child])``.  A
+        tail in ``c`` then reaches ``reached[c]`` if ``c`` is cyclic and
+        ``reached[c]`` minus ``own[c]`` otherwise; each distinct mask is
+        decoded once.  Masks exist only for the visited components, so the
+        working set is at most ``visited * |heads| / 8`` bytes.
+        """
+        component_of, children, _, cyclic, _, rank = self._components()
+        numbered = list(heads)
+        own: Dict[int, int] = {}
+        bit = 1
+        for head in numbered:
+            component = component_of[head]
+            own[component] = own.get(component, 0) | bit
+            bit <<= 1
+        tail_components = {component_of[tail] for tail in tails}
+        region = _strict_closure(children, tail_components)
+        region |= tail_components
+        reached: Dict[int, int] = {}
+        for component in sorted(region, key=rank.__getitem__, reverse=True):
+            mask = own.get(component, 0)
+            for child in children[component]:
+                mask |= reached[child]
+            reached[component] = mask
+
+        decoded: Dict[int, List[int]] = {}
+        matched: Dict[int, List[int]] = {}
+        for component in tail_components:
+            mask = reached[component]
+            if not cyclic[component]:
+                mask &= ~own.get(component, 0)
+            if mask:
+                if mask not in decoded:
+                    decoded[mask] = _decode(mask, numbered)
+                matched[component] = decoded[mask]
+        return {
+            tail: matched[component_of[tail]]
+            for tail in tails
+            if component_of[tail] in matched
+        }
+
+    def tails_reaching(self, tails: Iterable[int], heads: Iterable[int]) -> Set[int]:
+        """Semijoin of a reachability edge: the ``tails`` that reach some head
+        by a path of length >= 1 — one BFS up the condensation from the heads."""
+        arrays = self._components()
+        return _with_partner(arrays, arrays.parents, tails, heads)
+
+    def heads_reached(self, heads: Iterable[int], tails: Iterable[int]) -> Set[int]:
+        """Semijoin of a reachability edge: the ``heads`` some tail reaches by
+        a path of length >= 1 — one BFS down the condensation from the tails."""
+        arrays = self._components()
+        return _with_partner(arrays, arrays.children, heads, tails)
+
+    # ------------------------------------------------------------------ #
     # label summaries for node pre-filtering
     # ------------------------------------------------------------------ #
 
     def _compute_label_summaries(self) -> None:
         """Compute, per data node, the label sets of its ancestors/descendants.
 
-        A fixpoint propagation over the graph: descendant labels flow against
-        edge direction (from children to parents), ancestor labels flow along
-        edge direction.  On cyclic graphs the fixpoint still converges because
-        label sets only grow and are bounded by the alphabet.
+        The :meth:`expand_reachability` rule with labels for bits: one
+        children-first pass over the condensation collects the labels
+        strictly below every component, one parents-first pass the labels
+        strictly above, and a cyclic component also sees its own labels.
         """
         graph = self.graph
-        n = graph.num_nodes
         label_bit = {label: 1 << index for index, label in enumerate(graph.label_alphabet())}
         self._label_bit = label_bit
+        component_of, children, parents, cyclic, order, _ = self._components()
 
-        descendant = [0] * n
-        changed = True
-        while changed:
-            changed = False
-            for node in range(n):
-                bits = descendant[node]
-                for child in graph.successors(node):
-                    bits |= descendant[child] | label_bit[graph.label(child)]
-                if bits != descendant[node]:
-                    descendant[node] = bits
-                    changed = True
-        ancestor = [0] * n
-        changed = True
-        while changed:
-            changed = False
-            for node in range(n):
-                bits = ancestor[node]
-                for parent in graph.predecessors(node):
-                    bits |= ancestor[parent] | label_bit[graph.label(parent)]
-                if bits != ancestor[node]:
-                    ancestor[node] = bits
-                    changed = True
-        self._descendant_labels = descendant
-        self._ancestor_labels = ancestor
+        own = [0] * len(order)
+        for node in graph.nodes():
+            own[component_of[node]] |= label_bit[graph.label(node)]
+        below = [0] * len(order)
+        for component in reversed(order):
+            bits = 0
+            for child in children[component]:
+                bits |= below[child] | own[child]
+            below[component] = bits
+        above = [0] * len(order)
+        for component in order:
+            bits = 0
+            for parent in parents[component]:
+                bits |= above[parent] | own[parent]
+            above[component] = bits
+        for component, on_cycle in enumerate(cyclic):
+            if on_cycle:
+                below[component] |= own[component]
+                above[component] |= own[component]
+        self._descendant_labels = [below[component] for component in component_of]
+        self._ancestor_labels = [above[component] for component in component_of]
 
     def descendant_label_bits(self, node: int) -> int:
         """Bit mask of labels appearing among the strict descendants of ``node``."""

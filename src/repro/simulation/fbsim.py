@@ -12,11 +12,12 @@ the fixpoint (the Fig. 12(b) comparison).  They share:
 * a *backward* check per edge: drop from ``FB(qj)`` every node with no
   partner in ``FB(qi)``.
 
-The checks are implemented set-at-a-time ("bitBat"): the partner test for an
-entire candidate set is one union of adjacency lists (direct edges) or one
-multi-source BFS (reachability edges) followed by one intersection, exactly
-as §4.5 describes.  Per-node methods (binSearch / bitIter) are also
-available for the Fig. 12(a) ablation.
+The checks are implemented set-at-a-time ("bitBat"), as §4.5 describes: the
+partner test for an entire candidate set is one union of adjacency lists
+followed by one intersection (direct edges) or one semijoin on the SCC
+condensation (reachability edges, :meth:`MatchContext.tails_reaching` /
+``heads_reached``).  Per-node methods (binSearch / bitIter) are also
+available for direct edges, for the Fig. 12(a) ablation.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ class SimulationResult:
 # ---------------------------------------------------------------------- #
 
 
-def _forward_allowed(
-    context: MatchContext, edge: PatternEdge, head_candidates: Set[int], method: ChildCheckMethod
-) -> Set[int]:
-    """Data nodes allowed as tails of ``edge`` given the head candidate set."""
-    return context.backward_sources(edge, head_candidates)
-
-
-def _backward_allowed(
-    context: MatchContext, edge: PatternEdge, tail_candidates: Set[int], method: ChildCheckMethod
-) -> Set[int]:
-    """Data nodes allowed as heads of ``edge`` given the tail candidate set."""
-    return context.forward_targets(edge, tail_candidates)
-
-
 def _prune_tail(
     context: MatchContext,
     edge: PatternEdge,
@@ -102,9 +89,10 @@ def _prune_tail(
         pruned = len(tail_set)
         tail_set.clear()
         return pruned
-    if method is ChildCheckMethod.BIT_BAT or edge.is_descendant:
-        allowed = _forward_allowed(context, edge, head_set, method)
-        survivors = tail_set & allowed
+    if edge.is_descendant:
+        survivors = context.tails_reaching(tail_set, head_set)
+    elif method is ChildCheckMethod.BIT_BAT:
+        survivors = tail_set & context.backward_sources(edge, head_set)
     else:
         graph = context.graph
         if method is ChildCheckMethod.BIN_SEARCH:
@@ -136,9 +124,10 @@ def _prune_head(
         pruned = len(head_set)
         head_set.clear()
         return pruned
-    if method is ChildCheckMethod.BIT_BAT or edge.is_descendant:
-        allowed = _backward_allowed(context, edge, tail_set, method)
-        survivors = head_set & allowed
+    if edge.is_descendant:
+        survivors = context.heads_reached(head_set, tail_set)
+    elif method is ChildCheckMethod.BIT_BAT:
+        survivors = head_set & context.forward_targets(edge, tail_set)
     else:
         graph = context.graph
         if method is ChildCheckMethod.BIN_SEARCH:

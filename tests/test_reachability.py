@@ -98,7 +98,7 @@ class TestIntervalSpecifics:
             assert begin < end
 
     def test_condensation_exposed(self, diamond_with_cycle):
-        result = IntervalIndex(diamond_with_cycle).condensation_result()
+        result = IntervalIndex(diamond_with_cycle).condensation()
         assert result.component_of[4] == result.component_of[5]
 
 

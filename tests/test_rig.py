@@ -164,13 +164,6 @@ class TestBuildRIG:
         rig = build_rig(paper_context, paper_query, options).rig
         assert set(rig.candidates(0)) == {A1, A2}
 
-    def test_bfs_expansion_threshold(self, paper_context, paper_query):
-        # Force the multi-source BFS path for descendant expansion.
-        options = RIGOptions(bfs_expansion_threshold=0)
-        rig = build_rig(paper_context, paper_query, options).rig
-        reference = build_rig(paper_context, paper_query).rig
-        assert set(rig.edge_candidates(1, 2)) == set(reference.edge_candidates(1, 2))
-
 
 class TestRIGStatistics:
     def test_statistics(self, paper_context, paper_graph, paper_query):
