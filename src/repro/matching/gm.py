@@ -214,6 +214,7 @@ class GraphMatcher(Evaluator):
                 "rig_size": rig.size(),
                 "rig_nodes": rig.num_rig_nodes(),
                 "rig_edges": rig.num_rig_edges(),
+                "rig_physical_edges": rig.num_physical_edges(),
                 "search_order": chosen_order,
                 "simulation_passes": report.simulation.passes if report.simulation else 0,
                 "rig_cached": rig_cached,
@@ -305,6 +306,8 @@ class GraphMatcher(Evaluator):
                 "rig_cached": rig_cached,
                 **self._phase_seconds(build, rig_cached),
                 "rig_size": rig.size(),
+                "rig_edges": rig.num_rig_edges(),
+                "rig_physical_edges": rig.num_physical_edges(),
                 "set_kind": rig.set_kind,
                 "simulation_passes": build.simulation.passes if build.simulation else 0,
                 "transitive_reduction": self.rig_options.transitive_reduction,

@@ -6,12 +6,16 @@ Two phases:
    RIG uses double simulation (optionally preceded by the node pre-filter);
    the GM-F ablation uses the pre-filter only; the match RIG uses the raw
    match sets.
-2. **node expansion** — for every query edge and every tail candidate,
-   compute the head candidates it connects to.  Direct edges use adjacency
-   intersections (bitIter) or per-pair binary search (binSearch, for the
-   Fig. 12(a) ablation); a reachability edge is expanded for all its tails at
-   once, by one sweep of the SCC condensation
-   (:meth:`MatchContext.expand_reachability`, the batch checking of §4.5).
+2. **node expansion** — for every query edge, compute both adjacency
+   directions (tail -> heads, head -> tails) and hand the two dicts to
+   :meth:`RuntimeIndexGraph.set_edge_adjacency`, which owns them from then
+   on.  Nothing is assembled pair by pair: a direct edge is one C-level
+   adjacency-list ∩ candidate-set intersection per tail and per head
+   (bitIter / bitBat; binSearch, the Fig. 12(a) ablation, tests each pair and
+   transposes), and a reachability edge is one sweep of the SCC condensation
+   per direction (:meth:`MatchContext.expand_reachability`, the batch
+   checking of §4.5) whose equal answers — every tail of one component —
+   share one frozen set object.
 """
 
 from __future__ import annotations
@@ -101,22 +105,30 @@ def _expand_edge(
     if not tails or not heads:
         return
 
-    if edge.is_child:
-        if options.child_check is ChildCheckMethod.BIN_SEARCH:
-            for tail in tails:
-                matched = [head for head in heads if graph.has_edge_binary_search(tail, head)]
-                rig.add_edge_candidates(edge, tail, matched)
-        else:
-            # bitIter / bitBat: adjacency-list ∩ candidate-set intersection.
-            for tail in tails:
-                matched = graph.successor_set(tail) & heads
-                if matched:
-                    rig.add_edge_candidates(edge, tail, matched)
-        return
+    make_set = rig.make_set
+    if not edge.is_child:
+        forward, backward = context.expand_reachability(tails, heads, make_set)
+    elif options.child_check is ChildCheckMethod.BIN_SEARCH:
+        pairs = [(u, v) for u in tails for v in heads if graph.has_edge_binary_search(u, v)]
+        forward = _index(pairs, make_set)
+        backward = _index(((v, u) for u, v in pairs), make_set)
+    else:
+        # bitIter / bitBat: adjacency-list ∩ candidate-set intersections.
+        forward = {
+            u: make_set(matched) for u in tails if (matched := graph.successor_set(u) & heads)
+        }
+        backward = {
+            v: make_set(matched) for v in heads if (matched := graph.predecessor_set(v) & tails)
+        }
+    rig.set_edge_adjacency(edge, forward, backward)
 
-    # Reachability edge: every tail's heads from one condensation sweep.
-    for tail, matched in context.expand_reachability(tails, heads).items():
-        rig.add_edge_candidates(edge, tail, matched)
+
+def _index(pairs, make_set) -> Dict[int, object]:
+    """``{first: make_set(seconds)}`` over ``pairs``."""
+    lists: Dict[int, list] = {}
+    for first, second in pairs:
+        lists.setdefault(first, []).append(second)
+    return {first: make_set(seconds) for first, seconds in lists.items()}
 
 
 def build_rig(

@@ -11,14 +11,14 @@ A :class:`RuntimeIndexGraph` stores, for a fixed pattern query:
 Adjacency is indexed by query edge, as §4.5 describes ("the outgoing and
 incoming edges of vq are indexed by the parents and children of query node
 q"), so the enumeration phase can intersect exactly the lists it needs.
-The set representation is pluggable: plain Python ``set`` (default, fastest
-in CPython) or the library's :class:`RoaringBitmap` / :class:`IntBitSet`
+The set representation is pluggable: built-in sets (default, fastest in
+CPython) or the library's :class:`RoaringBitmap` / :class:`IntBitSet`
 (the paper's §6 representation, exercised by the Fig. 12 ablation).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from repro.bitmap.intbitset import IntBitSet
 from repro.bitmap.roaring import RoaringBitmap
@@ -28,16 +28,29 @@ from repro.query.pattern import PatternEdge, PatternQuery
 #: Factory signature: build a set-like object from an iterable of ints.
 SetFactory = Callable[[Iterable[int]], object]
 
-_SET_FACTORIES: Dict[str, SetFactory] = {
-    "set": lambda items: set(items),
-    "frozenset": lambda items: frozenset(items),
-    "roaring": lambda items: RoaringBitmap(items),
-    "intbitset": lambda items: IntBitSet(items),
+#: Set kind -> (factory of ``cos(q)``, factory of adjacency sets).  The default
+#: kind's adjacency is a ``frozenset``: the type enforces the sharing rule of
+#: :class:`RuntimeIndexGraph`, and ``set & frozenset`` is still a ``set``.
+_SET_FACTORIES: Dict[str, Tuple[SetFactory, SetFactory]] = {
+    "set": (set, frozenset),
+    "roaring": (RoaringBitmap, RoaringBitmap),
+    "intbitset": (IntBitSet, IntBitSet),
 }
 
 
 class RuntimeIndexGraph:
-    """K-partite candidate graph for one pattern query over one data graph."""
+    """K-partite candidate graph for one pattern query over one data graph.
+
+    Ownership and sharing.  :meth:`set_edge_adjacency` takes ownership of the
+    two dicts it is given, and from then on adjacency is **read-only**:
+    candidates with equal answers (all tails of one SCC, say) hold the *same*
+    set object, so mutating one would corrupt the others.  Nothing in the
+    library does — MJoin intersects (``&``), ordering takes ``len``,
+    :meth:`prune_unmatched_candidates` only shrinks ``cos(q)`` — and only
+    ``cos(q)`` is ever mutated after construction.  :meth:`num_rig_edges`
+    counts candidate pairs (logical); :meth:`num_physical_edges` counts what
+    is stored.
+    """
 
     def __init__(self, query: PatternQuery, set_kind: str = "set") -> None:
         if set_kind not in _SET_FACTORIES:
@@ -46,7 +59,9 @@ class RuntimeIndexGraph:
             )
         self.query = query
         self.set_kind = set_kind
-        self._factory = _SET_FACTORIES[set_kind]
+        #: ``cos(q)`` comes from ``_factory`` (mutable: pruning discards from
+        #: it); ``make_set(items)`` builds adjacency, and scratch sets for MJoin.
+        self._factory, self.make_set = _SET_FACTORIES[set_kind]
         self._cos: Dict[int, object] = {node: self._factory(()) for node in query.nodes()}
         # forward adjacency: (edge endpoints) -> {tail candidate -> set of head candidates}
         self._forward: Dict[Tuple[int, int], Dict[int, object]] = {
@@ -64,38 +79,23 @@ class RuntimeIndexGraph:
     # construction API (used by BuildRIG)
     # ------------------------------------------------------------------ #
 
-    def make_set(self, items: Iterable[int]):
-        """Build a set-like object of the RIG's configured kind."""
-        return self._factory(items)
-
     def set_candidates(self, query_node: int, candidates: Iterable[int]) -> None:
         """Define ``cos(query_node)``."""
         self._memo.clear()
         self._cos[query_node] = self._factory(candidates)
 
-    def add_edge_candidates(
-        self, edge: PatternEdge, tail: int, heads: Iterable[int]
+    def set_edge_adjacency(
+        self, edge: PatternEdge, forward: Dict[int, object], backward: Dict[int, object]
     ) -> None:
-        """Record that ``tail`` connects to each of ``heads`` under ``edge``."""
-        key = edge.endpoints()
-        head_list = list(heads)
-        if not head_list:
-            return
+        """Install both adjacency directions of ``edge`` and take ownership.
+
+        ``forward`` maps a tail to the :meth:`make_set` object of the heads
+        it connects to, ``backward`` a head to its tails; they must describe
+        the same pairs, hold no empty set, and may share objects freely.
+        """
         self._memo.clear()
-        forward = self._forward[key]
-        existing = forward.get(tail)
-        if existing is None:
-            forward[tail] = self._factory(head_list)
-        else:
-            for head in head_list:
-                existing.add(head)  # type: ignore[attr-defined]
-        backward = self._backward[key]
-        for head in head_list:
-            back = backward.get(head)
-            if back is None:
-                backward[head] = self._factory((tail,))
-            else:
-                back.add(tail)  # type: ignore[attr-defined]
+        self._forward[edge.endpoints()] = forward
+        self._backward[edge.endpoints()] = backward
 
     # ------------------------------------------------------------------ #
     # read API (used by MJoin and statistics)
@@ -130,14 +130,14 @@ class RuntimeIndexGraph:
         """
         adjacency = self._forward[(source, target)].get(tail)
         if adjacency is None:
-            return self._factory(())
+            return self.make_set(())
         return adjacency
 
     def backward_adjacency(self, source: int, target: int, head: int):
         """Candidates of ``source`` adjacent to ``head`` under edge (source, target)."""
         adjacency = self._backward[(source, target)].get(head)
         if adjacency is None:
-            return self._factory(())
+            return self.make_set(())
         return adjacency
 
     def forward_index(self, source: int, target: int) -> Dict[int, object]:
@@ -175,6 +175,18 @@ class RuntimeIndexGraph:
             "edges",
             lambda: sum(self.edge_candidate_count(*endpoints) for endpoints in self._forward),
         )
+
+    def num_physical_edges(self) -> int:
+        """Adjacency entries actually stored: ``len`` summed over the distinct
+        set objects of both directions.  With nothing shared this is
+        ``2 * num_rig_edges()``."""
+
+        def count() -> int:
+            indexes = list(self._forward.values()) + list(self._backward.values())
+            distinct = {id(adjacency): adjacency for index in indexes for adjacency in index.values()}
+            return sum(map(len, distinct.values()))
+
+        return self.memo("physical_edges", count)
 
     def size(self) -> int:
         """Total RIG size: candidate nodes plus candidate edges."""

@@ -16,6 +16,9 @@ class RIGStatistics:
     query_name: str
     rig_nodes: int
     rig_edges: int
+    #: Adjacency entries stored (both directions, shared sets once); the
+    #: per-pair layout would store ``2 * rig_edges``.
+    rig_physical_edges: int
     rig_size: int
     graph_size: int
     size_ratio: float
@@ -36,6 +39,7 @@ def rig_statistics(rig: RuntimeIndexGraph, graph: DataGraph) -> RIGStatistics:
         query_name=rig.query.name,
         rig_nodes=rig_nodes,
         rig_edges=rig_edges,
+        rig_physical_edges=rig.num_physical_edges(),
         rig_size=rig_size,
         graph_size=graph_size,
         size_ratio=(rig_size / graph_size) if graph_size else 0.0,

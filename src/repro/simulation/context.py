@@ -4,15 +4,16 @@
 derived structures every phase of query evaluation needs:
 
 * per-label inverted lists (match sets);
-* per-node label summaries of ancestors / descendants (used by node
-  pre-filtering);
+* per-node label bitsets of children / parents / descendants / ancestors
+  (:meth:`MatchContext.label_bits`, what node pre-filtering tests);
 * edge-match tests ``(u, v) ∈ ms(e)`` for child and descendant edges;
 * *batch* forward / backward expansion over candidate sets, the
   set-at-a-time formulation (§4.5 "batch checking direct connectivity
   constraints"): adjacency unions for direct edges, and for reachability
   edges two operations on the SCC condensation —
-  :meth:`MatchContext.expand_reachability` (every tail's head list from one
-  bottom-up sweep, what BuildRIG uses) and
+  :meth:`MatchContext.expand_reachability` (both adjacency directions of a
+  query edge from one sweep each, equal answers sharing one set object —
+  what BuildRIG installs as is) and
   :meth:`MatchContext.tails_reaching` / :meth:`MatchContext.heads_reached`
   (the semijoins double simulation uses).  The label summaries run on the
   same condensation arrays.
@@ -30,7 +31,10 @@ tested against, and what the JM / TM baselines still expand with.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import (
+    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -111,6 +115,52 @@ def _decode(mask: int, numbered: Sequence[int]) -> List[int]:
     return [node for node, bit in zip(numbered, reversed(bin(mask))) if bit == "1"]
 
 
+def _shared_answers(
+    arrays: _Components,
+    toward_partners: Sequence[Tuple[int, ...]],
+    sweep: Iterable[int],
+    askers: Iterable[int],
+    partners: Collection[int],
+    make_set: Callable[[List[int]], object],
+) -> Dict[int, object]:
+    """``asker -> make_set(its partners)``, one object per distinct answer.
+
+    An asker's partners are those in components strictly beyond its own along
+    ``toward_partners``, plus those in its own when that is cyclic.  ``sweep``
+    lists the components that matter, each after its ``toward_partners``
+    neighbours that matter; a component outside it holds no partner.
+    """
+    component_of, cyclic = arrays.component_of, arrays.cyclic
+    numbered = list(partners)
+    own: Dict[int, int] = {}
+    bit = 1
+    for partner in numbered:
+        component = component_of[partner]
+        own[component] = own.get(component, 0) | bit
+        bit <<= 1
+    seen: Dict[int, int] = {}
+    for component in sweep:
+        mask = own.get(component, 0)
+        for neighbour in toward_partners[component]:
+            mask |= seen.get(neighbour, 0)
+        seen[component] = mask
+
+    members: Dict[int, List[int]] = {}
+    for asker in askers:
+        members.setdefault(component_of[asker], []).append(asker)
+    groups: Dict[int, List[int]] = {}
+    for component, group in members.items():
+        mask = seen.get(component, 0)
+        if not cyclic[component]:
+            mask &= ~own.get(component, 0)
+        if mask:
+            groups.setdefault(mask, []).extend(group)
+    answers: Dict[int, object] = {}
+    for mask, group in groups.items():
+        answers.update(dict.fromkeys(group, make_set(_decode(mask, numbered))))
+    return answers
+
+
 class MatchContext:
     """Evaluation context shared by simulation, RIG construction and joins."""
 
@@ -124,6 +174,7 @@ class MatchContext:
         self.reachability = reachability or build_reachability_index(graph, kind=reachability_kind)
         self._descendant_labels: Optional[list] = None
         self._ancestor_labels: Optional[list] = None
+        self._direct_labels: Optional[Tuple[list, list]] = None
         self._component_arrays: Optional[_Components] = None
 
     # ------------------------------------------------------------------ #
@@ -269,56 +320,42 @@ class MatchContext:
         return arrays
 
     def expand_reachability(
-        self, tails: Collection[int], heads: Iterable[int]
-    ) -> Dict[int, List[int]]:
-        """Expansion of a reachability edge: ``tail -> [heads it reaches]``.
+        self,
+        tails: Collection[int],
+        heads: Collection[int],
+        make_set: Callable[[List[int]], object] = frozenset,
+    ) -> Tuple[Dict[int, object], Dict[int, object]]:
+        """Expansion of a reachability edge, both directions:
+        ``({tail: heads it reaches}, {head: tails reaching it})``.
 
         "Reaches" is a path of length >= 1, so ``(u, u)`` is a pair only when
-        ``u`` lies on a cycle.  Tails that reach no head are absent; tails
-        with equal answers share one list, so callers must not mutate them.
+        ``u`` lies on a cycle.  Nodes without a partner are absent.  Every
+        answer is a ``make_set`` object, and nodes with equal answers (a whole
+        component, or components that see the same partners) hold the *same*
+        object: nothing here is per pair, and callers must not mutate them.
 
-        One sweep per call instead of one BFS per tail: heads are numbered,
-        every component's mask (a Python ``int``) gets the bits of the heads
-        in it, and the components reachable from the tails are folded
-        children-first, ``reached[c] = own[c] | OR(reached[child])``.  A
-        tail in ``c`` then reaches ``reached[c]`` if ``c`` is cyclic and
-        ``reached[c]`` minus ``own[c]`` otherwise; each distinct mask is
-        decoded once.  Masks exist only for the visited components, so the
-        working set is at most ``visited * |heads| / 8`` bytes.
+        One sweep per direction instead of one BFS per tail.  Heads are
+        numbered, every component's mask (a Python ``int``) gets the bits of
+        the heads in it, and the components between the tails and the heads
+        are folded children-first, ``reached[c] = own[c] | OR(reached[child])``.
+        A tail in ``c`` then reaches ``reached[c]`` if ``c`` is cyclic and
+        ``reached[c]`` minus ``own[c]`` otherwise.  The mirror numbers the
+        tails and folds the same components parents-first.  "Between" is
+        below a tail *and* above a head: every tail-to-head path stays inside,
+        anything outside contributes no pair, and masks exist only there — at
+        most ``|between| * max(|tails|, |heads|) / 8`` bytes.
         """
-        component_of, children, _, cyclic, _, rank = self._components()
-        numbered = list(heads)
-        own: Dict[int, int] = {}
-        bit = 1
-        for head in numbered:
-            component = component_of[head]
-            own[component] = own.get(component, 0) | bit
-            bit <<= 1
+        arrays = self._components()
+        component_of = arrays.component_of
         tail_components = {component_of[tail] for tail in tails}
-        region = _strict_closure(children, tail_components)
-        region |= tail_components
-        reached: Dict[int, int] = {}
-        for component in sorted(region, key=rank.__getitem__, reverse=True):
-            mask = own.get(component, 0)
-            for child in children[component]:
-                mask |= reached[child]
-            reached[component] = mask
-
-        decoded: Dict[int, List[int]] = {}
-        matched: Dict[int, List[int]] = {}
-        for component in tail_components:
-            mask = reached[component]
-            if not cyclic[component]:
-                mask &= ~own.get(component, 0)
-            if mask:
-                if mask not in decoded:
-                    decoded[mask] = _decode(mask, numbered)
-                matched[component] = decoded[mask]
-        return {
-            tail: matched[component_of[tail]]
-            for tail in tails
-            if component_of[tail] in matched
-        }
+        head_components = {component_of[head] for head in heads}
+        between = _strict_closure(arrays.children, tail_components) | tail_components
+        between &= _strict_closure(arrays.parents, head_components) | head_components
+        downward = sorted(between, key=arrays.rank.__getitem__)
+        return (
+            _shared_answers(arrays, arrays.children, reversed(downward), tails, heads, make_set),
+            _shared_answers(arrays, arrays.parents, downward, heads, tails, make_set),
+        )
 
     def tails_reaching(self, tails: Iterable[int], heads: Iterable[int]) -> Set[int]:
         """Semijoin of a reachability edge: the ``tails`` that reach some head
@@ -371,20 +408,41 @@ class MatchContext:
         self._descendant_labels = [below[component] for component in component_of]
         self._ancestor_labels = [above[component] for component in component_of]
 
+    def label_bits(self, outgoing: bool, direct: bool) -> Sequence[int]:
+        """Per data node, the bit mask of the labels among its children
+        (``outgoing``, ``direct``), parents, strict descendants (``outgoing``,
+        not ``direct``) or strict ancestors.
+
+        The reachability tables are :meth:`_compute_label_summaries`'s; the
+        direct ones are one pass over the adjacency lists, built on the first
+        request for either — a context that only ever sees reachability edges
+        never pays for them.
+        """
+        if self._ancestor_labels is None:  # the one assigned last
+            self._compute_label_summaries()
+        if not direct:
+            return self._descendant_labels if outgoing else self._ancestor_labels
+        tables = self._direct_labels
+        if tables is None:
+            graph = self.graph
+            own = [self._label_bit[graph.label(node)] for node in graph.nodes()]
+            tables = self._direct_labels = tuple(
+                [reduce(or_, map(own.__getitem__, neighbours(node)), 0) for node in graph.nodes()]
+                for neighbours in (graph.predecessors, graph.successors)
+            )
+        parent_labels, child_labels = tables
+        return child_labels if outgoing else parent_labels
+
     def descendant_label_bits(self, node: int) -> int:
         """Bit mask of labels appearing among the strict descendants of ``node``."""
-        if self._descendant_labels is None:
-            self._compute_label_summaries()
-        return self._descendant_labels[node]
+        return self.label_bits(outgoing=True, direct=False)[node]
 
     def ancestor_label_bits(self, node: int) -> int:
         """Bit mask of labels appearing among the strict ancestors of ``node``."""
-        if self._ancestor_labels is None:
-            self._compute_label_summaries()
-        return self._ancestor_labels[node]
+        return self.label_bits(outgoing=False, direct=False)[node]
 
     def label_bit(self, label: str) -> int:
-        """Bit assigned to ``label`` in the label summaries (0 if unknown)."""
+        """Bit assigned to ``label`` in the label tables (0 if unknown)."""
         if self._descendant_labels is None:
             self._compute_label_summaries()
         return self._label_bit.get(label, 0)

@@ -12,7 +12,7 @@ the Fig. 13 experiment demonstrates.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Set, Tuple
 
 from repro.query.pattern import PatternQuery
 from repro.simulation.context import MatchContext
@@ -34,56 +34,25 @@ def node_prefilter(context: MatchContext, query: PatternQuery) -> Dict[int, Set[
       must carry ``label(q')``;
     * symmetrically for incoming edges with parents / ancestors.
 
-    Candidates violating any constraint are dropped.  The filter is
+    Candidates violating any constraint are dropped — all of them when a
+    required label does not occur in the graph at all.  The filter is
     label-based only, so it cannot prune nodes whose support is itself
     pruned — that is double simulation's job.
     """
-    graph = context.graph
     candidates = context.match_sets(query)
-
     for node in query.nodes():
-        out_child_labels = []
-        out_desc_labels = []
-        for child in query.children(node):
-            edge = query.edge(node, child)
-            if edge.is_child:
-                out_child_labels.append(query.label(child))
-            else:
-                out_desc_labels.append(query.label(child))
-        in_child_labels = []
-        in_desc_labels = []
-        for parent in query.parents(node):
-            edge = query.edge(parent, node)
-            if edge.is_child:
-                in_child_labels.append(query.label(parent))
-            else:
-                in_desc_labels.append(query.label(parent))
-
-        if not (out_child_labels or out_desc_labels or in_child_labels or in_desc_labels):
-            continue
-
-        desc_bits_needed = 0
-        for label in out_desc_labels:
-            desc_bits_needed |= context.label_bit(label)
-        anc_bits_needed = 0
-        for label in in_desc_labels:
-            anc_bits_needed |= context.label_bit(label)
-
-        surviving = set()
-        for candidate in candidates[node]:
-            ok = True
-            if out_child_labels:
-                child_labels = {graph.label(child) for child in graph.successors(candidate)}
-                ok = all(label in child_labels for label in out_child_labels)
-            if ok and in_child_labels:
-                parent_labels = {graph.label(parent) for parent in graph.predecessors(candidate)}
-                ok = all(label in parent_labels for label in in_child_labels)
-            if ok and desc_bits_needed:
-                ok = (context.descendant_label_bits(candidate) & desc_bits_needed) == desc_bits_needed
-            if ok and anc_bits_needed:
-                ok = (context.ancestor_label_bits(candidate) & anc_bits_needed) == anc_bits_needed
-            if ok:
-                surviving.add(candidate)
-        candidates[node] = surviving
-
+        wanted = [(True, query.edge(node, c).is_child, query.label(c)) for c in query.children(node)]
+        wanted += [(False, query.edge(p, node).is_child, query.label(p)) for p in query.parents(node)]
+        # (outgoing?, direct?) -> the label bits a candidate's table entry needs.
+        # A label the graph lacks has no bit; -1 (every bit) is a need no table
+        # entry meets, so it empties the set.
+        needs: Dict[Tuple[bool, bool], int] = {}
+        for outgoing, direct, label in wanted:
+            bit = context.label_bit(label) or -1
+            needs[outgoing, direct] = needs.get((outgoing, direct), 0) | bit
+        survivors = candidates[node]
+        for (outgoing, direct), need in needs.items():
+            table = context.label_bits(outgoing, direct)
+            survivors = {c for c in survivors if table[c] & need == need}
+        candidates[node] = survivors
     return candidates

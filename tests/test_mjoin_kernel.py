@@ -117,14 +117,19 @@ def test_set_kinds_do_identical_work_on_the_paper_fixture(
 
 def test_local_candidates_keep_the_rig_set_kind(paper_context, paper_query):
     # The kernel intersects with each kind's own ``&``: no operand is ever
-    # converted to a built-in set on the way.
+    # converted to a built-in set on the way.  Adjacency is the kind's
+    # ``make_set`` type — for the default kind the immutable ``frozenset``,
+    # because equal answers share one object — and ``cos(q) & adjacency``
+    # stays the mutable kind ``cos(q)`` has.
     for set_kind in SET_KINDS:
         rig = build_rig(paper_context, paper_query, RIGOptions(set_kind=set_kind)).rig
-        kind = type(rig.make_set(()))
+        kind = type(rig.candidates(0))
+        adjacency_kind = frozenset if set_kind == "set" else kind
+        assert type(rig.make_set(())) is adjacency_kind
         for _, base, probes, _ in compile_plan(rig, search_order(rig.query, rig)):
             assert type(base) is kind
             for index, _ in probes:
-                assert all(type(adjacency) is kind for adjacency in index.values())
+                assert all(type(adjacency) is adjacency_kind for adjacency in index.values())
                 assert all(type(base & adjacency) is kind for adjacency in index.values())
 
 

@@ -19,12 +19,14 @@ from repro.baselines.bruteforce import bruteforce_homomorphisms
 from repro.dynamic import GraphDelta
 from repro.graph.digraph import DataGraph
 from repro.matching.gm import GraphMatcher
+from repro.query.generators import random_pattern_query
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import BFSReachability
 from repro.reachability.factory import REACHABILITY_KINDS
-from repro.rig.build import build_rig
+from repro.rig.build import RIGOptions, build_rig
 from repro.session import QuerySession
-from repro.simulation.context import MatchContext
+from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.matchsets import node_prefilter
 
 from test_simulation_properties import graph_and_query
 
@@ -53,6 +55,15 @@ def reference_expansion(context, tails, heads):
     return expansion
 
 
+def transposed(index):
+    """``{b: {a, ...}}`` from ``{a: {b, ...}}``, one pair at a time."""
+    result = {}
+    for first, seconds in index.items():
+        for second in seconds:
+            result.setdefault(second, set()).add(first)
+    return result
+
+
 def assert_matches_reference(context, tails, heads):
     expected = reference_expansion(context, tails, heads)
     oracle = BFSReachability(context.graph)
@@ -60,11 +71,17 @@ def assert_matches_reference(context, tails, heads):
         assert expected.get(tail, set()) == {
             head for head in heads if oracle.reaches_strict(tail, head)
         }
-    expansion = context.expand_reachability(tails, heads)
-    assert all(len(matched) == len(set(matched)) for matched in expansion.values())
-    assert {tail: set(matched) for tail, matched in expansion.items()} == expected
+    forward, backward = context.expand_reachability(tails, heads)
+    assert forward == expected
+    assert backward == transposed(expected)
+    assert {type(matched) for index in (forward, backward) for matched in index.values()} <= {
+        frozenset
+    }
+    # One object per distinct answer, in each direction.
+    for index in (forward, backward):
+        assert len({id(matched) for matched in index.values()}) == len(set(index.values()))
     assert context.tails_reaching(tails, heads) == set(expected)
-    assert context.heads_reached(heads, tails) == set().union(*expected.values())
+    assert context.heads_reached(heads, tails) == set(backward)
 
 
 def old_label_fixpoint(context):
@@ -106,19 +123,21 @@ def test_self_pair_needs_a_cycle(kind):
     graph = DataGraph("AAAAA", [(0, 0), (1, 2), (2, 1), (3, 4)])
     context = MatchContext(graph, reachability_kind=kind)
     everyone = set(graph.nodes())
-    expansion = context.expand_reachability(everyone, everyone)
-    assert {tail: set(matched) for tail, matched in expansion.items()} == {
-        0: {0}, 1: {1, 2}, 2: {1, 2}, 3: {4},
-    }
+    forward, backward = context.expand_reachability(everyone, everyone)
+    assert forward == {0: {0}, 1: {1, 2}, 2: {1, 2}, 3: {4}}
+    assert backward == {0: {0}, 1: {1, 2}, 2: {1, 2}, 4: {3}}
     assert context.tails_reaching(everyone, everyone) == {0, 1, 2, 3}
     assert context.heads_reached(everyone, everyone) == {0, 1, 2, 4}
+    rig = build_rig(context, PatternQuery(["A", "A"], [(0, 1, "descendant")])).rig
+    assert set(rig.edge_candidates(0, 1)) == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 4)}
+    assert index_pairs(rig.backward_index(0, 1), flip=True) == set(rig.edge_candidates(0, 1))
 
 
 def test_index_built_for_another_graph_is_not_trusted():
     graph = DataGraph("AAA", [(0, 1), (1, 2)])
     other = DataGraph("AAA", [(2, 1), (1, 0)])
     context = MatchContext(graph, reachability=MatchContext(other).reachability)
-    assert context.expand_reachability({0, 2}, {0, 2}) == {0: [2]}
+    assert context.expand_reachability({0, 2}, {0, 2}) == ({0: {2}}, {2: {0}})
 
 
 # ---------------------------------------------------------------------- #
@@ -144,7 +163,7 @@ def test_patched_condensation_ids_are_not_topological():
     assert any(ids_ascend) and not all(ids_ascend)
     everyone = set(session.graph.nodes())
     assert_matches_reference(context, everyone, everyone)
-    assert set(context.expand_reachability({top}, everyone)[top]) == {0, 1, 2, 3, bottom}
+    assert context.expand_reachability({top}, everyone)[0][top] == {0, 1, 2, 3, bottom}
     descendant, ancestor = old_label_fixpoint(context)
     for node in everyone:
         assert context.descendant_label_bits(node) == descendant[node]
@@ -239,21 +258,57 @@ def per_pair_rig(context, query):
     return candidates, pairs
 
 
+@st.composite
+def looped_graph_and_query(draw):
+    """Like ``graph_and_query`` but self-loops are allowed (cyclic singleton
+    components) and a query node may carry a label the graph does not have."""
+    graph = draw(digraph_with_candidates())[0]
+    query = random_pattern_query(
+        graph,
+        draw(st.integers(min_value=2, max_value=4)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+        dense=draw(st.booleans()),
+    )
+    unknown = draw(st.sets(st.sampled_from(list(query.nodes())), max_size=1))
+    labels = ["Z" if node in unknown else query.label(node) for node in query.nodes()]
+    return graph, query.relabeled(labels)
+
+
+def index_pairs(index, flip=False):
+    pairs = [(key, partner) for key, partners in index.items() for partner in partners]
+    assert len(pairs) == len(set(pairs))
+    return {(partner, key) if flip else (key, partner) for key, partner in pairs}
+
+
 @settings(max_examples=40, deadline=None)
-@given(data=graph_and_query(), kind=st.sampled_from(KINDS))
+@given(
+    data=st.one_of(graph_and_query(), looped_graph_and_query()),
+    kind=st.sampled_from(KINDS),
+)
 def test_built_rig_equals_per_pair_rig(data, kind):
     graph, query = data
     context = MatchContext(graph, reachability_kind=kind)
-    report = build_rig(context, query)
-    candidates, pairs = per_pair_rig(context, report.query)
-    if any(not nodes for nodes in candidates.values()):
-        assert report.rig.is_empty()
-        return
-    for node in report.query.nodes():
-        assert set(report.rig.candidates(node)) == candidates[node]
-    for endpoints, expected in pairs.items():
-        built = list(report.rig.edge_candidates(*endpoints))
-        assert len(built) == len(expected) and set(built) == expected
+    candidates, pairs = None, None
+    for set_kind in ("set", "roaring", "intbitset"):
+        for child_check in ChildCheckMethod:
+            options = RIGOptions(set_kind=set_kind, child_check=child_check)
+            report = build_rig(context, query, options)
+            if candidates is None:
+                candidates, pairs = per_pair_rig(context, report.query)
+            rig = report.rig
+            if any(not nodes for nodes in candidates.values()):
+                assert rig.is_empty()
+                continue
+            for node in report.query.nodes():
+                assert set(rig.candidates(node)) == candidates[node]
+            for endpoints, expected in pairs.items():
+                forward = rig.forward_index(*endpoints)
+                backward = rig.backward_index(*endpoints)
+                assert all(map(len, forward.values())) and all(map(len, backward.values()))
+                assert index_pairs(forward) == expected
+                assert index_pairs(backward, flip=True) == expected
+                assert set(rig.edge_candidates(*endpoints)) == expected
+                assert rig.edge_candidate_count(*endpoints) == len(expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -299,6 +354,75 @@ def test_label_summaries_equal_the_old_fixpoint(data, kind):
     for node in graph.nodes():
         assert context.descendant_label_bits(node) == descendant[node]
         assert context.ancestor_label_bits(node) == ancestor[node]
+
+
+def label_set_prefilter(context, query):
+    """``node_prefilter`` as its docstring reads: per candidate, the label
+    sets of its children / parents / BFS descendants / BFS ancestors."""
+    graph = context.graph
+
+    def labels_of(nodes):
+        return {graph.label(node) for node in nodes}
+
+    survivors = {}
+    for node in query.nodes():
+        survivors[node] = set()
+        for candidate in graph.inverted_list(query.label(node)):
+            seen = {
+                (True, True): labels_of(graph.successors(candidate)),
+                (False, True): labels_of(graph.predecessors(candidate)),
+                (True, False): labels_of(context.forward_reachable_set((candidate,))),
+                (False, False): labels_of(context.backward_reachable_set((candidate,))),
+            }
+            wanted = [
+                (True, query.edge(node, child).is_child, query.label(child))
+                for child in query.children(node)
+            ] + [
+                (False, query.edge(parent, node).is_child, query.label(parent))
+                for parent in query.parents(node)
+            ]
+            if all(label in seen[outgoing, direct] for outgoing, direct, label in wanted):
+                survivors[node].add(candidate)
+    return survivors
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=looped_graph_and_query(), kind=st.sampled_from(KINDS))
+def test_bitset_prefilter_equals_the_label_set_reference(data, kind):
+    graph, query = data
+    context = MatchContext(graph, reachability_kind=kind)
+    assert node_prefilter(context, query) == label_set_prefilter(context, query)
+
+
+@pytest.mark.parametrize("edge_kind", ["child", "descendant"])
+@pytest.mark.parametrize("unknown_is_head", [True, False])
+def test_prefilter_empties_a_node_constrained_by_an_unknown_label(edge_kind, unknown_is_head):
+    # ``label_bit("Z")`` is 0; OR-ing it into the needed bits used to drop a
+    # reachability constraint on Z silently while the direct one pruned all.
+    graph = DataGraph("AAB", [(0, 1), (1, 2), (2, 0)])
+    labels, constrained = (["A", "Z"], 0) if unknown_is_head else (["Z", "A"], 1)
+    query = PatternQuery(labels, [(0, 1, edge_kind)])
+    survivors = node_prefilter(MatchContext(graph), query)
+    assert survivors == {constrained: set(), 1 - constrained: set()}
+    known = PatternQuery(["A", "B"] if unknown_is_head else ["B", "A"], [(0, 1, edge_kind)])
+    assert all(node_prefilter(MatchContext(graph), known).values())
+
+
+def test_direct_label_tables_are_built_lazily_and_apart_from_the_summaries():
+    # ``perf`` calls ``descendant_label_bits`` during set-up; the child /
+    # parent tables must not ride along (they are paid by the first query
+    # with a direct edge).
+    graph = DataGraph("ABCA", [(0, 1), (1, 2), (3, 1)])
+    context = MatchContext(graph)
+    a, b, c = (context.label_bit(label) for label in "ABC")
+    assert context.descendant_label_bits(0) == b | c
+    node_prefilter(context, PatternQuery(["A", "C"], [(0, 1, "descendant")]))
+    assert context._direct_labels is None
+    assert node_prefilter(context, PatternQuery(["A", "B"], [(0, 1, "child")])) == {0: {0, 3}, 1: {1}}
+    children = context.label_bits(outgoing=True, direct=True)
+    assert list(children) == [b, c, 0, b]
+    assert list(context.label_bits(outgoing=False, direct=True)) == [0, a, b, 0]
+    assert context.label_bits(outgoing=True, direct=True) is children  # built once per context
 
 
 # ---------------------------------------------------------------------- #

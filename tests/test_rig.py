@@ -3,6 +3,8 @@
 import pytest
 
 from repro.exceptions import MatchingError
+from repro.graph.digraph import DataGraph
+from repro.matching.gm import GraphMatcher
 from repro.query.pattern import PatternQuery
 from repro.rig.build import RIGOptions, build_match_rig, build_rig
 from repro.rig.graph import RuntimeIndexGraph
@@ -10,6 +12,19 @@ from repro.rig.stats import rig_statistics
 from repro.simulation.context import ChildCheckMethod, MatchContext
 
 from fixtures_paper import A0, A1, A2, B0, B1, B2, B3, C0, C1, C2
+
+
+def install(rig, edge, pairs):
+    """Hand ``pairs`` to the bulk call: both directions, by transposition."""
+    forward, backward = {}, {}
+    for tail, head in pairs:
+        forward.setdefault(tail, []).append(head)
+        backward.setdefault(head, []).append(tail)
+    rig.set_edge_adjacency(
+        edge,
+        {tail: rig.make_set(heads) for tail, heads in forward.items()},
+        {head: rig.make_set(tails) for head, tails in backward.items()},
+    )
 
 
 class TestRuntimeIndexGraphStructure:
@@ -21,10 +36,8 @@ class TestRuntimeIndexGraphStructure:
         rig.set_candidates(2, [C0, C1, C2])
         edge_ab = paper_query.edge(0, 1)
         edge_bc = paper_query.edge(1, 2)
-        rig.add_edge_candidates(edge_ab, A1, [B0])
-        rig.add_edge_candidates(edge_ab, A2, [B2])
-        rig.add_edge_candidates(edge_bc, B0, [C0, C1])
-        rig.add_edge_candidates(edge_bc, B2, [C0, C1, C2])
+        install(rig, edge_ab, [(A1, B0), (A2, B2)])
+        install(rig, edge_bc, [(B0, C0), (B0, C1), (B2, C0), (B2, C1), (B2, C2)])
         return rig
 
     def test_candidate_access(self, rig):
@@ -50,15 +63,28 @@ class TestRuntimeIndexGraphStructure:
         assert rig.size() == 14
         assert not rig.is_empty()
 
-    def test_add_edge_candidates_merges(self, rig, paper_query):
-        edge_ab = paper_query.edge(0, 1)
-        rig.add_edge_candidates(edge_ab, A1, [B2])
+    def test_set_edge_adjacency_replaces_and_takes_ownership(self, rig, paper_query):
+        forward, backward = {A1: rig.make_set([B0, B2])}, {B0: rig.make_set([A1]), B2: rig.make_set([A1])}
+        rig.set_edge_adjacency(paper_query.edge(0, 1), forward, backward)
+        assert rig.forward_index(0, 1) is forward and rig.backward_index(0, 1) is backward
         assert set(rig.forward_adjacency(0, 1, A1)) == {B0, B2}
+        assert set(rig.backward_adjacency(0, 1, B2)) == {A1}
+        assert set(rig.forward_adjacency(0, 1, A2)) == set()  # replaced, not merged
 
     def test_add_empty_heads_is_noop(self, rig, paper_query):
         before = rig.num_rig_edges()
-        rig.add_edge_candidates(paper_query.edge(0, 1), A1, [])
+        install(rig, paper_query.edge(0, 2), [])
         assert rig.num_rig_edges() == before
+
+    def test_physical_edges_count_each_stored_set_once(self, rig, paper_query):
+        # Nothing shared: every pair is stored once per direction.
+        assert rig.num_physical_edges() == 2 * rig.num_rig_edges() == 14
+        heads, tails = rig.make_set([C0, C1]), rig.make_set([A1, A2])
+        rig.set_edge_adjacency(
+            paper_query.edge(0, 2), dict.fromkeys([A1, A2], heads), dict.fromkeys([C0, C1], tails)
+        )
+        assert rig.num_rig_edges() == 7 + 4  # logical: the pairs
+        assert rig.num_physical_edges() == 14 + 2 + 2  # physical: two shared sets
 
     def test_aggregates_are_memoised_until_the_rig_changes(self, rig, paper_query):
         assert (rig.num_rig_nodes(), rig.num_rig_edges(), rig.size()) == (7, 7, 14)
@@ -66,7 +92,7 @@ class TestRuntimeIndexGraphStructure:
         derived = rig.memo("derived", object)
         assert rig.memo("derived", object) is derived  # computed once
         # Each mutator drops every derived value.
-        rig.add_edge_candidates(paper_query.edge(0, 1), A1, [B2])
+        install(rig, paper_query.edge(0, 1), [(A1, B0), (A1, B2), (A2, B2)])
         assert (rig.num_rig_edges(), rig.edge_candidate_count(0, 1), rig.size()) == (8, 3, 15)
         rig.set_candidates(2, [C0])
         assert (rig.num_rig_nodes(), rig.size()) == (5, 13)
@@ -80,6 +106,12 @@ class TestRuntimeIndexGraphStructure:
         with pytest.raises(MatchingError):
             RuntimeIndexGraph(paper_query, set_kind="bogus")
 
+    def test_frozenset_is_not_a_set_kind(self, paper_query):
+        # It used to be accepted and then crashed in pruning (``cos(q)`` must
+        # be mutable); it had no caller and is gone.
+        with pytest.raises(MatchingError, match="unknown set kind 'frozenset'"):
+            RuntimeIndexGraph(paper_query, set_kind="frozenset")
+
     def test_roaring_set_kind(self, paper_query):
         rig = RuntimeIndexGraph(paper_query, set_kind="roaring")
         rig.set_candidates(0, [A1, A2])
@@ -90,9 +122,9 @@ class TestRuntimeIndexGraphStructure:
         rig.set_candidates(0, [A1])
         rig.set_candidates(1, [B0, B1])  # B1 gets no adjacency
         rig.set_candidates(2, [C0])
-        rig.add_edge_candidates(paper_query.edge(0, 1), A1, [B0])
-        rig.add_edge_candidates(paper_query.edge(0, 2), A1, [C0])
-        rig.add_edge_candidates(paper_query.edge(1, 2), B0, [C0])
+        install(rig, paper_query.edge(0, 1), [(A1, B0)])
+        install(rig, paper_query.edge(0, 2), [(A1, C0)])
+        install(rig, paper_query.edge(1, 2), [(B0, C0)])
         assert rig.num_rig_nodes() == 4
         removed = rig.prune_unmatched_candidates()
         assert removed == 1
@@ -159,10 +191,116 @@ class TestBuildRIG:
         rig = build_rig(paper_context, paper_query, options).rig
         assert set(rig.candidates(1)) == {B0, B2}
 
+    def test_frozenset_kind_is_a_typed_error_not_a_crash_in_pruning(self):
+        # One candidate (A at 1) has no partner: pruning must discard it from
+        # ``cos(q)``, which the "frozenset" kind could not do.
+        context = MatchContext(DataGraph("AAB", [(0, 2)]))
+        query = PatternQuery(["A", "B"], [(0, 1, "child")])
+        with pytest.raises(MatchingError, match="unknown set kind 'frozenset'"):
+            build_rig(context, query, RIGOptions(set_kind="frozenset", filter_mode="match"))
+        rig = build_rig(context, query, RIGOptions(filter_mode="match")).rig
+        assert set(rig.candidates(0)) == {0}
+
     def test_roaring_rig(self, paper_context, paper_query):
         options = RIGOptions(set_kind="roaring")
         rig = build_rig(paper_context, paper_query, options).rig
         assert set(rig.candidates(0)) == {A1, A2}
+
+
+class TestSharedAdjacency:
+    """The ownership rule of ``RuntimeIndexGraph``: equal answers share one
+    read-only set object, and only ``cos(q)`` is ever mutated."""
+
+    @pytest.fixture()
+    def rig(self):
+        # Two cycles joined by 2 -> 3: every A reaches every B (and itself).
+        graph = DataGraph("AAABBB", [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        query = PatternQuery(["A", "B"], [(0, 1, "descendant")])
+        return build_rig(MatchContext(graph), query).rig
+
+    def test_one_component_one_object_in_both_directions(self, rig):
+        forward, backward = rig.forward_index(0, 1), rig.backward_index(0, 1)
+        assert set(forward) == {0, 1, 2} and set(backward) == {3, 4, 5}
+        assert forward[0] is forward[1] is forward[2] and forward[0] == {3, 4, 5}
+        assert backward[3] is backward[4] is backward[5] and backward[3] == {0, 1, 2}
+        assert rig.num_rig_edges() == 9 and rig.num_physical_edges() == 6
+
+    def test_logical_and_physical_edges_reach_report_and_explain(self):
+        graph = DataGraph("AAABBB", [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        matcher = GraphMatcher(graph)
+        query = PatternQuery(["A", "B"], [(0, 1, "descendant")])
+        extra = matcher.match(query).extra
+        assert (extra["rig_edges"], extra["rig_physical_edges"]) == (9, 6)
+        artifacts = matcher.explain(query).artifacts
+        assert (artifacts["rig_edges"], artifacts["rig_physical_edges"]) == (9, 6)
+
+    def test_equal_masks_share_across_components(self):
+        # 0 and 1 are separate acyclic components that reach the same heads.
+        graph = DataGraph("AABB", [(0, 2), (1, 2), (2, 3)])
+        query = PatternQuery(["A", "B"], [(0, 1, "descendant")])
+        forward = build_rig(MatchContext(graph), query).rig.forward_index(0, 1)
+        assert forward[0] is forward[1] and forward[0] == {2, 3}
+
+    def test_default_kind_adjacency_is_immutable(self, rig):
+        assert type(rig.forward_index(0, 1)[0]) is frozenset
+        assert type(rig.candidates(0)) is set
+        assert type(rig.candidates(1) & rig.forward_index(0, 1)[0]) is set
+
+    @pytest.mark.parametrize("set_kind", ["set", "roaring", "intbitset"])
+    def test_pruning_changes_candidates_only(self, set_kind):
+        graph = DataGraph("AABB", [(0, 2), (0, 3), (1, 2)])
+        query = PatternQuery(["A", "B"], [(0, 1, "child")])
+        options = RIGOptions(set_kind=set_kind, filter_mode="match", prune_after_expand=False)
+        rig = build_rig(MatchContext(graph), query, options).rig
+        rig.set_candidates(0, [1])  # head 3's only tail is gone
+        indexes = [rig.forward_index(0, 1), rig.backward_index(0, 1)]
+        before = [{key: (id(value), set(value)) for key, value in index.items()} for index in indexes]
+        assert before[1] == {2: (id(indexes[1][2]), {0, 1}), 3: (id(indexes[1][3]), {0})}
+        assert rig.prune_unmatched_candidates() == 1
+        assert set(rig.candidates(0)) == {1} and set(rig.candidates(1)) == {2}
+        after = [{key: (id(value), set(value)) for key, value in index.items()} for index in indexes]
+        assert after == before
+        assert indexes[0] is rig.forward_index(0, 1) and indexes[1] is rig.backward_index(0, 1)
+
+    def test_shared_layout_allocates_a_fraction_of_the_per_pair_layout(self):
+        """Memory guard, no timing: on the sparse shape (uniform random,
+        2.6 edges/node, 20 labels — ``perf``'s ``sparse`` generator) the RIGs
+        of the D-queries retain < 25 % of what one private set per candidate
+        (the ``add_edge_candidates`` layout) retains for the same pairs."""
+        import tracemalloc
+
+        from repro.graph.generators import random_labeled_graph
+        from repro.query.generators import all_template_queries
+
+        graph = random_labeled_graph(600, 1560, 20, seed=11)
+        context = MatchContext(graph)
+        queries = list(all_template_queries(graph, seed=3, kinds=("D",)).values())
+        context.descendant_label_bits(0)  # per-context tables are not RIG memory
+
+        def retained(build):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = build()
+                return tracemalloc.get_traced_memory()[0] - before, kept
+            finally:
+                tracemalloc.stop()
+
+        shared_bytes, rigs = retained(lambda: [build_rig(context, query).rig for query in queries])
+        logical = sum(rig.num_rig_edges() for rig in rigs)
+        assert logical > 50_000  # the guard is about something
+
+        def per_pair_layout():
+            layout = []
+            for rig in rigs:
+                for edge in rig.query.edges():
+                    for index in (rig.forward_index(*edge.endpoints()), rig.backward_index(*edge.endpoints())):
+                        layout.append({key: set(partners) for key, partners in index.items()})
+            return layout
+
+        private_bytes, _ = retained(per_pair_layout)
+        assert shared_bytes < 0.25 * private_bytes, (shared_bytes, private_bytes)
+        assert sum(rig.num_physical_edges() for rig in rigs) < 0.25 * 2 * logical
 
 
 class TestRIGStatistics:
@@ -171,6 +309,7 @@ class TestRIGStatistics:
         stats = rig_statistics(rig, paper_graph)
         assert stats.rig_nodes == rig.num_rig_nodes()
         assert stats.rig_edges == rig.num_rig_edges()
+        assert 0 < stats.rig_physical_edges == rig.num_physical_edges() <= 2 * stats.rig_edges
         assert stats.rig_size == stats.rig_nodes + stats.rig_edges
         assert stats.graph_size == paper_graph.num_nodes + paper_graph.num_edges
         assert 0.0 < stats.size_ratio < 2.0
