@@ -121,7 +121,7 @@ def main() -> None:
     #    multi-tenant catalog of named GraphDBs (attach this one, or let
     #    clients create their own); the synchronous GraphClient mirrors
     #    the GraphDB API, so the calls below are the ones used above —
-    #    over a length-prefixed JSON frame protocol on a socket.
+    #    over a length-prefixed frame protocol on a socket.
     from repro import GraphClient, GraphServer
     from repro.server import GraphCatalog
 

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
 from repro.explain.plan import QueryPlan
+from repro.framing import Rows, rows_from_wire
 from repro.graph.digraph import DataGraph
 from repro.graph.io import load_graph_json, save_graph_json
 from repro.matching.result import Budget, MatchReport, jsonable
@@ -604,7 +605,11 @@ def decode_apply_report(payload: Dict[str, object]) -> ApplyReport:
 
 
 def encode_batch_report(report: ServiceBatchReport) -> Dict[str, object]:
-    """JSON-serialisable form of a :class:`ServiceBatchReport`."""
+    """Frame payload form of a :class:`ServiceBatchReport`.
+
+    Each outcome's occurrences are one packed :class:`~repro.framing.Rows`
+    block; the rest is JSON-serialisable.
+    """
     return {
         "engine": report.engine,
         "wall_seconds": report.wall_seconds,
@@ -618,7 +623,7 @@ def encode_batch_report(report: ServiceBatchReport) -> Dict[str, object]:
                 "seconds": outcome.seconds,
                 "num_matches": outcome.num_matches,
                 "status": outcome.status,
-                "occurrences": [list(occurrence) for occurrence in outcome.occurrences],
+                "occurrences": Rows(outcome.occurrences),
                 "extra": {key: jsonable(value) for key, value in outcome.extra.items()},
             }
             for outcome in report.outcomes
@@ -634,9 +639,7 @@ def decode_batch_report(payload: Dict[str, object]) -> ServiceBatchReport:
             seconds=float(raw.get("seconds", 0.0)),
             num_matches=int(raw.get("num_matches", 0)),
             status=str(raw.get("status", "ok")),
-            occurrences=tuple(
-                tuple(occurrence) for occurrence in raw.get("occurrences", ())
-            ),
+            occurrences=rows_from_wire(raw.get("occurrences", ()), "occurrences"),
             extra=dict(raw.get("extra", ())),
         )
         for raw in payload.get("outcomes", ())

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import MemoryBudgetExceeded, QueryCancelled, TimeoutExceeded
+from repro.framing import Rows, rows_from_wire
 
 
 class MatchStatus(Enum):
@@ -216,10 +217,13 @@ class MatchReport:
     # ------------------------------------------------------------------ #
 
     def to_wire(self, include_occurrences: bool = True) -> Dict[str, object]:
-        """JSON-serialisable form (the wire protocol's report payload).
+        """Frame payload form (the wire protocol's report payload).
 
-        ``extra`` values that do not serialise to JSON (build reports,
-        index objects) are replaced by their ``repr`` so the record stays
+        The occurrences are packed here, into one
+        :class:`~repro.framing.Rows` block that the frame encoder ships
+        behind the JSON header; everything else is plain JSON.  ``extra``
+        values that do not serialise to JSON (build reports, index
+        objects) are replaced by their ``repr`` so the record stays
         informative without dragging object graphs across the wire.
         ``include_occurrences=False`` ships the counters only — the shape
         used after a streamed query whose pages already carried the
@@ -229,8 +233,7 @@ class MatchReport:
             "query_name": self.query_name,
             "algorithm": self.algorithm,
             "status": self.status.value,
-            # Tuples as they are: the frame encoder writes them as arrays.
-            "occurrences": self.occurrences if include_occurrences else [],
+            "occurrences": Rows(self.occurrences) if include_occurrences else [],
             "num_matches": self.num_matches,
             "matching_seconds": self.matching_seconds,
             "enumeration_seconds": self.enumeration_seconds,
@@ -244,7 +247,7 @@ class MatchReport:
             query_name=str(payload.get("query_name", "query")),
             algorithm=str(payload.get("algorithm", "?")),
             status=MatchStatus(payload.get("status", MatchStatus.OK.value)),
-            occurrences=list(map(tuple, payload.get("occurrences", ()))),
+            occurrences=list(rows_from_wire(payload.get("occurrences", ()), "occurrences")),
             num_matches=int(payload.get("num_matches", 0)),
             matching_seconds=float(payload.get("matching_seconds", 0.0)),
             enumeration_seconds=float(payload.get("enumeration_seconds", 0.0)),

@@ -42,11 +42,11 @@ from repro.exceptions import (
     BudgetExceeded,
     EngineError,
     MemoryBudgetExceeded,
-    ProtocolError,
     QueryCancelled,
     TimeoutExceeded,
 )
 from repro.explain.plan import PlanOperator, QueryPlan
+from repro.framing import Rows, rows_from_wire
 from repro.matching.result import Budget, MatchReport, MatchStatus
 
 #: One occurrence: data-node ids indexed by query-node id.
@@ -56,28 +56,26 @@ Occurrence = Tuple[int, ...]
 Page = Tuple[Occurrence, ...]
 
 
-def encode_page(page: Page) -> Page:
-    """JSON-serialisable form of one streamed occurrence page.
+def encode_page(page: Page) -> Rows:
+    """Wire form of one streamed occurrence page: the rows, packed.
 
-    The page itself: the frame encoder writes tuples as JSON arrays, so
-    nothing is copied.  :func:`decode_page` restores the tuple-of-tuples
-    shape every in-process consumer (and report comparison) expects.
+    The packing happens here, on the caller's thread (the server's pump
+    thread, inside its ``wire_encode`` timing);
+    :func:`~repro.framing.encode_frame` only moves the finished block
+    into the frame's tail.
     """
-    return page
+    return Rows(page)
 
 
 def decode_page(payload) -> Page:
-    """Rebuild a page from the wire form of :func:`encode_page` output.
+    """The page a stream frame carried, as a tuple of int tuples.
 
-    The shape is checked once per page, not per value: the values are
-    whatever the JSON decoder produced from the server's integers.
+    :func:`~repro.framing.decode_body` already unpacked and validated the
+    block; a ``page`` field holding anything else — JSON arrays, a
+    ``{"$rows": ...}`` dict from a JSON-kind frame — raises
+    :class:`~repro.exceptions.ProtocolError`.
     """
-    if isinstance(payload, (list, tuple)):
-        try:
-            return tuple(map(tuple, payload))
-        except TypeError:
-            pass
-    raise ProtocolError(f"a stream page must be a list of rows, got {payload!r:.80}")
+    return rows_from_wire(payload, "a stream page")
 
 
 class MatchStream:

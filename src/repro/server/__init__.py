@@ -2,7 +2,7 @@
 
 * :class:`GraphCatalog` — the multi-tenant registry of named databases;
 * :class:`GraphServer` — the asyncio TCP server speaking the
-  length-prefixed JSON frame protocol of :mod:`repro.server.protocol`;
+  length-prefixed frame protocol of :mod:`repro.server.protocol`;
 * the protocol module's frame codec and error mapping, shared with the
   synchronous :class:`~repro.client.GraphClient`.
 """

@@ -1,25 +1,31 @@
-"""The wire protocol: length-prefixed JSON frames + error mapping.
+"""The wire protocol: length-prefixed frames + error mapping.
 
 Framing
 -------
 Every message — request, response, stream page, credit grant — is one
-*frame*::
+*frame*: a 4-byte big-endian length and a body of that many bytes, in
+one of the two kinds :mod:`repro.framing` defines::
 
-    +----------------+----------------------------------+
-    | 4 bytes (>I)   | UTF-8 JSON object (length bytes) |
-    +----------------+----------------------------------+
+    JSON kind   { ... }                      a compact UTF-8 JSON object
+    rows kind   0x01 | >I n | header | tail  n bytes of JSON, then packed
+                                             blocks of match rows
 
-The body must decode to a JSON **object**.  Three frame shapes flow:
+Either way the body decodes to one JSON **object**; in the rows kind the
+fields that hold match rows (``page``, ``occurrences``) arrive as tuples
+of int tuples, unpacked and validated by the codec.  Three frame shapes
+flow:
 
 * requests ``{"id": n, "op": "query", ...}`` (client -> server);
 * responses ``{"id": n, "ok": true, "result": ...}`` or
-  ``{"id": n, "ok": false, "error": {...}}`` (server -> client);
-* stream frames ``{"stream": s, "seq": k, "page": [...]}`` and the
-  terminal ``{"stream": s, "end": true, "report"|"error": ...}``
+  ``{"id": n, "ok": false, "error": {...}}`` (server -> client; rows
+  kind when the result carries occurrences);
+* stream frames ``{"stream": s, "seq": k, "page": <rows>}`` (rows kind)
+  and the terminal ``{"stream": s, "end": true, "report"|"error": ...}``
   (server -> client, interleaved with responses — the ``stream`` key is
   what lets a client demultiplex them).
 
-Truncated, oversized or non-JSON frames raise
+Truncated, oversized or undecodable frames — including a rows-kind body
+whose header or blocks do not add up to its length — raise
 :class:`~repro.exceptions.ProtocolError`; the connection is not
 recoverable past one (the stream position is lost), so both endpoints
 close on it.

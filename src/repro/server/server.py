@@ -209,7 +209,8 @@ class _ServerStream:
                         "stream": self.stream_id,
                         "end": True,
                         "error": encode_error(error),
-                    }
+                    },
+                    self.database,
                 )
             except Exception:  # connection already gone
                 pass
@@ -286,7 +287,8 @@ class _LogShipper:
                     frame = self.subscription.next(timeout=0.25)
                 except ReplicationError as exc:
                     self.connection.send_from_thread(
-                        {"sub": self.ident, "end": True, "error": encode_error(exc)}
+                        {"sub": self.ident, "end": True, "error": encode_error(exc)},
+                        self.database,
                     )
                     return
                 if frame is None:
@@ -309,7 +311,8 @@ class _LogShipper:
                 last_sent = time.monotonic()
                 if lag_error is not None:
                     self.connection.send_from_thread(
-                        {"sub": self.ident, "end": True, "error": encode_error(lag_error)}
+                        {"sub": self.ident, "end": True, "error": encode_error(lag_error)},
+                        self.database,
                     )
                     return
         except Exception:
@@ -512,16 +515,17 @@ class _Connection:
             pass  # client went away mid-reply; teardown will follow
 
     def send_from_thread(
-        self,
-        payload: Dict[str, object],
-        database: Optional[GraphDB] = None,
-        timeout: float = 30.0,
+        self, payload: Dict[str, object], database: Optional[GraphDB]
     ) -> None:
-        """Send one frame from a pump thread (raises once the connection dies)."""
+        """Send one frame from a pump thread (raises once the connection dies).
+
+        ``database`` is the tenant whose ``server_bytes_sent_total`` the
+        frame counts against — required, so no pump frame goes uncounted.
+        """
         future = asyncio.run_coroutine_threadsafe(
             self._send(payload, database), self._loop
         )
-        future.result(timeout)
+        future.result(30.0)
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -5,7 +5,8 @@ The log reuses the wire protocol's frame codec
 the same codec :mod:`repro.server.protocol` speaks on sockets): one frame
 per journaled delta, so the on-disk format and the on-wire format are the
 same thing — a replica tailing the log over the network reads identical
-bytes.
+bytes.  Only the codec's JSON kind ever reaches a journal: a delta holds
+no :class:`~repro.framing.Rows`.
 
 Crash anatomy
 -------------

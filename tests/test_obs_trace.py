@@ -18,6 +18,8 @@ A real :class:`GraphServer` on a loopback socket, exercised through
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from fixtures_paper import build_paper_graph, build_paper_query
@@ -98,6 +100,34 @@ class TestTracePropagation:
         root = trace["seconds"]
         assert root > 0.0
         assert abs(span_sum - root) <= 0.10 * root
+
+    def test_wire_encode_span_covers_row_packing(self, client, monkeypatch):
+        # Rows are packed where they are produced (``MatchReport.to_wire``,
+        # ``encode_page``), not inside the frame encoder; the product's own
+        # span has to keep covering that work.  Make packing visibly slow
+        # and read it back off the span.
+        from repro import framing
+
+        pack, delay = framing.Rows.__init__, 0.05
+
+        def slow_pack(self, rows):
+            time.sleep(delay)
+            pack(self, rows)
+
+        monkeypatch.setattr(framing.Rows, "__init__", slow_pack)
+
+        def wire_encode_seconds(report):
+            spans = report.extra["trace"]["spans"]
+            return sum(span["seconds"] for span in spans if span["name"] == "wire_encode")
+
+        report = client.query(build_paper_query(), trace_id=new_trace_id())
+        assert report.occurrences
+        assert wire_encode_seconds(report) >= delay
+
+        stream = client.stream(build_paper_query(), page_size=1, trace_id=new_trace_id())
+        pages = len(list(stream.pages(timeout=30.0)))
+        assert pages >= 2
+        assert wire_encode_seconds(stream.report()) >= pages * delay
 
     def test_distinct_queries_get_distinct_traces(self, client):
         first = client.query(build_paper_query(), trace_id="trace-aa")

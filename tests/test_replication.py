@@ -379,6 +379,43 @@ class TestRoutedReads:
                     routed.close()
 
 
+    def test_replica_rows_equal_primary_rows_on_every_read_path(self):
+        # Match rows cross the wire as packed blocks, log frames as JSON;
+        # a replica is a consumer of the second and a producer of the
+        # first.  Rows read through it (eager, streamed, batched) must be
+        # the primary's.
+        graph = build_paper_graph()
+        with GraphServer() as server:
+            host, port = server.address
+            with GraphClient(host, port, graph="paper", timeout=60.0) as primary:
+                primary.create_graph("paper", labels=graph.labels, edges=graph.edges())
+                primary.ingest(**one_more_occurrence(graph.num_nodes))
+                with ReplicaServer(host, port) as replica:
+                    routed = RoutedClient(
+                        (host, port), replicas=[replica.address], graph="paper", timeout=60.0
+                    )
+                    try:
+                        wait_until(
+                            lambda: routed.replica_status()[0].get("head_version") == 1,
+                            message="the replica to fold the write",
+                        )
+                        routed.health()  # refresh the router's view of replica heads
+                        expected = sorted(primary.query(PAPER_DSL).occurrences)
+                        assert len(expected) == len(PAPER_ANSWER) + 1
+                        assert sorted(routed.query(PAPER_DSL).occurrences) == expected
+                        with routed.stream(PAPER_DSL, page_size=2) as stream:
+                            assert sorted(stream) == expected
+                        batch = routed.run_batch({"q": PAPER_DSL})
+                        assert sorted(batch.outcomes[0].occurrences) == expected
+                        reads = routed.local_metrics()["routed_reads_total"]["values"]
+                        assert any(
+                            sample["labels"].get("target") != "primary" and sample["value"]
+                            for sample in reads
+                        ), "no read went through the replica"
+                    finally:
+                        routed.close()
+
+
 class TestRoutedFailover:
     def test_primary_sigkill_reads_survive_writes_typed(self, tmp_path):
         graph = build_paper_graph()

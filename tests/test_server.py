@@ -34,6 +34,7 @@ from repro.client import GraphClient
 from repro.engines.base import Engine
 from repro.exceptions import (
     CatalogError,
+    EngineError,
     ProtocolError,
     QueryCancelled,
     QueryParseError,
@@ -42,6 +43,7 @@ from repro.exceptions import (
     StoreError,
     UnknownGraphError,
 )
+from repro.framing import Rows
 from repro.matching.result import Budget, MatchStatus
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.server import GraphCatalog, GraphServer
@@ -91,12 +93,26 @@ class FirehoseEngine(Engine):
             yield tuple(index for _ in query.nodes())
 
 
+class BrokenEngine(Engine):
+    """Emits three occurrences, then fails the way a buggy engine would."""
+
+    name = "BROKEN-WIRE"
+
+    def _iter_evaluate(self, graph, query, budget, profile=None):
+        for index in range(3):
+            yield tuple(index for _ in query.nodes())
+        raise EngineError("the engine broke mid-enumeration")
+
+
+WIRE_ENGINES = (SlowEngine, FirehoseEngine, BrokenEngine)
+
+
 @pytest.fixture(autouse=True)
 def registered_engines():
-    for cls in (SlowEngine, FirehoseEngine):
+    for cls in WIRE_ENGINES:
         QuerySession.register_engine(cls.name, cls)
     yield
-    for cls in (SlowEngine, FirehoseEngine):
+    for cls in WIRE_ENGINES:
         QuerySession.unregister_engine(cls.name)
 
 
@@ -114,6 +130,31 @@ def client(server):
             "paper", labels=graph.labels, edges=graph.edges(), switch=True
         )
         yield cli
+
+
+class CountingSocket:
+    """A socket that counts the bytes read off it."""
+
+    def __init__(self, sock):
+        self.sock, self.received = sock, 0
+
+    def recv(self, count):
+        chunk = self.sock.recv(count)
+        self.received += len(chunk)
+        return chunk
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def rows_body(header: bytes, tail: bytes = b"") -> bytes:
+    """A hand-built rows-kind frame body: kind, header length, header, tail."""
+    return b"\x01" + struct.pack(">I", len(header)) + header + tail
+
+
+def bytes_sent(server, graph="paper"):
+    family = server.catalog.get(graph).metrics()["server_bytes_sent_total"]
+    return int(family["values"][0]["value"])
 
 
 def wait_for(predicate, timeout=15.0, interval=0.02):
@@ -497,32 +538,51 @@ class TestWireStreaming:
         # streams to their end frames, the tenant's byte delta equals the
         # bytes read off the socket — every time, not "usually" (the count
         # used to be taken by the pump thread after the send returned).
-        class CountingSocket:
-            def __init__(self, sock):
-                self.sock, self.received = sock, 0
-
-            def recv(self, count):
-                chunk = self.sock.recv(count)
-                self.received += len(chunk)
-                return chunk
-
-            def __getattr__(self, name):
-                return getattr(self.sock, name)
-
-        def bytes_sent():
-            family = server.catalog.get("paper").metrics()["server_bytes_sent_total"]
-            return int(family["values"][0]["value"])
-
         client._sock = counting = CountingSocket(client._sock)
         client.info()  # the first tenant-scoped reply registers the family
         for repetition in range(50):
-            counted, received = bytes_sent(), counting.received
+            counted, received = bytes_sent(server), counting.received
             for _ in range(3):
                 with client.stream(build_paper_query(), page_size=1) as stream:
                     assert sum(len(page) for page in stream.pages(timeout=30.0)) == len(
                         PAPER_ANSWER
                     )
-            assert bytes_sent() - counted == counting.received - received, repetition
+            assert bytes_sent(server) - counted == counting.received - received, repetition
+
+    def test_bytes_sent_counts_the_end_frame_of_a_failed_stream(self, server, client):
+        # The error end frame used to go out without the tenant, so it was
+        # the one stream frame missing from the counter.
+        client._sock = counting = CountingSocket(client._sock)
+        client.info()
+        counted, received = bytes_sent(server), counting.received
+        stream = client.stream(simple_query(), engine=BrokenEngine.name, page_size=1)
+        with pytest.raises(EngineError, match="broke mid-enumeration"):
+            for _ in stream.pages(timeout=30.0):
+                pass
+        assert counting.received > received
+        assert bytes_sent(server) - counted == counting.received - received
+
+    def test_bytes_sent_counts_the_end_frame_of_a_lagged_subscription(self, server, client):
+        from repro.replication.hub import get_hub
+
+        raw = CountingSocket(socket.create_connection(server.address, timeout=10.0))
+        try:
+            client.info()
+            counted = bytes_sent(server)
+            raw.sendall(encode_frame({"id": 1, "op": "subscribe_log", "graph": "paper"}))
+            assert read_frame_sync(raw)["ok"] is True
+            # What an overflowed live-frame buffer leaves behind: the next
+            # idle poll of the shipper ends the subscription with an error.
+            (subscription,) = get_hub(server.catalog.get("paper"))._subscriptions
+            subscription._lagged = True
+            while True:
+                frame = read_frame_sync(raw)
+                if frame.get("end"):
+                    break
+            assert frame["error"]["code"] == "replication"
+            assert bytes_sent(server) - counted == raw.received
+        finally:
+            raw.close()
 
     def test_pinned_stream(self, client):
         with client.pin() as snapshot:
@@ -620,6 +680,50 @@ class TestFailureSurface:
             raw.close()
         # ... but keeps serving everyone else.
         assert client.ping()
+
+    @pytest.mark.parametrize(
+        "body, complaint",
+        [
+            (b"\x01", "shorter than its own prefix"),
+            (b"\x01\x7f\xff\xff\xff{}", "overruns"),  # header length past the body
+            (rows_body(b'{"id":1,"x":{"$rows":[9,9,8]}}', b"\x00\x00"), "overruns"),
+            (rows_body(b'{"id":1,"x":{"$rows":[0,0,2]}}', b"junk"), "trailing"),
+            (rows_body(b'{"id":1,"x":{"$rows":[%d,0,2]}}' % 2**40), "out of range"),
+            # Each block plausible alone, together more rows than bytes.
+            (rows_body(b'{"id":1,"x":[%s]}' % b",".join([b'{"$rows":[9000,0,2]}'] * 999)),
+             "out of range"),
+            (rows_body(b'{"id":1,"x":{"$rows":[-1,1,2]}}'), "out of range"),
+            (rows_body(b'{"id":1,"x":{"$rows":[true,1,2]}}', b"\x00\x00"), "malformed"),
+            (rows_body(b'{"id":1,"x":{"$rows":[1,1,3]}}', b"\x00" * 3), "out of range"),
+            (rows_body(b'{"id":1,"x":{"$rows":[1,1,2],"y":0}}', b"\x00\x00"), "malformed"),
+            (b"\x02" + rows_body(b'{"id":1}')[1:], "not valid JSON"),  # unknown kind byte
+        ],
+    )
+    def test_hostile_rows_frame_answers_error_and_server_survives(
+        self, server, client, body, complaint
+    ):
+        raw = socket.create_connection(server.address, timeout=10.0)
+        try:
+            raw.sendall(struct.pack(">I", len(body)) + body)
+            frame = read_frame_sync(raw)
+            assert frame["ok"] is False
+            assert frame["error"]["code"] == "protocol"
+            assert complaint in frame["error"]["message"]
+            assert read_frame_sync(raw) is None  # framing is lost: closed
+        finally:
+            raw.close()
+        with GraphClient(*server.address, graph="paper", timeout=10.0) as other:
+            assert other.query(build_paper_query()).occurrence_set() == PAPER_ANSWER
+
+    def test_a_well_formed_rows_frame_is_just_a_request(self, server):
+        # One codec in both directions: rows in a request are decoded (and
+        # here ignored), not mistaken for broken framing.
+        raw = socket.create_connection(server.address, timeout=10.0)
+        try:
+            raw.sendall(encode_frame({"id": 1, "op": "ping", "noise": Rows(((1, 2), (3, 4)))}))
+            assert read_frame_sync(raw)["result"]["pong"] is True
+        finally:
+            raw.close()
 
     def test_truncated_frame_then_disconnect_is_harmless(self, server, client):
         raw = socket.create_connection(server.address, timeout=10.0)

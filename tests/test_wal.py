@@ -18,6 +18,7 @@ Four layers, bottom-up:
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import struct
@@ -218,6 +219,53 @@ class TestWalDurability:
         assert report.entries_applied == 3 and report.entries_skipped == 0
         assert report.checkpoint_version == 0 and report.head_version == 3
         durability.close()
+
+    def test_journal_bytes_are_the_json_frames_they_always_were(self, tmp_path):
+        # The frame codec grew a second kind for match rows; the journal
+        # must not have noticed.  Spell the frames the way the codec did
+        # before that (length prefix + compact JSON) and compare bytes.
+        def old_frame(payload):
+            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            return struct.pack(">I", len(body)) + body
+
+        directory = str(tmp_path / "tenant")
+        graph = small_graph()
+        durability = WalDurability.create(directory, graph)
+        delta = growth_delta(graph)
+        folded = MutableDataGraph(graph, delta).materialize(name=graph.name)
+        durability.journal(delta, graph.version, folded.version)
+        durability.close()
+        log_path = os.path.join(directory, LOG_FILE)
+        with open(log_path, "rb") as handle:
+            assert handle.read() == old_frame(
+                {
+                    "kind": "delta",
+                    "base_version": 0,
+                    "new_version": 1,
+                    "num_ops": len(delta),
+                    "delta": delta.to_dict(),
+                }
+            )
+
+        # ... and a journal written by that older codec replays.
+        second = growth_delta(folded, label="C")
+        head = MutableDataGraph(folded, second).materialize(name=graph.name)
+        with open(log_path, "ab") as handle:
+            handle.write(
+                old_frame(
+                    {
+                        "kind": "delta",
+                        "base_version": 1,
+                        "new_version": 2,
+                        "num_ops": len(second),
+                        "delta": second.to_dict(),
+                    }
+                )
+            )
+        recovered, durability, report = WalDurability.recover(directory)
+        durability.close()
+        assert recovered == head and recovered.version == 2
+        assert report.entries_applied == 2
 
     def test_checkpoint_truncates_log(self, tmp_path):
         directory = str(tmp_path / "tenant")

@@ -1,6 +1,7 @@
 """Unit tests for the wire protocol's codec layer.
 
-Framing (length-prefixed JSON), the exception <-> error-payload mapping,
+Framing (length-prefixed frames of two kinds: JSON, and a JSON header
+followed by packed row blocks), the exception <-> error-payload mapping,
 and the wire forms of the domain objects (patterns, budgets, match
 reports, apply reports, batch reports, pages) — everything the server and
 client share, tested without a socket where possible and over a local
@@ -12,8 +13,11 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     decode_apply_report,
@@ -35,6 +39,7 @@ from repro.exceptions import (
     StoreError,
     UnknownGraphError,
 )
+from repro.framing import ROWS_KIND, Rows, decode_body, rows_from_wire
 from repro.matching.result import Budget, MatchReport, MatchStatus, jsonable
 from repro.matching.stream import decode_page, encode_page
 from repro.query.pattern import EdgeType, PatternQuery
@@ -65,6 +70,13 @@ def roundtrip_frames(*payloads):
             frames.append(frame)
     finally:
         right.close()
+
+
+def through_a_frame(payload):
+    """``payload`` as the peer decodes it: one real frame, length prefix checked."""
+    frame = encode_frame(payload)
+    assert struct.unpack(">I", frame[:4]) == (len(frame) - 4,)
+    return decode_body(frame[4:])
 
 
 class TestFraming:
@@ -257,7 +269,7 @@ class TestDomainWireForms:
             enumeration_seconds=0.5,
             extra={"plans_considered": 3, "unserialisable": object()},
         )
-        restored = MatchReport.from_wire(report.to_wire())
+        restored = MatchReport.from_wire(through_a_frame(report.to_wire()))
         assert restored.status is MatchStatus.MATCH_LIMIT
         assert restored.occurrences == [(1, 2), (3, 4)]
         assert restored.occurrence_set() == report.occurrence_set()
@@ -273,7 +285,7 @@ class TestDomainWireForms:
         assert wire["occurrences"] == []
         assert MatchReport.from_wire(wire).num_matches == 1
 
-    def test_match_report_roundtrip_through_json(self):
+    def test_match_report_roundtrip_through_a_frame(self):
         report = MatchReport(
             query_name="q",
             algorithm="GM",
@@ -290,8 +302,9 @@ class TestDomainWireForms:
                 "first_match_seconds": None,
             },
         )
-        assert report.to_wire()["occurrences"] is report.occurrences  # not copied
-        restored = MatchReport.from_wire(json.loads(json.dumps(report.to_wire())))
+        wire = report.to_wire()
+        assert isinstance(wire["occurrences"], Rows)  # packed here, not by the encoder
+        restored = MatchReport.from_wire(through_a_frame(wire))
         assert restored == report
 
     def test_jsonable_keeps_json_values_and_reprs_the_rest(self):
@@ -307,15 +320,23 @@ class TestDomainWireForms:
 
     def test_page_roundtrip(self):
         page = ((1, 2, 3), (4, 5, 6))
-        assert encode_page(page) is page  # tuples go to the frame encoder as-is
-        assert decode_page(json.loads(json.dumps(encode_page(page)))) == page
-        assert decode_page(encode_page(page)) == page
+        assert isinstance(encode_page(page), Rows)
+        assert decode_page(through_a_frame({"page": encode_page(page)})["page"]) == page
+        assert decode_page(through_a_frame({"page": encode_page(())})["page"]) == ()
         assert decode_page([]) == ()
 
-    @pytest.mark.parametrize("payload", [None, 7, "rows", {"0": [1]}, [1, 2], [[1], None]])
+    @pytest.mark.parametrize(
+        "payload",
+        [None, 7, "rows", {"0": [1]}, [1, 2], [[1], None], [[1, 2]], {"$rows": [1, 1, 2]}],
+    )
     def test_malformed_page_rejected(self, payload):
+        # JSON arrays included: only a validated block is a page.
         with pytest.raises(ProtocolError, match="list of rows"):
             decode_page(payload)
+        with pytest.raises(ProtocolError, match="list of rows"):
+            MatchReport.from_wire({"occurrences": payload})
+        with pytest.raises(ProtocolError, match="list of rows"):
+            decode_batch_report({"outcomes": [{"occurrences": payload}]})
 
     def test_apply_report_roundtrip(self):
         report = ApplyReport(
@@ -341,7 +362,8 @@ class TestDomainWireForms:
             cache_misses={"closure": 1},
             version=3,
         )
-        restored = decode_batch_report(encode_batch_report(report))
+        wire = encode_batch_report(report)
+        restored = decode_batch_report(through_a_frame(wire))
         assert restored.version == 3
         assert restored.engine == "GM"
         assert len(restored.outcomes) == 2
@@ -350,3 +372,315 @@ class TestDomainWireForms:
         assert not restored.outcomes[1].solved
         assert restored.cache_hits == {"rig": 1}
         assert isinstance(restored.outcomes[0].extra["rig"], str)
+
+
+# ---------------------------------------------------------------------- #
+# the rows frame kind
+# ---------------------------------------------------------------------- #
+
+#: Ints around every block-width boundary, weighted against small node ids.
+BOUNDARY_INTS = [
+    0, -1, 65_535, 65_536, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**63 - 1, -(2**63)
+]
+values = st.one_of(st.integers(0, 600), st.sampled_from(BOUNDARY_INTS))
+
+
+@st.composite
+def row_blocks(draw):
+    """A tuple of equal-arity int tuples: empty, arity 0 and arity 1-12 included."""
+    arity = draw(st.integers(0, 12))
+    row = st.tuples(*[values] * arity)
+    return tuple(draw(st.lists(row, max_size=6)))
+
+
+keys = st.text(max_size=6).filter(lambda key: key != "$rows")
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)
+)
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4), st.dictionaries(keys, children, max_size=4)
+        ),
+        max_leaves=12,
+    )
+
+
+#: Payloads with 0 / 1 / several row blocks (tuple leaves) at any depth.
+payloads = st.dictionaries(keys, json_trees(st.one_of(scalars, row_blocks())), max_size=4)
+
+
+def packed(tree):
+    """``tree`` with every tuple leaf (a row block) wrapped for the encoder."""
+    if isinstance(tree, tuple):
+        return Rows(tree)
+    if isinstance(tree, list):
+        return [packed(item) for item in tree]
+    if isinstance(tree, dict):
+        return {key: packed(item) for key, item in tree.items()}
+    return tree
+
+
+def rows_body(header, tail=b"", header_bytes=None, kind=ROWS_KIND):
+    """A hand-built rows-kind body (``header``: JSON text or an object)."""
+    if not isinstance(header, (str, bytes)):
+        header = json.dumps(header, separators=(",", ":"))
+    if isinstance(header, str):
+        header = header.encode("utf-8")
+    if header_bytes is None:
+        header_bytes = len(header)
+    return kind + struct.pack(">I", header_bytes) + header + tail
+
+
+class TestRowFrames:
+    @settings(max_examples=200, deadline=None)
+    @given(payloads)
+    def test_any_payload_round_trips(self, payload):
+        assert through_a_frame(packed(payload)) == payload
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(keys, json_trees(scalars), max_size=4))
+    def test_a_payload_without_rows_is_the_json_frame_it_always_was(self, payload):
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(payload) == struct.pack(">I", len(body)) + body
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_blocks())
+    def test_block_layout(self, rows):
+        block = Rows(rows)
+        assert block.count == len(rows)
+        assert block.arity == (len(rows[0]) if rows else 0)
+        assert len(block.data) == block.count * block.arity * block.width
+        assert through_a_frame({"page": block})["page"] == rows
+        flat = [value for row in rows for value in row]
+        fits = {2: (0, 65_535), 4: (-(2**31), 2**31 - 1), 8: (-(2**63), 2**63 - 1)}
+        narrowest = min(
+            width
+            for width, (low, high) in fits.items()
+            if all(low <= value <= high for value in flat)
+        )
+        assert block.width == narrowest
+        # ... and in the frame: the descriptor where the rows were, the
+        # block behind the header, little-endian.
+        body = encode_frame({"page": block})[4:]
+        header = json.dumps({"page": {"$rows": [block.count, block.arity, block.width]}})
+        assert body == rows_body(header.replace(" ", ""), block.data)
+        assert block.data == b"".join(
+            value.to_bytes(block.width, "little", signed=block.width > 2) for value in flat
+        )
+
+    @pytest.mark.parametrize(
+        "value, width",
+        [
+            (0, 2), (65_535, 2), (65_536, 4), (-1, 4), (2**31 - 1, 4), (2**31, 8),
+            (-(2**31), 4), (-(2**31) - 1, 8), (2**63 - 1, 8), (-(2**63), 8),
+        ],
+    )
+    def test_narrowest_width_that_holds_the_value(self, value, width):
+        assert Rows(((1, value), (2, 3))).width == width
+        assert through_a_frame({"r": Rows(((1, value),))})["r"] == ((1, value),)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 2), (3,)),
+            ((1,), (2, 3)),
+            ((1, 2), (3,), (4, 5, 6)),  # ragged, yet count * arity values in total
+            ((), (1,)),
+            ((1, "2"),),
+            ((1, 2.0),),
+            ((1, None),),
+            ((2**63,),),
+            ((-(2**63) - 1,),),
+            (1, 2),
+            ((1, 2), None),
+            7,
+            None,
+        ],
+    )
+    def test_bad_rows_fail_when_packed_not_when_sent(self, rows):
+        with pytest.raises(ProtocolError, match="rows must be"):
+            Rows(rows)
+        with pytest.raises(ProtocolError, match="rows must be"):
+            encode_page(rows)
+
+    def test_rows_key_is_reserved_only_where_rows_travel(self):
+        assert through_a_frame({"$rows": [1, 1, 2]}) == {"$rows": [1, 1, 2]}
+        with pytest.raises(ProtocolError, match="reserved"):
+            encode_frame({"x": {"$rows": 1}, "page": Rows(((1,),))})
+        # As a string value it is data, not a key.
+        payload = {"name": '{"$rows":[1,1,2]}', "page": ((1,),)}
+        assert through_a_frame(packed(payload)) == payload
+
+    def test_unserialisable_values_still_raise_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_frame({"x": object()})
+
+    def test_reports_round_trip_over_a_socket(self):
+        report = MatchReport(
+            query_name="q", algorithm="GM", status=MatchStatus.OK,
+            occurrences=[(1, 70_000), (3, 4)], num_matches=2,
+            extra={"mjoin": {"candidates": 9}},
+        )
+        batch = ServiceBatchReport(
+            engine="GM",
+            outcomes=[
+                QueryOutcome(name="q0", seconds=0.5, num_matches=2, status="ok",
+                             occurrences=((1, 2), (3, 4))),
+                QueryOutcome(name="q1", seconds=0.1, num_matches=0, status="ok"),
+                QueryOutcome(name="q2", seconds=0.1, num_matches=1, status="ok",
+                             occurrences=((2**40, 5, 6),)),
+            ],
+            wall_seconds=0.6, workers=2, version=3,
+        )
+        reply, batch_reply, page = roundtrip_frames(
+            {"id": 1, "ok": True, "result": report.to_wire()},
+            {"id": 2, "ok": True, "result": encode_batch_report(batch)},
+            {"stream": 1, "seq": 0, "page": encode_page(((7, 8, 9),))},
+        )
+        assert MatchReport.from_wire(reply["result"]) == report
+        assert decode_batch_report(batch_reply["result"]) == batch
+        assert decode_page(page["page"]) == ((7, 8, 9),)
+
+
+class TestHostileRowFrames:
+    """Every malformed rows-kind body is a ProtocolError, cheaply."""
+
+    GOOD = encode_frame({"stream": 1, "seq": 0, "page": Rows(((1, 2), (3, 4)))})[4:]
+
+    def test_the_good_frame_is_good(self):
+        assert decode_body(self.GOOD)["page"] == ((1, 2), (3, 4))
+        assert self.GOOD == rows_body({"stream": 1, "seq": 0, "page": {"$rows": [2, 2, 2]}},
+                                      struct.pack("<4H", 1, 2, 3, 4))
+
+    @pytest.mark.parametrize("cut", range(1, len(GOOD)))
+    def test_every_truncation(self, cut):
+        with pytest.raises(ProtocolError):
+            decode_body(self.GOOD[:cut])
+
+    @pytest.mark.parametrize(
+        "body, complaint",
+        [
+            (GOOD + b"\x00", "trailing"),
+            (rows_body({"page": {"$rows": [1, 1, 2]}}, b"\x01\x00\x02\x00"), "trailing"),
+            (rows_body({"page": 1}, b"\x01\x00"), "trailing"),
+            (rows_body({"page": {"$rows": [2, 2, 2]}}, b"\x01\x00" * 3), "overruns"),
+            (rows_body({"page": {"$rows": [2, 2, 8]}}, b"\x01\x00" * 4), "overruns"),
+            (rows_body({"page": 1}, header_bytes=2**31), "overruns"),
+            (rows_body({"page": 1}, header_bytes=11), "overruns"),
+            (rows_body({"page": 1}, header_bytes=3), "not valid JSON"),
+            (ROWS_KIND, "shorter"),
+            (ROWS_KIND + b"\x00\x00", "shorter"),
+            (rows_body("[1]"), "JSON object"),
+            (rows_body(b"\xff\xfe"), "not valid JSON"),
+            (rows_body(b'{"x":' + b"[" * 100_000 + b"]" * 100_000 + b"}"), "not valid JSON"),
+            (b'{"x":' + b"[" * 100_000 + b"]" * 100_000 + b"}", "not valid JSON"),
+            (rows_body({"page": 1}, kind=b"\x02"), "not valid JSON"),  # unknown kind
+            (rows_body({"page": 1}, kind=b"R"), "not valid JSON"),
+            (rows_body({"page": {"$rows": [1, 1, 2], "x": 1}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"x": 1, "$rows": [1, 1, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [1, 1]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [1, 1, 2, 0]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": {"count": 1}}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": None}}), "malformed"),
+            (rows_body({"page": {"$rows": {"$rows": [1, 1, 2]}}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [1.0, 1, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": ["1", 1, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [True, 1, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [1, True, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [1, None, 2]}}, b"\x01\x00"), "malformed"),
+            (rows_body({"page": {"$rows": [-1, 1, 2]}}), "out of range"),
+            (rows_body({"page": {"$rows": [1, -1, 2]}}), "out of range"),
+            (rows_body({"page": {"$rows": [-1, -1, 2]}}, b"\x01\x00"), "out of range"),
+            (rows_body({"page": {"$rows": [2**40, 0, 2]}}), "out of range"),
+            (rows_body({"page": {"$rows": [0, 2**40, 2]}}), "out of range"),
+            (rows_body({"page": {"$rows": [2**70, 2**70, 8]}}), "out of range"),
+            (rows_body({"page": {"$rows": [1, 1, 3]}}, b"\x01\x00\x00"), "out of range"),
+            (rows_body({"page": {"$rows": [1, 1, 1]}}, b"\x01"), "out of range"),
+            (rows_body({"page": {"$rows": [1, 1, 0]}}), "out of range"),
+            (rows_body({"page": {"$rows": [1, 1, 16]}}, b"\x01" * 16), "out of range"),
+            (rows_body({"page": {"$rows": [1, 1, -2]}}), "out of range"),
+        ],
+    )
+    def test_refused(self, body, complaint):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match=complaint):
+                decode_body(body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 + 16 * len(body)
+
+    def test_arity_zero_rows_are_bounded_by_the_frame_not_by_the_count(self):
+        honest = rows_body({"page": {"$rows": [3, 0, 2]}})
+        assert decode_body(honest)["page"] == ((), (), ())
+        with pytest.raises(ProtocolError, match="out of range"):
+            decode_body(rows_body({"page": {"$rows": [len(honest) + 10, 0, 2]}}))
+
+    def test_arity_zero_blocks_share_one_row_budget(self):
+        # Rows without columns claim no tail bytes, so each of these
+        # descriptors is plausible alone; together they must not be.
+        claimed = 20_000
+        bomb = rows_body({"x": [{"$rows": [claimed, 0, 2]}] * 2000})
+        assert claimed < len(bomb) < 2000 * claimed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="out of range"):
+                decode_body(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 + 16 * len(bomb)
+        # The budget is the frame's length, whatever the blocks' shapes.
+        two = rows_body({"a": {"$rows": [20, 0, 2]}, "b": {"$rows": [3, 1, 2]}}, b"\x01\x00" * 3)
+        assert decode_body(two) == {"a": ((),) * 20, "b": ((1,),) * 3}
+        short = rows_body({"a": {"$rows": [len(two) - 2, 0, 2]}, "b": {"$rows": [3, 1, 2]}},
+                          b"\x01\x00" * 3)
+        with pytest.raises(ProtocolError, match="out of range"):
+            decode_body(short)
+
+    def test_the_encoder_refuses_what_the_row_budget_would(self):
+        assert through_a_frame({"page": Rows(((),) * 20)})["page"] == ((),) * 20
+        with pytest.raises(ProtocolError, match="100 rows in a frame body of"):
+            encode_frame({"page": Rows(((),) * 100)})
+
+    def test_a_json_frame_cannot_smuggle_a_descriptor(self):
+        (frame,) = roundtrip_frames({"stream": 1, "seq": 0, "page": {"$rows": [1, 1, 2]}})
+        assert frame["page"] == {"$rows": [1, 1, 2]}  # a dict, as in any JSON frame
+        with pytest.raises(ProtocolError, match="list of rows"):
+            decode_page(frame["page"])
+
+    def test_json_rows_never_reach_the_caller(self):
+        left, right = socket.socketpair()
+        try:
+            body = b'{"stream":1,"seq":0,"page":[[1,"x"],[null]]}'
+            left.sendall(struct.pack(">I", len(body)) + body)
+            frame = read_frame_sync(right)
+            with pytest.raises(ProtocolError, match="list of rows"):
+                decode_page(frame["page"])
+        finally:
+            left.close()
+            right.close()
+
+    def test_hostile_frame_off_a_socket(self):
+        left, right = socket.socketpair()
+        try:
+            body = self.GOOD[:-1]
+            left.sendall(struct.pack(">I", len(body)) + body)
+            with pytest.raises(ProtocolError, match="overruns"):
+                read_frame_sync(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_rows_from_wire_accepts_only_validated_rows(self):
+        assert rows_from_wire(((1, 2),), "x") == ((1, 2),)
+        assert rows_from_wire([], "x") == ()
+        unframed = Rows(((1, 2),))  # only decode_body's output counts as validated
+        for junk in ([[1, 2]], [()], None, 0, False, "", {}, {"$rows": [0, 0, 2]}, unframed):
+            with pytest.raises(ProtocolError, match="x must be a packed list of rows"):
+                rows_from_wire(junk, "x")
