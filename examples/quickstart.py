@@ -211,15 +211,16 @@ def main() -> None:
                   f"{matches} match(es) as before the restart")
     shutil.rmtree(data_dir)
 
-    # 12. Replication: one writer, N read replicas.  A ReplicaServer
-    #     bootstraps each tenant from the primary's latest checkpoint and
+    # 12. Replication: one writer, N read replicas.  A replica server —
+    #     GraphServer(primary=(host, port)), role "replica" — bootstraps
+    #     each tenant from the primary's latest checkpoint and
     #     then tails the delta WAL live, serving the whole read surface at
     #     its replicated version; a RoutedClient splits the facade — writes
     #     go to the primary, reads fan out round-robin across the replicas
     #     under read-your-writes (reads wait for a replica at or above this
     #     client's own last acknowledged write, falling back to the primary
     #     only when none qualifies).
-    from repro import ReplicaServer, RoutedClient
+    from repro import RoutedClient
 
     primary_dir = tempfile.mkdtemp(prefix="quickstart-primary-")
     with GraphServer(data_dir=primary_dir) as primary:
@@ -230,8 +231,8 @@ def main() -> None:
                 labels=["Person", "Person", "Project", "Task"],
                 edges=[(0, 2), (1, 2), (2, 3)],
             )
-        with ReplicaServer(host, port) as replica_a, \
-                ReplicaServer(host, port) as replica_b:
+        with GraphServer(primary=(host, port)) as replica_a, \
+                GraphServer(primary=(host, port)) as replica_b:
             endpoints = [replica_a.address, replica_b.address]
             with RoutedClient((host, port), replicas=endpoints,
                               graph="routed") as routed:
@@ -271,8 +272,8 @@ def main() -> None:
                 labels=["Person", "Project", "Task"],
                 edges=[(0, 1), (1, 2)],
             )
-        with ReplicaServer(host, port, node="replica-a") as replica_a, \
-                ReplicaServer(host, port, node="replica-b") as replica_b:
+        with GraphServer(primary=(host, port), node="replica-a") as replica_a, \
+                GraphServer(primary=(host, port), node="replica-b") as replica_b:
             endpoints = [replica_a.address, replica_b.address]
             with RoutedClient((host, port), replicas=endpoints,
                               graph="fleet") as routed:

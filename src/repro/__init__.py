@@ -28,8 +28,9 @@ the pieces most applications need:
 * :class:`GraphServer` / :class:`GraphCatalog` / :class:`GraphClient` —
   multi-tenant network serving of the facade over a length-prefixed JSON
   frame protocol (``repro.server`` / ``repro.client``);
-* :class:`ReplicaServer` / :class:`RoutedClient` — one-writer/N-replica
-  replication: replicas tail the primary's delta log and serve the full
+* ``GraphServer(primary=(host, port))`` / :class:`RoutedClient` —
+  one-writer/N-replica replication: a replica server tails the primary's
+  delta log (one :class:`ReplicaTail` per tenant) and serves the full
   read surface, the routed client splits writes (primary) from reads
   (replicas, round-robin under a staleness floor) — ``repro.replication``.
 """
@@ -101,7 +102,7 @@ from repro.obs import MetricsRegistry, SlowQueryLog, Telemetry, Tracer
 from repro.wal import DeltaLog, RecoveryReport, WalDurability
 from repro.server import GraphCatalog, GraphServer
 from repro.client import GraphClient, RemoteSnapshot, RemoteStream, RoutedClient
-from repro.replication import ReplicaServer, ReplicaTail, ReplicationHub
+from repro.replication import ReplicaTail, ReplicationHub
 
 __version__ = "1.0.0"
 
@@ -193,7 +194,6 @@ __all__ = [
     "ReadOnlyReplicaError",
     "ReplicaDivergedError",
     "PrimaryUnavailableError",
-    "ReplicaServer",
     "ReplicaTail",
     "ReplicationHub",
     "__version__",

@@ -306,15 +306,15 @@ class GraphDB:
             delta.remove_edge(source, target)
         return self.store.apply(delta)
 
-    def apply(self, delta: GraphDelta, materialize: bool = True) -> ApplyReport:
+    def apply(self, delta: GraphDelta) -> ApplyReport:
         """Fold a prepared delta synchronously (see :meth:`VersionedGraphStore.apply`)."""
         self._require_writable()
-        return self.store.apply(delta, materialize=materialize)
+        return self.store.apply(delta)
 
-    def apply_async(self, delta: GraphDelta, materialize: bool = True):
+    def apply_async(self, delta: GraphDelta):
         """Queue a delta on the store's background writer; returns a future."""
         self._require_writable()
-        return self.store.apply_async(delta, materialize=materialize)
+        return self.store.apply_async(delta)
 
     def delta(self) -> GraphDelta:
         """A fresh :class:`GraphDelta` written against the current head."""

@@ -56,43 +56,18 @@ from repro.matching.stream import decode_page
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import PatternQuery
-from repro.server.protocol import OPS, connect, decode_error, encode_frame, read_frame_sync
+from repro.server.protocol import (
+    OPS,
+    connect,
+    decode_error,
+    encode_frame,
+    encode_request,
+    read_frame_sync,
+)
 from repro.service.service import ServiceBatchReport
 
 #: A query, as a parsed pattern or DSL text (mirrors ``repro.api.QueryLike``).
 QueryLike = Union[PatternQuery, str]
-
-#: Ops safe to resend verbatim after a reconnect: pure reads with no
-#: server-side connection state.  Writes are never here — a connection
-#: that died mid-``apply`` may or may not have folded the delta, and
-#: resending would double-apply it.  ``stream_open`` is excluded too
-#: (its pages are connection-scoped), as is anything pin-scoped: pin
-#: tokens die with the connection, so a retried read naming one fails
-#: loudly rather than silently reading a different version.
-_IDEMPOTENT_OPS = frozenset(op for op, flags in OPS.items() if flags.idempotent)
-
-
-def _encode_trace(trace) -> Optional[object]:
-    """Wire form of a trace argument: a plain id string passes through
-    (pre-distributed-tracing servers understand it), a
-    :class:`~repro.obs.TraceContext` encodes to its structured form so
-    the server can parent its spans under the caller's."""
-    if trace is None:
-        return None
-    if isinstance(trace, TraceContext):
-        return trace.to_wire()
-    return str(trace)
-
-
-def _encode_query(query: QueryLike):
-    if isinstance(query, PatternQuery):
-        return query.to_dict()
-    if isinstance(query, str):
-        return query
-    raise ProtocolError(
-        f"query must be a PatternQuery or DSL text, got {type(query).__name__}"
-    )
-
 
 class RemoteApplyHandle:
     """Handle for a delta queued on the server's background writer.
@@ -445,11 +420,16 @@ class GraphClient:
         self._m_reconnects.inc()
 
     def _can_retry(self, op: str, frame: Dict[str, object]) -> bool:
+        # Only reads with no server-side connection state resend: a
+        # connection that died mid-write may or may not have folded the
+        # delta, a stream's pages are connection-scoped, and pin tokens
+        # died with the socket — a retried read naming one would fail
+        # loudly rather than silently read a different version.
         return (
             self._reconnect_enabled
             and not self._closed
-            and op in _IDEMPOTENT_OPS
-            and frame.get("pin") is None  # pin tokens died with the socket
+            and OPS[op].idempotent
+            and frame.get("pin") is None
         )
 
     def _request(
@@ -471,11 +451,9 @@ class GraphClient:
         exponential backoff + jitter) and resends; see the class notes.
         """
         with self._lock:
-            frame = {"op": op}
-            frame.update({key: value for key, value in args.items() if value is not None})
+            frame = encode_request(op, timeout=timeout, **args)
             wait = None
             if timeout is not None:
-                frame.setdefault("timeout", timeout)
                 wait = timeout + 10.0
             if wait_timeout is not None:
                 # Probe mode: bound the *socket* wait itself.  A frozen
@@ -601,9 +579,9 @@ class GraphClient:
         info = self._request(
             "create_graph",
             name=name,
-            labels=list(labels),
-            edges=[list(edge) for edge in edges],
-            exist_ok=exist_ok or None,
+            labels=labels,
+            edges=edges,
+            exist_ok=exist_ok,
         )
         if switch:
             self._graph = name
@@ -620,10 +598,7 @@ class GraphClient:
         directory so a server restart does not resurrect it.
         """
         self._request(
-            "drop_graph",
-            name=name,
-            force=force or None,
-            delete_storage=delete_storage or None,
+            "drop_graph", name=name, force=force, delete_storage=delete_storage
         )
         if self._graph == name:
             self._graph = None
@@ -679,10 +654,10 @@ class GraphClient:
         payload = self._request(
             "ingest",
             graph=self._graph_name(graph),
-            labels=list(labels),
-            edges=[list(edge) for edge in edges],
-            remove_edges=[list(edge) for edge in remove_edges],
-            trace=_encode_trace(trace),
+            labels=labels,
+            edges=edges,
+            remove_edges=remove_edges,
+            trace=trace,
         )
         return decode_apply_report(payload)
 
@@ -700,15 +675,15 @@ class GraphClient:
         payload = self._request(
             "apply",
             graph=self._graph_name(graph),
-            delta=delta.to_dict(),
-            trace=_encode_trace(trace),
+            delta=delta,
+            trace=trace,
         )
         return decode_apply_report(payload)
 
     def apply_async(self, delta: GraphDelta, graph: Optional[str] = None) -> RemoteApplyHandle:
         """Queue a delta on the server's background writer; returns a handle."""
         name = self._graph_name(graph)
-        payload = self._request("apply_async", graph=name, delta=delta.to_dict())
+        payload = self._request("apply_async", graph=name, delta=delta)
         return RemoteApplyHandle(self, name, payload["token"])
 
     # ------------------------------------------------------------------ #
@@ -739,13 +714,13 @@ class GraphClient:
         payload = self._request(
             "query",
             graph=self._graph_name(graph),
-            query=_encode_query(query),
+            query=query,
             engine=engine,
-            budget=budget.to_wire() if budget is not None else None,
+            budget=budget,
             deadline_seconds=deadline_seconds,
             name=name,
             pin=pin,
-            trace=_encode_trace(trace_id),
+            trace=trace_id,
             timeout=timeout,
         )
         return MatchReport.from_wire(payload)
@@ -763,9 +738,9 @@ class GraphClient:
         payload = self._request(
             "count",
             graph=self._graph_name(graph),
-            query=_encode_query(query),
+            query=query,
             engine=engine,
-            budget=budget.to_wire() if budget is not None else None,
+            budget=budget,
             name=name,
             pin=pin,
         )
@@ -794,10 +769,10 @@ class GraphClient:
             "explain",
             timeout=timeout,
             graph=self._graph_name(graph),
-            query=_encode_query(query),
+            query=query,
             engine=engine,
-            analyze=analyze or None,
-            budget=budget.to_wire() if budget is not None else None,
+            analyze=analyze,
+            budget=budget,
             pin=pin,
         )
         return QueryPlan.from_wire(payload["plan"])
@@ -816,10 +791,10 @@ class GraphClient:
         payload = self._request(
             "histogram",
             graph=self._graph_name(graph),
-            query=_encode_query(query),
+            query=query,
             node=node,
             engine=engine,
-            budget=budget.to_wire() if budget is not None else None,
+            budget=budget,
             name=name,
             pin=pin,
         )
@@ -837,26 +812,13 @@ class GraphClient:
         pin: Optional[str] = None,
     ) -> ServiceBatchReport:
         """Execute a whole batch against one pinned version remotely."""
-        if isinstance(queries, Mapping):
-            items = [
-                {"name": name, "query": _encode_query(query)}
-                for name, query in queries.items()
-            ]
-        else:
-            items = [
-                {
-                    "name": getattr(query, "name", None),
-                    "query": _encode_query(query),
-                }
-                for query in queries
-            ]
         payload = self._request(
             "run_batch",
             timeout=timeout,
             graph=self._graph_name(graph),
-            queries=items,
+            queries=queries,
             engine=engine,
-            budget=budget.to_wire() if budget is not None else None,
+            budget=budget,
             workers=workers,
             keep_occurrences=keep_occurrences,
             pin=pin,
@@ -885,15 +847,15 @@ class GraphClient:
         payload = self._request(
             "stream_open",
             graph=graph_name,
-            query=_encode_query(query),
+            query=query,
             engine=engine,
-            budget=budget.to_wire() if budget is not None else None,
+            budget=budget,
             page_size=page_size,
             deadline_seconds=deadline_seconds,
             window=self.stream_window,
             name=name,
             pin=pin,
-            trace=_encode_trace(trace_id),
+            trace=trace_id,
         )
         stream = RemoteStream(
             self,
@@ -976,7 +938,7 @@ class GraphClient:
         return self._request(
             "events",
             limit=limit,
-            kinds=list(kinds) if kinds is not None else None,
+            kinds=kinds,
             after_seq=after_seq,
         )
 

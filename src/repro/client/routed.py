@@ -5,9 +5,11 @@ hand-route every call, so :class:`RoutedClient` holds one
 :class:`~repro.client.GraphClient` per node and splits the facade
 surface:
 
-* **writes** (``ingest`` / ``apply`` / ``apply_async`` / ``checkpoint``
-  / ``create_graph`` / ``drop_graph`` / ``save``) go to the primary,
-  always.  A primary that cannot be reached fails *fast* with
+* **writes** — every op :data:`~repro.server.protocol.OPS` marks as one
+  (``ingest`` / ``apply`` / ``apply_async`` / ``checkpoint`` /
+  ``create_graph`` / ``drop_graph``), plus ``save``, whose path names the
+  primary's disk — go to the primary, always (a test holds the methods
+  to the table).  A primary that cannot be reached fails *fast* with
   :class:`~repro.exceptions.PrimaryUnavailableError` — writes have
   exactly one home, and silently retrying a fold the server may already
   have applied would double it.
@@ -78,7 +80,8 @@ class RoutedClient:
     primary:
         ``(host, port)`` of the writable :class:`~repro.server.GraphServer`.
     replicas:
-        ``(host, port)`` of each :class:`~repro.replication.ReplicaServer`.
+        ``(host, port)`` of each replica server
+        (``GraphServer(primary=...)``).
         An empty sequence routes every read to the primary.
     graph:
         Default tenant for every call (override per call with ``graph=``).
@@ -384,6 +387,17 @@ class RoutedClient:
         self.spans.record(request.finish())
         self.spans.record(root.finish())
 
+    def _traced_write(self, method, graph, trace, *args, **kwargs):
+        """One fold on the primary, optionally traced; advances the read floor."""
+        name = self._graph_name(graph)
+        context, root, request = self._start_trace(trace, "write", name)
+        try:
+            report = self._write(method, *args, graph=name, trace=context, **kwargs)
+        finally:
+            self._finish_trace(root, request)
+        self._note_write(name, report.new_version)
+        return report
+
     def ingest(self, labels=(), edges=(), remove_edges=(), graph=None, trace=None):
         """Fold nodes/edges on the primary; advances the read floor.
 
@@ -395,32 +409,13 @@ class RoutedClient:
         :meth:`trace_spans` and stitch them with
         :func:`repro.obs.assemble_trace`.
         """
-        name = self._graph_name(graph)
-        context, root, request = self._start_trace(trace, "write", name)
-        try:
-            report = self._write(
-                "ingest",
-                labels=labels,
-                edges=edges,
-                remove_edges=remove_edges,
-                graph=name,
-                trace=context,
-            )
-        finally:
-            self._finish_trace(root, request)
-        self._note_write(name, report.new_version)
-        return report
+        return self._traced_write(
+            "ingest", graph, trace, labels=labels, edges=edges, remove_edges=remove_edges
+        )
 
     def apply(self, delta, graph=None, trace=None):
         """Fold a prepared delta on the primary (``trace`` as in :meth:`ingest`)."""
-        name = self._graph_name(graph)
-        context, root, request = self._start_trace(trace, "write", name)
-        try:
-            report = self._write("apply", delta, graph=name, trace=context)
-        finally:
-            self._finish_trace(root, request)
-        self._note_write(name, report.new_version)
-        return report
+        return self._traced_write("apply", graph, trace, delta)
 
     def apply_async(self, delta, graph=None):
         """Queue a delta on the primary's background writer.

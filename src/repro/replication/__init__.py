@@ -10,10 +10,10 @@ pieces:
   fan-out: every published delta is offered to every live log
   subscription, and ``subscribe`` computes a race-free catch-up plan
   (snapshot bootstrap or tail-from-version);
-* :class:`ReplicaTail` / :class:`ReplicaServer`
-  (:mod:`repro.replication.replica`) — replica-side: tail the stream,
-  fold each delta through the ordinary store publish path, serve the
-  full read surface at the replicated version, report lag;
+* :class:`ReplicaTail` (:mod:`repro.replication.replica`) — replica-side:
+  tail the stream, fold each delta through the ordinary store publish
+  path, report lag; ``GraphServer(primary=(host, port))`` serves one tail
+  per tenant with the full read surface at the replicated version;
 * :class:`~repro.client.RoutedClient` (:mod:`repro.client.routed`) —
   client-side read/write splitting across the topology.
 
@@ -28,12 +28,11 @@ from repro.replication.hub import (
     ReplicationHub,
     get_hub,
 )
-from repro.replication.replica import ReplicaServer, ReplicaTail
+from repro.replication.replica import ReplicaTail
 
 __all__ = [
     "DEFAULT_SUBSCRIPTION_BUFFER",
     "LogSubscription",
-    "ReplicaServer",
     "ReplicaTail",
     "ReplicationHub",
     "get_hub",

@@ -26,6 +26,9 @@ A subscriber that cannot keep up does not stall the write path: its
 bounded queue overflows, the subscription is marked lagged, and the
 consumer gets a :class:`~repro.exceptions.ReplicationError` once the
 buffered frames drain — its cue to resubscribe from its current version.
+
+A :class:`LogShipper` turns one subscription into the payloads a server
+connection sends to its replica.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import json
 import os
 import queue
 import threading
+import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ReplicationError
@@ -43,6 +47,13 @@ from repro.wal.log import scan_log
 
 #: Live frames a slow subscriber may buffer before it is declared lagged.
 DEFAULT_SUBSCRIPTION_BUFFER = 1024
+
+#: Delta frames batched into one ``log_frames`` wire frame.
+LOG_SHIP_BATCH = 64
+
+#: Idle heartbeat period: an empty batch carrying the primary's head, so
+#: a caught-up replica keeps its lag gauges current without traffic.
+LOG_SHIP_HEARTBEAT_SECONDS = 1.0
 
 
 class LogSubscription:
@@ -102,6 +113,74 @@ class LogSubscription:
         """Detach from the hub (idempotent)."""
         self._closed.set()
         self._hub.unsubscribe(self)
+
+
+class LogShipper:
+    """One subscription's catch-up and live frames, as wire payloads.
+
+    :meth:`payloads` yields the catch-up entries computed at subscribe
+    time, then tails the subscription's live queue, batching up to
+    :data:`LOG_SHIP_BATCH` delta frames per payload::
+
+        {"sub": s, "frames": [...], "head": primary-head-version}
+
+    While idle it yields an empty batch about once a second — a heartbeat
+    carrying the current head.  A subscription whose buffer overflowed
+    (the replica fell too far behind) raises
+    :class:`~repro.exceptions.ReplicationError` after its last batch; the
+    server sends that as the stream's end frame, the replica's cue to
+    resubscribe from wherever it actually got to.
+    """
+
+    def __init__(self, ident: int, database, subscription, entries) -> None:
+        self.ident = ident
+        self.database = database
+        self.subscription = subscription
+        self._entries = list(entries)
+        self._stopped = threading.Event()
+
+    def stop(self) -> None:
+        """Stop pumping and drop the hub subscription (idempotent)."""
+        self._stopped.set()
+        self.subscription.close()
+
+    def _batch(self, frames) -> Dict[str, object]:
+        return {
+            "sub": self.ident,
+            "frames": frames,
+            "head": int(self.database.head_version),
+        }
+
+    def payloads(self):
+        """Catch-up, then live batches and heartbeats, until stopped."""
+        for start in range(0, len(self._entries), LOG_SHIP_BATCH):
+            if self._stopped.is_set():
+                return
+            yield self._batch(self._entries[start : start + LOG_SHIP_BATCH])
+        self._entries = []
+        last_sent = time.monotonic()
+        while not self._stopped.is_set():
+            frame = self.subscription.next(timeout=0.25)
+            if frame is None:
+                if time.monotonic() - last_sent >= LOG_SHIP_HEARTBEAT_SECONDS:
+                    yield self._batch([])
+                    last_sent = time.monotonic()
+                continue
+            batch = [frame]
+            lag_error = None
+            while len(batch) < LOG_SHIP_BATCH:
+                try:
+                    extra = self.subscription.next(timeout=0.0)
+                except ReplicationError as exc:
+                    lag_error = exc
+                    break
+                if extra is None:
+                    break
+                batch.append(extra)
+            yield self._batch(batch)
+            last_sent = time.monotonic()
+            if lag_error is not None:
+                raise lag_error
 
 
 class ReplicationHub:

@@ -27,11 +27,10 @@ the socket loop retries with bounded exponential backoff + jitter until
 :meth:`close`, while the replica keeps serving reads at its last folded
 version.
 
-:class:`ReplicaServer` composes N tails with a
-:class:`~repro.server.GraphCatalog` and a
-:class:`~repro.server.GraphServer`: every replicated tenant is served
-read-only over the ordinary wire protocol (match / stream / count /
-histogram / explain), writes answer with
+A replica *server* is ``GraphServer(primary=(host, port))``: it builds
+one tail per replicated tenant into its catalog and serves them read-only
+over the ordinary wire protocol (match / stream / count / histogram /
+explain); writes answer with
 :class:`~repro.exceptions.ReadOnlyReplicaError`, and ``replica_status``
 reports replication lag in versions and seconds.
 """
@@ -43,7 +42,7 @@ import random
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.api import GraphDB
 from repro.dynamic.delta import GraphDelta
@@ -54,7 +53,13 @@ from repro.exceptions import (
 )
 from repro.graph.digraph import DataGraph
 from repro.obs import context as trace_context
-from repro.server.protocol import connect, decode_error, encode_frame, read_frame_sync
+from repro.server.protocol import (
+    connect,
+    decode_error,
+    encode_frame,
+    encode_request,
+    read_frame_sync,
+)
 from repro.service.service import QueryService, ServiceConfig
 from repro.store.versioned import VersionedGraphStore
 from repro.wal.durability import (
@@ -332,9 +337,10 @@ class ReplicaTail:
         try:
             sock.settimeout(1.0)
             ident = next(self._ids)
-            request = {"id": ident, "op": "subscribe_log", "graph": self.graph}
-            if from_version is not None:
-                request["from_version"] = from_version
+            request = encode_request(
+                "subscribe_log", graph=self.graph, from_version=from_version
+            )
+            request["id"] = ident
             sock.sendall(encode_frame(request))
             result = self._await_response(sock, ident)
         except BaseException:
@@ -481,130 +487,3 @@ class ReplicaTail:
             f"head=v{self.head_version()}, lag={self.lag_versions()})"
         )
 
-
-class ReplicaServer:
-    """A read-only serving node: N tenant tails behind a wire server.
-
-    Spins up one :class:`ReplicaTail` per replicated tenant, attaches the
-    tails' databases to an owned catalog, and serves them over the
-    ordinary wire protocol.  Reads behave exactly as on the primary;
-    writes answer with :class:`~repro.exceptions.ReadOnlyReplicaError`.
-
-    Parameters
-    ----------
-    primary_host / primary_port:
-        The primary :class:`~repro.server.GraphServer`'s address.
-    graphs:
-        Tenant names to replicate; ``None`` replicates every tenant the
-        primary currently lists.
-    data_dir:
-        Optional durable root for the replica — each tenant journals its
-        folds under ``data_dir/<name>``, so a killed replica restarts in
-        tail mode from its exact pre-crash head.
-    """
-
-    def __init__(
-        self,
-        primary_host: str,
-        primary_port: int,
-        graphs: Optional[List[str]] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        data_dir: Optional[str] = None,
-        config: Optional[ServiceConfig] = None,
-        checkpoint_every: Optional[int] = None,
-        node: Optional[str] = None,
-        **server_kwargs,
-    ) -> None:
-        self.primary_host = primary_host
-        self.primary_port = int(primary_port)
-        #: This node's name on health replies, trace spans and federated
-        #: metrics labels; defaults to ``replica-<pid>``.
-        self.node = node or f"replica-{os.getpid()}"
-        self._graphs = list(graphs) if graphs is not None else None
-        self._host = host
-        self._port = int(port)
-        self._data_dir = os.fspath(data_dir) if data_dir is not None else None
-        self._config = config
-        self._checkpoint_every = checkpoint_every
-        self._server_kwargs = dict(server_kwargs)
-        self.tails: Dict[str, ReplicaTail] = {}
-        self.catalog = None
-        self.server = None
-        self.address: Optional[Tuple[str, int]] = None
-
-    def start(self) -> Tuple[str, int]:
-        """Bootstrap every tenant, bind the socket; returns ``(host, port)``."""
-        from repro.client.client import GraphClient
-        from repro.server.catalog import GraphCatalog
-        from repro.server.server import GraphServer
-
-        names = self._graphs
-        if names is None:
-            with GraphClient(self.primary_host, self.primary_port) as client:
-                names = [str(info["name"]) for info in client.graphs()]
-        if not names:
-            raise ReplicationError("primary lists no graphs to replicate")
-        self.catalog = GraphCatalog()
-        try:
-            for name in names:
-                tenant_dir = None
-                if self._data_dir is not None:
-                    from urllib.parse import quote
-
-                    tenant_dir = os.path.join(self._data_dir, quote(name, safe=""))
-                tail = ReplicaTail(
-                    self.primary_host,
-                    self.primary_port,
-                    name,
-                    data_dir=tenant_dir,
-                    config=self._config,
-                    checkpoint_every=self._checkpoint_every,
-                    node=self.node,
-                )
-                database = tail.start()
-                self.tails[name] = tail
-                self.catalog.attach(name, database, owned=True)
-            self.server = GraphServer(
-                catalog=self.catalog,
-                host=self._host,
-                port=self._port,
-                node=self.node,
-                role="replica",
-                **self._server_kwargs,
-            )
-            self.address = self.server.start()
-        except BaseException:
-            self.close()
-            raise
-        return self.address
-
-    def status(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant tail status (see :meth:`ReplicaTail.status`)."""
-        return {name: tail.status() for name, tail in self.tails.items()}
-
-    def close(self) -> None:
-        """Stop serving, stop every tail, close the replicated databases."""
-        if self.server is not None:
-            self.server.close()
-            self.server = None
-        if self.catalog is not None:
-            self.catalog.close()  # owned databases close -> close hooks stop tails
-            self.catalog = None
-        for tail in self.tails.values():
-            tail.close()  # idempotent; covers tails without a catalog entry
-
-    def __enter__(self) -> "ReplicaServer":
-        if self.address is None:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        bound = f"{self.address[0]}:{self.address[1]}" if self.address else "unbound"
-        return (
-            f"ReplicaServer({bound} <- {self.primary_host}:{self.primary_port}, "
-            f"tenants={sorted(self.tails)})"
-        )

@@ -33,8 +33,13 @@ close on it.
 Ops
 ---
 :data:`OPS` declares every request op once — whether it addresses one
-tenant or the node, whether it writes, whether a client may resend it —
-and the server's dispatch and the client's reconnect logic both read it.
+tenant or the node, whether it writes, whether a client may resend it,
+whether it reads at a ``pin``, and which request fields it takes — and
+:data:`FIELDS` gives each field name its one codec.  The client encodes
+every request through :func:`encode_request`; the server decodes and
+type-checks every request through :func:`decode_request` before any
+handler runs, so an ill-typed field answers a ``protocol`` error naming
+the op and the field.
 
 Error mapping
 -------------
@@ -52,9 +57,11 @@ report whose status is ``cancelled``, on the wire as in-process.)
 from __future__ import annotations
 
 import socket
+from collections.abc import Mapping
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Dict, NamedTuple, Optional
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
+from repro.dynamic.delta import GraphDelta
 from repro.framing import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
@@ -82,28 +89,38 @@ from repro.exceptions import (
     UnknownGraphError,
     WalError,
 )
+from repro.matching.result import Budget
+from repro.obs.context import TraceContext
+from repro.query.pattern import PatternQuery
 
-# ---------------------------------------------------------------------- #
-# framing
-# ---------------------------------------------------------------------- #
-
-# The codec itself lives in :mod:`repro.framing` (shared with the
-# write-ahead log, which journals one frame per delta in this exact
-# format); this module re-exports it and adds the socket readers.
 __all__ = [
+    "FIELDS",
     "HEADER_BYTES",
+    "MAX_CREDIT_GRANT",
     "MAX_FRAME_BYTES",
     "OPS",
     "check_length",
     "decode_body",
     "decode_error",
     "decode_length",
+    "decode_request",
     "encode_error",
     "encode_frame",
+    "encode_request",
     "error_code",
     "read_frame",
     "read_frame_sync",
 ]
+
+#: Most pages one ``credit`` frame may add to a stream's send window, and
+#: the largest window ``stream_open`` may ask for; larger values are
+#: clamped (no honest client runs this far ahead).
+MAX_CREDIT_GRANT = 1 << 16
+
+
+# ---------------------------------------------------------------------- #
+# ops
+# ---------------------------------------------------------------------- #
 
 
 class OpFlags(NamedTuple):
@@ -116,44 +133,282 @@ class OpFlags(NamedTuple):
     scope: str
     #: Mutates a tenant or the catalog: refused with
     #: :class:`~repro.exceptions.ReadOnlyReplicaError` on a read-only tenant
-    #: and on every tenant of a ``role="replica"`` server.
+    #: and on every tenant of a replica server.
     write: bool = False
     #: Safe to resend after a reconnect (never true of a write, a stream —
     #: its pages are connection-scoped — or anything naming a pin token).
     idempotent: bool = False
+    #: Reads at one version: an optional ``pin`` field names a snapshot this
+    #: connection pinned, and dispatch resolves it — or the tenant's head —
+    #: to the *reader* the handler runs on.
+    pin: bool = False
+    #: The request fields the op takes (``pin`` included when it reads at
+    #: one), each decoded by its :data:`FIELDS` codec.
+    fields: Tuple[str, ...] = ()
+    #: The fields a request must carry.
+    required: FrozenSet[str] = frozenset()
+
+
+def _op(scope: str, fields: str = "", **flags) -> OpFlags:
+    """One :data:`OPS` row; ``fields`` is space-separated, ``!`` marks a required one."""
+    names = fields.split() + (["pin"] if flags.get("pin") else [])
+    return OpFlags(
+        scope,
+        fields=tuple(name.rstrip("!") for name in names),
+        required=frozenset(name[:-1] for name in names if name.endswith("!")),
+        **flags,
+    )
 
 
 #: The request ops of the wire protocol (``credit`` / ``stream_cancel``
 #: are reply-less flow-control frames, not requests).
 OPS: Dict[str, OpFlags] = {
-    "ping": OpFlags("node", idempotent=True),
-    "graphs": OpFlags("node", idempotent=True),
-    "create_graph": OpFlags("node", write=True),
-    "drop_graph": OpFlags("node", write=True),
-    "info": OpFlags("graph", idempotent=True),
-    "ingest": OpFlags("graph", write=True),
-    "apply": OpFlags("graph", write=True),
-    "apply_async": OpFlags("graph", write=True),
-    "apply_wait": OpFlags("node"),
-    "query": OpFlags("graph", idempotent=True),
-    "count": OpFlags("graph", idempotent=True),
-    "explain": OpFlags("graph", idempotent=True),
-    "histogram": OpFlags("graph", idempotent=True),
-    "run_batch": OpFlags("graph", idempotent=True),
-    "pin": OpFlags("graph"),
-    "release": OpFlags("node"),
-    "stats": OpFlags("graph", idempotent=True),
-    "metrics": OpFlags("graph", idempotent=True),
-    "slow_queries": OpFlags("graph", idempotent=True),
-    "checkpoint": OpFlags("graph", write=True),
-    "save": OpFlags("graph"),
-    "stream_open": OpFlags("graph"),
-    "subscribe_log": OpFlags("graph"),
-    "replica_status": OpFlags("graph", idempotent=True),
-    "health": OpFlags("node", idempotent=True),
-    "events": OpFlags("node", idempotent=True),
-    "spans": OpFlags("graph", idempotent=True),
+    "ping": _op("node", idempotent=True),
+    "graphs": _op("node", idempotent=True),
+    "create_graph": _op("node", "name! labels edges exist_ok", write=True),
+    "drop_graph": _op("node", "name! force delete_storage", write=True),
+    "info": _op("graph", idempotent=True),
+    "ingest": _op("graph", "labels edges remove_edges trace", write=True),
+    "apply": _op("graph", "delta! trace", write=True),
+    "apply_async": _op("graph", "delta!", write=True),
+    "apply_wait": _op("node", "token! timeout"),
+    "query": _op(
+        "graph", "query! engine budget deadline_seconds timeout name trace",
+        idempotent=True, pin=True,
+    ),
+    "count": _op("graph", "query! engine budget name", idempotent=True, pin=True),
+    "explain": _op("graph", "query! engine analyze budget timeout", idempotent=True, pin=True),
+    "histogram": _op("graph", "query! node engine budget name", idempotent=True, pin=True),
+    "run_batch": _op(
+        "graph", "queries! engine budget workers keep_occurrences timeout",
+        idempotent=True, pin=True,
+    ),
+    "pin": _op("graph", "version"),
+    "release": _op("node", "pin!"),
+    "stats": _op("graph", idempotent=True),
+    "metrics": _op("graph", "format", idempotent=True),
+    "slow_queries": _op("graph", "limit", idempotent=True),
+    "checkpoint": _op("graph", write=True),
+    "save": _op("graph", "path!"),
+    "stream_open": _op(
+        "graph", "query! engine budget page_size deadline_seconds window name trace", pin=True
+    ),
+    "subscribe_log": _op("graph", "from_version"),
+    "replica_status": _op("graph", idempotent=True),
+    "health": _op("node", idempotent=True),
+    "events": _op("node", "limit kinds after_seq", idempotent=True),
+    "spans": _op("graph", "trace_id limit", idempotent=True),
 }
+
+
+# ---------------------------------------------------------------------- #
+# field codecs
+# ---------------------------------------------------------------------- #
+
+
+def _same(value):
+    return value
+
+
+class Codec(NamedTuple):
+    """How one request field crosses the wire (``None`` never reaches either side)."""
+
+    #: What a wire value must be (the error message says so).
+    expected: str
+    #: Whether a wire value is well-typed.
+    accepts: Callable[[object], bool]
+    #: Well-typed wire value -> handler argument.
+    decode: Callable[[object], object] = _same
+    #: Caller's argument -> wire value.
+    encode: Callable[[object], object] = _same
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON true is not a count
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_pair(edge) -> bool:
+    return isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))
+
+
+def _is_query(value) -> bool:
+    return isinstance(value, (str, dict))
+
+
+def _query_from_wire(value):
+    """DSL text stays text (the server parses it); an object is a pattern."""
+    return value if isinstance(value, str) else PatternQuery.from_dict(value)
+
+
+def _query_to_wire(query):
+    if isinstance(query, PatternQuery):
+        return query.to_dict()
+    if isinstance(query, str):
+        return query
+    raise ProtocolError(
+        f"query must be a PatternQuery or DSL text, got {type(query).__name__}"
+    )
+
+
+def _is_batch(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(entry, dict)
+        and _is_query(entry.get("query"))
+        and (entry.get("name") is None or _is_text(entry["name"]))
+        for entry in value
+    )
+
+
+def _batch_from_wire(value):
+    """``[{"name": ..., "query": ...}, ...]`` -> ``[(name, query), ...]``."""
+    return [(entry.get("name"), _query_from_wire(entry["query"])) for entry in value]
+
+
+def _batch_to_wire(queries):
+    if isinstance(queries, Mapping):
+        pairs = queries.items()
+    else:
+        pairs = ((getattr(query, "name", None), query) for query in queries)
+    return [{"name": name, "query": _query_to_wire(query)} for name, query in pairs]
+
+
+#: The budget limits a request may set, and what each must be.
+_BUDGET_LIMITS = {
+    "max_matches": _is_int,
+    "time_limit_seconds": lambda value: type(value) in (int, float),
+    "max_intermediate_results": _is_int,
+}
+
+
+def _is_budget(value) -> bool:
+    return isinstance(value, dict) and all(
+        value.get(key) is None or accepts(value[key])
+        for key, accepts in _BUDGET_LIMITS.items()
+    )
+
+
+def _trace_to_wire(trace):
+    """A :class:`TraceContext` travels structured; a plain id as its string."""
+    return trace.to_wire() if isinstance(trace, TraceContext) else str(trace)
+
+
+#: One codec per request field name, whichever op carries it.
+FIELDS: Dict[str, Codec] = {
+    **dict.fromkeys(
+        ("graph", "name", "engine", "pin", "token", "path", "format", "trace_id"),
+        Codec("a non-empty string", _is_text),
+    ),
+    **dict.fromkeys(
+        ("labels", "kinds"),
+        Codec(
+            "a list of strings",
+            lambda value: isinstance(value, list) and all(isinstance(item, str) for item in value),
+            encode=list,
+        ),
+    ),
+    **dict.fromkeys(
+        ("edges", "remove_edges"),
+        Codec(
+            "a list of [source, target] integer pairs",
+            lambda value: isinstance(value, list) and all(map(_is_pair, value)),
+            lambda value: [tuple(edge) for edge in value],
+            lambda edges: [list(edge) for edge in edges],
+        ),
+    ),
+    **dict.fromkeys(
+        ("version", "from_version", "node", "limit", "after_seq"), Codec("an integer", _is_int)
+    ),
+    **dict.fromkeys(("page_size", "workers"), Codec("an integer >= 1", _is_count)),
+    **dict.fromkeys(
+        ("deadline_seconds", "timeout"),
+        Codec("a number", lambda value: type(value) in (int, float)),
+    ),
+    **dict.fromkeys(
+        ("analyze", "delete_storage", "exist_ok", "force", "keep_occurrences"),
+        Codec("a boolean", lambda value: type(value) is bool),
+    ),
+    "window": Codec(
+        "an integer >= 1", _is_count, lambda value: min(value, MAX_CREDIT_GRANT)
+    ),
+    "query": Codec("DSL text or a query object", _is_query, _query_from_wire, _query_to_wire),
+    "queries": Codec(
+        "a list of {name, query} objects", _is_batch, _batch_from_wire, _batch_to_wire
+    ),
+    "budget": Codec(
+        "an object of integer (seconds: number) or null limits",
+        _is_budget,
+        Budget.from_wire,
+        Budget.to_wire,
+    ),
+    "delta": Codec(
+        "a delta object",
+        lambda value: isinstance(value, dict),
+        GraphDelta.from_dict,
+        GraphDelta.to_dict,
+    ),
+    "trace": Codec(
+        "a trace id or a trace context object",
+        lambda value: isinstance(value, (str, dict)),
+        TraceContext.from_wire,
+        _trace_to_wire,
+    ),
+}
+
+
+def encode_request(op: str, **fields) -> Dict[str, object]:
+    """A request frame for ``op`` (the caller adds the ``id``): every
+    non-``None`` field through its :data:`FIELDS` codec."""
+    frame: Dict[str, object] = {"op": op}
+    for field, value in fields.items():
+        if value is not None:
+            frame[field] = FIELDS[field].encode(value)
+    return frame
+
+
+def decode_request(op: str, frame: Mapping) -> Dict[str, object]:
+    """The typed arguments of one request: each field ``op`` declares that
+    the frame carries (``null`` counts as absent), through its codec.
+
+    A missing required field, a mistyped one, or an object field whose
+    nested values are mistyped raises
+    :class:`~repro.exceptions.ProtocolError` naming the op and the field;
+    fields the op does not declare are ignored.
+    """
+    flags = OPS[op]
+    args: Dict[str, object] = {}
+    for field in flags.fields:
+        value = frame.get(field)
+        if value is None:
+            if field in flags.required:
+                raise ProtocolError(f"{op} needs a {field!r} field")
+            continue
+        codec = FIELDS[field]
+        if not codec.accepts(value):
+            raise ProtocolError(
+                f"{op} field {field!r} must be {codec.expected}, got {value!r:.40}"
+            )
+        try:
+            args[field] = codec.decode(value)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ProtocolError(f"{op} field {field!r} is malformed: {exc}") from exc
+    return args
+
+
+# ---------------------------------------------------------------------- #
+# framing
+# ---------------------------------------------------------------------- #
+
+# The codec itself lives in :mod:`repro.framing` (shared with the
+# write-ahead log, which journals one frame per delta in this exact
+# format); this module re-exports it and adds the socket readers.
 
 
 def connect(host: str, port: int, timeout: Optional[float]) -> socket.socket:

@@ -8,6 +8,16 @@ facade capability — ``ingest`` / ``apply`` / ``apply_async`` / ``query`` /
 ``drop_graph`` / ``graphs``) is one request frame away (see
 :mod:`repro.server.protocol` for the frame format).
 
+Dispatch
+--------
+One gate, :meth:`_Connection._dispatch`, reads the op's row of
+:data:`~repro.server.protocol.OPS`: it resolves the tenant, refuses writes
+on a replica, decodes and type-checks every declared field
+(:func:`~repro.server.protocol.decode_request`), parses DSL query text,
+and for ops that read at a version resolves the *reader* — the snapshot
+the request's ``pin`` names, or the tenant's head.  The handler
+``_op_<name>`` then receives typed keyword arguments only.
+
 Execution model
 ---------------
 The event loop only ever parses frames and routes; every blocking call —
@@ -41,13 +51,15 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, Optional, Set, Tuple
+from urllib.parse import quote
 
 from repro.api import GraphDB, encode_apply_report, encode_batch_report
-from repro.dynamic.delta import GraphDelta
 from repro.exceptions import (
     ProtocolError,
     ReadOnlyReplicaError,
@@ -57,7 +69,7 @@ from repro.exceptions import (
     StoreError,
     UnknownGraphError,
 )
-from repro.matching.result import Budget, jsonable
+from repro.matching.result import jsonable
 from repro.matching.stream import encode_page
 from repro.obs import context as trace_context
 from repro.obs import health as health_states
@@ -66,27 +78,74 @@ from repro.obs.log import configure as configure_logging, get_logger
 from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
 from repro.server.catalog import GraphCatalog
-from repro.server.protocol import OPS, encode_error, error_code, encode_frame, read_frame
+from repro.server.protocol import (
+    MAX_CREDIT_GRANT,
+    OPS,
+    decode_request,
+    encode_error,
+    encode_frame,
+    error_code,
+    read_frame,
+)
 from repro.service.service import ServiceConfig, StreamingResult
+from repro.store.versioned import StoreSnapshot
 
 
 def _decode_query(payload, name: Optional[str] = None) -> PatternQuery:
-    """A request's query: either a :meth:`PatternQuery.to_dict` object or DSL text."""
+    """A request's query: DSL text is parsed here, a query object arrives decoded."""
     if isinstance(payload, str):
         return parse_query(payload, name=name or "query")
-    if isinstance(payload, dict):
-        return PatternQuery.from_dict(payload)
-    raise ProtocolError(
-        f"query must be DSL text or a query object, got {type(payload).__name__}"
-    )
+    return payload
 
 
-def _decode_budget(payload) -> Optional[Budget]:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"budget must be an object, got {type(payload).__name__}")
-    return Budget.from_wire(payload)
+def _snapshot(reader) -> Optional[StoreSnapshot]:
+    """A resolved reader as the snapshot it pinned, or ``None`` for the head."""
+    return reader if isinstance(reader, StoreSnapshot) else None
+
+
+def _info(graph: str, database: GraphDB) -> Dict[str, object]:
+    return {
+        "name": graph,
+        "head_version": database.head_version,
+        "num_nodes": database.graph.num_nodes,
+        "num_edges": database.graph.num_edges,
+    }
+
+
+def _metrics(graph: str, database: GraphDB, format: str = "json") -> Dict[str, object]:
+    key = "text" if format == "prometheus" else "metrics"
+    return {"format": format, key: database.metrics(format=format)}
+
+
+def _replica_status(graph: str, database: GraphDB) -> Dict[str, object]:
+    reporter = getattr(database, "replication_status", None)
+    return {
+        "graph": graph,
+        "replica": reporter is not None,
+        "read_only": bool(getattr(database, "read_only", False)),
+        "head_version": int(database.head_version),
+        **(reporter() if reporter is not None else {}),
+    }
+
+
+def _on_executor(call):
+    """An op handler running ``call(graph, database, **fields)`` on the executor."""
+
+    async def handler(self, *tenant, **fields):
+        return await self._run(partial(call, *tenant, **fields))
+
+    return handler
+
+
+def _read(method: str, reply):
+    """``count`` / ``explain`` / ``histogram``: one ``method`` call on the
+    resolved reader, its result shaped by ``reply``.  ``name`` was spent
+    parsing the query; ``timeout`` only bounds the client's wait."""
+
+    def call(graph, database, reader, query, name=None, timeout=None, **options):
+        return reply(getattr(reader, method)(query, **options))
+
+    return _on_executor(call)
 
 
 class _ServerStream:
@@ -216,112 +275,6 @@ class _ServerStream:
                 pass
 
 
-#: Most pages one ``credit`` frame may add to a stream's send window; a
-#: larger grant is clamped (no honest client runs this far ahead).
-MAX_CREDIT_GRANT = 1 << 16
-
-#: Delta frames batched into one ``log_frames`` wire frame.
-LOG_SHIP_BATCH = 64
-
-#: Idle heartbeat period: an empty batch carrying the primary's head, so
-#: a caught-up replica keeps its lag gauges current without traffic.
-LOG_SHIP_HEARTBEAT_SECONDS = 1.0
-
-
-class _LogShipper:
-    """One replication subscription being pumped to one connection.
-
-    Ships the catch-up entries computed at subscribe time, then tails the
-    hub subscription's live queue, batching up to :data:`LOG_SHIP_BATCH`
-    delta frames per wire frame::
-
-        {"sub": s, "frames": [...], "head": primary-head-version}
-
-    A subscription whose buffer overflowed (the replica fell too far
-    behind) ends with ``{"sub": s, "end": true, "error": {...}}`` — the
-    replica's cue to resubscribe from wherever it actually got to.  While
-    idle the shipper heartbeats the current head about once a second.
-    """
-
-    def __init__(
-        self,
-        connection: "_Connection",
-        ident: int,
-        database: GraphDB,
-        subscription,
-        entries,
-    ) -> None:
-        self.connection = connection
-        self.ident = ident
-        self.database = database
-        self.subscription = subscription
-        self._entries = list(entries)
-        self._stopped = threading.Event()
-
-    def stop(self) -> None:
-        """Stop pumping and drop the hub subscription (idempotent)."""
-        self._stopped.set()
-        self.subscription.close()
-
-    def _send(self, frames) -> None:
-        self.connection.send_from_thread(
-            {
-                "sub": self.ident,
-                "frames": frames,
-                "head": int(self.database.head_version),
-            },
-            self.database,
-        )
-
-    def pump(self) -> None:
-        """Forward catch-up + live delta frames (runs on its own thread)."""
-        try:
-            for start in range(0, len(self._entries), LOG_SHIP_BATCH):
-                if self._stopped.is_set():
-                    return
-                self._send(self._entries[start : start + LOG_SHIP_BATCH])
-            self._entries = []
-            last_sent = time.monotonic()
-            while not self._stopped.is_set():
-                try:
-                    frame = self.subscription.next(timeout=0.25)
-                except ReplicationError as exc:
-                    self.connection.send_from_thread(
-                        {"sub": self.ident, "end": True, "error": encode_error(exc)},
-                        self.database,
-                    )
-                    return
-                if frame is None:
-                    if time.monotonic() - last_sent >= LOG_SHIP_HEARTBEAT_SECONDS:
-                        self._send([])
-                        last_sent = time.monotonic()
-                    continue
-                batch = [frame]
-                lag_error = None
-                while len(batch) < LOG_SHIP_BATCH:
-                    try:
-                        extra = self.subscription.next(timeout=0.0)
-                    except ReplicationError as exc:
-                        lag_error = exc
-                        break
-                    if extra is None:
-                        break
-                    batch.append(extra)
-                self._send(batch)
-                last_sent = time.monotonic()
-                if lag_error is not None:
-                    self.connection.send_from_thread(
-                        {"sub": self.ident, "end": True, "error": encode_error(lag_error)},
-                        self.database,
-                    )
-                    return
-        except Exception:
-            pass  # connection gone (or shutting down); teardown cleans up
-        finally:
-            self.subscription.close()
-            self.connection.discard_shipper(self.ident)
-
-
 class _Connection:
     """One client connection: frame loop, dispatch, per-client resources."""
 
@@ -333,11 +286,11 @@ class _Connection:
         self._send_lock = asyncio.Lock()
         self._tasks: Set[asyncio.Task] = set()
         self._streams: Dict[int, _ServerStream] = {}
-        self._shippers: Dict[int, _LogShipper] = {}
+        self._shippers: Dict[int, object] = {}
         self._tickets: Set[object] = set()
         self._pins: Dict[str, Tuple[str, object]] = {}
         self._apply_futures: Dict[str, object] = {}
-        self._pin_ids = itertools.count(1)
+        self._ids = itertools.count(1)
         self._closing = False
 
     # ------------------------------------------------------------------ #
@@ -403,10 +356,9 @@ class _Connection:
         try:
             if not isinstance(ident, int):
                 raise ProtocolError(f"request carries no integer 'id': {frame!r}")
-            handler = self._HANDLERS.get(op)
-            if handler is None:
+            flags = OPS.get(op) if isinstance(op, str) else None
+            if flags is None:
                 raise ProtocolError(f"unknown op {op!r}")
-            flags = OPS[op]
             tenant = ()
             if flags.scope == "graph":
                 if database is None:
@@ -427,7 +379,12 @@ class _Connection:
                     f"{op} refused: {name or frame.get('name')!r} is served by a "
                     "read-only replica — writes must go to the primary"
                 )
-            result = await handler(self, frame, *tenant)
+            args = decode_request(op, frame)
+            if "query" in args:
+                args["query"] = _decode_query(args["query"], args.get("name"))
+            if flags.pin:
+                args["reader"] = self._reader_for(args.pop("pin", None), name, database)
+            result = await getattr(self, f"_op_{op}")(*tenant, **args)
             await self._safe_send(
                 {"id": ident, "ok": True, "result": result}, database
             )
@@ -550,24 +507,17 @@ class _Connection:
             counter = counter.labels(*labels.values())
         counter.inc(amount)
 
-    def _trace_scope(self, frame: Dict[str, object], database: GraphDB):
-        """Decode the frame's trace context and find the tenant's span ring."""
-        context = trace_context.TraceContext.from_wire(frame.get("trace"))
-        if context is None:
-            return None, None
-        return context, database.telemetry.spans
-
-    def _pin_for(self, frame: Dict[str, object], graph_name: str):
-        token = frame.get("pin")
+    def _reader_for(self, token: Optional[str], graph: str, database: GraphDB):
+        """The snapshot ``token`` pinned on this connection, or the head."""
         if token is None:
-            return None
+            return database
         entry = self._pins.get(token)
         if entry is None:
             raise StoreError(f"unknown pin token {token!r}")
         pinned_graph, snapshot = entry
-        if pinned_graph != graph_name:
+        if pinned_graph != graph:
             raise StoreError(
-                f"pin {token!r} belongs to graph {pinned_graph!r}, not {graph_name!r}"
+                f"pin {token!r} belongs to graph {pinned_graph!r}, not {graph!r}"
             )
         return snapshot
 
@@ -581,168 +531,156 @@ class _Connection:
         if stream is not None and close:
             stream.close()
 
-    def discard_shipper(self, ident) -> None:
-        """Forget (and stop) one log shipper; thread-safe enough."""
-        shipper = self._shippers.pop(ident, None)
-        if shipper is not None:
+    def _ship(self, shipper, database) -> None:
+        """Send one log subscription's payloads (runs on its own thread).
+
+        A lagged-out subscription ends with ``{"sub": s, "end": true,
+        "error": {...}}``.
+        """
+        try:
+            try:
+                for payload in shipper.payloads():
+                    self.send_from_thread(payload, database)
+            except ReplicationError as exc:
+                self.send_from_thread(
+                    {"sub": shipper.ident, "end": True, "error": encode_error(exc)},
+                    database,
+                )
+        except Exception:
+            pass  # connection gone (or shutting down); teardown cleans up
+        finally:
+            self._shippers.pop(shipper.ident, None)
             shipper.stop()
 
     def _track_ticket(self, ticket) -> None:
         self._tickets.add(ticket)
         ticket.add_done_callback(self._tickets.discard)
 
-    def _info(self, name: str, database: GraphDB) -> Dict[str, object]:
-        graph = database.graph
-        return {
-            "name": name,
-            "head_version": database.head_version,
-            "num_nodes": graph.num_nodes,
-            "num_edges": graph.num_edges,
-        }
-
     # ------------------------------------------------------------------ #
-    # op handlers
+    # op handlers: ``_op_<name>(graph, database, **fields)`` for a
+    # graph-scoped op, ``_op_<name>(**fields)`` for a node-scoped one
     # ------------------------------------------------------------------ #
 
-    async def _op_ping(self, frame):
+    async def _op_ping(self):
         return {"pong": True, "graphs": len(self.server.catalog)}
 
-    async def _op_graphs(self, frame):
+    async def _op_graphs(self):
         catalog = self.server.catalog
         infos = []
         for name in catalog.names():
             try:
-                infos.append(self._info(name, catalog.get(name)))
+                infos.append(_info(name, catalog.get(name)))
             except UnknownGraphError:
                 continue  # dropped by a concurrent client between list and get
         return {"graphs": infos}
 
-    async def _op_create_graph(self, frame):
-        name = frame.get("name")
-        labels = frame.get("labels") or ()
-        edges = [tuple(edge) for edge in frame.get("edges") or ()]
+    async def _op_create_graph(self, name, **options):
+        database = await self._run(partial(self.server.catalog.create, name, **options))
+        self.server._log.info("created graph %r (%d node(s))", name, database.num_nodes)
+        self.server.events.emit("create_graph", f"created graph {name!r}", graph=name)
+        return _info(name, database)
 
-        def build():
-            return self.server.catalog.create(
-                name,
-                labels=labels,
-                edges=edges,
-                exist_ok=bool(frame.get("exist_ok", False)),
-            )
-
-        database = await self._run(build)
-        self.server._log.info(
-            "created graph %r (%d node(s))", name, database.num_nodes
-        )
-        self.server.events.emit(
-            "create_graph", f"created graph {name!r}", graph=name
-        )
-        return self._info(name, database)
-
-    async def _op_drop_graph(self, frame):
-        name = frame.get("name")
-
-        def drop():
-            self.server.catalog.drop(
-                name,
-                force=bool(frame.get("force", False)),
-                delete_storage=bool(frame.get("delete_storage", False)),
-            )
-
-        await self._run(drop)
+    async def _op_drop_graph(self, name, **options):
+        await self._run(partial(self.server.catalog.drop, name, **options))
         self.server._log.info("dropped graph %r", name)
         self.server.events.emit("drop_graph", f"dropped graph {name!r}", graph=name)
         return {"dropped": name}
 
-    async def _op_checkpoint(self, frame, name, database):
-        return await self._run(database.checkpoint)
+    # Ops that are one GraphDB call.
+    _op_info = _on_executor(_info)
+    _op_stats = _on_executor(
+        lambda graph, database: {
+            key: jsonable(value) for key, value in database.stats().items()
+        }
+    )
+    _op_metrics = _on_executor(_metrics)
+    _op_slow_queries = _on_executor(
+        lambda graph, database, limit=None: {
+            "slow_queries": [jsonable(entry) for entry in database.slow_queries(limit)]
+        }
+    )
+    _op_spans = _on_executor(
+        lambda graph, database, trace_id=None, limit=None: {
+            "spans": [dict(span) for span in database.trace_spans(trace_id, limit)]
+        }
+    )
+    _op_checkpoint = _on_executor(lambda graph, database: database.checkpoint())
+    _op_replica_status = _on_executor(_replica_status)
+    _op_save = _on_executor(lambda graph, database, path: {"path": database.save(path)})
 
-    async def _op_info(self, frame, name, database):
-        return self._info(name, database)
+    # count / explain / histogram: one call on the resolved reader.
+    _op_count = _read("count", lambda count: {"count": count})
+    _op_explain = _read("explain", lambda plan: {"plan": plan.to_wire()})
+    _op_histogram = _read("histogram", lambda histogram: {"histogram": histogram})
 
-    async def _op_ingest(self, frame, name, database):
-        context, recorder = self._trace_scope(frame, database)
+    async def _fold(self, op, graph, database, trace, fold) -> Dict[str, object]:
+        """Run one write under the request's trace context; its apply report.
+
+        The context activates on the executor thread that performs the
+        fold, so the store's fold/journal/publish spans — and the
+        replication frames the publish listeners ship — all hang under
+        this server-side op span.
+        """
 
         def run():
-            # The context activates on the executor thread that performs
-            # the fold, so the store's fold/journal/publish spans — and the
-            # replication frames the publish listeners ship — all hang
-            # under this server-side op span.
             with trace_context.activate(
-                context, recorder=recorder, node=self.server.node
+                trace, recorder=database.telemetry.spans, node=self.server.node
             ):
-                with trace_context.trace_span("ingest", graph=name):
-                    return database.ingest(
-                        labels=frame.get("labels") or (),
-                        edges=[tuple(edge) for edge in frame.get("edges") or ()],
-                        remove_edges=[
-                            tuple(edge) for edge in frame.get("remove_edges") or ()
-                        ],
-                    )
+                with trace_context.trace_span(op, graph=graph):
+                    return fold()
 
         return encode_apply_report(await self._run(run))
 
-    async def _op_apply(self, frame, name, database):
-        delta = GraphDelta.from_dict(frame.get("delta") or {})
-        context, recorder = self._trace_scope(frame, database)
+    async def _op_ingest(self, graph, database, trace=None, **changes):
+        return await self._fold(
+            "ingest", graph, database, trace, partial(database.ingest, **changes)
+        )
 
-        def run():
-            with trace_context.activate(
-                context, recorder=recorder, node=self.server.node
-            ):
-                with trace_context.trace_span("apply", graph=name):
-                    return database.apply(delta)
+    async def _op_apply(self, graph, database, delta, trace=None):
+        return await self._fold(
+            "apply", graph, database, trace, partial(database.apply, delta)
+        )
 
-        report = await self._run(run)
-        return encode_apply_report(report)
-
-    async def _op_apply_async(self, frame, name, database):
-        delta = GraphDelta.from_dict(frame.get("delta") or {})
-        future = database.apply_async(delta)
-        token = f"a{next(self._pin_ids)}"
-        self._apply_futures[token] = future
+    async def _op_apply_async(self, graph, database, delta):
+        token = f"a{next(self._ids)}"
+        self._apply_futures[token] = database.apply_async(delta)
         return {"token": token}
 
-    async def _op_apply_wait(self, frame):
-        token = frame.get("token")
+    async def _op_apply_wait(self, token, timeout=None):
         future = self._apply_futures.get(token)
         if future is None:
             raise StoreError(f"unknown apply token {token!r}")
-        report = await self._run(future.result, frame.get("timeout"))
+        report = await self._run(future.result, timeout)
         self._apply_futures.pop(token, None)
         return encode_apply_report(report)
 
-    async def _op_query(self, frame, name, database):
-        query = _decode_query(frame.get("query"), frame.get("name"))
-        snapshot = self._pin_for(frame, name)
-        context, recorder = self._trace_scope(frame, database)
+    async def _op_query(
+        self, graph, database, query, reader, timeout=None, trace=None, **options
+    ):
         # A propagated read context also lands one op span in the tenant's
         # cross-node ring, so routed reads show up on whichever node
         # served them when the trace is assembled fleet-wide.
         span = None
-        if context is not None and context.sampled and recorder is not None:
+        if trace is not None and trace.sampled:
             span = trace_context.Span(
                 "query",
-                context.trace_id,
-                parent_id=context.span_id,
+                trace.trace_id,
+                parent_id=trace.span_id,
                 node=self.server.node,
-                graph=name,
+                graph=graph,
             )
         ticket = database.service.submit(
             query,
-            engine=frame.get("engine"),
-            budget=_decode_budget(frame.get("budget")),
-            deadline_seconds=frame.get("deadline_seconds"),
-            snapshot=snapshot,
-            name=frame.get("name"),
-            trace_id=context.trace_id if context is not None else None,
+            snapshot=_snapshot(reader),
+            trace_id=trace.trace_id if trace is not None else None,
+            **options,
         )
         self._track_ticket(ticket)
         try:
-            report = await self._run(ticket.result, frame.get("timeout"))
+            report = await self._run(ticket.result, timeout)
         finally:
             if span is not None:
-                recorder.record(span.finish())
+                database.telemetry.spans.record(span.finish())
         encode_started = time.perf_counter()
         wire = report.to_wire()
         trace = ticket.trace
@@ -755,165 +693,56 @@ class _Connection:
             wire["extra"]["trace"] = trace.to_dict()
         return wire
 
-    async def _op_count(self, frame, name, database):
-        query = _decode_query(frame.get("query"), frame.get("name"))
-        budget = _decode_budget(frame.get("budget"))
-        engine = frame.get("engine") or "GM"
-        snapshot = self._pin_for(frame, name)
-
-        def run():
-            if snapshot is not None:
-                return snapshot.count(query, engine=engine, budget=budget)
-            with database.store.pin() as snap:
-                return snap.count(query, engine=engine, budget=budget)
-
-        return {"count": await self._run(run)}
-
-    async def _op_explain(self, frame, name, database):
-        query = _decode_query(frame.get("query"), frame.get("name"))
-        budget = _decode_budget(frame.get("budget"))
-        engine = frame.get("engine") or "GM"
-        analyze = bool(frame.get("analyze", False))
-        snapshot = self._pin_for(frame, name)
-
-        def run():
-            if snapshot is not None:
-                return snapshot.explain(
-                    query, engine=engine, analyze=analyze, budget=budget
-                )
-            with database.store.pin() as snap:
-                return snap.explain(query, engine=engine, analyze=analyze, budget=budget)
-
-        plan = await self._run(run)
-        return {"plan": plan.to_wire()}
-
-    async def _op_histogram(self, frame, name, database):
-        query = _decode_query(frame.get("query"), frame.get("name"))
-        budget = _decode_budget(frame.get("budget"))
-        engine = frame.get("engine") or "GM"
-        node = frame.get("node")
-        snapshot = self._pin_for(frame, name)
-
-        def run():
-            if snapshot is not None:
-                return snapshot.histogram(query, node=node, engine=engine, budget=budget)
-            with database.store.pin() as snap:
-                return snap.histogram(query, node=node, engine=engine, budget=budget)
-
-        return {"histogram": await self._run(run)}
-
-    async def _op_run_batch(self, frame, name, database):
-        raw_queries = frame.get("queries")
-        if not isinstance(raw_queries, list):
-            raise ProtocolError("run_batch needs a 'queries' list")
-        queries = {}
-        for index, entry in enumerate(raw_queries):
-            if not isinstance(entry, dict):
-                raise ProtocolError(f"batch entry {index} is not an object")
-            query = _decode_query(entry.get("query"), entry.get("name"))
-            queries[entry.get("name") or query.name or f"q{index}"] = query
-        budget = _decode_budget(frame.get("budget"))
-        snapshot = self._pin_for(frame, name)
-
-        def run():
-            return database.service.run_batch(
-                queries,
-                engine=frame.get("engine"),
-                budget=budget,
-                workers=frame.get("workers"),
-                keep_occurrences=bool(frame.get("keep_occurrences", True)),
-                snapshot=snapshot,
+    async def _op_run_batch(self, graph, database, queries, reader, timeout=None, **options):
+        batch = {}
+        for index, (name, payload) in enumerate(queries):
+            query = _decode_query(payload, name)
+            batch[name or query.name or f"q{index}"] = query
+        report = await self._run(
+            partial(
+                database.service.run_batch, batch, snapshot=_snapshot(reader), **options
             )
+        )
+        return encode_batch_report(report)
 
-        return encode_batch_report(await self._run(run))
-
-    async def _op_pin(self, frame, name, database):
-        snapshot = database.store.pin(frame.get("version"))
-        token = f"p{next(self._pin_ids)}"
-        self._pins[token] = (name, snapshot)
+    async def _op_pin(self, graph, database, version=None):
+        snapshot = database.store.pin(version)
+        token = f"p{next(self._ids)}"
+        self._pins[token] = (graph, snapshot)
         return {"pin": token, "version": snapshot.version}
 
-    async def _op_release(self, frame):
-        token = frame.get("pin")
-        entry = self._pins.pop(token, None)
+    async def _op_release(self, pin):
+        entry = self._pins.pop(pin, None)
         if entry is None:
-            raise StoreError(f"unknown pin token {token!r}")
+            raise StoreError(f"unknown pin token {pin!r}")
         entry[1].release()
-        return {"released": token}
+        return {"released": pin}
 
-    async def _op_stats(self, frame, name, database):
-        stats = await self._run(database.stats)
-        return {key: jsonable(value) for key, value in stats.items()}
-
-    async def _op_save(self, frame, name, database):
-        path = frame.get("path")
-        if not isinstance(path, str) or not path:
-            raise ProtocolError("save needs a 'path' string")
-        return {"path": await self._run(database.save, path)}
-
-    async def _op_metrics(self, frame, name, database):
-        format = frame.get("format") or "json"
-
-        def run():
-            return database.metrics(format=format)
-
-        payload = await self._run(run)
-        if format == "prometheus":
-            return {"format": "prometheus", "text": payload}
-        return {"format": "json", "metrics": payload}
-
-    async def _op_slow_queries(self, frame, name, database):
-        limit = frame.get("limit")
-        entries = await self._run(database.slow_queries, limit)
-        return {"slow_queries": [jsonable(entry) for entry in entries]}
-
-    async def _op_stream_open(self, frame, name, database):
-        query = _decode_query(frame.get("query"), frame.get("name"))
-        budget = _decode_budget(frame.get("budget"))
-        page_size = int(frame.get("page_size", 256))
-        window = int(frame.get("window") or self.server.stream_window)
-        pinned = self._pin_for(frame, name)
-        ident = frame["id"]
-        context, _ = self._trace_scope(frame, database)
-        stream_trace_id = context.trace_id if context is not None else None
+    async def _op_stream_open(
+        self, graph, database, query, reader, window=None, name=None, trace=None, **options
+    ):
+        window = window or self.server.stream_window
+        pinned = _snapshot(reader)
         self._count(
             database,
             "server_streams_opened_total",
             "Streaming queries opened for this tenant",
         )
-
-        def open_stream() -> StreamingResult:
-            # Pages never accumulate server-side (keep_occurrences=False):
-            # the stream's memory bound is the service's page buffer plus
-            # this connection's credit window.
-            if pinned is not None:
-                snapshot = database.store.pin(pinned.version)
-                try:
-                    ticket = database.service.submit(
-                        query,
-                        engine=frame.get("engine"),
-                        budget=budget,
-                        deadline_seconds=frame.get("deadline_seconds"),
-                        snapshot=snapshot,
-                        page_size=page_size,
-                        keep_occurrences=False,
-                        trace_id=stream_trace_id,
-                    )
-                except Exception:
-                    snapshot.release()
-                    raise
-                return StreamingResult(ticket, snapshot, page_size)
-            return database.service.stream(
+        # The stream holds its own pin at the reader's version for its whole
+        # life.  Pages never accumulate server-side (keep_occurrences=False):
+        # the stream's memory bound is the service's page buffer plus this
+        # connection's credit window.
+        result = await self._run(
+            partial(
+                database.service.stream,
                 query,
-                engine=frame.get("engine"),
-                budget=budget,
-                page_size=page_size,
-                deadline_seconds=frame.get("deadline_seconds"),
+                version=pinned.version if pinned else None,
                 keep_occurrences=False,
-                trace_id=stream_trace_id,
+                trace_id=trace.trace_id if trace is not None else None,
+                **options,
             )
-
-        result = await self._run(open_stream)
+        )
+        ident = next(self._ids)
         stream = _ServerStream(
             self,
             ident,
@@ -930,33 +759,27 @@ class _Connection:
             "stream": ident,
             "version": result.version,
             "window": window,
-            "page_size": page_size,
+            "page_size": result.page_size,
         }
         self._loop.run_in_executor(self.server._executor, stream.pump)
         return reply
 
-    async def _op_subscribe_log(self, frame, name, database):
+    async def _op_subscribe_log(self, graph, database, from_version=None):
         # Lazy import: repro.replication imports the api/server layers,
         # so the hub cannot be a module-level dependency of the server.
-        from repro.replication.hub import get_hub
-
-        from_version = frame.get("from_version")
-        if from_version is not None:
-            from_version = int(from_version)
+        from repro.replication.hub import LogShipper, get_hub
 
         def subscribe():
             return get_hub(database).subscribe(from_version=from_version)
 
         subscription, catchup = await self._run(subscribe)
-        ident = frame["id"]
-        shipper = _LogShipper(
-            self, ident, database, subscription, catchup["entries"]
-        )
+        ident = next(self._ids)
+        shipper = LogShipper(ident, database, subscription, catchup["entries"])
         self._shippers[ident] = shipper
         snapshot = catchup["snapshot"]
         reply = {
             "subscription": ident,
-            "graph": name,
+            "graph": graph,
             "mode": catchup["mode"],
             "snapshot": snapshot,
             "snapshot_version": int(snapshot["version"]) if snapshot else None,
@@ -965,24 +788,14 @@ class _Connection:
         # Long-lived pump: a dedicated thread, not an executor slot — a
         # fleet of replicas must not starve the query pool.
         threading.Thread(
-            target=shipper.pump, name=f"log-shipper-{ident}", daemon=True
+            target=self._ship,
+            args=(shipper, database),
+            name=f"log-shipper-{ident}",
+            daemon=True,
         ).start()
         return reply
 
-    async def _op_replica_status(self, frame, name, database):
-        status = {
-            "graph": name,
-            "replica": False,
-            "read_only": bool(getattr(database, "read_only", False)),
-            "head_version": int(database.head_version),
-        }
-        reporter = getattr(database, "replication_status", None)
-        if reporter is not None:
-            status.update(await self._run(reporter))
-            status["replica"] = True
-        return status
-
-    async def _op_health(self, frame):
+    async def _op_health(self):
         """Cheap, graph-less readiness probe: role, uptime, per-tenant state.
 
         Routers poll this with short timeouts instead of per-graph
@@ -1046,58 +859,10 @@ class _Connection:
 
         return await self._run(collect)
 
-    async def _op_events(self, frame):
+    async def _op_events(self, **filters):
         """Recent server lifecycle events from the bounded ring, oldest first."""
-        limit = frame.get("limit")
-        kinds = frame.get("kinds")
-        after_seq = frame.get("after_seq")
-        events = self.server.events.recent(
-            limit=int(limit) if limit is not None else None,
-            kinds=kinds,
-            after_seq=int(after_seq) if after_seq is not None else None,
-        )
-        return {"events": events, "last_seq": self.server.events.last_seq}
-
-    async def _op_spans(self, frame, name, database):
-        """Finished distributed-trace spans from one tenant's span ring."""
-        recorder = database.telemetry.spans
-        trace_id = frame.get("trace_id")
-        if trace_id is not None:
-            spans = recorder.for_trace(str(trace_id))
-        else:
-            limit = frame.get("limit")
-            spans = recorder.recent(int(limit) if limit is not None else None)
-        return {"spans": [dict(span) for span in spans]}
-
-    _HANDLERS = {
-        "ping": _op_ping,
-        "graphs": _op_graphs,
-        "create_graph": _op_create_graph,
-        "drop_graph": _op_drop_graph,
-        "info": _op_info,
-        "ingest": _op_ingest,
-        "apply": _op_apply,
-        "apply_async": _op_apply_async,
-        "apply_wait": _op_apply_wait,
-        "query": _op_query,
-        "count": _op_count,
-        "explain": _op_explain,
-        "histogram": _op_histogram,
-        "run_batch": _op_run_batch,
-        "pin": _op_pin,
-        "release": _op_release,
-        "stats": _op_stats,
-        "metrics": _op_metrics,
-        "slow_queries": _op_slow_queries,
-        "checkpoint": _op_checkpoint,
-        "save": _op_save,
-        "stream_open": _op_stream_open,
-        "subscribe_log": _op_subscribe_log,
-        "replica_status": _op_replica_status,
-        "health": _op_health,
-        "events": _op_events,
-        "spans": _op_spans,
-    }
+        events = self.server.events
+        return {"events": events.recent(**filters), "last_seq": events.last_seq}
 
     # ------------------------------------------------------------------ #
     # teardown
@@ -1140,18 +905,31 @@ class GraphServer:
     ----------
     catalog:
         The tenant registry to serve.  ``None`` creates an owned catalog —
-        empty, or recovered from ``data_dir`` when that is given; a
-        caller-supplied catalog keeps its owner (it is *not* closed with
-        the server), which is how an existing in-process :class:`GraphDB`
-        is put on the network: ``catalog.attach("main", db)``.
+        empty, recovered from ``data_dir``, or replicated from
+        ``primary``; a caller-supplied catalog keeps its owner (it is
+        *not* closed with the server), which is how an existing
+        in-process :class:`GraphDB` is put on the network:
+        ``catalog.attach("main", db)``.
+    primary:
+        ``(host, port)`` of a primary server, which makes this server a
+        read-only **replica** (``role == "replica"``): each tenant the
+        primary lists is a :class:`~repro.replication.ReplicaTail`
+        bootstrapped before the socket binds, tailing the primary's delta
+        stream from then on.  Reads behave exactly as on the primary; every write op
+        answers :class:`~repro.exceptions.ReadOnlyReplicaError`, and
+        ``replica_status`` reports the lag.  Without it the server is a
+        primary.
     data_dir:
-        Durable storage root (only with ``catalog=None``).  The server
-        opens :meth:`GraphCatalog.open` over it: tenants present on disk
-        are recovered to their exact pre-crash head versions before the
+        Durable storage root (only with ``catalog=None``), one directory
+        per tenant.  On a primary the server opens
+        :meth:`GraphCatalog.open` over it: tenants present on disk are
+        recovered to their exact pre-crash head versions before the
         socket binds, and tenants created over the wire journal every
         fold ahead of publish, so a killed-and-restarted server loses
-        nothing that was acknowledged.  ``checkpoint_every`` sets the
-        tenants' auto-checkpoint policy.
+        nothing that was acknowledged.  On a replica each tail journals
+        its folds there, so a killed replica restarts in tail mode from
+        its exact pre-crash head.  ``checkpoint_every`` sets the tenants'
+        auto-checkpoint policy.
     host / port:
         Bind address; port 0 picks a free port (read it from
         :attr:`address` after :meth:`start`).
@@ -1190,10 +968,10 @@ class GraphServer:
         checkpoint_every: Optional[int] = None,
         log_level=None,
         node: Optional[str] = None,
-        role: str = "primary",
         event_capacity: int = 256,
         degraded_lag_versions: int = health_states.DEFAULT_DEGRADED_LAG_VERSIONS,
         unhealthy_lag_versions: int = health_states.DEFAULT_UNHEALTHY_LAG_VERSIONS,
+        primary: Optional[Tuple[str, int]] = None,
     ) -> None:
         # ``log_level`` ("INFO", logging.DEBUG, ...) attaches the library's
         # managed stream handler; None leaves logging to the application.
@@ -1204,18 +982,24 @@ class GraphServer:
         # server records and reported by the ``health`` op.  ``None``
         # resolves to ``role@host:port`` once the socket binds.
         self.node = node
-        self.role = role
+        self.role = "primary" if primary is None else "replica"
+        #: Tenant name -> :class:`~repro.replication.ReplicaTail` (replicas only).
+        self.tails: Dict[str, object] = {}
         self.events = EventLog(event_capacity)
         self.started_at = time.time()
         self.degraded_lag_versions = degraded_lag_versions
         self.unhealthy_lag_versions = unhealthy_lag_versions
         if catalog is not None:
-            if data_dir is not None:
+            if data_dir is not None or primary is not None:
                 raise StoreError(
-                    "pass data_dir only with catalog=None — a supplied catalog "
-                    "carries its own durability configuration"
+                    "pass data_dir / primary only with catalog=None — a supplied "
+                    "catalog carries its own tenants and durability configuration"
                 )
             self.catalog = catalog
+        elif primary is not None:
+            self.catalog = self._replicate(
+                primary, data_dir, service_config, checkpoint_every
+            )
         elif data_dir is not None:
             self.catalog = GraphCatalog.open(
                 data_dir, config=service_config, checkpoint_every=checkpoint_every
@@ -1252,22 +1036,66 @@ class GraphServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
+    def _replicate(self, primary, data_dir, config, checkpoint_every) -> GraphCatalog:
+        """An owned catalog of read-only tenants, one tail of ``primary`` each."""
+        # Lazy imports: both modules import this one.
+        from repro.client.client import GraphClient
+        from repro.replication.replica import ReplicaTail
+
+        host, port = primary
+        with GraphClient(host, port) as client:
+            graphs = [str(info["name"]) for info in client.graphs()]
+        if not graphs:
+            raise ReplicationError("primary lists no graphs to replicate")
+        catalog = GraphCatalog(config=config)
+        try:
+            for name in graphs:
+                tail = ReplicaTail(
+                    host,
+                    port,
+                    name,
+                    data_dir=None
+                    if data_dir is None
+                    else os.path.join(data_dir, quote(name, safe="")),
+                    config=config,
+                    checkpoint_every=checkpoint_every,
+                    node=self.node,
+                )
+                catalog.attach(name, tail.start(), owned=True)
+                self.tails[name] = tail
+        except BaseException:
+            catalog.close()  # owned databases close -> close hooks stop tails
+            raise
+        return catalog
+
+    def status(self) -> Dict[str, Dict[str, object]]:
+        """Per-tenant replication tail status (empty on a primary)."""
+        return {name: tail.status() for name, tail in self.tails.items()}
+
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
     def start(self) -> Tuple[str, int]:
-        """Bind and serve on a background thread; returns ``(host, port)``."""
+        """Bind and serve on a background thread; returns ``(host, port)``.
+
+        A server that fails to bind is closed before the error propagates,
+        so its owned catalog and replication tails do not outlive it (a
+        failing ``__enter__`` never reaches ``__exit__``).
+        """
         if self._thread is not None:
             raise StoreError("server was already started")
         self._thread = threading.Thread(
             target=self._run_loop, name="graph-server", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout=30.0):  # pragma: no cover - defensive
-            raise StoreError("server failed to start within 30s")
-        if self._startup_error is not None:
-            raise self._startup_error
+        if self._started.wait(timeout=30.0):
+            error = self._startup_error
+        else:  # pragma: no cover - defensive
+            error = StoreError("server failed to start within 30s")
+        if error is not None:
+            self.close()
+            raise error
         return self.address
 
     def _run_loop(self) -> None:
@@ -1290,6 +1118,8 @@ class GraphServer:
         self.address = (bound[0], bound[1])
         if self.node is None:
             self.node = f"{self.role}@{bound[0]}:{bound[1]}"
+            for tail in self.tails.values():
+                tail.node = self.node
         self.started_at = time.time()
         self._log.info(
             "listening on %s:%s (%d tenant(s))", bound[0], bound[1], len(self.catalog)
@@ -1342,6 +1172,8 @@ class GraphServer:
             self._thread.join(timeout=30.0)
         if self._owns_catalog:
             self.catalog.close()
+        for tail in self.tails.values():
+            tail.close()  # idempotent; a replicated database's close stops it too
         self.events.emit("stopped", f"{self.node or 'server'} stopped")
         self._log.info("server stopped")
 

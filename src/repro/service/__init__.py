@@ -23,7 +23,7 @@ The serving layer on top of :mod:`repro.store`:
 >>> with QueryService(graph, config=ServiceConfig(workers=4)) as service:
 ...     ticket = service.submit(query)            # admission-controlled
 ...     batch = service.run_batch(queries)        # one pinned version
-...     service.apply(delta)                      # publishes a new head
+...     service.store.apply(delta)                # publishes a new head
 ...     service.stats_snapshot()["latency_p95_seconds"]
 """
 

@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from repro.dynamic.delta import GraphDelta
-from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import ServiceOverloadedError, StoreError
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
@@ -666,6 +664,7 @@ class QueryService:
         deadline_seconds: Optional[float] = None,
         keep_occurrences: bool = True,
         trace_id: Optional[str] = None,
+        version: Optional[int] = None,
     ) -> StreamingResult:
         """Submit a query and page through its results as they are found.
 
@@ -677,10 +676,10 @@ class QueryService:
         ``keep_occurrences=False`` for a strictly memory-bounded stream —
         by default the worker also accumulates the occurrence list so
         :meth:`StreamingResult.report` stays complete.  The whole stream
-        is pinned to one version; dropping out early cancels the query and
-        releases the pin.
+        is pinned to one version — ``version``, the head by default — and
+        dropping out early cancels the query and releases the pin.
         """
-        snapshot = self.store.pin()
+        snapshot = self.store.pin(version)
         try:
             ticket = self.submit(
                 query,
@@ -743,18 +742,6 @@ class QueryService:
         finally:
             if own_pin:
                 snap.release()
-
-    # ------------------------------------------------------------------ #
-    # writes (delegated to the store)
-    # ------------------------------------------------------------------ #
-
-    def apply(self, delta: GraphDelta, materialize: bool = True) -> ApplyReport:
-        """Fold a delta synchronously (see :meth:`VersionedGraphStore.apply`)."""
-        return self.store.apply(delta, materialize=materialize)
-
-    def apply_async(self, delta: GraphDelta, materialize: bool = True):
-        """Queue a delta on the store's background writer; returns a future."""
-        return self.store.apply_async(delta, materialize=materialize)
 
     # ------------------------------------------------------------------ #
     # worker pool

@@ -545,7 +545,7 @@ class VersionedGraphStore:
         "partitions": lambda session: session.partitions,
     }
 
-    def apply(self, delta: GraphDelta, materialize: bool = True) -> ApplyReport:
+    def apply(self, delta: GraphDelta) -> ApplyReport:
         """Fold a delta into a new epoch and publish it as the head.
 
         Copy-on-write: the head session is forked, the fork absorbs the
@@ -556,11 +556,9 @@ class VersionedGraphStore:
         the new one.  A delta that turns out to be a no-op publishes
         nothing.
         """
-        return self._apply(delta, materialize=materialize)
+        return self._apply(delta)
 
-    def _apply(
-        self, delta: GraphDelta, materialize: bool = True, from_writer: bool = False
-    ) -> ApplyReport:
+    def _apply(self, delta: GraphDelta, from_writer: bool = False) -> ApplyReport:
         """The fold itself.  ``from_writer`` lets the background writer
         drain deltas that were admitted before :meth:`close` flipped
         ``_closed`` — the close contract is that every already-queued
@@ -594,7 +592,7 @@ class VersionedGraphStore:
             # carry it and every replica's apply links back to this fold.
             with trace_span("fold") as fold_span:
                 fork = head.session.fork(copy_rig_caches=False)
-                report = fork.apply(delta, materialize=materialize)
+                report = fork.apply(delta)
                 if report.new_version == report.old_version:
                     self.stats.note_apply(report)
                     return report
@@ -672,17 +670,15 @@ class VersionedGraphStore:
             try:
                 if item is None:
                     return
-                delta, materialize, future = item
+                delta, future = item
                 try:
-                    future.set_result(
-                        self._apply(delta, materialize=materialize, from_writer=True)
-                    )
+                    future.set_result(self._apply(delta, from_writer=True))
                 except BaseException as exc:  # propagate through the future
                     future.set_exception(exc)
             finally:
                 queue.task_done()
 
-    def apply_async(self, delta: GraphDelta, materialize: bool = True) -> "Future[ApplyReport]":
+    def apply_async(self, delta: GraphDelta) -> "Future[ApplyReport]":
         """Queue a delta for the background writer; returns a future.
 
         Deltas are folded strictly in submission order (one writer thread);
@@ -699,7 +695,7 @@ class VersionedGraphStore:
         with self._chain_lock:
             if self._closed:
                 raise StoreError("store is closed")
-            self._write_queue.put((delta, materialize, future))
+            self._write_queue.put((delta, future))
         return future
 
     def drain(self) -> None:

@@ -41,7 +41,6 @@ from repro.obs import (
     is_servable,
     worst,
 )
-from repro.replication import ReplicaServer
 from repro.server import GraphServer
 
 pytestmark = pytest.mark.timeout(120)
@@ -348,7 +347,7 @@ class TestClusterTrace:
                     "paper", labels=["A", "B", "C"], edges=[(0, 1), (0, 2)]
                 )
             replicas = [
-                ReplicaServer(host, port, node=f"replica-{i}") for i in range(2)
+                GraphServer(primary=(host, port), node=f"replica-{i}") for i in range(2)
             ]
             for replica in replicas:
                 replica.start()
@@ -435,7 +434,7 @@ class TestClusterTrace:
             host, port = server.address
             with GraphClient(host, port) as client:
                 client.create_graph("paper", labels=["A"], edges=())
-            with ReplicaServer(host, port, node="replica-h") as replica:
+            with GraphServer(primary=(host, port), node="replica-h") as replica:
                 rhost, rport = replica.address
                 with GraphClient(rhost, rport) as tail_client:
                     wait_until(
@@ -457,9 +456,9 @@ class TestClusterTrace:
 
 CHILD_REPLICA = """
 import sys
-from repro.replication import ReplicaServer
+from repro.server import GraphServer
 
-replica = ReplicaServer(sys.argv[1], int(sys.argv[2]), node=sys.argv[3])
+replica = GraphServer(primary=(sys.argv[1], int(sys.argv[2])), node=sys.argv[3])
 host, port = replica.start()
 print(host, port, flush=True)
 import signal
@@ -482,7 +481,7 @@ class TestRoutedObservability:
             host, port = server.address
             with GraphClient(host, port) as client:
                 client.create_graph("paper", labels=["A", "B"], edges=[(0, 1)])
-            with ReplicaServer(host, port, node="replica-s") as replica:
+            with GraphServer(primary=(host, port), node="replica-s") as replica:
                 routed = RoutedClient(
                     (host, port),
                     replicas=[replica.address],
@@ -523,7 +522,7 @@ class TestRoutedObservability:
                 env=_child_env(),
                 text=True,
             )
-            live = ReplicaServer(host, port, node="replica-live")
+            live = GraphServer(primary=(host, port), node="replica-live")
             routed = None
             try:
                 line = child.stdout.readline().strip()

@@ -27,7 +27,6 @@ import pytest
 from repro.client import GraphClient
 from repro.obs import ClusterMonitor, MetricsRegistry, READY, UNREACHABLE
 from repro.obs.console import main as console_main, render_dashboard
-from repro.replication import ReplicaServer
 from repro.server import GraphServer
 
 pytestmark = pytest.mark.timeout(120)
@@ -243,7 +242,7 @@ def cluster():
             )
             client.query(PAPER_DSL)
         replicas = [
-            ReplicaServer(host, port, node=f"replica-fed-{i}") for i in range(2)
+            GraphServer(primary=(host, port), node=f"replica-fed-{i}") for i in range(2)
         ]
         for replica in replicas:
             replica.start()

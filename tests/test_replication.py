@@ -5,7 +5,7 @@ Four layers, bottom-up:
 * :meth:`GraphDB.open_replica` — snapshot bootstrap, live tailing, and
   element-for-element version identity with the primary on the paper
   fixture;
-* :class:`ReplicaServer` — the full read surface over the wire, typed
+* ``GraphServer(primary=...)`` — the full read surface over the wire, typed
   rejection of writes, replica status and lag metric families;
 * the crash bar — a SIGKILL'd replica process restarted over the same
   ``data_dir`` resubscribes *from its recovered version* (tail mode, no
@@ -30,8 +30,8 @@ from fixtures_paper import PAPER_ANSWER, build_paper_graph, one_more_occurrence
 from repro.api import GraphDB
 from repro.client import GraphClient, RoutedClient
 from repro.exceptions import PrimaryUnavailableError, ReadOnlyReplicaError
-from repro.replication import ReplicaServer
 from repro.server import GraphServer
+from repro.server.protocol import OPS
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -162,7 +162,7 @@ class TestReplicaTail:
 
 
 # ---------------------------------------------------------------------- #
-# ReplicaServer: the wire surface of a replica
+# GraphServer(primary=...): the wire surface of a replica
 # ---------------------------------------------------------------------- #
 
 
@@ -178,7 +178,7 @@ class TestReplicaServer:
                 base = client.num_nodes
                 client.ingest(labels=["D"], edges=[(0, base)])
 
-            with ReplicaServer(host, port) as replica:
+            with GraphServer(primary=(host, port)) as replica:
                 rhost, rport = replica.address
                 with GraphClient(rhost, rport, timeout=60.0) as client:
                     client.use("paper")
@@ -224,6 +224,27 @@ class TestReplicaServer:
                     lag = metrics["replication_lag_versions"]["values"]
                     assert lag and lag[0]["value"] == 0
 
+    def test_a_replica_that_cannot_bind_closes_its_tails(self):
+        graph = build_paper_graph()
+        with GraphServer() as primary:
+            host, port = primary.address
+            with GraphClient(host, port, timeout=60.0) as client:
+                client.create_graph("paper", labels=graph.labels, edges=graph.edges())
+                replica = GraphServer(primary=(host, port), host=host, port=port)
+                tails = list(replica.tails.values())
+                assert len(tails) == 1
+                with pytest.raises(OSError):
+                    with replica:
+                        pass  # never reached: the primary holds the port
+                for tail in tails:
+                    assert not tail.connected
+                    assert not tail._thread.is_alive()
+                assert len(replica.catalog) == 0  # owned catalog closed
+                wait_until(
+                    lambda: client.health()["tenants"]["paper"]["subscribers"] == 0,
+                    message="primary drops the replica's subscription",
+                )
+
 
 # ---------------------------------------------------------------------- #
 # the crash bar: SIGKILL a replica mid-tail, restart, converge
@@ -233,9 +254,9 @@ class TestReplicaServer:
 CHILD_REPLICA = textwrap.dedent(
     """
     import sys, time
-    from repro.replication import ReplicaServer
+    from repro.server import GraphServer
 
-    replica = ReplicaServer(sys.argv[1], int(sys.argv[2]), data_dir=sys.argv[3])
+    replica = GraphServer(primary=(sys.argv[1], int(sys.argv[2])), data_dir=sys.argv[3])
     host, port = replica.start()
     print(f"{host} {port}", flush=True)
     time.sleep(600)  # hold the replica until the parent SIGKILLs us
@@ -337,6 +358,40 @@ class TestReplicaCrashRecovery:
 
 
 class TestRoutedReads:
+    def test_writes_go_where_the_op_table_says(self):
+        # The router picks _read or _write per method by hand; this holds
+        # that choice to OPS: the table's writes, plus save (its path names
+        # the primary's disk), and nothing else goes to the primary.
+        routed = RoutedClient(("127.0.0.1", 1), graph="paper")
+        routes = {}
+
+        class Report(dict):
+            new_version = None
+
+        def recorder(path):
+            def record(method, *args, **kwargs):
+                routes[method] = path
+                return Report()
+
+            return record
+
+        routed._read, routed._write = recorder("read"), recorder("write")
+        routed.ingest()
+        routed.apply(None)
+        routed.apply_async(None)
+        routed.checkpoint()
+        routed.create_graph("g")
+        routed.drop_graph("g")
+        routed.save("g.json")
+        for method in ("query", "count", "explain", "histogram", "stream"):
+            getattr(routed, method)(PAPER_DSL)
+        routed.run_batch([PAPER_DSL])
+        routed.info()
+        writes = {method for method, path in routes.items() if path == "write"}
+        assert writes == {op for op, flags in OPS.items() if flags.write} | {"save"}
+        reads = {method for method, path in routes.items() if path == "read"}
+        assert {"stream_open" if m == "stream" else m for m in reads} <= set(OPS)
+
     def test_read_sees_own_write_and_replicas_take_reads(self):
         # Each routed write adds one occurrence; the routed read issued right
         # after it must already count it (read-your-writes: a replica that
@@ -347,7 +402,7 @@ class TestRoutedReads:
             host, port = server.address
             with GraphClient(host, port, timeout=60.0) as client:
                 client.create_graph("paper", labels=graph.labels, edges=graph.edges())
-            with ReplicaServer(host, port) as first, ReplicaServer(host, port) as second:
+            with GraphServer(primary=(host, port)) as first, GraphServer(primary=(host, port)) as second:
                 routed = RoutedClient(
                     (host, port),
                     replicas=[first.address, second.address],
@@ -390,7 +445,7 @@ class TestRoutedReads:
             with GraphClient(host, port, graph="paper", timeout=60.0) as primary:
                 primary.create_graph("paper", labels=graph.labels, edges=graph.edges())
                 primary.ingest(**one_more_occurrence(graph.num_nodes))
-                with ReplicaServer(host, port) as replica:
+                with GraphServer(primary=(host, port)) as replica:
                     routed = RoutedClient(
                         (host, port), replicas=[replica.address], graph="paper", timeout=60.0
                     )
@@ -436,7 +491,7 @@ class TestRoutedFailover:
                 )
                 base = client.num_nodes
             for _ in range(2):
-                replica = ReplicaServer(host, port)
+                replica = GraphServer(primary=(host, port))
                 replica.start()
                 replicas.append(replica)
 

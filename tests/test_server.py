@@ -47,7 +47,13 @@ from repro.framing import Rows
 from repro.matching.result import Budget, MatchStatus
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.server import GraphCatalog, GraphServer
-from repro.server.protocol import OPS, encode_frame, read_frame_sync
+from repro.server.protocol import (
+    FIELDS,
+    MAX_CREDIT_GRANT,
+    OPS,
+    encode_frame,
+    read_frame_sync,
+)
 from repro.server.server import _Connection
 from repro.service import ServiceConfig
 from repro.session import QuerySession
@@ -818,8 +824,14 @@ class TestFailureSurface:
 
 class TestOpTable:
     def test_table_declares_exactly_the_dispatched_ops(self):
-        assert set(OPS) == set(_Connection._HANDLERS)
+        handlers = {name[len("_op_"):] for name in vars(_Connection) if name.startswith("_op_")}
+        assert set(OPS) == handlers
         assert {flags.scope for flags in OPS.values()} == {"node", "graph"}
+        declared = {field for flags in OPS.values() for field in flags.fields}
+        assert declared <= set(FIELDS)
+        for op, flags in OPS.items():
+            assert flags.required <= set(flags.fields), op
+            assert ("pin" in flags.fields) == flags.pin or op == "release", op
 
     def test_no_write_op_is_idempotent(self):
         writes = {op for op, flags in OPS.items() if flags.write}
@@ -828,12 +840,88 @@ class TestOpTable:
         }
         assert not [op for op in writes if OPS[op].idempotent]
 
+    def test_each_client_method_sends_only_the_fields_its_op_declares(
+        self, client, tmp_path
+    ):
+        sent = []
+        send = client._send
+
+        def record(frame):
+            sent.append(dict(frame))
+            send(frame)
+
+        client._send = record
+        budget = Budget(max_matches=10)
+        query = build_paper_query()
+
+        def delta():
+            grown = client.delta()
+            grown.add_node("A")
+            return grown
+
+        snapshot = client.pin(version=client.head_version)
+        calls = [
+            client.ping,
+            client.graphs,
+            lambda: client.create_graph(
+                "scratch", labels=["A"], edges=[], exist_ok=True, switch=False
+            ),
+            client.info,
+            lambda: client.ingest(
+                labels=["B"], edges=[(0, 1)], remove_edges=[(0, 1)], trace="t-ingest"
+            ),
+            lambda: client.apply(delta(), trace="t-apply"),
+            lambda: client.apply_async(delta()).result(timeout=30.0),
+            lambda: snapshot.query(
+                query, engine="GM", budget=budget, deadline_seconds=30.0,
+                timeout=30.0, name="q", trace_id="t-query",
+            ),
+            lambda: snapshot.count(query, engine="GM", budget=budget, name="q"),
+            lambda: snapshot.explain(
+                query, engine="GM", analyze=True, budget=budget, timeout=30.0
+            ),
+            lambda: snapshot.histogram(query, node=0, engine="GM", budget=budget, name="q"),
+            lambda: snapshot.run_batch(
+                {"q": query}, engine="GM", budget=budget, workers=1,
+                keep_occurrences=False, timeout=30.0,
+            ),
+            lambda: snapshot.stream(
+                query, engine="GM", budget=budget, page_size=2,
+                deadline_seconds=30.0, name="q", trace_id="t-stream",
+            ).report(),
+            snapshot.release,
+            client.stats,
+            lambda: client.server_metrics(format="prometheus"),
+            lambda: client.slow_queries(limit=2),
+            client.checkpoint,  # in-memory tenant: refused, but sent
+            lambda: client.save(str(tmp_path / "paper.json")),
+            client.replica_status,
+            lambda: client.health(timeout=10.0),
+            lambda: client.events(limit=5, kinds=["create_graph"], after_seq=0),
+            lambda: client.trace_spans(trace_id="t-query", limit=3),
+            lambda: client.drop_graph("scratch", force=True, delete_storage=True),
+        ]
+        for call in calls:
+            try:
+                call()
+            except StoreError:
+                pass  # only the frame is under test
+        requests = [frame for frame in sent if frame["op"] not in ("credit", "stream_cancel")]
+        for frame in requests:
+            # Any frame may name a tenant: a node-scoped op's reply bytes
+            # then count against it.
+            allowed = {"id", "op", "graph", *OPS[frame["op"]].fields}
+            assert set(frame) <= allowed, (frame["op"], set(frame) - allowed)
+        # Every op but subscribe_log (a ReplicaTail request) has a method.
+        assert {frame["op"] for frame in requests} == set(OPS) - {"subscribe_log"}
+
     def test_every_write_op_is_refused_on_a_replica_role_server(self):
         graph = build_paper_graph()
-        catalog = GraphCatalog()
-        catalog.create("paper", labels=graph.labels, edges=graph.edges())
-        try:
-            with GraphServer(catalog=catalog, role="replica") as replica:
+        with GraphServer() as primary:
+            with GraphClient(*primary.address, timeout=10.0) as cli:
+                cli.create_graph("paper", labels=graph.labels, edges=graph.edges())
+            with GraphServer(primary=primary.address) as replica:
+                assert replica.role == "replica"
                 raw = socket.create_connection(replica.address, timeout=10.0)
                 try:
                     for ident, op in enumerate(sorted(OPS), start=1):
@@ -858,8 +946,6 @@ class TestOpTable:
                     # nothing was created or dropped, and reads still work
                     assert [info["name"] for info in cli.graphs()] == ["paper"]
                     assert cli.count(PAPER_DSL, graph="paper") == len(PAPER_ANSWER)
-        finally:
-            catalog.close()
 
     def test_requests_total_counts_graph_scoped_ops_only(self, client):
         client.ping()
@@ -873,6 +959,156 @@ class TestOpTable:
         assert {"pin", "info", "count", "metrics"} <= counted
         assert not counted & {"ping", "graphs", "release", "create_graph"}
         assert all(OPS[op].scope == "graph" for op in counted)
+
+
+# ---------------------------------------------------------------------- #
+# hostile arguments: every declared field, one ill-typed value each
+# ---------------------------------------------------------------------- #
+
+#: One ill-typed value for every request field any op declares.
+MISTYPED = {
+    "name": 42,
+    "engine": ["GM"],
+    "pin": 7,
+    "token": {"a": 1},
+    "path": 3.5,
+    "format": True,
+    "trace_id": 9,
+    "labels": ["A", 1],
+    "kinds": "create_graph",
+    "edges": [[0]],
+    "remove_edges": [[0, "1"]],
+    "query": 42,
+    "queries": [{"query": 42}],
+    "budget": {"max_matches": "many"},
+    "delta": "add everything",
+    "trace": 17,
+    "version": "0",
+    "from_version": "x",
+    "node": "x",
+    "limit": "x",
+    "after_seq": 1.5,
+    "page_size": 0,
+    "workers": "x",
+    "window": "x",
+    "deadline_seconds": "x",
+    "timeout": "soon",
+    "analyze": "yes",
+    "delete_storage": 1,
+    "exist_ok": "no",
+    "force": "yes",
+    "keep_occurrences": 0,
+}
+
+#: Well-typed values for the required fields, so the mistyped one is the
+#: field the error names (none of these is ever acted on).
+WELL_TYPED = {
+    "name": "hostile",
+    "delta": {"base_num_nodes": 0, "ops": []},
+    "token": "a1",
+    "query": PAPER_DSL,
+    "queries": [{"name": "q", "query": PAPER_DSL}],
+    "pin": "p1",
+    "path": "unused.json",
+}
+
+#: Ill-typed values that would reach product code if requests were not
+#: decoded at one gate: a raw TypeError / ValueError from ``int()`` or
+#: arithmetic deep in a handler, a ``timeout`` nothing checks, or a string
+#: ``version`` the store would report as "not retained".
+PROBES = [
+    ({"op": "query", "query": PAPER_DSL, "timeout": "soon"}, "timeout"),
+    ({"op": "stream_open", "query": PAPER_DSL, "page_size": "x"}, "page_size"),
+    ({"op": "stream_open", "query": PAPER_DSL, "page_size": 0}, "page_size"),
+    ({"op": "count", "query": PAPER_DSL, "budget": {"max_matches": "many"}}, "budget"),
+    ({"op": "ingest", "edges": [[0]]}, "edges"),
+    ({"op": "events", "limit": "x"}, "limit"),
+    ({"op": "spans", "limit": "x"}, "limit"),
+    ({"op": "run_batch", "queries": [{"query": PAPER_DSL}], "workers": "x"}, "workers"),
+    ({"op": "query", "query": PAPER_DSL, "deadline_seconds": "x"}, "deadline_seconds"),
+    ({"op": "histogram", "query": PAPER_DSL, "node": "x"}, "node"),
+    ({"op": "subscribe_log", "from_version": "x"}, "from_version"),
+    ({"op": "stream_open", "query": PAPER_DSL, "window": "x"}, "window"),
+    ({"op": "pin", "version": "0"}, "version"),
+    # well-typed at the top, ill-typed inside
+    ({"op": "apply", "delta": {"ops": [5]}}, "delta"),
+    ({"op": "query", "query": {"labels": ["A", "B"], "edges": [1]}}, "query"),
+    ({"op": "run_batch", "queries": [{"query": {"labels": ["A"], "edges": [1]}}]}, "queries"),
+]
+
+
+@pytest.fixture(scope="module")
+def paper_server():
+    graph = build_paper_graph()
+    with GraphServer() as srv:
+        with GraphClient(*srv.address) as cli:
+            cli.create_graph("paper", labels=graph.labels, edges=graph.edges())
+        yield srv
+
+
+def answer_then_ping(server, request):
+    """Send one request on a fresh socket; its reply, after checking that
+    the same socket still answers a ping."""
+    raw = socket.create_connection(server.address, timeout=10.0)
+    try:
+        raw.sendall(encode_frame(dict(request, id=1, graph="paper")))
+        raw.sendall(encode_frame({"id": 2, "op": "ping"}))
+        replies = {}
+        while not {1, 2} <= set(replies):
+            frame = read_frame_sync(raw)
+            assert frame is not None, "the server dropped the connection"
+            if "ok" in frame:
+                replies[frame["id"]] = frame
+        assert replies[2]["result"]["pong"] is True
+        return replies[1]
+    finally:
+        raw.close()
+
+
+class TestHostileArguments:
+    def test_every_declared_field_has_a_mistyped_value(self):
+        declared = {field for flags in OPS.values() for field in flags.fields}
+        assert set(MISTYPED) == declared
+
+    @pytest.mark.parametrize(
+        "op, field",
+        [(op, field) for op, flags in OPS.items() for field in flags.fields],
+    )
+    def test_mistyped_field_answers_protocol_naming_op_and_field(
+        self, paper_server, op, field
+    ):
+        request = {name: WELL_TYPED[name] for name in OPS[op].required}
+        request.update({"op": op, field: MISTYPED[field]})
+        reply = answer_then_ping(paper_server, request)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "protocol", reply["error"]
+        assert op in reply["error"]["message"]
+        assert repr(field) in reply["error"]["message"]
+
+    @pytest.mark.parametrize("request_, field", PROBES)
+    def test_probe_frames(self, paper_server, request_, field):
+        reply = answer_then_ping(paper_server, request_)
+        assert reply["error"]["code"] == "protocol", reply["error"]
+        assert request_["op"] in reply["error"]["message"]
+        assert repr(field) in reply["error"]["message"]
+
+    def test_a_missing_required_field_names_it(self, paper_server):
+        reply = answer_then_ping(paper_server, {"op": "count"})
+        assert reply["error"]["code"] == "protocol"
+        assert reply["error"]["message"] == "count needs a 'query' field"
+
+    def test_nothing_was_acted_on(self, paper_server):
+        with GraphClient(*paper_server.address, graph="paper") as cli:
+            assert [info["name"] for info in cli.graphs()] == ["paper"]
+            assert cli.head_version == 0
+            assert cli.count(PAPER_DSL) == len(PAPER_ANSWER)
+
+    def test_stream_window_is_clamped(self, paper_server):
+        reply = answer_then_ping(
+            paper_server,
+            {"op": "stream_open", "query": PAPER_DSL, "window": 10**12},
+        )
+        assert reply["result"]["window"] == MAX_CREDIT_GRANT
 
 
 # ---------------------------------------------------------------------- #

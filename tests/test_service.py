@@ -70,7 +70,7 @@ class TestBatchesAndVersions:
 
     def test_batch_after_apply_sees_new_version(self, service, paper_query):
         delta, node = _new_a_delta(service.store.graph)
-        service.apply(delta)
+        service.store.apply(delta)
         batch = service.run_batch({"q": paper_query})
         assert batch.version == 1
         assert (node, B0, C0) in batch.answers()["q"]
@@ -79,7 +79,7 @@ class TestBatchesAndVersions:
         snapshot = service.store.pin()
         try:
             delta, _node = _new_a_delta(service.store.graph)
-            service.apply(delta)
+            service.store.apply(delta)
             batch = service.run_batch({"q": paper_query}, snapshot=snapshot)
             assert batch.version == 0
             assert batch.answers()["q"] == PAPER_ANSWER
@@ -89,7 +89,7 @@ class TestBatchesAndVersions:
     def test_stats_track_versions_served(self, service, paper_query):
         service.run_batch({"q": paper_query})
         delta, _node = _new_a_delta(service.store.graph)
-        service.apply(delta)
+        service.store.apply(delta)
         service.run_batch({"q": paper_query})
         versions = service.stats.versions_served()
         assert versions.get(0) == 1 and versions.get(1) == 1
@@ -162,7 +162,7 @@ class TestStreaming:
     def test_stream_pins_its_version_across_applies(self, service, paper_query):
         stream = service.stream(paper_query, page_size=4)
         delta, _node = _new_a_delta(service.store.graph)
-        service.apply(delta)  # publishes v1 while the stream is pinned to v0
+        service.store.apply(delta)  # publishes v1 while the stream is pinned to v0
         occurrences = set(stream)
         assert stream.version == 0
         assert occurrences == PAPER_ANSWER

@@ -219,7 +219,7 @@ class TestPinLifecycle:
         edit = GraphDelta.for_graph(delta)
         node = edit.add_node("Z")
         edit.add_edge(0, node)
-        service.apply(edit)
+        service.store.apply(edit)
         before = service.store.stats.snapshot()["gc_count"]
         list(result.pages(timeout=30.0))
         after = service.store.stats.snapshot()["gc_count"]
