@@ -31,22 +31,19 @@ working — the facade only composes them.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
-from repro.explain.plan import QueryPlan
-from repro.framing import Rows, rows_from_wire
 from repro.graph.digraph import DataGraph
 from repro.graph.io import load_graph_json, save_graph_json
-from repro.matching.result import Budget, MatchReport, jsonable
+from repro.matching.result import Budget, MatchReport
 from repro.obs.telemetry import Telemetry
 from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
 from repro.service.service import QueryService, ServiceBatchReport, ServiceConfig, StreamingResult
-from repro.session.batch import QueryOutcome
 from repro.session.session import QuerySession
-from repro.store.versioned import StoreSnapshot, VersionedGraphStore
+from repro.store.versioned import Reader, StoreSnapshot, VersionedGraphStore
 
 #: Anything :meth:`GraphDB.open` can bootstrap from.
 GraphSource = Union[DataGraph, QuerySession, VersionedGraphStore, str, os.PathLike, None]
@@ -55,7 +52,7 @@ GraphSource = Union[DataGraph, QuerySession, VersionedGraphStore, str, os.PathLi
 QueryLike = Union[PatternQuery, str]
 
 
-class GraphDB:
+class GraphDB(Reader):
     """One graph database: storage, versioning, serving, streaming.
 
     Composed of the existing layers — a :class:`VersionedGraphStore` for
@@ -330,6 +327,22 @@ class GraphDB:
             return query
         return parse_query(query, name=name or "query")
 
+    def _read(
+        self,
+        verb: str,
+        query: QueryLike,
+        name: Optional[str] = None,
+        engine: Optional[str] = None,
+        budget: Optional[Budget] = None,
+        **options,
+    ):
+        """``count`` / ``histogram`` / ``explain``: in the calling thread,
+        on a pin of the head, with the tenant's default engine and budget."""
+        query = self._as_query(query, name)
+        engine, budget = self.service.defaults(engine, budget)
+        with self.store.pin() as snapshot:
+            return getattr(snapshot, verb)(query, engine=engine, budget=budget, **options)
+
     def query(
         self,
         query: QueryLike,
@@ -366,7 +379,8 @@ class GraphDB:
         name: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> StreamingResult:
-        """Evaluate incrementally: pages flow before the query finishes."""
+        """Evaluate incrementally on a service worker: pages flow before the
+        query finishes."""
         return self.service.stream(
             self._as_query(query, name),
             engine=engine,
@@ -377,72 +391,28 @@ class GraphDB:
             trace_id=trace_id,
         )
 
-    def count(
-        self,
-        query: QueryLike,
-        engine: str = "GM",
-        budget: Optional[Budget] = None,
-        name: Optional[str] = None,
-    ) -> int:
-        """Number of occurrences at the current head (counting drain).
+    def run_batch(self, queries, **options) -> ServiceBatchReport:
+        """Execute a whole batch against a pin of the head; see
+        :meth:`QueryService.run_batch` for the options.
 
-        Runs in the calling thread against a pinned snapshot, through the
-        streaming iterator — no occurrence list is ever materialised.
+        ``queries`` is a name -> query mapping or an iterable of queries,
+        each a :class:`PatternQuery` or DSL text.  Every entry has one
+        outcome, in order, named by its key or ``query.name``; unnamed text
+        parses as ``q{index}`` — as the wire server names a remote batch.
         """
-        with self.store.pin() as snapshot:
-            return snapshot.count(self._as_query(query, name), engine=engine, budget=budget)
-
-    def histogram(
-        self,
-        query: QueryLike,
-        node: Optional[int] = None,
-        engine: str = "GM",
-        budget: Optional[Budget] = None,
-        name: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Per-label histogram of the distinct data nodes in the result set.
-
-        A streamed aggregation drain over a pinned snapshot of the head:
-        counts how many distinct data nodes of each label participate in at
-        least one occurrence (bindings of query node ``node`` only, when
-        given), without ever materialising the occurrence list.
-        """
-        with self.store.pin() as snapshot:
-            return snapshot.histogram(
-                self._as_query(query, name), node=node, engine=engine, budget=budget
-            )
-
-    def explain(
-        self,
-        query: QueryLike,
-        engine: str = "GM",
-        analyze: bool = False,
-        budget: Optional[Budget] = None,
-        name: Optional[str] = None,
-    ) -> QueryPlan:
-        """EXPLAIN (or, with ``analyze=True``, EXPLAIN ANALYZE) a query.
-
-        ``analyze=False`` plans without executing: the returned
-        :class:`~repro.explain.QueryPlan` carries the ordering strategy,
-        the chosen vertex order, per-step candidate estimates and which
-        cached artifacts the plan consults.  ``analyze=True`` executes the
-        query (under ``budget``) with per-operator counters; the plan's
-        root actual row count equals the occurrence count a plain
-        :meth:`query` would report.  ``plan.render()`` produces the
-        deterministic text tree; ``plan.to_dict()`` the JSON form.
-        """
-        with self.store.pin() as snapshot:
-            return snapshot.explain(
-                self._as_query(query, name), engine=engine, analyze=analyze, budget=budget
-            )
-
-    def run_batch(self, queries, **kwargs) -> ServiceBatchReport:
-        """Execute a whole batch against one pinned version (see
-        :meth:`QueryService.run_batch`)."""
-        return self.service.run_batch(queries, **kwargs)
+        if isinstance(queries, Mapping):
+            queries = {name: self._as_query(query, name) for name, query in queries.items()}
+        else:
+            queries = [self._as_query(query, f"q{index}") for index, query in enumerate(queries)]
+        return self.service.run_batch(queries, **options)
 
     def pin(self, version: Optional[int] = None) -> StoreSnapshot:
-        """Pin a version (head by default) for repeated consistent reads."""
+        """Pin a version (head by default) for repeated consistent reads.
+
+        The snapshot reads on its epoch's session, with the session's
+        defaults (engine ``GM``, the session's budget), not the
+        :class:`ServiceConfig` ones; pass ``engine`` / ``budget`` to match.
+        """
         return self.store.pin(version)
 
     # ------------------------------------------------------------------ #
@@ -565,91 +535,3 @@ class GraphDB:
             f"nodes={self.store.graph.num_nodes}, "
             f"workers={self.service.config.workers})"
         )
-
-
-# ---------------------------------------------------------------------- #
-# wire forms
-#
-# The request/response payloads the wire protocol (repro.server /
-# repro.client) exchanges are the serialisable forms of the facade's
-# domain objects.  Deltas (`GraphDelta.to_dict`), patterns
-# (`PatternQuery.to_dict`), match reports (`MatchReport.to_wire`) and
-# budgets (`Budget.to_wire`) carry their own codecs; the aggregates
-# below — apply reports and batch reports — are encoded here so both
-# endpoints share one definition.
-# ---------------------------------------------------------------------- #
-
-
-def encode_apply_report(report: ApplyReport) -> Dict[str, object]:
-    """JSON-serialisable form of an :class:`ApplyReport`."""
-    return {
-        "old_version": report.old_version,
-        "new_version": report.new_version,
-        "num_ops": report.num_ops,
-        "seconds": report.seconds,
-        "patched": list(report.patched),
-        "invalidated": list(report.invalidated),
-    }
-
-
-def decode_apply_report(payload: Dict[str, object]) -> ApplyReport:
-    """Rebuild an :class:`ApplyReport` from :func:`encode_apply_report` output."""
-    return ApplyReport(
-        old_version=int(payload.get("old_version", 0)),
-        new_version=int(payload.get("new_version", 0)),
-        num_ops=int(payload.get("num_ops", 0)),
-        seconds=float(payload.get("seconds", 0.0)),
-        patched=list(payload.get("patched", ())),
-        invalidated=list(payload.get("invalidated", ())),
-    )
-
-
-def encode_batch_report(report: ServiceBatchReport) -> Dict[str, object]:
-    """Frame payload form of a :class:`ServiceBatchReport`.
-
-    Each outcome's occurrences are one packed :class:`~repro.framing.Rows`
-    block; the rest is JSON-serialisable.
-    """
-    return {
-        "engine": report.engine,
-        "wall_seconds": report.wall_seconds,
-        "workers": report.workers,
-        "cache_hits": dict(report.cache_hits),
-        "cache_misses": dict(report.cache_misses),
-        "version": report.version,
-        "outcomes": [
-            {
-                "name": outcome.name,
-                "seconds": outcome.seconds,
-                "num_matches": outcome.num_matches,
-                "status": outcome.status,
-                "occurrences": Rows(outcome.occurrences),
-                "extra": {key: jsonable(value) for key, value in outcome.extra.items()},
-            }
-            for outcome in report.outcomes
-        ],
-    }
-
-
-def decode_batch_report(payload: Dict[str, object]) -> ServiceBatchReport:
-    """Rebuild a :class:`ServiceBatchReport` from :func:`encode_batch_report` output."""
-    outcomes = [
-        QueryOutcome(
-            name=str(raw.get("name", "query")),
-            seconds=float(raw.get("seconds", 0.0)),
-            num_matches=int(raw.get("num_matches", 0)),
-            status=str(raw.get("status", "ok")),
-            occurrences=rows_from_wire(raw.get("occurrences", ()), "occurrences"),
-            extra=dict(raw.get("extra", ())),
-        )
-        for raw in payload.get("outcomes", ())
-    ]
-    return ServiceBatchReport(
-        engine=str(payload.get("engine", "GM")),
-        outcomes=outcomes,
-        wall_seconds=float(payload.get("wall_seconds", 0.0)),
-        workers=int(payload.get("workers", 1)),
-        cache_hits=dict(payload.get("cache_hits", ())),
-        cache_misses=dict(payload.get("cache_misses", ())),
-        version=int(payload.get("version", -1)),
-    )

@@ -21,7 +21,6 @@ hit — the analogue of the JVM out-of-memory failures in the paper's tables.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import MemoryBudgetExceeded, TimeoutExceeded

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.harness import DEFAULT_BENCH_BUDGET, run_workload
 from repro.bench.reporting import format_table
@@ -23,27 +23,23 @@ from repro.bench.workloads import (
     representative_templates,
 )
 from repro.baselines.tm import TMMatcher
-from repro.engines.binary_join import BinaryJoinEngine
-from repro.engines.wcoj import WCOJEngine, build_catalog
-from repro.exceptions import MemoryBudgetExceeded
-from repro.graph.datasets import load_dataset
+from repro.engines.wcoj import build_catalog
 from repro.graph.generators import with_label_count
 from repro.graph.transform import node_prefix_subgraph, undirected_double
 from repro.matching.gm import GMVariant, GraphMatcher
-from repro.matching.ordering import OrderingMethod
 from repro.matching.result import Budget
 from repro.query.generators import (
     instantiate_template,
     to_descendant_only,
 )
-from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
+from repro.query.pattern import PatternQuery
 from repro.query.transitive import transitive_closure
 from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 from repro.rig.build import RIGOptions, build_rig
 from repro.rig.stats import rig_statistics
 from repro.simulation.context import ChildCheckMethod, MatchContext
-from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic, fbsim_dag
+from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic
 
 
 @dataclass

@@ -17,7 +17,7 @@ from repro.exceptions import MemoryBudgetExceeded
 from repro.graph.digraph import DataGraph
 from repro.matching.gm import GMVariant, GraphMatcher
 from repro.matching.ordering import OrderingMethod
-from repro.matching.result import Budget, MatchReport, MatchStatus
+from repro.matching.result import Budget, MatchStatus
 from repro.query.pattern import PatternQuery
 from repro.session import QuerySession
 from repro.simulation.context import MatchContext

@@ -10,13 +10,12 @@ datasets.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DataGraph
 from repro.query.classify import QueryClass, classify_query
 from repro.query.generators import (
-    QUERY_TEMPLATES,
     TEMPLATES_BY_CLASS,
     instantiate_template,
     random_pattern_query,

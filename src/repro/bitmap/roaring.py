@@ -19,7 +19,7 @@ bitmap-based batch intersection, and the RIG adjacency lists in
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 CHUNK_BITS = 16
 CHUNK_SIZE = 1 << CHUNK_BITS

@@ -44,19 +44,18 @@ import threading
 import time
 import weakref
 from collections import deque
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.api import decode_apply_report, decode_batch_report
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import ProtocolError, StoreError
-from repro.explain.plan import QueryPlan
-from repro.matching.result import Budget, MatchReport
+from repro.matching.result import MatchReport
 from repro.matching.stream import decode_page
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.query.pattern import PatternQuery
 from repro.server.protocol import (
+    APPLY_REPORT,
     OPS,
     connect,
     decode_error,
@@ -64,7 +63,8 @@ from repro.server.protocol import (
     encode_request,
     read_frame_sync,
 )
-from repro.service.service import ServiceBatchReport
+from repro.service.service import PagedResult
+from repro.store.versioned import Reader
 
 #: A query, as a parsed pattern or DSL text (mirrors ``repro.api.QueryLike``).
 QueryLike = Union[PatternQuery, str]
@@ -89,17 +89,19 @@ class RemoteApplyHandle:
             payload = self._client._request(
                 "apply_wait", graph=self._graph, token=self.token, timeout=timeout
             )
-            self._report = decode_apply_report(payload)
+            self._report = APPLY_REPORT.decode(payload)
         return self._report
 
 
-class RemoteSnapshot:
+class RemoteSnapshot(Reader):
     """A server-side pin: repeated reads against one immutable version.
 
     The remote analogue of :class:`~repro.store.StoreSnapshot`: every read
     issued through it answers from the pinned version even while writers
-    publish new heads.  Release it (or use it as a context manager) — the
-    server also releases any pins a dropped connection left behind.
+    publish new heads — it is the client's read with ``pin=`` set, so it
+    takes the client's options.  Release it (or use it as a context
+    manager) — the server also releases any pins a dropped connection left
+    behind.
     """
 
     def __init__(self, client: "GraphClient", graph: str, token: str, version: int) -> None:
@@ -114,29 +116,8 @@ class RemoteSnapshot:
         """The pinned graph version."""
         return self._version
 
-    def query(self, query: QueryLike, **kwargs) -> MatchReport:
-        """Evaluate one query at the pinned version."""
-        return self._client.query(query, graph=self._graph, pin=self.token, **kwargs)
-
-    def count(self, query: QueryLike, **kwargs) -> int:
-        """Occurrence count at the pinned version (counting drain)."""
-        return self._client.count(query, graph=self._graph, pin=self.token, **kwargs)
-
-    def explain(self, query: QueryLike, **kwargs) -> QueryPlan:
-        """EXPLAIN (or EXPLAIN ANALYZE) one query at the pinned version."""
-        return self._client.explain(query, graph=self._graph, pin=self.token, **kwargs)
-
-    def histogram(self, query: QueryLike, **kwargs) -> Dict[str, int]:
-        """Per-label participating-node histogram at the pinned version."""
-        return self._client.histogram(query, graph=self._graph, pin=self.token, **kwargs)
-
-    def run_batch(self, queries, **kwargs) -> ServiceBatchReport:
-        """Execute a whole batch against the pinned version."""
-        return self._client.run_batch(queries, graph=self._graph, pin=self.token, **kwargs)
-
-    def stream(self, query: QueryLike, **kwargs) -> "RemoteStream":
-        """Open a pipelined stream pinned to this version."""
-        return self._client.stream(query, graph=self._graph, pin=self.token, **kwargs)
+    def _read(self, verb: str, **options):
+        return getattr(self._client, verb)(graph=self._graph, pin=self.token, **options)
 
     def release(self) -> None:
         """Give the server-side pin back (idempotent)."""
@@ -159,31 +140,7 @@ class RemoteSnapshot:
         return f"RemoteSnapshot({self._graph!r} v{self._version}, {state})"
 
 
-class _RemotePages:
-    """Iterator over a :class:`RemoteStream`'s pages; closing cancels remotely."""
-
-    def __init__(self, stream: "RemoteStream", timeout: Optional[float]) -> None:
-        self._stream = stream
-        self._timeout = timeout
-
-    def __iter__(self) -> "_RemotePages":
-        return self
-
-    def __next__(self) -> Tuple[Tuple[int, ...], ...]:
-        try:
-            page = self._stream._next_page(self._timeout)
-        except BaseException:
-            self._stream.close()
-            raise
-        if page is None:
-            raise StopIteration
-        return page
-
-    def close(self) -> None:
-        self._stream.close()
-
-
-class RemoteStream:
+class RemoteStream(PagedResult):
     """Pipelined, credit-gated iteration over one remote query's occurrences.
 
     The wire analogue of :class:`~repro.service.StreamingResult`: pages
@@ -260,21 +217,6 @@ class RemoteStream:
     # consumption
     # ------------------------------------------------------------------ #
 
-    def pages(self, timeout: Optional[float] = None) -> _RemotePages:
-        """Iterate occurrence pages as the server pumps them.
-
-        ``timeout`` bounds the wait per page (:class:`TimeoutError`); a
-        shed or failed remote query re-raises its mapped error here, and
-        any exit — exhaustion, error, abandonment — cancels a still-running
-        remote producer.
-        """
-        return _RemotePages(self, timeout)
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        for page in self.pages():
-            for occurrence in page:
-                yield occurrence
-
     def report(self, timeout: Optional[float] = None) -> MatchReport:
         """Drain to completion and return the finalised (count-only) report."""
         for _ in self.pages(timeout):
@@ -293,12 +235,6 @@ class RemoteStream:
             self._client._cancel_stream(self.stream_id)
         self._frames.clear()
 
-    def __enter__(self) -> "RemoteStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - gc safety net
         try:
             self.close()
@@ -310,7 +246,7 @@ class RemoteStream:
         return f"RemoteStream(#{self.stream_id} {self._graph!r} v{self._version}, {state})"
 
 
-class GraphClient:
+class GraphClient(Reader):
     """Synchronous client for a :class:`~repro.server.GraphServer`.
 
     Parameters
@@ -451,7 +387,9 @@ class GraphClient:
         exponential backoff + jitter) and resends; see the class notes.
         """
         with self._lock:
-            frame = encode_request(op, timeout=timeout, **args)
+            if timeout is not None:
+                args["timeout"] = timeout
+            frame = encode_request(op, **args)
             wait = None
             if timeout is not None:
                 wait = timeout + 10.0
@@ -659,7 +597,7 @@ class GraphClient:
             remove_edges=remove_edges,
             trace=trace,
         )
-        return decode_apply_report(payload)
+        return APPLY_REPORT.decode(payload)
 
     def delta(self, graph: Optional[str] = None) -> GraphDelta:
         """A fresh delta written against the tenant's current head."""
@@ -678,7 +616,7 @@ class GraphClient:
             delta=delta,
             trace=trace,
         )
-        return decode_apply_report(payload)
+        return APPLY_REPORT.decode(payload)
 
     def apply_async(self, delta: GraphDelta, graph: Optional[str] = None) -> RemoteApplyHandle:
         """Queue a delta on the server's background writer; returns a handle."""
@@ -690,18 +628,18 @@ class GraphClient:
     # reads
     # ------------------------------------------------------------------ #
 
-    def query(
-        self,
-        query: QueryLike,
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        deadline_seconds: Optional[float] = None,
-        timeout: Optional[float] = None,
-        name: Optional[str] = None,
-        graph: Optional[str] = None,
-        pin: Optional[str] = None,
-        trace_id: Optional[str] = None,
-    ) -> MatchReport:
+    def _read(self, verb: str, graph: Optional[str] = None, **fields):
+        """One read op on the tenant (``graph`` or the selected one): its
+        answer decoded by the reply codec its :data:`OPS` row declares.
+
+        The options are the op's declared fields (``pin``, and ``timeout``
+        where the op takes one); any other raises :class:`TypeError`
+        before a frame is sent.
+        """
+        payload = self._request(verb, graph=self._graph_name(graph), **fields)
+        return OPS[verb].reply.decode(payload)
+
+    def query(self, query: QueryLike, *, trace_id: Optional[str] = None, **options) -> MatchReport:
         """Evaluate one query to completion (see :meth:`GraphDB.query`).
 
         ``trace_id`` (any short string, e.g.
@@ -711,131 +649,16 @@ class GraphClient:
         comes back in ``report.extra["trace"]``, and the same id rides on
         the error payload if the request fails instead.
         """
-        payload = self._request(
-            "query",
-            graph=self._graph_name(graph),
-            query=query,
-            engine=engine,
-            budget=budget,
-            deadline_seconds=deadline_seconds,
-            name=name,
-            pin=pin,
-            trace=trace_id,
-            timeout=timeout,
-        )
-        return MatchReport.from_wire(payload)
-
-    def count(
-        self,
-        query: QueryLike,
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        name: Optional[str] = None,
-        graph: Optional[str] = None,
-        pin: Optional[str] = None,
-    ) -> int:
-        """Occurrence count via the server's counting drain."""
-        payload = self._request(
-            "count",
-            graph=self._graph_name(graph),
-            query=query,
-            engine=engine,
-            budget=budget,
-            name=name,
-            pin=pin,
-        )
-        return int(payload["count"])
-
-    def explain(
-        self,
-        query: QueryLike,
-        engine: Optional[str] = None,
-        analyze: bool = False,
-        budget: Optional[Budget] = None,
-        timeout: Optional[float] = None,
-        graph: Optional[str] = None,
-        pin: Optional[str] = None,
-    ) -> "QueryPlan":
-        """EXPLAIN (plan-only) or EXPLAIN ANALYZE one query server-side.
-
-        The server plans — and with ``analyze=True`` executes — the query
-        against the tenant's head (or the pinned version when ``pin`` is
-        given) and returns the resulting
-        :class:`~repro.explain.QueryPlan`, rendering identically to a
-        local :meth:`GraphDB.explain` (``plan.render()`` /
-        ``plan.to_dict()``).
-        """
-        payload = self._request(
-            "explain",
-            timeout=timeout,
-            graph=self._graph_name(graph),
-            query=query,
-            engine=engine,
-            analyze=analyze,
-            budget=budget,
-            pin=pin,
-        )
-        return QueryPlan.from_wire(payload["plan"])
-
-    def histogram(
-        self,
-        query: QueryLike,
-        node: Optional[int] = None,
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        name: Optional[str] = None,
-        graph: Optional[str] = None,
-        pin: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Per-label participating-node histogram (streamed drain server-side)."""
-        payload = self._request(
-            "histogram",
-            graph=self._graph_name(graph),
-            query=query,
-            node=node,
-            engine=engine,
-            budget=budget,
-            name=name,
-            pin=pin,
-        )
-        return dict(payload["histogram"])
-
-    def run_batch(
-        self,
-        queries: Union[Mapping[str, QueryLike], Iterable[QueryLike]],
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        workers: Optional[int] = None,
-        keep_occurrences: bool = True,
-        timeout: Optional[float] = None,
-        graph: Optional[str] = None,
-        pin: Optional[str] = None,
-    ) -> ServiceBatchReport:
-        """Execute a whole batch against one pinned version remotely."""
-        payload = self._request(
-            "run_batch",
-            timeout=timeout,
-            graph=self._graph_name(graph),
-            queries=queries,
-            engine=engine,
-            budget=budget,
-            workers=workers,
-            keep_occurrences=keep_occurrences,
-            pin=pin,
-        )
-        return decode_batch_report(payload)
+        return self._read("query", query=query, trace=trace_id, **options)
 
     def stream(
         self,
         query: QueryLike,
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
+        *,
         page_size: int = 256,
-        deadline_seconds: Optional[float] = None,
-        name: Optional[str] = None,
         graph: Optional[str] = None,
-        pin: Optional[str] = None,
         trace_id: Optional[str] = None,
+        **options,
     ) -> RemoteStream:
         """Open a pipelined stream: pages flow before the query finishes.
 
@@ -848,13 +671,9 @@ class GraphClient:
             "stream_open",
             graph=graph_name,
             query=query,
-            engine=engine,
-            budget=budget,
+            **options,
             page_size=page_size,
-            deadline_seconds=deadline_seconds,
             window=self.stream_window,
-            name=name,
-            pin=pin,
             trace=trace_id,
         )
         stream = RemoteStream(

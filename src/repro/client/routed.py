@@ -26,7 +26,9 @@ surface:
   falls back to the primary; when the primary is down too, the read
   keeps retrying the surviving replicas until ``read_timeout`` — which
   is exactly the "primary died, reads keep flowing under the bound"
-  failover mode.
+  failover mode.  A stream stays bound to the node that opened it: a
+  connection lost mid-stream raises there (pages are connection-scoped)
+  and the *next* routed call moves on to a surviving node.
 
 Routing decisions surface as ``routed_reads_total{target=...}`` /
 ``routed_writes_total`` / ``routed_evictions_total`` metric families on
@@ -45,6 +47,7 @@ from repro.exceptions import PrimaryUnavailableError, ReplicationError
 from repro.obs import health as health_states
 from repro.obs.context import Span, SpanRecorder, TraceContext
 from repro.obs.metrics import MetricsRegistry
+from repro.store.versioned import Reader
 
 #: ``(host, port)`` of one serving node.
 Endpoint = Tuple[str, int]
@@ -72,7 +75,7 @@ class _Node:
         return self.state is not None and health_states.is_servable(self.state)
 
 
-class RoutedClient:
+class RoutedClient(Reader):
     """Read/write-splitting client over one primary and N replicas.
 
     Parameters
@@ -296,7 +299,8 @@ class RoutedClient:
             return result
 
     def _read(self, method: str, *args, graph: Optional[str] = None, **kwargs):
-        """Dispatch one read: qualified replicas first, then the primary."""
+        """Dispatch one read (a :class:`~repro.store.Reader` verb or
+        ``info``): qualified replicas first, then the primary."""
         name = self._graph_name(graph)
         kwargs["graph"] = name
         with self._lock:
@@ -459,37 +463,9 @@ class RoutedClient:
         self._note_write(self._graph_name(graph), version)
 
     # ------------------------------------------------------------------ #
-    # reads -> replicas (primary fallback)
+    # reads -> replicas (primary fallback); the six Reader verbs arrive
+    # through _read as well
     # ------------------------------------------------------------------ #
-
-    def query(self, query, graph=None, **kwargs):
-        """Evaluate one query on a qualified replica."""
-        return self._read("query", query, graph=graph, **kwargs)
-
-    def count(self, query, graph=None, **kwargs):
-        """Occurrence count on a qualified replica."""
-        return self._read("count", query, graph=graph, **kwargs)
-
-    def explain(self, query, graph=None, **kwargs):
-        """EXPLAIN (or EXPLAIN ANALYZE) on a qualified replica."""
-        return self._read("explain", query, graph=graph, **kwargs)
-
-    def histogram(self, query, graph=None, **kwargs):
-        """Per-label histogram on a qualified replica."""
-        return self._read("histogram", query, graph=graph, **kwargs)
-
-    def run_batch(self, queries, graph=None, **kwargs):
-        """Execute a batch against one qualified replica's pinned version."""
-        return self._read("run_batch", queries, graph=graph, **kwargs)
-
-    def stream(self, query, graph=None, **kwargs):
-        """Open a pipelined stream on a qualified replica.
-
-        The stream stays bound to the node that opened it; a connection
-        lost mid-stream raises there (pages are connection-scoped) and
-        the *next* routed call moves on to a surviving node.
-        """
-        return self._read("stream", query, graph=graph, **kwargs)
 
     def info(self, graph=None):
         """Head version / node / edge counts from a qualified node."""

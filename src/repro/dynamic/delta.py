@@ -21,7 +21,7 @@ feed can be persisted next to its graph (see :mod:`repro.graph.io`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import GraphError
 

@@ -11,7 +11,7 @@ distribution (uniform vs power-law vs dense), and reachability density
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DataGraph

@@ -9,7 +9,7 @@ Fig. 11), label re-mapping, graph reversal and summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DataGraph

@@ -18,7 +18,7 @@ separated, which is how the paper reports query time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Iterator, MutableMapping, Optional, Sequence, Tuple
 

@@ -19,8 +19,7 @@ Three strategies, matching the paper's experimental comparison (Table 4):
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import MatchingError
 from repro.query.pattern import PatternQuery

@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.federation import ClusterMonitor, WRITE_OPS
+from repro.obs.federation import ClusterMonitor
 
 
 def _family_values(document: Mapping, name: str) -> List[Mapping]:

@@ -16,7 +16,7 @@ On top of the merged families the monitor derives fleet-level gauges:
   anywhere (the number a routing SLO cares about);
 * ``cluster_read_requests_total`` / ``cluster_write_requests_total`` —
   the fleet's read/write split, classified from the per-op request
-  counters;
+  counters by the ``write`` flag of :data:`repro.server.protocol.OPS`;
 * ``cluster_error_rate`` — fleet-wide errored fraction of requests;
 * ``cluster_nodes_reachable`` / ``cluster_nodes_total``.
 
@@ -41,21 +41,6 @@ from repro.obs.metrics import (
 
 #: A scrape target: ``(host, port)`` or ``(host, port, label)``.
 NodeSpec = Union[Tuple[str, int], Tuple[str, int, str]]
-
-#: Ops counted as writes when deriving the fleet's read/write split.
-WRITE_OPS = frozenset(
-    {
-        "ingest",
-        "apply",
-        "apply_async",
-        "apply_wait",
-        "create_graph",
-        "drop_graph",
-        "checkpoint",
-        "save",
-    }
-)
-
 
 class _Target:
     """One scrape target's endpoint, label and cached client."""
@@ -172,6 +157,9 @@ class ClusterMonitor:
         return document
 
     def _merge(self, nodes: List[Dict[str, object]]) -> Dict[str, object]:
+        # Lazy import: repro.server imports the obs package.
+        from repro.server.protocol import OPS
+
         families: Dict[str, Dict[str, object]] = {}
         max_lag = 0.0
         reads = writes = errors = requests = 0.0
@@ -203,7 +191,8 @@ class ClusterMonitor:
                         elif name == "server_requests_total":
                             count = float(value.get("value") or 0.0)
                             requests += count
-                            if labels.get("op") in WRITE_OPS:
+                            flags = OPS.get(labels.get("op"))
+                            if flags is not None and flags.write:
                                 writes += count
                             else:
                                 reads += count
@@ -223,7 +212,10 @@ class ClusterMonitor:
             },
             "cluster_write_requests_total": {
                 "type": "counter",
-                "help": "Fleet-wide wire requests classified as writes",
+                "help": (
+                    "Fleet-wide wire requests classified as writes (ops whose "
+                    "protocol.OPS row sets write; save counts as a read)"
+                ),
                 "values": [{"labels": {}, "value": writes}],
             },
             "cluster_error_rate": {

@@ -13,7 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from repro.exceptions import QueryError
 from repro.query.pattern import PatternQuery
 
 

@@ -17,7 +17,7 @@ derives its C-/D-query sets from the H templates.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
 from repro.graph.digraph import DataGraph

@@ -22,7 +22,7 @@ Fig. 18(a) benchmark contrasts with transitive-closure construction.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.graph.digraph import DataGraph
 from repro.graph.transform import Condensation, condensation

@@ -11,7 +11,7 @@ memoised per source.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.graph.digraph import DataGraph
 from repro.graph.transform import Condensation, condensation

@@ -34,12 +34,15 @@ Ops
 ---
 :data:`OPS` declares every request op once — whether it addresses one
 tenant or the node, whether it writes, whether a client may resend it,
-whether it reads at a ``pin``, and which request fields it takes — and
-:data:`FIELDS` gives each field name its one codec.  The client encodes
-every request through :func:`encode_request`; the server decodes and
-type-checks every request through :func:`decode_request` before any
-handler runs, so an ill-typed field answers a ``protocol`` error naming
-the op and the field.
+whether it reads at a ``pin``, which request fields it takes, and, for a
+read, the shape of its answer — and :data:`FIELDS` gives each field name
+its one codec.  The client encodes every request through
+:func:`encode_request` (a field the op does not declare is a
+:class:`TypeError` there); the server decodes and type-checks every
+request through :func:`decode_request` before any handler runs, so an
+ill-typed field answers a ``protocol`` error naming the op and the field.
+A read op's :class:`Reply` is what the server encodes its answer with and
+the client decodes it with; the folding ops share :data:`APPLY_REPORT`.
 
 Error mapping
 -------------
@@ -62,13 +65,17 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.dynamic.delta import GraphDelta
+from repro.dynamic.maintenance import ApplyReport
+from repro.explain.plan import QueryPlan
 from repro.framing import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
+    Rows,
     check_length,
     decode_body,
     decode_length,
     encode_frame,
+    rows_from_wire,
 )
 from repro.exceptions import (
     CatalogError,
@@ -89,11 +96,14 @@ from repro.exceptions import (
     UnknownGraphError,
     WalError,
 )
-from repro.matching.result import Budget
+from repro.matching.result import Budget, MatchReport, jsonable
 from repro.obs.context import TraceContext
 from repro.query.pattern import PatternQuery
+from repro.service.service import ServiceBatchReport
+from repro.session.batch import QueryOutcome
 
 __all__ = [
+    "APPLY_REPORT",
     "FIELDS",
     "HEADER_BYTES",
     "MAX_CREDIT_GRANT",
@@ -123,6 +133,15 @@ MAX_CREDIT_GRANT = 1 << 16
 # ---------------------------------------------------------------------- #
 
 
+class Reply(NamedTuple):
+    """The shape of one op's answer: the server encodes, the client decodes."""
+
+    #: Handler's answer -> ``result`` payload.
+    encode: Callable[[object], object]
+    #: ``result`` payload -> the caller's answer.
+    decode: Callable[[object], object]
+
+
 class OpFlags(NamedTuple):
     """What dispatch and clients need to know about one wire op."""
 
@@ -139,14 +158,17 @@ class OpFlags(NamedTuple):
     #: its pages are connection-scoped — or anything naming a pin token).
     idempotent: bool = False
     #: Reads at one version: an optional ``pin`` field names a snapshot this
-    #: connection pinned, and dispatch resolves it — or the tenant's head —
-    #: to the *reader* the handler runs on.
+    #: connection pinned, and dispatch resolves it to the handler's
+    #: ``snapshot`` (``None`` reads at the tenant's head).
     pin: bool = False
     #: The request fields the op takes (``pin`` included when it reads at
     #: one), each decoded by its :data:`FIELDS` codec.
     fields: Tuple[str, ...] = ()
     #: The fields a request must carry.
     required: FrozenSet[str] = frozenset()
+    #: How a read op's answer (a report, a count, a plan) crosses the wire;
+    #: ``None`` for every other op.
+    reply: Optional[Reply] = None
 
 
 def _op(scope: str, fields: str = "", **flags) -> OpFlags:
@@ -158,6 +180,78 @@ def _op(scope: str, fields: str = "", **flags) -> OpFlags:
         required=frozenset(name[:-1] for name in names if name.endswith("!")),
         **flags,
     )
+
+
+def _apply_report_to_wire(report: ApplyReport) -> Dict[str, object]:
+    return {
+        "old_version": report.old_version,
+        "new_version": report.new_version,
+        "num_ops": report.num_ops,
+        "seconds": report.seconds,
+        "patched": list(report.patched),
+        "invalidated": list(report.invalidated),
+    }
+
+
+def _apply_report_from_wire(payload: Dict[str, object]) -> ApplyReport:
+    return ApplyReport(
+        old_version=int(payload.get("old_version", 0)),
+        new_version=int(payload.get("new_version", 0)),
+        num_ops=int(payload.get("num_ops", 0)),
+        seconds=float(payload.get("seconds", 0.0)),
+        patched=list(payload.get("patched", ())),
+        invalidated=list(payload.get("invalidated", ())),
+    )
+
+
+def _batch_report_to_wire(report: ServiceBatchReport) -> Dict[str, object]:
+    """Each outcome's occurrences travel as one packed rows block."""
+    return {
+        "engine": report.engine,
+        "wall_seconds": report.wall_seconds,
+        "workers": report.workers,
+        "cache_hits": dict(report.cache_hits),
+        "cache_misses": dict(report.cache_misses),
+        "version": report.version,
+        "outcomes": [
+            {
+                "name": outcome.name,
+                "seconds": outcome.seconds,
+                "num_matches": outcome.num_matches,
+                "status": outcome.status,
+                "occurrences": Rows(outcome.occurrences),
+                "extra": {key: jsonable(value) for key, value in outcome.extra.items()},
+            }
+            for outcome in report.outcomes
+        ],
+    }
+
+
+def _batch_report_from_wire(payload: Dict[str, object]) -> ServiceBatchReport:
+    outcomes = [
+        QueryOutcome(
+            name=str(raw.get("name", "query")),
+            seconds=float(raw.get("seconds", 0.0)),
+            num_matches=int(raw.get("num_matches", 0)),
+            status=str(raw.get("status", "ok")),
+            occurrences=rows_from_wire(raw.get("occurrences", ()), "occurrences"),
+            extra=dict(raw.get("extra", ())),
+        )
+        for raw in payload.get("outcomes", ())
+    ]
+    return ServiceBatchReport(
+        engine=str(payload.get("engine", "GM")),
+        outcomes=outcomes,
+        wall_seconds=float(payload.get("wall_seconds", 0.0)),
+        workers=int(payload.get("workers", 1)),
+        cache_hits=dict(payload.get("cache_hits", ())),
+        cache_misses=dict(payload.get("cache_misses", ())),
+        version=int(payload.get("version", -1)),
+    )
+
+
+#: The answer of the folding ops (``ingest``, ``apply``, ``apply_wait``).
+APPLY_REPORT = Reply(_apply_report_to_wire, _apply_report_from_wire)
 
 
 #: The request ops of the wire protocol (``credit`` / ``stream_cancel``
@@ -175,13 +269,30 @@ OPS: Dict[str, OpFlags] = {
     "query": _op(
         "graph", "query! engine budget deadline_seconds timeout name trace",
         idempotent=True, pin=True,
+        reply=Reply(MatchReport.to_wire, MatchReport.from_wire),
     ),
-    "count": _op("graph", "query! engine budget name", idempotent=True, pin=True),
-    "explain": _op("graph", "query! engine analyze budget timeout", idempotent=True, pin=True),
-    "histogram": _op("graph", "query! node engine budget name", idempotent=True, pin=True),
+    "count": _op(
+        "graph", "query! engine budget name", idempotent=True, pin=True,
+        reply=Reply(lambda count: {"count": count}, lambda payload: int(payload["count"])),
+    ),
+    "explain": _op(
+        "graph", "query! engine analyze budget timeout", idempotent=True, pin=True,
+        reply=Reply(
+            lambda plan: {"plan": plan.to_wire()},
+            lambda payload: QueryPlan.from_wire(payload["plan"]),
+        ),
+    ),
+    "histogram": _op(
+        "graph", "query! node engine budget name", idempotent=True, pin=True,
+        reply=Reply(
+            lambda histogram: {"histogram": histogram},
+            lambda payload: dict(payload["histogram"]),
+        ),
+    ),
     "run_batch": _op(
         "graph", "queries! engine budget workers keep_occurrences timeout",
         idempotent=True, pin=True,
+        reply=Reply(_batch_report_to_wire, _batch_report_from_wire),
     ),
     "pin": _op("graph", "version"),
     "release": _op("node", "pin!"),
@@ -365,9 +476,17 @@ FIELDS: Dict[str, Codec] = {
 
 def encode_request(op: str, **fields) -> Dict[str, object]:
     """A request frame for ``op`` (the caller adds the ``id``): every
-    non-``None`` field through its :data:`FIELDS` codec."""
+    non-``None`` field through its :data:`FIELDS` codec.
+
+    A field ``op`` does not declare raises :class:`TypeError` before any
+    frame exists — except ``graph``, which any frame may carry (a
+    node-scoped op's reply bytes then count against that tenant).
+    """
+    declared = OPS[op].fields
     frame: Dict[str, object] = {"op": op}
     for field, value in fields.items():
+        if field not in declared and field != "graph":
+            raise TypeError(f"{op} takes no {field!r} option")
         if value is not None:
             frame[field] = FIELDS[field].encode(value)
     return frame

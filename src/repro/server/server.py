@@ -14,9 +14,12 @@ One gate, :meth:`_Connection._dispatch`, reads the op's row of
 :data:`~repro.server.protocol.OPS`: it resolves the tenant, refuses writes
 on a replica, decodes and type-checks every declared field
 (:func:`~repro.server.protocol.decode_request`), parses DSL query text,
-and for ops that read at a version resolves the *reader* — the snapshot
-the request's ``pin`` names, or the tenant's head.  The handler
-``_op_<name>`` then receives typed keyword arguments only.
+and for ops that read at a version resolves the request's ``pin`` to the
+``snapshot`` it names (``None`` reads at the tenant's head).  The handler
+``_op_<name>`` then receives typed keyword arguments only; a read handler
+fills in the tenant's ``ServiceConfig`` defaults whether it reads at a
+pin or at the head, and encodes its answer with the reply codec its
+``OPS`` row declares.
 
 Execution model
 ---------------
@@ -56,10 +59,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 from urllib.parse import quote
 
-from repro.api import GraphDB, encode_apply_report, encode_batch_report
+from repro.api import GraphDB
 from repro.exceptions import (
     ProtocolError,
     ReadOnlyReplicaError,
@@ -79,6 +82,7 @@ from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
 from repro.server.catalog import GraphCatalog
 from repro.server.protocol import (
+    APPLY_REPORT,
     MAX_CREDIT_GRANT,
     OPS,
     decode_request,
@@ -88,7 +92,6 @@ from repro.server.protocol import (
     read_frame,
 )
 from repro.service.service import ServiceConfig, StreamingResult
-from repro.store.versioned import StoreSnapshot
 
 
 def _decode_query(payload, name: Optional[str] = None) -> PatternQuery:
@@ -96,11 +99,6 @@ def _decode_query(payload, name: Optional[str] = None) -> PatternQuery:
     if isinstance(payload, str):
         return parse_query(payload, name=name or "query")
     return payload
-
-
-def _snapshot(reader) -> Optional[StoreSnapshot]:
-    """A resolved reader as the snapshot it pinned, or ``None`` for the head."""
-    return reader if isinstance(reader, StoreSnapshot) else None
 
 
 def _info(graph: str, database: GraphDB) -> Dict[str, object]:
@@ -137,15 +135,36 @@ def _on_executor(call):
     return handler
 
 
-def _read(method: str, reply):
-    """``count`` / ``explain`` / ``histogram``: one ``method`` call on the
-    resolved reader, its result shaped by ``reply``.  ``name`` was spent
-    parsing the query; ``timeout`` only bounds the client's wait."""
+def _read(verb: str):
+    """``count`` / ``explain`` / ``histogram``: one ``verb`` call on the
+    resolved snapshot (the tenant's head by default) with the tenant's
+    default engine and budget, its answer in the reply shape the op's
+    :data:`OPS` row declares.  ``name`` was spent parsing the query;
+    ``timeout`` only bounds the client's wait."""
+    encode = OPS[verb].reply.encode
 
-    def call(graph, database, reader, query, name=None, timeout=None, **options):
-        return reply(getattr(reader, method)(query, **options))
+    def call(
+        graph, database, query, snapshot=None, engine=None, budget=None,
+        name=None, timeout=None, **options,
+    ):
+        engine, budget = database.service.defaults(engine, budget)
+        read = getattr(snapshot or database, verb)
+        return encode(read(query, engine=engine, budget=budget, **options))
 
     return _on_executor(call)
+
+
+def _run_batch(graph, database, queries, snapshot=None, timeout=None, **options):
+    """``run_batch`` on the service at the resolved snapshot: one query per
+    entry, in order, named ``name or query.name or f"q{index}"`` (unnamed
+    DSL text parses as ``q{index}``)."""
+    batch: List[PatternQuery] = []
+    for index, (name, payload) in enumerate(queries):
+        query = _decode_query(payload, name or f"q{index}")
+        query.name = name or query.name or f"q{index}"
+        batch.append(query)
+    report = database.service.run_batch(batch, snapshot=snapshot, **options)
+    return OPS["run_batch"].reply.encode(report)
 
 
 class _ServerStream:
@@ -383,7 +402,7 @@ class _Connection:
             if "query" in args:
                 args["query"] = _decode_query(args["query"], args.get("name"))
             if flags.pin:
-                args["reader"] = self._reader_for(args.pop("pin", None), name, database)
+                args["snapshot"] = self._pinned(args.pop("pin", None), name)
             result = await getattr(self, f"_op_{op}")(*tenant, **args)
             await self._safe_send(
                 {"id": ident, "ok": True, "result": result}, database
@@ -507,10 +526,11 @@ class _Connection:
             counter = counter.labels(*labels.values())
         counter.inc(amount)
 
-    def _reader_for(self, token: Optional[str], graph: str, database: GraphDB):
-        """The snapshot ``token`` pinned on this connection, or the head."""
+    def _pinned(self, token: Optional[str], graph: str):
+        """The snapshot ``token`` pinned on this connection, or ``None`` to
+        read at the head."""
         if token is None:
-            return database
+            return None
         entry = self._pins.get(token)
         if entry is None:
             raise StoreError(f"unknown pin token {token!r}")
@@ -608,10 +628,11 @@ class _Connection:
     _op_replica_status = _on_executor(_replica_status)
     _op_save = _on_executor(lambda graph, database, path: {"path": database.save(path)})
 
-    # count / explain / histogram: one call on the resolved reader.
-    _op_count = _read("count", lambda count: {"count": count})
-    _op_explain = _read("explain", lambda plan: {"plan": plan.to_wire()})
-    _op_histogram = _read("histogram", lambda histogram: {"histogram": histogram})
+    # count / explain / histogram: one call on the resolved snapshot.
+    _op_count = _read("count")
+    _op_explain = _read("explain")
+    _op_histogram = _read("histogram")
+    _op_run_batch = _on_executor(_run_batch)
 
     async def _fold(self, op, graph, database, trace, fold) -> Dict[str, object]:
         """Run one write under the request's trace context; its apply report.
@@ -629,7 +650,7 @@ class _Connection:
                 with trace_context.trace_span(op, graph=graph):
                     return fold()
 
-        return encode_apply_report(await self._run(run))
+        return APPLY_REPORT.encode(await self._run(run))
 
     async def _op_ingest(self, graph, database, trace=None, **changes):
         return await self._fold(
@@ -652,11 +673,9 @@ class _Connection:
             raise StoreError(f"unknown apply token {token!r}")
         report = await self._run(future.result, timeout)
         self._apply_futures.pop(token, None)
-        return encode_apply_report(report)
+        return APPLY_REPORT.encode(report)
 
-    async def _op_query(
-        self, graph, database, query, reader, timeout=None, trace=None, **options
-    ):
+    async def _op_query(self, graph, database, query, timeout=None, trace=None, **options):
         # A propagated read context also lands one op span in the tenant's
         # cross-node ring, so routed reads show up on whichever node
         # served them when the trace is assembled fleet-wide.
@@ -670,10 +689,7 @@ class _Connection:
                 graph=graph,
             )
         ticket = database.service.submit(
-            query,
-            snapshot=_snapshot(reader),
-            trace_id=trace.trace_id if trace is not None else None,
-            **options,
+            query, trace_id=trace.trace_id if trace is not None else None, **options
         )
         self._track_ticket(ticket)
         try:
@@ -693,18 +709,6 @@ class _Connection:
             wire["extra"]["trace"] = trace.to_dict()
         return wire
 
-    async def _op_run_batch(self, graph, database, queries, reader, timeout=None, **options):
-        batch = {}
-        for index, (name, payload) in enumerate(queries):
-            query = _decode_query(payload, name)
-            batch[name or query.name or f"q{index}"] = query
-        report = await self._run(
-            partial(
-                database.service.run_batch, batch, snapshot=_snapshot(reader), **options
-            )
-        )
-        return encode_batch_report(report)
-
     async def _op_pin(self, graph, database, version=None):
         snapshot = database.store.pin(version)
         token = f"p{next(self._ids)}"
@@ -719,16 +723,16 @@ class _Connection:
         return {"released": pin}
 
     async def _op_stream_open(
-        self, graph, database, query, reader, window=None, name=None, trace=None, **options
+        self, graph, database, query, snapshot=None, window=None, name=None, trace=None,
+        **options,
     ):
         window = window or self.server.stream_window
-        pinned = _snapshot(reader)
         self._count(
             database,
             "server_streams_opened_total",
             "Streaming queries opened for this tenant",
         )
-        # The stream holds its own pin at the reader's version for its whole
+        # The stream holds its own pin at the snapshot's version for its whole
         # life.  Pages never accumulate server-side (keep_occurrences=False):
         # the stream's memory bound is the service's page buffer plus this
         # connection's credit window.
@@ -736,7 +740,7 @@ class _Connection:
             partial(
                 database.service.stream,
                 query,
-                version=pinned.version if pinned else None,
+                version=snapshot.version if snapshot is not None else None,
                 keep_occurrences=False,
                 trace_id=trace.trace_id if trace is not None else None,
                 **options,

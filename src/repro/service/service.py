@@ -27,7 +27,7 @@ while the query is still enumerating.  The result holds its snapshot pin
 until the consumer finishes (or abandons) paging, so pagination stays
 consistent with the version the query ran on even if the head moves; a
 consumer that walks away mid-stream cancels the producer and releases the
-pin through the page generator's ``finally``.
+pin through the closing page iterator (:class:`PageIterator`).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class _StreamBuffer:
     The worker calls :meth:`put_page` as pages fill (blocking once the
     consumer is ``max_pages`` behind — that backpressure is what bounds a
     stream's in-flight buffering) and the ticket's terminal transition
-    calls :meth:`finish` exactly once.  The consumer iterates
-    :meth:`pages`.  :meth:`abandon` (consumer walked away) unblocks a
+    calls :meth:`finish` exactly once.  The consumer calls
+    :meth:`next_page`.  :meth:`abandon` (consumer walked away) unblocks a
     waiting producer and makes every later ``put_page`` a fast no-op.
     """
 
@@ -135,7 +135,7 @@ class _StreamBuffer:
         """Consumer-side teardown: unblock producer *and* consumer, drop pages.
 
         Besides unblocking a producer waiting on a full queue, this wakes a
-        consumer blocked in :meth:`pages` from *another* thread (the wire
+        consumer blocked in :meth:`next_page` from *another* thread (the wire
         server's pump threads page in an executor while the connection
         handler abandons from the event loop): the sentinel makes that
         consumer's ``get`` return immediately instead of waiting out its
@@ -152,24 +152,22 @@ class _StreamBuffer:
         except queue_module.Full:  # pragma: no cover - queue was just drained
             pass
 
-    def pages(self, timeout: Optional[float] = None) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        """Yield pages until the stream finishes; re-raises a failed ticket.
+    def next_page(self, timeout: Optional[float] = None):
+        """The next page, or ``None`` once the stream finished; re-raises a
+        failed ticket.
 
-        ``timeout`` bounds the wait for *each* page; exceeding it raises
+        ``timeout`` bounds the wait; exceeding it raises
         :class:`TimeoutError` (same contract as :meth:`QueryTicket.result`).
         """
-        while True:
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue_module.Empty:
-                raise TimeoutError(
-                    f"no streamed page within {timeout}s"
-                ) from None
-            if item is self._DONE:
-                if self._error is not None and not self._abandoned.is_set():
-                    raise self._error
-                return
-            yield item
+        try:
+            item = self._queue.get(timeout=timeout)
+        except queue_module.Empty:
+            raise TimeoutError(f"no streamed page within {timeout}s") from None
+        if item is not self._DONE:
+            return item
+        if self._error is not None and not self._abandoned.is_set():
+            raise self._error
+        return None
 
 
 class QueryTicket:
@@ -305,45 +303,83 @@ class QueryTicket:
         return f"QueryTicket(#{self.ticket_id} {self.name!r}, {self.status})"
 
 
-class _PageIterator:
-    """Iterator over a :class:`StreamingResult`'s pages that cannot leak the pin.
+class PageIterator:
+    """Iterator over a :class:`PagedResult`'s pages that cannot leak it.
 
     A plain generator only runs its ``finally`` once iteration *starts*: a
     caller that built ``result.pages()`` and walked away before the first
-    ``next()`` would leave the ticket running and the snapshot pinned
+    ``next()`` would leave the producer running and its snapshot pinned
     forever.  This object closes the owning result on exhaustion, on error,
     on :meth:`close` — and on garbage collection even if it was never
     advanced.
     """
 
-    __slots__ = ("_result", "_inner", "_closed")
+    __slots__ = ("_result", "_timeout", "_closed")
 
-    def __init__(self, result: "StreamingResult", timeout: Optional[float]) -> None:
+    def __init__(self, result: "PagedResult", timeout: Optional[float]) -> None:
         self._result = result
-        self._inner = result._buffer.pages(timeout)
+        self._timeout = timeout
         self._closed = False
 
-    def __iter__(self) -> "_PageIterator":
+    def __iter__(self) -> "PageIterator":
         return self
 
     def __next__(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._closed:
+            raise StopIteration
         try:
-            return next(self._inner)
+            page = self._result._next_page(self._timeout)
         except BaseException:
-            # StopIteration (exhaustion), TimeoutError, a re-raised ticket
-            # error: every exit releases the pin and cancels a live producer.
+            # A timeout or the producer's error: every exit releases the
+            # pin and cancels a live producer.
             self.close()
             raise
+        if page is None:
+            self.close()
+            raise StopIteration
+        return page
 
     def close(self) -> None:
-        """Stop paging: cancel a live producer, release the pin (idempotent)."""
+        """Stop paging: close the result (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._inner.close()
         self._result.close()
 
     def __del__(self) -> None:  # pragma: no cover - exercised via gc in tests
+        self.close()
+
+
+class PagedResult:
+    """Paging over a query's occurrences, in process or over the wire.
+
+    A subclass writes ``_next_page(timeout)`` — the next page, or ``None``
+    at the end, raising the producer's error — and an idempotent
+    ``close()`` that cancels a still-running producer and releases its
+    snapshot pin.
+    """
+
+    def pages(self, timeout: Optional[float] = None) -> PageIterator:
+        """Yield occurrence pages as the producer fills them.
+
+        The first page arrives before the query finishes.  ``timeout``
+        bounds the wait per page (:class:`TimeoutError`); a shed or failed
+        query re-raises its error here.  Exhaustion, an error, or
+        abandonment (closing the iterator, or breaking out of the loop and
+        dropping it — even before the first ``next()``) all close the
+        result, which cancels a still-running producer and releases the pin.
+        """
+        return PageIterator(self, timeout)
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        """Yield occurrences one by one; closes the result at the end."""
+        for page in self.pages():
+            yield from page
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
 
@@ -355,7 +391,7 @@ class ServiceBatchReport(BatchReport):
     version: int = -1
 
 
-class StreamingResult:
+class StreamingResult(PagedResult):
     """Pipelined, paginated iteration over one query's occurrences.
 
     Pages are fed by the executing worker through a bounded queue **as the
@@ -364,7 +400,7 @@ class StreamingResult:
     caps the producer's lead at the queue depth (no unbounded buffering in
     the pipe).  The snapshot pin is held from submission until
     :meth:`close` (or exhaustion of :meth:`pages`, or context-manager
-    exit, or the page generator being closed/garbage-collected after an
+    exit, or the page iterator being closed/garbage-collected after an
     abandoned ``for`` loop), so every page — no matter how slowly the
     consumer drains — describes the same graph version.  Closing before
     exhaustion cancels the producer cooperatively and releases the pin.
@@ -399,24 +435,8 @@ class StreamingResult:
         """
         return self.ticket.result(timeout)
 
-    def pages(self, timeout: Optional[float] = None) -> "_PageIterator":
-        """Yield occurrence pages of ``page_size`` as they are produced.
-
-        The first page arrives as soon as the worker fills it — before the
-        query finishes.  ``timeout`` bounds the wait per page
-        (:class:`TimeoutError`); a shed or failed ticket re-raises its
-        error here.  Exhaustion, an error, or abandonment (closing the
-        iterator / breaking out of the loop and dropping it — even before
-        the first ``next()``) all release the snapshot pin and cancel a
-        still-running producer.
-        """
-        return _PageIterator(self, timeout)
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        """Yield occurrences one by one; releases the pin at the end."""
-        for page in self.pages():
-            for occurrence in page:
-                yield occurrence
+    def _next_page(self, timeout: Optional[float]):
+        return None if self._closed else self._buffer.next_page(timeout)
 
     def close(self) -> None:
         """Cancel if still running and release the snapshot pin (idempotent)."""
@@ -426,12 +446,6 @@ class StreamingResult:
                 self.ticket.cancel()
             self._buffer.abandon()
             self._snapshot.release()
-
-    def __enter__(self) -> "StreamingResult":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"
@@ -550,6 +564,13 @@ class QueryService:
     # admission + submission
     # ------------------------------------------------------------------ #
 
+    def defaults(
+        self, engine: Optional[str] = None, budget: Optional[Budget] = None
+    ) -> Tuple[str, Optional[Budget]]:
+        """``(engine, budget)`` with this service's :class:`ServiceConfig`
+        defaults filled in — the one place a read picks them up."""
+        return engine or self.config.default_engine, budget or self.config.default_budget
+
     def submit(
         self,
         query: PatternQuery,
@@ -599,10 +620,11 @@ class QueryService:
             if page_size <= 0:
                 raise ValueError(f"page_size must be positive, got {page_size}")
             stream_buffer = _StreamBuffer(self.config.stream_buffer_pages)
+        engine, budget = self.defaults(engine, budget)
         ticket = QueryTicket(
             query,
-            engine=engine or self.config.default_engine,
-            budget=budget or self.config.default_budget,
+            engine=engine,
+            budget=budget,
             deadline=deadline,
             snapshot=snapshot,
             name=name,
@@ -641,19 +663,6 @@ class QueryService:
             # ticket can never land behind a sentinel and starve.
             self._queue.put(ticket)
         return ticket
-
-    def query(
-        self,
-        query: PatternQuery,
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        deadline_seconds: Optional[float] = None,
-        timeout: Optional[float] = None,
-    ) -> MatchReport:
-        """Synchronous convenience: submit and wait for the report."""
-        return self.submit(
-            query, engine=engine, budget=budget, deadline_seconds=deadline_seconds
-        ).result(timeout)
 
     def stream(
         self,
@@ -717,14 +726,15 @@ class QueryService:
         while the store publishes new heads.  The report carries that
         version alongside the usual latency/throughput aggregates.
         """
+        engine, budget = self.defaults(engine, budget)
         own_pin = snapshot is None
         snap = snapshot or self.store.pin()
         try:
             report = snap.run_batch(
                 queries,
-                engine=engine or self.config.default_engine,
+                engine=engine,
                 workers=workers if workers is not None else self.config.workers,
-                budget=budget or self.config.default_budget,
+                budget=budget,
                 keep_occurrences=keep_occurrences,
             )
             for outcome in report.outcomes:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher

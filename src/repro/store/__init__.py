@@ -32,6 +32,7 @@ a tiny chain mutex, folding happens outside it.
 """
 
 from repro.store.versioned import (
+    Reader,
     StoreSnapshot,
     StoreStats,
     VersionedGraphStore,
@@ -39,6 +40,7 @@ from repro.store.versioned import (
 )
 
 __all__ = [
+    "Reader",
     "StoreSnapshot",
     "StoreStats",
     "VersionRecord",

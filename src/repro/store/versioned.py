@@ -42,10 +42,8 @@ from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import StoreError
 from repro.graph.digraph import DataGraph
-from repro.matching.result import Budget, MatchReport
+from repro.matching.result import MatchReport
 from repro.obs.context import trace_span
-from repro.query.pattern import PatternQuery
-from repro.session.batch import BatchReport
 from repro.session.session import QuerySession
 
 
@@ -68,7 +66,79 @@ class VersionRecord:
         )
 
 
-class StoreSnapshot:
+class Reader:
+    """The six read verbs, declared once over one abstract :meth:`_read`.
+
+    Every layer that forwards reads — a pinned :class:`StoreSnapshot`, the
+    :class:`~repro.api.GraphDB` facade, the wire
+    :class:`~repro.client.GraphClient` and its server-side pins, the replica
+    router — is a ``Reader`` and writes only ``_read(verb, *args,
+    **options)``; a layer overrides a verb only where it does different
+    work.  :class:`~repro.session.QuerySession` implements all six itself:
+    it is where evaluation happens.
+
+    Each verb takes the query (DSL text is accepted from the facade up) or,
+    for :meth:`run_batch`, the batch, plus keyword options.  Which options a
+    layer takes is the layer's own (``docs/architecture.md``, "The reader
+    surface"); one it does not take raises :class:`TypeError` before
+    anything runs or any frame is sent.
+    """
+
+    __slots__ = ()
+
+    def query(self, query, **options) -> MatchReport:
+        """Evaluate one query to completion: a :class:`MatchReport` carrying
+        every occurrence (up to the budget's match cap)."""
+        return self._read("query", query=query, **options)
+
+    def count(self, query, **options) -> int:
+        """Number of occurrences of ``query``.
+
+        A counting drain over the streaming iterator: no occurrence list is
+        materialised, and a budget-capped run returns the count so far.
+        """
+        return self._read("count", query=query, **options)
+
+    def histogram(self, query, **options) -> Dict[str, int]:
+        """Per-label count of the distinct data nodes in the result set.
+
+        A streamed aggregation drain: how many distinct data nodes of each
+        label participate in at least one occurrence (bindings of query node
+        ``node`` only, when given), without materialising the occurrences.
+        """
+        return self._read("histogram", query=query, **options)
+
+    def explain(self, query, **options):
+        """EXPLAIN (or, with ``analyze=True``, EXPLAIN ANALYZE) ``query``.
+
+        Returns a :class:`~repro.explain.QueryPlan`: ``analyze=False`` plans
+        without executing (ordering strategy, vertex order, per-step
+        estimates, the cached artifacts consulted); ``analyze=True``
+        executes under the budget with per-operator counters, and the root's
+        actual row count equals what :meth:`query` reports.
+        """
+        return self._read("explain", query=query, **options)
+
+    def stream(self, query, **options):
+        """Evaluate incrementally: occurrences flow before the query finishes.
+
+        Every occurrence describes one graph version; the stream holds that
+        version until it is drained or closed.
+        """
+        return self._read("stream", query=query, **options)
+
+    def run_batch(self, queries, **options):
+        """Execute a batch — a name -> query mapping or an iterable of
+        queries — against one graph version; a batch report with one
+        outcome per query."""
+        return self._read("run_batch", queries=queries, **options)
+
+    def _read(self, verb: str, *args, **options):
+        """Answer one read verb: the one method a reader layer writes."""
+        raise NotImplementedError
+
+
+class StoreSnapshot(Reader):
     """A pinned, immutable read view of one store epoch.
 
     Obtained from :meth:`VersionedGraphStore.pin`; usable as a context
@@ -120,90 +190,10 @@ class StoreSnapshot:
         """True once the pin has been given back."""
         return self._released
 
-    # ------------------------------------------------------------------ #
-    # reads
-    # ------------------------------------------------------------------ #
-
-    def query(
-        self,
-        query: PatternQuery,
-        engine: str = "GM",
-        budget: Optional[Budget] = None,
-        injective: bool = False,
-    ) -> MatchReport:
-        """Evaluate one query against the pinned version."""
-        return self._require_pinned().session.query(
-            query, engine=engine, budget=budget, injective=injective
-        )
-
-    def count(
-        self, query: PatternQuery, engine: str = "GM", budget: Optional[Budget] = None
-    ) -> int:
-        """Number of occurrences of ``query`` at the pinned version.
-
-        Counting drain over the streaming iterator — no occurrence list is
-        materialised (see :meth:`QuerySession.count`).
-        """
-        return self._require_pinned().session.count(query, engine=engine, budget=budget)
-
-    def histogram(
-        self,
-        query: PatternQuery,
-        node: Optional[int] = None,
-        engine: str = "GM",
-        budget: Optional[Budget] = None,
-    ) -> Dict[str, int]:
-        """Per-label participating-node histogram at the pinned version.
-
-        Streamed aggregation drain — see :meth:`QuerySession.histogram`.
-        """
-        return self._require_pinned().session.histogram(
-            query, node=node, engine=engine, budget=budget
-        )
-
-    def explain(
-        self,
-        query: PatternQuery,
-        engine: str = "GM",
-        analyze: bool = False,
-        budget: Optional[Budget] = None,
-        injective: bool = False,
-    ):
-        """EXPLAIN (or EXPLAIN ANALYZE) ``query`` at the pinned version.
-
-        Returns a :class:`~repro.explain.QueryPlan` — see
-        :meth:`QuerySession.explain`.
-        """
-        return self._require_pinned().session.explain(
-            query, engine=engine, analyze=analyze, budget=budget, injective=injective
-        )
-
-    def stream(
-        self,
-        query: PatternQuery,
-        engine: str = "GM",
-        budget: Optional[Budget] = None,
-        injective: bool = False,
-        keep_occurrences: bool = True,
-    ):
-        """Incrementally evaluate ``query`` at the pinned version.
-
-        Returns a :class:`~repro.matching.stream.MatchStream` whose
-        occurrences are guaranteed to describe this snapshot's version; the
-        caller keeps the pin until it is done consuming.
-        """
-        return self._require_pinned().session.stream(
-            query,
-            engine=engine,
-            budget=budget,
-            injective=injective,
-            keep_occurrences=keep_occurrences,
-        )
-
-    def run_batch(self, queries, **kwargs) -> BatchReport:
-        """Execute a batch against the pinned version (see
-        :meth:`QuerySession.run_batch`)."""
-        return self._require_pinned().session.run_batch(queries, **kwargs)
+    def _read(self, verb: str, *args, **options):
+        """Every read runs on the pinned epoch's session (its signatures are
+        the options a snapshot takes)."""
+        return getattr(self._require_pinned().session, verb)(*args, **options)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -162,7 +162,8 @@ class TestMergeAndGoldens:
             "# HELP cluster_replication_lag_max_versions Worst replica lag (versions) across the fleet\n"
             "# TYPE cluster_replication_lag_max_versions gauge\n"
             "cluster_replication_lag_max_versions 2\n"
-            "# HELP cluster_write_requests_total Fleet-wide wire requests classified as writes\n"
+            "# HELP cluster_write_requests_total Fleet-wide wire requests classified as writes"
+            " (ops whose protocol.OPS row sets write; save counts as a read)\n"
             "# TYPE cluster_write_requests_total counter\n"
             "cluster_write_requests_total 0\n"
             "# HELP replication_lag_versions versions behind\n"

@@ -35,7 +35,7 @@ def _new_a_delta(graph):
 
 class TestSubmitAndQuery:
     def test_sync_query(self, service, paper_query):
-        report = service.query(paper_query)
+        report = service.submit(paper_query).result()
         assert report.occurrence_set() == PAPER_ANSWER
 
     def test_ticket_lifecycle(self, service, paper_query):
@@ -51,7 +51,7 @@ class TestSubmitAndQuery:
         reference = QuerySession(paper_graph)
         for engine in ("GM", "Neo4j", "EH"):
             assert (
-                service.query(paper_query, engine=engine).occurrence_set()
+                service.submit(paper_query, engine=engine).result().occurrence_set()
                 == reference.query(paper_query, engine=engine).occurrence_set()
             ), engine
 
@@ -128,7 +128,7 @@ class TestAdmissionControl:
 
     def test_deadline_clamps_running_budget(self, service, paper_query):
         # a generous deadline leaves the budget's own limit intact
-        report = service.query(paper_query, deadline_seconds=60.0)
+        report = service.submit(paper_query, deadline_seconds=60.0).result()
         assert report.status is MatchStatus.OK
 
     def test_cancel_queued_ticket(self, service, paper_query):
@@ -184,7 +184,7 @@ class TestStreaming:
 
 class TestStatsSnapshot:
     def test_snapshot_shape(self, service, paper_query):
-        service.query(paper_query)
+        service.submit(paper_query).result()
         snapshot = service.stats_snapshot()
         for key in (
             "submitted",
@@ -206,7 +206,7 @@ class TestStatsSnapshot:
 
     def test_percentiles_monotone(self, service, paper_query):
         for _round in range(5):
-            service.query(paper_query)
+            service.submit(paper_query).result()
         stats = service.stats
         assert stats.p50 <= stats.p95 <= stats.p99
 
@@ -214,7 +214,7 @@ class TestStatsSnapshot:
         store = VersionedGraphStore(paper_graph)
         service = QueryService(store, config=ServiceConfig(workers=1))
         try:
-            service.query(paper_query)
+            service.submit(paper_query).result()
         finally:
             service.close()
         # the service did not own the store: still usable

@@ -117,7 +117,7 @@ class TestPipelinedFirstPage:
         with service.stream(build_paper_query(), page_size=3) as result:
             streamed = {occ for page in result.pages(timeout=30.0) for occ in page}
         assert streamed == set(PAPER_ANSWER)
-        eager = service.query(build_paper_query())
+        eager = service.submit(build_paper_query()).result()
         assert streamed == eager.occurrence_set()
 
 

@@ -19,12 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import (
-    decode_apply_report,
-    decode_batch_report,
-    encode_apply_report,
-    encode_batch_report,
-)
 from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import (
     CatalogError,
@@ -44,7 +38,9 @@ from repro.matching.result import Budget, MatchReport, MatchStatus, jsonable
 from repro.matching.stream import decode_page, encode_page
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.server.protocol import (
+    APPLY_REPORT,
     MAX_FRAME_BYTES,
+    OPS,
     connect,
     decode_error,
     encode_error,
@@ -53,6 +49,10 @@ from repro.server.protocol import (
 )
 from repro.service.service import ServiceBatchReport
 from repro.session.batch import QueryOutcome
+
+# The apply-report codec and the reply codec the op table declares for batches.
+encode_apply_report, decode_apply_report = APPLY_REPORT
+encode_batch_report, decode_batch_report = OPS["run_batch"].reply
 
 
 def roundtrip_frames(*payloads):
