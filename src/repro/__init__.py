@@ -86,14 +86,13 @@ from repro.matching import (
 )
 from repro.baselines import JMMatcher, TMMatcher, ISOMatcher, bruteforce_homomorphisms
 from repro.dynamic import ApplyReport, GraphDelta, MutableDataGraph
-from repro.session import BatchReport, CacheStats, QuerySession
-from repro.store import StoreSnapshot, StoreStats, VersionedGraphStore
+from repro.session import BatchReport, QuerySession
+from repro.store import StoreSnapshot, VersionedGraphStore
 from repro.service import (
     QueryService,
     QueryTicket,
     ServiceBatchReport,
     ServiceConfig,
-    ServiceStats,
     StreamingResult,
 )
 from repro.api import GraphDB
@@ -155,20 +154,17 @@ __all__ = [
     "GraphDelta",
     "MutableDataGraph",
     "BatchReport",
-    "CacheStats",
     "QuerySession",
     "QueryCancelled",
     "StaleIndexError",
     "StoreError",
     "ServiceOverloadedError",
     "StoreSnapshot",
-    "StoreStats",
     "VersionedGraphStore",
     "QueryService",
     "QueryTicket",
     "ServiceBatchReport",
     "ServiceConfig",
-    "ServiceStats",
     "StreamingResult",
     "GraphDB",
     "PlanOperator",

@@ -81,15 +81,12 @@ class GraphDB(Reader):
         owns_store: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if telemetry is None:
-            telemetry = Telemetry()
+        self.store = store
+        self.service = QueryService(store, config=config, telemetry=telemetry)
         #: The database's :class:`~repro.obs.Telemetry` context — metrics
         #: registry, tracer and slow-query log — shared by every layer
-        #: (store, sessions, WAL, service).
-        self.telemetry = telemetry
-        self.store = store
-        store.bind_telemetry(telemetry)
-        self.service = QueryService(store, config=config, telemetry=telemetry)
+        #: (store, sessions, WAL, service); the store's unless given.
+        self.telemetry = self.service.telemetry
         self._owns_store = owns_store
         #: Callables run (in registration order) at the top of
         #: :meth:`close` — how optional attachments (the replication hub,
@@ -128,10 +125,13 @@ class GraphDB(Reader):
         store created here: every fold journals before it publishes.
 
         ``telemetry`` is the database's observability context: by default
-        (``None``) every database gets its own :class:`~repro.obs.Telemetry`
-        (metrics registry always on; tracing and slow-query logging
-        governed by its knobs).  Pass an explicit ``Telemetry(...)`` to
-        share a registry or enable tracing.
+        (``None``) the database adopts the one its ``source`` or
+        ``durability`` hook already counts into, or gets its own
+        :class:`~repro.obs.Telemetry` (metrics registry always on; tracing
+        and slow-query logging governed by its knobs).  Pass an explicit
+        ``Telemetry(...)`` to share a registry or enable tracing; it must
+        count into the registry of any pre-built part (:class:`ValueError`
+        otherwise).
 
         ``session_kwargs`` (``reachability_kind``, ``budget``, ...) are
         forwarded to the underlying :class:`QuerySession` when one is
@@ -162,6 +162,7 @@ class GraphDB(Reader):
                 graph,
                 warm_on_publish=warm_on_publish,
                 durability=durability,
+                telemetry=telemetry,
                 **session_kwargs,
             )
         return cls(store, config=config, owns_store=owns_store, telemetry=telemetry)
@@ -194,9 +195,11 @@ class GraphDB(Reader):
         from repro.wal.durability import WalDurability, is_tenant_directory
 
         directory = os.fspath(directory)
+        telemetry = open_kwargs.get("telemetry")
+        registry = None if telemetry is None else telemetry.registry
         if is_tenant_directory(directory):
             graph, durability, _report = WalDurability.recover(
-                directory, name=name, checkpoint_every=checkpoint_every
+                directory, name=name, checkpoint_every=checkpoint_every, registry=registry
             )
         else:
             graph = DataGraph(
@@ -205,7 +208,7 @@ class GraphDB(Reader):
                 name=name or os.path.basename(directory) or "graphdb",
             )
             durability = WalDurability.create(
-                directory, graph, checkpoint_every=checkpoint_every
+                directory, graph, checkpoint_every=checkpoint_every, registry=registry
             )
         return cls.open(graph, config=config, durability=durability, **open_kwargs)
 
@@ -460,7 +463,8 @@ class GraphDB(Reader):
         Durable databases additionally carry a ``durability`` section:
         journal appends/bytes/seconds, checkpoints, the log backlog since
         the last checkpoint, and the recovery report when this instance
-        was opened from existing storage.
+        was opened from existing storage.  Every count is a read of the
+        tenant's registry, so it equals its :meth:`metrics` family.
         """
         stats = self.service.stats_snapshot()
         durability = self.store.durability

@@ -1,14 +1,15 @@
 """Unified observability: metrics registry, query tracing, slow-query log.
 
 The stack's six layers (session caches, MVCC store, query service, wire
-server, WAL durability, engines) each kept ad-hoc counters with no common
-surface.  This package is that surface:
+server, WAL durability, engines) share this one surface:
 
 * :class:`MetricsRegistry` — thread-safe labelled counters / gauges /
   fixed-bucket histograms, snapshotable to JSON and to the Prometheus text
-  exposition format.  The legacy stats objects (``CacheStats``,
-  ``ServiceStats``, ``StoreStats``, ``WalDurability``) keep their public
-  accessors and *mirror* into a shared per-tenant registry.
+  exposition format.  It is the only place a count lives: every layer of
+  a tenant counts into the tenant's registry, and the ``stats()``
+  documents (``GraphDB.stats``, ``QueryService.stats_snapshot``,
+  ``VersionedGraphStore.counters``, ``WalDurability.counters``) are reads
+  of it (:meth:`MetricsRegistry.read`).
 * :class:`Tracer` / :class:`Trace` — sampled per-query span trees
   (queue-wait → pin → plan → index-build → first-match → stream-drain →
   wire-encode) with trace ids that propagate from ``GraphClient`` through

@@ -1,13 +1,14 @@
 """MetricsRegistry: thread-safe labelled counters, gauges and histograms.
 
 The registry is the one metrics surface every layer of the stack records
-into: a named family per metric, a child per label combination, and two
-snapshot forms — a JSON-able document (what the wire protocol's ``metrics``
-op ships) and the Prometheus text exposition format (what a scraper
-ingests).  Dependency-free and deliberately small:
+into, and the only place a count lives: a named family per metric, a child
+per label combination, two snapshot forms — a JSON-able document (what the
+wire protocol's ``metrics`` op ships) and the Prometheus text exposition
+format (what a scraper ingests) — and :meth:`MetricsRegistry.read`, through
+which every ``stats()`` document reads its numbers.  Dependency-free and
+deliberately small:
 
-* **Counters** are monotone floats; they are never reset (the legacy stats
-  objects keep their own resettable views and *mirror* increments here).
+* **Counters** are monotone floats; nothing ever resets them.
 * **Gauges** are instantaneous values, settable directly or backed by a
   callback evaluated only at snapshot time — the callback form is how
   queue depths and version-chain gauges cost nothing on the hot path.
@@ -377,6 +378,27 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._families)
+
+    def read(self, name: str, by: Optional[str] = None, **labels):
+        """The current total of family ``name``, summed over its children
+        whose labels equal ``labels`` (a histogram child counts the sum of
+        its observations).
+
+        With ``by``, a dict from each value of label ``by`` to that total
+        instead.  An unregistered family raises :class:`KeyError`.
+        """
+        family = self.get(name)
+        if family is None:
+            raise KeyError(f"no metric family {name!r}")
+        totals: Dict[Optional[str], float] = {}
+        for key, child in family.children():
+            values = dict(zip(family.labelnames, key))
+            if any(values[label] != str(value) for label, value in labels.items()):
+                continue
+            group = None if by is None else values[by]
+            amount = child.sum if family.kind == "histogram" else child.value
+            totals[group] = totals.get(group, 0.0) + amount
+        return totals if by is not None else totals.get(None, 0.0)
 
     # ------------------------------------------------------------------ #
     # snapshots

@@ -41,7 +41,7 @@ class Reservoir:
     ``capacity / seen``, so at any point the retained samples are a uniform
     sample of everything observed.  Not internally locked — callers that
     share a reservoir across threads must serialise :meth:`add` themselves
-    (``ServiceStats`` already holds its own lock around every mutation).
+    (``QueryService`` holds a lock around its latency reservoir).
     """
 
     __slots__ = ("capacity", "_samples", "_seen", "_random")

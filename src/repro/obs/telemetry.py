@@ -4,17 +4,18 @@ A :class:`Telemetry` bundles the three observability surfaces —
 :class:`~repro.obs.metrics.MetricsRegistry`,
 :class:`~repro.obs.trace.Tracer` and
 :class:`~repro.obs.slowlog.SlowQueryLog` — so the stack passes a single
-handle down instead of three.  One instance per tenant: a
-:class:`~repro.api.GraphDB` creates its own by default and hands it to its
-store (which binds the WAL and every published session epoch) and its query
-service; the wire server then merely *reads* the tenant's bundle for the
+handle down instead of three.  One instance per tenant, handed to each
+layer when it is constructed: the :class:`~repro.session.QuerySession`
+epochs, the :class:`~repro.store.VersionedGraphStore`, the
+:class:`~repro.service.QueryService` and (its registry) the
+:class:`~repro.wal.WalDurability` hook all count into it, and nowhere else;
+the wire server then merely *reads* the tenant's bundle for the
 ``metrics`` and ``slow_queries`` ops.
 
-A :class:`~repro.api.GraphDB` always owns one; the lower layers
-(:class:`~repro.store.VersionedGraphStore`,
-:class:`~repro.service.QueryService`,
-:class:`~repro.session.QuerySession`) stay usable bare and take a bundle
-through their optional ``bind_telemetry``.
+A layer built bare owns a private bundle; a layer built on a pre-built
+one (a store over a session or a WAL, a service over a store) adopts its
+registry, and :func:`require_one_registry` refuses parts that count into
+different registries.
 """
 
 from __future__ import annotations
@@ -80,3 +81,15 @@ class Telemetry:
             f"Telemetry(registry={self.registry!r}, tracer={self.tracer!r}, "
             f"slow_log={self.slow_log!r})"
         )
+
+
+def require_one_registry(registry: MetricsRegistry, *parts) -> None:
+    """Raise :class:`ValueError` unless every given part (anything with a
+    ``registry``; ``None`` is skipped) counts into ``registry``: a tenant
+    keeps one set of books."""
+    for part in parts:
+        if part is not None and part.registry is not registry:
+            raise ValueError(
+                f"{type(part).__name__} counts into another MetricsRegistry; "
+                "the layers of one tenant share one"
+            )

@@ -53,6 +53,7 @@ from repro.exceptions import (
 )
 from repro.graph.digraph import DataGraph
 from repro.obs import context as trace_context
+from repro.obs.telemetry import Telemetry
 from repro.server.protocol import (
     connect,
     decode_error,
@@ -116,6 +117,9 @@ class ReplicaTail:
         self._config = config
         self._checkpoint_every = checkpoint_every
         self._open_kwargs = dict(open_kwargs)
+        # One telemetry for every store the tail installs (a bootstrap swaps
+        # the store in place): the tenant keeps one set of books.
+        self._telemetry = self._open_kwargs.pop("telemetry", None) or Telemetry()
         self._backoff_base = float(backoff_base)
         self._backoff_max = float(backoff_max)
         self._subscribe_timeout = float(subscribe_timeout)
@@ -158,9 +162,14 @@ class ReplicaTail:
                 self._data_dir,
                 name=self.graph,
                 checkpoint_every=self._checkpoint_every,
+                registry=self._telemetry.registry,
             )
             self.database = GraphDB.open(
-                graph, config=self._config, durability=durability, **self._open_kwargs
+                graph,
+                config=self._config,
+                durability=durability,
+                telemetry=self._telemetry,
+                **self._open_kwargs,
             )
             self._bind_database()
         try:
@@ -276,11 +285,18 @@ class ReplicaTail:
             if is_tenant_directory(self._data_dir):
                 remove_tenant_directory(self._data_dir)
             durability = WalDurability.create(
-                self._data_dir, graph, checkpoint_every=self._checkpoint_every
+                self._data_dir,
+                graph,
+                checkpoint_every=self._checkpoint_every,
+                registry=self._telemetry.registry,
             )
         if self.database is None:
             self.database = GraphDB.open(
-                graph, config=self._config, durability=durability, **self._open_kwargs
+                graph,
+                config=self._config,
+                durability=durability,
+                telemetry=self._telemetry,
+                **self._open_kwargs,
             )
             self._bind_database()
         else:
@@ -290,12 +306,9 @@ class ReplicaTail:
             # stay valid, in-flight reads finish on the old epoch.
             database = self.database
             store = VersionedGraphStore(
-                graph, durability=durability, **self._open_kwargs
+                graph, durability=durability, telemetry=self._telemetry, **self._open_kwargs
             )
-            store.bind_telemetry(database.telemetry)
-            service = QueryService(
-                store, config=self._config, telemetry=database.telemetry
-            )
+            service = QueryService(store, config=self._config)
             old_store, old_service = database.store, database.service
             database.store = store
             database.service = service

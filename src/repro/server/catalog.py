@@ -222,8 +222,17 @@ class GraphCatalog:
             raise CatalogError(
                 f"cannot create durable tenant {name!r} from {type(source).__name__}"
             )
+        # The WAL counts into the registry of the tenant it will join.
+        telemetry = (
+            source.telemetry
+            if isinstance(source, QuerySession)
+            else session_kwargs.get("telemetry")
+        )
         durability = WalDurability.create(
-            directory, initial, checkpoint_every=self._checkpoint_every
+            directory,
+            initial,
+            checkpoint_every=self._checkpoint_every,
+            registry=None if telemetry is None else telemetry.registry,
         )
         try:
             database = GraphDB.open(

@@ -5,8 +5,8 @@ The serving layer on top of :mod:`repro.store`:
 * :class:`QueryService` — a worker pool executing queries against pinned
   MVCC snapshots; batch execution (:meth:`~QueryService.run_batch`) pins
   one version for the whole batch, single submits pin the head at
-  execution time.  Writes delegate to the store (synchronous
-  :meth:`~QueryService.apply` or the background writer queue).
+  execution time.  Writes go to the store (``service.store.apply`` or
+  its background writer queue).
 * **Admission control** — a bounded queue sheds on overload
   (:class:`~repro.exceptions.ServiceOverloadedError`), per-request
   deadlines shed stale queued work and clamp the running query's
@@ -16,9 +16,11 @@ The serving layer on top of :mod:`repro.store`:
 * :class:`StreamingResult` — paginated result iteration that holds its
   snapshot pin until the consumer finishes, so pagination never tears
   across versions.
-* :class:`ServiceStats` — throughput, p50/p95/p99 latency, shed counts,
-  per-version load; :meth:`QueryService.stats_snapshot` merges in the
-  store gauges (pinned epochs, retained versions, GC count).
+* :meth:`QueryService.stats_snapshot` — throughput, p50/p95/p99 latency
+  and shed counts, merged with the store gauges (pinned epochs, retained
+  versions, GC count).  Every count is read from the tenant's
+  ``service_*`` / ``store_*`` metric families; only the latency reservoir
+  and the start time live on the service.
 
 >>> with QueryService(graph, config=ServiceConfig(workers=4)) as service:
 ...     ticket = service.submit(query)            # admission-controlled
@@ -40,14 +42,12 @@ from repro.service.service import (
     TICKET_RUNNING,
     TICKET_SHED,
 )
-from repro.service.stats import ServiceStats
 
 __all__ = [
     "QueryService",
     "QueryTicket",
     "ServiceBatchReport",
     "ServiceConfig",
-    "ServiceStats",
     "StreamingResult",
     "TICKET_CANCELLED",
     "TICKET_DONE",

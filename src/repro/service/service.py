@@ -43,10 +43,11 @@ from repro.exceptions import ServiceOverloadedError, StoreError
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
 from repro.obs.context import TraceContext
+from repro.obs.quantiles import Reservoir, percentile
+from repro.obs.telemetry import Telemetry, require_one_registry
 from repro.obs.trace import NULL_TRACE
 from repro.query.pattern import PatternQuery
 from repro.session.batch import BatchReport
-from repro.service.stats import ServiceStats
 from repro.store.versioned import StoreSnapshot, VersionedGraphStore
 
 #: Ticket lifecycle states.
@@ -56,6 +57,11 @@ TICKET_DONE = "done"
 TICKET_SHED = "shed"
 TICKET_CANCELLED = "cancelled"
 TICKET_FAILED = "failed"
+
+#: Capacity of the service's latency :class:`~repro.obs.Reservoir`.  It
+#: keeps the samples the nearest-rank percentiles of :meth:`stats_snapshot`
+#: need, which the bucketed ``service_query_seconds`` histogram cannot give.
+LATENCY_WINDOW = 4096
 
 
 @dataclass
@@ -74,8 +80,6 @@ class ServiceConfig:
     default_engine: str = "GM"
     #: Default per-query budget (falls back to the store session's budget).
     default_budget: Optional[Budget] = None
-    #: Sliding-window size of the latency reservoir.
-    latency_window: int = 4096
     #: Backpressure depth of a streaming query's page queue: the producer
     #: runs at most this many pages ahead of the consumer before blocking.
     #: With ``keep_occurrences=False`` this bounds the stream's in-flight
@@ -466,6 +470,11 @@ class QueryService:
         it is closed with the service).
     config:
         A :class:`ServiceConfig`; defaults are serving-friendly.
+    telemetry:
+        The :class:`~repro.obs.Telemetry` the service traces, logs slow
+        queries and counts (``service_*`` / ``engine_*`` families) into;
+        by default the store's.  It must count into the store's registry
+        (:class:`ValueError` otherwise): a tenant keeps one set of books.
 
     The service starts its worker pool immediately and is a context
     manager; :meth:`close` drains the backlog and stops the workers.
@@ -475,30 +484,30 @@ class QueryService:
         self,
         store: Union[VersionedGraphStore, DataGraph, "QuerySession"],
         config: Optional[ServiceConfig] = None,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         **store_kwargs,
     ) -> None:
         if isinstance(store, VersionedGraphStore):
             self.store = store
             self._owns_store = False
         else:
-            self.store = VersionedGraphStore(store, **store_kwargs)
+            self.store = VersionedGraphStore(store, telemetry=telemetry, **store_kwargs)
             self._owns_store = True
+        self.telemetry = telemetry if telemetry is not None else self.store.telemetry
+        require_one_registry(self.store.telemetry.registry, self.telemetry)
         self.config = config or ServiceConfig()
         if self.config.workers < 1:
             raise ValueError("service needs at least one worker")
-        self.stats = ServiceStats(latency_window=self.config.latency_window)
         self._queue: "queue_module.Queue" = queue_module.Queue()
         self._admission_lock = threading.Lock()
         self._queued = 0
         self._busy = 0
         self._closed = False
-        self.telemetry = None
-        self._m_engine_queries = None
-        self._m_engine_seconds = None
-        self._m_engine_candidates = None
-        self._m_engine_intersections = None
-        self.bind_telemetry(telemetry)
+        # State, not counts: the uptime origin and the latency sample.
+        self._started = time.monotonic()
+        self._latencies = Reservoir(capacity=LATENCY_WINDOW)
+        self._latency_lock = threading.Lock()
+        self._register_metrics()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"query-service-worker-{index}", daemon=True
@@ -512,20 +521,37 @@ class QueryService:
     # telemetry
     # ------------------------------------------------------------------ #
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Wire this service into a :class:`~repro.obs.Telemetry` context.
+    def _register_metrics(self) -> None:
+        """Register the ``service_*`` / ``engine_*`` families.
 
-        Binds the stats mirror, registers the engine-side metric families,
-        and exposes the live queue depth / worker occupancy as callback
-        gauges (sampled only when the registry is snapshotted — the hot
-        path pays nothing for them).  ``None`` is a no-op; rebinding
-        replaces the gauge callbacks and reuses existing families.
+        The live queue depth and worker occupancy are callback gauges,
+        sampled only when the registry is snapshotted (the hot path pays
+        nothing for them); a later service over the same store replaces
+        the callbacks and reuses the families.
         """
-        if telemetry is None:
-            return
-        self.telemetry = telemetry
-        registry = telemetry.registry
-        self.stats.bind_registry(registry)
+        registry = self.telemetry.registry
+        self._m_submitted = registry.counter(
+            "service_submitted_total", "Requests admitted to the service queue"
+        )
+        self._m_completed = registry.counter(
+            "service_completed_total",
+            "Completed queries by terminal status",
+            labelnames=("status",),
+        )
+        self._m_failed = registry.counter(
+            "service_failed_total", "Queries that raised during execution"
+        )
+        self._m_cancelled = registry.counter(
+            "service_cancelled_total", "Queries cancelled before or during execution"
+        )
+        self._m_shed = registry.counter(
+            "service_shed_total",
+            "Requests shed by admission control, by reason",
+            labelnames=("reason",),
+        )
+        self._m_seconds = registry.histogram(
+            "service_query_seconds", "Admission-to-completion query latency"
+        )
         registry.gauge(
             "service_queue_depth",
             "Requests waiting in the bounded admission queue",
@@ -604,7 +630,7 @@ class QueryService:
         propagated id through here); without it the service's
         :class:`~repro.obs.trace.Tracer` decides by sampling.
         """
-        self.stats.note_submitted()
+        self._m_submitted.inc()
         effective_deadline = (
             deadline_seconds
             if deadline_seconds is not None
@@ -632,20 +658,17 @@ class QueryService:
             stream_buffer=stream_buffer,
             keep_occurrences=keep_occurrences,
         )
-        if self.telemetry is not None:
-            # Callers inside a distributed trace may hand the whole
-            # context; the service's per-query trace keys on the id alone.
-            if isinstance(trace_id, TraceContext):
-                trace_id = trace_id.trace_id
-            ticket.trace = self.telemetry.tracer.trace(
-                "query", trace_id=trace_id
-            )
-            ticket.trace.annotate(query=ticket.name, engine=ticket.engine)
+        # Callers inside a distributed trace may hand the whole context;
+        # the service's per-query trace keys on the id alone.
+        if isinstance(trace_id, TraceContext):
+            trace_id = trace_id.trace_id
+        ticket.trace = self.telemetry.tracer.trace("query", trace_id=trace_id)
+        ticket.trace.annotate(query=ticket.name, engine=ticket.engine)
         with self._admission_lock:
             if self._closed:
                 raise StoreError("service is closed")
             if self._queued >= self.config.queue_limit:
-                self.stats.note_shed("queue_full")
+                self._m_shed.labels("queue_full").inc()
                 ticket._finish(
                     TICKET_SHED,
                     error=ServiceOverloadedError(
@@ -738,8 +761,8 @@ class QueryService:
                 keep_occurrences=keep_occurrences,
             )
             for outcome in report.outcomes:
-                self.stats.note_submitted()
-                self.stats.note_completed(outcome.seconds, outcome.status, snap.version)
+                self._m_submitted.inc()
+                self._note_completed(outcome.seconds, outcome.status)
             return ServiceBatchReport(
                 engine=report.engine,
                 outcomes=report.outcomes,
@@ -788,10 +811,10 @@ class QueryService:
                     status=MatchStatus.CANCELLED,
                 ),
             )
-            self.stats.note_cancelled()
+            self._m_cancelled.inc()
             return
         if ticket.deadline is not None and now > ticket.deadline:
-            self.stats.note_shed("deadline")
+            self._m_shed.labels("deadline").inc()
             with self._admission_lock:
                 queue_depth, busy = self._queued, self._busy
             ticket._finish(
@@ -814,7 +837,7 @@ class QueryService:
             pin_seconds = time.perf_counter() - pin_started
         except StoreError as exc:  # closed mid-flight
             ticket._finish(TICKET_FAILED, error=exc)
-            self.stats.note_failed()
+            self._m_failed.inc()
             return
         try:
             session = snapshot.session
@@ -842,7 +865,7 @@ class QueryService:
                 ticket._finish(TICKET_CANCELLED, report=report)
             else:
                 ticket._finish(TICKET_DONE, report=report)
-            self.stats.note_completed(ticket.seconds, report.status.value, version)
+            self._note_completed(ticket.seconds, report.status.value)
             self._record_slow_query(ticket, report, version)
         except Exception as exc:  # engine/user errors surface via result()
             if ticket.cancel_event.is_set():
@@ -857,10 +880,10 @@ class QueryService:
                         status=MatchStatus.CANCELLED,
                     ),
                 )
-                self.stats.note_cancelled()
+                self._m_cancelled.inc()
             else:
                 ticket._finish(TICKET_FAILED, error=exc)
-                self.stats.note_failed()
+                self._m_failed.inc()
         finally:
             if own_pin:
                 snapshot.release()
@@ -906,10 +929,17 @@ class QueryService:
     # telemetry recording (worker side)
     # ------------------------------------------------------------------ #
 
+    def _note_completed(self, seconds: float, status: str) -> None:
+        """Count one completed query and sample its latency."""
+        self._m_completed.labels(status).inc()
+        self._m_seconds.observe(seconds)
+        if status == "cancelled":
+            self._m_cancelled.inc()
+        with self._latency_lock:
+            self._latencies.add(seconds)
+
     def _record_engine_metrics(self, engine: str, run_seconds: float, report) -> None:
-        """Mirror one finished report into the ``engine_*`` families."""
-        if self._m_engine_queries is None:
-            return
+        """Count one finished report into the ``engine_*`` families."""
         self._m_engine_queries.labels(engine).inc()
         self._m_engine_seconds.labels(engine).observe(run_seconds)
         mjoin = report.extra.get("mjoin")
@@ -976,8 +1006,6 @@ class QueryService:
 
     def _record_slow_query(self, ticket: QueryTicket, report, version: int) -> None:
         """Append one structured entry to the slow-query log if over threshold."""
-        if self.telemetry is None:
-            return
         log = self.telemetry.slow_log
         if not log.enabled or ticket.seconds is None:
             return
@@ -1000,15 +1028,45 @@ class QueryService:
         )
 
     def stats_snapshot(self) -> Dict[str, object]:
-        """Service counters merged with the store's version-chain gauges."""
-        return self.stats.snapshot(
-            extra={
-                "head_version": self.store.head_version,
-                "pinned_epochs": self.store.pinned_epoch_count,
-                "versions_retained": self.store.num_versions_retained,
-                "store": self.store.stats.snapshot(),
-            }
-        )
+        """Service counts, latency percentiles and the store's gauges.
+
+        Every count is a read of the ``service_*`` families.  Latencies run
+        from admission to completion (for a batch query, its execution
+        time); the percentiles are nearest-rank over the latency
+        :class:`~repro.obs.Reservoir`, a uniform sample of the service's
+        whole history.  Sheds split by reason: ``queue_full`` (queue at
+        capacity at submit time) and ``deadline`` (expired before a worker
+        picked the request up).
+        """
+        read = self.telemetry.registry.read
+        status_counts = {
+            status: int(count)
+            for status, count in read("service_completed_total", by="status").items()
+        }
+        shed = read("service_shed_total", by="reason")
+        with self._latency_lock:
+            samples = self._latencies.samples()
+        uptime = round(time.monotonic() - self._started, 6)
+        completed = sum(status_counts.values())
+        return {
+            "submitted": int(read("service_submitted_total")),
+            "completed": completed,
+            "failed": int(read("service_failed_total")),
+            "cancelled": int(read("service_cancelled_total")),
+            "shed_queue_full": int(shed.get("queue_full", 0)),
+            "shed_deadline": int(shed.get("deadline", 0)),
+            "shed_count": int(sum(shed.values())),
+            "status_counts": status_counts,
+            "uptime_seconds": uptime,
+            "throughput_qps": round(completed / uptime, 3) if uptime > 0 else 0.0,
+            "latency_p50_seconds": round(percentile(samples, 0.50), 6),
+            "latency_p95_seconds": round(percentile(samples, 0.95), 6),
+            "latency_p99_seconds": round(percentile(samples, 0.99), 6),
+            "head_version": self.store.head_version,
+            "pinned_epochs": self.store.pinned_epoch_count,
+            "versions_retained": self.store.num_versions_retained,
+            "store": self.store.counters(),
+        }
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -1043,5 +1101,5 @@ class QueryService:
         return (
             f"QueryService(workers={self.config.workers}, "
             f"head=v{self.store.head_version}, "
-            f"completed={self.stats.completed})"
+            f"completed={int(self.telemetry.registry.read('service_completed_total'))})"
         )

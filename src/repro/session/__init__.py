@@ -26,16 +26,16 @@ Cache lifecycle
   graph only when a comparator engine meets its first descendant query,
   the GF catalog / EH partitions when those engines are first requested,
   and one RIG per distinct (GM variant, query, graph version).
-* Builds, reuses and update outcomes are counted in ``session.stats``
+* Builds, reuses and update outcomes are counted per artifact in the
+  ``session_cache_*`` families of the session's telemetry registry
   (misses = builds, hits = reuses, patches = in-place updates,
-  invalidations = drops), so "the second identical query rebuilds
-  nothing" and "a small insert delta rebuilds nothing expensive" are
-  assertable properties, not hopes.
-* ``session.clear()`` resets the session to its freshly constructed
-  state: every cached artifact is dropped **and every stats counter is
-  zeroed**, so hit-rate arithmetic stays truthful when a session object
-  is reused.  (Before this contract, counters survived ``clear()`` and
-  post-clear hit rates lied.)
+  invalidations = drops) and read back with ``session.cache_counts()``,
+  so "the second identical query rebuilds nothing" and "a small insert
+  delta rebuilds nothing expensive" are assertable properties, not hopes.
+  The counts are per tenant: a bare session owns its registry, the
+  epochs of a store share the tenant's.
+* ``session.clear()`` drops every cached artifact; the counts, like every
+  registry counter, only go up (assert on deltas).
 
 One session = one epoch
 -----------------------
@@ -68,12 +68,11 @@ the numbers a serving system actually monitors.
 
 from repro.dynamic.maintenance import ApplyReport
 from repro.session.batch import BatchReport, QueryOutcome, percentile
-from repro.session.session import CacheStats, QuerySession
+from repro.session.session import QuerySession
 
 __all__ = [
     "ApplyReport",
     "BatchReport",
-    "CacheStats",
     "QueryOutcome",
     "QuerySession",
     "percentile",

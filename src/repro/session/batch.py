@@ -44,8 +44,10 @@ class BatchReport:
     outcomes: List[QueryOutcome]
     wall_seconds: float
     workers: int
-    #: Cache hit/miss counters accumulated *during* this batch (deltas of the
-    #: session's counters between batch start and end).
+    #: Per-artifact cache hits / misses during this batch: the delta of the
+    #: ``session_cache_*`` registry counters between batch start and end.
+    #: The registry is the tenant's, so on a store epoch the delta includes
+    #: concurrent reads of the same tenant.
     cache_hits: Dict[str, int] = field(default_factory=dict)
     cache_misses: Dict[str, int] = field(default_factory=dict)
 

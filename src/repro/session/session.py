@@ -6,7 +6,8 @@ built *once* and reused across queries.  A
 :class:`QuerySession` is the object that owns that cached state: construct
 one per data graph, then push any number of queries (and any mix of
 matchers) through it.  Every artifact is built lazily on first use, guarded
-by a lock, and accounted in :class:`CacheStats` so callers can assert reuse.
+by a lock, and counted in the ``session_cache_*`` families of the session's
+telemetry registry so callers can assert reuse.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.matching.gm import GMVariant, GraphMatcher
 from repro.matching.ordering import OrderingMethod
 from repro.matching.result import Budget, MatchReport
 from repro.matching.stream import MatchStream
+from repro.obs.telemetry import Telemetry
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
@@ -46,162 +48,22 @@ from repro.session.batch import BatchReport, QueryOutcome
 from repro.simulation.context import MatchContext
 
 
-class CacheStats:
-    """Hit/miss/invalidation/patch counters for the session's cached artifacts.
+#: The four ``session_cache_<outcome>_total`` families, with their help text.
+_CACHE_FAMILIES = {
+    "hits": "Cached-artifact reuses",
+    "misses": "Cached-artifact builds",
+    "invalidations": "Artifacts dropped by graph updates",
+    "patches": "Artifacts patched in place by graph updates",
+}
 
-    A *miss* means the artifact was built (the expensive path); a *hit*
-    means an already-built artifact was reused.  Counters are keyed by
-    artifact name (``"reachability"``, ``"closure"``, ``"expanded_graph"``,
-    ``"catalog"``, ``"partitions"``, ``"rig"``, ``"matcher"``).  ``"matcher"``
-    only records builds: instance lookups happen on every query and are not
-    an interesting reuse signal.
 
-    Graph updates (:meth:`QuerySession.apply`) add two more outcomes: a
-    *patch* means the artifact was updated in place and its build cost was
-    saved; an *invalidation* means it was dropped and will be rebuilt
-    lazily (a future miss).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._hits: Dict[str, int] = {}
-        self._misses: Dict[str, int] = {}
-        self._invalidations: Dict[str, int] = {}
-        self._patches: Dict[str, int] = {}
-        self._m_hits = None
-        self._m_misses = None
-        self._m_invalidations = None
-        self._m_patches = None
-
-    def bind_registry(self, registry) -> None:
-        """Mirror every future recording into shared ``session_cache_*`` families.
-
-        The local counters keep their per-session lifecycle (``reset()`` on
-        :meth:`QuerySession.clear`); the registry families are monotone and
-        accumulate across every session epoch bound to the same registry —
-        including the forked epochs a :class:`~repro.store.VersionedGraphStore`
-        publishes and later garbage-collects.
-        """
-        self._m_hits = registry.counter(
-            "session_cache_hits_total", "Cached-artifact reuses", labelnames=("artifact",)
-        )
-        self._m_misses = registry.counter(
-            "session_cache_misses_total", "Cached-artifact builds", labelnames=("artifact",)
-        )
-        self._m_invalidations = registry.counter(
-            "session_cache_invalidations_total",
-            "Artifacts dropped by graph updates",
-            labelnames=("artifact",),
-        )
-        self._m_patches = registry.counter(
-            "session_cache_patches_total",
-            "Artifacts patched in place by graph updates",
-            labelnames=("artifact",),
-        )
-
-    def record_hit(self, key: str) -> None:
-        """Count one reuse of the artifact ``key``."""
-        with self._lock:
-            self._hits[key] = self._hits.get(key, 0) + 1
-        if self._m_hits is not None:
-            self._m_hits.labels(key).inc()
-
-    def record_miss(self, key: str) -> None:
-        """Count one build of the artifact ``key``."""
-        with self._lock:
-            self._misses[key] = self._misses.get(key, 0) + 1
-        if self._m_misses is not None:
-            self._m_misses.labels(key).inc()
-
-    def record_invalidation(self, key: str) -> None:
-        """Count one drop of the artifact ``key`` on a graph update."""
-        with self._lock:
-            self._invalidations[key] = self._invalidations.get(key, 0) + 1
-        if self._m_invalidations is not None:
-            self._m_invalidations.labels(key).inc()
-
-    def record_patch(self, key: str) -> None:
-        """Count one in-place update of the artifact ``key``."""
-        with self._lock:
-            self._patches[key] = self._patches.get(key, 0) + 1
-        if self._m_patches is not None:
-            self._m_patches.labels(key).inc()
-
-    def hits(self, key: Optional[str] = None) -> int:
-        """Hit count for ``key`` (total over all artifacts when omitted)."""
-        with self._lock:
-            if key is None:
-                return sum(self._hits.values())
-            return self._hits.get(key, 0)
-
-    def misses(self, key: Optional[str] = None) -> int:
-        """Miss (build) count for ``key`` (total when omitted)."""
-        with self._lock:
-            if key is None:
-                return sum(self._misses.values())
-            return self._misses.get(key, 0)
-
-    def invalidations(self, key: Optional[str] = None) -> int:
-        """Invalidation count for ``key`` (total when omitted)."""
-        with self._lock:
-            if key is None:
-                return sum(self._invalidations.values())
-            return self._invalidations.get(key, 0)
-
-    def patches(self, key: Optional[str] = None) -> int:
-        """Patch count for ``key`` (total when omitted)."""
-        with self._lock:
-            if key is None:
-                return sum(self._patches.values())
-            return self._patches.get(key, 0)
-
-    @property
-    def total_hits(self) -> int:
-        """Total hits over all artifacts."""
-        return self.hits()
-
-    @property
-    def total_misses(self) -> int:
-        """Total builds over all artifacts."""
-        return self.misses()
-
-    @property
-    def total_invalidations(self) -> int:
-        """Total invalidations over all artifacts."""
-        return self.invalidations()
-
-    @property
-    def total_patches(self) -> int:
-        """Total in-place patches over all artifacts."""
-        return self.patches()
-
-    def snapshot(self) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """Copies of the (hits, misses) counter dicts."""
-        with self._lock:
-            return dict(self._hits), dict(self._misses)
-
-    def full_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Copies of all four counter dicts, keyed by counter name."""
-        with self._lock:
-            return {
-                "hits": dict(self._hits),
-                "misses": dict(self._misses),
-                "invalidations": dict(self._invalidations),
-                "patches": dict(self._patches),
-            }
-
-    def reset(self) -> None:
-        """Zero every counter (used by :meth:`QuerySession.clear`)."""
-        with self._lock:
-            self._hits.clear()
-            self._misses.clear()
-            self._invalidations.clear()
-            self._patches.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        full = self.full_snapshot()
-        parts = [f"{name}={counters}" for name, counters in full.items() if counters]
-        return f"CacheStats({', '.join(parts) or 'empty'})"
+def _delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, int]:
+    """Per-artifact increase between two ``by="artifact"`` registry reads."""
+    return {
+        key: int(value - before.get(key, 0))
+        for key, value in after.items()
+        if value != before.get(key, 0)
+    }
 
 
 class _ObservedRigCache(dict):
@@ -209,18 +71,20 @@ class _ObservedRigCache(dict):
 
     ``GraphMatcher._rig_for`` probes the cache exactly once per match, so
     counting inside :meth:`get` yields one hit or one miss per GM query.
+    ``hit`` / ``miss`` are the ``artifact="rig"`` counter children.
     """
 
-    def __init__(self, stats: CacheStats) -> None:
+    def __init__(self, hit, miss) -> None:
         super().__init__()
-        self._stats = stats
+        self._hit = hit
+        self._miss = miss
 
     def get(self, key, default=None):
         value = super().get(key, default)
         if value is None:
-            self._stats.record_miss("rig")
+            self._miss.inc()
         else:
-            self._stats.record_hit("rig")
+            self._hit.inc()
         return value
 
 
@@ -237,6 +101,10 @@ class QuerySession:
         Defaults forwarded to the GM matchers the session constructs.
     set_kind:
         Set representation for session-built RIGs (``"set"`` default).
+    telemetry:
+        The :class:`~repro.obs.Telemetry` whose registry the session counts
+        into.  A session built bare owns a private one; the epochs of a
+        :class:`~repro.store.VersionedGraphStore` share the tenant's.
 
     The session owns, lazily and at most once each:
 
@@ -248,15 +116,20 @@ class QuerySession:
     * one RIG per distinct (GM variant, query) pair;
     * one matcher / engine instance per matcher name.
 
-    ``stats`` exposes hit/miss counters per artifact; after a warm-up query,
-    identical queries must record only hits (no rebuilds).
+    Every build (a *miss*) and reuse (a *hit*) of an artifact is counted
+    per artifact name (``"reachability"``, ``"closure"``,
+    ``"expanded_graph"``, ``"catalog"``, ``"partitions"``, ``"rig"``,
+    ``"matcher"``; ``"matcher"`` only records builds) in the
+    ``session_cache_*`` families, and :meth:`cache_counts` reads them back;
+    after a warm-up query, identical queries must record only hits (no
+    rebuilds).
 
     Graph updates flow in through :meth:`apply` as batched
     :class:`~repro.dynamic.GraphDelta` edits: the graph advances to a new
     monotone version and each cached artifact is patched in place where the
-    delta shape allows, or invalidated for lazy rebuild (recorded as
-    ``stats`` patches / invalidations).  :meth:`clear` resets the session —
-    artifacts *and* counters — to the freshly constructed state.
+    delta shape allows, or invalidated for lazy rebuild (counted as
+    patches / invalidations).  :meth:`clear` drops every artifact; the
+    counts, like every registry counter, only go up.
 
     Thread safety: artifact construction is serialised by an internal lock;
     match execution itself only reads shared state, so :meth:`run_batch` may
@@ -271,15 +144,22 @@ class QuerySession:
         rig_options: Optional[RIGOptions] = None,
         budget: Optional[Budget] = None,
         set_kind: str = "set",
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.graph = graph
         self.reachability_kind = reachability_kind
         self.ordering = ordering
         self.rig_options = rig_options or RIGOptions(set_kind=set_kind)
         self.budget = budget or Budget()
-        self.stats = CacheStats()
-        #: The bound per-tenant telemetry bundle (None when observability is off).
-        self.telemetry = None
+        #: The telemetry bundle the session counts into.
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        registry = self.telemetry.registry
+        self._counters = {
+            outcome: registry.counter(
+                f"session_cache_{outcome}_total", help, labelnames=("artifact",)
+            )
+            for outcome, help in _CACHE_FAMILIES.items()
+        }
         self._lock = threading.RLock()
         self._context: Optional[MatchContext] = None
         self._closure: Optional[TransitiveClosureIndex] = None
@@ -303,24 +183,31 @@ class QuerySession:
         with self._lock:
             value = getattr(self, attr)
             if value is None:
-                self.stats.record_miss(key)
+                self._count("misses", key)
                 value = builder()
                 setattr(self, attr, value)
             else:
-                self.stats.record_hit(key)
+                self._count("hits", key)
             return value
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach a :class:`~repro.obs.Telemetry` bundle to this session.
+    def _count(self, outcome: str, artifact: str) -> None:
+        """Count one ``outcome`` (hits / misses / patches / invalidations)."""
+        self._counters[outcome].labels(artifact).inc()
 
-        The cache counters start mirroring into the bundle's registry
-        (``session_cache_*`` families).  Binding ``None`` is a no-op, so
-        callers can pass through an optional bundle unconditionally.
+    def cache_counts(self, artifact: Optional[str] = None) -> Dict[str, int]:
+        """Hits, misses, patches and invalidations of ``artifact`` (of every
+        artifact when omitted), read from the registry the session counts
+        into.
+
+        A bare session reads its own counts; an epoch of a store reads those
+        of every epoch of its tenant.
         """
-        if telemetry is None:
-            return
-        self.telemetry = telemetry
-        self.stats.bind_registry(telemetry.registry)
+        labels = {} if artifact is None else {"artifact": artifact}
+        registry = self.telemetry.registry
+        return {
+            outcome: int(registry.read(f"session_cache_{outcome}_total", **labels))
+            for outcome in _CACHE_FAMILIES
+        }
 
     @property
     def version(self) -> int:
@@ -434,7 +321,9 @@ class QuerySession:
         key = (variant.value, self.version)
         cache = self._rig_caches.get(key)
         if cache is None:
-            cache = _ObservedRigCache(self.stats)
+            cache = _ObservedRigCache(
+                self._counters["hits"].labels("rig"), self._counters["misses"].labels("rig")
+            )
             self._rig_caches[key] = cache
         return cache
 
@@ -482,7 +371,7 @@ class QuerySession:
         with self._lock:
             matcher = self._matchers.get(name)
             if matcher is None:
-                self.stats.record_miss("matcher")
+                self._count("misses", "matcher")
                 matcher = self._build_matcher(name)
                 self._matchers[name] = matcher
             # Reusing the instance is not counted as a hit: every query()
@@ -581,12 +470,11 @@ class QuerySession:
                 if getattr(self, attr) is not None
             ]
         plan.artifacts.setdefault("session_cached", cached)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(
-                "explain_total",
-                "EXPLAIN / EXPLAIN ANALYZE requests",
-                labelnames=("engine", "mode"),
-            ).labels(engine, "analyze" if analyze else "plan").inc()
+        self.telemetry.registry.counter(
+            "explain_total",
+            "EXPLAIN / EXPLAIN ANALYZE requests",
+            labelnames=("engine", "mode"),
+        ).labels(engine, "analyze" if analyze else "plan").inc()
         return plan
 
     def count(self, query: PatternQuery, engine: str = "GM", budget: Optional[Budget] = None) -> int:
@@ -660,7 +548,9 @@ class QuerySession:
 
         # Warm the matcher once so worker threads never race its construction.
         self.matcher(engine)
-        hits_before, misses_before = self.stats.snapshot()
+        registry = self.telemetry.registry
+        hits_before = registry.read("session_cache_hits_total", by="artifact")
+        misses_before = registry.read("session_cache_misses_total", by="artifact")
 
         def run_one(item: Tuple[str, PatternQuery]) -> QueryOutcome:
             name, query = item
@@ -686,24 +576,17 @@ class QuerySession:
             outcomes = [run_one(item) for item in items]
         wall_seconds = time.perf_counter() - wall_start
 
-        hits_after, misses_after = self.stats.snapshot()
-        cache_hits = {
-            key: hits_after[key] - hits_before.get(key, 0)
-            for key in hits_after
-            if hits_after[key] != hits_before.get(key, 0)
-        }
-        cache_misses = {
-            key: misses_after[key] - misses_before.get(key, 0)
-            for key in misses_after
-            if misses_after[key] != misses_before.get(key, 0)
-        }
         return BatchReport(
             engine=engine,
             outcomes=outcomes,
             wall_seconds=wall_seconds,
             workers=max(1, workers),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            cache_hits=_delta(
+                hits_before, registry.read("session_cache_hits_total", by="artifact")
+            ),
+            cache_misses=_delta(
+                misses_before, registry.read("session_cache_misses_total", by="artifact")
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -721,7 +604,7 @@ class QuerySession:
     # graph updates
     # ------------------------------------------------------------------ #
 
-    def apply(self, delta: GraphDelta, materialize: bool = True) -> ApplyReport:
+    def apply(self, delta: GraphDelta) -> ApplyReport:
         """Apply a batched graph update and maintain every cached artifact.
 
         The session's graph advances to the post-delta state at a bumped
@@ -731,16 +614,9 @@ class QuerySession:
         rebuilds lazily on next use, exactly like a first-time build).
         Per-query state — RIG caches and matcher instances — is always
         stranded by the version bump.  Outcomes are recorded per artifact
-        in ``stats`` (``patches`` / ``invalidations``) and summarised in the
-        returned :class:`~repro.dynamic.ApplyReport`.
-
-        ``materialize=False`` keeps the post-delta state as a
-        :class:`~repro.dynamic.MutableDataGraph` overlay instead of
-        freezing a fresh :class:`~repro.graph.digraph.DataGraph` — cheaper
-        for very large graphs under tiny deltas, at the cost of slightly
-        slower reads on the mutated nodes.  Successive overlay-mode applies
-        never stack: the previous overlay is compacted before the next one
-        is layered, so reads always pay at most one delegation level.
+        as ``session_cache_patches_total`` /
+        ``session_cache_invalidations_total`` and summarised in the returned
+        :class:`~repro.dynamic.ApplyReport`.
 
         A delta whose every operation turns out to be a no-op (edges that
         already exist, relabels to the current label) changes nothing: the
@@ -756,10 +632,6 @@ class QuerySession:
                 )
             old_version = self.version
             current = self.graph
-            if isinstance(current, MutableDataGraph):
-                # Compact a previous overlay-mode apply so overlays never
-                # chain (each level would tax every subsequent read).
-                current = current.materialize()
             overlay = MutableDataGraph(current, delta)
             effective = overlay.delta_since_base()
             if not effective:
@@ -769,16 +641,16 @@ class QuerySession:
                     num_ops=0,
                     seconds=time.perf_counter() - started,
                 )
-            new_graph = overlay.materialize() if materialize else overlay
+            new_graph = overlay.materialize()
             patched: List[str] = []
             invalidated: List[str] = []
 
             def note_patch(key: str) -> None:
-                self.stats.record_patch(key)
+                self._count("patches", key)
                 patched.append(key)
 
             def note_invalidate(key: str) -> None:
-                self.stats.record_invalidation(key)
+                self._count("invalidations", key)
                 invalidated.append(key)
 
             patchable = should_patch(self.graph, effective)
@@ -886,7 +758,7 @@ class QuerySession:
         """True if this session is an immutable store epoch."""
         return self._frozen
 
-    def fork(self, copy_rig_caches: bool = True) -> "QuerySession":
+    def fork(self) -> "QuerySession":
         """A copy-on-write clone whose artifacts can be patched independently.
 
         The clone serves the same graph at the same version, but every
@@ -894,14 +766,11 @@ class QuerySession:
         index, transitive closure, catalog, partitions — is copied, so
         ``clone.apply(delta)`` never changes an answer this session
         returns.  Immutable artifacts (the closure-expanded
-        :class:`DataGraph`) are shared.  RIG caches are carried over (their
-        entries are immutable per (variant, query, version)) unless
-        ``copy_rig_caches=False`` — the right choice when the clone is
-        about to absorb a delta, which strands every old-version RIG
-        anyway.  Matcher instances are never carried (they are cheap and
-        rebind to the clone's artifacts on first use).  The clone starts
-        with fresh :class:`CacheStats` and is never frozen, regardless of
-        this session's frozen state.
+        :class:`DataGraph`) are shared.  A fork never carries RIG caches or
+        matcher instances: it is about to absorb a delta, which strands
+        every old-version RIG, and matchers rebind to the clone's artifacts
+        on first use.  The clone counts into this session's telemetry and
+        is never frozen, regardless of this session's frozen state.
 
         This is the copy-on-write primitive behind
         :meth:`VersionedGraphStore.apply`: fork the head epoch, fold the
@@ -916,6 +785,7 @@ class QuerySession:
                 ordering=self.ordering,
                 rig_options=self.rig_options,
                 budget=self.budget,
+                telemetry=self.telemetry,
             )
             if self._context is not None:
                 index = self._context.reachability.copy()
@@ -931,21 +801,13 @@ class QuerySession:
                 clone._partitions = {
                     key: list(edges) for key, edges in self._partitions.items()
                 }
-            clone.bind_telemetry(self.telemetry)
-            if copy_rig_caches:
-                for key, cache in self._rig_caches.items():
-                    fresh = _ObservedRigCache(clone.stats)
-                    dict.update(fresh, cache)
-                    clone._rig_caches[key] = fresh
             return clone
 
     def clear(self) -> None:
-        """Drop every cached artifact and reset all cache counters.
+        """Drop every cached artifact.
 
-        After ``clear()`` the session behaves like a freshly constructed
-        one: the next query rebuilds each artifact (recorded as misses) and
-        hit/miss/invalidation/patch counters restart from zero, so
-        hit-rate arithmetic over ``stats`` stays truthful across reuse.
+        The next query rebuilds each artifact it needs (counted as misses);
+        the counts themselves are registry counters and never go back.
         """
         with self._lock:
             self._context = None
@@ -955,7 +817,6 @@ class QuerySession:
             self._partitions = None
             self._rig_caches.clear()
             self._matchers.clear()
-            self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -20,7 +20,8 @@ concurrency control:
   answers for that version no matter how many writes land meanwhile;
   releasing the last pin lets the store garbage-collect the epoch and its
   cached indexes.
-* :class:`StoreStats` — applies, no-ops, GC count, peak chain length.
+* :meth:`VersionedGraphStore.counters` — applies, no-ops, GC count (read
+  from the tenant's ``store_*`` metric families) and the peak chain length.
 
 Readers never block writers and writers never block readers: pinning takes
 a tiny chain mutex, folding happens outside it.
@@ -34,7 +35,6 @@ a tiny chain mutex, folding happens outside it.
 from repro.store.versioned import (
     Reader,
     StoreSnapshot,
-    StoreStats,
     VersionedGraphStore,
     VersionRecord,
 )
@@ -42,7 +42,6 @@ from repro.store.versioned import (
 __all__ = [
     "Reader",
     "StoreSnapshot",
-    "StoreStats",
     "VersionRecord",
     "VersionedGraphStore",
 ]

@@ -26,7 +26,7 @@ Concurrency contract
 * **Unpinned epochs are garbage-collected.**  When the head advances or a
   pin is released, every non-head record with zero pins is retired: its
   artifact caches are dropped and the record leaves the chain
-  (:attr:`StoreStats.gc_count` counts them).
+  (``store_gc_retired_total`` counts them).
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
+from repro.dynamic.overlay import MutableDataGraph
 from repro.exceptions import StoreError
 from repro.graph.digraph import DataGraph
 from repro.matching.result import MatchReport
 from repro.obs.context import trace_span
+from repro.obs.telemetry import Telemetry, require_one_registry
 from repro.session.session import QuerySession
 
 
@@ -224,81 +226,6 @@ class StoreSnapshot(Reader):
         return f"StoreSnapshot(version={self._record.version}, {state})"
 
 
-class StoreStats:
-    """Counters describing the store's write / GC activity.
-
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is bound via
-    :meth:`bind_registry`, recordings also increment the shared ``store_*``
-    families (monotone; never reset by epoch GC).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.applies = 0
-        self.noop_applies = 0
-        self.apply_seconds = 0.0
-        self.gc_count = 0
-        self.peak_versions = 1
-        self._m_applies = None
-        self._m_noop = None
-        self._m_gc = None
-        self._m_apply_seconds = None
-
-    def bind_registry(self, registry) -> None:
-        """Mirror every future recording into ``store_*`` metric families."""
-        self._m_applies = registry.counter(
-            "store_applies_total", "Delta folds published as new epochs"
-        )
-        self._m_noop = registry.counter(
-            "store_noop_applies_total", "Delta folds that changed nothing"
-        )
-        self._m_gc = registry.counter(
-            "store_gc_retired_total", "Unpinned epochs retired by the garbage collector"
-        )
-        self._m_apply_seconds = registry.histogram(
-            "store_apply_seconds", "Fold duration (delta absorb + publish)"
-        )
-
-    def note_apply(self, report: ApplyReport) -> None:
-        with self._lock:
-            if report.new_version == report.old_version:
-                self.noop_applies += 1
-            else:
-                self.applies += 1
-                self.apply_seconds += report.seconds
-        if self._m_applies is not None:
-            if report.new_version == report.old_version:
-                self._m_noop.inc()
-            else:
-                self._m_applies.inc()
-                self._m_apply_seconds.observe(report.seconds)
-
-    def note_gc(self, count: int = 1) -> None:
-        with self._lock:
-            self.gc_count += count
-        if self._m_gc is not None:
-            self._m_gc.inc(count)
-
-    def note_versions(self, retained: int) -> None:
-        with self._lock:
-            if retained > self.peak_versions:
-                self.peak_versions = retained
-
-    def snapshot(self) -> Dict[str, object]:
-        """A copy of every counter (for reports and the service stats)."""
-        with self._lock:
-            return {
-                "applies": self.applies,
-                "noop_applies": self.noop_applies,
-                "apply_seconds": round(self.apply_seconds, 6),
-                "gc_count": self.gc_count,
-                "peak_versions": self.peak_versions,
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StoreStats({self.snapshot()})"
-
-
 class VersionedGraphStore:
     """Concurrent MVCC store over one evolving data graph.
 
@@ -325,6 +252,13 @@ class VersionedGraphStore:
         unchanged.  The store drives the hook's auto-checkpoint policy
         (``should_checkpoint`` → ``checkpoint`` right after a publish) and
         closes it with the store.
+    telemetry:
+        The tenant's :class:`~repro.obs.Telemetry`: the store and every
+        epoch session count into its registry (``store_*`` and
+        ``session_cache_*`` families).  By default the store adopts the
+        registry of a session or durability hook it is given, or owns a
+        private one; parts counting into different registries raise
+        :class:`ValueError`.
     session_kwargs:
         Forwarded to :class:`QuerySession` when ``graph`` is a plain data
         graph (``reachability_kind``, ``ordering``, ``budget``, ...).
@@ -335,13 +269,19 @@ class VersionedGraphStore:
         graph: Union[DataGraph, QuerySession],
         warm_on_publish: bool = False,
         durability=None,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         **session_kwargs,
     ) -> None:
         if isinstance(graph, QuerySession):
             session = graph
         else:
-            session = QuerySession(graph, **session_kwargs)
+            if telemetry is None and durability is not None:
+                telemetry = Telemetry(registry=durability.registry)
+            session = QuerySession(graph, telemetry=telemetry, **session_kwargs)
+        #: The tenant's telemetry, shared with every epoch session.
+        self.telemetry = session.telemetry
+        registry = self.telemetry.registry
+        require_one_registry(registry, telemetry, durability)
         session.freeze()
         record = VersionRecord(session.version, session.graph, session)
         self._chain_lock = threading.Lock()
@@ -353,16 +293,46 @@ class VersionedGraphStore:
         self._closed = False
         self.warm_on_publish = warm_on_publish
         self.durability = durability
-        self.stats = StoreStats()
-        self.telemetry = None
-        self._m_pins = None
+        # The longest the chain has been: state, so not a registry counter.
+        self._peak_versions = 1
         # Lazily started background writer (apply_async).
         self._write_queue: Optional[queue_module.Queue] = None
         self._writer_thread: Optional[threading.Thread] = None
         # Publish listeners (replication log shipping): called under the
         # writer lock, right after the head swap, in registration order.
         self._publish_listeners: List = []
-        self.bind_telemetry(telemetry)
+        self._m_applies = registry.counter(
+            "store_applies_total", "Delta folds published as new epochs"
+        )
+        self._m_noop = registry.counter(
+            "store_noop_applies_total", "Delta folds that changed nothing"
+        )
+        self._m_gc = registry.counter(
+            "store_gc_retired_total", "Unpinned epochs retired by the garbage collector"
+        )
+        self._m_apply_seconds = registry.histogram(
+            "store_apply_seconds", "Fold duration (delta absorb + publish)"
+        )
+        self._m_pins = registry.counter(
+            "store_pins_total", "Snapshot pins taken against the version chain"
+        )
+        # Version-chain gauges are snapshot-time callbacks: zero hot-path cost.
+        registry.gauge(
+            "store_head_version", "Latest published graph version",
+            fn=lambda: self.head_version,
+        )
+        registry.gauge(
+            "store_versions_retained", "Epochs currently in the chain",
+            fn=lambda: self.num_versions_retained,
+        )
+        registry.gauge(
+            "store_pinned_epochs", "Epochs with at least one live pin",
+            fn=lambda: self.pinned_epoch_count,
+        )
+        registry.gauge(
+            "store_live_pins", "Total live pins across retained epochs",
+            fn=lambda: self.total_pin_count,
+        )
 
     def add_publish_listener(self, listener) -> None:
         """Register ``listener(delta, old_version, new_version, published_at)``.
@@ -387,46 +357,6 @@ class VersionedGraphStore:
                 self._publish_listeners.remove(listener)
             except ValueError:
                 pass
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach a :class:`~repro.obs.Telemetry` bundle to the store.
-
-        Binds the store counters (``store_*`` families), registers the
-        version-chain gauges as snapshot-time callbacks (zero hot-path
-        cost), propagates the bundle to the head epoch's session (forked
-        epochs inherit it through :meth:`QuerySession.fork`), and binds the
-        durability hook's ``wal_*`` families when one is attached.  Binding
-        ``None`` is a no-op.
-        """
-        if telemetry is None:
-            return
-        self.telemetry = telemetry
-        registry = telemetry.registry
-        self.stats.bind_registry(registry)
-        self._m_pins = registry.counter(
-            "store_pins_total", "Snapshot pins taken against the version chain"
-        )
-        registry.gauge(
-            "store_head_version", "Latest published graph version",
-            fn=lambda: self.head_version,
-        )
-        registry.gauge(
-            "store_versions_retained", "Epochs currently in the chain",
-            fn=lambda: self.num_versions_retained,
-        )
-        registry.gauge(
-            "store_pinned_epochs", "Epochs with at least one live pin",
-            fn=lambda: self.pinned_epoch_count,
-        )
-        registry.gauge(
-            "store_live_pins", "Total live pins across retained epochs",
-            fn=lambda: self.total_pin_count,
-        )
-        with self._chain_lock:
-            head = self._head
-        head.session.bind_telemetry(telemetry)
-        if self.durability is not None and hasattr(self.durability, "bind_registry"):
-            self.durability.bind_registry(registry)
 
     # ------------------------------------------------------------------ #
     # read side: pinning
@@ -453,8 +383,7 @@ class VersionedGraphStore:
                     )
             record.pins += 1
             snapshot = StoreSnapshot(self, record)
-        if self._m_pins is not None:
-            self._m_pins.inc()
+        self._m_pins.inc()
         return snapshot
 
     def _release(self, record: VersionRecord) -> None:
@@ -473,7 +402,7 @@ class VersionedGraphStore:
             record.retired = True
             retired.append(record)
         if retired:
-            self.stats.note_gc(len(retired))
+            self._m_gc.inc(len(retired))
         # Drop the artifact caches outside the record dict; the sessions
         # are frozen but clear() only drops caches, which is the point.
         for record in retired:
@@ -523,6 +452,18 @@ class VersionedGraphStore:
         with self._chain_lock:
             return tuple(self._records)
 
+    def counters(self) -> Dict[str, object]:
+        """The store's write / GC counts, read from its ``store_*`` families,
+        plus the peak chain length (the ``store`` section of ``stats()``)."""
+        read = self.telemetry.registry.read
+        return {
+            "applies": int(read("store_applies_total")),
+            "noop_applies": int(read("store_noop_applies_total")),
+            "apply_seconds": round(read("store_apply_seconds"), 6),
+            "gc_count": int(read("store_gc_retired_total")),
+            "peak_versions": self._peak_versions,
+        }
+
     # ------------------------------------------------------------------ #
     # write side: fold + publish
     # ------------------------------------------------------------------ #
@@ -561,19 +502,14 @@ class VersionedGraphStore:
             # Cheap no-op probe before paying the copy-on-write fork: a
             # feed replayed against a moving head routinely contains
             # already-applied edits, and forking copies O(V + E) state.
-            head_graph = head.session.graph
-            if isinstance(head_graph, DataGraph):
-                from repro.dynamic.overlay import MutableDataGraph
-
-                if not MutableDataGraph(head_graph, delta).delta_since_base():
-                    report = ApplyReport(
-                        old_version=head.version,
-                        new_version=head.version,
-                        num_ops=0,
-                        seconds=time.perf_counter() - started,
-                    )
-                    self.stats.note_apply(report)
-                    return report
+            if not MutableDataGraph(head.session.graph, delta).delta_since_base():
+                self._m_noop.inc()
+                return ApplyReport(
+                    old_version=head.version,
+                    new_version=head.version,
+                    num_ops=0,
+                    seconds=time.perf_counter() - started,
+                )
             # A traced write (the server activated the client's context on
             # this thread) records the fold as a span tree: ``fold`` with
             # ``journal`` and ``publish`` children, and the publish
@@ -581,10 +517,10 @@ class VersionedGraphStore:
             # fold span is the active context, so shipped delta frames
             # carry it and every replica's apply links back to this fold.
             with trace_span("fold") as fold_span:
-                fork = head.session.fork(copy_rig_caches=False)
+                fork = head.session.fork()
                 report = fork.apply(delta)
                 if report.new_version == report.old_version:
-                    self.stats.note_apply(report)
+                    self._m_noop.inc()
                     return report
                 if fold_span is not None:
                     fold_span.meta.update(
@@ -615,9 +551,10 @@ class VersionedGraphStore:
                         self._records[record.version] = record
                         self._head = record
                         self._gc_locked()
-                        self.stats.note_versions(len(self._records))
+                        self._peak_versions = max(self._peak_versions, len(self._records))
                         listeners = list(self._publish_listeners)
-                self.stats.note_apply(report)
+                self._m_applies.inc()
+                self._m_apply_seconds.observe(report.seconds)
                 if listeners:
                     published_at = time.time()
                     for listener in listeners:

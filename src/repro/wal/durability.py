@@ -42,6 +42,7 @@ from repro.dynamic.overlay import MutableDataGraph
 from repro.exceptions import GraphError, WalError
 from repro.graph.digraph import DataGraph
 from repro.graph.io import load_graph_json, save_graph_json
+from repro.obs.metrics import MetricsRegistry
 from repro.wal.log import DeltaLog, scan_log
 
 #: File names inside a tenant's durability directory.
@@ -122,6 +123,11 @@ class WalDurability:
     fsync:
         Passed to the :class:`~repro.wal.log.DeltaLog`; ``False`` drops
         the per-append fsync (benchmarking only — it voids the guarantee).
+    registry:
+        The :class:`~repro.obs.MetricsRegistry` the hook counts journal
+        appends and checkpoints into (``wal_*`` families) — the tenant's,
+        so the initial checkpoint of :meth:`create` is counted there too.
+        A hook built without one owns a private registry.
 
     Construct via :meth:`create` (fresh tenant: writes the initial
     checkpoint so recovery always has a base) or :meth:`recover`
@@ -134,6 +140,7 @@ class WalDurability:
         directory: str,
         checkpoint_every: Optional[int] = None,
         fsync: bool = True,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
@@ -144,30 +151,14 @@ class WalDurability:
         self.checkpoint_path = os.path.join(self.directory, CHECKPOINT_FILE)
         self._lock = threading.Lock()
         self._entries_since_checkpoint = 0
-        self._journal_entries = 0
-        self._journal_bytes = 0
-        self._journal_seconds = 0.0
-        self._checkpoints = 0
-        self._checkpoint_failures = 0
-        self._checkpoint_seconds = 0.0
         self._last_checkpoint_version: Optional[int] = None
         self._last_journaled_version: Optional[int] = None
         self._recovery: Optional[RecoveryReport] = None
         self._closed = False
-        self._m_journal_entries = None
-        self._m_journal_bytes = None
-        self._m_fsync_seconds = None
-        self._m_checkpoints = None
-        self._m_checkpoint_failures = None
-        self._m_checkpoint_seconds = None
-
-    def bind_registry(self, registry) -> None:
-        """Mirror every future journal/checkpoint into ``wal_*`` families.
-
-        The fsync-latency histogram observes the full durable-append time
-        (serialise + write + fsync) of each journaled delta — the per-fold
-        price of the write-ahead guarantee.
-        """
+        registry = self.registry = registry if registry is not None else MetricsRegistry()
+        # The fsync-latency histogram observes the full durable-append time
+        # (serialise + write + fsync) of each journaled delta — the per-fold
+        # price of the write-ahead guarantee.
         self._m_journal_entries = registry.counter(
             "wal_journal_entries_total", "Deltas journaled ahead of publish"
         )
@@ -305,15 +296,11 @@ class WalDurability:
         )
         elapsed = time.perf_counter() - started
         with self._lock:
-            self._journal_entries += 1
-            self._journal_bytes += written
-            self._journal_seconds += elapsed
             self._entries_since_checkpoint += 1
             self._last_journaled_version = int(new_version)
-        if self._m_journal_entries is not None:
-            self._m_journal_entries.inc()
-            self._m_journal_bytes.inc(written)
-            self._m_fsync_seconds.observe(elapsed)
+        self._m_journal_entries.inc()
+        self._m_journal_bytes.inc(written)
+        self._m_fsync_seconds.observe(elapsed)
 
     def should_checkpoint(self) -> bool:
         """True when the auto-checkpoint threshold is reached."""
@@ -337,23 +324,17 @@ class WalDurability:
         try:
             save_graph_json(graph, self.checkpoint_path)
         except BaseException:
-            with self._lock:
-                self._checkpoint_failures += 1
-            if self._m_checkpoint_failures is not None:
-                self._m_checkpoint_failures.inc()
+            self._m_checkpoint_failures.inc()
             raise
         self.log.truncate()
         version = getattr(graph, "version", 0)
         elapsed = time.perf_counter() - started
         with self._lock:
-            self._checkpoints += 1
-            self._checkpoint_seconds += elapsed
             dropped = self._entries_since_checkpoint
             self._entries_since_checkpoint = 0
             self._last_checkpoint_version = version
-        if self._m_checkpoints is not None:
-            self._m_checkpoints.inc()
-            self._m_checkpoint_seconds.observe(elapsed)
+        self._m_checkpoints.inc()
+        self._m_checkpoint_seconds.observe(elapsed)
         return {
             "path": self.checkpoint_path,
             "version": version,
@@ -365,16 +346,18 @@ class WalDurability:
     # ------------------------------------------------------------------ #
 
     def counters(self) -> Dict[str, object]:
-        """A copy of every durability counter (for ``stats()`` surfaces)."""
+        """The durability counts, read from the ``wal_*`` families, with the
+        hook's log state (for ``stats()`` surfaces)."""
+        read = self.registry.read
         with self._lock:
             counters: Dict[str, object] = {
                 "directory": self.directory,
-                "journal_entries": self._journal_entries,
-                "journal_bytes": self._journal_bytes,
-                "journal_seconds": round(self._journal_seconds, 6),
-                "checkpoints": self._checkpoints,
-                "checkpoint_failures": self._checkpoint_failures,
-                "checkpoint_seconds": round(self._checkpoint_seconds, 6),
+                "journal_entries": int(read("wal_journal_entries_total")),
+                "journal_bytes": int(read("wal_journal_bytes_total")),
+                "journal_seconds": round(read("wal_fsync_seconds"), 6),
+                "checkpoints": int(read("wal_checkpoints_total")),
+                "checkpoint_failures": int(read("wal_checkpoint_failures_total")),
+                "checkpoint_seconds": round(read("wal_checkpoint_seconds"), 6),
                 "entries_since_checkpoint": self._entries_since_checkpoint,
                 "last_checkpoint_version": self._last_checkpoint_version,
                 "last_journaled_version": self._last_journaled_version,
@@ -399,5 +382,5 @@ class WalDurability:
         return (
             f"WalDurability(directory={self.directory!r}, "
             f"pending={self._entries_since_checkpoint}, "
-            f"checkpoints={self._checkpoints})"
+            f"checkpoints={int(self.registry.read('wal_checkpoints_total'))})"
         )

@@ -124,9 +124,9 @@ class TestSessionApplyPatchesDerivedArtifacts:
         report = session.apply(delta)
         assert "expanded_graph" in report.patched
         assert "catalog" in report.patched
-        assert session.stats.patches("expanded_graph") == 1
-        assert session.stats.patches("catalog") == 1
-        assert session.stats.invalidations("expanded_graph") == 0
+        assert session.cache_counts("expanded_graph")["patches"] == 1
+        assert session.cache_counts("catalog")["patches"] == 1
+        assert session.cache_counts("expanded_graph")["invalidations"] == 0
         # patched artifacts equal a cold rebuild on the new graph
         cold = QuerySession(session.graph)
         assert session.expanded_graph == cold.expanded_graph
@@ -147,8 +147,8 @@ class TestSessionApplyPatchesDerivedArtifacts:
         report = session.apply(delta)
         assert "expanded_graph" in report.invalidated
         assert "catalog" in report.invalidated
-        assert session.stats.invalidations("expanded_graph") == 1
-        assert session.stats.invalidations("catalog") == 1
+        assert session.cache_counts("expanded_graph")["invalidations"] == 1
+        assert session.cache_counts("catalog")["invalidations"] == 1
         # lazily rebuilt artifacts still serve correct answers
         cold = QuerySession(session.graph)
         for engine in ("Neo4j", "GF"):

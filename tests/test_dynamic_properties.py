@@ -83,24 +83,3 @@ def test_patched_session_equals_cold_session(case):
             f"only-patched={sorted(patched_answer - cold_answer)[:5]} "
             f"only-cold={sorted(cold_answer - patched_answer)[:5]}"
         )
-
-
-@given(mutation_case())
-@settings(max_examples=10, deadline=None)
-def test_patched_overlay_session_equals_cold_session(case):
-    """Same invariant with materialize=False: queries run on the overlay."""
-    graph, delta, query = case
-    warm = QuerySession(graph)
-    warm.query(query)
-    warm.apply(delta, materialize=False)
-
-    cold_graph = MutableDataGraph(
-        graph, GraphDelta.from_dict(delta.to_dict())
-    ).materialize()
-    cold = QuerySession(cold_graph)
-
-    for engine in ("GM", "JM"):
-        assert (
-            warm.query(query, engine=engine).occurrence_set()
-            == cold.query(query, engine=engine).occurrence_set()
-        ), engine

@@ -484,8 +484,8 @@ class TestTelemetryWiring:
         assert candidates == mjoin["candidates"]
 
     def test_registry_counters_survive_store_gc(self):
-        # Store GC clears retired sessions (which resets CacheStats); the
-        # shared registry is monotone and must keep the pre-GC counts.
+        # Store GC clears retired sessions; the shared registry is monotone
+        # and must keep the pre-GC counts.
         with GraphDB.from_edges(["A", "B"], [(0, 1)]) as db:
             db.query("node a A\nnode b B\nedge a -> b")
             before = db.metrics()["service_completed_total"]["values"]
@@ -497,15 +497,17 @@ class TestTelemetryWiring:
         total_after = sum(value["value"] for value in after)
         assert total_after == total_before + 3
 
-    def test_cache_stats_accessors_unchanged(self):
-        # The legacy per-session counters keep their lifecycle (including
-        # being resettable) while mirroring into the registry.
+    def test_session_counts_are_the_tenant_registry(self):
+        # An epoch session reads its cache counts from the tenant registry:
+        # the very numbers db.metrics() reports.
         with GraphDB.from_edges(["A", "B"], [(0, 1)]) as db:
             db.query("node a A\nnode b B\nedge a -> b")
             db.query("node a A\nnode b B\nedge a -> b")
             with db.store.pin() as snapshot:
-                session_stats = snapshot.session.stats
-                assert session_stats.hits  # second query reused artifacts
+                counts = snapshot.session.cache_counts()
+            assert counts["hits"] > 0  # second query reused artifacts
+            hits = db.metrics()["session_cache_hits_total"]["values"]
+            assert counts["hits"] == sum(value["value"] for value in hits)
             assert db.stats()["completed"] == 2
 
     def test_stats_snapshot_document_keys_unchanged(self):
@@ -521,7 +523,6 @@ class TestTelemetryWiring:
             "shed_deadline",
             "shed_count",
             "status_counts",
-            "versions_served",
             "uptime_seconds",
             "throughput_qps",
             "latency_p50_seconds",

@@ -194,9 +194,8 @@ def test_insert_only_deltas_through_a_session():
             max_size=3,
         ),
         tail_seed=st.integers(0, 99),
-        materialize=st.booleans(),
     )
-    def run(data, deltas, tail_seed, materialize):
+    def run(data, deltas, tail_seed):
         graph, query = data
         for kind in KINDS:
             session = QuerySession(graph, reachability_kind=kind)
@@ -208,8 +207,7 @@ def test_insert_only_deltas_through_a_session():
                         # ``target == new_node`` hangs the fresh node below the
                         # graph; the other edges may close cycles (SCC merges).
                         delta.add_edge(source % new_node, target % (new_node + 1))
-                    # ``materialize=False`` leaves an overlay graph behind.
-                    report = session.apply(delta, materialize=materialize)
+                    report = session.apply(delta)
                     outcomes.update(
                         (kind, outcome)
                         for outcome in ("patched", "invalidated")

@@ -86,13 +86,15 @@ class TestBatchesAndVersions:
         finally:
             snapshot.release()
 
-    def test_stats_track_versions_served(self, service, paper_query):
-        service.run_batch({"q": paper_query})
+    def test_batch_queries_count_as_completions(self, service, paper_query):
+        first = service.run_batch({"q": paper_query})
         delta, _node = _new_a_delta(service.store.graph)
         service.store.apply(delta)
-        service.run_batch({"q": paper_query})
-        versions = service.stats.versions_served()
-        assert versions.get(0) == 1 and versions.get(1) == 1
+        second = service.run_batch({"q": paper_query})
+        assert (first.version, second.version) == (0, 1)
+        snapshot = service.stats_snapshot()
+        assert snapshot["submitted"] == snapshot["completed"] == 2
+        assert snapshot["status_counts"] == {"ok": 2}
 
 
 class TestAdmissionControl:
@@ -111,7 +113,7 @@ class TestAdmissionControl:
                     shed = error
                     break
             assert shed is not None and shed.reason == "queue_full"
-            assert service.stats.shed_queue_full >= 1
+            assert service.stats_snapshot()["shed_queue_full"] >= 1
             # admitted tickets still complete normally
             for ticket in tickets:
                 ticket.result(timeout=30.0)
@@ -124,7 +126,7 @@ class TestAdmissionControl:
             ticket.result(timeout=30.0)
         assert excinfo.value.reason == "deadline"
         assert ticket.status == TICKET_SHED
-        assert service.stats.shed_deadline == 1
+        assert service.stats_snapshot()["shed_deadline"] == 1
 
     def test_deadline_clamps_running_budget(self, service, paper_query):
         # a generous deadline leaves the budget's own limit intact
@@ -140,14 +142,15 @@ class TestAdmissionControl:
         report = ticket.result(timeout=30.0)
         if ticket.status == TICKET_CANCELLED:
             assert report.status is MatchStatus.CANCELLED
-            # a never-executed query records no latency / version sample
-            assert -1 not in service.stats.versions_served()
+            # a never-executed query records no completion or latency sample
+            snapshot = service.stats_snapshot()
+            assert snapshot["cancelled"] == 1 and snapshot["completed"] == 0
 
     def test_shed_count_aggregates(self, service, paper_query):
         ticket = service.submit(paper_query, deadline_seconds=-1.0)
         with pytest.raises(ServiceOverloadedError):
             ticket.result(timeout=30.0)
-        assert service.stats.shed_count == 1
+        assert service.stats_snapshot()["shed_count"] == 1
 
 
 class TestStreaming:
@@ -207,8 +210,12 @@ class TestStatsSnapshot:
     def test_percentiles_monotone(self, service, paper_query):
         for _round in range(5):
             service.submit(paper_query).result()
-        stats = service.stats
-        assert stats.p50 <= stats.p95 <= stats.p99
+        stats = service.stats_snapshot()
+        assert (
+            stats["latency_p50_seconds"]
+            <= stats["latency_p95_seconds"]
+            <= stats["latency_p99_seconds"]
+        )
 
     def test_service_over_existing_store(self, paper_graph, paper_query):
         store = VersionedGraphStore(paper_graph)

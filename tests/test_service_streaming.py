@@ -9,7 +9,7 @@ production rate and failure modes are controlled:
   configured page-queue depth (fast producer, stalled consumer);
 * an **abandoned page generator releases the snapshot pin and cancels the
   producer** — the pin-leak regression test, asserted through the store
-  gauges (``pinned_epochs`` / ``StoreStats``);
+  gauges (``pinned_epochs`` / ``store_gc_retired_total``);
 * shed, failed and cancelled tickets surface through ``pages()`` exactly
   like they do through ``result()``.
 """
@@ -211,7 +211,7 @@ class TestPinLifecycle:
 
     def test_stream_gc_gauges_after_version_churn(self, service):
         # The pinned epoch must survive a publish while streaming, then be
-        # GCed once the stream ends (StoreStats.gc_count moves).
+        # GCed once the stream ends (the store's gc_count moves).
         result = service.stream(simple_query(), engine="SLOW-TEST", page_size=4)
         delta = service.store.graph  # head graph for a delta base
         from repro.dynamic import GraphDelta
@@ -220,9 +220,9 @@ class TestPinLifecycle:
         node = edit.add_node("Z")
         edit.add_edge(0, node)
         service.store.apply(edit)
-        before = service.store.stats.snapshot()["gc_count"]
+        before = service.store.counters()["gc_count"]
         list(result.pages(timeout=30.0))
-        after = service.store.stats.snapshot()["gc_count"]
+        after = service.store.counters()["gc_count"]
         assert result.version == 0
         assert service.store.head_version > 0
         assert after >= before + 1  # the streamed epoch was retired on release

@@ -62,32 +62,32 @@ class TestCacheReuse:
     def test_second_query_rebuilds_nothing(self, session, paper_query):
         first = session.query(paper_query)
         assert first.extra["rig_cached"] is False
-        misses_after_first = session.stats.total_misses
-        hits_after_first = session.stats.total_hits
+        misses_after_first = session.cache_counts()["misses"]
+        hits_after_first = session.cache_counts()["hits"]
 
         second = session.query(paper_query)
         assert second.extra["rig_cached"] is True
         assert second.occurrence_set() == first.occurrence_set()
         # No artifact was rebuilt; every access was a cache hit.
-        assert session.stats.total_misses == misses_after_first
-        assert session.stats.total_hits > hits_after_first
+        assert session.cache_counts()["misses"] == misses_after_first
+        assert session.cache_counts()["hits"] > hits_after_first
 
     def test_reachability_index_built_once(self, session, paper_query):
         session.query(paper_query)
         session.query(paper_query, engine="JM")
         session.query(paper_query, engine="TM")
-        assert session.stats.misses("reachability") == 1
-        assert session.stats.hits("reachability") >= 2
+        assert session.cache_counts("reachability")["misses"] == 1
+        assert session.cache_counts("reachability")["hits"] >= 2
         assert session.context.reachability is session.reachability
 
     def test_rig_counters(self, session, paper_query):
         session.query(paper_query)
-        assert session.stats.misses("rig") == 1
-        assert session.stats.hits("rig") == 0
+        assert session.cache_counts("rig")["misses"] == 1
+        assert session.cache_counts("rig")["hits"] == 0
         session.query(paper_query)
         session.query(paper_query)
-        assert session.stats.misses("rig") == 1
-        assert session.stats.hits("rig") == 2
+        assert session.cache_counts("rig")["misses"] == 1
+        assert session.cache_counts("rig")["hits"] == 2
         assert session.cached_rig(paper_query, GMVariant.GM) is not None
 
     def test_engines_share_expanded_graph(self, session, paper_query):
@@ -96,14 +96,14 @@ class TestCacheReuse:
         neo = session.matcher("Neo4j")
         rm = session.matcher("RM")
         assert neo._expanded_graph is rm._expanded_graph
-        assert session.stats.misses("expanded_graph") == 1
-        assert session.stats.misses("closure") == 1
+        assert session.cache_counts("expanded_graph")["misses"] == 1
+        assert session.cache_counts("closure")["misses"] == 1
 
     def test_matcher_instance_cached(self, session, paper_query):
         assert session.matcher("GM") is session.matcher("GM")
         # Only the build is counted; lookups are not an interesting signal.
-        assert session.stats.misses("matcher") == 1
-        assert session.stats.hits("matcher") == 0
+        assert session.cache_counts("matcher")["misses"] == 1
+        assert session.cache_counts("matcher")["hits"] == 0
 
     def test_variants_do_not_share_rig_caches(self, session, paper_query):
         full = session.query(paper_query, engine="GM")
@@ -114,15 +114,17 @@ class TestCacheReuse:
 
     def test_clear_drops_artifacts(self, session, paper_query):
         session.query(paper_query)
+        before = session.cache_counts("reachability")
         session.clear()
-        # clear() resets the counters with the artifacts, so hit-rate math
-        # over a reused session stays truthful.
-        assert session.stats.total_misses == 0
-        assert session.stats.total_hits == 0
+        # clear() drops artifacts, not counts: registry counters only go up,
+        # so hit-rate math over a reused session is done on deltas.
+        assert session.cache_counts("reachability") == before
         session.query(paper_query)
-        # The artifact was really dropped: the query rebuilt it (a miss on a
-        # fresh counter), rather than silently reusing a stale instance.
-        assert session.stats.misses("reachability") == 1
+        # The artifact was really dropped: the query rebuilt it (one more
+        # miss), rather than silently reusing a stale instance.
+        after = session.cache_counts("reachability")
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] == before["hits"]
 
     def test_unknown_matcher_raises(self, session):
         with pytest.raises(KeyError):
@@ -235,7 +237,7 @@ class TestHarnessIntegration:
         gm_run = result.run_for("GM", paper_query.name)
         jm_run = result.run_for("JM", paper_query.name)
         assert gm_run.matches == jm_run.matches == len(PAPER_ANSWER)
-        assert session.stats.misses("reachability") == 1
+        assert session.cache_counts("reachability")["misses"] == 1
 
     def test_run_workload_rejects_foreign_session(self, paper_graph, small_random_graph, paper_query):
         session = QuerySession(small_random_graph)

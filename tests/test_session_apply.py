@@ -61,12 +61,12 @@ class TestApplySemantics:
         assert "reachability" in report.patched
         assert "closure" in report.patched
         assert "partitions" in report.patched
-        assert session.stats.patches("reachability") == 1
-        assert session.stats.invalidations("reachability") == 0
+        assert session.cache_counts("reachability")["patches"] == 1
+        assert session.cache_counts("reachability")["invalidations"] == 0
         # the reachability index was not rebuilt by the next query
-        misses_before = session.stats.misses("reachability")
+        misses_before = session.cache_counts("reachability")["misses"]
         session.query(paper_query)
-        assert session.stats.misses("reachability") == misses_before
+        assert session.cache_counts("reachability")["misses"] == misses_before
 
     def test_removal_delta_invalidates_reachability(self, session, paper_query):
         session.query(paper_query)
@@ -75,11 +75,11 @@ class TestApplySemantics:
         report = session.apply(delta)
         assert "reachability" in report.invalidated
         assert "closure" in report.invalidated
-        assert session.stats.invalidations("reachability") == 1
+        assert session.cache_counts("reachability")["invalidations"] == 1
         # answers reflect the removal (rebuilt lazily)
         answers = session.query(paper_query).occurrence_set()
         assert all(occ[:2] != (A1, B0) for occ in answers)
-        assert session.stats.misses("reachability") == 2  # initial + rebuild
+        assert session.cache_counts("reachability")["misses"] == 2  # initial + rebuild
 
     def test_unbuilt_artifacts_are_untouched(self, session):
         # nothing built yet: apply reports no patches/invalidation of indexes
@@ -94,40 +94,17 @@ class TestApplySemantics:
         assert session.query(paper_query).extra["rig_cached"] is True
         delta, _node = _new_a_delta(session.graph)
         session.apply(delta)
-        assert session.stats.invalidations("rig") == 1
+        assert session.cache_counts("rig")["invalidations"] == 1
         # post-apply the old RIG is stranded: the same query rebuilds it
         post = session.query(paper_query)
         assert post.extra["rig_cached"] is False
         assert session.query(paper_query).extra["rig_cached"] is True
 
-    def test_apply_overlay_mode(self, session, paper_query):
-        before = session.query(paper_query).occurrence_set()
-        delta, node = _new_a_delta(session.graph)
-        session.apply(delta, materialize=False)
-        assert isinstance(session.graph, MutableDataGraph)
-        answers = session.query(paper_query).occurrence_set()
-        assert (node, B0, C0) in answers and before < answers
-
-    def test_overlay_mode_applies_never_stack(self, session, paper_query):
-        for _round in range(3):
-            delta, _node = _new_a_delta(session.graph)
-            session.apply(delta, materialize=False)
-        # the previous overlay is compacted before the next is layered, so
-        # reads always sit one delegation level above an immutable base
-        assert isinstance(session.graph, MutableDataGraph)
-        assert not isinstance(session.graph.base, MutableDataGraph)
-        assert session.version == 3
-        cold = QuerySession(session.graph.materialize())
-        assert (
-            session.query(paper_query).occurrence_set()
-            == cold.query(paper_query).occurrence_set()
-        )
-
     def test_noop_delta_changes_nothing(self, session, paper_query):
         session.query(paper_query)
         session.transitive_closure
         graph_before = session.graph
-        counters_before = session.stats.full_snapshot()
+        counters_before = session.telemetry.registry.snapshot()
         # every op is a no-op: the edge exists, the label is unchanged
         delta = GraphDelta.for_graph(session.graph)
         delta.add_edge(A1, B0)
@@ -137,7 +114,7 @@ class TestApplySemantics:
         assert report.old_version == report.new_version == 0
         assert report.patched == [] and report.invalidated == []
         assert session.graph is graph_before
-        assert session.stats.full_snapshot() == counters_before
+        assert session.telemetry.registry.snapshot() == counters_before
         # the RIG cache survives: the same query is still served warm
         assert session.query(paper_query).extra["rig_cached"] is True
 
@@ -162,20 +139,21 @@ class TestApplySemantics:
 
 
 class TestClearContract:
-    def test_clear_resets_counters(self, session, paper_query):
+    def test_clear_drops_artifacts_not_counts(self, session, paper_query):
         session.query(paper_query)
         delta, _node = _new_a_delta(session.graph)
         session.apply(delta)
-        assert session.stats.total_misses > 0
+        before = session.cache_counts()
+        assert before["misses"] > 0
         session.clear()
-        assert session.stats.total_misses == 0
-        assert session.stats.total_hits == 0
-        assert session.stats.total_invalidations == 0
-        assert session.stats.total_patches == 0
-        # post-clear hit-rate math starts from scratch
+        assert session.cache_counts() == before
+        # post-clear hit-rate math is done on deltas: the query rebuilds the
+        # dropped reachability index and reuses nothing
+        reachability = session.cache_counts("reachability")
         session.query(paper_query)
-        assert session.stats.misses("reachability") == 1
-        assert session.stats.hits("reachability") == 0
+        after = session.cache_counts("reachability")
+        assert after["misses"] - reachability["misses"] == 1
+        assert after["hits"] == reachability["hits"]
 
 
 class TestEngineVersionChecks:

@@ -77,12 +77,12 @@ def test_repeated_session_queries_are_stable_and_cached(data, repeats):
     graph, query = data
     session = QuerySession(graph)
     first = session.query(query)
-    misses_after_first = session.stats.total_misses
+    misses_after_first = session.cache_counts()["misses"]
     for _ in range(repeats):
         again = session.query(query)
         assert again.occurrence_set() == first.occurrence_set()
         assert again.extra["rig_cached"] is True
-    assert session.stats.total_misses == misses_after_first
+    assert session.cache_counts()["misses"] == misses_after_first
 
 
 @settings(max_examples=8, deadline=None)

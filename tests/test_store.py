@@ -47,7 +47,8 @@ class TestVersionChain:
         report = store.apply(delta)
         assert report.num_ops == 0
         assert store.head_version == 0
-        assert store.stats.noop_applies == 1 and store.stats.applies == 0
+        counters = store.counters()
+        assert counters["noop_applies"] == 1 and counters["applies"] == 0
 
     def test_successive_applies_advance_versions(self, store):
         for expected in (1, 2, 3):
@@ -80,7 +81,7 @@ class TestPinningAndGC:
         assert store.num_versions_retained == 2  # v0 (pinned) + head v3
         snap.release()
         assert store.num_versions_retained == 1
-        assert store.stats.gc_count >= 1
+        assert store.counters()["gc_count"] >= 1
 
     def test_release_is_idempotent_and_final(self, store, paper_query):
         snap = store.pin()
@@ -159,14 +160,14 @@ class TestCopyOnWrite:
     def test_store_adopts_existing_session(self, paper_graph, paper_query):
         session = QuerySession(paper_graph)
         session.query(paper_query)
-        misses_before = session.stats.misses("reachability")
+        misses_before = session.cache_counts("reachability")["misses"]
         store = VersionedGraphStore(session)
         try:
             with store.pin() as snap:
                 assert snap.session is session
                 snap.query(paper_query)
             # adopted artifacts were reused, not rebuilt
-            assert session.stats.misses("reachability") == misses_before
+            assert session.cache_counts("reachability")["misses"] == misses_before
             with pytest.raises(StoreError):
                 session.apply(GraphDelta.for_graph(paper_graph))
         finally:
@@ -180,15 +181,17 @@ class TestWarmOnPublish:
             with store.pin() as snap:
                 snap.session.transitive_closure
                 snap.query(paper_query)
+                before = snap.session.cache_counts("reachability")
             delta = GraphDelta.for_graph(store.graph).remove_edge(A1, B0)
             report = store.apply(delta)
             assert "reachability" in report.invalidated
             with store.pin() as head:
                 # the new head was warmed by the writer: the first read
-                # records a hit, not a rebuild miss
+                # records a hit, not a rebuild miss (epochs share the counts)
                 head.query(paper_query)
-                assert head.session.stats.misses("reachability") == 1  # warm build
-                assert head.session.stats.hits("reachability") >= 1
+                after = head.session.cache_counts("reachability")
+                assert after["misses"] - before["misses"] == 1  # warm build
+                assert after["hits"] - before["hits"] >= 1
         finally:
             store.close()
 
