@@ -1,18 +1,19 @@
-"""Dynamic-graph update subsystem: overlays, deltas, incremental maintenance.
+"""Dynamic-graph update subsystem: deltas, the fold, incremental maintenance.
 
 The rest of the library treats a :class:`repro.graph.digraph.DataGraph` as
-immutable-after-construction — the property the per-graph artifact caches
-(reachability index, transitive closure, RIGs) rely on.  Real
+immutable — the property the per-graph artifact caches (reachability
+index, transitive closure, RIGs) rely on; a new version is a new graph that
+shares what the delta did not touch.  Real
 serving scenarios mutate their graphs, though: hierarchies evolve, edge
 feeds stream in.  This package provides the machinery that makes
 *update-then-query* cheap instead of forcing a cold rebuild:
 
 * :class:`GraphDelta` — an ordered, serialisable batch of mutations
   (``add_node`` / ``add_edge`` / ``remove_edge`` / ``relabel``);
-* :class:`MutableDataGraph` — a :class:`DataGraph`-compatible overlay that
-  answers adjacency / inverted-list / traversal reads through delta
-  structures, and can :meth:`~MutableDataGraph.materialize` into a fresh
-  immutable graph carrying a bumped monotone version;
+* :meth:`DataGraph.with_delta` — the fold: the next graph version, sharing
+  every container the delta did not touch, at a bumped monotone version;
+* :class:`MutableDataGraph` — a recorder for direct edits: it folds each
+  one at once and keeps the effective delta since its base;
 * :func:`should_patch` plus the patch helpers in
   :mod:`repro.dynamic.maintenance` — the rebuild-vs-patch cost heuristic
   and in-place refresh paths for the expanded graph and edge partitions (the

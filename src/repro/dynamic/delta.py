@@ -5,8 +5,10 @@ graph — node additions, edge insertions, edge removals and relabels — as an
 ordered operation log.  The log is the unit of change throughout the dynamic
 subsystem:
 
-* :class:`repro.dynamic.MutableDataGraph` replays a delta as a cheap overlay
-  (or accumulates one while being mutated directly);
+* :meth:`repro.graph.digraph.DataGraph.with_delta` folds a delta into the
+  next structure-shared graph version and returns the *effective* delta
+  (:class:`repro.dynamic.MutableDataGraph` records one while being mutated
+  directly);
 * the incremental index-maintenance paths
   (:meth:`repro.reachability.bfl.BloomFilterLabeling.apply_delta`,
   :meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`)
@@ -55,7 +57,7 @@ class GraphDelta:
     The recording methods perform only local validation (id range against
     the growing node count, non-empty labels); structural validation against
     the actual base graph — "does the removed edge exist?" — happens when the
-    delta is applied to a :class:`repro.dynamic.MutableDataGraph`.
+    delta is folded by :meth:`repro.graph.digraph.DataGraph.with_delta`.
     """
 
     __slots__ = ("base_num_nodes", "base_version", "_ops", "_num_added_nodes")

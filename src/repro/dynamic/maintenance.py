@@ -23,6 +23,7 @@ deltas fall back to a rebuild.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -68,39 +69,35 @@ def patch_expanded_graph(expanded, new_graph, delta: GraphDelta, closure_additio
     graph is the old one plus the delta's nodes/edges plus exactly the
     reachable pairs the closure patch added (``closure_additions``, the
     ``(source, added_mask)`` rows from
-    :meth:`TransitiveClosureIndex.last_patch_additions`).  The overlay work
-    is proportional to the delta, not to the closure; only the final
-    freeze into an immutable :class:`DataGraph` pays the usual
-    construction pass.
+    :meth:`TransitiveClosureIndex.last_patch_additions`), folded as one
+    batch with :meth:`DataGraph.with_delta` — work proportional to the
+    delta, not to the closure.
 
-    Returns the patched expanded graph (carrying ``new_graph``'s version so
-    engine staleness checks accept it), or ``None`` when the delta shape is
+    Returns the patched expanded graph, or ``None`` when the delta shape is
     not patchable (removals / relabels change label keys and reachable
-    pairs non-monotonically — rebuild lazily instead).
+    pairs non-monotonically — rebuild lazily instead).  The result always
+    carries ``new_graph``'s version, so engine staleness checks accept it —
+    even when the fold changed nothing (an inserted edge whose endpoints
+    were already connected is already an expanded edge).
     """
     if not delta.is_insert_only:
         return None
     from repro.bitmap.intbitset import IntBitSet
-    from repro.dynamic.overlay import MutableDataGraph
-    from repro.graph.digraph import DataGraph
 
-    overlay = MutableDataGraph(expanded)
+    batch = GraphDelta(expanded.num_nodes)
     for _node, label in delta.added_nodes:
-        overlay.add_node(label)
+        batch.add_node(label)
     for source, target in delta.added_edges:
-        overlay.add_edge(source, target)
+        batch.add_edge(source, target)
     for source, mask in closure_additions:
         for target in IntBitSet.from_mask(mask):
             if target != source:
-                overlay.add_edge(source, target)
-    # Freeze with the *data graph's* version, not the overlay's per-batch
-    # bumped one: the expanded graph must carry the version it serves.
-    return DataGraph(
-        overlay.labels,
-        overlay.edges(),
-        name=expanded.name,
-        version=getattr(new_graph, "version", 0),
-    )
+                batch.add_edge(source, target)
+    folded, _ = expanded.with_delta(batch)
+    if folded is expanded:
+        folded = copy.copy(expanded)
+    folded.version = getattr(new_graph, "version", 0)
+    return folded
 
 
 def patch_partitions(

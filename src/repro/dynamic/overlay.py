@@ -1,24 +1,15 @@
-"""Mutable overlay over an immutable :class:`DataGraph`.
+"""A graph under edit: the current folded :class:`DataGraph` plus its delta.
 
-:class:`MutableDataGraph` presents the full read API of
-:class:`repro.graph.digraph.DataGraph` — adjacency, inverted label lists,
-traversals, edge tests — over an immutable base graph plus an in-memory
-overlay of pending mutations (delta adjacency, delta inverted lists).  Reads
-on untouched nodes and labels are delegated straight to the base structure;
-only "dirty" nodes/labels pay the merge cost, which is cached per node and
-per label until the next mutation.
+:class:`MutableDataGraph` records edits against a base graph.  Each batch —
+a :class:`repro.dynamic.GraphDelta` handed to :meth:`apply` (or the
+constructor), or one :meth:`add_node` / :meth:`add_edge` /
+:meth:`remove_edge` / :meth:`relabel` call — is folded at once with
+:meth:`DataGraph.with_delta`, so the recorder always holds a finished,
+structure-shared graph and every read (adjacency, inverted lists,
+traversals, ``version``) is that graph's own.  Every effective batch bumps
+the monotone version by one.
 
-Two ways to use it:
-
-* **batched**: build a :class:`repro.dynamic.GraphDelta` and hand it to
-  :meth:`apply` (or the constructor) — one version bump per batch;
-* **direct**: call :meth:`add_node` / :meth:`add_edge` /
-  :meth:`remove_edge` / :meth:`relabel`; each call is its own single-op
-  batch.
-
-Every batch bumps the monotone :attr:`version` (starting from the base
-graph's version).  :meth:`materialize` freezes the current state into a
-fresh :class:`DataGraph` carrying that version; :meth:`delta_since_base`
+:meth:`materialize` returns the current graph; :meth:`delta_since_base`
 returns the *effective* accumulated delta (no-op mutations, e.g. inserting
 an edge that already exists, are not recorded), which is what the
 incremental index-maintenance paths consume.
@@ -26,173 +17,77 @@ incremental index-maintenance paths consume.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.dynamic.delta import (
-    OP_ADD_EDGE,
-    OP_ADD_NODE,
-    OP_RELABEL,
-    OP_REMOVE_EDGE,
-    GraphDelta,
-)
-from repro.exceptions import GraphError
-from repro.graph.digraph import DataGraph
+from repro.dynamic.delta import GraphDelta, merged_delta
+
+if TYPE_CHECKING:  # the graph module imports this package
+    from repro.graph.digraph import DataGraph
 
 
 class MutableDataGraph:
-    """A :class:`DataGraph`-compatible view of ``base`` plus pending edits."""
+    """``base`` plus recorded edits; reads go to the current folded graph."""
 
-    def __init__(self, base: DataGraph, delta: Optional[GraphDelta] = None) -> None:
-        self._base = base
-        self.name = base.name
-        self.version = base.version
-        self._extra_labels: List[str] = []
-        self._relabels: Dict[int, str] = {}
-        self._added_succ: Dict[int, Set[int]] = {}
-        self._added_pred: Dict[int, Set[int]] = {}
-        self._removed_succ: Dict[int, Set[int]] = {}
-        self._removed_pred: Dict[int, Set[int]] = {}
-        self._num_edges = base.num_edges
-        self._succ_cache: Dict[int, Tuple[int, ...]] = {}
-        self._pred_cache: Dict[int, Tuple[int, ...]] = {}
-        self._succ_set_cache: Dict[int, frozenset] = {}
-        self._pred_set_cache: Dict[int, frozenset] = {}
-        self._dirty_labels: Set[str] = set()
-        self._inverted_cache: Dict[str, Tuple[int, ...]] = {}
-        self._delta = GraphDelta(base.num_nodes)
+    __slots__ = ("_graph", "_delta")
+
+    def __init__(self, base: "DataGraph", delta: Optional[GraphDelta] = None) -> None:
+        self._graph = base
+        self._delta = GraphDelta(base.num_nodes, base_version=base.version)
         if delta is not None:
             self.apply(delta)
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._graph, name)
+
+    def __len__(self) -> int:
+        return len(self._graph)
 
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
 
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.num_nodes):
-            raise GraphError(f"node {node} outside 0..{self.num_nodes - 1}")
-
-    def _touch_edge(self, source: int, target: int) -> None:
-        self._succ_cache.pop(source, None)
-        self._succ_set_cache.pop(source, None)
-        self._pred_cache.pop(target, None)
-        self._pred_set_cache.pop(target, None)
-
-    def _do_add_node(self, label: str) -> int:
-        label = str(label)
-        if not label:
-            raise GraphError("node label must be non-empty")
-        node = self.num_nodes
-        self._extra_labels.append(label)
-        self._dirty_labels.add(label)
-        self._inverted_cache.pop(label, None)
-        self._delta.add_node(label)
-        return node
-
-    def _do_add_edge(self, source: int, target: int) -> bool:
-        self._check_node(source)
-        self._check_node(target)
-        if self.has_edge(source, target):
-            return False
-        removed = self._removed_succ.get(source)
-        if removed is not None and target in removed:
-            removed.discard(target)
-            self._removed_pred[target].discard(source)
-        else:
-            self._added_succ.setdefault(source, set()).add(target)
-            self._added_pred.setdefault(target, set()).add(source)
-        self._num_edges += 1
-        self._touch_edge(source, target)
-        self._delta.add_edge(source, target)
-        return True
-
-    def _do_remove_edge(self, source: int, target: int) -> bool:
-        self._check_node(source)
-        self._check_node(target)
-        if not self.has_edge(source, target):
-            raise GraphError(f"edge ({source}, {target}) does not exist")
-        added = self._added_succ.get(source)
-        if added is not None and target in added:
-            added.discard(target)
-            self._added_pred[target].discard(source)
-        else:
-            self._removed_succ.setdefault(source, set()).add(target)
-            self._removed_pred.setdefault(target, set()).add(source)
-        self._num_edges -= 1
-        self._touch_edge(source, target)
-        self._delta.remove_edge(source, target)
-        return True
-
-    def _do_relabel(self, node: int, label: str) -> bool:
-        self._check_node(node)
-        label = str(label)
-        if not label:
-            raise GraphError("node label must be non-empty")
-        old = self.label(node)
-        if old == label:
-            return False
-        if node >= self._base.num_nodes:
-            self._extra_labels[node - self._base.num_nodes] = label
-        else:
-            self._relabels[node] = label
-        self._dirty_labels.update((old, label))
-        self._inverted_cache.pop(old, None)
-        self._inverted_cache.pop(label, None)
-        self._delta.relabel(node, label)
-        return True
-
-    def add_node(self, label: str) -> int:
-        """Append a node carrying ``label``; returns its id.  Bumps version."""
-        node = self._do_add_node(label)
-        self.version += 1
-        return node
-
-    def add_edge(self, source: int, target: int) -> bool:
-        """Insert edge ``(source, target)``.  Returns False if it existed."""
-        changed = self._do_add_edge(source, target)
-        if changed:
-            self.version += 1
-        return changed
-
-    def remove_edge(self, source: int, target: int) -> None:
-        """Remove edge ``(source, target)``; raises if it does not exist."""
-        self._do_remove_edge(source, target)
-        self.version += 1
-
-    def relabel(self, node: int, label: str) -> bool:
-        """Change the label of ``node``.  Returns False if unchanged."""
-        changed = self._do_relabel(node, label)
-        if changed:
-            self.version += 1
-        return changed
-
     def apply(self, delta: GraphDelta) -> "MutableDataGraph":
-        """Replay one batched delta; a single version bump for the batch.
+        """Fold one batched delta; a single version bump for the batch.
 
         A batch whose every operation is a no-op (e.g. inserting edges that
         already exist) leaves the version unchanged — the graph state did
         not change, so dependents must not observe a new version.
         """
-        if delta.base_num_nodes != self.num_nodes:
-            raise GraphError(
-                f"delta is based on {delta.base_num_nodes} nodes but the "
-                f"graph has {self.num_nodes}"
-            )
-        effective_before = len(self._delta)
-        for op in delta.ops:
-            if op[0] == OP_ADD_NODE:
-                self._do_add_node(op[1])
-            elif op[0] == OP_ADD_EDGE:
-                self._do_add_edge(op[1], op[2])
-            elif op[0] == OP_REMOVE_EDGE:
-                self._do_remove_edge(op[1], op[2])
-            elif op[0] == OP_RELABEL:
-                self._do_relabel(op[1], op[2])
-            else:  # pragma: no cover - GraphDelta validates on record
-                raise GraphError(f"unknown delta operation {op!r}")
-        if len(self._delta) > effective_before:
-            self.version += 1
+        graph, effective = self._graph.with_delta(delta)
+        if graph is not self._graph:
+            self._graph = graph
+            self._delta = merged_delta(self._delta, effective)
         return self
+
+    def _fold(self, delta: GraphDelta) -> bool:
+        before = self._graph
+        self.apply(delta)
+        return self._graph is not before
+
+    def add_node(self, label: str) -> int:
+        """Append a node carrying ``label``; returns its id.  Bumps version."""
+        delta = GraphDelta.for_graph(self._graph)
+        node = delta.add_node(label)
+        self.apply(delta)
+        return node
+
+    def add_edge(self, source: int, target: int) -> bool:
+        """Insert edge ``(source, target)``.  Returns False if it existed."""
+        return self._fold(GraphDelta.for_graph(self._graph).add_edge(source, target))
+
+    def remove_edge(self, source: int, target: int) -> None:
+        """Remove edge ``(source, target)``; raises if it does not exist."""
+        self.apply(GraphDelta.for_graph(self._graph).remove_edge(source, target))
+
+    def relabel(self, node: int, label: str) -> bool:
+        """Change the label of ``node``.  Returns False if unchanged."""
+        return self._fold(GraphDelta.for_graph(self._graph).relabel(node, label))
+
+    # ------------------------------------------------------------------ #
+    # results
+    # ------------------------------------------------------------------ #
 
     def delta_since_base(self) -> GraphDelta:
         """The effective delta accumulated since construction.
@@ -201,294 +96,8 @@ class MutableDataGraph:
         label) are absent, so index-maintenance code can treat every
         recorded op as a real change.
         """
-        return GraphDelta.from_dict(self._delta.to_dict())
+        return self._delta
 
-    # ------------------------------------------------------------------ #
-    # basic accessors (DataGraph read API)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def base(self) -> DataGraph:
-        """The immutable graph underneath the overlay."""
-        return self._base
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes (base + added)."""
-        return self._base.num_nodes + len(self._extra_labels)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of distinct directed edges after the overlay."""
-        return self._num_edges
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        """Tuple of node labels indexed by node id (computed on access)."""
-        return tuple(self.label(node) for node in range(self.num_nodes))
-
-    def nodes(self) -> range:
-        """Iterate over node ids."""
-        return range(self.num_nodes)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over all ``(source, target)`` edges."""
-        for source in range(self.num_nodes):
-            for target in self.successors(source):
-                yield (source, target)
-
-    def label(self, node: int) -> str:
-        """Return the label of ``node``."""
-        base_n = self._base.num_nodes
-        if node >= base_n:
-            return self._extra_labels[node - base_n]
-        return self._relabels.get(node) or self._base.label(node)
-
-    def label_alphabet(self) -> Tuple[str, ...]:
-        """Sorted tuple of distinct labels with at least one member."""
-        candidates = set(self._base.label_alphabet()) | self._dirty_labels
-        return tuple(
-            sorted(label for label in candidates if self.inverted_list(label))
-        )
-
-    def num_labels(self) -> int:
-        """Number of distinct labels currently in use."""
-        return len(self.label_alphabet())
-
-    # ------------------------------------------------------------------ #
-    # adjacency
-    # ------------------------------------------------------------------ #
-
-    def _merged_adjacency(
-        self,
-        node: int,
-        base_list: Tuple[int, ...],
-        added: Dict[int, Set[int]],
-        removed: Dict[int, Set[int]],
-    ) -> Tuple[int, ...]:
-        extra = added.get(node)
-        gone = removed.get(node)
-        if not extra and not gone:
-            return base_list
-        merged = set(base_list)
-        if gone:
-            merged -= gone
-        if extra:
-            merged |= extra
-        return tuple(sorted(merged))
-
-    def successors(self, node: int) -> Tuple[int, ...]:
-        """Sorted forward adjacency list (children) of ``node``."""
-        cached = self._succ_cache.get(node)
-        if cached is not None:
-            return cached
-        base = (
-            self._base.successors(node) if node < self._base.num_nodes else ()
-        )
-        merged = self._merged_adjacency(node, base, self._added_succ, self._removed_succ)
-        self._succ_cache[node] = merged
-        return merged
-
-    def predecessors(self, node: int) -> Tuple[int, ...]:
-        """Sorted backward adjacency list (parents) of ``node``."""
-        cached = self._pred_cache.get(node)
-        if cached is not None:
-            return cached
-        base = (
-            self._base.predecessors(node) if node < self._base.num_nodes else ()
-        )
-        merged = self._merged_adjacency(node, base, self._added_pred, self._removed_pred)
-        self._pred_cache[node] = merged
-        return merged
-
-    def successor_set(self, node: int) -> frozenset:
-        """Frozenset of children of ``node``."""
-        cached = self._succ_set_cache.get(node)
-        if cached is None:
-            if (
-                node < self._base.num_nodes
-                and node not in self._added_succ
-                and node not in self._removed_succ
-            ):
-                cached = self._base.successor_set(node)
-            else:
-                cached = frozenset(self.successors(node))
-            self._succ_set_cache[node] = cached
-        return cached
-
-    def predecessor_set(self, node: int) -> frozenset:
-        """Frozenset of parents of ``node``."""
-        cached = self._pred_set_cache.get(node)
-        if cached is None:
-            if (
-                node < self._base.num_nodes
-                and node not in self._added_pred
-                and node not in self._removed_pred
-            ):
-                cached = self._base.predecessor_set(node)
-            else:
-                cached = frozenset(self.predecessors(node))
-            self._pred_set_cache[node] = cached
-        return cached
-
-    def has_edge(self, source: int, target: int) -> bool:
-        """Return True if the directed edge ``(source, target)`` exists."""
-        removed = self._removed_succ.get(source)
-        if removed is not None and target in removed:
-            return False
-        added = self._added_succ.get(source)
-        if added is not None and target in added:
-            return True
-        return source < self._base.num_nodes and self._base.has_edge(source, target)
-
-    def has_edge_binary_search(self, source: int, target: int) -> bool:
-        """Edge test by binary search over the merged adjacency list."""
-        adjacency = self.successors(source)
-        index = bisect_left(adjacency, target)
-        return index < len(adjacency) and adjacency[index] == target
-
-    def out_degree(self, node: int) -> int:
-        """Number of outgoing edges of ``node``."""
-        return len(self.successors(node))
-
-    def in_degree(self, node: int) -> int:
-        """Number of incoming edges of ``node``."""
-        return len(self.predecessors(node))
-
-    def degree(self, node: int) -> int:
-        """Total (in + out) degree of ``node``."""
-        return self.out_degree(node) + self.in_degree(node)
-
-    # ------------------------------------------------------------------ #
-    # inverted label lists
-    # ------------------------------------------------------------------ #
-
-    def inverted_list(self, label: str) -> Tuple[int, ...]:
-        """Sorted inverted list ``I_label`` after the overlay."""
-        if label not in self._dirty_labels:
-            return self._base.inverted_list(label)
-        cached = self._inverted_cache.get(label)
-        if cached is not None:
-            return cached
-        members = set(self._base.inverted_list(label))
-        for node, new_label in self._relabels.items():
-            if new_label == label:
-                members.add(node)
-            else:
-                members.discard(node)
-        base_n = self._base.num_nodes
-        for offset, extra_label in enumerate(self._extra_labels):
-            if extra_label == label:
-                members.add(base_n + offset)
-        result = tuple(sorted(members))
-        self._inverted_cache[label] = result
-        return result
-
-    def inverted_set(self, label: str) -> frozenset:
-        """Frozenset variant of :meth:`inverted_list`."""
-        if label not in self._dirty_labels:
-            return self._base.inverted_set(label)
-        return frozenset(self.inverted_list(label))
-
-    def inverted_lists(self) -> Dict[str, Tuple[int, ...]]:
-        """Mapping from every label to its inverted list."""
-        return {label: self.inverted_list(label) for label in self.label_alphabet()}
-
-    def max_inverted_list_size(self) -> int:
-        """Size of the largest inverted list."""
-        sizes = [len(self.inverted_list(label)) for label in self.label_alphabet()]
-        return max(sizes) if sizes else 0
-
-    # ------------------------------------------------------------------ #
-    # traversal helpers
-    # ------------------------------------------------------------------ #
-
-    def bfs_forward(self, source: int) -> List[int]:
-        """Return all nodes reachable from ``source`` (including itself)."""
-        visited = [False] * self.num_nodes
-        visited[source] = True
-        order = [source]
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for child in self.successors(node):
-                    if not visited[child]:
-                        visited[child] = True
-                        order.append(child)
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return order
-
-    def bfs_backward(self, source: int) -> List[int]:
-        """Return all nodes that can reach ``source`` (including itself)."""
-        visited = [False] * self.num_nodes
-        visited[source] = True
-        order = [source]
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for parent in self.predecessors(node):
-                    if not visited[parent]:
-                        visited[parent] = True
-                        order.append(parent)
-                        next_frontier.append(parent)
-            frontier = next_frontier
-        return order
-
-    def reaches_bfs(self, source: int, target: int) -> bool:
-        """Ground-truth reachability check by BFS."""
-        if source == target:
-            return True
-        visited = [False] * self.num_nodes
-        visited[source] = True
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for child in self.successors(node):
-                    if child == target:
-                        return True
-                    if not visited[child]:
-                        visited[child] = True
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return False
-
-    # ------------------------------------------------------------------ #
-    # freezing
-    # ------------------------------------------------------------------ #
-
-    def is_dirty(self) -> bool:
-        """True if any effective mutation has been applied since the base."""
-        return bool(self._delta)
-
-    def materialize(self, name: Optional[str] = None) -> DataGraph:
-        """Freeze the overlay into a fresh immutable :class:`DataGraph`.
-
-        The result carries the overlay's current :attr:`version`.  When no
-        effective mutation happened, the base graph is returned as-is.
-        """
-        if not self.is_dirty():
-            return self._base
-        return DataGraph(
-            self.labels,
-            self.edges(),
-            name=name or self.name,
-            version=self.version,
-        )
-
-    # ------------------------------------------------------------------ #
-    # dunder helpers
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MutableDataGraph(name={self.name!r}, nodes={self.num_nodes}, "
-            f"edges={self.num_edges}, version={self.version}, "
-            f"pending_ops={len(self._delta)})"
-        )
+    def materialize(self) -> "DataGraph":
+        """The current graph (``base`` itself when nothing changed)."""
+        return self._graph

@@ -92,7 +92,7 @@ def patch_catalog(catalog: Catalog, old_graph: DataGraph, delta) -> bool:
 
     ``old_graph`` is the *pre-delta* graph; ``delta`` must be an *effective*
     :class:`~repro.dynamic.GraphDelta` (no duplicate insertions, no edges
-    already present — what :meth:`MutableDataGraph.delta_since_base`
+    already present — the second half of what :meth:`DataGraph.with_delta`
     returns).  Edges are replayed in order against the
     base-plus-inserted-so-far adjacency, counting each new 2-path instance
     exactly once, so the patched counts equal a from-scratch

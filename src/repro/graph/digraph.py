@@ -14,14 +14,24 @@ scans / binary search) and as frozensets (for O(1) membership tests), which
 is what the bitmap-free baselines use.  The bitmap-backed representations
 used by GM live in :mod:`repro.rig` and :mod:`repro.bitmap` and are built
 from this structure on demand.
+
+A graph is never mutated.  A new version is made by
+:meth:`DataGraph.with_delta`, which folds a
+:class:`~repro.dynamic.GraphDelta` by path copying: the result rebuilds only
+the containers the delta touched and shares every other one with its base,
+so versions cost O(delta) Python work, not O(V + E).  The constructor is
+the cold build.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
+from repro.dynamic.delta import OP_ADD_EDGE, OP_ADD_NODE, OP_RELABEL, OP_REMOVE_EDGE, GraphDelta
 from repro.exceptions import GraphError
+
+_NO_NODES: frozenset = frozenset()
 
 
 class DataGraph:
@@ -39,11 +49,16 @@ class DataGraph:
         Optional human-readable name (used by the dataset registry and the
         benchmark reports).
     version:
-        Monotone data version.  Freshly built graphs are version 0; graphs
-        produced by :meth:`repro.dynamic.MutableDataGraph.materialize` carry
-        the overlay's bumped version, so per-graph artifacts (indexes,
-        caches) can detect staleness.  The version does not participate in
-        equality or hashing — it describes provenance, not structure.
+        Monotone data version.  Freshly built graphs are version 0; each
+        effective :meth:`with_delta` fold is one higher than its base, so
+        per-graph artifacts (indexes, caches) can detect staleness.  The
+        version does not participate in equality or hashing — it describes
+        provenance, not structure.
+
+    Versions made by :meth:`with_delta` share every container the delta did
+    not touch with their base (and so with each other): an adjacency tuple
+    or inverted list may be the very object of an older version.  That is
+    safe because no method ever mutates one.
     """
 
     __slots__ = (
@@ -212,6 +227,123 @@ class DataGraph:
         return max(len(nodes) for nodes in self._inverted.values())
 
     # ------------------------------------------------------------------ #
+    # folding a delta
+    # ------------------------------------------------------------------ #
+
+    def with_delta(self, delta: GraphDelta) -> Tuple["DataGraph", GraphDelta]:
+        """Fold ``delta`` into a new graph that shares what it did not touch.
+
+        Returns ``(graph, effective)``.  The ops are validated and applied in
+        order: inserting a present edge and relabelling a node to its own
+        label change nothing and are left out of ``effective``; removing a
+        missing edge raises :class:`GraphError`; an edge added and removed
+        in one batch is gone again; a label whose last node leaves it
+        disappears.  ``graph`` is one version above ``self``, or ``self``
+        itself (with an empty ``effective``) when nothing changed.
+
+        Only the touched nodes' adjacency tuples and frozensets and the
+        touched labels' inverted lists are rebuilt.  The four per-node outer
+        tuples are copied once each, in C; every other container is
+        ``self``'s own object.  ``self`` is never modified.
+        """
+        n = len(self._labels)
+        if delta.base_num_nodes != n:
+            raise GraphError(
+                f"delta is based on {delta.base_num_nodes} nodes but the graph has {n}"
+            )
+        effective = GraphDelta(n, base_version=self.version)
+        # Working copies of the touched nodes' adjacency, and the final label
+        # of every added or relabelled node.  Node ids are in range: a
+        # GraphDelta checks them when it records an op.
+        out: Dict[int, Set[int]] = {}
+        into: Dict[int, Set[int]] = {}
+        new_labels: Dict[int, str] = {}
+        count = n
+        num_edges = self._num_edges
+        for op in delta.ops:
+            tag = op[0]
+            if tag == OP_ADD_NODE:
+                new_labels[count] = op[1]
+                count += 1
+                effective.add_node(op[1])
+            elif tag == OP_ADD_EDGE or tag == OP_REMOVE_EDGE:
+                source, target = op[1], op[2]
+                adding = tag == OP_ADD_EDGE
+                targets = out.get(source)
+                if targets is None:
+                    present = source < n and target in self._succ_sets[source]
+                else:
+                    present = target in targets
+                if present == adding:
+                    if adding:
+                        continue
+                    raise GraphError(f"edge ({source}, {target}) does not exist")
+                if targets is None:
+                    targets = out[source] = set(self._succ[source] if source < n else ())
+                sources = into.get(target)
+                if sources is None:
+                    sources = into[target] = set(self._pred[target] if target < n else ())
+                if adding:
+                    targets.add(target)
+                    sources.add(source)
+                    num_edges += 1
+                    effective.add_edge(source, target)
+                else:
+                    targets.discard(target)
+                    sources.discard(source)
+                    num_edges -= 1
+                    effective.remove_edge(source, target)
+            elif tag == OP_RELABEL:
+                node, label = op[1], op[2]
+                current = new_labels[node] if node in new_labels else self._labels[node]
+                if current == label:
+                    continue
+                new_labels[node] = label
+                effective.relabel(node, label)
+            else:  # pragma: no cover - GraphDelta validates on record
+                raise GraphError(f"unknown delta operation {op!r}")
+        if not effective:
+            return self, effective
+
+        graph = DataGraph.__new__(DataGraph)
+        graph.name = self.name
+        graph.version = self.version + 1
+        graph._num_edges = num_edges
+        grown = count - n
+        graph._succ, graph._succ_sets = _patched_adjacency(self._succ, self._succ_sets, out, grown)
+        graph._pred, graph._pred_sets = _patched_adjacency(self._pred, self._pred_sets, into, grown)
+        graph._labels = self._labels
+        graph._inverted = self._inverted
+        graph._inverted_sets = self._inverted_sets
+        if new_labels:
+            labels = list(self._labels)
+            labels.extend([""] * grown)
+            leaving: Dict[str, List[int]] = {}
+            joining: Dict[str, List[int]] = {}
+            for node, label in new_labels.items():
+                labels[node] = label
+                old = self._labels[node] if node < n else None
+                if old != label:
+                    if old is not None:
+                        leaving.setdefault(old, []).append(node)
+                    joining.setdefault(label, []).append(node)
+            graph._labels = tuple(labels)
+            inverted = graph._inverted = dict(self._inverted)
+            inverted_sets = graph._inverted_sets = dict(self._inverted_sets)
+            for label in leaving.keys() | joining.keys():
+                members = (
+                    inverted_sets.get(label, _NO_NODES)
+                    .difference(leaving.get(label, ()))
+                    .union(joining.get(label, ()))
+                )
+                if members:
+                    inverted[label] = tuple(sorted(members))
+                    inverted_sets[label] = members
+                else:
+                    del inverted[label], inverted_sets[label]
+        return graph, effective
+
+    # ------------------------------------------------------------------ #
     # traversal helpers
     # ------------------------------------------------------------------ #
 
@@ -295,3 +427,24 @@ class DataGraph:
 
     def __hash__(self) -> int:
         return hash((self._labels, self._succ))
+
+
+def _patched_adjacency(
+    lists: Tuple[Tuple[int, ...], ...],
+    sets: Tuple[frozenset, ...],
+    touched: Dict[int, Set[int]],
+    grown: int,
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[frozenset, ...]]:
+    """One direction of :meth:`DataGraph.with_delta`: ``lists`` / ``sets``
+    with ``grown`` empty nodes appended and the ``touched`` nodes replaced."""
+    if not touched and not grown:
+        return lists, sets
+    new_lists = list(lists)
+    new_sets = list(sets)
+    if grown:
+        new_lists.extend([()] * grown)
+        new_sets.extend([_NO_NODES] * grown)
+    for node, members in touched.items():
+        new_lists[node] = tuple(sorted(members))
+        new_sets[node] = frozenset(members)
+    return tuple(new_lists), tuple(new_sets)

@@ -134,7 +134,7 @@ def save_graph_json(graph, path: str, delta=None) -> str:
     """Persist a graph (and optional pending delta) as one JSON document.
 
     ``graph`` may be a :class:`DataGraph` or a
-    :class:`repro.dynamic.MutableDataGraph` overlay — the *current* state
+    :class:`repro.dynamic.MutableDataGraph` recorder — its *current* state
     (labels, edges) and version are written either way.  ``delta`` is an
     optional :class:`repro.dynamic.GraphDelta` serialised alongside, e.g.
     the not-yet-applied tail of an update stream.  The document is written

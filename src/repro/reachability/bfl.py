@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.dynamic.overlay import MutableDataGraph
 from repro.graph.digraph import DataGraph
 from repro.graph.transform import Condensation, condensation
 from repro.reachability.base import ReachabilityIndex
@@ -107,9 +108,8 @@ class BloomFilterLabeling(ReachabilityIndex):
         These two negative cuts depend on a global order over the whole
         condensation, so unlike the Bloom labels they cannot be patched a
         node at a time — but both are single linear passes, which is what
-        keeps :meth:`apply_delta` cheap.  ``dag`` may be a
-        :class:`~repro.graph.digraph.DataGraph` or a
-        :class:`~repro.dynamic.MutableDataGraph` overlay.
+        keeps :meth:`apply_delta` cheap.  ``dag`` is the condensation as
+        built, or as :meth:`apply_delta` folded it.
         """
         n = dag.num_nodes
 
@@ -198,9 +198,6 @@ class BloomFilterLabeling(ReachabilityIndex):
         """
         if delta.has_removals:
             return False
-        # Local import: repro.dynamic imports would otherwise be circular at
-        # module load (dynamic -> digraph only, but keep the layering clean).
-        from repro.dynamic.overlay import MutableDataGraph
 
         cond = self._cond
         if delta.base_num_nodes != len(cond.component_of):
@@ -243,9 +240,9 @@ class BloomFilterLabeling(ReachabilityIndex):
             for descendant in dag.bfs_forward(ct):
                 l_in[descendant] |= in_bits
 
-        # Commit: freeze the patched condensation and recompute the global
+        # Commit the folded condensation and recompute the global
         # order-based cuts (linear in the condensation size).
-        new_dag = dag.materialize(name=cond.dag.name)
+        new_dag = dag.materialize()
         self._cond = Condensation(
             dag=new_dag,
             component_of=tuple(component_of),

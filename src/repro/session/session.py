@@ -28,7 +28,6 @@ from repro.dynamic.maintenance import (
 )
 from repro.exceptions import QueryError, StoreError
 from repro.explain.plan import QueryPlan
-from repro.dynamic.overlay import MutableDataGraph
 from repro.engines.base import Engine, expand_descendant_edges
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.engines.relational import RelationalEngine, build_edge_partitions
@@ -632,8 +631,7 @@ class QuerySession:
                 )
             old_version = self.version
             current = self.graph
-            overlay = MutableDataGraph(current, delta)
-            effective = overlay.delta_since_base()
+            new_graph, effective = current.with_delta(delta)
             if not effective:
                 return ApplyReport(
                     old_version=old_version,
@@ -641,7 +639,6 @@ class QuerySession:
                     num_ops=0,
                     seconds=time.perf_counter() - started,
                 )
-            new_graph = overlay.materialize()
             patched: List[str] = []
             invalidated: List[str] = []
 

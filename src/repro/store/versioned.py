@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
-from repro.dynamic.overlay import MutableDataGraph
 from repro.exceptions import StoreError
 from repro.graph.digraph import DataGraph
 from repro.matching.result import MatchReport
@@ -499,10 +498,11 @@ class VersionedGraphStore:
             if self._closed and not from_writer:
                 raise StoreError("store is closed")
             head = self._head  # only writers move the head; lock held
-            # Cheap no-op probe before paying the copy-on-write fork: a
-            # feed replayed against a moving head routinely contains
-            # already-applied edits, and forking copies O(V + E) state.
-            if not MutableDataGraph(head.session.graph, delta).delta_since_base():
+            # No-op probe before paying the copy-on-write fork: a feed
+            # replayed against a moving head routinely contains
+            # already-applied edits, and forking copies the session's
+            # indexes.  The fold itself is O(delta).
+            if not head.session.graph.with_delta(delta)[1]:
                 self._m_noop.inc()
                 return ApplyReport(
                     old_version=head.version,

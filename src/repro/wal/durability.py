@@ -17,12 +17,13 @@ from primitives the library already had:
   atomically (:func:`~repro.graph.io.save_graph_json`: temp file +
   ``os.replace``), after which the log truncates — every journaled delta
   is already inside the checkpoint;
-* **recover** — load the latest checkpoint, replay the log tail through
-  :class:`~repro.dynamic.MutableDataGraph` overlays, *skipping any entry
-  whose version is ≤ the checkpoint's*.  The skip makes every crash
-  window idempotent: a crash between checkpoint-write and log-truncate
-  replays nothing twice, and a crash between journal-append and publish
-  simply folds the acknowledged-but-unpublished delta forward.
+* **recover** — load the latest checkpoint, fold the log tail into it one
+  entry at a time (:meth:`~repro.graph.digraph.DataGraph.with_delta`),
+  *skipping any entry whose version is ≤ the checkpoint's*.  The skip
+  makes every crash window idempotent: a crash between checkpoint-write
+  and log-truncate replays nothing twice, and a crash between
+  journal-append and publish simply folds the acknowledged-but-unpublished
+  delta forward.
 
 The hook is driven by :class:`~repro.store.VersionedGraphStore` (which
 journals under its writer lock, so appends are naturally serialised) but
@@ -38,7 +39,6 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.dynamic.delta import GraphDelta
-from repro.dynamic.overlay import MutableDataGraph
 from repro.exceptions import GraphError, WalError
 from repro.graph.digraph import DataGraph
 from repro.graph.io import load_graph_json, save_graph_json
@@ -222,10 +222,9 @@ class WalDurability:
         checkpoint_version = graph.version
         entries, valid_bytes, torn_bytes = scan_log(os.path.join(directory, LOG_FILE))
         applied = skipped = 0
-        # One overlay over the checkpoint, one materialize at the end:
-        # each entry folds in O(its ops), not O(graph) — this is why
-        # recovery beats re-ingesting the same deltas through the store.
-        overlay: Optional[MutableDataGraph] = None
+        # One structure-shared fold per entry: each costs O(its ops), not
+        # O(graph) — this is why recovery beats re-ingesting the same
+        # deltas through the store.
         for index, payload in enumerate(entries):
             if payload.get("kind") != KIND_DELTA:
                 raise WalError(
@@ -234,28 +233,23 @@ class WalDurability:
                 )
             raw_version = payload.get("new_version")
             new_version = None if raw_version is None else int(raw_version)
-            current = graph.version if overlay is None else overlay.version
-            if new_version is not None and new_version <= current:
+            if new_version is not None and new_version <= graph.version:
                 skipped += 1
                 continue
             try:
-                delta = GraphDelta.from_dict(payload.get("delta") or {})
-                if overlay is None:
-                    overlay = MutableDataGraph(graph)
-                overlay.apply(delta)
+                folded, _ = graph.with_delta(GraphDelta.from_dict(payload.get("delta") or {}))
             except GraphError as exc:
                 raise WalError(
                     f"{directory}: journal entry {index} does not replay "
-                    f"against version {current}: {exc}"
+                    f"against version {graph.version}: {exc}"
                 ) from exc
-            if new_version is not None and overlay.version != new_version:
+            if new_version is not None and folded.version != new_version:
                 raise WalError(
                     f"{directory}: journal entry {index} announced version "
-                    f"{new_version} but replay produced {overlay.version}"
+                    f"{new_version} but replay produced {folded.version}"
                 )
+            graph = folded
             applied += 1
-        if overlay is not None:
-            graph = overlay.materialize(name=graph.name)
         durability = cls(directory, **kwargs)
         dropped = durability.log.repair(valid_bytes)
         durability._entries_since_checkpoint = len(entries)

@@ -1,4 +1,4 @@
-"""Tests for GraphDelta and the MutableDataGraph overlay."""
+"""Tests for GraphDelta, the ``DataGraph.with_delta`` fold and the edit recorder."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fixtures_paper import A1, B0, C0, C2, build_paper_graph
 from repro.dynamic import GraphDelta, MutableDataGraph, merged_delta
 from repro.exceptions import GraphError
+from repro.graph.digraph import DataGraph
 from repro.graph.generators import random_labeled_graph
 
 
@@ -93,7 +94,7 @@ class TestMutableDataGraph:
             assert overlay.successors(node) == paper_graph.successors(node)
             assert overlay.label(node) == paper_graph.label(node)
         assert overlay.label_alphabet() == paper_graph.label_alphabet()
-        assert not overlay.is_dirty()
+        assert not overlay.delta_since_base()
         assert overlay.materialize() is paper_graph
 
     def test_add_edge_and_node_visible_in_all_views(self, paper_graph):
@@ -114,7 +115,7 @@ class TestMutableDataGraph:
         overlay = MutableDataGraph(paper_graph)
         assert overlay.add_edge(A1, B0) is False
         assert overlay.num_edges == paper_graph.num_edges
-        assert not overlay.is_dirty()
+        assert not overlay.delta_since_base()
 
     def test_remove_edge(self, paper_graph):
         overlay = MutableDataGraph(paper_graph)
@@ -160,7 +161,7 @@ class TestMutableDataGraph:
         delta.relabel(A1, "A")  # unchanged label
         overlay = MutableDataGraph(paper_graph, delta)
         assert overlay.version == paper_graph.version
-        assert not overlay.is_dirty()
+        assert not overlay.delta_since_base()
         assert overlay.materialize() is paper_graph
 
     def test_apply_rejects_mismatched_base(self, paper_graph):
@@ -187,63 +188,190 @@ class TestMutableDataGraph:
         assert not overlay.reaches_bfs(sink, A1)
 
 
+
+
+class TestWithDelta:
+    def test_missing_edge_removal_raises_and_leaves_base(self, paper_graph):
+        delta = GraphDelta.for_graph(paper_graph).add_edge(A1, C2).remove_edge(C2, A1)
+        before = sorted(paper_graph.edges())
+        with pytest.raises(GraphError):
+            paper_graph.with_delta(delta)
+        assert sorted(paper_graph.edges()) == before
+        assert paper_graph.version == 0
+
+    def test_noop_batch_returns_self(self, paper_graph):
+        delta = GraphDelta.for_graph(paper_graph).add_edge(A1, B0).relabel(A1, "A")
+        graph, effective = paper_graph.with_delta(delta)
+        assert graph is paper_graph and not effective
+
+    def test_mismatched_base_rejected(self, paper_graph):
+        with pytest.raises(GraphError):
+            paper_graph.with_delta(GraphDelta(paper_graph.num_nodes + 1))
+
+    def test_fold_never_calls_the_constructor(self, paper_graph, monkeypatch):
+        calls = []
+        original = DataGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DataGraph, "__init__", counting)
+        delta = GraphDelta.for_graph(paper_graph)
+        node = delta.add_node("D")
+        delta.add_edge(A1, node).relabel(C0, "A").remove_edge(A1, B0)
+        graph, _ = paper_graph.with_delta(delta)
+        assert graph.num_nodes == paper_graph.num_nodes + 1
+        assert calls == []
+
+
+#: Drawn op kinds; each is resolved against the current state by ``_resolve``.
+KINDS = ("add_node", "add_edge", "remove_edge", "add_then_remove", "relabel", "empty_label", "noop")
+LABELS = ("L0", "L1", "L2", "L3")
+
+
 @st.composite
-def graph_and_ops(draw):
-    """A random base graph plus a random mixed mutation sequence."""
+def graph_and_batches(draw):
+    """A random base graph plus a few batches of drawn mutations."""
     num_nodes = draw(st.integers(min_value=2, max_value=14))
     num_edges = draw(st.integers(min_value=0, max_value=25))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     graph = random_labeled_graph(
         num_nodes, min(num_edges, num_nodes * (num_nodes - 1)), num_labels=3, seed=seed
     )
-    ops = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["add_node", "add_edge", "remove_edge", "relabel"]),
-                st.integers(min_value=0, max_value=10_000),
-                st.integers(min_value=0, max_value=10_000),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    return graph, ops
+    choice = st.integers(min_value=0, max_value=10_000)
+    mixed = st.lists(st.tuples(st.sampled_from(KINDS), choice, choice), min_size=1, max_size=8)
+    noops = st.lists(st.tuples(st.just("noop"), choice, choice), min_size=1, max_size=3)
+    batches = draw(st.lists(st.one_of(mixed, noops), min_size=1, max_size=4))
+    return graph, batches
 
 
-@given(graph_and_ops())
-@settings(max_examples=40, deadline=None)
-def test_overlay_equals_materialized(case):
-    """Every read answered by the overlay equals the materialised graph's."""
-    graph, ops = case
-    overlay = MutableDataGraph(graph)
-    labels = ("A", "B", "C", "D")
-    for kind, a, b in ops:
-        n = overlay.num_nodes
+def _resolve(batch, labels, edges):
+    """Turn drawn choices into a delta against the model ``labels`` / ``edges``.
+
+    Applies each op to the model as well and returns ``(delta, expected)``,
+    ``expected`` being the ops that change the model: the effective delta.
+    """
+    delta = GraphDelta(len(labels))
+    expected = []
+
+    def add(source, target):
+        delta.add_edge(source, target)
+        if (source, target) not in edges:
+            edges.add((source, target))
+            expected.append(("add_edge", source, target))
+
+    def remove(source, target):
+        delta.remove_edge(source, target)
+        edges.remove((source, target))
+        expected.append(("remove_edge", source, target))
+
+    def relabel(node, label):
+        delta.relabel(node, label)
+        if labels[node] != label:
+            labels[node] = label
+            expected.append(("relabel", node, label))
+
+    for kind, a, b in batch:
+        n = len(labels)
         if kind == "add_node":
-            overlay.add_node(labels[a % len(labels)])
+            label = LABELS[a % len(LABELS)]
+            delta.add_node(label)
+            labels.append(label)
+            expected.append(("add_node", label))
         elif kind == "add_edge":
-            overlay.add_edge(a % n, b % n)
+            add(a % n, b % n)
         elif kind == "remove_edge":
-            edges = sorted(overlay.edges())
             if edges:
-                overlay.remove_edge(*edges[a % len(edges)])
+                remove(*sorted(edges)[a % len(edges)])
+        elif kind == "add_then_remove":
+            add(a % n, b % n)
+            remove(a % n, b % n)
+        elif kind == "relabel":
+            relabel(a % n, LABELS[b % len(LABELS)])
+        elif kind == "empty_label":
+            victim = labels[a % n]
+            others = [label for label in LABELS if label != victim]
+            for node in range(n):
+                if labels[node] == victim:
+                    relabel(node, others[b % len(others)])
+        else:  # noop: re-insert a present edge, relabel a node to its own label
+            if edges:
+                add(*sorted(edges)[a % len(edges)])
+            relabel(b % n, labels[b % n])
+    return delta, expected
+
+
+def _state(graph):
+    """Every read of ``graph``, by value."""
+    return (
+        graph.version,
+        graph.num_nodes,
+        graph.num_edges,
+        graph.labels,
+        sorted(graph.edges()),
+        graph.label_alphabet(),
+        graph.num_labels(),
+        graph.max_inverted_list_size(),
+        graph.inverted_lists(),
+        [
+            (
+                graph.successors(node),
+                graph.predecessors(node),
+                graph.successor_set(node),
+                graph.predecessor_set(node),
+                graph.out_degree(node),
+                graph.in_degree(node),
+            )
+            for node in graph.nodes()
+        ],
+        [(graph.inverted_list(label), graph.inverted_set(label)) for label in graph.label_alphabet()],
+    )
+
+
+def _assert_shares_untouched(base, folded, effective):
+    touched_nodes = {
+        node for op in effective.ops if op[0] in ("add_edge", "remove_edge") for node in op[1:]
+    }
+    for node in base.nodes():
+        if node not in touched_nodes:
+            assert folded.successors(node) is base.successors(node)
+            assert folded.predecessors(node) is base.predecessors(node)
+            assert folded.successor_set(node) is base.successor_set(node)
+            assert folded.predecessor_set(node) is base.predecessor_set(node)
+    touched_labels = {op[1] for op in effective.ops if op[0] == "add_node"}
+    for op in effective.ops:
+        if op[0] == "relabel":
+            touched_labels.add(op[2])
+            if op[1] < base.num_nodes:
+                touched_labels.add(base.label(op[1]))
+    for label in set(base.label_alphabet()) - touched_labels:
+        assert folded.inverted_list(label) is base.inverted_list(label)
+        assert folded.inverted_set(label) is base.inverted_set(label)
+
+
+@given(graph_and_batches())
+@settings(max_examples=60, deadline=None)
+def test_fold_equals_cold_rebuild(case):
+    """Each fold equals a cold ``DataGraph(labels, edges)`` of the same state,
+    reports exactly the effective ops, shares what it did not touch, and
+    leaves its base as it was."""
+    graph, batches = case
+    labels, edges = list(graph.labels), set(graph.edges())
+    for batch in batches:
+        delta, expected = _resolve(batch, labels, edges)
+        before = _state(graph)
+        folded, effective = graph.with_delta(delta)
+        cold = DataGraph(labels, edges)
+        assert folded == cold
+        assert _state(folded)[1:] == _state(cold)[1:]
+        assert effective.ops == tuple(expected)
+        if expected:
+            assert folded.version == graph.version + 1
         else:
-            overlay.relabel(a % n, labels[b % len(labels)])
-    materialized = overlay.materialize()
-    assert overlay.num_nodes == materialized.num_nodes
-    assert overlay.num_edges == materialized.num_edges
-    assert sorted(overlay.edges()) == sorted(materialized.edges())
-    assert overlay.labels == materialized.labels
-    assert overlay.label_alphabet() == materialized.label_alphabet()
-    for node in materialized.nodes():
-        assert overlay.successors(node) == materialized.successors(node)
-        assert overlay.predecessors(node) == materialized.predecessors(node)
-        assert overlay.successor_set(node) == materialized.successor_set(node)
-        assert overlay.predecessor_set(node) == materialized.predecessor_set(node)
-    for label in materialized.label_alphabet():
-        assert overlay.inverted_list(label) == materialized.inverted_list(label)
-        assert overlay.inverted_set(label) == materialized.inverted_set(label)
-    # a replay of the effective delta reproduces the same graph
-    replay = MutableDataGraph(graph, overlay.delta_since_base()).materialize()
-    assert sorted(replay.edges()) == sorted(materialized.edges())
-    assert replay.labels == materialized.labels
+            assert folded is graph
+        _assert_shares_untouched(graph, folded, effective)
+        # replaying the effective delta reproduces the fold
+        assert _state(graph.with_delta(effective)[0]) == _state(folded)
+        assert _state(graph) == before
+        graph = folded

@@ -256,7 +256,7 @@ class TestJsonRoundTrip:
         node = delta.add_node("Z")
         delta.add_edge(0, node)
         assert delta.base_version == base.version == 0
-        folded = MutableDataGraph(base, delta).materialize(name=base.name)
+        folded = base.with_delta(delta)[0]
         assert folded.version == 1
 
         # save the folded graph alongside the (now stale) delta

@@ -1,13 +1,18 @@
 """Tests for version-aware session invalidation: QuerySession.apply()."""
 
+import random
+
 import pytest
 
 from fixtures_paper import A1, B0, C0, PAPER_ANSWER
-from repro.dynamic import GraphDelta, MutableDataGraph
+from repro.dynamic import GraphDelta, should_patch
 from repro.engines.base import expand_descendant_edges
 from repro.exceptions import EngineError
 from repro.engines.binary_join import BinaryJoinEngine
+from repro.graph.digraph import DataGraph
+from repro.graph.generators import random_labeled_graph
 from repro.session import QuerySession
+from repro.wal.durability import WalDurability
 
 
 @pytest.fixture()
@@ -42,9 +47,7 @@ class TestApplySemantics:
         session.partitions
         delta, _node = _new_a_delta(paper_graph)
         session.apply(delta)
-        cold_graph = MutableDataGraph(
-            paper_graph, GraphDelta.from_dict(delta.to_dict())
-        ).materialize()
+        cold_graph, _ = paper_graph.with_delta(GraphDelta.from_dict(delta.to_dict()))
         cold = QuerySession(cold_graph)
         for engine in ("GM", "GM-F", "Neo4j", "EH", "GF", "RM", "JM", "TM"):
             assert (
@@ -160,7 +163,7 @@ class TestEngineVersionChecks:
     def test_stale_expanded_graph_rejected(self, paper_graph, paper_query):
         expanded, _seconds = expand_descendant_edges(paper_graph)
         delta, _node = _new_a_delta(paper_graph)
-        patched = MutableDataGraph(paper_graph, delta).materialize()
+        patched, _ = paper_graph.with_delta(delta)
         # expanded graph built for version 0 injected next to the v1 graph
         with pytest.raises(EngineError, match="stale"):
             BinaryJoinEngine(patched, expanded_graph=expanded)
@@ -175,7 +178,7 @@ class TestEngineVersionChecks:
     def test_stale_lazy_provider_rejected(self, paper_graph, paper_query):
         expanded, _seconds = expand_descendant_edges(paper_graph)
         delta, _node = _new_a_delta(paper_graph)
-        patched = MutableDataGraph(paper_graph, delta).materialize()
+        patched, _ = paper_graph.with_delta(delta)
         engine = BinaryJoinEngine(patched, expanded_graph=lambda: expanded)
         with pytest.raises(EngineError, match="stale"):
             engine.match(paper_query)
@@ -187,3 +190,111 @@ class TestEngineVersionChecks:
         session.apply(delta)
         report = session.query(paper_query, engine="Neo4j")
         assert report.num_matches > 0
+
+
+class TestReachabilityPatchBranches:
+    """Which writes rebuild reachability: exactly the inserts that merge SCCs.
+
+    ``should_patch`` agrees to patch every small insert-only delta;
+    ``BloomFilterLabeling.apply_delta`` then refuses an inserted edge that
+    closes a cycle (the condensation changes shape), and only that.
+    """
+
+    def test_cycle_closing_insert_invalidates_and_acyclic_insert_patches(self, paper_graph, paper_query):
+        graph = paper_graph
+        closing = next(
+            (v, u) for u in graph.nodes() for v in graph.bfs_forward(u) if not graph.reaches_bfs(v, u)
+        )
+        acyclic = next(
+            (u, v)
+            for u in graph.nodes()
+            for v in graph.nodes()
+            if u != v and not graph.has_edge(u, v) and not graph.reaches_bfs(v, u)
+        )
+        for edge, outcome in ((acyclic, "patched"), (closing, "invalidated")):
+            session = QuerySession(graph)
+            session.query(paper_query)
+            delta = GraphDelta.for_graph(graph).add_edge(*edge)
+            assert should_patch(graph, delta)
+            report = session.apply(delta)
+            assert "reachability" in getattr(report, outcome), edge
+            cold = QuerySession(DataGraph(graph.labels, list(graph.edges()) + [edge]))
+            assert (
+                session.query(paper_query).occurrence_set()
+                == cold.query(paper_query).occurrence_set()
+            )
+
+
+class TestExpandedGraphVersion:
+    def test_noop_expanded_fold_still_carries_the_new_version(self, session, paper_query):
+        # (u, v) with u already reaching v: a new data edge, but already an
+        # edge of the closure-expanded graph, so folding it there changes
+        # nothing -- the patched expanded graph must still be the new version.
+        graph = session.graph
+        edge = next(
+            (u, v) for u in graph.nodes() for v in graph.bfs_forward(u) if v != u and not graph.has_edge(u, v)
+        )
+        session.transitive_closure
+        before = session.expanded_graph
+        report = session.apply(GraphDelta.for_graph(graph).add_edge(*edge))
+        assert "expanded_graph" in report.patched
+        after = session.expanded_graph
+        assert after == before and after is not before
+        assert after.version == session.version == 1
+        assert before.version == 0
+        engine = BinaryJoinEngine(session.graph, expanded_graph=after)  # not rejected as stale
+        cold = QuerySession(session.graph)
+        assert (
+            engine.match(paper_query).occurrence_set()
+            == cold.query(paper_query, engine="Neo4j").occurrence_set()
+        )
+
+
+class TestWritePathNeverRebuilds:
+    """A write folds its delta; it never runs the O(V + E) constructor."""
+
+    @staticmethod
+    def _count_constructor(monkeypatch):
+        calls = []
+        original = DataGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DataGraph, "__init__", counting)
+        return calls
+
+    @staticmethod
+    def _big_graph_and_insert():
+        graph = random_labeled_graph(5_000, 10_000, num_labels=8, seed=3, name="big")
+        rng = random.Random(4)
+        delta = GraphDelta.for_graph(graph)
+        while len(delta) < 4:
+            source, target = rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes)
+            if not graph.has_edge(source, target) and not graph.reaches_bfs(target, source):
+                delta.add_edge(source, target)
+        return graph, delta
+
+    def test_session_apply_never_calls_the_constructor(self, monkeypatch):
+        graph, delta = self._big_graph_and_insert()
+        session = QuerySession(graph)
+        session.context  # a built reachability index takes the patch path
+        calls = self._count_constructor(monkeypatch)
+        report = session.apply(delta)
+        assert report.patched == ["reachability"]
+        assert session.graph.num_edges == graph.num_edges + 4
+        assert calls == []
+
+    def test_recovery_builds_only_the_checkpoint(self, tmp_path, monkeypatch):
+        graph, delta = self._big_graph_and_insert()
+        directory = str(tmp_path / "tenant")
+        durability = WalDurability.create(directory, graph)
+        durability.journal(delta, graph.version, graph.version + 1)
+        durability.close()
+        calls = self._count_constructor(monkeypatch)
+        recovered, reopened, report = WalDurability.recover(directory)
+        reopened.close()
+        assert report.entries_applied == 1 and recovered.version == 1
+        assert recovered == graph.with_delta(delta)[0]
+        assert len(calls) == 1  # the checkpoint load

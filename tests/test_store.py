@@ -1,10 +1,16 @@
 """Tests for the MVCC versioned graph store: chain, pinning, GC, forks."""
 
+import random
+
 import pytest
 
 from fixtures_paper import A1, B0, C0, PAPER_ANSWER
+from repro.baselines.bruteforce import bruteforce_homomorphisms
 from repro.dynamic import GraphDelta
 from repro.exceptions import StoreError
+from repro.graph.digraph import DataGraph
+from repro.graph.generators import random_labeled_graph
+from repro.query.generators import random_pattern_query
 from repro.session import QuerySession
 from repro.store import VersionedGraphStore
 
@@ -242,3 +248,58 @@ class TestWriterQueue:
         assert [report.new_version for report in reports] == [1, 2, 3]
         with pytest.raises(StoreError):
             store.apply(GraphDelta.for_graph(store.graph).add_edge(A1, 5))
+
+
+def _mixed_write(graph, step, rng):
+    """Write ``step`` of a cycle: insert, remove, relabel, SCC-merging insert."""
+    delta = GraphDelta.for_graph(graph)
+    edges = sorted(graph.edges())
+    kind = step % 4
+    if kind == 0:
+        while True:
+            source, target = rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes)
+            if not graph.has_edge(source, target):
+                return delta.add_edge(source, target)
+    if kind == 1:
+        return delta.remove_edge(*rng.choice(edges))
+    if kind == 2:
+        node = rng.randrange(graph.num_nodes)
+        others = [label for label in graph.label_alphabet() if label != graph.label(node)]
+        return delta.relabel(node, rng.choice(others))
+    # closing a cycle merges the endpoints' strongly connected components
+    rng.shuffle(edges)
+    source, target = next((s, t) for s, t in edges if s != t and not graph.reaches_bfs(t, s))
+    return delta.add_edge(target, source)
+
+
+class TestPinnedVersionsUnderSharing:
+    def test_pinned_snapshots_equal_bruteforce_after_mixed_writes(self):
+        # Versions share adjacency tuples and inverted lists with their
+        # predecessors: no later fold may change what a pinned one answers.
+        graph = random_labeled_graph(40, 90, 3, seed=11, name="shared")
+        queries = [random_pattern_query(graph, 3, seed=seed) for seed in (1, 2, 3)]
+        rng = random.Random(5)
+        pinned = []
+        with VersionedGraphStore(graph) as store:
+
+            def pin_head():
+                snap = store.pin()
+                cold = DataGraph(list(snap.graph.labels), list(snap.graph.edges()))
+                for query in queries:
+                    snap.query(query)  # warm the epoch's caches before the writes
+                pinned.append((snap, cold))
+
+            pin_head()
+            for step in range(20):
+                report = store.apply(_mixed_write(store.graph, step, rng))
+                assert report.new_version == report.old_version + 1
+                if step == 9:
+                    pin_head()
+            pin_head()
+            assert [snap.version for snap, _ in pinned] == [0, 10, 20]
+            for snap, cold in pinned:
+                assert snap.graph == cold
+                for query in queries:
+                    expected = frozenset(bruteforce_homomorphisms(cold, query))
+                    assert snap.query(query).occurrence_set() == expected
+                snap.release()

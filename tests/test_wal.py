@@ -37,7 +37,7 @@ from fixtures_paper import (
 )
 from repro.api import GraphDB
 from repro.client import GraphClient
-from repro.dynamic import GraphDelta, MutableDataGraph
+from repro.dynamic import GraphDelta
 from repro.exceptions import CatalogError, StoreError, WalError
 from repro.graph.digraph import DataGraph
 from repro.graph.io import load_graph_json, save_graph_json
@@ -209,7 +209,7 @@ class TestWalDurability:
         head = graph
         for _ in range(3):
             delta = growth_delta(head)
-            folded = MutableDataGraph(head, delta).materialize(name=head.name)
+            folded = head.with_delta(delta)[0]
             durability.journal(delta, head.version, folded.version)
             head = folded
         durability.close()
@@ -232,7 +232,7 @@ class TestWalDurability:
         graph = small_graph()
         durability = WalDurability.create(directory, graph)
         delta = growth_delta(graph)
-        folded = MutableDataGraph(graph, delta).materialize(name=graph.name)
+        folded = graph.with_delta(delta)[0]
         durability.journal(delta, graph.version, folded.version)
         durability.close()
         log_path = os.path.join(directory, LOG_FILE)
@@ -249,7 +249,7 @@ class TestWalDurability:
 
         # ... and a journal written by that older codec replays.
         second = growth_delta(folded, label="C")
-        head = MutableDataGraph(folded, second).materialize(name=graph.name)
+        head = folded.with_delta(second)[0]
         with open(log_path, "ab") as handle:
             handle.write(
                 old_frame(
@@ -272,7 +272,7 @@ class TestWalDurability:
         graph = small_graph()
         durability = WalDurability.create(directory, graph)
         delta = growth_delta(graph)
-        head = MutableDataGraph(graph, delta).materialize(name=graph.name)
+        head = graph.with_delta(delta)[0]
         durability.journal(delta, graph.version, head.version)
         summary = durability.checkpoint(head)
         assert summary["version"] == 1 and summary["log_entries_dropped"] == 1
@@ -293,7 +293,7 @@ class TestWalDurability:
         head = graph
         for _ in range(2):
             delta = growth_delta(head)
-            folded = MutableDataGraph(head, delta).materialize(name=head.name)
+            folded = head.with_delta(delta)[0]
             durability.journal(delta, head.version, folded.version)
             head = folded
         # the crash: checkpoint file written, truncate never ran
@@ -518,7 +518,7 @@ class TestCrashPoints:
         delta = db.delta()
         node = delta.add_node("B")
         delta.add_edge(0, node)
-        expected = MutableDataGraph(db.graph, delta).materialize(name=db.graph.name)
+        expected = db.graph.with_delta(delta)[0]
         db.store.durability.journal(delta, db.head_version, db.head_version + 1)
         db.close()  # head still at version 0 — the "crash"
 
