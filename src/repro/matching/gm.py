@@ -310,6 +310,8 @@ class GraphMatcher(Evaluator):
                 "rig_physical_edges": rig.num_physical_edges(),
                 "set_kind": rig.set_kind,
                 "simulation_passes": build.simulation.passes if build.simulation else 0,
+                "condensation_sweeps": build.condensation_sweeps,
+                "condensation_sweeps_served": build.condensation_sweeps_served,
                 "transitive_reduction": self.rig_options.transitive_reduction,
             },
         )

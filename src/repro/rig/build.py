@@ -16,6 +16,18 @@ Two phases:
    per direction (:meth:`MatchContext.expand_reachability`, the batch
    checking of §4.5) whose equal answers — every tail of one component —
    share one frozen set object.
+
+Both phases draw their condensation cones from one
+:class:`~repro.simulation.context.Cones` memo made per ``build_rig`` call:
+each (direction, component set) is swept once, by whichever fbsim check or
+expansion asks first, and the memo is dropped with the build (the report
+keeps only its two counts).  After expansion a candidate may have lost every
+partner on some edge; ``prune_after_expand`` removes it with
+:meth:`RuntimeIndexGraph.prune_unmatched_candidates` — unless the simulation
+reached its fixpoint (its last pass pruned nothing), where every candidate
+already has a partner on every incident edge and the prune could remove
+nothing.  GM-F (pre-filter only) and ``max_passes`` / ``prune_threshold``
+runs still prune.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Dict, Optional, Set
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.rig.graph import RuntimeIndexGraph
-from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.fbsim import SimulationOptions, SimulationResult, fbsim, fbsim_basic
 from repro.simulation.matchsets import node_prefilter
 
@@ -51,7 +63,8 @@ class RIGOptions:
     transitive_reduction: bool = True
     #: Set representation inside the RIG ("set", "roaring", "intbitset").
     set_kind: str = "set"
-    #: Drop candidates with no surviving adjacency after expansion.
+    #: Drop candidates with no surviving adjacency after expansion.  Skipped
+    #: after a simulation that reached its fixpoint: it would remove nothing.
     prune_after_expand: bool = True
 
 
@@ -65,6 +78,10 @@ class RIGBuildReport:
     expand_seconds: float
     simulation: Optional[SimulationResult]
     candidates_after_selection: int
+    #: Condensation sweeps this build made, and the ones its cone memo
+    #: answered instead (see :class:`~repro.simulation.context.Cones`).
+    condensation_sweeps: int = 0
+    condensation_sweeps_served: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -73,7 +90,7 @@ class RIGBuildReport:
 
 
 def _select_candidates(
-    context: MatchContext, query: PatternQuery, options: RIGOptions
+    context: MatchContext, query: PatternQuery, options: RIGOptions, cones: Cones
 ) -> tuple[Dict[int, Set[int]], Optional[SimulationResult]]:
     """Node-selection phase: compute ``cos(q)`` for every query node."""
     if options.filter_mode == "match":
@@ -85,9 +102,9 @@ def _select_candidates(
 
     initial = node_prefilter(context, query) if options.prefilter else None
     if options.simulation_algorithm == "basic":
-        simulation = fbsim_basic(context, query, initial, options.simulation_options)
+        simulation = fbsim_basic(context, query, initial, options.simulation_options, cones)
     else:
-        simulation = fbsim(context, query, initial, options.simulation_options)
+        simulation = fbsim(context, query, initial, options.simulation_options, cones)
     return simulation.candidates, simulation
 
 
@@ -97,6 +114,7 @@ def _expand_edge(
     edge: PatternEdge,
     candidates: Dict[int, Set[int]],
     options: RIGOptions,
+    cones: Cones,
 ) -> None:
     """Node-expansion phase for one query edge."""
     graph = context.graph
@@ -107,7 +125,7 @@ def _expand_edge(
 
     make_set = rig.make_set
     if not edge.is_child:
-        forward, backward = context.expand_reachability(tails, heads, make_set)
+        forward, backward = context.expand_reachability(tails, heads, make_set, cones)
     elif options.child_check is ChildCheckMethod.BIN_SEARCH:
         pairs = [(u, v) for u in tails for v in heads if graph.has_edge_binary_search(u, v)]
         forward = _index(pairs, make_set)
@@ -141,9 +159,13 @@ def build_rig(
     if options.transitive_reduction:
         query = transitive_reduction(query)
 
+    cones = Cones()  # this build's alone: dropped with it, never shared
     start = time.perf_counter()
-    candidates, simulation = _select_candidates(context, query, options)
+    candidates, simulation = _select_candidates(context, query, options, cones)
     select_seconds = time.perf_counter() - start
+    # At the simulation's fixpoint every candidate has a partner on every
+    # incident edge, so the RIG-level prune could remove nothing.
+    exact = simulation is not None and simulation.pruned_per_pass[-1] == 0
 
     rig = RuntimeIndexGraph(query, set_kind=options.set_kind)
     start = time.perf_counter()
@@ -151,8 +173,8 @@ def build_rig(
         rig.set_candidates(node, nodes)
     if not rig.is_empty():
         for edge in query.edges():
-            _expand_edge(context, rig, edge, candidates, options)
-        if options.prune_after_expand:
+            _expand_edge(context, rig, edge, candidates, options, cones)
+        if options.prune_after_expand and not exact:
             rig.prune_unmatched_candidates()
     expand_seconds = time.perf_counter() - start
 
@@ -163,6 +185,8 @@ def build_rig(
         expand_seconds=expand_seconds,
         simulation=simulation,
         candidates_after_selection=sum(len(nodes) for nodes in candidates.values()),
+        condensation_sweeps=cones.computed,
+        condensation_sweeps_served=cones.served,
     )
 
 

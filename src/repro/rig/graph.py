@@ -14,6 +14,12 @@ q"), so the enumeration phase can intersect exactly the lists it needs.
 The set representation is pluggable: built-in sets (default, fastest in
 CPython) or the library's :class:`RoaringBitmap` / :class:`IntBitSet`
 (the paper's §6 representation, exercised by the Fig. 12 ablation).
+
+:meth:`RuntimeIndexGraph.prune_unmatched_candidates` is the RIG-level
+fixpoint that drops candidates with no partner left on some edge.  BuildRIG
+runs it only when node selection stopped short of the double simulation's
+fixpoint (GM-F, ``max_passes``, ``prune_threshold``): after an exact
+simulation it provably removes nothing and is skipped.
 """
 
 from __future__ import annotations
@@ -202,7 +208,8 @@ class RuntimeIndexGraph:
         After expansion a candidate may have an empty adjacency list for one
         of its query node's edges, which means it cannot participate in any
         occurrence.  Removing such nodes tightens the RIG; returns the number
-        of candidates removed.
+        of candidates removed.  That happens only when the candidates were not
+        an exact double simulation — BuildRIG skips the call otherwise.
         """
         removed_total = 0
         changed = True

@@ -23,6 +23,12 @@ graph (BFL, interval) and is computed from the graph otherwise; its derived
 arrays are built lazily, once per context.  A context never outlives a graph
 version (``QuerySession.apply`` makes a new one), so nothing is invalidated.
 
+All three operations start from a *cone*: the components strictly below or
+above a set of seed components.  The cones live in a :class:`Cones` memo that
+belongs to one build (``build_rig`` passes it down through ``fbsim``), not to
+the context, so the context holds nothing that grows from query to query and
+concurrent builds share nothing but the read-only arrays.
+
 :meth:`MatchContext.forward_reachable_set` / ``backward_reachable_set`` are
 the plain whole-graph BFS: the reference the condensation operations are
 tested against, and what the JM / TM baselines still expand with.
@@ -95,24 +101,68 @@ def _strict_closure(adjacency: Sequence[Tuple[int, ...]], seeds: Iterable[int]) 
     return seen
 
 
+class Cones:
+    """One build's reachability cones, each swept once.
+
+    A cone is the strict closure of a set of condensation components, down
+    (children) or up (parents).  It is keyed by direction and the frozen
+    component set, so a candidate set that shrank without losing a component
+    is a hit.  ``build_rig`` makes one per call and hands it through
+    ``fbsim`` to :meth:`MatchContext.tails_reaching` / ``heads_reached`` /
+    ``expand_reachability``: every incident edge of a query node, every pass
+    whose candidates kept their components, and the expansion after the last
+    pass then share one sweep.  It is never stored on the shared
+    :class:`MatchContext`, so it is bounded by one query and needs no lock.
+    ``computed`` counts the sweeps made, ``served`` the ones answered here.
+    """
+
+    __slots__ = ("_cones", "computed", "served")
+
+    def __init__(self) -> None:
+        self._cones: Dict[Tuple[bool, FrozenSet[int]], Set[int]] = {}
+        self.computed = 0
+        self.served = 0
+
+    def cone(self, arrays: _Components, seeds: FrozenSet[int], downward: bool) -> Set[int]:
+        """The components strictly below (``downward``) or above ``seeds``.
+        Shared between callers: never mutate it."""
+        key = (downward, seeds)
+        cone = self._cones.get(key)
+        if cone is None:
+            cone = _strict_closure(arrays.children if downward else arrays.parents, seeds)
+            self._cones[key] = cone
+            self.computed += 1
+        else:
+            self.served += 1
+        return cone
+
+
 def _with_partner(
     arrays: _Components,
-    toward_candidates: Sequence[Tuple[int, ...]],
+    cones: Cones,
     candidates: Iterable[int],
     partners: Iterable[int],
+    downward: bool,
 ) -> Set[int]:
-    """The candidates whose component is strictly beyond a partner's component
-    along ``toward_candidates``, or is cyclic and holds a partner."""
+    """The candidates whose component is strictly below (``downward``) or
+    above a partner's component, or is cyclic and holds a partner."""
     component_of, cyclic = arrays.component_of, arrays.cyclic
-    partner_components = {component_of[partner] for partner in partners}
-    allowed = _strict_closure(toward_candidates, partner_components)
-    allowed.update(c for c in partner_components if cyclic[c])
+    partner_components = frozenset(map(component_of.__getitem__, partners))
+    allowed = cones.cone(arrays, partner_components, downward)
+    on_cycle = {c for c in partner_components if cyclic[c]}
+    if on_cycle:
+        allowed = allowed | on_cycle
     return {node for node in candidates if component_of[node] in allowed}
 
 
-def _decode(mask: int, numbered: Sequence[int]) -> List[int]:
-    """The entries of ``numbered`` whose bit is set in ``mask``."""
-    return [node for node, bit in zip(numbered, reversed(bin(mask))) if bit == "1"]
+def _decode(mask: int, numbered: Sequence[List[int]]) -> List[int]:
+    """The members of the entries of ``numbered`` whose bit is set in ``mask``."""
+    return [
+        node
+        for members, bit in zip(numbered, reversed(bin(mask)))
+        if bit == "1"
+        for node in members
+    ]
 
 
 def _shared_answers(
@@ -129,15 +179,17 @@ def _shared_answers(
     ``toward_partners``, plus those in its own when that is cyclic.  ``sweep``
     lists the components that matter, each after its ``toward_partners``
     neighbours that matter; a component outside it holds no partner.
+
+    A bit stands for one partner *component* (all its members are partners
+    of the same askers), so a mask is |partner components| bits wide and
+    decodes to the members of its components.
     """
     component_of, cyclic = arrays.component_of, arrays.cyclic
-    numbered = list(partners)
-    own: Dict[int, int] = {}
-    bit = 1
-    for partner in numbered:
-        component = component_of[partner]
-        own[component] = own.get(component, 0) | bit
-        bit <<= 1
+    partners_in: Dict[int, List[int]] = {}
+    for partner in partners:
+        partners_in.setdefault(component_of[partner], []).append(partner)
+    numbered = list(partners_in.values())
+    own = {component: 1 << bit for bit, component in enumerate(partners_in)}
     seen: Dict[int, int] = {}
     for component in sweep:
         mask = own.get(component, 0)
@@ -145,11 +197,11 @@ def _shared_answers(
             mask |= seen.get(neighbour, 0)
         seen[component] = mask
 
-    members: Dict[int, List[int]] = {}
+    askers_in: Dict[int, List[int]] = {}
     for asker in askers:
-        members.setdefault(component_of[asker], []).append(asker)
+        askers_in.setdefault(component_of[asker], []).append(asker)
     groups: Dict[int, List[int]] = {}
-    for component, group in members.items():
+    for component, group in askers_in.items():
         mask = seen.get(component, 0)
         if not cyclic[component]:
             mask &= ~own.get(component, 0)
@@ -324,6 +376,7 @@ class MatchContext:
         tails: Collection[int],
         heads: Collection[int],
         make_set: Callable[[List[int]], object] = frozenset,
+        cones: Optional[Cones] = None,
     ) -> Tuple[Dict[int, object], Dict[int, object]]:
         """Expansion of a reachability edge, both directions:
         ``({tail: heads it reaches}, {head: tails reaching it})``.
@@ -334,40 +387,48 @@ class MatchContext:
         component, or components that see the same partners) hold the *same*
         object: nothing here is per pair, and callers must not mutate them.
 
-        One sweep per direction instead of one BFS per tail.  Heads are
-        numbered, every component's mask (a Python ``int``) gets the bits of
-        the heads in it, and the components between the tails and the heads
-        are folded children-first, ``reached[c] = own[c] | OR(reached[child])``.
-        A tail in ``c`` then reaches ``reached[c]`` if ``c`` is cyclic and
+        One sweep per direction instead of one BFS per tail.  The head
+        components are numbered, every component's mask (a Python ``int``)
+        gets the bit of the head component it is, and the components between
+        the tails and the heads are folded children-first,
+        ``reached[c] = own[c] | OR(reached[child])``.  A tail in ``c`` then
+        reaches the heads of ``reached[c]`` if ``c`` is cyclic and of
         ``reached[c]`` minus ``own[c]`` otherwise.  The mirror numbers the
-        tails and folds the same components parents-first.  "Between" is
-        below a tail *and* above a head: every tail-to-head path stays inside,
-        anything outside contributes no pair, and masks exist only there — at
-        most ``|between| * max(|tails|, |heads|) / 8`` bytes.
+        tail components and folds the same components parents-first.
+        "Between" is below a tail *and* above a head — the intersection of
+        two cones, taken from ``cones`` (the build's memo) when given: every
+        tail-to-head path stays inside, anything outside contributes no pair,
+        and masks exist only there — at most ``|between| * max(|tail
+        components|, |head components|) / 8`` bytes.
         """
         arrays = self._components()
+        cones = cones or Cones()
         component_of = arrays.component_of
-        tail_components = {component_of[tail] for tail in tails}
-        head_components = {component_of[head] for head in heads}
-        between = _strict_closure(arrays.children, tail_components) | tail_components
-        between &= _strict_closure(arrays.parents, head_components) | head_components
+        tail_components = frozenset(map(component_of.__getitem__, tails))
+        head_components = frozenset(map(component_of.__getitem__, heads))
+        between = cones.cone(arrays, tail_components, downward=True) | tail_components
+        between &= cones.cone(arrays, head_components, downward=False) | head_components
         downward = sorted(between, key=arrays.rank.__getitem__)
         return (
             _shared_answers(arrays, arrays.children, reversed(downward), tails, heads, make_set),
             _shared_answers(arrays, arrays.parents, downward, heads, tails, make_set),
         )
 
-    def tails_reaching(self, tails: Iterable[int], heads: Iterable[int]) -> Set[int]:
+    def tails_reaching(
+        self, tails: Iterable[int], heads: Iterable[int], cones: Optional[Cones] = None
+    ) -> Set[int]:
         """Semijoin of a reachability edge: the ``tails`` that reach some head
-        by a path of length >= 1 — one BFS up the condensation from the heads."""
-        arrays = self._components()
-        return _with_partner(arrays, arrays.parents, tails, heads)
+        by a path of length >= 1 — the cone up the condensation from the
+        heads' components, swept once per ``cones`` (the build's memo)."""
+        return _with_partner(self._components(), cones or Cones(), tails, heads, downward=False)
 
-    def heads_reached(self, heads: Iterable[int], tails: Iterable[int]) -> Set[int]:
+    def heads_reached(
+        self, heads: Iterable[int], tails: Iterable[int], cones: Optional[Cones] = None
+    ) -> Set[int]:
         """Semijoin of a reachability edge: the ``heads`` some tail reaches by
-        a path of length >= 1 — one BFS down the condensation from the tails."""
-        arrays = self._components()
-        return _with_partner(arrays, arrays.children, heads, tails)
+        a path of length >= 1 — the cone down the condensation from the
+        tails' components, swept once per ``cones`` (the build's memo)."""
+        return _with_partner(self._components(), cones or Cones(), heads, tails, downward=True)
 
     # ------------------------------------------------------------------ #
     # label summaries for node pre-filtering

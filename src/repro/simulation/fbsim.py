@@ -16,8 +16,11 @@ The checks are implemented set-at-a-time ("bitBat"), as §4.5 describes: the
 partner test for an entire candidate set is one union of adjacency lists
 followed by one intersection (direct edges) or one semijoin on the SCC
 condensation (reachability edges, :meth:`MatchContext.tails_reaching` /
-``heads_reached``).  Per-node methods (binSearch / bitIter) are also
-available for direct edges, for the Fig. 12(a) ablation.
+``heads_reached``).  The condensation cones those semijoins need are kept in
+a :class:`~repro.simulation.context.Cones` memo for the whole run (and, under
+``build_rig``, for its expansion phase too), so a cone is swept once however
+many incident edges and passes ask for it.  Per-node methods (binSearch /
+bitIter) are also available for direct edges, for the Fig. 12(a) ablation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.exceptions import QueryError
 from repro.query.classify import dag_decomposition, is_dag, topological_order
 from repro.query.pattern import PatternEdge, PatternQuery
-from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 
 
 @dataclass
@@ -79,6 +82,7 @@ def _prune_tail(
     edge: PatternEdge,
     candidates: Dict[int, Set[int]],
     method: ChildCheckMethod,
+    cones: Cones,
 ) -> int:
     """Forward check: prune ``candidates[edge.source]``.  Returns #pruned."""
     tail_set = candidates[edge.source]
@@ -90,7 +94,7 @@ def _prune_tail(
         tail_set.clear()
         return pruned
     if edge.is_descendant:
-        survivors = context.tails_reaching(tail_set, head_set)
+        survivors = context.tails_reaching(tail_set, head_set, cones)
     elif method is ChildCheckMethod.BIT_BAT:
         survivors = tail_set & context.backward_sources(edge, head_set)
     else:
@@ -114,6 +118,7 @@ def _prune_head(
     edge: PatternEdge,
     candidates: Dict[int, Set[int]],
     method: ChildCheckMethod,
+    cones: Cones,
 ) -> int:
     """Backward check: prune ``candidates[edge.target]``.  Returns #pruned."""
     tail_set = candidates[edge.source]
@@ -125,7 +130,7 @@ def _prune_head(
         head_set.clear()
         return pruned
     if edge.is_descendant:
-        survivors = context.heads_reached(head_set, tail_set)
+        survivors = context.heads_reached(head_set, tail_set, cones)
     elif method is ChildCheckMethod.BIT_BAT:
         survivors = head_set & context.forward_targets(edge, tail_set)
     else:
@@ -162,9 +167,11 @@ def fbsim_basic(
     query: PatternQuery,
     initial: Optional[Dict[int, Set[int]]] = None,
     options: Optional[SimulationOptions] = None,
+    cones: Optional[Cones] = None,
 ) -> SimulationResult:
     """Compute double simulation by iterating over edges in arbitrary order."""
     options = options or SimulationOptions()
+    cones = cones or Cones()
     start = time.perf_counter()
     candidates = _initial_candidates(context, query, initial)
     edges = query.edges()
@@ -176,9 +183,9 @@ def fbsim_basic(
         passes += 1
         pruned_this_pass = 0
         for edge in edges:  # forwardPrune
-            pruned_this_pass += _prune_tail(context, edge, candidates, options.child_check)
+            pruned_this_pass += _prune_tail(context, edge, candidates, options.child_check, cones)
         for edge in edges:  # backwardPrune
-            pruned_this_pass += _prune_head(context, edge, candidates, options.child_check)
+            pruned_this_pass += _prune_head(context, edge, candidates, options.child_check, cones)
         total_pruned += pruned_this_pass
         pruned_per_pass.append(pruned_this_pass)
         if pruned_this_pass == 0:
@@ -211,6 +218,7 @@ def _dag_pass(
     candidates: Dict[int, Set[int]],
     options: SimulationOptions,
     dirty: Optional[Set[int]],
+    cones: Cones,
 ) -> Tuple[int, Set[int]]:
     """One FBSimDag pass (bottom-up forward sim, then top-down backward sim).
 
@@ -230,7 +238,7 @@ def _dag_pass(
         for edge in out_edges[node]:
             if dirty is not None and node not in dirty and edge.target not in dirty and edge.target not in changed:
                 continue
-            removed = _prune_tail(context, edge, candidates, options.child_check)
+            removed = _prune_tail(context, edge, candidates, options.child_check, cones)
             if removed:
                 pruned += removed
                 changed.add(node)
@@ -240,7 +248,7 @@ def _dag_pass(
         for edge in in_edges[node]:
             if dirty is not None and node not in dirty and edge.source not in dirty and edge.source not in changed:
                 continue
-            removed = _prune_head(context, edge, candidates, options.child_check)
+            removed = _prune_head(context, edge, candidates, options.child_check, cones)
             if removed:
                 pruned += removed
                 changed.add(node)
@@ -253,9 +261,11 @@ def fbsim_dag(
     query: PatternQuery,
     initial: Optional[Dict[int, Set[int]]] = None,
     options: Optional[SimulationOptions] = None,
+    cones: Optional[Cones] = None,
 ) -> SimulationResult:
     """Compute double simulation for a dag pattern by topological traversals."""
     options = options or SimulationOptions()
+    cones = cones or Cones()
     order = topological_order(query)
     if order is None:
         raise QueryError("fbsim_dag requires a dag pattern; use fbsim for cyclic patterns")
@@ -269,7 +279,7 @@ def fbsim_dag(
     while True:
         passes += 1
         pruned_this_pass, changed = _dag_pass(
-            context, query, query.edges(), order, candidates, options, dirty
+            context, query, query.edges(), order, candidates, options, dirty, cones
         )
         total_pruned += pruned_this_pass
         pruned_per_pass.append(pruned_this_pass)
@@ -301,11 +311,18 @@ def fbsim(
     query: PatternQuery,
     initial: Optional[Dict[int, Set[int]]] = None,
     options: Optional[SimulationOptions] = None,
+    cones: Optional[Cones] = None,
 ) -> SimulationResult:
-    """Compute double simulation for an arbitrary pattern (Dag+Δ strategy)."""
+    """Compute double simulation for an arbitrary pattern (Dag+Δ strategy).
+
+    ``cones`` is the memo of reachability cones the caller's build shares
+    with its expansion phase (``build_rig``); without one, this call keeps
+    its own, shared by its passes only.
+    """
     options = options or SimulationOptions()
+    cones = cones or Cones()
     if is_dag(query):
-        result = fbsim_dag(context, query, initial, options)
+        result = fbsim_dag(context, query, initial, options, cones)
         return SimulationResult(
             candidates=result.candidates,
             passes=result.passes,
@@ -330,15 +347,15 @@ def fbsim(
     while True:
         passes += 1
         pruned_this_pass, changed = _dag_pass(
-            context, query, dag_edges, order, candidates, options, dirty
+            context, query, dag_edges, order, candidates, options, dirty, cones
         )
         # FBSimBas-style sweep over the back edges.
         for edge in back_edges:
-            removed = _prune_tail(context, edge, candidates, options.child_check)
+            removed = _prune_tail(context, edge, candidates, options.child_check, cones)
             if removed:
                 pruned_this_pass += removed
                 changed.add(edge.source)
-            removed = _prune_head(context, edge, candidates, options.child_check)
+            removed = _prune_head(context, edge, candidates, options.child_check, cones)
             if removed:
                 pruned_this_pass += removed
                 changed.add(edge.target)
@@ -374,11 +391,11 @@ def forward_simulation(
 ) -> Dict[int, Set[int]]:
     """Largest relation satisfying only the forward (outgoing) conditions."""
     candidates = _initial_candidates(context, query, initial)
-    method = ChildCheckMethod.BIT_BAT
+    method, cones = ChildCheckMethod.BIT_BAT, Cones()
     while True:
         pruned = 0
         for edge in query.edges():
-            pruned += _prune_tail(context, edge, candidates, method)
+            pruned += _prune_tail(context, edge, candidates, method, cones)
         if pruned == 0:
             return candidates
 
@@ -390,10 +407,10 @@ def backward_simulation(
 ) -> Dict[int, Set[int]]:
     """Largest relation satisfying only the backward (incoming) conditions."""
     candidates = _initial_candidates(context, query, initial)
-    method = ChildCheckMethod.BIT_BAT
+    method, cones = ChildCheckMethod.BIT_BAT, Cones()
     while True:
         pruned = 0
         for edge in query.edges():
-            pruned += _prune_head(context, edge, candidates, method)
+            pruned += _prune_head(context, edge, candidates, method, cones)
         if pruned == 0:
             return candidates

@@ -6,26 +6,36 @@ every test here rebuilds their answer the slow, obviously-right way —
 ``forward_reachable_set((tail,))``, :class:`BFSReachability`, per-pair
 ``edge_match``, brute-force homomorphisms, the old label fixpoint — on
 graphs with cycles, self-loops, isolated nodes and overlapping candidate
-sets, for every reachability index kind and across graph versions.
+sets, for every reachability index kind and across graph versions.  One
+build's memo of condensation cones (``Cones``) is driven through shrinking
+candidate sets the way fbsim passes drive it, and the post-expand prune
+BuildRIG skips after an exact simulation is checked to be a no-op there.
 """
 
+import sys
+import threading
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulation.context as context_module
 from repro.baselines.bruteforce import bruteforce_homomorphisms
 from repro.dynamic import GraphDelta
 from repro.graph.digraph import DataGraph
+from repro.graph.generators import random_labeled_graph
 from repro.matching.gm import GraphMatcher
-from repro.query.generators import random_pattern_query
+from repro.query.generators import all_template_queries, random_pattern_query
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import BFSReachability
 from repro.reachability.factory import REACHABILITY_KINDS
 from repro.rig.build import RIGOptions, build_rig
+from repro.rig.graph import RuntimeIndexGraph
 from repro.session import QuerySession
-from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
+from repro.simulation.fbsim import SimulationOptions
 from repro.simulation.matchsets import node_prefilter
 
 from test_simulation_properties import graph_and_query
@@ -441,3 +451,190 @@ def test_phase_seconds_on_a_rig_cache_miss_only():
     assert miss.extra["rig_select_seconds"] >= 0.0 and miss.extra["rig_expand_seconds"] >= 0.0
     assert "rig_select_seconds" not in hit.extra and "rig_expand_seconds" not in hit.extra
     assert "rig_expand_seconds" not in session.explain(query).artifacts
+
+
+# ---------------------------------------------------------------------- #
+# (7) one build's cones: each swept once, every answer still the reference
+# ---------------------------------------------------------------------- #
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=digraph_with_candidates(),
+    kind=st.sampled_from(KINDS),
+    steps=st.lists(
+        st.one_of(
+            st.sampled_from(["tails", "heads", "expand"]),
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=11)),
+        ),
+        max_size=12,
+    ),
+)
+def test_one_builds_cones_answer_like_per_tail_bfs(data, kind, steps):
+    """Semijoins prune the candidate sets as fbsim's checks do, other query
+    edges shrink them (a drop), and BuildRIG expands in between; one memo
+    serves all of it, and every answer equals the per-tail BFS."""
+    graph, tails, heads = data
+    context = MatchContext(graph, reachability_kind=kind)
+    component_of = context._components().component_of
+    cones, asked = Cones(), []
+    for step in steps:
+        expected = reference_expansion(context, tails, heads)
+        down = (True, frozenset(component_of[tail] for tail in tails))
+        up = (False, frozenset(component_of[head] for head in heads))
+        if step == "tails":
+            tails = context.tails_reaching(tails, heads, cones)
+            assert tails == set(expected)
+            asked.append(up)
+        elif step == "heads":
+            heads = context.heads_reached(heads, tails, cones)
+            assert heads == set(transposed(expected))
+            asked.append(down)
+        elif step == "expand":
+            forward, backward = context.expand_reachability(tails, heads, cones=cones)
+            assert forward == expected and backward == transposed(expected)
+            asked += [down, up]
+        else:
+            from_tails, node = step
+            (tails if from_tails else heads).discard(node)
+    assert cones.computed == len(set(asked))
+    assert cones.served == len(asked) - len(set(asked))
+
+
+def rig_signature(rig):
+    """Everything a RIG answers with: candidates, pairs, stored sets."""
+    return (
+        {node: frozenset(rig.candidates(node)) for node in rig.query.nodes()},
+        {
+            edge.endpoints(): frozenset(rig.edge_candidates(*edge.endpoints()))
+            for edge in rig.query.edges()
+        },
+        rig.num_physical_edges(),
+    )
+
+
+def test_threads_sharing_one_context_build_the_sequential_rigs():
+    # The condensation arrays are built lazily by whichever thread asks first;
+    # each build's cones are its own.  More threads than cores, short slices.
+    graph = random_labeled_graph(300, 780, 6, seed=5)
+    queries = list(all_template_queries(graph, seed=3, kinds=("D", "H")).values())
+    shared = MatchContext(graph)
+    expected = [rig_signature(build_rig(shared, query).rig) for query in queries]
+
+    context = MatchContext(graph)
+    workers = 4
+    start = threading.Barrier(workers)
+    built = [None] * workers
+
+    def build_all(slot):
+        order = list(range(len(queries)))[slot:] + list(range(len(queries)))[:slot]
+        start.wait()
+        built[slot] = {index: rig_signature(build_rig(context, queries[index]).rig) for index in order}
+
+    threads = [threading.Thread(target=build_all, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for signatures in built:
+        assert [signatures[index] for index in range(len(queries))] == expected
+
+
+def test_each_cone_is_swept_once_per_build_and_counted(monkeypatch):
+    # 0 -> 1 -> 2 is an A -> B -> C path.  B at 3 reaches no C (the
+    # pre-filter drops it), so pass 1 drops A at 4 and pass 2 re-checks the
+    # two edges at A: 4 cones swept, 2 served in pass 2 and 4 in expansion.
+    graph = DataGraph("ABCBA", [(0, 1), (1, 2), (4, 3)])
+    query = PatternQuery(["A", "B", "C"], [(0, 1, "descendant"), (1, 2, "descendant")])
+    swept = []
+    strict_closure = context_module._strict_closure
+
+    def recording(adjacency, seeds):
+        seeds = frozenset(seeds)
+        swept.append((id(adjacency), seeds))
+        return strict_closure(adjacency, seeds)
+
+    monkeypatch.setattr(context_module, "_strict_closure", recording)
+    matcher = GraphMatcher(graph)
+    report = matcher.build_rig(query)
+    assert report.simulation.passes == 2
+    # One sweep per distinct (direction, component set): a return to one
+    # sweep per call repeats keys here.
+    assert report.condensation_sweeps == len(swept) == len(set(swept)) == 4
+    assert report.condensation_sweeps_served == 6
+    artifacts = matcher.explain(query).artifacts
+    assert (artifacts["condensation_sweeps"], artifacts["condensation_sweeps_served"]) == (4, 6)
+    extra = matcher.match(query).extra
+    assert "condensation_sweeps" not in extra and "condensation_sweeps_served" not in extra
+
+
+# ---------------------------------------------------------------------- #
+# (8) the post-expand prune runs only where it can remove something
+# ---------------------------------------------------------------------- #
+
+
+#: Builds that stop short of the simulation's fixpoint.  FBSimBas checks the
+#: edges in query order, so its one pass is often short; FBSimDag's is rarely.
+INEXACT_BUILDS = {
+    "GM-F": RIGOptions(filter_mode="prefilter"),
+    "max_passes=1": RIGOptions(simulation_options=SimulationOptions(max_passes=1)),
+    "FBSimBas max_passes=1": RIGOptions(
+        prefilter=False,
+        simulation_algorithm="basic",
+        simulation_options=SimulationOptions(max_passes=1),
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(graph_and_query(), looped_graph_and_query()), kind=st.sampled_from(KINDS))
+def test_post_expand_prune_is_skipped_exactly_after_a_fixpoint(data, kind):
+    """An exact simulation leaves nothing to prune, so the build skips it;
+    GM-F and one-pass simulations still prune, down to the exact RIG."""
+    graph, query = data
+    context = MatchContext(graph, reachability_kind=kind)
+    prune = RuntimeIndexGraph.prune_unmatched_candidates
+    calls = []
+
+    def build(options):
+        calls.clear()
+        with mock.patch.object(
+            RuntimeIndexGraph,
+            "prune_unmatched_candidates",
+            lambda rig: calls.append(prune(rig)) or calls[-1],
+        ):
+            return build_rig(context, query, options)
+
+    exact = build(RIGOptions())
+    assert exact.simulation.pruned_per_pass[-1] == 0 and calls == []
+    assert prune(exact.rig) == 0
+    for name, options in INEXACT_BUILDS.items():
+        report = build(options)
+        simulation = report.simulation
+        if simulation is None:
+            expanded = all(node_prefilter(context, report.query).values())
+        else:
+            expanded = all(simulation.candidates.values()) and simulation.pruned_per_pass[-1] > 0
+        assert len(calls) == expanded, name
+        # The prune reaches the exact RIG; an empty one was never expanded.
+        if exact.rig.is_empty():
+            assert report.rig.is_empty(), name
+        else:
+            assert rig_signature(report.rig)[0] == rig_signature(exact.rig)[0], name
+
+
+@pytest.mark.parametrize("name", ["GM-F", "FBSimBas max_passes=1"])
+def test_a_build_short_of_the_fixpoint_still_prunes(name):
+    # A at 4 reaches only B at 3, which reaches no C: GM-F's label test keeps
+    # 4, and FBSimBas's one pass checks A -> B before B -> C drops 3.
+    graph = DataGraph("ABCBA", [(0, 1), (1, 2), (4, 3)])
+    query = PatternQuery(["A", "B", "C"], [(0, 1, "descendant"), (1, 2, "descendant")])
+    report = build_rig(MatchContext(graph), query, INEXACT_BUILDS[name])
+    assert report.candidates_after_selection == 4
+    assert rig_signature(report.rig)[0] == {0: {0}, 1: {1}, 2: {2}}
