@@ -9,10 +9,12 @@ subsystem:
   next structure-shared graph version and returns the *effective* delta
   (:class:`repro.dynamic.MutableDataGraph` records one while being mutated
   directly);
-* the incremental index-maintenance paths
-  (:meth:`repro.reachability.bfl.BloomFilterLabeling.apply_delta`,
-  :meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`)
-  consume the *effective* delta to patch their structures in place;
+* :meth:`repro.simulation.context.MatchContext.with_delta` folds the
+  *effective* delta into the next match context, and the in-place
+  index-maintenance paths
+  (:meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`,
+  :meth:`repro.reachability.bfl.BloomFilterLabeling.apply_delta`) patch
+  theirs;
 * :meth:`repro.session.QuerySession.apply` uses the delta's shape
   (insert-only or not) to decide, per cached artifact, between patching and
   invalidation.

@@ -4,21 +4,25 @@ The dynamic subsystem keeps the :class:`repro.session.QuerySession` caches
 alive across graph updates.  Each cached artifact falls into one of three
 maintenance classes:
 
-* **incrementally patchable** — the reachability index and the transitive
-  closure (``apply_delta`` on the index classes), the EH edge partitions
-  (:func:`patch_partitions`), and — for insert-only deltas —
-  the closure-expanded graph (:func:`patch_expanded_graph`, fed by the
-  closure patch's added pairs) and the GF catalog
+* **folded or patched** — the match context, which
+  :meth:`repro.simulation.context.MatchContext.with_delta` folds forward for
+  every delta without a removal (the SCC condensation with its merges, the
+  label tables); the transitive closure (``apply_delta``); the EH edge
+  partitions (:func:`patch_partitions`); and — for insert-only deltas — the
+  closure-expanded graph (:func:`patch_expanded_graph`, fed by the closure
+  patch's added pairs) and the GF catalog
   (:func:`repro.engines.wcoj.patch_catalog`);
-* **cheaply recomputable and lazily rebuilt** — the label summaries inside
-  the match context, and any of the above artifacts whose delta shape was
-  not patchable;
+* **lazily rebuilt** — the context's per-pair reachability index (built only
+  for the matchers that ask per-pair questions), the whole context after a
+  removal, its label tables after a relabel, and any of the above artifacts
+  whose delta shape was not patchable;
 * **per-query** — RIG caches and matcher instances, which are dropped on
   every version bump (they embed node candidates of the old state).
 
-:func:`should_patch` is the cost heuristic gating the first class: patching
-pays off for small insertion-only deltas, while deletion-bearing or bulk
-deltas fall back to a rebuild.
+:func:`should_patch` is the cost heuristic gating the closure and the
+catalog: patching pays off for small insertion-only deltas, while
+deletion-bearing or bulk deltas fall back to a rebuild.  It does not gate the
+match context, whose fold costs what the delta touches.
 """
 
 from __future__ import annotations

@@ -278,7 +278,7 @@ class GraphMatcher(Evaluator):
             if constraints:
                 details["constraints"] = constraints
             if uses_reachability:
-                details["reachability_index"] = type(self.reachability).__name__
+                details["reachability_index"] = self.context.reachability_index_name
             steps.append(
                 PlanOperator(
                     op="mjoin_extend",
@@ -302,7 +302,7 @@ class GraphMatcher(Evaluator):
             ordering=self.ordering.value,
             vertex_order=chosen_order,
             artifacts={
-                "reachability_index": type(self.reachability).__name__,
+                "reachability_index": self.context.reachability_index_name,
                 "rig_cached": rig_cached,
                 **self._phase_seconds(build, rig_cached),
                 "rig_size": rig.size(),

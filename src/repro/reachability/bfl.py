@@ -175,6 +175,11 @@ class BloomFilterLabeling(ReachabilityIndex):
     def apply_delta(self, graph, delta) -> bool:
         """Patch the index in place for an insertion-only delta.
 
+        The session no longer calls this: GM runs on the match context's
+        condensation, which ``MatchContext.with_delta`` folds across every
+        insert (SCC merges included), and a per-pair index is built lazily
+        per version.  It stays for direct callers of the index.
+
         ``graph`` is the already-patched data graph (the state *after* the
         delta); ``delta`` is the effective change log.  Returns True on
         success; returns False — leaving the index untouched — when the

@@ -39,11 +39,16 @@ def build_reachability_index(graph: DataGraph, kind: str = "bfl", **kwargs) -> R
         Extra keyword arguments forwarded to the index constructor
         (e.g. ``num_bits`` for BFL).
     """
+    return index_class(kind)(graph, **kwargs)
+
+
+def index_class(kind: str) -> Type[ReachabilityIndex]:
+    """The index class registered as ``kind``; :class:`ReachabilityError`
+    if there is none."""
     try:
-        index_class = REACHABILITY_KINDS[kind]
+        return REACHABILITY_KINDS[kind]
     except KeyError as exc:
         raise ReachabilityError(
             f"unknown reachability index kind {kind!r}; "
             f"available: {', '.join(sorted(REACHABILITY_KINDS))}"
         ) from exc
-    return index_class(graph, **kwargs)

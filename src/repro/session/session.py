@@ -107,8 +107,8 @@ class QuerySession:
 
     The session owns, lazily and at most once each:
 
-    * the :class:`MatchContext` with its reachability index (and the
-      inverted label lists / label summaries it derives);
+    * the :class:`MatchContext`: the SCC condensation and label tables, and
+      a per-pair reachability index built only for the matchers that ask;
     * the materialised transitive closure and the closure-expanded data
       graph the comparator engines need for descendant queries;
     * the GF catalog and the EH edge-relation partitions;
@@ -215,7 +215,8 @@ class QuerySession:
 
     @property
     def context(self) -> MatchContext:
-        """The shared :class:`MatchContext` (builds the reachability index once)."""
+        """The shared :class:`MatchContext`: the condensation and label
+        tables GM runs on, carried across insert deltas by :meth:`apply`."""
         return self._artifact(
             "_context",
             "reachability",
@@ -224,22 +225,14 @@ class QuerySession:
 
     @property
     def reachability(self) -> ReachabilityIndex:
-        """The session's reachability index."""
+        """The context's per-pair reachability index, built on first read
+        (ISO, TM, JM and brute force ask for it; GM never does)."""
         return self.context.reachability
 
     @property
     def transitive_closure(self) -> TransitiveClosureIndex:
         """The materialised transitive closure (reused by engine expansion)."""
-
-        def build() -> TransitiveClosureIndex:
-            # If the session's reachability index *is* a closure, reuse it.
-            if self._context is not None and isinstance(
-                self._context.reachability, TransitiveClosureIndex
-            ):
-                return self._context.reachability
-            return TransitiveClosureIndex(self.graph)
-
-        return self._artifact("_closure", "closure", build)
+        return self._artifact("_closure", "closure", lambda: TransitiveClosureIndex(self.graph))
 
     @property
     def expanded_graph(self) -> DataGraph:
@@ -607,10 +600,14 @@ class QuerySession:
         """Apply a batched graph update and maintain every cached artifact.
 
         The session's graph advances to the post-delta state at a bumped
-        :attr:`version`; each already-built artifact is either *patched* in
-        place (cheap, for insertion-only deltas within the
-        :func:`repro.dynamic.should_patch` heuristic) or *invalidated* (it
-        rebuilds lazily on next use, exactly like a first-time build).
+        :attr:`version`; each already-built artifact is either *patched*
+        or *invalidated* (it rebuilds lazily on next use, exactly like a
+        first-time build).  The match context (artifact ``"reachability"``)
+        is folded forward by :meth:`MatchContext.with_delta` for every delta
+        without a removal, SCC merges included — a new context object, so
+        a fork's source keeps its own; a removal invalidates it.  The
+        closure and the catalog are patched in place within the
+        :func:`repro.dynamic.should_patch` heuristic.
         Per-query state — RIG caches and matcher instances — is always
         stranded by the version bump.  Outcomes are recorded per artifact
         as ``session_cache_patches_total`` /
@@ -652,33 +649,20 @@ class QuerySession:
 
             patchable = should_patch(self.graph, effective)
 
-            # Reachability index (and the closure, when they are one object).
+            # The match context folds every delta without a removal: the
+            # condensation and label tables ride along (``with_delta``).
+            if self._context is not None:
+                if effective.has_removals:
+                    self._context = None
+                    note_invalidate("reachability")
+                else:
+                    self._context = self._context.with_delta(new_graph, effective)
+                    note_patch("reachability")
             # ``patched_closure`` is the in-place-patched closure index, if
             # any: the closure-expanded graph can then be patched with
             # exactly the reachable pairs that closure patch added.
             patched_closure = None
-            context_index = (
-                self._context.reachability if self._context is not None else None
-            )
-            shared_closure = (
-                self._closure is not None and self._closure is context_index
-            )
-            if context_index is not None:
-                if patchable and context_index.apply_delta(new_graph, effective):
-                    self._context = MatchContext(
-                        new_graph, reachability=context_index
-                    )
-                    note_patch("reachability")
-                    if shared_closure:
-                        note_patch("closure")
-                        patched_closure = context_index
-                else:
-                    self._context = None
-                    note_invalidate("reachability")
-                    if shared_closure:
-                        self._closure = None
-                        note_invalidate("closure")
-            if self._closure is not None and not shared_closure:
+            if self._closure is not None:
                 if patchable and self._closure.apply_delta(new_graph, effective):
                     note_patch("closure")
                     patched_closure = self._closure
@@ -759,21 +743,21 @@ class QuerySession:
         """A copy-on-write clone whose artifacts can be patched independently.
 
         The clone serves the same graph at the same version, but every
-        cached artifact that in-place patching could mutate — reachability
-        index, transitive closure, catalog, partitions — is copied, so
-        ``clone.apply(delta)`` never changes an answer this session
-        returns.  Immutable artifacts (the closure-expanded
-        :class:`DataGraph`) are shared.  A fork never carries RIG caches or
-        matcher instances: it is about to absorb a delta, which strands
-        every old-version RIG, and matchers rebind to the clone's artifacts
-        on first use.  The clone counts into this session's telemetry and
+        cached artifact that in-place patching could mutate — transitive
+        closure, catalog, partitions — is copied, so ``clone.apply(delta)``
+        never changes an answer this session returns.  Artifacts nothing
+        mutates are shared: the match context (:meth:`apply` replaces it
+        with a folded one) and the closure-expanded :class:`DataGraph`.  A
+        fork never carries RIG caches or matcher instances: it is about to
+        absorb a delta, which strands every old-version RIG, and matchers
+        rebind to the clone's artifacts on first use.  The clone counts into this session's telemetry and
         is never frozen, regardless of this session's frozen state.
 
         This is the copy-on-write primitive behind
         :meth:`VersionedGraphStore.apply`: fork the head epoch, fold the
-        delta into the fork with the existing patch-or-rebuild machinery,
-        publish the fork as the new head — readers pinned to the old epoch
-        never observe a torn artifact.
+        delta into the fork with :meth:`apply`, publish the fork as the new
+        head — readers pinned to the old epoch never observe a torn
+        artifact.
         """
         with self._lock:
             clone = QuerySession(
@@ -784,12 +768,8 @@ class QuerySession:
                 budget=self.budget,
                 telemetry=self.telemetry,
             )
-            if self._context is not None:
-                index = self._context.reachability.copy()
-                clone._context = MatchContext(self.graph, reachability=index)
-                if self._closure is self._context.reachability:
-                    clone._closure = index
-            if self._closure is not None and clone._closure is None:
+            clone._context = self._context
+            if self._closure is not None:
                 clone._closure = self._closure.copy()
             clone._expanded_graph = self._expanded_graph
             if self._catalog is not None:

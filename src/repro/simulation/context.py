@@ -1,7 +1,7 @@
 """Shared evaluation context: match sets, edge matches, batch expansions.
 
-:class:`MatchContext` bundles the data graph, a reachability index and the
-derived structures every phase of query evaluation needs:
+:class:`MatchContext` bundles the data graph and the derived structures every
+phase of query evaluation needs:
 
 * per-label inverted lists (match sets);
 * per-node label bitsets of children / parents / descendants / ancestors
@@ -18,10 +18,24 @@ derived structures every phase of query evaluation needs:
   (the semijoins double simulation uses).  The label summaries run on the
   same condensation arrays.
 
-The condensation is the reachability index's own when it keeps one for this
-graph (BFL, interval) and is computed from the graph otherwise; its derived
-arrays are built lazily, once per context.  A context never outlives a graph
-version (``QuerySession.apply`` makes a new one), so nothing is invalidated.
+The condensation is GM's whole reachability index: flat per-component arrays
+(:class:`_Components`) computed from the graph by Tarjan on first use.  A
+per-pair index (:attr:`MatchContext.reachability`, BFL by default) is built
+only when something asks a per-pair question — ISO's edge checks, TM / JM,
+brute force, Fig. 18 — never by GM.
+
+A context is a versioned artifact, like the graph it serves:
+:meth:`MatchContext.with_delta` folds an insert delta into a new context that
+copies each outer array once and shares every inner tuple.  New nodes become
+singleton components; an inserted edge that goes against the topological
+ranks runs the bounded two-way search of Pearce & Kelly ("A Dynamic
+Topological Sort Algorithm for Directed Acyclic Graphs", JEA 2006), which
+re-ranks the region it visited and contracts the components on a new cycle
+into one.  The label tables ride along: inserted labels flow up (down) the
+ancestor (descendant) cone until nothing changes, and the direct tables
+change at the edge endpoints.  The old context is never modified, so a
+pinned version keeps answering exactly.  A delta with removals gives a cold
+context; a relabel keeps the condensation and drops the label tables.
 
 All three operations start from a *cone*: the components strictly below or
 above a set of seed components.  The cones live in a :class:`Cones` memo that
@@ -53,11 +67,12 @@ from typing import (
     Tuple,
 )
 
+from repro.dynamic.delta import GraphDelta
 from repro.graph.digraph import DataGraph
-from repro.graph.transform import condensation
+from repro.graph.transform import strongly_connected_components
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.reachability.base import ReachabilityIndex
-from repro.reachability.factory import build_reachability_index
+from repro.reachability.factory import build_reachability_index, index_class
 
 
 class ChildCheckMethod(Enum):
@@ -72,19 +87,240 @@ class ChildCheckMethod(Enum):
 
 
 class _Components(NamedTuple):
-    """The condensation as flat per-component arrays (see ``_components``)."""
+    """The condensation as flat per-component arrays.
+
+    Component ids are dense but not all live: a fold appends an id per new
+    node and empties every id but one of a contracted cycle.  An emptied id
+    has no members, no neighbours and is never reached.
+    """
 
     #: Data node -> component id.
-    component_of: Sequence[int]
+    component_of: List[int]
+    #: Component -> its data nodes.
+    members: List[Tuple[int, ...]]
     #: Component -> child / parent components in the condensation dag.
-    children: Sequence[Tuple[int, ...]]
-    parents: Sequence[Tuple[int, ...]]
+    children: List[Tuple[int, ...]]
+    parents: List[Tuple[int, ...]]
     #: Component -> does a member reach itself by a path of length >= 1?
-    cyclic: Sequence[bool]
-    #: Every component, parents before children.
-    order: Sequence[int]
-    #: Component -> its position in ``order``.
-    rank: Sequence[int]
+    cyclic: List[bool]
+    #: Component -> a rank that increases along every dag edge.  Distinct,
+    #: and sparse after a fold.
+    rank: List[int]
+
+
+def _condense(graph: DataGraph) -> _Components:
+    """The condensation of ``graph``, by Tarjan."""
+    components = strongly_connected_components(graph)
+    component_of = [0] * graph.num_nodes
+    for component, nodes in enumerate(components):
+        for node in nodes:
+            component_of[node] = component
+    successors = graph.successors
+    children: List[Tuple[int, ...]] = []
+    cyclic: List[bool] = []
+    for component, nodes in enumerate(components):
+        below = {component_of[child] for node in nodes for child in successors(node)}
+        # A singleton's own id is among its children only by a self-loop.
+        cyclic.append(len(nodes) > 1 or component in below)
+        below.discard(component)
+        children.append(tuple(below))
+    above: List[List[int]] = [[] for _ in components]
+    for component, below in enumerate(children):
+        for child in below:
+            above[child].append(component)
+    # Tarjan emits a component after every component below it.
+    rank = list(range(len(components) - 1, -1, -1))
+    return _Components(
+        component_of, list(map(tuple, components)), children, list(map(tuple, above)), cyclic, rank
+    )
+
+
+class _Labels(NamedTuple):
+    """The reachability label tables (see ``_compute_label_summaries``)."""
+
+    #: Label -> its bit: the labels of the graph, sorted, numbered from 0.
+    label_bit: Dict[str, int]
+    #: Component -> the labels of its members.
+    own: List[int]
+    #: Component -> the labels a member strictly reaches / is strictly
+    #: reached from (its own when the component is cyclic).
+    down: List[int]
+    up: List[int]
+    #: Data node -> ``down`` / ``up`` of its component.
+    descendant: List[int]
+    ancestor: List[int]
+
+
+class _Fold:
+    """One delta folded into copies of a context's arrays and label tables
+    (see :meth:`MatchContext.with_delta`).  Every outer list is copied once
+    here, in C; inner tuples are shared until a step replaces them."""
+
+    def __init__(
+        self,
+        graph: DataGraph,
+        arrays: _Components,
+        labels: Optional[_Labels],
+        direct: Optional[Tuple[List[int], List[int]]],
+    ) -> None:
+        self.graph = graph
+        self.arrays = _Components(*map(list, arrays))
+        self.labels = None if labels is None else _Labels(labels.label_bit, *map(list, labels[1:]))
+        self.direct = None if direct is None else (list(direct[0]), list(direct[1]))
+
+    def add_node(self, node: int, label: str) -> None:
+        """A new node: a fresh singleton component with a rank of its own."""
+        component_of, members, children, parents, cyclic, rank = self.arrays
+        component = len(members)
+        component_of.append(component)
+        members.append((node,))
+        children.append(())
+        parents.append(())
+        cyclic.append(False)
+        # Ranks only ever move within the values already taken, and every
+        # value taken is below the number of ids handed out: this one is new.
+        rank.append(component)
+        labels = self.labels
+        if labels is not None:
+            labels.own.append(labels.label_bit[label])
+            for table in labels[2:]:
+                table.append(0)
+        if self.direct is not None:
+            for table in self.direct:
+                table.append(0)
+
+    def add_edge(self, source: int, target: int) -> None:
+        """A new edge: a dag edge, a re-ranked region, or a contracted cycle."""
+        direct = self.direct
+        if direct is not None:
+            label_bit, label = self.labels.label_bit, self.graph.label
+            direct[0][target] |= label_bit[label(source)]
+            direct[1][source] |= label_bit[label(target)]
+        component_of, _, children, parents, cyclic, rank = self.arrays
+        tail, head = component_of[source], component_of[target]
+        if tail == head:
+            if not cyclic[tail]:  # a self-loop on a singleton
+                cyclic[tail] = True
+                labels = self.labels
+                if labels is not None:
+                    # Its ancestors (descendants) already see its labels.
+                    own = labels.own[tail]
+                    self._set(tail, labels.down, labels.descendant, labels.down[tail] | own)
+                    self._set(tail, labels.up, labels.ancestor, labels.up[tail] | own)
+            return
+        if rank[tail] < rank[head]:
+            if head in children[tail]:
+                return
+        else:
+            # Pearce & Kelly: every component on a head ~> tail path ranks in
+            # [rank[head], rank[tail]], and so does everything they reorder.
+            low, high = rank[head], rank[tail]
+            below = self._within(head, children, low, high)
+            above = self._within(tail, parents, low, high)
+            cycle = below & above
+            key = rank.__getitem__
+            pool = sorted(map(key, below | above))
+            lower = sorted(above - cycle, key=key)
+            upper = sorted(below - cycle, key=key)
+            if cycle:
+                lower.append(self._contract(cycle))
+            for component, value in zip(lower, pool):
+                rank[component] = value
+            for component, value in zip(upper, pool[len(pool) - len(upper):]):
+                rank[component] = value
+            if cycle:
+                return
+        children[tail] += (head,)
+        parents[head] += (tail,)
+        labels = self.labels
+        if labels is not None:
+            own = labels.own
+            down, up = labels.down[head] | own[head], labels.up[tail] | own[tail]
+            self._spread((tail,), down, parents, labels.down, labels.descendant)
+            self._spread((head,), up, children, labels.up, labels.ancestor)
+
+    def _within(self, start: int, adjacency: List[Tuple[int, ...]], low: int, high: int) -> Set[int]:
+        """``start`` and the components it reaches over ``adjacency``
+        through components ranked in ``[low, high]``."""
+        rank = self.arrays.rank
+        seen = {start}
+        stack = [start]
+        while stack:
+            for neighbour in adjacency[stack.pop()]:
+                if neighbour not in seen and low <= rank[neighbour] <= high:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        return seen
+
+    def _contract(self, cycle: Set[int]) -> int:
+        """Merge the components of ``cycle`` into one cyclic component and
+        return its id: that of the member with the most to rewrite."""
+        component_of, members, children, parents, cyclic, _ = self.arrays
+        survivor = max(cycle, key=lambda c: len(members[c]) + len(children[c]) + len(parents[c]))
+        merged = [component for component in cycle if component != survivor]
+        labels = self.labels
+        if labels is not None:
+            # Every member now reaches (is reached from) every member and
+            # whatever any member did.
+            own, down, up = labels.own, labels.down, labels.up
+            mine = reduce(or_, (own[c] for c in cycle))
+            reached = reduce(or_, (down[c] for c in cycle), mine)
+            reaching = reduce(or_, (up[c] for c in cycle), mine)
+            for dead in merged:
+                for node in members[dead]:
+                    labels.descendant[node] = reached
+                    labels.ancestor[node] = reaching
+                own[dead] = down[dead] = up[dead] = 0
+            own[survivor] = mine
+            self._set(survivor, down, labels.descendant, reached)
+            self._set(survivor, up, labels.ancestor, reaching)
+        for dead in merged:
+            for node in members[dead]:
+                component_of[node] = survivor
+        for adjacency, opposite in ((children, parents), (parents, children)):
+            beyond = {n for c in cycle for n in adjacency[c]} - cycle
+            # A neighbour of a merged component names the survivor instead.
+            for neighbour in {n for dead in merged for n in adjacency[dead]} - cycle:
+                opposite[neighbour] = tuple(
+                    dict.fromkeys(survivor if n in cycle else n for n in opposite[neighbour])
+                )
+            adjacency[survivor] = tuple(beyond)
+        members[survivor] += tuple(node for dead in merged for node in members[dead])
+        cyclic[survivor] = True
+        for dead in merged:
+            members[dead] = children[dead] = parents[dead] = ()
+            cyclic[dead] = False
+        if labels is not None:
+            self._spread(parents[survivor], reached, parents, down, labels.descendant)
+            self._spread(children[survivor], reaching, children, up, labels.ancestor)
+        return survivor
+
+    def _set(self, component: int, table: List[int], per_node: List[int], bits: int) -> None:
+        """``table[component] = bits``, and the same for its members in
+        ``per_node``."""
+        if table[component] != bits:
+            table[component] = bits
+            for node in self.arrays.members[component]:
+                per_node[node] = bits
+
+    def _spread(
+        self,
+        start: Iterable[int],
+        bits: int,
+        adjacency: List[Tuple[int, ...]],
+        table: List[int],
+        per_node: List[int],
+    ) -> None:
+        """OR ``bits`` into ``table`` from ``start`` on along ``adjacency``,
+        stopping at every component that already has them (so has everything
+        beyond it)."""
+        stack = list(start)
+        while stack:
+            component = stack.pop()
+            old = table[component]
+            if old | bits != old:
+                self._set(component, table, per_node, old | bits)
+                stack.extend(adjacency[component])
 
 
 def _strict_closure(adjacency: Sequence[Tuple[int, ...]], seeds: Iterable[int]) -> Set[int]:
@@ -214,7 +450,11 @@ def _shared_answers(
 
 
 class MatchContext:
-    """Evaluation context shared by simulation, RIG construction and joins."""
+    """Evaluation context shared by simulation, RIG construction and joins.
+
+    ``reachability`` is an already-built per-pair index to use; without one,
+    the first read of :attr:`reachability` builds one of ``reachability_kind``.
+    """
 
     def __init__(
         self,
@@ -223,11 +463,70 @@ class MatchContext:
         reachability_kind: str = "bfl",
     ) -> None:
         self.graph = graph
-        self.reachability = reachability or build_reachability_index(graph, kind=reachability_kind)
-        self._descendant_labels: Optional[list] = None
-        self._ancestor_labels: Optional[list] = None
-        self._direct_labels: Optional[Tuple[list, list]] = None
+        self.reachability_kind = reachability_kind
+        self._index_class = (
+            index_class(reachability_kind) if reachability is None else type(reachability)
+        )
+        self._reachability = reachability
         self._component_arrays: Optional[_Components] = None
+        self._labels: Optional[_Labels] = None
+        self._direct_labels: Optional[Tuple[List[int], List[int]]] = None
+
+    @property
+    def reachability(self) -> ReachabilityIndex:
+        """The per-pair reachability index, built on first read.
+
+        GM never reads it.  Concurrent first readers at worst both build it.
+        """
+        index = self._reachability
+        if index is None:
+            index = self._reachability = build_reachability_index(
+                self.graph, kind=self.reachability_kind
+            )
+        return index
+
+    @property
+    def reachability_index_name(self) -> str:
+        """The class name of :attr:`reachability`, without building it."""
+        return self._index_class.__name__
+
+    def with_delta(self, graph: DataGraph, delta: GraphDelta) -> "MatchContext":
+        """The context of ``graph``: this context's graph with the effective
+        ``delta`` folded in (what ``DataGraph.with_delta`` returned).
+
+        The new context carries what this one has built, each outer list
+        copied once: the condensation when ``delta`` removes nothing, and the
+        label tables too when it relabels nothing and brings no new label
+        (those renumber every label bit).  What is not carried is built
+        lazily, as in a cold context; the per-pair index never is carried.
+        ``self`` is never modified.
+        """
+        if delta.base_num_nodes != self.graph.num_nodes:
+            raise ValueError(
+                f"delta is based on {delta.base_num_nodes} nodes "
+                f"but the context's graph has {self.graph.num_nodes}"
+            )
+        folded = MatchContext(graph, reachability_kind=self.reachability_kind)
+        arrays = self._component_arrays
+        if arrays is None or delta.has_removals:
+            return folded
+        # Read before the label tables: a concurrent reader may be building
+        # both, and the direct ones are built from the label tables.
+        direct, labels = self._direct_labels, self._labels
+        added_nodes = delta.added_nodes
+        if labels is None or (
+            delta.has_relabels or any(label not in labels.label_bit for _, label in added_nodes)
+        ):
+            labels = direct = None
+        fold = _Fold(graph, arrays, labels, direct)
+        for node, label in added_nodes:
+            fold.add_node(node, label)
+        for source, target in delta.added_edges:
+            fold.add_edge(source, target)
+        folded._component_arrays = fold.arrays
+        folded._labels = fold.labels
+        folded._direct_labels = fold.direct
+        return folded
 
     # ------------------------------------------------------------------ #
     # match sets
@@ -329,46 +628,12 @@ class MatchContext:
     # ------------------------------------------------------------------ #
 
     def _components(self) -> _Components:
-        """The condensation's flat arrays, built on first use.
-
-        The condensation is the reachability index's when it keeps one for
-        this very graph.  No source promises an id order — Tarjan numbers
-        children first, but ``BloomFilterLabeling.apply_delta`` appends new
-        components and adds dag edges that point "up" — so the topological
-        ``order`` is computed here.  ``condensation()`` drops edges inside a
-        component, so a singleton's ``cyclic`` flag is its self-loop in the
-        data graph.  Published by one attribute assignment: concurrent first
-        callers at worst both build it.
-        """
+        """The condensation's flat arrays: carried by :meth:`with_delta`, or
+        computed from the graph on first use.  Published by one attribute
+        assignment: concurrent first callers at worst both build it."""
         arrays = self._component_arrays
-        if arrays is not None:
-            return arrays
-        graph = self.graph
-        index = self.reachability
-        cond = index.condensation() if index.graph is graph else None
-        if cond is None:
-            cond = condensation(graph)
-        dag = cond.dag
-        children = [dag.successors(component) for component in dag.nodes()]
-        parents = [dag.predecessors(component) for component in dag.nodes()]
-        cyclic = [
-            len(members) > 1 or graph.has_edge(members[0], members[0])
-            for members in cond.components
-        ]
-        # Kahn's algorithm; ``order`` grows while it is iterated.
-        waiting = [len(component_parents) for component_parents in parents]
-        order = [component for component, count in enumerate(waiting) if not count]
-        for component in order:
-            for child in children[component]:
-                waiting[child] -= 1
-                if not waiting[child]:
-                    order.append(child)
-        rank = [0] * len(order)
-        for position, component in enumerate(order):
-            rank[component] = position
-        arrays = self._component_arrays = _Components(
-            cond.component_of, children, parents, cyclic, order, rank
-        )
+        if arrays is None:
+            arrays = self._component_arrays = _condense(self.graph)
         return arrays
 
     def expand_reachability(
@@ -444,30 +709,38 @@ class MatchContext:
         """
         graph = self.graph
         label_bit = {label: 1 << index for index, label in enumerate(graph.label_alphabet())}
-        self._label_bit = label_bit
-        component_of, children, parents, cyclic, order, _ = self._components()
-
-        own = [0] * len(order)
+        component_of, _, children, parents, cyclic, rank = self._components()
+        count = len(rank)
+        own = [0] * count
         for node in graph.nodes():
             own[component_of[node]] |= label_bit[graph.label(node)]
-        below = [0] * len(order)
-        for component in reversed(order):
-            bits = 0
-            for child in children[component]:
-                bits |= below[child] | own[child]
-            below[component] = bits
-        above = [0] * len(order)
-        for component in order:
-            bits = 0
-            for parent in parents[component]:
-                bits |= above[parent] | own[parent]
-            above[component] = bits
-        for component, on_cycle in enumerate(cyclic):
-            if on_cycle:
-                below[component] |= own[component]
-                above[component] |= own[component]
-        self._descendant_labels = [below[component] for component in component_of]
-        self._ancestor_labels = [above[component] for component in component_of]
+        order = sorted(range(count), key=rank.__getitem__)
+        tables = []
+        for sweep, toward in ((reversed(order), children), (order, parents)):
+            bits = [0] * count
+            for component in sweep:
+                seen = own[component] if cyclic[component] else 0
+                for neighbour in toward[component]:
+                    seen |= bits[neighbour] | own[neighbour]
+                bits[component] = seen
+            tables.append(bits)
+        down, up = tables
+        self._labels = _Labels(
+            label_bit,
+            own,
+            down,
+            up,
+            [down[component] for component in component_of],
+            [up[component] for component in component_of],
+        )
+
+    def _label_tables(self) -> _Labels:
+        """The reachability label tables, computed on first use."""
+        labels = self._labels
+        if labels is None:
+            self._compute_label_summaries()
+            labels = self._labels
+        return labels
 
     def label_bits(self, outgoing: bool, direct: bool) -> Sequence[int]:
         """Per data node, the bit mask of the labels among its children
@@ -477,16 +750,16 @@ class MatchContext:
         The reachability tables are :meth:`_compute_label_summaries`'s; the
         direct ones are one pass over the adjacency lists, built on the first
         request for either — a context that only ever sees reachability edges
-        never pays for them.
+        never pays for them.  :meth:`with_delta` carries both.
         """
-        if self._ancestor_labels is None:  # the one assigned last
-            self._compute_label_summaries()
+        labels = self._label_tables()
         if not direct:
-            return self._descendant_labels if outgoing else self._ancestor_labels
+            return labels.descendant if outgoing else labels.ancestor
         tables = self._direct_labels
         if tables is None:
             graph = self.graph
-            own = [self._label_bit[graph.label(node)] for node in graph.nodes()]
+            label_bit = labels.label_bit
+            own = [label_bit[graph.label(node)] for node in graph.nodes()]
             tables = self._direct_labels = tuple(
                 [reduce(or_, map(own.__getitem__, neighbours(node)), 0) for node in graph.nodes()]
                 for neighbours in (graph.predecessors, graph.successors)
@@ -504,6 +777,4 @@ class MatchContext:
 
     def label_bit(self, label: str) -> int:
         """Bit assigned to ``label`` in the label tables (0 if unknown)."""
-        if self._descendant_labels is None:
-            self._compute_label_summaries()
-        return self._label_bit.get(label, 0)
+        return self._label_tables().label_bit.get(label, 0)

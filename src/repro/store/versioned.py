@@ -3,7 +3,7 @@
 The store keeps an **immutable version chain**: one :class:`VersionRecord`
 per published graph version, each owning the frozen :class:`DataGraph`
 snapshot of that version plus its per-version artifact cache (a frozen
-:class:`~repro.session.QuerySession` — the reachability index, closure,
+:class:`~repro.session.QuerySession` — the match context, closure,
 catalogs and RIGs of exactly that epoch).
 
 Concurrency contract
@@ -15,8 +15,9 @@ Concurrency contract
   publish behind it.
 * **Writers fold, then publish.**  :meth:`VersionedGraphStore.apply` forks
   the head's session copy-on-write (:meth:`QuerySession.fork`), folds the
-  :class:`~repro.dynamic.GraphDelta` into the fork through the existing
-  patch-or-rebuild machinery, and publishes the fork as the new head with
+  :class:`~repro.dynamic.GraphDelta` into the fork (the match context is
+  folded into a new one that shares what the delta did not touch; other
+  artifacts are patched or rebuilt), and publishes the fork as the new head with
   one pointer swap under the chain mutex.  Readers pinned to older epochs
   never observe a torn artifact because no artifact they can reach is ever
   mutated.

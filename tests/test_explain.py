@@ -137,6 +137,50 @@ class TestGMExplain:
 # ---------------------------------------------------------------------- #
 
 
+class TestLazyReachabilityIndex:
+    """GM plans and runs on the condensation; the per-pair index is built
+    only for the matchers that ask per-pair questions."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        import repro.simulation.context as context_module
+
+        built = []
+        original = context_module.build_reachability_index
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("kind"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "build_reachability_index", counting)
+        return built
+
+    def test_gm_query_and_explain_leave_the_index_unbuilt(
+        self, monkeypatch, paper_graph, paper_query
+    ):
+        built = self._count_builds(monkeypatch)
+        session = QuerySession(paper_graph)
+        assert session.query(paper_query).occurrence_set() == PAPER_ANSWER
+        plan = session.explain(paper_query)
+        assert plan.artifacts["reachability_index"] == "BloomFilterLabeling"
+        assert plan.artifacts["reachability_kind"] == "bfl"
+        steps = [step.details.get("reachability_index") for step in plan.root.children]
+        assert "BloomFilterLabeling" in steps
+        assert QuerySession(paper_graph, reachability_kind="tc").explain(
+            paper_query
+        ).artifacts["reachability_index"] == "TransitiveClosureIndex"
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ["ISO", "TM", "JM"])
+    def test_per_pair_matchers_build_it_on_demand(self, monkeypatch, paper_graph, paper_query, engine):
+        built = self._count_builds(monkeypatch)
+        session = QuerySession(paper_graph)
+        assert session.query(paper_query, engine=engine).occurrence_set() == PAPER_ANSWER
+        assert built == ["bfl"]
+        session.query(paper_query, engine=engine)
+        assert built == ["bfl"]  # once per context
+
+
 class TestEngineExplain:
     @pytest.mark.parametrize("engine_class", ENGINE_CLASSES)
     def test_plan_only_has_operator_tree(self, engine_class, paper_graph, paper_query):

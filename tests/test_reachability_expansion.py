@@ -6,7 +6,7 @@ every test here rebuilds their answer the slow, obviously-right way —
 ``forward_reachable_set((tail,))``, :class:`BFSReachability`, per-pair
 ``edge_match``, brute-force homomorphisms, the old label fixpoint — on
 graphs with cycles, self-loops, isolated nodes and overlapping candidate
-sets, for every reachability index kind and across graph versions.  One
+sets, for every reachability index kind and across folded graph versions.  One
 build's memo of condensation cones (``Cones``) is driven through shrinking
 candidate sets the way fbsim passes drive it, and the post-expand prune
 BuildRIG skips after an exact simulation is checked to be a no-op there.
@@ -34,6 +34,7 @@ from repro.reachability.factory import REACHABILITY_KINDS
 from repro.rig.build import RIGOptions, build_rig
 from repro.rig.graph import RuntimeIndexGraph
 from repro.session import QuerySession
+from repro.store import VersionedGraphStore
 from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.fbsim import SimulationOptions
 from repro.simulation.matchsets import node_prefilter
@@ -151,13 +152,14 @@ def test_index_built_for_another_graph_is_not_trusted():
 
 
 # ---------------------------------------------------------------------- #
-# (2) across graph versions: patched and rebuilt indexes
+# (2) across graph versions: folded and cold contexts
 # ---------------------------------------------------------------------- #
 
 
-def test_patched_condensation_ids_are_not_topological():
-    """After a BFL patch new components sit at the end of the id range even
-    when they are ancestors, so the sweep cannot rely on id order."""
+def test_folded_condensation_ids_are_not_topological():
+    """A fold appends new components at the end of the id range even when
+    they are ancestors, and a merge keeps one id of the cycle: the sweep
+    cannot rely on id order, only on the ranks, which stay topological."""
     graph = DataGraph("ABCD", [(0, 1), (1, 2)])  # 3 is isolated
     session = QuerySession(graph)
     session.query(PatternQuery(["A", "C"], [(0, 1, "descendant")]))
@@ -165,12 +167,21 @@ def test_patched_condensation_ids_are_not_topological():
     top = delta.add_node("A")
     bottom = delta.add_node("D")
     delta.add_edge(top, 0).add_edge(2, 3).add_edge(3, bottom)
-    report = session.apply(delta)
-    assert "reachability" in report.patched
-    context = session.context
-    dag = context.reachability.condensation().dag
-    ids_ascend = [child > parent for parent, child in dag.edges()]
+    assert "reachability" in session.apply(delta).patched
+    arrays = session.context._components()
+    edges = [(parent, child) for parent, children in enumerate(arrays.children) for child in children]
+    ids_ascend = [child > parent for parent, child in edges]
     assert any(ids_ascend) and not all(ids_ascend)
+    assert all(arrays.rank[parent] < arrays.rank[child] for parent, child in edges)
+    # 2 -> 0 closes the cycle 0 -> 1 -> 2 -> 0: one cyclic component, the
+    # others of the cycle emptied.
+    assert "reachability" in session.apply(GraphDelta.for_graph(session.graph).add_edge(2, 0)).patched
+    arrays = session.context._components()
+    merged = arrays.component_of[0]
+    assert arrays.component_of[1] == arrays.component_of[2] == merged and arrays.cyclic[merged]
+    assert sorted(arrays.members[merged]) == [0, 1, 2]
+    assert sum(1 for members in arrays.members if members) == 4
+    context = session.context
     everyone = set(session.graph.nodes())
     assert_matches_reference(context, everyone, everyone)
     assert context.expand_reachability({top}, everyone)[0][top] == {0, 1, 2, 3, bottom}
@@ -180,16 +191,29 @@ def test_patched_condensation_ids_are_not_topological():
         assert context.ancestor_label_bits(node) == ancestor[node]
 
 
-def test_scc_merging_insert_falls_back_to_a_rebuild():
+def test_scc_merging_insert_is_folded():
+    """The insert that closes a cycle is patched like any other: the new
+    version answers like brute force, a version pinned before the write
+    answers as before, and only a removal invalidates the context."""
     graph = DataGraph("ABC", [(0, 1), (1, 2)])
-    session = QuerySession(graph)
+    store = VersionedGraphStore(graph)
     query = PatternQuery(["C", "A"], [(0, 1, "descendant")])
-    assert session.query(query).num_matches == 0
-    report = session.apply(GraphDelta.for_graph(graph).add_edge(2, 0))
+    with store.pin() as warm:
+        assert warm.query(query).num_matches == 0
+    pinned = store.pin()
+    report = store.apply(GraphDelta.for_graph(graph).add_edge(2, 0))
+    assert "reachability" in report.patched and "reachability" not in report.invalidated
+    with store.pin() as head:
+        assert head.query(query).occurrence_set() == set(bruteforce_homomorphisms(head.graph, query))
+        assert head.query(query).occurrence_set() == {(2, 0)}
+        everyone = set(head.graph.nodes())
+        assert_matches_reference(head.session.context, everyone, everyone)
+    assert pinned.query(query).num_matches == 0
+    pinned.release()
+    report = store.apply(GraphDelta.for_graph(store.graph).remove_edge(1, 2))
     assert "reachability" in report.invalidated
-    assert session.query(query).occurrence_set() == {(2, 0)}
-    everyone = set(session.graph.nodes())
-    assert_matches_reference(session.context, everyone, everyone)
+    with store.pin() as head:
+        assert head.query(query).occurrence_set() == set(bruteforce_homomorphisms(head.graph, query))
 
 
 def test_insert_only_deltas_through_a_session():
@@ -211,6 +235,7 @@ def test_insert_only_deltas_through_a_session():
             session = QuerySession(graph, reachability_kind=kind)
             for inserts in [()] + deltas:
                 if inserts:
+                    live = sum(1 for members in session.context._components().members if members)
                     delta = GraphDelta.for_graph(session.graph)
                     new_node = delta.add_node(graph.label(0))
                     for source, target in inserts:
@@ -223,6 +248,10 @@ def test_insert_only_deltas_through_a_session():
                         for outcome in ("patched", "invalidated")
                         if "reachability" in getattr(report, outcome)
                     )
+                    merged = live + 1 - sum(
+                        1 for members in session.context._components().members if members
+                    )
+                    outcomes[kind, "merged"] += merged > 0
                 current = session.graph
                 expected = set(bruteforce_homomorphisms(current, query))
                 assert session.query(query, engine="GM").occurrence_set() == expected
@@ -231,9 +260,9 @@ def test_insert_only_deltas_through_a_session():
                 assert_matches_reference(session.context, tails, heads)
 
     run()
-    assert outcomes["bfl", "patched"] and outcomes["bfl", "invalidated"]
-    assert outcomes["tc", "patched"] and outcomes["bfs", "patched"]
-    assert outcomes["interval", "invalidated"]
+    for kind in KINDS:
+        assert outcomes[kind, "patched"] and outcomes[kind, "merged"]
+        assert not outcomes[kind, "invalidated"]
 
 
 # ---------------------------------------------------------------------- #

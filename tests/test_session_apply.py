@@ -193,14 +193,16 @@ class TestEngineVersionChecks:
 
 
 class TestReachabilityPatchBranches:
-    """Which writes rebuild reachability: exactly the inserts that merge SCCs.
+    """Which writes rebuild the match context: only those with a removal.
 
-    ``should_patch`` agrees to patch every small insert-only delta;
-    ``BloomFilterLabeling.apply_delta`` then refuses an inserted edge that
-    closes a cycle (the condensation changes shape), and only that.
+    Every insert folds into the context (``MatchContext.with_delta``), the
+    inserts that merge SCCs included; ``should_patch`` gates only the
+    closure and the catalog.
     """
 
-    def test_cycle_closing_insert_invalidates_and_acyclic_insert_patches(self, paper_graph, paper_query):
+    def test_cycle_closing_and_acyclic_inserts_patch_and_a_removal_invalidates(
+        self, paper_graph, paper_query
+    ):
         graph = paper_graph
         closing = next(
             (v, u) for u in graph.nodes() for v in graph.bfs_forward(u) if not graph.reaches_bfs(v, u)
@@ -211,18 +213,27 @@ class TestReachabilityPatchBranches:
             for v in graph.nodes()
             if u != v and not graph.has_edge(u, v) and not graph.reaches_bfs(v, u)
         )
-        for edge, outcome in ((acyclic, "patched"), (closing, "invalidated")):
+        removal = GraphDelta.for_graph(graph).remove_edge(*next(iter(graph.edges())))
+        everyone = set(graph.nodes())
+        for delta, outcome in (
+            (GraphDelta.for_graph(graph).add_edge(*acyclic), "patched"),
+            (GraphDelta.for_graph(graph).add_edge(*closing), "patched"),
+            (removal, "invalidated"),
+        ):
             session = QuerySession(graph)
             session.query(paper_query)
-            delta = GraphDelta.for_graph(graph).add_edge(*edge)
-            assert should_patch(graph, delta)
+            before = session.context
+            answers_before = before.expand_reachability(everyone, everyone)
             report = session.apply(delta)
-            assert "reachability" in getattr(report, outcome), edge
-            cold = QuerySession(DataGraph(graph.labels, list(graph.edges()) + [edge]))
+            assert "reachability" in getattr(report, outcome), delta.ops
+            cold = QuerySession(session.graph)
             assert (
                 session.query(paper_query).occurrence_set()
                 == cold.query(paper_query).occurrence_set()
             )
+            # the context the write replaced still answers for the old graph
+            assert before.graph is graph
+            assert before.expand_reachability(everyone, everyone) == answers_before
 
 
 class TestExpandedGraphVersion:
@@ -279,12 +290,30 @@ class TestWritePathNeverRebuilds:
     def test_session_apply_never_calls_the_constructor(self, monkeypatch):
         graph, delta = self._big_graph_and_insert()
         session = QuerySession(graph)
-        session.context  # a built reachability index takes the patch path
+        session.context.label_bits(outgoing=True, direct=True)  # built tables take the fold
         calls = self._count_constructor(monkeypatch)
         report = session.apply(delta)
         assert report.patched == ["reachability"]
         assert session.graph.num_edges == graph.num_edges + 4
         assert calls == []
+
+    def test_scc_merging_inserts_never_call_the_constructor(self, monkeypatch):
+        graph, _ = self._big_graph_and_insert()
+        delta = GraphDelta.for_graph(graph)
+        for source in range(0, graph.num_nodes, 97):
+            reached = graph.bfs_forward(source)
+            if len(delta) < 4 and len(reached) > 1 and not graph.has_edge(reached[-1], source):
+                delta.add_edge(reached[-1], source)  # closes a cycle
+        session = QuerySession(graph)
+        session.context.label_bits(outgoing=True, direct=True)
+        calls = self._count_constructor(monkeypatch)
+        report = session.apply(delta)
+        assert report.patched == ["reachability"] and len(delta) == 4
+        assert calls == []
+        cold = QuerySession(session.graph).context
+        for outgoing in (True, False):
+            for direct in (True, False):
+                assert session.context.label_bits(outgoing, direct) == cold.label_bits(outgoing, direct)
 
     def test_recovery_builds_only_the_checkpoint(self, tmp_path, monkeypatch):
         graph, delta = self._big_graph_and_insert()
