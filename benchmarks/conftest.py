@@ -75,19 +75,19 @@ def hu_graph():
 @pytest.fixture(scope="session")
 def em_context(em_graph) -> MatchContext:
     """Shared context (BFL index) over the em graph."""
-    return MatchContext(em_graph, reachability_kind="bfl")
+    return MatchContext(em_graph)
 
 
 @pytest.fixture(scope="session")
 def ep_context(ep_graph) -> MatchContext:
     """Shared context (BFL index) over the ep graph."""
-    return MatchContext(ep_graph, reachability_kind="bfl")
+    return MatchContext(ep_graph)
 
 
 @pytest.fixture(scope="session")
 def hu_context(hu_graph) -> MatchContext:
     """Shared context (BFL index) over the hu graph."""
-    return MatchContext(hu_graph, reachability_kind="bfl")
+    return MatchContext(hu_graph)
 
 
 def representative_query(graph, kind: str = "H", template: str = "HQ8"):

@@ -11,8 +11,8 @@ the pieces most applications need:
   index graph + MJoin enumeration);
 * :class:`JMMatcher`, :class:`TMMatcher`, :class:`ISOMatcher` — the
   baselines of the paper's evaluation;
-* :func:`build_reachability_index` — reachability indexes (BFL, intervals,
-  transitive closure);
+* :func:`build_reachability_index` — per-pair reachability indexes (BFL,
+  transitive closure, index-free BFS);
 * :class:`Budget` / :class:`MatchReport` — per-query limits and outcomes;
 * :class:`MatchStream` — incremental (pipelined) match iteration with
   running counters, finalising into a :class:`MatchReport`;

@@ -133,7 +133,7 @@ class GraphDB(Reader):
         count into the registry of any pre-built part (:class:`ValueError`
         otherwise).
 
-        ``session_kwargs`` (``reachability_kind``, ``budget``, ...) are
+        ``session_kwargs`` (``ordering``, ``budget``, ...) are
         forwarded to the underlying :class:`QuerySession` when one is
         created here; ``config`` tunes the serving layer.
         """

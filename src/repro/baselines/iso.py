@@ -32,11 +32,10 @@ class ISOMatcher(Evaluator):
         self,
         graph: DataGraph,
         context: Optional[MatchContext] = None,
-        reachability_kind: str = "bfl",
         budget: Optional[Budget] = None,
     ) -> None:
         self.graph = graph
-        self.context = context or MatchContext(graph, reachability_kind=reachability_kind)
+        self.context = context or MatchContext(graph)
         self.budget = budget or Budget()
 
     # ------------------------------------------------------------------ #

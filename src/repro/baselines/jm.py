@@ -51,14 +51,13 @@ class JMMatcher(Evaluator):
         self,
         graph: DataGraph,
         context: Optional[MatchContext] = None,
-        reachability_kind: str = "bfl",
         budget: Optional[Budget] = None,
         prefilter: bool = True,
         apply_transitive_reduction: bool = True,
         dp_plan_node_limit: int = 10,
     ) -> None:
         self.graph = graph
-        self.context = context or MatchContext(graph, reachability_kind=reachability_kind)
+        self.context = context or MatchContext(graph)
         self.budget = budget or Budget()
         self.prefilter = prefilter
         self.apply_transitive_reduction = apply_transitive_reduction

@@ -158,13 +158,13 @@ def run_workload(
     matcher_names: Sequence[str],
     budget: Optional[Budget] = None,
     context: Optional[MatchContext] = None,
-    reachability_kind: str = "bfl",
     session: Optional[QuerySession] = None,
 ) -> WorkloadResult:
     """Run every matcher on every query of the workload.
 
-    The matchers share one :class:`MatchContext` (and thus one reachability
-    index), as the paper's setup shares the BFL index across algorithms.
+    The matchers share one :class:`MatchContext` (and thus one condensation,
+    and one lazily built BFL over it), as the paper's setup shares the
+    reachability index across algorithms.
     Passing a :class:`QuerySession` shares *all* per-graph artifacts —
     reachability index, transitive closure, expanded graph, catalogs and
     RIGs — across the matchers and across repeated ``run_workload`` calls.
@@ -179,7 +179,7 @@ def run_workload(
             raise ValueError("pass either context or session, not both")
         context = session.context
     else:
-        context = context or MatchContext(graph, reachability_kind=reachability_kind)
+        context = context or MatchContext(graph)
     result = WorkloadResult(dataset=graph.name)
     for matcher_name in matcher_names:
         try:

@@ -17,7 +17,9 @@ feeds stream in.  This package provides the machinery that makes
 * :func:`should_patch` plus the patch helpers in
   :mod:`repro.dynamic.maintenance` — the rebuild-vs-patch cost heuristic
   and in-place refresh paths for the expanded graph and edge partitions (the
-  reachability indexes carry their own ``apply_delta`` methods);
+  match context folds its condensation with ``MatchContext.with_delta``, the
+  transitive closure patches itself with ``apply_delta``, and BFL is rebuilt
+  on demand);
 * :class:`ApplyReport` — the outcome record of
   :meth:`repro.session.QuerySession.apply`, which ties it all together:
   one call patches or invalidates every cached artifact and bumps the
@@ -26,7 +28,7 @@ feeds stream in.  This package provides the machinery that makes
 >>> delta = GraphDelta.for_graph(graph)
 >>> n = delta.add_node("Task")
 >>> delta.add_edge(project_id, n)
->>> report = session.apply(delta)          # patches indexes in place
+>>> report = session.apply(delta)          # folds the indexes forward
 >>> session.query(query)                   # sees the new node immediately
 """
 

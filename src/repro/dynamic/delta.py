@@ -10,11 +10,10 @@ subsystem:
   (:class:`repro.dynamic.MutableDataGraph` records one while being mutated
   directly);
 * :meth:`repro.simulation.context.MatchContext.with_delta` folds the
-  *effective* delta into the next match context, and the in-place
-  index-maintenance paths
-  (:meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`,
-  :meth:`repro.reachability.bfl.BloomFilterLabeling.apply_delta`) patch
-  theirs;
+  *effective* delta into the next match context (its condensation and label
+  tables), and
+  :meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`
+  patches the closure in place;
 * :meth:`repro.session.QuerySession.apply` uses the delta's shape
   (insert-only or not) to decide, per cached artifact, between patching and
   invalidation.

@@ -1,7 +1,8 @@
 """Structural transforms and statistics over data graphs.
 
-Includes strongly-connected-component condensation (needed to answer
-reachability queries on cyclic graphs with dag-only index schemes),
+Includes the strongly-connected-component condensation (the one
+reachability structure: GM's set-at-a-time expansions and the BFL per-pair
+index both run on it),
 induced-subgraph extraction (used by the size-scalability experiment of
 Fig. 11), label re-mapping, graph reversal and summary statistics.
 """
@@ -9,7 +10,7 @@ Fig. 11), label re-mapping, graph reversal and summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DataGraph
@@ -76,51 +77,52 @@ def strongly_connected_components(graph: DataGraph) -> List[List[int]]:
     return components
 
 
-@dataclass(frozen=True)
-class Condensation:
-    """SCC condensation of a data graph.
+class Condensation(NamedTuple):
+    """The SCC condensation of a data graph as flat per-component arrays.
 
-    Attributes
-    ----------
-    dag:
-        The condensed graph; node ``i`` of the dag represents component ``i``.
-        Labels of the condensed graph are synthetic (``"SCC"``) because a
-        component may mix labels — reachability algorithms only use structure.
-    component_of:
-        For every original node, the id of its component in ``dag``.
-    components:
-        The member lists of every component.
+    Component ids are dense but not all live: a fold appends an id per new
+    node and empties every id but one of a contracted cycle.  An emptied id
+    has no members, no neighbours and is never reached.
     """
 
-    dag: DataGraph
-    component_of: Tuple[int, ...]
-    components: Tuple[Tuple[int, ...], ...]
+    #: Data node -> component id.
+    component_of: List[int]
+    #: Component -> its data nodes.
+    members: List[Tuple[int, ...]]
+    #: Component -> child / parent components in the condensation dag.
+    children: List[Tuple[int, ...]]
+    parents: List[Tuple[int, ...]]
+    #: Component -> does a member reach itself by a path of length >= 1?
+    cyclic: List[bool]
+    #: Component -> a rank that increases along every dag edge.  Distinct
+    #: among live components, and sparse after a fold.
+    rank: List[int]
 
 
 def condensation(graph: DataGraph) -> Condensation:
-    """Compute the SCC condensation of ``graph``.
-
-    The resulting dag has one node per strongly connected component and an
-    edge between two components whenever the original graph has an edge
-    between their members.  Reachability in the original graph reduces to
-    reachability in the condensation, which is what the interval and BFL
-    reachability indexes operate on.
-    """
+    """The condensation of ``graph``, by Tarjan."""
     components = strongly_connected_components(graph)
     component_of = [0] * graph.num_nodes
-    for component_id, members in enumerate(components):
-        for member in members:
-            component_of[member] = component_id
-    dag_edges = set()
-    for source, target in graph.edges():
-        cs, ct = component_of[source], component_of[target]
-        if cs != ct:
-            dag_edges.add((cs, ct))
-    dag = DataGraph(["SCC"] * len(components), sorted(dag_edges), name=f"{graph.name}-scc")
+    for component, nodes in enumerate(components):
+        for node in nodes:
+            component_of[node] = component
+    successors = graph.successors
+    children: List[Tuple[int, ...]] = []
+    cyclic: List[bool] = []
+    for component, nodes in enumerate(components):
+        below = {component_of[child] for node in nodes for child in successors(node)}
+        # A singleton's own id is among its children only by a self-loop.
+        cyclic.append(len(nodes) > 1 or component in below)
+        below.discard(component)
+        children.append(tuple(below))
+    above: List[List[int]] = [[] for _ in components]
+    for component, below in enumerate(children):
+        for child in below:
+            above[child].append(component)
+    # Tarjan emits a component after every component below it.
+    rank = list(range(len(components) - 1, -1, -1))
     return Condensation(
-        dag=dag,
-        component_of=tuple(component_of),
-        components=tuple(tuple(sorted(members)) for members in components),
+        component_of, list(map(tuple, components)), children, list(map(tuple, above)), cyclic, rank
     )
 
 

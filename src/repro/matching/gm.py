@@ -29,7 +29,6 @@ from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternQuery
-from repro.reachability.base import ReachabilityIndex
 from repro.rig.build import RIGBuildReport, RIGOptions, build_rig
 from repro.simulation.context import MatchContext
 
@@ -66,12 +65,9 @@ class GraphMatcher(Evaluator):
     ----------
     graph:
         The data graph.
-    reachability_kind:
-        Reachability index to build if ``context`` is not given
-        (default ``"bfl"``, as in the paper).
     context:
-        An existing :class:`MatchContext` to reuse (shares the reachability
-        index across many queries, as the benchmarks do).
+        An existing :class:`MatchContext` to reuse (shares the condensation
+        and label tables across many queries, as the benchmarks do).
     variant:
         Which GM ablation to run (default the full GM pipeline).
     ordering:
@@ -93,7 +89,6 @@ class GraphMatcher(Evaluator):
     def __init__(
         self,
         graph: DataGraph,
-        reachability_kind: str = "bfl",
         context: Optional[MatchContext] = None,
         variant: GMVariant = GMVariant.GM,
         ordering: OrderingMethod = OrderingMethod.JO,
@@ -102,17 +97,12 @@ class GraphMatcher(Evaluator):
         rig_cache: Optional[MutableMapping[PatternQuery, RIGBuildReport]] = None,
     ) -> None:
         self.graph = graph
-        self.context = context or MatchContext(graph, reachability_kind=reachability_kind)
+        self.context = context or MatchContext(graph)
         self.variant = variant
         self.ordering = ordering
         self.rig_options = _options_for_variant(variant, rig_options or RIGOptions())
         self.budget = budget or Budget()
         self.rig_cache = rig_cache
-
-    @property
-    def reachability(self) -> ReachabilityIndex:
-        """The reachability index in use."""
-        return self.context.reachability
 
     def algorithm_name(self) -> str:
         """Name used in reports (variant plus non-default ordering)."""
@@ -278,7 +268,7 @@ class GraphMatcher(Evaluator):
             if constraints:
                 details["constraints"] = constraints
             if uses_reachability:
-                details["reachability_index"] = self.context.reachability_index_name
+                details["reachability_index"] = "condensation"
             steps.append(
                 PlanOperator(
                     op="mjoin_extend",
@@ -302,7 +292,7 @@ class GraphMatcher(Evaluator):
             ordering=self.ordering.value,
             vertex_order=chosen_order,
             artifacts={
-                "reachability_index": self.context.reachability_index_name,
+                "reachability_index": "condensation",
                 "rig_cached": rig_cached,
                 **self._phase_seconds(build, rig_cached),
                 "rig_size": rig.size(),

@@ -5,10 +5,8 @@ from __future__ import annotations
 import copy as _copy
 import time
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional
 
 from repro.graph.digraph import DataGraph
-from repro.graph.transform import Condensation
 
 
 class ReachabilityIndex(ABC):
@@ -24,9 +22,6 @@ class ReachabilityIndex(ABC):
     Fig. 18(a) (BFL vs transitive closure vs catalog build time) can report
     it without re-measuring.
     """
-
-    #: The SCC condensation of ``graph``, for the schemes built on one.
-    _cond: Optional[Condensation] = None
 
     def __init__(self, graph: DataGraph) -> None:
         self._graph = graph
@@ -45,11 +40,6 @@ class ReachabilityIndex(ABC):
         """Wall-clock seconds spent building the index."""
         return self._build_seconds
 
-    def condensation(self) -> Optional[Condensation]:
-        """The SCC condensation of :attr:`graph` if this scheme keeps one
-        (BFL, interval), kept current by :meth:`apply_delta`; else ``None``."""
-        return self._cond
-
     @abstractmethod
     def _build(self, graph: DataGraph) -> None:
         """Construct the index structures for ``graph``."""
@@ -65,8 +55,8 @@ class ReachabilityIndex(ABC):
         :class:`repro.dynamic.GraphDelta` ``delta``).  Returns True if the
         index now answers queries for ``graph``; False if the scheme cannot
         patch this delta shape (the caller must rebuild).  The default is
-        always-rebuild; incremental schemes (BFL, the transitive closure)
-        override it for insertion-only deltas.
+        always-rebuild (BFL); the transitive closure overrides it for
+        insertion-only deltas, and the index-free BFS accepts any delta.
 
         Implementations must leave the index unchanged when returning
         False, so a failed patch never corrupts the running index.
@@ -96,14 +86,6 @@ class ReachabilityIndex(ABC):
         return any(
             self.reaches(child, source) for child in self._graph.successors(source)
         )
-
-    def descendants(self, source: int) -> Iterable[int]:
-        """All nodes reachable from ``source`` (including itself)."""
-        return self._graph.bfs_forward(source)
-
-    def ancestors(self, target: int) -> Iterable[int]:
-        """All nodes that reach ``target`` (including itself)."""
-        return self._graph.bfs_backward(target)
 
     def index_name(self) -> str:
         """Short name for reports."""

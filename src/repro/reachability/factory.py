@@ -13,12 +13,10 @@ from repro.exceptions import ReachabilityError
 from repro.graph.digraph import DataGraph
 from repro.reachability.base import BFSReachability, ReachabilityIndex
 from repro.reachability.bfl import BloomFilterLabeling
-from repro.reachability.interval import IntervalIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 REACHABILITY_KINDS: Dict[str, Type[ReachabilityIndex]] = {
     "bfl": BloomFilterLabeling,
-    "interval": IntervalIndex,
     "tc": TransitiveClosureIndex,
     "bfs": BFSReachability,
 }
@@ -33,22 +31,16 @@ def build_reachability_index(graph: DataGraph, kind: str = "bfl", **kwargs) -> R
         The data graph to index.
     kind:
         One of ``"bfl"`` (Bloom Filter Labeling, the paper's choice),
-        ``"interval"`` (DFS intervals on the condensation), ``"tc"``
-        (materialised transitive closure) or ``"bfs"`` (no index).
+        ``"tc"`` (materialised transitive closure) or ``"bfs"`` (no index).
     kwargs:
         Extra keyword arguments forwarded to the index constructor
-        (e.g. ``num_bits`` for BFL).
+        (e.g. ``num_bits`` or ``condensation`` for BFL).
     """
-    return index_class(kind)(graph, **kwargs)
-
-
-def index_class(kind: str) -> Type[ReachabilityIndex]:
-    """The index class registered as ``kind``; :class:`ReachabilityError`
-    if there is none."""
     try:
-        return REACHABILITY_KINDS[kind]
+        index_class = REACHABILITY_KINDS[kind]
     except KeyError as exc:
         raise ReachabilityError(
             f"unknown reachability index kind {kind!r}; "
             f"available: {', '.join(sorted(REACHABILITY_KINDS))}"
         ) from exc
+    return index_class(graph, **kwargs)

@@ -23,11 +23,8 @@ class TransitiveClosureIndex(ReachabilityIndex):
     def _build(self, graph: DataGraph) -> None:
         n = graph.num_nodes
         closure: List[IntBitSet] = [IntBitSet() for _ in range(n)]
-        # Process nodes in reverse topological order of the SCC condensation
-        # so each closure is computed from already-final child closures.
-        # For simplicity and robustness on cyclic graphs we fall back to a
-        # per-node BFS, which is O(V * (V + E)) worst case but has a small
-        # constant and is exact.
+        # One BFS per node: O(V * (V + E)) worst case, but a small constant,
+        # and exact on cyclic graphs without a condensation.
         for source in range(n):
             reachable = closure[source]
             reachable.add(source)

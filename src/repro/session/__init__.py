@@ -3,8 +3,9 @@
 Why a session?
 --------------
 The paper's central argument is economic: a Runtime-Index-Graph matcher wins
-because the expensive per-*graph* artifacts — the BFL reachability index,
-the transitive closure and the inverted label lists — are built once
+because the expensive per-*graph* artifacts — the SCC condensation GM's
+reachability checks run on, the transitive closure and the inverted label
+lists — are built once
 and amortised over many queries, while per-*query* work (simulation, RIG,
 enumeration) stays small.  The standalone entry points
 (:class:`repro.GraphMatcher`, the ``repro.engines`` classes) rebuild those

@@ -94,8 +94,6 @@ class QuerySession:
     ----------
     graph:
         The data graph to serve queries on.
-    reachability_kind:
-        Reachability index scheme (``"bfl"`` default, as in the paper).
     ordering / rig_options / budget:
         Defaults forwarded to the GM matchers the session constructs.
     set_kind:
@@ -138,7 +136,6 @@ class QuerySession:
     def __init__(
         self,
         graph: DataGraph,
-        reachability_kind: str = "bfl",
         ordering: OrderingMethod = OrderingMethod.JO,
         rig_options: Optional[RIGOptions] = None,
         budget: Optional[Budget] = None,
@@ -146,7 +143,6 @@ class QuerySession:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.graph = graph
-        self.reachability_kind = reachability_kind
         self.ordering = ordering
         self.rig_options = rig_options or RIGOptions(set_kind=set_kind)
         self.budget = budget or Budget()
@@ -220,13 +216,13 @@ class QuerySession:
         return self._artifact(
             "_context",
             "reachability",
-            lambda: MatchContext(self.graph, reachability_kind=self.reachability_kind),
+            lambda: MatchContext(self.graph),
         )
 
     @property
     def reachability(self) -> ReachabilityIndex:
         """The context's per-pair reachability index, built on first read
-        (ISO, TM, JM and brute force ask for it; GM never does)."""
+        (ISO, TM and JM ask for it; GM never does)."""
         return self.context.reachability
 
     @property
@@ -446,9 +442,8 @@ class QuerySession:
         plan = self.matcher(engine).explain(
             query, analyze=analyze, budget=budget or self.budget, injective=injective
         )
-        # Session-level context: the reachability scheme and which shared
-        # artifacts were already cached when this plan was produced.
-        plan.artifacts.setdefault("reachability_kind", self.reachability_kind)
+        # Session-level context: which shared artifacts were already cached
+        # when this plan was produced.
         with self._lock:
             cached = [
                 key
@@ -762,7 +757,6 @@ class QuerySession:
         with self._lock:
             clone = QuerySession(
                 self.graph,
-                reachability_kind=self.reachability_kind,
                 ordering=self.ordering,
                 rig_options=self.rig_options,
                 budget=self.budget,
@@ -798,6 +792,5 @@ class QuerySession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuerySession(graph={self.graph.name!r}, "
-            f"reachability={self.reachability_kind!r}, "
             f"matchers={sorted(self._matchers)})"
         )

@@ -19,10 +19,11 @@ phase of query evaluation needs:
   same condensation arrays.
 
 The condensation is GM's whole reachability index: flat per-component arrays
-(:class:`_Components`) computed from the graph by Tarjan on first use.  A
-per-pair index (:attr:`MatchContext.reachability`, BFL by default) is built
-only when something asks a per-pair question — ISO's edge checks, TM / JM,
-brute force, Fig. 18 — never by GM.
+(:class:`~repro.graph.transform.Condensation`) computed from the graph by
+:func:`~repro.graph.transform.condensation` on first use.  A per-pair index
+(:attr:`MatchContext.reachability`) labels the same arrays with BFL, and is
+built only when something asks a per-pair question — ISO's edge checks and
+TM / JM — never by GM.
 
 A context is a versioned artifact, like the graph it serves:
 :meth:`MatchContext.with_delta` folds an insert delta into a new context that
@@ -69,10 +70,10 @@ from typing import (
 
 from repro.dynamic.delta import GraphDelta
 from repro.graph.digraph import DataGraph
-from repro.graph.transform import strongly_connected_components
+from repro.graph.transform import Condensation, condensation
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.reachability.base import ReachabilityIndex
-from repro.reachability.factory import build_reachability_index, index_class
+from repro.reachability.factory import build_reachability_index
 
 
 class ChildCheckMethod(Enum):
@@ -84,55 +85,6 @@ class ChildCheckMethod(Enum):
     BIT_ITER = "bitIter"
     #: Batch: union of adjacency lists, one intersection with the candidate set.
     BIT_BAT = "bitBat"
-
-
-class _Components(NamedTuple):
-    """The condensation as flat per-component arrays.
-
-    Component ids are dense but not all live: a fold appends an id per new
-    node and empties every id but one of a contracted cycle.  An emptied id
-    has no members, no neighbours and is never reached.
-    """
-
-    #: Data node -> component id.
-    component_of: List[int]
-    #: Component -> its data nodes.
-    members: List[Tuple[int, ...]]
-    #: Component -> child / parent components in the condensation dag.
-    children: List[Tuple[int, ...]]
-    parents: List[Tuple[int, ...]]
-    #: Component -> does a member reach itself by a path of length >= 1?
-    cyclic: List[bool]
-    #: Component -> a rank that increases along every dag edge.  Distinct,
-    #: and sparse after a fold.
-    rank: List[int]
-
-
-def _condense(graph: DataGraph) -> _Components:
-    """The condensation of ``graph``, by Tarjan."""
-    components = strongly_connected_components(graph)
-    component_of = [0] * graph.num_nodes
-    for component, nodes in enumerate(components):
-        for node in nodes:
-            component_of[node] = component
-    successors = graph.successors
-    children: List[Tuple[int, ...]] = []
-    cyclic: List[bool] = []
-    for component, nodes in enumerate(components):
-        below = {component_of[child] for node in nodes for child in successors(node)}
-        # A singleton's own id is among its children only by a self-loop.
-        cyclic.append(len(nodes) > 1 or component in below)
-        below.discard(component)
-        children.append(tuple(below))
-    above: List[List[int]] = [[] for _ in components]
-    for component, below in enumerate(children):
-        for child in below:
-            above[child].append(component)
-    # Tarjan emits a component after every component below it.
-    rank = list(range(len(components) - 1, -1, -1))
-    return _Components(
-        component_of, list(map(tuple, components)), children, list(map(tuple, above)), cyclic, rank
-    )
 
 
 class _Labels(NamedTuple):
@@ -159,12 +111,12 @@ class _Fold:
     def __init__(
         self,
         graph: DataGraph,
-        arrays: _Components,
+        arrays: Condensation,
         labels: Optional[_Labels],
         direct: Optional[Tuple[List[int], List[int]]],
     ) -> None:
         self.graph = graph
-        self.arrays = _Components(*map(list, arrays))
+        self.arrays = Condensation(*map(list, arrays))
         self.labels = None if labels is None else _Labels(labels.label_bit, *map(list, labels[1:]))
         self.direct = None if direct is None else (list(direct[0]), list(direct[1]))
 
@@ -359,7 +311,7 @@ class Cones:
         self.computed = 0
         self.served = 0
 
-    def cone(self, arrays: _Components, seeds: FrozenSet[int], downward: bool) -> Set[int]:
+    def cone(self, arrays: Condensation, seeds: FrozenSet[int], downward: bool) -> Set[int]:
         """The components strictly below (``downward``) or above ``seeds``.
         Shared between callers: never mutate it."""
         key = (downward, seeds)
@@ -374,7 +326,7 @@ class Cones:
 
 
 def _with_partner(
-    arrays: _Components,
+    arrays: Condensation,
     cones: Cones,
     candidates: Iterable[int],
     partners: Iterable[int],
@@ -402,7 +354,7 @@ def _decode(mask: int, numbered: Sequence[List[int]]) -> List[int]:
 
 
 def _shared_answers(
-    arrays: _Components,
+    arrays: Condensation,
     toward_partners: Sequence[Tuple[int, ...]],
     sweep: Iterable[int],
     askers: Iterable[int],
@@ -453,42 +405,30 @@ class MatchContext:
     """Evaluation context shared by simulation, RIG construction and joins.
 
     ``reachability`` is an already-built per-pair index to use; without one,
-    the first read of :attr:`reachability` builds one of ``reachability_kind``.
+    the first read of :attr:`reachability` builds BFL over this context's
+    condensation.
     """
 
-    def __init__(
-        self,
-        graph: DataGraph,
-        reachability: Optional[ReachabilityIndex] = None,
-        reachability_kind: str = "bfl",
-    ) -> None:
+    def __init__(self, graph: DataGraph, reachability: Optional[ReachabilityIndex] = None) -> None:
         self.graph = graph
-        self.reachability_kind = reachability_kind
-        self._index_class = (
-            index_class(reachability_kind) if reachability is None else type(reachability)
-        )
         self._reachability = reachability
-        self._component_arrays: Optional[_Components] = None
+        self._component_arrays: Optional[Condensation] = None
         self._labels: Optional[_Labels] = None
         self._direct_labels: Optional[Tuple[List[int], List[int]]] = None
 
     @property
     def reachability(self) -> ReachabilityIndex:
-        """The per-pair reachability index, built on first read.
+        """The per-pair reachability index: BFL labelling this context's
+        condensation, built on first read.
 
         GM never reads it.  Concurrent first readers at worst both build it.
         """
         index = self._reachability
         if index is None:
             index = self._reachability = build_reachability_index(
-                self.graph, kind=self.reachability_kind
+                self.graph, condensation=self._components()
             )
         return index
-
-    @property
-    def reachability_index_name(self) -> str:
-        """The class name of :attr:`reachability`, without building it."""
-        return self._index_class.__name__
 
     def with_delta(self, graph: DataGraph, delta: GraphDelta) -> "MatchContext":
         """The context of ``graph``: this context's graph with the effective
@@ -506,7 +446,7 @@ class MatchContext:
                 f"delta is based on {delta.base_num_nodes} nodes "
                 f"but the context's graph has {self.graph.num_nodes}"
             )
-        folded = MatchContext(graph, reachability_kind=self.reachability_kind)
+        folded = MatchContext(graph)
         arrays = self._component_arrays
         if arrays is None or delta.has_removals:
             return folded
@@ -627,13 +567,13 @@ class MatchContext:
     # reachability edges, set-at-a-time on the SCC condensation
     # ------------------------------------------------------------------ #
 
-    def _components(self) -> _Components:
+    def _components(self) -> Condensation:
         """The condensation's flat arrays: carried by :meth:`with_delta`, or
         computed from the graph on first use.  Published by one attribute
         assignment: concurrent first callers at worst both build it."""
         arrays = self._component_arrays
         if arrays is None:
-            arrays = self._component_arrays = _condense(self.graph)
+            arrays = self._component_arrays = condensation(self.graph)
         return arrays
 
     def expand_reachability(

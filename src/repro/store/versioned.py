@@ -261,7 +261,7 @@ class VersionedGraphStore:
         :class:`ValueError`.
     session_kwargs:
         Forwarded to :class:`QuerySession` when ``graph`` is a plain data
-        graph (``reachability_kind``, ``ordering``, ``budget``, ...).
+        graph (``ordering``, ``budget``, ``set_kind``, ...).
     """
 
     def __init__(

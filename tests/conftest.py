@@ -46,7 +46,7 @@ def paper_answer() -> frozenset:
 @pytest.fixture(scope="session")
 def paper_context(paper_graph) -> MatchContext:
     """MatchContext (BFL reachability) over the paper-example graph."""
-    return MatchContext(paper_graph, reachability_kind="bfl")
+    return MatchContext(paper_graph)
 
 
 @pytest.fixture(scope="session")
@@ -64,4 +64,4 @@ def small_dag() -> DataGraph:
 @pytest.fixture(scope="session")
 def small_context(small_random_graph) -> MatchContext:
     """MatchContext over the small random graph."""
-    return MatchContext(small_random_graph, reachability_kind="bfl")
+    return MatchContext(small_random_graph)

@@ -8,7 +8,8 @@ context is compared with ``MatchContext(folded graph)`` — the same node
 partition up to renaming, the same ``cyclic`` per node, ranks that increase
 along every dag edge, the same strict descendants per node, identical label
 tables and label bits — and its set-at-a-time reachability with one BFS per
-tail.  The context a fold started from must come out unchanged.
+tail.  The context a fold started from must come out unchanged, and the BFL
+index a folded context builds labels that context's own arrays exactly.
 """
 
 import copy
@@ -154,6 +155,31 @@ def test_folded_context_equals_cold_context(data, direct, seeds):
         heads = {node for node in new_graph.nodes() if (node * 7 + seeds[1]) % 4}
         assert_matches_reference(folded, tails, heads)
         graph, context = new_graph, folded
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=graph_and_deltas())
+def test_bfl_labels_the_folded_condensation(data):
+    """The per-pair index of a folded context labels the context's own
+    arrays — sparse ranks, emptied ids and all — and answers like a BFS."""
+    graph, deltas = data
+    context = MatchContext(graph)
+    context._components()
+    for ops in deltas:
+        new_graph, effective = graph.with_delta(build_delta(graph, ops))
+        if not effective:
+            continue
+        context = context.with_delta(new_graph, effective)
+        index = context.reachability
+        arrays = context._components()
+        assert index._cond is arrays
+        assert index.label_size_bits() == 2 * 64 * sum(1 for members in arrays.members if members)
+        for u in new_graph.nodes():
+            on_cycle = any(new_graph.reaches_bfs(child, u) for child in new_graph.successors(u))
+            assert index.reaches_strict(u, u) == on_cycle, u
+            for v in new_graph.nodes():
+                assert index.reaches(u, v) == new_graph.reaches_bfs(u, v), (u, v)
+        graph = new_graph
 
 
 def test_fold_merges_a_long_cycle_and_reranks_around_it():

@@ -32,6 +32,9 @@ from repro.matching.result import Budget, MatchStatus
 from repro.matching.stream import Evaluator
 from repro.query.generators import random_pattern_query, to_child_only, to_descendant_only
 from repro.query.pattern import EdgeType, PatternQuery
+from repro.reachability.base import BFSReachability
+from repro.reachability.bfl import BloomFilterLabeling
+from repro.reachability.transitive_closure import TransitiveClosureIndex
 from repro.session import QuerySession
 from repro.simulation.context import MatchContext
 
@@ -54,14 +57,14 @@ GRAPHS = _graphs()
 @pytest.mark.parametrize("kind", ["H", "C", "D"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gm_jm_tm_match_bruteforce(graph, kind, seed):
-    context = MatchContext(graph, reachability_kind="bfl")
+    context = MatchContext(graph)
     query = random_pattern_query(graph, 4, seed=seed * 7 + 1)
     if kind == "C":
         query = to_child_only(query, name=query.name)
     elif kind == "D":
         query = to_descendant_only(query, name=query.name)
 
-    expected = frozenset(bruteforce_homomorphisms(graph, query, reachability=context.reachability))
+    expected = frozenset(bruteforce_homomorphisms(graph, query))
     gm = GraphMatcher(graph, context=context, budget=UNLIMITED).match(query)
     jm = JMMatcher(graph, context=context, budget=UNLIMITED).match(query)
     tm = TMMatcher(graph, context=context, budget=UNLIMITED).match(query)
@@ -75,7 +78,7 @@ def test_gm_jm_tm_match_bruteforce(graph, kind, seed):
 def test_gm_variants_match_bruteforce(graph, variant):
     context = MatchContext(graph)
     query = random_pattern_query(graph, 5, seed=11)
-    expected = frozenset(bruteforce_homomorphisms(graph, query, reachability=context.reachability))
+    expected = frozenset(bruteforce_homomorphisms(graph, query))
     matcher = GraphMatcher(graph, context=context, variant=variant, budget=UNLIMITED)
     assert matcher.match(query).occurrence_set() == expected
 
@@ -85,7 +88,7 @@ def test_gm_variants_match_bruteforce(graph, variant):
 def test_gm_orderings_match_bruteforce(graph, ordering):
     context = MatchContext(graph)
     query = random_pattern_query(graph, 5, seed=13)
-    expected = frozenset(bruteforce_homomorphisms(graph, query, reachability=context.reachability))
+    expected = frozenset(bruteforce_homomorphisms(graph, query))
     matcher = GraphMatcher(graph, context=context, ordering=ordering, budget=UNLIMITED)
     assert matcher.match(query).occurrence_set() == expected
 
@@ -101,14 +104,21 @@ def test_engines_match_bruteforce_on_child_queries(graph, seed):
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.name)
-def test_reachability_index_choice_does_not_change_answers(graph):
+@pytest.mark.parametrize(
+    "index_class", [BloomFilterLabeling, TransitiveClosureIndex, BFSReachability],
+    ids=lambda cls: cls.__name__,
+)
+def test_per_pair_matchers_agree_with_bruteforce_on_any_injected_index(graph, index_class):
+    """ISO, TM and JM ask per-pair questions of ``context.reachability``:
+    whichever index is injected there, the answers are brute force's."""
     query = random_pattern_query(graph, 4, seed=21, descendant_probability=1.0)
-    answers = []
-    for kind in ("bfl", "tc", "interval", "bfs"):
-        context = MatchContext(graph, reachability_kind=kind)
-        report = GraphMatcher(graph, context=context, budget=UNLIMITED).match(query)
-        answers.append(report.occurrence_set())
-    assert all(answer == answers[0] for answer in answers)
+    context = MatchContext(graph, reachability=index_class(graph))
+    homomorphisms = frozenset(bruteforce_homomorphisms(graph, query))
+    for matcher_class in (TMMatcher, JMMatcher):
+        report = matcher_class(graph, context=context, budget=UNLIMITED).match(query)
+        assert report.occurrence_set() == homomorphisms, matcher_class.name
+    report = ISOMatcher(graph, context=context, budget=UNLIMITED).match(query)
+    assert report.occurrence_set() == frozenset(bruteforce_isomorphisms(graph, query))
 
 
 def test_larger_hybrid_query_consistency():

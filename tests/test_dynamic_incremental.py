@@ -9,7 +9,6 @@ from repro.dynamic.maintenance import patch_partitions
 from repro.engines.relational import build_edge_partitions
 from repro.graph.generators import random_labeled_graph
 from repro.reachability.base import BFSReachability
-from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
@@ -41,48 +40,6 @@ def insert_only_case(draw):
             draw(st.integers(min_value=0, max_value=total - 1)),
         )
     return graph, delta
-
-
-class TestIncrementalBFL:
-    @given(insert_only_case())
-    @settings(max_examples=50, deadline=None)
-    def test_patched_equals_ground_truth(self, case):
-        """After a successful patch, every pair agrees with BFS truth.
-
-        Arbitrary insert edges may merge SCCs; apply_delta then refuses
-        (returns False) and the pre-patch index must still answer for the
-        *old* graph — both outcomes are checked.
-        """
-        graph, delta = case
-        overlay = MutableDataGraph(graph, delta)
-        patched_graph = overlay.materialize()
-        index = BloomFilterLabeling(graph)
-        if index.apply_delta(patched_graph, overlay.delta_since_base()):
-            assert index.patch_count == 1
-            assert index.graph is patched_graph
-            _all_pairs_agree(index, patched_graph)
-        else:
-            # refused: the index must be untouched and valid for the old graph
-            assert index.patch_count == 0
-            _all_pairs_agree(index, graph)
-
-    def test_removal_delta_refused(self, paper_graph):
-        index = BloomFilterLabeling(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph)
-        delta.remove_edge(*next(iter(paper_graph.edges())))
-        assert index.apply_delta(paper_graph, delta) is False
-
-    def test_relabel_only_delta_is_patchable(self, paper_graph):
-        index = BloomFilterLabeling(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph).relabel(0, "Z")
-        overlay = MutableDataGraph(paper_graph, delta)
-        patched = overlay.materialize()
-        assert index.apply_delta(patched, overlay.delta_since_base()) is True
-        _all_pairs_agree(index, patched)
-
-    def test_mismatched_base_refused(self, paper_graph):
-        index = BloomFilterLabeling(paper_graph)
-        assert index.apply_delta(paper_graph, GraphDelta(base_num_nodes=99)) is False
 
 
 class TestIncrementalClosure:

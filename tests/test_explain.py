@@ -149,8 +149,9 @@ class TestLazyReachabilityIndex:
         original = context_module.build_reachability_index
 
         def counting(*args, **kwargs):
-            built.append(kwargs.get("kind"))
-            return original(*args, **kwargs)
+            index = original(*args, **kwargs)
+            built.append(type(index).__name__)
+            return index
 
         monkeypatch.setattr(context_module, "build_reachability_index", counting)
         return built
@@ -162,13 +163,9 @@ class TestLazyReachabilityIndex:
         session = QuerySession(paper_graph)
         assert session.query(paper_query).occurrence_set() == PAPER_ANSWER
         plan = session.explain(paper_query)
-        assert plan.artifacts["reachability_index"] == "BloomFilterLabeling"
-        assert plan.artifacts["reachability_kind"] == "bfl"
+        assert plan.artifacts["reachability_index"] == "condensation"
         steps = [step.details.get("reachability_index") for step in plan.root.children]
-        assert "BloomFilterLabeling" in steps
-        assert QuerySession(paper_graph, reachability_kind="tc").explain(
-            paper_query
-        ).artifacts["reachability_index"] == "TransitiveClosureIndex"
+        assert "condensation" in steps
         assert built == []
 
     @pytest.mark.parametrize("engine", ["ISO", "TM", "JM"])
@@ -176,9 +173,10 @@ class TestLazyReachabilityIndex:
         built = self._count_builds(monkeypatch)
         session = QuerySession(paper_graph)
         assert session.query(paper_query, engine=engine).occurrence_set() == PAPER_ANSWER
-        assert built == ["bfl"]
+        assert built == ["BloomFilterLabeling"]
+        assert session.reachability._cond is session.context._components()
         session.query(paper_query, engine=engine)
-        assert built == ["bfl"]  # once per context
+        assert built == ["BloomFilterLabeling"]  # once per context
 
 
 class TestEngineExplain:
@@ -225,7 +223,6 @@ class TestSessionAndFacadeExplain:
     def test_session_annotates_cached_artifacts(self, paper_graph, paper_query):
         session = QuerySession(paper_graph)
         first = session.explain(paper_query)
-        assert first.artifacts["reachability_kind"] == session.reachability_kind
         assert "session_cached" in first.artifacts
         session.query(paper_query)
         warmed = session.explain(paper_query)

@@ -37,26 +37,50 @@ class TestSCC:
 
     def test_condensation_structure(self, cyclic_graph):
         result = condensation(cyclic_graph)
-        assert result.dag.num_nodes == 3
+        assert sum(1 for members in result.members if members) == 3
         # component of 0,1,2 is the same
         assert result.component_of[0] == result.component_of[1] == result.component_of[2]
         assert result.component_of[0] != result.component_of[3]
+        assert [result.cyclic[result.component_of[node]] for node in (0, 3, 6)] == [True, True, False]
 
-    def test_condensation_is_acyclic(self, cyclic_graph):
+    def test_ranks_increase_along_children(self, cyclic_graph):
         result = condensation(cyclic_graph)
-        assert all(len(c) == 1 for c in strongly_connected_components(result.dag))
+        for component, children in enumerate(result.children):
+            for child in children:
+                assert result.rank[component] < result.rank[child]
+                assert component in result.parents[child]
+        assert sorted(map(len, result.children)) == sorted(map(len, result.parents))
 
     def test_condensation_preserves_reachability(self, cyclic_graph):
         result = condensation(cyclic_graph)
         # 0 reaches 6 in the original; the corresponding components must too.
-        c0 = result.component_of[0]
-        c6 = result.component_of[6]
-        assert result.dag.reaches_bfs(c0, c6)
+        assert _component_reaches(result, result.component_of[0], result.component_of[6])
+        assert not _component_reaches(result, result.component_of[6], result.component_of[0])
 
     def test_condensation_on_random_graph(self):
         graph = random_labeled_graph(80, 300, 3, seed=11)
         result = condensation(graph)
-        assert sum(len(c) for c in result.components) == graph.num_nodes
+        assert sum(len(members) for members in result.members) == graph.num_nodes
+        for component, members in enumerate(result.members):
+            assert all(result.component_of[node] == component for node in members)
+        component_of = result.component_of
+        for source in graph.nodes():
+            for target in graph.nodes():
+                assert _component_reaches(
+                    result, component_of[source], component_of[target]
+                ) == graph.reaches_bfs(source, target), (source, target)
+
+
+def _component_reaches(result, source, target):
+    """Is ``target`` ``source`` or below it along the condensation's children?"""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for child in result.children[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return target in seen
 
 
 class TestSubgraphs:

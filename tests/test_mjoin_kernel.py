@@ -52,7 +52,7 @@ def test_every_drive_mode_agrees_with_bruteforce(data, method, injective, cap):
     graph, query = data
     context = MatchContext(graph)
     oracle = bruteforce_isomorphisms if injective else bruteforce_homomorphisms
-    expected = set(oracle(graph, query, reachability=context.reachability))
+    expected = set(oracle(graph, query))
 
     by_kind = {}
     for set_kind in SET_KINDS:

@@ -7,10 +7,9 @@ from repro.graph.digraph import DataGraph
 from repro.reachability.base import BFSReachability
 from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.factory import REACHABILITY_KINDS, build_reachability_index
-from repro.reachability.interval import IntervalIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
-ALL_INDEX_CLASSES = [BFSReachability, TransitiveClosureIndex, IntervalIndex, BloomFilterLabeling]
+ALL_INDEX_CLASSES = [BFSReachability, TransitiveClosureIndex, BloomFilterLabeling]
 
 
 @pytest.fixture()
@@ -64,11 +63,6 @@ class TestAllIndexes:
         index = index_class(diamond_with_cycle)
         assert index.build_seconds >= 0.0
 
-    def test_descendants_and_ancestors(self, diamond_with_cycle, index_class):
-        index = index_class(diamond_with_cycle)
-        assert set(index.descendants(0)) == {0, 1, 2, 3, 4, 5}
-        assert set(index.ancestors(4)) == {0, 1, 2, 3, 4, 5}
-
 
 class TestTransitiveClosureSpecifics:
     def test_reachable_set(self, diamond_with_cycle):
@@ -81,25 +75,6 @@ class TestTransitiveClosureSpecifics:
         assert (0, 4) in edges
         assert all(u != v for u, v in edges)
         assert index.num_closure_edges() == len(edges)
-
-
-class TestIntervalSpecifics:
-    def test_negative_cut_is_sound(self, diamond_with_cycle):
-        index = IntervalIndex(diamond_with_cycle)
-        for u in diamond_with_cycle.nodes():
-            for v in diamond_with_cycle.nodes():
-                if index.definitely_not_reaches(u, v):
-                    assert not diamond_with_cycle.reaches_bfs(u, v)
-
-    def test_interval_well_formed(self, diamond_with_cycle):
-        index = IntervalIndex(diamond_with_cycle)
-        for node in diamond_with_cycle.nodes():
-            begin, end = index.interval(node)
-            assert begin < end
-
-    def test_condensation_exposed(self, diamond_with_cycle):
-        result = IntervalIndex(diamond_with_cycle).condensation()
-        assert result.component_of[4] == result.component_of[5]
 
 
 class TestBFLSpecifics:
@@ -124,11 +99,11 @@ class TestBFLSpecifics:
 
 class TestFactory:
     def test_all_kinds_registered(self):
-        assert set(REACHABILITY_KINDS) == {"bfl", "interval", "tc", "bfs"}
+        assert set(REACHABILITY_KINDS) == {"bfl", "tc", "bfs"}
 
     def test_build_by_name(self, diamond_with_cycle):
         for kind, expected in (("bfl", BloomFilterLabeling), ("tc", TransitiveClosureIndex),
-                               ("interval", IntervalIndex), ("bfs", BFSReachability)):
+                               ("bfs", BFSReachability)):
             index = build_reachability_index(diamond_with_cycle, kind=kind)
             assert isinstance(index, expected)
 

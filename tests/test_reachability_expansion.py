@@ -6,7 +6,7 @@ every test here rebuilds their answer the slow, obviously-right way —
 ``forward_reachable_set((tail,))``, :class:`BFSReachability`, per-pair
 ``edge_match``, brute-force homomorphisms, the old label fixpoint — on
 graphs with cycles, self-loops, isolated nodes and overlapping candidate
-sets, for every reachability index kind and across folded graph versions.  One
+sets, and across folded graph versions.  One
 build's memo of condensation cones (``Cones``) is driven through shrinking
 candidate sets the way fbsim passes drive it, and the post-expand prune
 BuildRIG skips after an exact simulation is checked to be a no-op there.
@@ -30,7 +30,6 @@ from repro.matching.gm import GraphMatcher
 from repro.query.generators import all_template_queries, random_pattern_query
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import BFSReachability
-from repro.reachability.factory import REACHABILITY_KINDS
 from repro.rig.build import RIGOptions, build_rig
 from repro.rig.graph import RuntimeIndexGraph
 from repro.session import QuerySession
@@ -40,9 +39,6 @@ from repro.simulation.fbsim import SimulationOptions
 from repro.simulation.matchsets import node_prefilter
 
 from test_simulation_properties import graph_and_query
-
-KINDS = tuple(REACHABILITY_KINDS)
-
 
 @st.composite
 def digraph_with_candidates(draw):
@@ -116,7 +112,7 @@ def old_label_fixpoint(context):
 
 
 # ---------------------------------------------------------------------- #
-# (1) expansion and both semijoins, every index kind
+# (1) expansion and both semijoins
 # ---------------------------------------------------------------------- #
 
 
@@ -124,15 +120,13 @@ def old_label_fixpoint(context):
 @given(data=digraph_with_candidates())
 def test_expansion_and_semijoins_equal_per_tail_bfs(data):
     graph, tails, heads = data
-    for kind in KINDS:
-        assert_matches_reference(MatchContext(graph, reachability_kind=kind), tails, heads)
+    assert_matches_reference(MatchContext(graph), tails, heads)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_self_pair_needs_a_cycle(kind):
+def test_self_pair_needs_a_cycle():
     # 0 has a self-loop (a cyclic singleton), 1 <-> 2 is a cycle, 3 -> 4 is not.
     graph = DataGraph("AAAAA", [(0, 0), (1, 2), (2, 1), (3, 4)])
-    context = MatchContext(graph, reachability_kind=kind)
+    context = MatchContext(graph)
     everyone = set(graph.nodes())
     forward, backward = context.expand_reachability(everyone, everyone)
     assert forward == {0: {0}, 1: {1, 2}, 2: {1, 2}, 3: {4}}
@@ -231,38 +225,36 @@ def test_insert_only_deltas_through_a_session():
     )
     def run(data, deltas, tail_seed):
         graph, query = data
-        for kind in KINDS:
-            session = QuerySession(graph, reachability_kind=kind)
-            for inserts in [()] + deltas:
-                if inserts:
-                    live = sum(1 for members in session.context._components().members if members)
-                    delta = GraphDelta.for_graph(session.graph)
-                    new_node = delta.add_node(graph.label(0))
-                    for source, target in inserts:
-                        # ``target == new_node`` hangs the fresh node below the
-                        # graph; the other edges may close cycles (SCC merges).
-                        delta.add_edge(source % new_node, target % (new_node + 1))
-                    report = session.apply(delta)
-                    outcomes.update(
-                        (kind, outcome)
-                        for outcome in ("patched", "invalidated")
-                        if "reachability" in getattr(report, outcome)
-                    )
-                    merged = live + 1 - sum(
-                        1 for members in session.context._components().members if members
-                    )
-                    outcomes[kind, "merged"] += merged > 0
-                current = session.graph
-                expected = set(bruteforce_homomorphisms(current, query))
-                assert session.query(query, engine="GM").occurrence_set() == expected
-                tails = {node for node in current.nodes() if (node + tail_seed) % 3}
-                heads = {node for node in current.nodes() if (node * 7 + tail_seed) % 4}
-                assert_matches_reference(session.context, tails, heads)
+        session = QuerySession(graph)
+        for inserts in [()] + deltas:
+            if inserts:
+                live = sum(1 for members in session.context._components().members if members)
+                delta = GraphDelta.for_graph(session.graph)
+                new_node = delta.add_node(graph.label(0))
+                for source, target in inserts:
+                    # ``target == new_node`` hangs the fresh node below the
+                    # graph; the other edges may close cycles (SCC merges).
+                    delta.add_edge(source % new_node, target % (new_node + 1))
+                report = session.apply(delta)
+                outcomes.update(
+                    outcome
+                    for outcome in ("patched", "invalidated")
+                    if "reachability" in getattr(report, outcome)
+                )
+                merged = live + 1 - sum(
+                    1 for members in session.context._components().members if members
+                )
+                outcomes["merged"] += merged > 0
+            current = session.graph
+            expected = set(bruteforce_homomorphisms(current, query))
+            assert session.query(query, engine="GM").occurrence_set() == expected
+            tails = {node for node in current.nodes() if (node + tail_seed) % 3}
+            heads = {node for node in current.nodes() if (node * 7 + tail_seed) % 4}
+            assert_matches_reference(session.context, tails, heads)
 
     run()
-    for kind in KINDS:
-        assert outcomes[kind, "patched"] and outcomes[kind, "merged"]
-        assert not outcomes[kind, "invalidated"]
+    assert outcomes["patched"] and outcomes["merged"]
+    assert not outcomes["invalidated"]
 
 
 # ---------------------------------------------------------------------- #
@@ -318,13 +310,11 @@ def index_pairs(index, flip=False):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    data=st.one_of(graph_and_query(), looped_graph_and_query()),
-    kind=st.sampled_from(KINDS),
-)
-def test_built_rig_equals_per_pair_rig(data, kind):
+@given(data=st.one_of(graph_and_query(), looped_graph_and_query()))
+def test_built_rig_equals_per_pair_rig(data):
     graph, query = data
-    context = MatchContext(graph, reachability_kind=kind)
+    # The per-pair reference asks a BFS, not the condensation it checks.
+    context = MatchContext(graph, reachability=BFSReachability(graph))
     candidates, pairs = None, None
     for set_kind in ("set", "roaring", "intbitset"):
         for child_check in ChildCheckMethod:
@@ -383,10 +373,10 @@ def test_gm_makes_no_whole_graph_bfs(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=digraph_with_candidates(), kind=st.sampled_from(KINDS))
-def test_label_summaries_equal_the_old_fixpoint(data, kind):
+@given(data=digraph_with_candidates())
+def test_label_summaries_equal_the_old_fixpoint(data):
     graph = data[0]
-    context = MatchContext(graph, reachability_kind=kind)
+    context = MatchContext(graph)
     descendant, ancestor = old_label_fixpoint(context)
     for node in graph.nodes():
         assert context.descendant_label_bits(node) == descendant[node]
@@ -424,10 +414,10 @@ def label_set_prefilter(context, query):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=looped_graph_and_query(), kind=st.sampled_from(KINDS))
-def test_bitset_prefilter_equals_the_label_set_reference(data, kind):
+@given(data=looped_graph_and_query())
+def test_bitset_prefilter_equals_the_label_set_reference(data):
     graph, query = data
-    context = MatchContext(graph, reachability_kind=kind)
+    context = MatchContext(graph)
     assert node_prefilter(context, query) == label_set_prefilter(context, query)
 
 
@@ -490,7 +480,6 @@ def test_phase_seconds_on_a_rig_cache_miss_only():
 @settings(max_examples=80, deadline=None)
 @given(
     data=digraph_with_candidates(),
-    kind=st.sampled_from(KINDS),
     steps=st.lists(
         st.one_of(
             st.sampled_from(["tails", "heads", "expand"]),
@@ -499,12 +488,12 @@ def test_phase_seconds_on_a_rig_cache_miss_only():
         max_size=12,
     ),
 )
-def test_one_builds_cones_answer_like_per_tail_bfs(data, kind, steps):
+def test_one_builds_cones_answer_like_per_tail_bfs(data, steps):
     """Semijoins prune the candidate sets as fbsim's checks do, other query
     edges shrink them (a drop), and BuildRIG expands in between; one memo
     serves all of it, and every answer equals the per-tail BFS."""
     graph, tails, heads = data
-    context = MatchContext(graph, reachability_kind=kind)
+    context = MatchContext(graph)
     component_of = context._components().component_of
     cones, asked = Cones(), []
     for step in steps:
@@ -622,12 +611,12 @@ INEXACT_BUILDS = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.one_of(graph_and_query(), looped_graph_and_query()), kind=st.sampled_from(KINDS))
-def test_post_expand_prune_is_skipped_exactly_after_a_fixpoint(data, kind):
+@given(data=st.one_of(graph_and_query(), looped_graph_and_query()))
+def test_post_expand_prune_is_skipped_exactly_after_a_fixpoint(data):
     """An exact simulation leaves nothing to prune, so the build skips it;
     GM-F and one-pass simulations still prune, down to the exact RIG."""
     graph, query = data
-    context = MatchContext(graph, reachability_kind=kind)
+    context = MatchContext(graph)
     prune = RuntimeIndexGraph.prune_unmatched_candidates
     calls = []
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DataGraph
 from repro.reachability.bfl import BloomFilterLabeling
-from repro.reachability.interval import IntervalIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
@@ -38,30 +37,11 @@ def test_transitive_closure_matches_bfs(graph):
 
 @settings(max_examples=40, deadline=None)
 @given(graph=random_graphs())
-def test_interval_index_matches_bfs(graph):
-    index = IntervalIndex(graph)
-    for u in graph.nodes():
-        for v in graph.nodes():
-            assert index.reaches(u, v) == graph.reaches_bfs(u, v)
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph=random_graphs())
 def test_bfl_matches_bfs(graph):
     index = BloomFilterLabeling(graph)
     for u in graph.nodes():
         for v in graph.nodes():
             assert index.reaches(u, v) == graph.reaches_bfs(u, v)
-
-
-@settings(max_examples=30, deadline=None)
-@given(graph=random_graphs())
-def test_interval_negative_cut_sound(graph):
-    index = IntervalIndex(graph)
-    for u in graph.nodes():
-        for v in graph.nodes():
-            if index.definitely_not_reaches(u, v):
-                assert not graph.reaches_bfs(u, v)
 
 
 @settings(max_examples=30, deadline=None)
