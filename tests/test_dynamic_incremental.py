@@ -9,6 +9,7 @@ from repro.dynamic.maintenance import patch_partitions
 from repro.engines.relational import build_edge_partitions
 from repro.graph.generators import random_labeled_graph
 from repro.reachability.base import BFSReachability
+from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
@@ -40,6 +41,37 @@ def insert_only_case(draw):
             draw(st.integers(min_value=0, max_value=total - 1)),
         )
     return graph, delta
+
+
+class TestIncrementalBFL:
+    """BFL cannot patch: it refuses every delta, and the caller rebuilds."""
+
+    @given(insert_only_case())
+    @settings(max_examples=30, deadline=None)
+    def test_refused_delta_leaves_the_index_answering_for_its_graph(self, case):
+        graph, delta = case
+        overlay = MutableDataGraph(graph, delta)
+        index = BloomFilterLabeling(graph)
+        assert index.apply_delta(overlay.materialize(), overlay.delta_since_base()) is False
+        assert index.graph is graph
+        _all_pairs_agree(index, graph)
+
+    def test_removal_delta_refused(self, paper_graph):
+        index = BloomFilterLabeling(paper_graph)
+        delta = GraphDelta.for_graph(paper_graph)
+        delta.remove_edge(*next(iter(paper_graph.edges())))
+        assert index.apply_delta(paper_graph, delta) is False
+
+    def test_relabel_only_delta_is_refused(self, paper_graph):
+        index = BloomFilterLabeling(paper_graph)
+        delta = GraphDelta.for_graph(paper_graph).relabel(0, "Z")
+        overlay = MutableDataGraph(paper_graph, delta)
+        assert index.apply_delta(overlay.materialize(), overlay.delta_since_base()) is False
+        _all_pairs_agree(index, paper_graph)
+
+    def test_mismatched_base_refused(self, paper_graph):
+        index = BloomFilterLabeling(paper_graph)
+        assert index.apply_delta(paper_graph, GraphDelta(base_num_nodes=99)) is False
 
 
 class TestIncrementalClosure:

@@ -43,6 +43,32 @@ class TestSCC:
         assert result.component_of[0] != result.component_of[3]
         assert [result.cyclic[result.component_of[node]] for node in (0, 3, 6)] == [True, True, False]
 
+    def test_condensation_is_acyclic(self, cyclic_graph):
+        # Kahn's order over ``children`` reaches every live component.
+        result = condensation(cyclic_graph)
+        live = [component for component, members in enumerate(result.members) if members]
+        waiting = {component: len(result.parents[component]) for component in live}
+        ready = [component for component in live if not waiting[component]]
+        ordered = 0
+        while ready:
+            ordered += 1
+            for child in result.children[ready.pop()]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+        assert ordered == len(live) == 3
+
+    def test_cyclic_flags_mark_the_components_on_a_cycle(self):
+        graph = random_labeled_graph(60, 90, 3, seed=5)
+        graph = DataGraph(
+            [graph.label(node) for node in graph.nodes()], sorted(graph.edges()) + [(7, 7)]
+        )
+        result = condensation(graph)
+        assert result.cyclic[result.component_of[7]]
+        for node in graph.nodes():
+            on_cycle = any(graph.reaches_bfs(child, node) for child in graph.successors(node))
+            assert result.cyclic[result.component_of[node]] == on_cycle, node
+
     def test_ranks_increase_along_children(self, cyclic_graph):
         result = condensation(cyclic_graph)
         for component, children in enumerate(result.children):

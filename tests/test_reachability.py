@@ -3,13 +3,37 @@
 import pytest
 
 from repro.exceptions import ReachabilityError
+from repro.dynamic import GraphDelta
 from repro.graph.digraph import DataGraph
+from repro.graph.transform import condensation
 from repro.reachability.base import BFSReachability
 from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.factory import REACHABILITY_KINDS, build_reachability_index
 from repro.reachability.transitive_closure import TransitiveClosureIndex
+from repro.simulation.context import MatchContext
 
-ALL_INDEX_CLASSES = [BFSReachability, TransitiveClosureIndex, BloomFilterLabeling]
+
+def BFLOnAFoldedCondensation(graph):
+    """BFL over the condensation a match context folded up to ``graph``:
+    the edgeless version first, then one insert delta per edge, so the
+    labelled arrays have sparse ranks and the ids a merge emptied."""
+    version = DataGraph([graph.label(node) for node in graph.nodes()], [])
+    context = MatchContext(version)
+    context._components()
+    for edge in graph.edges():
+        version, effective = version.with_delta(GraphDelta.for_graph(version).add_edge(*edge))
+        context = context.with_delta(version, effective)
+    index = context.reachability
+    assert isinstance(index, BloomFilterLabeling) and index._cond is context._components()
+    return index
+
+
+ALL_INDEX_CLASSES = [
+    BFSReachability,
+    TransitiveClosureIndex,
+    BloomFilterLabeling,
+    BFLOnAFoldedCondensation,
+]
 
 
 @pytest.fixture()
@@ -89,6 +113,15 @@ class TestBFLSpecifics:
             for v in diamond_with_cycle.nodes():
                 index.reaches(u, v)
         assert index.dfs_fallback_count >= before
+
+    def test_given_condensation_is_labelled_not_recomputed(self, diamond_with_cycle, monkeypatch):
+        given = condensation(diamond_with_cycle)
+        monkeypatch.setattr("repro.reachability.bfl.condensation", None)
+        index = BloomFilterLabeling(diamond_with_cycle, condensation=given)
+        assert index._cond is given
+        for u in diamond_with_cycle.nodes():
+            for v in diamond_with_cycle.nodes():
+                assert index.reaches(u, v) == diamond_with_cycle.reaches_bfs(u, v)
 
     def test_custom_parameters(self, diamond_with_cycle):
         index = BloomFilterLabeling(diamond_with_cycle, num_bits=16, num_hashes=3, seed=99)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DataGraph
+from repro.graph.transform import condensation
 from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
@@ -42,6 +43,30 @@ def test_bfl_matches_bfs(graph):
     for u in graph.nodes():
         for v in graph.nodes():
             assert index.reaches(u, v) == graph.reaches_bfs(u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=random_graphs())
+def test_bfl_on_a_given_condensation_matches_bfs(graph):
+    given_condensation = condensation(graph)
+    index = BloomFilterLabeling(graph, condensation=given_condensation)
+    assert index._cond is given_condensation
+    for u in graph.nodes():
+        for v in graph.nodes():
+            assert index.reaches(u, v) == graph.reaches_bfs(u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=random_graphs())
+def test_condensation_ranks_order_reachability(graph):
+    """A node reaches another of a different component only upward in rank:
+    the order BFL's passes and its rank cut rely on."""
+    result = condensation(graph)
+    component_of, rank = result.component_of, result.rank
+    for u in graph.nodes():
+        for v in graph.nodes():
+            if component_of[u] != component_of[v] and graph.reaches_bfs(u, v):
+                assert rank[component_of[u]] < rank[component_of[v]], (u, v)
 
 
 @settings(max_examples=30, deadline=None)
