@@ -16,8 +16,10 @@ maintenance classes:
   for the matchers that ask per-pair questions), the whole context after a
   removal, its label tables after a relabel, and any of the above artifacts
   whose delta shape was not patchable;
-* **per-query** — RIG caches and matcher instances, which are dropped on
-  every version bump (they embed node candidates of the old state).
+* **per-query** — cached RIGs, carried to the new version when the
+  fold's :class:`~repro.simulation.context.Gains` avoid every label pair of
+  their query and dropped otherwise, and matcher instances, dropped on
+  every version bump.
 
 :func:`should_patch` is the cost heuristic gating the closure and the
 catalog: patching pays off for small insertion-only deltas, while

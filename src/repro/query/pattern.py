@@ -70,7 +70,7 @@ class PatternQuery:
         Optional human-readable name (templates use ``"HQ3"`` etc.).
     """
 
-    __slots__ = ("_labels", "_edges", "_out", "_in", "_edge_index", "name")
+    __slots__ = ("_labels", "_edges", "_out", "_in", "_edge_index", "_hash", "name")
 
     def __init__(
         self,
@@ -109,6 +109,9 @@ class PatternQuery:
         self._out: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(targets)) for targets in out)
         self._in: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(sources)) for sources in incoming)
         self._edge_index = edge_index
+        # Every RIG-cache probe hashes the query: the edge set is hashed on
+        # the first probe only (a query never probed never pays for it).
+        self._hash: Optional[int] = None
 
     @staticmethod
     def _normalise_edge(raw) -> PatternEdge:
@@ -279,7 +282,10 @@ class PatternQuery:
         return self._labels == other._labels and set(self._edges) == set(other._edges)
 
     def __hash__(self) -> int:
-        return hash((self._labels, frozenset(self._edges)))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self._labels, frozenset(self._edges)))
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

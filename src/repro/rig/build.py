@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.query.pattern import PatternEdge, PatternQuery
+from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.rig.graph import RuntimeIndexGraph
-from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, Gains, MatchContext
 from repro.simulation.fbsim import SimulationOptions, SimulationResult, fbsim, fbsim_basic
 from repro.simulation.matchsets import node_prefilter
 
@@ -82,11 +82,35 @@ class RIGBuildReport:
     #: answered instead (see :class:`~repro.simulation.context.Cones`).
     condensation_sweeps: int = 0
     condensation_sweeps_served: int = 0
+    #: (tail label, head label) of the built query's direct edges, and of
+    #: its reachability edges: what :meth:`survives` tests.
+    label_pairs: Tuple[FrozenSet[Tuple[str, str]], FrozenSet[Tuple[str, str]]] = field(
+        init=False, repr=False
+    )
 
     @property
     def total_seconds(self) -> float:
         """Total construction time (selection + expansion)."""
         return self.select_seconds + self.expand_seconds
+
+    def __post_init__(self) -> None:
+        labels = self.query.labels
+        direct: List[Tuple[str, str]] = []
+        paths: List[Tuple[str, str]] = []
+        for edge in self.query.edges():
+            pair = (labels[edge.source], labels[edge.target])
+            (direct if edge.edge_type is EdgeType.CHILD else paths).append(pair)
+        self.label_pairs = (frozenset(direct), frozenset(paths))
+
+    def survives(self, gains: Gains) -> bool:
+        """Is this RIG still exact after a fold that gained ``gains``?
+
+        The RIG is a function of the match sets of its query's labels and of
+        the edge (path) relation between the labels of each direct
+        (reachability) query edge; a fold with gains keeps every match set.
+        """
+        edges, paths = self.label_pairs
+        return gains.edges.isdisjoint(edges) and gains.paths.isdisjoint(paths)
 
 
 def _select_candidates(

@@ -20,8 +20,9 @@ Cache lifecycle
   graph's monotone version and maintains every cached artifact — patched
   in place when the delta shape allows (insertion-only, within the
   :func:`repro.dynamic.should_patch` heuristic), invalidated for lazy
-  rebuild otherwise.  Per-query state (RIG caches, matcher instances) is
-  keyed by version and always stranded by the bump.
+  rebuild otherwise.  RIG caches are keyed by version: ``apply`` moves
+  each RIG the delta cannot have changed to the new version and leaves
+  the rest behind; matcher instances are always rebuilt.
 * Every artifact is built **lazily on first use**: the reachability index
   on the first query, the transitive closure and the closure-expanded
   graph only when a comparator engine meets its first descendant query,

@@ -161,8 +161,8 @@ class QuerySession:
         self._expanded_graph: Optional[DataGraph] = None
         self._catalog = None
         self._partitions = None
-        # RIG caches are keyed by (GM variant, graph version): a version bump
-        # automatically strands every stale per-query RIG.
+        # RIG caches are keyed by (GM variant, graph version): apply() moves
+        # the RIGs a delta cannot have changed to the new version's caches.
         self._rig_caches: Dict[Tuple[str, int], _ObservedRigCache] = {}
         self._matchers: Dict[str, object] = {}
         # A frozen session is one epoch of a VersionedGraphStore: it serves
@@ -185,9 +185,10 @@ class QuerySession:
                 self._count("hits", key)
             return value
 
-    def _count(self, outcome: str, artifact: str) -> None:
-        """Count one ``outcome`` (hits / misses / patches / invalidations)."""
-        self._counters[outcome].labels(artifact).inc()
+    def _count(self, outcome: str, artifact: str, amount: int = 1) -> None:
+        """Count ``amount`` of ``outcome`` (hits / misses / patches /
+        invalidations)."""
+        self._counters[outcome].labels(artifact).inc(amount)
 
     def cache_counts(self, artifact: Optional[str] = None) -> Dict[str, int]:
         """Hits, misses, patches and invalidations of ``artifact`` (of every
@@ -305,14 +306,16 @@ class QuerySession:
         if name not in {"Neo4j", "EH", "GF", "RM"}:
             cls._ENGINE_CLASSES.pop(name, None)
 
+    def _new_rig_cache(self) -> _ObservedRigCache:
+        return _ObservedRigCache(
+            self._counters["hits"].labels("rig"), self._counters["misses"].labels("rig")
+        )
+
     def _rig_cache_for(self, variant: GMVariant) -> _ObservedRigCache:
         key = (variant.value, self.version)
         cache = self._rig_caches.get(key)
         if cache is None:
-            cache = _ObservedRigCache(
-                self._counters["hits"].labels("rig"), self._counters["misses"].labels("rig")
-            )
-            self._rig_caches[key] = cache
+            cache = self._rig_caches[key] = self._new_rig_cache()
         return cache
 
     def _build_matcher(self, name: str):
@@ -603,11 +606,16 @@ class QuerySession:
         a fork's source keeps its own; a removal invalidates it.  The
         closure and the catalog are patched in place within the
         :func:`repro.dynamic.should_patch` heuristic.
-        Per-query state — RIG caches and matcher instances — is always
-        stranded by the version bump.  Outcomes are recorded per artifact
-        as ``session_cache_patches_total`` /
-        ``session_cache_invalidations_total`` and summarised in the returned
-        :class:`~repro.dynamic.ApplyReport`.
+        A cached RIG moves to the new version when the folded context's
+        :class:`~repro.simulation.context.Gains` spare its query
+        (:meth:`~repro.rig.build.RIGBuildReport.survives`), with its memoised
+        search orders and MJoin plans; every other RIG is left behind at the
+        old version, as are all RIGs when the gains are unknown (a removal,
+        a relabel, a new node).  RIGs count one patch or invalidation each.
+        Matcher instances are always dropped: they rebind to the new graph.
+        Outcomes are recorded per artifact as ``session_cache_patches_total``
+        / ``session_cache_invalidations_total`` and summarised in the
+        returned :class:`~repro.dynamic.ApplyReport`.
 
         A delta whose every operation turns out to be a no-op (edges that
         already exist, relabels to the current label) changes nothing: the
@@ -634,24 +642,26 @@ class QuerySession:
             patched: List[str] = []
             invalidated: List[str] = []
 
-            def note_patch(key: str) -> None:
-                self._count("patches", key)
+            def note_patch(key: str, amount: int = 1) -> None:
+                self._count("patches", key, amount)
                 patched.append(key)
 
-            def note_invalidate(key: str) -> None:
-                self._count("invalidations", key)
+            def note_invalidate(key: str, amount: int = 1) -> None:
+                self._count("invalidations", key, amount)
                 invalidated.append(key)
 
             patchable = should_patch(self.graph, effective)
 
             # The match context folds every delta without a removal: the
             # condensation and label tables ride along (``with_delta``).
+            gains = None
             if self._context is not None:
                 if effective.has_removals:
                     self._context = None
                     note_invalidate("reachability")
                 else:
                     self._context = self._context.with_delta(new_graph, effective)
+                    gains = self._context.gains
                     note_patch("reachability")
             # ``patched_closure`` is the in-place-patched closure index, if
             # any: the closure-expanded graph can then be patched with
@@ -694,15 +704,28 @@ class QuerySession:
                     self._partitions = None
                     note_invalidate("partitions")
 
-            # Per-query state: stranded by the version bump.
+            # Per-query state.  New cache objects: a matcher still running at
+            # the old version keeps filling the old ones.
             new_version = getattr(new_graph, "version", 0)
-            if any(self._rig_caches.values()):
-                note_invalidate("rig")
-            self._rig_caches = {
-                key: cache
-                for key, cache in self._rig_caches.items()
-                if key[1] == new_version
-            }
+            carried = dropped = 0
+            rig_caches = {}
+            for (variant, version), cache in self._rig_caches.items():
+                if version != old_version:
+                    continue
+                # A C-level snapshot: readers of a fork's source may be
+                # adding to the cache now.
+                reports = list(cache.items())
+                kept = self._new_rig_cache()
+                if gains is not None:
+                    kept.update({q: report for q, report in reports if report.survives(gains)})
+                carried += len(kept)
+                dropped += len(reports) - len(kept)
+                rig_caches[variant, new_version] = kept
+            self._rig_caches = rig_caches
+            if carried:
+                note_patch("rig", carried)
+            if dropped:
+                note_invalidate("rig", dropped)
             if self._matchers:
                 note_invalidate("matcher")
             self._matchers.clear()
@@ -742,11 +765,12 @@ class QuerySession:
         closure, catalog, partitions — is copied, so ``clone.apply(delta)``
         never changes an answer this session returns.  Artifacts nothing
         mutates are shared: the match context (:meth:`apply` replaces it
-        with a folded one) and the closure-expanded :class:`DataGraph`.  A
-        fork never carries RIG caches or matcher instances: it is about to
-        absorb a delta, which strands every old-version RIG, and matchers
-        rebind to the clone's artifacts on first use.  The clone counts into this session's telemetry and
-        is never frozen, regardless of this session's frozen state.
+        with a folded one), the closure-expanded :class:`DataGraph` and the
+        RIG caches (one dict copy: :meth:`apply` moves the RIGs a delta
+        spares into new caches and never changes these).  Matcher instances
+        are not carried: they rebind to the clone's artifacts on first use.
+        The clone counts into this session's telemetry and is never frozen,
+        regardless of this session's frozen state.
 
         This is the copy-on-write primitive behind
         :meth:`VersionedGraphStore.apply`: fork the head epoch, fold the
@@ -763,6 +787,7 @@ class QuerySession:
                 telemetry=self.telemetry,
             )
             clone._context = self._context
+            clone._rig_caches = dict(self._rig_caches)
             if self._closure is not None:
                 clone._closure = self._closure.copy()
             clone._expanded_graph = self._expanded_graph

@@ -38,6 +38,23 @@ change at the edge endpoints.  The old context is never modified, so a
 pinned version keeps answering exactly.  A delta with removals gives a cold
 context; a relabel keeps the condensation and drops the label tables.
 
+Each fold also records what its delta can have connected, as
+:class:`Gains` on the new context: the (tail label, head label) pairs that
+gained an edge, and those that may have gained a path.  An inserted edge
+``(x, y)`` always gains the edge pair ``(label(x), label(y))``.  It gains no
+path pair when ``x`` already reached ``y`` (a cyclic shared component, or a
+bounded search down the ranks from ``x``'s component ``cx`` finds ``y``'s
+``cy``).  Otherwise every pair it joins is a node of ``anc*(cx) - anc+(cy)``
+above a node of ``desc*(cy) - desc+(cx)``: a node that already strictly
+reached ``y`` already reached all of ``desc*(cy)``, and mirror-wise.  The
+label masks of those two sets, crossed, are the path pairs.  A delta with a
+new node, a removal or a relabel, or a fold without label tables, records
+nothing (``gains`` is ``None``: anything may have changed).  A RIG depends
+only on the match sets of its query's labels and on the edge and path
+relations between its edges' label pairs, so one whose query avoids every
+gained pair is still exact on the new version (``QuerySession.apply``
+carries it).
+
 All three operations start from a *cone*: the components strictly below or
 above a set of seed components.  The cones live in a :class:`Cones` memo that
 belongs to one build (``build_rig`` passes it down through ``fbsim``), not to
@@ -53,6 +70,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
+from itertools import product
 from operator import or_
 from typing import (
     Callable,
@@ -103,10 +121,23 @@ class _Labels(NamedTuple):
     ancestor: List[int]
 
 
+class Gains(NamedTuple):
+    """What one folded delta can have connected, as (tail label, head label)
+    pairs (see the module docstring)."""
+
+    #: Label pairs that gained an edge.
+    edges: FrozenSet[Tuple[str, str]]
+    #: Label pairs that may have gained a path of length >= 1.
+    paths: FrozenSet[Tuple[str, str]]
+
+
 class _Fold:
     """One delta folded into copies of a context's arrays and label tables
     (see :meth:`MatchContext.with_delta`).  Every outer list is copied once
-    here, in C; inner tuples are shared until a step replaces them."""
+    here, in C; inner tuples are shared until a step replaces them.
+
+    ``gained_edges`` / ``gained_paths`` collect the delta's :class:`Gains`
+    edge by edge, when there are label tables to bound the paths with."""
 
     def __init__(
         self,
@@ -119,6 +150,8 @@ class _Fold:
         self.arrays = Condensation(*map(list, arrays))
         self.labels = None if labels is None else _Labels(labels.label_bit, *map(list, labels[1:]))
         self.direct = None if direct is None else (list(direct[0]), list(direct[1]))
+        self.gained_edges: Set[Tuple[str, str]] = set()
+        self.gained_paths: Set[Tuple[str, str]] = set()
 
     def add_node(self, node: int, label: str) -> None:
         """A new node: a fresh singleton component with a rank of its own."""
@@ -143,15 +176,18 @@ class _Fold:
 
     def add_edge(self, source: int, target: int) -> None:
         """A new edge: a dag edge, a re-ranked region, or a contracted cycle."""
+        label = self.graph.label
+        self.gained_edges.add((label(source), label(target)))
         direct = self.direct
         if direct is not None:
-            label_bit, label = self.labels.label_bit, self.graph.label
+            label_bit = self.labels.label_bit
             direct[0][target] |= label_bit[label(source)]
             direct[1][source] |= label_bit[label(target)]
         component_of, _, children, parents, cyclic, rank = self.arrays
         tail, head = component_of[source], component_of[target]
         if tail == head:
             if not cyclic[tail]:  # a self-loop on a singleton
+                self._gain_paths(tail, head)
                 cyclic[tail] = True
                 labels = self.labels
                 if labels is not None:
@@ -163,7 +199,11 @@ class _Fold:
         if rank[tail] < rank[head]:
             if head in children[tail]:
                 return
+            # Every tail ~> head path climbs the ranks in between.
+            if head not in self._within(tail, children, rank[tail], rank[head]):
+                self._gain_paths(tail, head)
         else:
+            self._gain_paths(tail, head)
             # Pearce & Kelly: every component on a head ~> tail path ranks in
             # [rank[head], rank[tail]], and so does everything they reorder.
             low, high = rank[head], rank[tail]
@@ -190,6 +230,61 @@ class _Fold:
             down, up = labels.down[head] | own[head], labels.up[tail] | own[tail]
             self._spread((tail,), down, parents, labels.down, labels.descendant)
             self._spread((head,), up, children, labels.up, labels.ancestor)
+
+    def _gain_paths(self, tail: int, head: int) -> None:
+        """Record the path pairs an edge from a node of ``tail`` to a node of
+        ``head`` joins, when the first did not reach the second before:
+        ``anc*(tail) - anc+(head)`` crossed with ``desc*(head) -
+        desc+(tail)``, by label.  Called before the edge is folded."""
+        labels = self.labels
+        if labels is None:
+            return  # the gains are unknown (see ``gains``)
+        _, _, children, parents, cyclic, _ = self.arrays
+        # ``anc+(head)``: the components that strictly reach it, itself
+        # included when it is cyclic; mirror for ``desc+(tail)``.
+        reaching = _strict_closure(parents, (head,))
+        if cyclic[head]:
+            reaching.add(head)
+        reached = _strict_closure(children, (tail,))
+        if cyclic[tail]:
+            reached.add(tail)
+        above = self._cone_labels(tail, parents, labels.up, reaching)
+        below = self._cone_labels(head, children, labels.down, reached)
+        names = labels.label_bit.items()
+        self.gained_paths.update(
+            product(
+                [label for label, bit in names if above & bit],
+                [label for label, bit in names if below & bit],
+            )
+        )
+
+    def _cone_labels(
+        self, start: int, adjacency: List[Tuple[int, ...]], beyond: List[int], skip: Set[int]
+    ) -> int:
+        """The labels of ``start`` and of every component it reaches over
+        ``adjacency`` outside ``skip`` (closed under ``adjacency``, so what
+        lies beyond a skipped component is skipped too).  ``beyond`` holds
+        each component's labels further along ``adjacency``: a component
+        whose ``beyond`` adds nothing new ends the walk there."""
+        own = self.labels.own
+        mask = 0
+        seen = {start}
+        stack = [start]
+        while stack:
+            component = stack.pop()
+            mask |= own[component]
+            if beyond[component] & ~mask:
+                for neighbour in adjacency[component]:
+                    if neighbour not in seen and neighbour not in skip:
+                        seen.add(neighbour)
+                        stack.append(neighbour)
+        return mask
+
+    def gains(self) -> Optional[Gains]:
+        """The delta's :class:`Gains`, or ``None`` when unknown."""
+        if self.labels is None:
+            return None
+        return Gains(frozenset(self.gained_edges), frozenset(self.gained_paths))
 
     def _within(self, start: int, adjacency: List[Tuple[int, ...]], low: int, high: int) -> Set[int]:
         """``start`` and the components it reaches over ``adjacency``
@@ -415,6 +510,9 @@ class MatchContext:
         self._component_arrays: Optional[Condensation] = None
         self._labels: Optional[_Labels] = None
         self._direct_labels: Optional[Tuple[List[int], List[int]]] = None
+        #: What the delta :meth:`with_delta` folded into this context can
+        #: have connected; ``None`` for a cold context, or when unknown.
+        self.gains: Optional[Gains] = None
 
     @property
     def reachability(self) -> ReachabilityIndex:
@@ -439,7 +537,9 @@ class MatchContext:
         label tables too when it relabels nothing and brings no new label
         (those renumber every label bit).  What is not carried is built
         lazily, as in a cold context; the per-pair index never is carried.
-        ``self`` is never modified.
+        ``self`` is never modified.  The new context's :attr:`gains` records
+        what ``delta`` can have connected, when the delta adds no node and the
+        label tables were carried.
         """
         if delta.base_num_nodes != self.graph.num_nodes:
             raise ValueError(
@@ -466,6 +566,8 @@ class MatchContext:
         folded._component_arrays = fold.arrays
         folded._labels = fold.labels
         folded._direct_labels = fold.direct
+        if not added_nodes:
+            folded.gains = fold.gains()
         return folded
 
     # ------------------------------------------------------------------ #
