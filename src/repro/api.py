@@ -102,7 +102,6 @@ class GraphDB(Reader):
         cls,
         source: GraphSource = None,
         config: Optional[ServiceConfig] = None,
-        warm_on_publish: bool = False,
         durability=None,
         telemetry: Optional[Telemetry] = None,
         **session_kwargs,
@@ -160,7 +159,6 @@ class GraphDB(Reader):
                 )
             store = VersionedGraphStore(
                 graph,
-                warm_on_publish=warm_on_publish,
                 durability=durability,
                 telemetry=telemetry,
                 **session_kwargs,

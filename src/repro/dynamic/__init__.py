@@ -14,31 +14,22 @@ feeds stream in.  This package provides the machinery that makes
   every container the delta did not touch, at a bumped monotone version;
 * :class:`MutableDataGraph` — a recorder for direct edits: it folds each
   one at once and keeps the effective delta since its base;
-* :func:`should_patch` plus the patch helpers in
-  :mod:`repro.dynamic.maintenance` — the rebuild-vs-patch cost heuristic
-  and in-place refresh paths for the expanded graph and edge partitions (the
-  match context folds its condensation with ``MatchContext.with_delta``, the
-  transitive closure patches itself with ``apply_delta``, and BFL is rebuilt
-  on demand);
 * :class:`ApplyReport` — the outcome record of
   :meth:`repro.session.QuerySession.apply`, which ties it all together:
-  one call patches or invalidates every cached artifact and bumps the
-  session to the new graph version.
+  one call folds the graph, folds the match context
+  (``MatchContext.with_delta``), carries the RIGs the delta spares, drops
+  the comparator engines' artifacts (they rebuild per version, on first
+  use) and bumps the session to the new graph version.
 
 >>> delta = GraphDelta.for_graph(graph)
 >>> n = delta.add_node("Task")
 >>> delta.add_edge(project_id, n)
->>> report = session.apply(delta)          # folds the indexes forward
+>>> report = session.apply(delta)          # folds the match context forward
 >>> session.query(query)                   # sees the new node immediately
 """
 
 from repro.dynamic.delta import GraphDelta, merged_delta
-from repro.dynamic.maintenance import (
-    ApplyReport,
-    patch_expanded_graph,
-    patch_partitions,
-    should_patch,
-)
+from repro.dynamic.maintenance import ApplyReport
 from repro.dynamic.overlay import MutableDataGraph
 
 __all__ = [
@@ -46,7 +37,4 @@ __all__ = [
     "GraphDelta",
     "MutableDataGraph",
     "merged_delta",
-    "patch_expanded_graph",
-    "patch_partitions",
-    "should_patch",
 ]

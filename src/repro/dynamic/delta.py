@@ -11,12 +11,10 @@ subsystem:
   directly);
 * :meth:`repro.simulation.context.MatchContext.with_delta` folds the
   *effective* delta into the next match context (its condensation and label
-  tables), and
-  :meth:`repro.reachability.transitive_closure.TransitiveClosureIndex.apply_delta`
-  patches the closure in place;
-* :meth:`repro.session.QuerySession.apply` uses the delta's shape
-  (insert-only or not) to decide, per cached artifact, between patching and
-  invalidation.
+  tables);
+* :meth:`repro.session.QuerySession.apply` uses the delta's shape (with or
+  without removals) to decide whether the match context folds or is
+  dropped.
 
 Deltas are serialisable (:meth:`to_dict` / :meth:`from_dict`) so an update
 feed can be persisted next to its graph (see :mod:`repro.graph.io`).

@@ -31,12 +31,15 @@ def expand_descendant_edges(
     Engines that only support edge-to-edge semantics evaluate descendant
     edges by first replacing the data graph with its transitive closure —
     the indirect strategy the paper applies to GraphflowDB for D-queries
-    (§7.5).  Returns the expanded graph and the expansion time in seconds.
+    (§7.5).  A descendant edge maps to a path of length >= 1, so a node on
+    a cycle gets a self-loop.  Returns the expanded graph and the
+    expansion time in seconds.
     """
     start = time.perf_counter()
     closure = closure or TransitiveClosureIndex(graph)
     edges = set(graph.edges())
     edges.update(closure.closure_edges())
+    edges.update((node, node) for node in graph.nodes() if closure.reaches_strict(node, node))
     expanded = DataGraph(
         graph.labels,
         sorted(edges),

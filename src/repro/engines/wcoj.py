@@ -47,15 +47,6 @@ class Catalog:
         """Estimated number of edges matching the label pair."""
         return self.edge_counts.get((source_label, target_label), 0)
 
-    def copy(self) -> "Catalog":
-        """An independent copy safe to patch without aliasing the original."""
-        return Catalog(
-            edge_counts=dict(self.edge_counts),
-            path_counts=dict(self.path_counts),
-            build_seconds=self.build_seconds,
-            truncated=self.truncated,
-        )
-
 
 def build_catalog(graph: DataGraph, max_entries: Optional[int] = None) -> Catalog:
     """Build the cardinality catalog for ``graph``.
@@ -85,75 +76,6 @@ def build_catalog(graph: DataGraph, max_entries: Optional[int] = None) -> Catalo
                 catalog.path_counts[key] = catalog.path_counts.get(key, 0) + 1
     catalog.build_seconds = time.perf_counter() - start
     return catalog
-
-
-def patch_catalog(catalog: Catalog, old_graph: DataGraph, delta) -> bool:
-    """Patch the cardinality catalog in place for an insert-only delta.
-
-    ``old_graph`` is the *pre-delta* graph; ``delta`` must be an *effective*
-    :class:`~repro.dynamic.GraphDelta` (no duplicate insertions, no edges
-    already present — the second half of what :meth:`DataGraph.with_delta`
-    returns).  Edges are replayed in order against the
-    base-plus-inserted-so-far adjacency, counting each new 2-path instance
-    exactly once, so the patched counts equal a from-scratch
-    :func:`build_catalog` of the post-delta graph.
-
-    Returns False — catalog untouched — for deltas with removals or
-    relabels (edges migrate between label keys; rebuild instead) and for
-    truncated catalogs (their counts are not exact to begin with).
-    """
-    if catalog.truncated or not delta.is_insert_only:
-        return False
-
-    added_labels = dict(delta.added_nodes)
-    base_nodes = old_graph.num_nodes
-
-    def label_of(node: int) -> str:
-        if node < base_nodes:
-            return old_graph.label(node)
-        return added_labels[node]
-
-    inserted_succ: Dict[int, List[int]] = {}
-    inserted_pred: Dict[int, List[int]] = {}
-    edge_counts = catalog.edge_counts
-    path_counts = catalog.path_counts
-
-    def bump_path(parent: int, middle: int, child: int) -> None:
-        key = (label_of(parent), label_of(middle), label_of(child))
-        path_counts[key] = path_counts.get(key, 0) + 1
-
-    for source, target in delta.added_edges:
-        key = (label_of(source), label_of(target))
-        edge_counts[key] = edge_counts.get(key, 0) + 1
-
-        # Predecessors of ``source`` after this insertion: the base graph's,
-        # the edges inserted so far, and ``source`` itself for a self-loop.
-        preds: List[int] = []
-        if source < base_nodes:
-            preds.extend(old_graph.predecessors(source))
-        preds.extend(inserted_pred.get(source, ()))
-        if source == target:
-            preds.append(source)
-        # New 2-paths with (source, target) as the second edge.
-        for parent in preds:
-            bump_path(parent, source, target)
-
-        # New 2-paths with (source, target) as the first edge.  The
-        # second edge must differ from the new edge itself (a path using
-        # the new edge twice — only possible for a self-loop — was already
-        # counted above through the ``source == target`` predecessor
-        # entry), which is exactly the successor set *before* this
-        # insertion is recorded.
-        succs: List[int] = []
-        if target < base_nodes:
-            succs.extend(old_graph.successors(target))
-        succs.extend(inserted_succ.get(target, ()))
-        for child in succs:
-            bump_path(source, target, child)
-
-        inserted_succ.setdefault(source, []).append(target)
-        inserted_pred.setdefault(target, []).append(source)
-    return True
 
 
 class WCOJEngine(Engine):

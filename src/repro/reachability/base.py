@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy as _copy
 import time
 from abc import ABC, abstractmethod
 
@@ -48,34 +47,6 @@ class ReachabilityIndex(ABC):
     def reaches(self, source: int, target: int) -> bool:
         """Return True if ``source`` reaches ``target`` (or they are equal)."""
 
-    def apply_delta(self, graph: DataGraph, delta) -> bool:
-        """Try to patch this index in place for a graph delta.
-
-        ``graph`` is the patched data graph (the state *after* applying the
-        :class:`repro.dynamic.GraphDelta` ``delta``).  Returns True if the
-        index now answers queries for ``graph``; False if the scheme cannot
-        patch this delta shape (the caller must rebuild).  The default is
-        always-rebuild (BFL); the transitive closure overrides it for
-        insertion-only deltas, and the index-free BFS accepts any delta.
-
-        Implementations must leave the index unchanged when returning
-        False, so a failed patch never corrupts the running index.
-        """
-        return False
-
-    def copy(self) -> "ReachabilityIndex":
-        """An independent copy safe to :meth:`apply_delta` without aliasing.
-
-        The copy-on-write contract used by the versioned graph store: after
-        ``clone = index.copy()``, patching ``clone`` in place must never
-        change an answer ``index`` returns.  The default shallow copy is
-        sufficient for indexes whose ``apply_delta`` only *rebinds*
-        attributes; schemes that mutate container state in place must
-        override and copy those containers (see
-        :class:`~repro.reachability.transitive_closure.TransitiveClosureIndex`).
-        """
-        return _copy.copy(self)
-
     def reaches_strict(self, source: int, target: int) -> bool:
         """Reachability through a path of length >= 1.
 
@@ -102,11 +73,6 @@ class BFSReachability(ReachabilityIndex):
     def _build(self, graph: DataGraph) -> None:
         # Nothing to precompute.
         return
-
-    def apply_delta(self, graph: DataGraph, delta) -> bool:
-        # Index-free: any delta shape is "patched" by re-binding the graph.
-        self._graph = graph
-        return True
 
     def reaches(self, source: int, target: int) -> bool:
         return self._graph.reaches_bfs(source, target)

@@ -151,10 +151,12 @@ class BloomFilterLabeling(ReachabilityIndex):
         self._end = end
         self._query_dfs_count = 0
 
-    # BFL cannot patch: the caller rebuilds.  Kept by name only because
+    # Nothing patches a reachability index: a write drops it and the next
+    # reader rebuilds.  This always-False stub is kept by name only because
     # ``perf/trace.py``'s ``dynamic.patch`` row wraps it and
     # ``tests/test_trace_patch_points.py`` requires every row to resolve.
-    apply_delta = ReachabilityIndex.apply_delta
+    def apply_delta(self, graph: DataGraph, delta) -> bool:
+        return False
 
     # ------------------------------------------------------------------ #
     # queries

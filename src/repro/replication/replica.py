@@ -4,9 +4,10 @@
 ``subscribe_log`` protocol, and folds every shipped
 :class:`~repro.dynamic.GraphDelta` through the ordinary store publish
 path — so a replica's version chain is, frame for frame, the primary's
-version chain, and every incremental-maintenance artifact (warm
-sessions, reachability indexes, engine caches) works unchanged on the
-replica.  The tail's lifecycle::
+version chain, and every write carries the same artifacts (the folded
+match context, the RIGs it spares) and drops the same ones (the
+comparator engines' artifacts, rebuilt per version on first use) as on
+the primary.  The tail's lifecycle::
 
     connect -> subscribe (bootstrap | tail) -> fold frames -> [lost] -> reconnect
 

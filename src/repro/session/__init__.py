@@ -17,12 +17,13 @@ Cache lifecycle
   graph it was constructed with, and graph updates flow in through
   :meth:`QuerySession.apply` as batched
   :class:`~repro.dynamic.GraphDelta` edits.  Each ``apply`` bumps the
-  graph's monotone version and maintains every cached artifact — patched
-  in place when the delta shape allows (insertion-only, within the
-  :func:`repro.dynamic.should_patch` heuristic), invalidated for lazy
-  rebuild otherwise.  RIG caches are keyed by version: ``apply`` moves
-  each RIG the delta cannot have changed to the new version and leaves
-  the rest behind; matcher instances are always rebuilt.
+  graph's monotone version.  The match context folds forward with the
+  delta (a removal drops it); the comparator artifacts (closure, expanded
+  graph, GF catalog, EH partitions) are dropped and rebuild from the new
+  version's graph on first use.  RIG caches are keyed by version:
+  ``apply`` moves each RIG the delta cannot have changed to the new
+  version and leaves the rest behind; matcher instances are always
+  rebuilt.
 * Every artifact is built **lazily on first use**: the reachability index
   on the first query, the transitive closure and the closure-expanded
   graph only when a comparator engine meets its first descendant query,
@@ -30,8 +31,8 @@ Cache lifecycle
   and one RIG per distinct (GM variant, query, graph version).
 * Builds, reuses and update outcomes are counted per artifact in the
   ``session_cache_*`` families of the session's telemetry registry
-  (misses = builds, hits = reuses, patches = in-place updates,
-  invalidations = drops) and read back with ``session.cache_counts()``,
+  (misses = builds, hits = reuses, patches = artifacts carried to the
+  next version, invalidations = drops) and read back with ``session.cache_counts()``,
   so "the second identical query rebuilds nothing" and "a small insert
   delta rebuilds nothing expensive" are assertable properties, not hopes.
   The counts are per tenant: a bare session owns its registry, the
@@ -45,8 +46,9 @@ Under concurrency a session is exactly **one epoch** of a
 :class:`~repro.store.VersionedGraphStore`: the store keeps one (frozen)
 session per published graph version and never mutates any of them.  Two
 methods implement that contract: :meth:`QuerySession.fork` produces a
-copy-on-write clone whose artifacts can be patched without aliasing the
-original (the store's write path), and :meth:`QuerySession.freeze` makes
+clone that shares every built artifact with the original and copies none
+(nothing changes an artifact in place, so the clone's ``apply`` — the
+store's write path — cannot alter the original's answers), and :meth:`QuerySession.freeze` makes
 in-place :meth:`~QuerySession.apply` raise so updates cannot bypass the
 store.  A standalone (unfrozen) session still supports in-place ``apply``
 for single-owner use.

@@ -20,19 +20,14 @@ from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher
 from repro.baselines.tm import TMMatcher
 from repro.dynamic.delta import GraphDelta
-from repro.dynamic.maintenance import (
-    ApplyReport,
-    patch_expanded_graph,
-    patch_partitions,
-    should_patch,
-)
+from repro.dynamic.maintenance import ApplyReport
 from repro.exceptions import QueryError, StoreError
 from repro.explain.plan import QueryPlan
 from repro.engines.base import Engine, expand_descendant_edges
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.engines.relational import RelationalEngine, build_edge_partitions
 from repro.engines.treedecomp import TreeDecompEngine
-from repro.engines.wcoj import WCOJEngine, build_catalog, patch_catalog
+from repro.engines.wcoj import WCOJEngine, build_catalog
 from repro.graph.digraph import DataGraph
 from repro.matching.gm import GMVariant, GraphMatcher
 from repro.matching.ordering import OrderingMethod
@@ -52,7 +47,19 @@ _CACHE_FAMILIES = {
     "hits": "Cached-artifact reuses",
     "misses": "Cached-artifact builds",
     "invalidations": "Artifacts dropped by graph updates",
-    "patches": "Artifacts patched in place by graph updates",
+    "patches": "Artifacts carried across graph updates",
+}
+
+#: The comparator engines' artifacts.  Each is built from one version's graph
+#: the first time an engine asks for it there; a fork shares the built ones
+#: read-only and :meth:`QuerySession.apply` drops them from the new version.
+_COMPARATOR_BUILDERS: Dict[str, Callable[["QuerySession"], object]] = {
+    "closure": lambda session: TransitiveClosureIndex(session.graph),
+    "expanded_graph": lambda session: expand_descendant_edges(
+        session.graph, closure=session.transitive_closure
+    )[0],
+    "catalog": lambda session: build_catalog(session.graph),
+    "partitions": lambda session: build_edge_partitions(session.graph),
 }
 
 
@@ -107,9 +114,10 @@ class QuerySession:
 
     * the :class:`MatchContext`: the SCC condensation and label tables, and
       a per-pair reachability index built only for the matchers that ask;
-    * the materialised transitive closure and the closure-expanded data
-      graph the comparator engines need for descendant queries;
-    * the GF catalog and the EH edge-relation partitions;
+    * the comparator artifacts: the materialised transitive closure and the
+      closure-expanded data graph the comparator engines need for
+      descendant queries, the GF catalog and the EH edge-relation
+      partitions, each built from this version's graph;
     * one RIG per distinct (GM variant, query) pair;
     * one matcher / engine instance per matcher name.
 
@@ -123,10 +131,11 @@ class QuerySession:
 
     Graph updates flow in through :meth:`apply` as batched
     :class:`~repro.dynamic.GraphDelta` edits: the graph advances to a new
-    monotone version and each cached artifact is patched in place where the
-    delta shape allows, or invalidated for lazy rebuild (counted as
-    patches / invalidations).  :meth:`clear` drops every artifact; the
-    counts, like every registry counter, only go up.
+    monotone version, the match context and the RIGs the delta spares are
+    carried to it (counted as patches), and the comparator artifacts are
+    dropped to rebuild on first use there (counted as invalidations).
+    :meth:`clear` drops every artifact; the counts, like every registry
+    counter, only go up.
 
     Thread safety: artifact construction is serialised by an internal lock;
     match execution itself only reads shared state, so :meth:`run_batch` may
@@ -157,10 +166,8 @@ class QuerySession:
         }
         self._lock = threading.RLock()
         self._context: Optional[MatchContext] = None
-        self._closure: Optional[TransitiveClosureIndex] = None
-        self._expanded_graph: Optional[DataGraph] = None
-        self._catalog = None
-        self._partitions = None
+        # Built comparator artifacts by name (the ``_COMPARATOR_BUILDERS`` keys).
+        self._comparators: Dict[str, object] = {}
         # RIG caches are keyed by (GM variant, graph version): apply() moves
         # the RIGs a delta cannot have changed to the new version's caches.
         self._rig_caches: Dict[Tuple[str, int], _ObservedRigCache] = {}
@@ -173,14 +180,13 @@ class QuerySession:
     # cached artifacts
     # ------------------------------------------------------------------ #
 
-    def _artifact(self, attr: str, key: str, builder: Callable[[], object]):
-        """Return the cached artifact ``attr``, building it on first use."""
+    def _comparator(self, key: str):
+        """Return the comparator artifact ``key``, building it on first use."""
         with self._lock:
-            value = getattr(self, attr)
+            value = self._comparators.get(key)
             if value is None:
                 self._count("misses", key)
-                value = builder()
-                setattr(self, attr, value)
+                value = self._comparators[key] = _COMPARATOR_BUILDERS[key](self)
             else:
                 self._count("hits", key)
             return value
@@ -214,11 +220,13 @@ class QuerySession:
     def context(self) -> MatchContext:
         """The shared :class:`MatchContext`: the condensation and label
         tables GM runs on, carried across insert deltas by :meth:`apply`."""
-        return self._artifact(
-            "_context",
-            "reachability",
-            lambda: MatchContext(self.graph),
-        )
+        with self._lock:
+            if self._context is None:
+                self._count("misses", "reachability")
+                self._context = MatchContext(self.graph)
+            else:
+                self._count("hits", "reachability")
+            return self._context
 
     @property
     def reachability(self) -> ReachabilityIndex:
@@ -229,31 +237,22 @@ class QuerySession:
     @property
     def transitive_closure(self) -> TransitiveClosureIndex:
         """The materialised transitive closure (reused by engine expansion)."""
-        return self._artifact("_closure", "closure", lambda: TransitiveClosureIndex(self.graph))
+        return self._comparator("closure")
 
     @property
     def expanded_graph(self) -> DataGraph:
         """The closure-expanded data graph engines use for descendant edges."""
-
-        def build() -> DataGraph:
-            expanded, _seconds = expand_descendant_edges(
-                self.graph, closure=self.transitive_closure
-            )
-            return expanded
-
-        return self._artifact("_expanded_graph", "expanded_graph", build)
+        return self._comparator("expanded_graph")
 
     @property
     def catalog(self):
         """The GF subgraph-cardinality catalog."""
-        return self._artifact("_catalog", "catalog", lambda: build_catalog(self.graph))
+        return self._comparator("catalog")
 
     @property
     def partitions(self):
         """The EH edge relations partitioned by label pair."""
-        return self._artifact(
-            "_partitions", "partitions", lambda: build_edge_partitions(self.graph)
-        )
+        return self._comparator("partitions")
 
     # ------------------------------------------------------------------ #
     # matcher construction
@@ -448,17 +447,8 @@ class QuerySession:
         # Session-level context: which shared artifacts were already cached
         # when this plan was produced.
         with self._lock:
-            cached = [
-                key
-                for key, attr in (
-                    ("reachability", "_context"),
-                    ("closure", "_closure"),
-                    ("expanded_graph", "_expanded_graph"),
-                    ("catalog", "_catalog"),
-                    ("partitions", "_partitions"),
-                )
-                if getattr(self, attr) is not None
-            ]
+            cached = ["reachability"] if self._context is not None else []
+            cached += [key for key in _COMPARATOR_BUILDERS if key in self._comparators]
         plan.artifacts.setdefault("session_cached", cached)
         self.telemetry.registry.counter(
             "explain_total",
@@ -595,26 +585,28 @@ class QuerySession:
     # ------------------------------------------------------------------ #
 
     def apply(self, delta: GraphDelta) -> ApplyReport:
-        """Apply a batched graph update and maintain every cached artifact.
+        """Apply a batched graph update: fold the graph, fold the match
+        context, carry the RIGs.
 
-        The session's graph advances to the post-delta state at a bumped
-        :attr:`version`; each already-built artifact is either *patched*
-        or *invalidated* (it rebuilds lazily on next use, exactly like a
-        first-time build).  The match context (artifact ``"reachability"``)
-        is folded forward by :meth:`MatchContext.with_delta` for every delta
-        without a removal, SCC merges included — a new context object, so
-        a fork's source keeps its own; a removal invalidates it.  The
-        closure and the catalog are patched in place within the
-        :func:`repro.dynamic.should_patch` heuristic.
-        A cached RIG moves to the new version when the folded context's
-        :class:`~repro.simulation.context.Gains` spare its query
-        (:meth:`~repro.rig.build.RIGBuildReport.survives`), with its memoised
-        search orders and MJoin plans; every other RIG is left behind at the
-        old version, as are all RIGs when the gains are unknown (a removal,
-        a relabel, a new node).  RIGs count one patch or invalidation each.
-        Matcher instances are always dropped: they rebind to the new graph.
-        Outcomes are recorded per artifact as ``session_cache_patches_total``
-        / ``session_cache_invalidations_total`` and summarised in the
+        * The graph folds to the post-delta state at a bumped
+          :attr:`version`.
+        * The match context (artifact ``"reachability"``) folds forward by
+          :meth:`MatchContext.with_delta` for every delta without a
+          removal, SCC merges included — a new context object, so a fork's
+          source keeps its own; a removal invalidates it.
+        * A cached RIG moves to the new version when the folded context's
+          :class:`~repro.simulation.context.Gains` spare its query
+          (:meth:`~repro.rig.build.RIGBuildReport.survives`), with its
+          memoised search orders and MJoin plans; every other RIG is left
+          behind at the old version, as are all RIGs when the gains are
+          unknown (a removal, a relabel, a new node).  RIGs count one patch
+          or invalidation each.
+
+        Nothing else is carried: the comparator artifacts (closure,
+        expanded graph, catalog, partitions) rebuild from the new graph on
+        first use, and matcher instances rebind to it.  Outcomes are
+        recorded per artifact as ``session_cache_patches_total`` /
+        ``session_cache_invalidations_total`` and summarised in the
         returned :class:`~repro.dynamic.ApplyReport`.
 
         A delta whose every operation turns out to be a no-op (edges that
@@ -630,8 +622,7 @@ class QuerySession:
                     "apply deltas through the owning VersionedGraphStore"
                 )
             old_version = self.version
-            current = self.graph
-            new_graph, effective = current.with_delta(delta)
+            new_graph, effective = self.graph.with_delta(delta)
             if not effective:
                 return ApplyReport(
                     old_version=old_version,
@@ -650,8 +641,6 @@ class QuerySession:
                 self._count("invalidations", key, amount)
                 invalidated.append(key)
 
-            patchable = should_patch(self.graph, effective)
-
             # The match context folds every delta without a removal: the
             # condensation and label tables ride along (``with_delta``).
             gains = None
@@ -663,46 +652,10 @@ class QuerySession:
                     self._context = self._context.with_delta(new_graph, effective)
                     gains = self._context.gains
                     note_patch("reachability")
-            # ``patched_closure`` is the in-place-patched closure index, if
-            # any: the closure-expanded graph can then be patched with
-            # exactly the reachable pairs that closure patch added.
-            patched_closure = None
-            if self._closure is not None:
-                if patchable and self._closure.apply_delta(new_graph, effective):
-                    note_patch("closure")
-                    patched_closure = self._closure
-                else:
-                    self._closure = None
-                    note_invalidate("closure")
-
-            # Closure-derived artifacts: patchable for insert-only deltas.
-            if self._expanded_graph is not None:
-                new_expanded = None
-                additions = getattr(patched_closure, "last_patch_additions", None)
-                if additions is not None:
-                    new_expanded = patch_expanded_graph(
-                        self._expanded_graph, new_graph, effective, additions()
-                    )
-                if new_expanded is not None:
-                    self._expanded_graph = new_expanded
-                    note_patch("expanded_graph")
-                else:
-                    self._expanded_graph = None
-                    note_invalidate("expanded_graph")
-            if self._catalog is not None:
-                if patchable and patch_catalog(self._catalog, current, effective):
-                    note_patch("catalog")
-                else:
-                    self._catalog = None
-                    note_invalidate("catalog")
-
-            # Delta-refreshable artifacts.
-            if self._partitions is not None:
-                if patch_partitions(self._partitions, new_graph, effective):
-                    note_patch("partitions")
-                else:
-                    self._partitions = None
-                    note_invalidate("partitions")
+            # Comparator artifacts rebuild per version, on first use.
+            for key in self._comparators:
+                note_invalidate(key)
+            self._comparators = {}
 
             # Per-query state.  New cache objects: a matcher still running at
             # the old version keeps filling the old ones.
@@ -758,21 +711,21 @@ class QuerySession:
         return self._frozen
 
     def fork(self) -> "QuerySession":
-        """A copy-on-write clone whose artifacts can be patched independently.
+        """A clone that shares this session's artifacts and copies none.
 
-        The clone serves the same graph at the same version, but every
-        cached artifact that in-place patching could mutate — transitive
-        closure, catalog, partitions — is copied, so ``clone.apply(delta)``
-        never changes an answer this session returns.  Artifacts nothing
-        mutates are shared: the match context (:meth:`apply` replaces it
-        with a folded one), the closure-expanded :class:`DataGraph` and the
-        RIG caches (one dict copy: :meth:`apply` moves the RIGs a delta
-        spares into new caches and never changes these).  Matcher instances
-        are not carried: they rebind to the clone's artifacts on first use.
+        The clone serves the same graph at the same version.  Nothing any
+        session builds is changed in place afterwards, so every built
+        artifact is shared read-only: the match context (:meth:`apply`
+        replaces it with a folded one), the comparator artifacts
+        (:meth:`apply` drops them) and the RIG caches (one dict copy:
+        :meth:`apply` moves the RIGs a delta spares into new caches and
+        never changes these).  ``clone.apply(delta)`` therefore never
+        changes an answer this session returns.  Matcher instances are not
+        carried: they rebind to the clone's artifacts on first use.
         The clone counts into this session's telemetry and is never frozen,
         regardless of this session's frozen state.
 
-        This is the copy-on-write primitive behind
+        This is the write primitive behind
         :meth:`VersionedGraphStore.apply`: fork the head epoch, fold the
         delta into the fork with :meth:`apply`, publish the fork as the new
         head — readers pinned to the old epoch never observe a torn
@@ -787,16 +740,8 @@ class QuerySession:
                 telemetry=self.telemetry,
             )
             clone._context = self._context
+            clone._comparators = dict(self._comparators)
             clone._rig_caches = dict(self._rig_caches)
-            if self._closure is not None:
-                clone._closure = self._closure.copy()
-            clone._expanded_graph = self._expanded_graph
-            if self._catalog is not None:
-                clone._catalog = self._catalog.copy()
-            if self._partitions is not None:
-                clone._partitions = {
-                    key: list(edges) for key, edges in self._partitions.items()
-                }
             return clone
 
     def clear(self) -> None:
@@ -807,10 +752,7 @@ class QuerySession:
         """
         with self._lock:
             self._context = None
-            self._closure = None
-            self._expanded_graph = None
-            self._catalog = None
-            self._partitions = None
+            self._comparators = {}
             self._rig_caches.clear()
             self._matchers.clear()
 

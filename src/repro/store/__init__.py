@@ -1,18 +1,19 @@
 """Versioned graph store: MVCC snapshots over one evolving data graph.
 
-The dynamic subsystem (PR 2) made *update-then-query* cheap for a
-single-threaded owner: :meth:`QuerySession.apply` patches the cached
-indexes in place.  In-place patching is exactly what concurrent readers
-cannot tolerate, though — a long-running batch would observe a torn index
-mid-patch.  This package resolves the tension with multi-version
+The dynamic subsystem makes *update-then-query* cheap for a
+single-threaded owner: :meth:`QuerySession.apply` moves the session itself
+to the next graph version.  Concurrent readers cannot share a session that
+moves under them, though — a long-running batch must answer from one
+version throughout.  This package serves them with multi-version
 concurrency control:
 
 * :class:`VersionedGraphStore` — an immutable **version chain**.  Each
   epoch owns a frozen :class:`~repro.graph.digraph.DataGraph` snapshot and
   its per-version artifact cache (a frozen
-  :class:`~repro.session.QuerySession`).  Writers fork the head
-  copy-on-write, fold a :class:`~repro.dynamic.GraphDelta` through the
-  existing patch-or-rebuild machinery, and publish with one pointer swap;
+  :class:`~repro.session.QuerySession`).  Writers fork the head (the
+  fork shares its artifacts and copies none), fold a
+  :class:`~repro.dynamic.GraphDelta` into it with
+  :meth:`QuerySession.apply`, and publish with one pointer swap;
   an optional background writer queue (:meth:`~VersionedGraphStore.apply_async`)
   folds a streamed feed in submission order.
 * :class:`StoreSnapshot` — an epoch **pin** with refcounted release.  A

@@ -3,8 +3,9 @@
 The store keeps an **immutable version chain**: one :class:`VersionRecord`
 per published graph version, each owning the frozen :class:`DataGraph`
 snapshot of that version plus its per-version artifact cache (a frozen
-:class:`~repro.session.QuerySession` — the match context, closure,
-catalogs and RIGs of exactly that epoch).
+:class:`~repro.session.QuerySession` — the match context, the comparator
+engines' closure, catalog and partitions, and the RIGs of exactly that
+epoch).
 
 Concurrency contract
 --------------------
@@ -14,13 +15,14 @@ Concurrency contract
   whole batches — sees that one version forever, no matter how many writes
   publish behind it.
 * **Writers fold, then publish.**  :meth:`VersionedGraphStore.apply` forks
-  the head's session copy-on-write (:meth:`QuerySession.fork`), folds the
-  :class:`~repro.dynamic.GraphDelta` into the fork (the match context is
-  folded into a new one that shares what the delta did not touch; other
-  artifacts are patched or rebuilt), and publishes the fork as the new head with
-  one pointer swap under the chain mutex.  Readers pinned to older epochs
-  never observe a torn artifact because no artifact they can reach is ever
-  mutated.
+  the head's session (:meth:`QuerySession.fork`: it shares the built
+  artifacts and copies none), folds the :class:`~repro.dynamic.GraphDelta`
+  into the fork (the match context is folded into a new one that shares
+  what the delta did not touch; the comparator artifacts are dropped and
+  rebuild from the new graph on first use), and publishes the fork as the
+  new head with one pointer swap under the chain mutex.  Readers pinned to
+  older epochs never observe a torn artifact because no artifact they can
+  reach is ever mutated.
 * **Writers are serialised, readers are not.**  A writer mutex orders
   concurrent ``apply`` calls; the fold itself runs outside the chain
   mutex, so pinning (and reading) proceeds during even a slow fold.
@@ -237,11 +239,6 @@ class VersionedGraphStore:
         epoch.  Either way the store takes ownership: the epoch session is
         frozen, so in-place ``apply`` on it raises and all writes flow
         through the store.
-    warm_on_publish:
-        When True, the writer rebuilds — *before* publishing — every
-        artifact the fold had to invalidate, so a new head is always as
-        warm as its predecessor and readers never pay a rebuild.  Costs
-        writer latency, never reader latency.
     durability:
         Optional write-ahead hook (e.g.
         :class:`~repro.wal.WalDurability`).  When set, every effective
@@ -267,7 +264,6 @@ class VersionedGraphStore:
     def __init__(
         self,
         graph: Union[DataGraph, QuerySession],
-        warm_on_publish: bool = False,
         durability=None,
         telemetry: Optional[Telemetry] = None,
         **session_kwargs,
@@ -291,7 +287,6 @@ class VersionedGraphStore:
         )
         self._head = record
         self._closed = False
-        self.warm_on_publish = warm_on_publish
         self.durability = durability
         # The longest the chain has been: state, so not a registry counter.
         self._peak_versions = 1
@@ -468,21 +463,12 @@ class VersionedGraphStore:
     # write side: fold + publish
     # ------------------------------------------------------------------ #
 
-    _WARM_BUILDERS = {
-        "reachability": lambda session: session.context,
-        "closure": lambda session: session.transitive_closure,
-        "expanded_graph": lambda session: session.expanded_graph,
-        "catalog": lambda session: session.catalog,
-        "partitions": lambda session: session.partitions,
-    }
-
     def apply(self, delta: GraphDelta) -> ApplyReport:
         """Fold a delta into a new epoch and publish it as the head.
 
-        Copy-on-write: the head session is forked, the fork absorbs the
-        delta through :meth:`QuerySession.apply` (patch where the delta
-        shape allows, invalidate-for-lazy-rebuild otherwise), and the fork
-        becomes the new head in one atomic pointer swap.  Readers pinned
+        The head session is forked (sharing its artifacts, copying none),
+        the fork absorbs the delta through :meth:`QuerySession.apply`, and
+        the fork becomes the new head in one atomic pointer swap.  Readers pinned
         before the swap keep their version; readers pinning after it see
         the new one.  A delta that turns out to be a no-op publishes
         nothing.
@@ -494,23 +480,10 @@ class VersionedGraphStore:
         drain deltas that were admitted before :meth:`close` flipped
         ``_closed`` — the close contract is that every already-queued
         delta still folds ahead of the shutdown sentinel."""
-        started = time.perf_counter()
         with self._writer_lock:
             if self._closed and not from_writer:
                 raise StoreError("store is closed")
             head = self._head  # only writers move the head; lock held
-            # No-op probe before paying the copy-on-write fork: a feed
-            # replayed against a moving head routinely contains
-            # already-applied edits, and forking copies the session's
-            # indexes.  The fold itself is O(delta).
-            if not head.session.graph.with_delta(delta)[1]:
-                self._m_noop.inc()
-                return ApplyReport(
-                    old_version=head.version,
-                    new_version=head.version,
-                    num_ops=0,
-                    seconds=time.perf_counter() - started,
-                )
             # A traced write (the server activated the client's context on
             # this thread) records the fold as a span tree: ``fold`` with
             # ``journal`` and ``publish`` children, and the publish
@@ -538,13 +511,6 @@ class VersionedGraphStore:
                         self.durability.journal(
                             delta, report.old_version, report.new_version
                         )
-                if self.warm_on_publish and report.invalidated:
-                    started = time.perf_counter()
-                    for key in report.invalidated:
-                        builder = self._WARM_BUILDERS.get(key)
-                        if builder is not None:
-                            builder(fork)
-                    report.seconds += time.perf_counter() - started
                 with trace_span("publish"):
                     fork.freeze()
                     record = VersionRecord(fork.version, fork.graph, fork)

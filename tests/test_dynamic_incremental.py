@@ -1,16 +1,12 @@
-"""Incremental reachability maintenance: patched index == rebuilt index."""
+"""BFL's ``apply_delta`` stub: it refuses every delta and the index keeps
+answering for its own graph."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import GraphDelta, MutableDataGraph, should_patch
-from repro.dynamic.maintenance import patch_partitions
-from repro.engines.relational import build_edge_partitions
+from repro.dynamic import GraphDelta, MutableDataGraph
 from repro.graph.generators import random_labeled_graph
-from repro.reachability.base import BFSReachability
 from repro.reachability.bfl import BloomFilterLabeling
-from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
 def _all_pairs_agree(index, graph):
@@ -72,74 +68,3 @@ class TestIncrementalBFL:
     def test_mismatched_base_refused(self, paper_graph):
         index = BloomFilterLabeling(paper_graph)
         assert index.apply_delta(paper_graph, GraphDelta(base_num_nodes=99)) is False
-
-
-class TestIncrementalClosure:
-    @given(insert_only_case())
-    @settings(max_examples=50, deadline=None)
-    def test_patched_equals_rebuilt(self, case):
-        """The patched closure is exact — even for cycle-closing inserts."""
-        graph, delta = case
-        overlay = MutableDataGraph(graph, delta)
-        patched_graph = overlay.materialize()
-        index = TransitiveClosureIndex(graph)
-        assert index.apply_delta(patched_graph, overlay.delta_since_base()) is True
-        rebuilt = TransitiveClosureIndex(patched_graph)
-        for node in patched_graph.nodes():
-            assert index.reachable_set(node) == rebuilt.reachable_set(node), node
-
-    def test_removal_delta_refused(self, paper_graph):
-        index = TransitiveClosureIndex(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph)
-        delta.remove_edge(*next(iter(paper_graph.edges())))
-        assert index.apply_delta(paper_graph, delta) is False
-
-
-class TestBFSIndexDelta:
-    def test_bfs_reachability_patches_any_delta(self, paper_graph):
-        index = BFSReachability(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph)
-        delta.remove_edge(*next(iter(paper_graph.edges())))
-        overlay = MutableDataGraph(paper_graph, delta)
-        patched = overlay.materialize()
-        assert index.apply_delta(patched, overlay.delta_since_base()) is True
-        _all_pairs_agree(index, patched)
-
-
-class TestShouldPatch:
-    def test_removals_always_rebuild(self, paper_graph):
-        delta = GraphDelta.for_graph(paper_graph).remove_edge(1, 3)
-        assert should_patch(paper_graph, delta) is False
-
-    def test_small_insert_patches(self, paper_graph):
-        delta = GraphDelta.for_graph(paper_graph).add_edge(0, 9)
-        assert should_patch(paper_graph, delta) is True
-
-    def test_bulk_insert_rebuilds(self):
-        graph = random_labeled_graph(100, 200, num_labels=3, seed=1)
-        delta = GraphDelta.for_graph(graph)
-        for index in range(90):
-            delta.add_edge(index % 100, (index * 7 + 1) % 100)
-        assert should_patch(graph, delta) is False
-
-
-class TestArtifactPatchHelpers:
-    def test_partitions_patch_insert_only(self, paper_graph):
-        partitions = build_edge_partitions(paper_graph)
-        delta = GraphDelta.for_graph(paper_graph)
-        new = delta.add_node("D")
-        delta.add_edge(0, new)
-        overlay = MutableDataGraph(paper_graph, delta)
-        patched = overlay.materialize()
-        assert patch_partitions(partitions, patched, overlay.delta_since_base())
-        rebuilt = build_edge_partitions(patched)
-        assert {k: sorted(v) for k, v in partitions.items()} == {
-            k: sorted(v) for k, v in rebuilt.items()
-        }
-
-    def test_partitions_patch_refuses_relabels(self, paper_graph):
-        partitions = build_edge_partitions(paper_graph)
-        before = {k: list(v) for k, v in partitions.items()}
-        delta = GraphDelta.for_graph(paper_graph).relabel(0, "C")
-        assert patch_partitions(partitions, paper_graph, delta) is False
-        assert {k: list(v) for k, v in partitions.items()} == before

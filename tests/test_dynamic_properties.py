@@ -1,29 +1,84 @@
-"""Property tests: cross-engine agreement under mutation.
+"""Property tests: every engine equals brute force on every version.
 
-The satellite invariant of the dynamic subsystem: after a random
-insert-only delta, every matcher served through the *patched* session
-returns bit-identical matches to a *cold* session constructed on the
-materialised post-delta graph.  Covers both the incremental-patch path
-(reachability/closure updated in place) and the invalidation path (the
-cold session builds everything from scratch either way).
+The invariant of the dynamic subsystem: after any sequence of writes —
+edge inserts, back edges that merge SCCs, removals, relabels and new
+nodes — every matcher served through the store answers exactly what brute
+force answers on that version's graph, however warm the version it was
+forked from.  A write carries the match context and the RIGs it spares
+and drops the comparator artifacts (closure, expanded graph, catalog,
+partitions), so the comparator engines here answer from artifacts rebuilt
+on the new version, while a snapshot pinned before the writes keeps the
+artifacts of its own.
+
+The comparator engines answer a descendant edge through the
+closure-expanded graph, and they evaluate *every* edge of a query that has
+one there (the rewriting GF needs for D-queries).  On C- and D-queries that
+is the query's own answer; on a hybrid query it is the answer of its
+descendant-only relaxation, so that is what brute force checks them
+against (as ``test_engines.py`` does on the paper graph).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamic import GraphDelta, MutableDataGraph
+from repro.baselines.bruteforce import bruteforce_homomorphisms
+from repro.dynamic import GraphDelta
 from repro.graph.generators import random_labeled_graph
-from repro.query.generators import random_pattern_query
-from repro.session import QuerySession
+from repro.query.generators import random_pattern_query, to_descendant_only
+from repro.store import VersionedGraphStore
 
-#: Matchers exercised by the cross-engine property: the RIG pipeline, one
-#: ablation, the join engines and a navigational baseline.
-ENGINES = ("GM", "GM-F", "Neo4j", "GF", "JM")
+#: Matchers exercised by the property: the RIG pipeline, one ablation, the
+#: four comparator engines and two navigational baselines.
+ENGINES = ("GM", "GM-F", "Neo4j", "EH", "GF", "RM", "JM", "TM")
+COMPARATOR_ENGINES = ("Neo4j", "EH", "GF", "RM")
+
+#: The session properties that build the four comparator artifacts.
+COMPARATOR_ARTIFACTS = ("transitive_closure", "expanded_graph", "catalog", "partitions")
+
+LABELS = st.sampled_from(["A", "B", "C"])
+OPS = st.sampled_from(["insert", "back", "remove", "relabel", "node"])
+
+
+def _node(total):
+    return st.integers(min_value=0, max_value=total - 1)
+
+
+@st.composite
+def _delta(draw, graph):
+    """One delta against ``graph`` mixing every kind of write."""
+    delta = GraphDelta.for_graph(graph)
+    removed = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(OPS)
+        total = graph.num_nodes + delta.num_added_nodes
+        if kind == "insert":
+            delta.add_edge(draw(_node(total)), draw(_node(total)))
+        elif kind == "back":
+            # An edge back to a node that reaches the tail closes a cycle:
+            # the SCCs along it merge.
+            tail = draw(_node(graph.num_nodes))
+            ancestors = [u for u in graph.nodes() if u != tail and graph.reaches_bfs(u, tail)]
+            if ancestors:
+                delta.add_edge(tail, draw(st.sampled_from(ancestors)))
+        elif kind == "remove":
+            edges = sorted(set(graph.edges()) - removed)
+            if edges:
+                edge = draw(st.sampled_from(edges))
+                removed.add(edge)
+                delta.remove_edge(*edge)
+        elif kind == "relabel":
+            delta.relabel(draw(_node(graph.num_nodes)), draw(LABELS))
+        else:
+            node = delta.add_node(draw(LABELS))
+            delta.add_edge(draw(_node(total)), node)
+    return delta
 
 
 @st.composite
 def mutation_case(draw):
-    """Random graph + insert-only delta + a small hybrid query."""
+    """Random graph + a sequence of one to four deltas + a small hybrid
+    query.  Each delta is written against the version the ones before it
+    produce."""
     num_nodes = draw(st.integers(min_value=4, max_value=12))
     num_edges = draw(st.integers(min_value=3, max_value=20))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -34,52 +89,67 @@ def mutation_case(draw):
         seed=seed,
         name=f"mut-{seed}",
     )
-    delta = GraphDelta.for_graph(graph)
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        delta.add_node(draw(st.sampled_from(["A", "B", "C"])))
-    total = graph.num_nodes + delta.num_added_nodes
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        delta.add_edge(
-            draw(st.integers(min_value=0, max_value=total - 1)),
-            draw(st.integers(min_value=0, max_value=total - 1)),
-        )
+    deltas = []
+    version = graph
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        delta = draw(_delta(version))
+        deltas.append(delta)
+        version, _ = version.with_delta(delta)
     query = random_pattern_query(
         graph,
         num_nodes=draw(st.integers(min_value=2, max_value=3)),
         seed=draw(st.integers(min_value=0, max_value=10_000)),
         descendant_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
     )
-    return graph, delta, query
+    return graph, deltas, query
+
+
+def _answers(snapshot, query):
+    return {engine: snapshot.query(query, engine=engine).occurrence_set() for engine in ENGINES}
+
+
+def _bruteforce(graph, query):
+    """The answer each engine must return on ``graph``, by brute force."""
+    exact = set(bruteforce_homomorphisms(graph, query))
+    rewritten = exact
+    if query.descendant_edges():
+        rewritten = set(bruteforce_homomorphisms(graph, to_descendant_only(query)))
+    return {
+        engine: rewritten if engine in COMPARATOR_ENGINES else exact for engine in ENGINES
+    }
 
 
 @given(mutation_case())
 @settings(max_examples=25, deadline=None)
-def test_patched_session_equals_cold_session(case):
-    graph, delta, query = case
-    warm = QuerySession(graph)
-    warm.query(query)  # build artifacts at version 0 so apply has work to do
-    warm.transitive_closure
-    effective = MutableDataGraph(
-        graph, GraphDelta.from_dict(delta.to_dict())
-    ).delta_since_base()
-    report = warm.apply(delta)
-    if effective:
-        assert report.new_version == report.old_version + 1
-    else:
-        # all ops were no-ops (e.g. duplicate edges): nothing may change
-        assert report.new_version == report.old_version
-        assert report.patched == [] and report.invalidated == []
+def test_every_version_answers_like_brute_force(case):
+    graph, deltas, query = case
+    store = VersionedGraphStore(graph)
+    try:
+        pinned = store.pin()
+        for artifact in COMPARATOR_ARTIFACTS:
+            getattr(pinned.session, artifact)
+        before = _answers(pinned, query)
+        assert before == _bruteforce(graph, query)
 
-    cold_graph = MutableDataGraph(
-        graph, GraphDelta.from_dict(delta.to_dict())
-    ).materialize()
-    cold = QuerySession(cold_graph)
+        for delta in deltas:
+            head_version = store.head_version
+            report = store.apply(delta)
+            if report.new_version == report.old_version:
+                # every op was a no-op: nothing may change
+                assert store.head_version == head_version
+                assert report.patched == [] and report.invalidated == []
+            with store.pin() as head:
+                oracle = _bruteforce(head.graph, query)
+                for engine, answer in _answers(head, query).items():
+                    expected = oracle[engine]
+                    assert answer == expected, (
+                        f"{engine} diverged at version {head.version}: "
+                        f"extra={sorted(answer - expected)[:5]} "
+                        f"missing={sorted(expected - answer)[:5]}"
+                    )
 
-    for engine in ENGINES:
-        patched_answer = warm.query(query, engine=engine).occurrence_set()
-        cold_answer = cold.query(query, engine=engine).occurrence_set()
-        assert patched_answer == cold_answer, (
-            f"{engine} diverged after apply(): "
-            f"only-patched={sorted(patched_answer - cold_answer)[:5]} "
-            f"only-cold={sorted(cold_answer - patched_answer)[:5]}"
-        )
+        assert pinned.version == 0
+        assert _answers(pinned, query) == before
+        pinned.release()
+    finally:
+        store.close()

@@ -9,6 +9,7 @@ from repro.engines.relational import RelationalEngine
 from repro.engines.treedecomp import TreeDecompEngine
 from repro.engines.wcoj import WCOJEngine, build_catalog
 from repro.exceptions import EngineError, MemoryBudgetExceeded
+from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchStatus
 from repro.query.generators import random_pattern_query, to_child_only
 from repro.query.pattern import PatternQuery
@@ -91,6 +92,20 @@ class TestDescendantHandling:
         for engine_class in ENGINE_CLASSES:
             result = engine_class(paper_graph).match(query)
             assert result.occurrence_set() == expected, engine_class
+
+
+@pytest.mark.parametrize("engine_class", ENGINE_CLASSES)
+def test_descendant_edge_maps_a_node_on_a_cycle_to_itself(engine_class):
+    # 0 -> 1 -> 0 is a cycle, so 0 reaches itself through a path of length
+    # 2; 2 reaches nothing.  The expanded graph gives 0 and 1 a self-loop.
+    graph = DataGraph(["A", "B", "A"], [(0, 1), (1, 0), (2, 1)], name="cycle")
+    query = PatternQuery(["A", "A"], [(0, 1, "descendant")], name="DQ-AA")
+    expected = frozenset(bruteforce_homomorphisms(graph, query))
+    assert expected == {(0, 0), (2, 0)}
+    assert engine_class(graph).match(query).occurrence_set() == expected
+    expanded, _seconds = expand_descendant_edges(graph)
+    assert expanded.has_edge(0, 0) and expanded.has_edge(1, 1)
+    assert not expanded.has_edge(2, 2)
 
 
 class TestCatalog:

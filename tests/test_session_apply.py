@@ -5,13 +5,17 @@ import random
 import pytest
 
 from fixtures_paper import A1, B0, C0, PAPER_ANSWER
-from repro.dynamic import GraphDelta, should_patch
+from repro.dynamic import GraphDelta
 from repro.engines.base import expand_descendant_edges
 from repro.exceptions import EngineError
 from repro.engines.binary_join import BinaryJoinEngine
 from repro.graph.digraph import DataGraph
 from repro.graph.generators import random_labeled_graph
+from repro.query.pattern import PatternQuery
+from repro.reachability.transitive_closure import TransitiveClosureIndex
 from repro.session import QuerySession
+from repro.session import session as session_module
+from repro.store import VersionedGraphStore
 from repro.wal.durability import WalDurability
 
 
@@ -55,15 +59,17 @@ class TestApplySemantics:
                 == cold.query(paper_query, engine=engine).occurrence_set()
             ), engine
 
-    def test_insert_only_delta_patches_expensive_artifacts(self, session, paper_query):
+    def test_insert_only_delta_folds_the_context_and_drops_comparator_artifacts(
+        self, session, paper_query
+    ):
         session.query(paper_query)
         session.transitive_closure
         session.partitions
         delta, _node = _new_a_delta(session.graph)
         report = session.apply(delta)
-        assert "reachability" in report.patched
-        assert "closure" in report.patched
-        assert "partitions" in report.patched
+        assert report.patched == ["reachability"]
+        assert {"closure", "partitions"} <= set(report.invalidated)
+        assert session.cache_counts("closure")["invalidations"] == 1
         assert session.cache_counts("reachability")["patches"] == 1
         assert session.cache_counts("reachability")["invalidations"] == 0
         # the reachability index was not rebuilt by the next query
@@ -192,12 +198,93 @@ class TestEngineVersionChecks:
         assert report.num_matches > 0
 
 
+#: The four comparator artifacts: artifact name -> the session property
+#: that builds it.
+COMPARATOR_ARTIFACTS = {
+    "closure": "transitive_closure",
+    "expanded_graph": "expanded_graph",
+    "catalog": "catalog",
+    "partitions": "partitions",
+}
+
+
+def _comparable(artifact, value):
+    """What two builds of ``artifact`` on one graph version agree on."""
+    if artifact == "closure":
+        return [value.reachable_set(node) for node in value.graph.nodes()]
+    if artifact == "expanded_graph":
+        return value, value.version
+    if artifact == "catalog":
+        return value.edge_counts, value.path_counts
+    return {key: sorted(edges) for key, edges in value.items()}
+
+
+def _write(kind, graph):
+    """One write of each kind on the paper graph."""
+    delta = GraphDelta.for_graph(graph)
+    if kind == "insert":
+        delta.add_edge(A1, 4)  # a1 -> b1
+    elif kind == "scc_merge":
+        delta.add_edge(C0, A1)  # a1 -> b0 -> c0 -> a1
+    elif kind == "removal":
+        delta.remove_edge(A1, B0)
+    elif kind == "relabel":
+        delta.relabel(A1, "C")
+    else:
+        delta.add_edge(delta.add_node("A"), B0)
+    return delta
+
+
+class TestComparatorArtifactsPerVersion:
+    """Each comparator artifact is built from one version's graph on first
+    use: a write drops it, a fork shares it, a pinned epoch keeps it."""
+
+    @pytest.mark.parametrize("kind", ["insert", "scc_merge", "removal", "relabel", "new_node"])
+    @pytest.mark.parametrize("artifact", COMPARATOR_ARTIFACTS)
+    def test_a_write_drops_it_and_the_rebuild_equals_a_cold_build(
+        self, paper_graph, artifact, kind
+    ):
+        session = QuerySession(paper_graph)
+        before = getattr(session, COMPARATOR_ARTIFACTS[artifact])
+        report = session.apply(_write(kind, paper_graph))
+        assert artifact in report.invalidated and artifact not in report.patched
+        assert session.cache_counts(artifact)["invalidations"] == 1
+        after = getattr(session, COMPARATOR_ARTIFACTS[artifact])
+        assert after is not before
+        assert session.cache_counts(artifact)["misses"] == 2
+        cold = getattr(QuerySession(session.graph), COMPARATOR_ARTIFACTS[artifact])
+        assert _comparable(artifact, after) == _comparable(artifact, cold)
+
+    @pytest.mark.parametrize("artifact", COMPARATOR_ARTIFACTS)
+    def test_a_fork_shares_it(self, paper_graph, artifact):
+        session = QuerySession(paper_graph)
+        built = getattr(session, COMPARATOR_ARTIFACTS[artifact])
+        assert getattr(session.fork(), COMPARATOR_ARTIFACTS[artifact]) is built
+        counts = session.cache_counts(artifact)
+        assert (counts["misses"], counts["hits"]) == (1, 1)
+
+    @pytest.mark.parametrize("artifact", COMPARATOR_ARTIFACTS)
+    def test_a_pinned_epoch_keeps_it(self, paper_graph, artifact):
+        store = VersionedGraphStore(paper_graph)
+        try:
+            with store.pin() as old:
+                built = getattr(old.session, COMPARATOR_ARTIFACTS[artifact])
+                store.apply(_write("insert", paper_graph))
+                assert getattr(old.session, COMPARATOR_ARTIFACTS[artifact]) is built
+                cold = getattr(QuerySession(paper_graph), COMPARATOR_ARTIFACTS[artifact])
+                assert _comparable(artifact, built) == _comparable(artifact, cold)
+                with store.pin() as head:
+                    assert head.version == 1
+                    assert getattr(head.session, COMPARATOR_ARTIFACTS[artifact]) is not built
+        finally:
+            store.close()
+
+
 class TestReachabilityPatchBranches:
     """Which writes rebuild the match context: only those with a removal.
 
     Every insert folds into the context (``MatchContext.with_delta``), the
-    inserts that merge SCCs included; ``should_patch`` gates only the
-    closure and the catalog.
+    inserts that merge SCCs included.
     """
 
     def test_cycle_closing_and_acyclic_inserts_patch_and_a_removal_invalidates(
@@ -236,49 +323,28 @@ class TestReachabilityPatchBranches:
             assert before.expand_reachability(everyone, everyone) == answers_before
 
 
-class TestExpandedGraphVersion:
-    def test_noop_expanded_fold_still_carries_the_new_version(self, session, paper_query):
-        # (u, v) with u already reaching v: a new data edge, but already an
-        # edge of the closure-expanded graph, so folding it there changes
-        # nothing -- the patched expanded graph must still be the new version.
-        graph = session.graph
-        edge = next(
-            (u, v) for u in graph.nodes() for v in graph.bfs_forward(u) if v != u and not graph.has_edge(u, v)
-        )
-        session.transitive_closure
-        before = session.expanded_graph
-        report = session.apply(GraphDelta.for_graph(graph).add_edge(*edge))
-        assert "expanded_graph" in report.patched
-        after = session.expanded_graph
-        assert after == before and after is not before
-        assert after.version == session.version == 1
-        assert before.version == 0
-        engine = BinaryJoinEngine(session.graph, expanded_graph=after)  # not rejected as stale
-        cold = QuerySession(session.graph)
-        assert (
-            engine.match(paper_query).occurrence_set()
-            == cold.query(paper_query, engine="Neo4j").occurrence_set()
-        )
-
-
 class TestWritePathNeverRebuilds:
-    """A write folds its delta; it never runs the O(V + E) constructor."""
+    """A write folds its delta; it never runs the O(V + E) constructor, and
+    it never builds, patches or copies a comparator artifact."""
 
     @staticmethod
-    def _count_constructor(monkeypatch):
+    def _count_calls(monkeypatch, owner, name):
         calls = []
-        original = DataGraph.__init__
+        original = getattr(owner, name)
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(DataGraph, "__init__", counting)
+        monkeypatch.setattr(owner, name, counting)
         return calls
 
+    def _count_constructor(self, monkeypatch):
+        return self._count_calls(monkeypatch, DataGraph, "__init__")
+
     @staticmethod
-    def _big_graph_and_insert():
-        graph = random_labeled_graph(5_000, 10_000, num_labels=8, seed=3, name="big")
+    def _big_graph_and_insert(num_edges=10_000):
+        graph = random_labeled_graph(5_000, num_edges, num_labels=8, seed=3, name="big")
         rng = random.Random(4)
         delta = GraphDelta.for_graph(graph)
         while len(delta) < 4:
@@ -296,6 +362,51 @@ class TestWritePathNeverRebuilds:
         assert report.patched == ["reachability"]
         assert session.graph.num_edges == graph.num_edges + 4
         assert calls == []
+
+    def test_a_write_does_no_comparator_work(self, monkeypatch):
+        # 4 000 edges keep the closure small (~24k pairs; at 10 000 edges it
+        # is ~16M pairs, far too many to expand in a unit test).
+        graph, delta = self._big_graph_and_insert(num_edges=4_000)
+        store = VersionedGraphStore(graph)
+        try:
+            with store.pin() as old:
+                old.session.context.label_bits(outgoing=True, direct=True)
+                for artifact in ("transitive_closure", "expanded_graph", "catalog", "partitions"):
+                    getattr(old.session, artifact)
+                closure = old.session.transitive_closure
+            calls = {
+                name: self._count_calls(monkeypatch, owner, builder)
+                for name, owner, builder in (
+                    ("closure", TransitiveClosureIndex, "_build"),
+                    ("expanded_graph", session_module, "expand_descendant_edges"),
+                    ("catalog", session_module, "build_catalog"),
+                    ("partitions", session_module, "build_edge_partitions"),
+                )
+            }
+            report = store.apply(delta)
+            assert report.patched == ["reachability"]
+            assert set(report.invalidated) == set(calls)
+            assert calls == {name: [] for name in calls}
+            monkeypatch.undo()
+
+            source, target = delta.added_edges[0]
+            query = PatternQuery(
+                [graph.label(source), graph.label(target)], [(0, 1, "descendant")]
+            )
+            cold = QuerySession(store.graph)
+            read = store.telemetry.registry.read
+            misses = {name: read("session_cache_misses_total", artifact=name) for name in calls}
+            with store.pin() as head:
+                assert head.version == 1
+                for engine in ("GF", "Neo4j"):
+                    answer = head.query(query, engine=engine).occurrence_set()
+                    assert (source, target) in answer
+                    assert answer == cold.query(query, engine=engine).occurrence_set()
+                assert head.session.transitive_closure is not closure
+            for name in ("closure", "expanded_graph", "catalog"):
+                assert read("session_cache_misses_total", artifact=name) == misses[name] + 1, name
+        finally:
+            store.close()
 
     def test_scc_merging_inserts_never_call_the_constructor(self, monkeypatch):
         graph, _ = self._big_graph_and_insert()

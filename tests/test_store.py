@@ -134,11 +134,15 @@ class TestCopyOnWrite:
             warmup.query(paper_query)
         snap = store.pin()
         reachability_before = snap.session.reachability
+        closure_before = snap.session.transitive_closure
         delta, _node = _new_a_delta(store.graph)
         report = store.apply(delta)
-        # the fold patched artifacts — but on the fork, not the pinned epoch
+        # the fold carried and dropped artifacts — on the fork, not the
+        # pinned epoch
         assert "reachability" in report.patched
+        assert {"closure", "partitions"} <= set(report.invalidated)
         assert snap.session.reachability is reachability_before
+        assert snap.session.transitive_closure is closure_before
         assert snap.query(paper_query).occurrence_set() == PAPER_ANSWER
         snap.release()
 
@@ -176,28 +180,6 @@ class TestCopyOnWrite:
             assert session.cache_counts("reachability")["misses"] == misses_before
             with pytest.raises(StoreError):
                 session.apply(GraphDelta.for_graph(paper_graph))
-        finally:
-            store.close()
-
-
-class TestWarmOnPublish:
-    def test_invalidated_artifacts_are_rebuilt_before_publish(self, paper_graph, paper_query):
-        store = VersionedGraphStore(paper_graph, warm_on_publish=True)
-        try:
-            with store.pin() as snap:
-                snap.session.transitive_closure
-                snap.query(paper_query)
-                before = snap.session.cache_counts("reachability")
-            delta = GraphDelta.for_graph(store.graph).remove_edge(A1, B0)
-            report = store.apply(delta)
-            assert "reachability" in report.invalidated
-            with store.pin() as head:
-                # the new head was warmed by the writer: the first read
-                # records a hit, not a rebuild miss (epochs share the counts)
-                head.query(paper_query)
-                after = head.session.cache_counts("reachability")
-                assert after["misses"] - before["misses"] == 1  # warm build
-                assert after["hits"] - before["hits"] >= 1
         finally:
             store.close()
 

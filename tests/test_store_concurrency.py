@@ -64,7 +64,7 @@ def _run_stress(num_nodes, num_edges, num_readers, batches_per_reader, num_delta
     session = QuerySession(graph, budget=STRESS_BUDGET)
     session.transitive_closure
     session.run_batch(queries, budget=STRESS_BUDGET)
-    store = VersionedGraphStore(session, warm_on_publish=True)
+    store = VersionedGraphStore(session)
 
     records = []
     records_lock = threading.Lock()
