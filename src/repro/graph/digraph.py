@@ -10,10 +10,9 @@ algorithm in the library operates on.  Nodes are dense integer identifiers
   of the paper): the sorted list of nodes carrying a given label.
 
 Adjacency lists and inverted lists are exposed both as tuples (for ordered
-scans / binary search) and as frozensets (for O(1) membership tests), which
-is what the bitmap-free baselines use.  The bitmap-backed representations
-used by GM live in :mod:`repro.rig` and :mod:`repro.bitmap` and are built
-from this structure on demand.
+scans / binary search) and as frozensets (for O(1) membership tests and
+C-level intersection).  GM's runtime index graphs (:mod:`repro.rig`) are
+built from these sets on demand.
 
 A graph is never mutated.  A new version is made by
 :meth:`DataGraph.with_delta`, which folds a
@@ -185,8 +184,8 @@ class DataGraph:
         """Edge test by binary search over the sorted adjacency list.
 
         This is the ``binSearch`` method compared in Fig. 12(a) of the paper;
-        :meth:`has_edge` (hash-set membership) and the bitmap-based methods in
-        :mod:`repro.rig` are the alternatives.
+        :meth:`has_edge` (hash-set membership) and the set intersections of
+        :mod:`repro.rig.build` (bitIter / bitBat) are the alternatives.
         """
         adjacency = self._succ[u]
         index = bisect_left(adjacency, v)

@@ -298,7 +298,6 @@ class GraphMatcher(Evaluator):
                 "rig_size": rig.size(),
                 "rig_edges": rig.num_rig_edges(),
                 "rig_physical_edges": rig.num_physical_edges(),
-                "set_kind": rig.set_kind,
                 "simulation_passes": build.simulation.passes if build.simulation else 0,
                 "condensation_sweeps": build.condensation_sweeps,
                 "condensation_sweeps_served": build.condensation_sweeps_served,

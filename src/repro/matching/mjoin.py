@@ -11,8 +11,8 @@ The join structure depends only on the RIG and the search order, so it is
 resolved once — :func:`compile_plan` — into, per position, the adjacency
 dicts to probe and the earlier positions whose values key them.  The search
 loop then only looks adjacency up and intersects it: ``dict.get`` and ``&``
-(``-`` under ``injective``), ``len`` and iteration — one protocol, which
-every RIG set kind (``set``, ``roaring``, ``intbitset``) implements itself.
+(``-`` under ``injective``), ``len`` and iteration, each one C-level
+operation on the RIG's built-in sets.
 
 The enumerator supports the paper's match cap and wall-clock budget, and an
 ``injective`` flag that adds the one-to-one constraint of subgraph
@@ -109,7 +109,7 @@ def mjoin_iter(
     remaining = cap
 
     last = len(plan) - 1
-    empty = rig.make_set(())
+    empty = frozenset()
     row = [0] * (last + 1)
     # Per position: candidate sets computed, and their summed sizes.
     computed = [0] * (last + 2)
@@ -149,7 +149,7 @@ def mjoin_iter(
                 if check is not None:
                     check()
                 if clashes:
-                    local = local - rig.make_set([row[earlier] for earlier in clashes])
+                    local = local - frozenset([row[earlier] for earlier in clashes])
                 if below == last:
                     for final in local:
                         row[next_node] = final

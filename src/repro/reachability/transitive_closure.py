@@ -12,22 +12,26 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.bitmap.intbitset import IntBitSet
 from repro.graph.digraph import DataGraph
 from repro.reachability.base import ReachabilityIndex
 
 
+def _members(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [node for node, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class TransitiveClosureIndex(ReachabilityIndex):
-    """Stores, for every node, the bit set of all nodes it reaches."""
+    """Stores, for every node, the bit mask of all nodes it reaches: one
+    Python ``int`` per node, bit ``v`` set when ``v`` is reachable."""
 
     def _build(self, graph: DataGraph) -> None:
         n = graph.num_nodes
-        closure: List[IntBitSet] = [IntBitSet() for _ in range(n)]
+        closure: List[int] = [0] * n
         # One BFS per node: O(V * (V + E)) worst case, but a small constant,
         # and exact on cyclic graphs without a condensation.
         for source in range(n):
-            reachable = closure[source]
-            reachable.add(source)
+            mask = 1 << source
             visited = [False] * n
             visited[source] = True
             frontier = [source]
@@ -37,17 +41,18 @@ class TransitiveClosureIndex(ReachabilityIndex):
                     for child in graph.successors(node):
                         if not visited[child]:
                             visited[child] = True
-                            reachable.add(child)
+                            mask |= 1 << child
                             next_frontier.append(child)
                 frontier = next_frontier
+            closure[source] = mask
         self._closure = closure
 
     def reaches(self, source: int, target: int) -> bool:
-        return target in self._closure[source]
+        return (self._closure[source] >> target) & 1 == 1
 
-    def reachable_set(self, source: int) -> IntBitSet:
-        """The full set of nodes reachable from ``source`` (including itself)."""
-        return self._closure[source]
+    def reachable_set(self, source: int) -> List[int]:
+        """The nodes reachable from ``source`` (including itself), ascending."""
+        return _members(self._closure[source])
 
     def closure_edges(self) -> List[Tuple[int, int]]:
         """Materialise the closure as an edge list (u, v) with u != v.
@@ -55,13 +60,13 @@ class TransitiveClosureIndex(ReachabilityIndex):
         This is what the GF comparison feeds to the engine as an expanded
         data graph for descendant-edge workloads.
         """
-        edges: List[Tuple[int, int]] = []
-        for source, reachable in enumerate(self._closure):
-            for target in reachable:
-                if target != source:
-                    edges.append((source, target))
-        return edges
+        return [
+            (source, target)
+            for source, mask in enumerate(self._closure)
+            for target in _members(mask)
+            if target != source
+        ]
 
     def num_closure_edges(self) -> int:
         """Number of (u, v) pairs with u reaching v, u != v."""
-        return sum(len(reachable) - 1 for reachable in self._closure)
+        return sum(bin(mask).count("1") - 1 for mask in self._closure)

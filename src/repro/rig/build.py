@@ -26,8 +26,7 @@ partner on some edge; ``prune_after_expand`` removes it with
 :meth:`RuntimeIndexGraph.prune_unmatched_candidates` — unless the simulation
 reached its fixpoint (its last pass pruned nothing), where every candidate
 already has a partner on every incident edge and the prune could remove
-nothing.  GM-F (pre-filter only) and ``max_passes`` / ``prune_threshold``
-runs still prune.
+nothing.  GM-F (pre-filter only) and ``max_passes`` runs still prune.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
-from repro.rig.graph import RuntimeIndexGraph
+from repro.rig.graph import Adjacency, RuntimeIndexGraph
 from repro.simulation.context import ChildCheckMethod, Cones, Gains, MatchContext
 from repro.simulation.fbsim import SimulationOptions, SimulationResult, fbsim, fbsim_basic
 from repro.simulation.matchsets import node_prefilter
@@ -61,8 +60,6 @@ class RIGOptions:
     child_check: ChildCheckMethod = ChildCheckMethod.BIT_BAT
     #: Apply query transitive reduction before building (GM yes, GM-NR no).
     transitive_reduction: bool = True
-    #: Set representation inside the RIG ("set", "roaring", "intbitset").
-    set_kind: str = "set"
     #: Drop candidates with no surviving adjacency after expansion.  Skipped
     #: after a simulation that reached its fixpoint: it would remove nothing.
     prune_after_expand: bool = True
@@ -147,30 +144,29 @@ def _expand_edge(
     if not tails or not heads:
         return
 
-    make_set = rig.make_set
     if not edge.is_child:
-        forward, backward = context.expand_reachability(tails, heads, make_set, cones)
+        forward, backward = context.expand_reachability(tails, heads, cones)
     elif options.child_check is ChildCheckMethod.BIN_SEARCH:
         pairs = [(u, v) for u in tails for v in heads if graph.has_edge_binary_search(u, v)]
-        forward = _index(pairs, make_set)
-        backward = _index(((v, u) for u, v in pairs), make_set)
+        forward = _index(pairs)
+        backward = _index((v, u) for u, v in pairs)
     else:
         # bitIter / bitBat: adjacency-list ∩ candidate-set intersections.
         forward = {
-            u: make_set(matched) for u in tails if (matched := graph.successor_set(u) & heads)
+            u: frozenset(matched) for u in tails if (matched := graph.successor_set(u) & heads)
         }
         backward = {
-            v: make_set(matched) for v in heads if (matched := graph.predecessor_set(v) & tails)
+            v: frozenset(matched) for v in heads if (matched := graph.predecessor_set(v) & tails)
         }
     rig.set_edge_adjacency(edge, forward, backward)
 
 
-def _index(pairs, make_set) -> Dict[int, object]:
-    """``{first: make_set(seconds)}`` over ``pairs``."""
+def _index(pairs) -> Adjacency:
+    """``{first: frozenset(seconds)}`` over ``pairs``."""
     lists: Dict[int, list] = {}
     for first, second in pairs:
         lists.setdefault(first, []).append(second)
-    return {first: make_set(seconds) for first, seconds in lists.items()}
+    return {first: frozenset(seconds) for first, seconds in lists.items()}
 
 
 def build_rig(
@@ -191,7 +187,7 @@ def build_rig(
     # incident edge, so the RIG-level prune could remove nothing.
     exact = simulation is not None and simulation.pruned_per_pass[-1] == 0
 
-    rig = RuntimeIndexGraph(query, set_kind=options.set_kind)
+    rig = RuntimeIndexGraph(query)
     start = time.perf_counter()
     for node, nodes in candidates.items():
         rig.set_candidates(node, nodes)
@@ -214,8 +210,8 @@ def build_rig(
     )
 
 
-def build_match_rig(context: MatchContext, query: PatternQuery, set_kind: str = "set") -> RIGBuildReport:
+def build_match_rig(context: MatchContext, query: PatternQuery) -> RIGBuildReport:
     """Build the match RIG ``G^m_Q`` (no filtering; candidate sets = match sets)."""
     options = RIGOptions(filter_mode="match", transitive_reduction=False,
-                         prune_after_expand=False, set_kind=set_kind)
+                         prune_after_expand=False)
     return build_rig(context, query, options)

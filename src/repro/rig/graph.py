@@ -11,37 +11,28 @@ A :class:`RuntimeIndexGraph` stores, for a fixed pattern query:
 Adjacency is indexed by query edge, as §4.5 describes ("the outgoing and
 incoming edges of vq are indexed by the parents and children of query node
 q"), so the enumeration phase can intersect exactly the lists it needs.
-The set representation is pluggable: built-in sets (default, fastest in
-CPython) or the library's :class:`RoaringBitmap` / :class:`IntBitSet`
-(the paper's §6 representation, exercised by the Fig. 12 ablation).
+The paper's engine stores these sets as Roaring bitmaps (§6); here they are
+CPython's built-in sets, which already do set algebra in C: ``cos(q)`` is a
+``set`` and every adjacency list a ``frozenset``.
 
 :meth:`RuntimeIndexGraph.prune_unmatched_candidates` is the RIG-level
 fixpoint that drops candidates with no partner left on some edge.  BuildRIG
 runs it only when node selection stopped short of the double simulation's
-fixpoint (GM-F, ``max_passes``, ``prune_threshold``): after an exact
-simulation it provably removes nothing and is skipped.
+fixpoint (GM-F, ``max_passes``): after an exact simulation it provably
+removes nothing and is skipped.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Set, Tuple
 
-from repro.bitmap.intbitset import IntBitSet
-from repro.bitmap.roaring import RoaringBitmap
-from repro.exceptions import MatchingError
 from repro.query.pattern import PatternEdge, PatternQuery
 
-#: Factory signature: build a set-like object from an iterable of ints.
-SetFactory = Callable[[Iterable[int]], object]
+#: One direction of one query edge's adjacency: candidate -> its partners.
+Adjacency = Dict[int, FrozenSet[int]]
 
-#: Set kind -> (factory of ``cos(q)``, factory of adjacency sets).  The default
-#: kind's adjacency is a ``frozenset``: the type enforces the sharing rule of
-#: :class:`RuntimeIndexGraph`, and ``set & frozenset`` is still a ``set``.
-_SET_FACTORIES: Dict[str, Tuple[SetFactory, SetFactory]] = {
-    "set": (set, frozenset),
-    "roaring": (RoaringBitmap, RoaringBitmap),
-    "intbitset": (IntBitSet, IntBitSet),
-}
+#: A candidate absent from an adjacency dict has no partner on that edge.
+_EMPTY: FrozenSet[int] = frozenset()
 
 
 class RuntimeIndexGraph:
@@ -50,30 +41,22 @@ class RuntimeIndexGraph:
     Ownership and sharing.  :meth:`set_edge_adjacency` takes ownership of the
     two dicts it is given, and from then on adjacency is **read-only**:
     candidates with equal answers (all tails of one SCC, say) hold the *same*
-    set object, so mutating one would corrupt the others.  Nothing in the
-    library does — MJoin intersects (``&``), ordering takes ``len``,
-    :meth:`prune_unmatched_candidates` only shrinks ``cos(q)`` — and only
-    ``cos(q)`` is ever mutated after construction.  :meth:`num_rig_edges`
+    ``frozenset``, so the type enforces the sharing rule (and
+    ``set & frozenset`` is still a ``set``).  MJoin intersects (``&``),
+    ordering takes ``len``, :meth:`prune_unmatched_candidates` only shrinks
+    ``cos(q)`` — the one mutable ``set`` per query node.  :meth:`num_rig_edges`
     counts candidate pairs (logical); :meth:`num_physical_edges` counts what
     is stored.
     """
 
-    def __init__(self, query: PatternQuery, set_kind: str = "set") -> None:
-        if set_kind not in _SET_FACTORIES:
-            raise MatchingError(
-                f"unknown set kind {set_kind!r}; available: {', '.join(sorted(_SET_FACTORIES))}"
-            )
+    def __init__(self, query: PatternQuery) -> None:
         self.query = query
-        self.set_kind = set_kind
-        #: ``cos(q)`` comes from ``_factory`` (mutable: pruning discards from
-        #: it); ``make_set(items)`` builds adjacency, and scratch sets for MJoin.
-        self._factory, self.make_set = _SET_FACTORIES[set_kind]
-        self._cos: Dict[int, object] = {node: self._factory(()) for node in query.nodes()}
+        self._cos: Dict[int, Set[int]] = {node: set() for node in query.nodes()}
         # forward adjacency: (edge endpoints) -> {tail candidate -> set of head candidates}
-        self._forward: Dict[Tuple[int, int], Dict[int, object]] = {
+        self._forward: Dict[Tuple[int, int], Adjacency] = {
             edge.endpoints(): {} for edge in query.edges()
         }
-        self._backward: Dict[Tuple[int, int], Dict[int, object]] = {
+        self._backward: Dict[Tuple[int, int], Adjacency] = {
             edge.endpoints(): {} for edge in query.edges()
         }
         # Values derived from the sets above (aggregate sizes, search orders,
@@ -88,15 +71,13 @@ class RuntimeIndexGraph:
     def set_candidates(self, query_node: int, candidates: Iterable[int]) -> None:
         """Define ``cos(query_node)``."""
         self._memo.clear()
-        self._cos[query_node] = self._factory(candidates)
+        self._cos[query_node] = set(candidates)
 
-    def set_edge_adjacency(
-        self, edge: PatternEdge, forward: Dict[int, object], backward: Dict[int, object]
-    ) -> None:
+    def set_edge_adjacency(self, edge: PatternEdge, forward: Adjacency, backward: Adjacency) -> None:
         """Install both adjacency directions of ``edge`` and take ownership.
 
-        ``forward`` maps a tail to the :meth:`make_set` object of the heads
-        it connects to, ``backward`` a head to its tails; they must describe
+        ``forward`` maps a tail to the ``frozenset`` of the heads it
+        connects to, ``backward`` a head to its tails; they must describe
         the same pairs, hold no empty set, and may share objects freely.
         """
         self._memo.clear()
@@ -121,36 +102,19 @@ class RuntimeIndexGraph:
             value = self._memo[key] = compute()
             return value
 
-    def candidates(self, query_node: int):
-        """``cos(query_node)`` as a set-like object."""
+    def candidates(self, query_node: int) -> Set[int]:
+        """``cos(query_node)``."""
         return self._cos[query_node]
 
     def candidate_count(self, query_node: int) -> int:
         """``|cos(query_node)|``."""
-        return len(self._cos[query_node])  # type: ignore[arg-type]
+        return len(self._cos[query_node])
 
-    def forward_adjacency(self, source: int, target: int, tail: int):
-        """Candidates of ``target`` adjacent to ``tail`` under edge (source, target).
-
-        Returns an empty set-like object if ``tail`` has no adjacency.
-        """
-        adjacency = self._forward[(source, target)].get(tail)
-        if adjacency is None:
-            return self.make_set(())
-        return adjacency
-
-    def backward_adjacency(self, source: int, target: int, head: int):
-        """Candidates of ``source`` adjacent to ``head`` under edge (source, target)."""
-        adjacency = self._backward[(source, target)].get(head)
-        if adjacency is None:
-            return self.make_set(())
-        return adjacency
-
-    def forward_index(self, source: int, target: int) -> Dict[int, object]:
+    def forward_index(self, source: int, target: int) -> Adjacency:
         """The whole forward adjacency of edge (source, target): tail -> heads."""
         return self._forward[(source, target)]
 
-    def backward_index(self, source: int, target: int) -> Dict[int, object]:
+    def backward_index(self, source: int, target: int) -> Adjacency:
         """The whole backward adjacency of edge (source, target): head -> tails."""
         return self._backward[(source, target)]
 
@@ -164,7 +128,7 @@ class RuntimeIndexGraph:
     def edge_candidates(self, source: int, target: int) -> Iterator[Tuple[int, int]]:
         """Iterate over the candidate pairs of a query edge."""
         for tail, heads in self._forward[(source, target)].items():
-            for head in heads:  # type: ignore[attr-defined]
+            for head in heads:
                 yield (tail, head)
 
     # ------------------------------------------------------------------ #
@@ -224,36 +188,27 @@ class RuntimeIndexGraph:
                 # Tails must have at least one head among current candidates.
                 dead_tails = [
                     tail
-                    for tail in list(source_candidates)  # type: ignore[call-overload]
-                    if not self._has_live_partner(forward.get(tail), target_candidates)
+                    for tail in source_candidates
+                    if forward.get(tail, _EMPTY).isdisjoint(target_candidates)
                 ]
                 for tail in dead_tails:
-                    source_candidates.discard(tail)  # type: ignore[attr-defined]
+                    source_candidates.discard(tail)
                     removed_total += 1
                     changed = True
                 dead_heads = [
                     head
-                    for head in list(target_candidates)  # type: ignore[call-overload]
-                    if not self._has_live_partner(backward.get(head), source_candidates)
+                    for head in target_candidates
+                    if backward.get(head, _EMPTY).isdisjoint(source_candidates)
                 ]
                 for head in dead_heads:
-                    target_candidates.discard(head)  # type: ignore[attr-defined]
+                    target_candidates.discard(head)
                     removed_total += 1
                     changed = True
         self._memo.clear()
         return removed_total
 
-    @staticmethod
-    def _has_live_partner(adjacency, live_candidates) -> bool:
-        if adjacency is None:
-            return False
-        for partner in adjacency:
-            if partner in live_candidates:
-                return True
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RuntimeIndexGraph(query={self.query.name!r}, nodes={self.num_rig_nodes()}, "
-            f"edges={self.num_rig_edges()}, kind={self.set_kind!r})"
+            f"edges={self.num_rig_edges()})"
         )

@@ -103,8 +103,6 @@ class QuerySession:
         The data graph to serve queries on.
     ordering / rig_options / budget:
         Defaults forwarded to the GM matchers the session constructs.
-    set_kind:
-        Set representation for session-built RIGs (``"set"`` default).
     telemetry:
         The :class:`~repro.obs.Telemetry` whose registry the session counts
         into.  A session built bare owns a private one; the epochs of a
@@ -148,12 +146,11 @@ class QuerySession:
         ordering: OrderingMethod = OrderingMethod.JO,
         rig_options: Optional[RIGOptions] = None,
         budget: Optional[Budget] = None,
-        set_kind: str = "set",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.graph = graph
         self.ordering = ordering
-        self.rig_options = rig_options or RIGOptions(set_kind=set_kind)
+        self.rig_options = rig_options or RIGOptions()
         self.budget = budget or Budget()
         #: The telemetry bundle the session counts into.
         self.telemetry = telemetry if telemetry is not None else Telemetry()

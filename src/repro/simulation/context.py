@@ -73,7 +73,6 @@ from functools import reduce
 from itertools import product
 from operator import or_
 from typing import (
-    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -454,9 +453,8 @@ def _shared_answers(
     sweep: Iterable[int],
     askers: Iterable[int],
     partners: Collection[int],
-    make_set: Callable[[List[int]], object],
-) -> Dict[int, object]:
-    """``asker -> make_set(its partners)``, one object per distinct answer.
+) -> Dict[int, FrozenSet[int]]:
+    """``asker -> frozenset(its partners)``, one object per distinct answer.
 
     An asker's partners are those in components strictly beyond its own along
     ``toward_partners``, plus those in its own when that is cyclic.  ``sweep``
@@ -490,9 +488,9 @@ def _shared_answers(
             mask &= ~own.get(component, 0)
         if mask:
             groups.setdefault(mask, []).extend(group)
-    answers: Dict[int, object] = {}
+    answers: Dict[int, FrozenSet[int]] = {}
     for mask, group in groups.items():
-        answers.update(dict.fromkeys(group, make_set(_decode(mask, numbered))))
+        answers.update(dict.fromkeys(group, frozenset(_decode(mask, numbered))))
     return answers
 
 
@@ -682,15 +680,14 @@ class MatchContext:
         self,
         tails: Collection[int],
         heads: Collection[int],
-        make_set: Callable[[List[int]], object] = frozenset,
         cones: Optional[Cones] = None,
-    ) -> Tuple[Dict[int, object], Dict[int, object]]:
+    ) -> Tuple[Dict[int, FrozenSet[int]], Dict[int, FrozenSet[int]]]:
         """Expansion of a reachability edge, both directions:
         ``({tail: heads it reaches}, {head: tails reaching it})``.
 
         "Reaches" is a path of length >= 1, so ``(u, u)`` is a pair only when
         ``u`` lies on a cycle.  Nodes without a partner are absent.  Every
-        answer is a ``make_set`` object, and nodes with equal answers (a whole
+        answer is a ``frozenset``, and nodes with equal answers (a whole
         component, or components that see the same partners) hold the *same*
         object: nothing here is per pair, and callers must not mutate them.
 
@@ -717,8 +714,8 @@ class MatchContext:
         between &= cones.cone(arrays, head_components, downward=False) | head_components
         downward = sorted(between, key=arrays.rank.__getitem__)
         return (
-            _shared_answers(arrays, arrays.children, reversed(downward), tails, heads, make_set),
-            _shared_answers(arrays, arrays.parents, downward, heads, tails, make_set),
+            _shared_answers(arrays, arrays.children, reversed(downward), tails, heads),
+            _shared_answers(arrays, arrays.parents, downward, heads, tails),
         )
 
     def tails_reaching(

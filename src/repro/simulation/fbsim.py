@@ -47,9 +47,6 @@ class SimulationOptions:
     use_change_flags: bool = True
     #: How direct-connectivity constraints are checked.
     child_check: ChildCheckMethod = ChildCheckMethod.BIT_BAT
-    #: Stop a pass early if the number of pruned nodes falls below this
-    #: threshold (0 disables the threshold-based early stop).
-    prune_threshold: int = 0
 
 
 @dataclass
@@ -192,8 +189,6 @@ def fbsim_basic(
             break
         if options.max_passes is not None and passes >= options.max_passes:
             break
-        if options.prune_threshold and pruned_this_pass < options.prune_threshold:
-            break
 
     return SimulationResult(
         candidates=candidates,
@@ -287,8 +282,6 @@ def fbsim_dag(
             break
         if options.max_passes is not None and passes >= options.max_passes:
             break
-        if options.prune_threshold and pruned_this_pass < options.prune_threshold:
-            break
         dirty = changed if options.use_change_flags else None
 
     return SimulationResult(
@@ -364,8 +357,6 @@ def fbsim(
         if pruned_this_pass == 0:
             break
         if options.max_passes is not None and passes >= options.max_passes:
-            break
-        if options.prune_threshold and pruned_this_pass < options.prune_threshold:
             break
         dirty = changed if options.use_change_flags else None
 

@@ -43,7 +43,7 @@ class TestWorkloads:
         classes = {template_class(name) for name in templates}
         assert classes == {"acyclic", "cyclic", "clique", "combo"}
 
-    def test_query_set_kinds(self):
+    def test_query_sets_by_kind(self):
         graph = bench_graph("em", scale=0.1)
         hybrid = query_set(graph, kind="H", templates=("HQ3",))
         child = query_set(graph, kind="C", templates=("HQ3",))

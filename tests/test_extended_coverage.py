@@ -1,5 +1,6 @@
-"""Additional coverage: exceptions, set-kind variants, ordering properties,
-approximate simulation, engine details and the remaining experiment drivers."""
+"""Additional coverage: exceptions, RIG construction variants, ordering
+properties, approximate simulation, engine details and the remaining
+experiment drivers."""
 
 import random
 
@@ -51,18 +52,21 @@ class TestExceptions:
         assert error.reason == "reason" and error.detail == "detail"
 
 
-class TestRIGSetKinds:
-    @pytest.mark.parametrize("set_kind", ["set", "roaring", "intbitset"])
-    def test_mjoin_answer_independent_of_set_kind(self, paper_context, paper_query, paper_answer, set_kind):
-        rig = build_rig(paper_context, paper_query, RIGOptions(set_kind=set_kind)).rig
+class TestRIGConstructionVariants:
+    @pytest.mark.parametrize("filter_mode", ["double_sim", "prefilter", "match"])
+    def test_mjoin_answer_independent_of_filter_mode(
+        self, paper_context, paper_query, paper_answer, filter_mode
+    ):
+        rig = build_rig(paper_context, paper_query, RIGOptions(filter_mode=filter_mode)).rig
         occurrences, _, _ = mjoin(rig)
         assert frozenset(occurrences) == paper_answer
 
-    @pytest.mark.parametrize("set_kind", ["set", "roaring"])
-    def test_gm_end_to_end_with_set_kind(self, paper_graph, paper_context, paper_query, paper_answer, set_kind):
-        matcher = GraphMatcher(
-            paper_graph, context=paper_context, rig_options=RIGOptions(set_kind=set_kind)
-        )
+    @pytest.mark.parametrize("algorithm", ["fbsim", "basic"])
+    def test_gm_end_to_end_with_simulation_algorithm(
+        self, paper_graph, paper_context, paper_query, paper_answer, algorithm
+    ):
+        options = RIGOptions(simulation_algorithm=algorithm)
+        matcher = GraphMatcher(paper_graph, context=paper_context, rig_options=options)
         assert matcher.match(paper_query).occurrence_set() == paper_answer
 
 
@@ -111,14 +115,16 @@ class TestApproximateSimulation:
         for node in query.nodes():
             assert exact.candidates[node] <= approx.candidates[node]
 
-    def test_prune_threshold_early_stop(self, paper_context, paper_query):
-        result = fbsim(
-            paper_context, paper_query, options=SimulationOptions(prune_threshold=10_000)
-        )
-        # Early stop yields a (possibly) larger relation that still contains FB.
-        exact = fbsim(paper_context, paper_query)
-        for node in paper_query.nodes():
-            assert exact.candidates[node] <= result.candidates[node]
+    @pytest.mark.parametrize("max_passes", [1, 2])
+    def test_truncated_simulation_still_answers_the_paper_query(
+        self, paper_graph, paper_context, paper_query, paper_answer, max_passes
+    ):
+        # A pass budget can stop node selection short of its fixpoint (one
+        # pass does here); BuildRIG then prunes the expanded RIG instead, and
+        # the answer is the same either way.
+        options = RIGOptions(simulation_options=SimulationOptions(max_passes=max_passes))
+        matcher = GraphMatcher(paper_graph, context=paper_context, rig_options=options)
+        assert matcher.match(paper_query).occurrence_set() == paper_answer
 
 
 class TestRemainingExperimentDrivers:

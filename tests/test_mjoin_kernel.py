@@ -1,10 +1,11 @@
-"""The compiled MJoin kernel: differential, counter-reconciliation, set-kind
-and cancellation coverage.
+"""The compiled MJoin kernel: differential, counter-reconciliation and
+cancellation coverage.
 
 One oracle (``baselines/bruteforce.py``) against every way the enumerator can
-be driven — search order, injectivity, RIG set representation, match cap,
-drained or closed early — plus the accounting identities the ``stats`` /
-``step_stats`` channels and EXPLAIN ANALYZE promise for each such run.
+be driven — search order, injectivity, match cap, drained or closed early —
+plus the accounting identities the ``stats`` / ``step_stats`` channels and
+EXPLAIN ANALYZE promise for each such run, and the built-in set types the
+kernel intersects.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from repro.matching.mjoin import compile_plan
 from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget, MatchStatus
 from repro.rig.build import RIGOptions, build_rig
-from repro.simulation.context import MatchContext
+from repro.simulation.context import ChildCheckMethod, MatchContext
 from test_simulation_properties import graph_and_query
 from test_streaming import fanout_graph, path_query
-
-SET_KINDS = ["set", "roaring", "intbitset"]
 
 
 def _budget(cap, **limits) -> Budget:
@@ -54,83 +53,73 @@ def test_every_drive_mode_agrees_with_bruteforce(data, method, injective, cap):
     oracle = bruteforce_isomorphisms if injective else bruteforce_homomorphisms
     expected = set(oracle(graph, query))
 
-    by_kind = {}
-    for set_kind in SET_KINDS:
-        options = RIGOptions(set_kind=set_kind)
-        rig = build_rig(context, query, options).rig
-        if rig.is_empty():
-            assert not expected
-            assert list(mjoin_iter(rig, budget=_budget(cap), injective=injective)) == []
-            continue
-        order = search_order(rig.query, rig, method)
+    rig = build_rig(context, query).rig
+    if rig.is_empty():
+        assert not expected
+        assert list(mjoin_iter(rig, budget=_budget(cap), injective=injective)) == []
+        return
+    order = search_order(rig.query, rig, method)
 
-        # Drained (or capped): the answer, exactly.
+    # Drained (or capped): the answer, exactly.
+    stats, step_stats = {}, []
+    rows = list(mjoin_iter(rig, order, _budget(cap), injective, stats, step_stats))
+    assert len(set(rows)) == len(rows)
+    if cap is None:
+        assert set(rows) == expected
+    else:
+        assert len(rows) == min(cap, len(expected))
+        assert set(rows) <= expected
+    _reconciles(rows, stats, step_stats)
+
+    # Closed after the first row: counters flush for exactly that row.
+    if expected:
         stats, step_stats = {}, []
-        rows = list(mjoin_iter(rig, order, _budget(cap), injective, stats, step_stats))
-        assert len(set(rows)) == len(rows)
-        if cap is None:
-            assert set(rows) == expected
-        else:
-            assert len(rows) == min(cap, len(expected))
-            assert set(rows) <= expected
-        _reconciles(rows, stats, step_stats)
-        # A capped run explores whichever prefix the kind's iteration order
-        # reaches first, so only a drained run pins the rows and the work.
-        by_kind[set_kind] = (set(rows), stats) if cap is None else len(rows)
+        iterator = mjoin_iter(rig, order, _budget(cap), injective, stats, step_stats)
+        first = next(iterator)
+        iterator.close()
+        assert first in expected
+        _reconciles([first], stats, step_stats)
 
-        # Closed after the first row: counters flush for exactly that row.
-        if expected:
-            stats, step_stats = {}, []
-            iterator = mjoin_iter(rig, order, _budget(cap), injective, stats, step_stats)
-            first = next(iterator)
-            iterator.close()
-            assert first in expected
-            _reconciles([first], stats, step_stats)
-
-        # EXPLAIN ANALYZE's root reconciles with the report of the same run.
-        matcher = GraphMatcher(graph, context=context, ordering=method, rig_options=options)
-        plan = matcher.explain(query, analyze=True, budget=_budget(cap), injective=injective)
-        report = matcher.match(query, budget=_budget(cap), injective=injective)
-        assert plan.root.actual["rows"] == plan.execution["rows"] == report.num_matches == len(rows)
-
-    # Every set kind runs the same search: same answer, same work.
-    assert all(outcome == by_kind["set"] for outcome in by_kind.values())
+    # EXPLAIN ANALYZE's root reconciles with the report of the same run.
+    matcher = GraphMatcher(graph, context=context, ordering=method)
+    plan = matcher.explain(query, analyze=True, budget=_budget(cap), injective=injective)
+    report = matcher.match(query, budget=_budget(cap), injective=injective)
+    assert plan.root.actual["rows"] == plan.execution["rows"] == report.num_matches == len(rows)
 
 
 @pytest.mark.parametrize("method", list(OrderingMethod))
-def test_set_kinds_do_identical_work_on_the_paper_fixture(
+def test_child_checks_do_identical_work_on_the_paper_fixture(
     paper_context, paper_query, paper_answer, method
 ):
+    # Every child check builds the same RIG, so MJoin runs the same search.
     work = {}
-    for set_kind in SET_KINDS:
-        rig = build_rig(paper_context, paper_query, RIGOptions(set_kind=set_kind)).rig
+    for child_check in ChildCheckMethod:
+        rig = build_rig(paper_context, paper_query, RIGOptions(child_check=child_check)).rig
         stats: dict = {}
         rows = list(
             mjoin_iter(rig, search_order(rig.query, rig, method), _budget(None), stats=stats)
         )
         assert frozenset(rows) == paper_answer
         assert len(rows) == len(paper_answer)
-        work[set_kind] = stats
-    assert work["roaring"] == work["intbitset"] == work["set"]
-    assert work["set"]["candidates"] > 0 and work["set"]["intersections"] > 0
+        work[child_check] = stats
+    assert all(stats == work[ChildCheckMethod.BIT_BAT] for stats in work.values())
+    assert work[ChildCheckMethod.BIT_BAT]["candidates"] > 0
+    assert work[ChildCheckMethod.BIT_BAT]["intersections"] > 0
 
 
-def test_local_candidates_keep_the_rig_set_kind(paper_context, paper_query):
-    # The kernel intersects with each kind's own ``&``: no operand is ever
-    # converted to a built-in set on the way.  Adjacency is the kind's
-    # ``make_set`` type — for the default kind the immutable ``frozenset``,
-    # because equal answers share one object — and ``cos(q) & adjacency``
-    # stays the mutable kind ``cos(q)`` has.
-    for set_kind in SET_KINDS:
-        rig = build_rig(paper_context, paper_query, RIGOptions(set_kind=set_kind)).rig
-        kind = type(rig.candidates(0))
-        adjacency_kind = frozenset if set_kind == "set" else kind
-        assert type(rig.make_set(())) is adjacency_kind
-        for _, base, probes, _ in compile_plan(rig, search_order(rig.query, rig)):
-            assert type(base) is kind
-            for index, _ in probes:
-                assert all(type(adjacency) is adjacency_kind for adjacency in index.values())
-                assert all(type(base & adjacency) is kind for adjacency in index.values())
+@pytest.mark.parametrize("method", list(OrderingMethod))
+def test_local_candidates_are_builtin_sets(paper_context, paper_query, method):
+    # The kernel intersects with the built-in ``&``: no operand is converted
+    # on the way.  Each step's base is its node's ``cos(q)``, a ``set``;
+    # every probed adjacency is the RIG's shared ``frozenset``; and their
+    # intersection is a ``set`` again.
+    rig = build_rig(paper_context, paper_query).rig
+    for _, base, probes, _ in compile_plan(rig, search_order(rig.query, rig, method)):
+        assert type(base) is set
+        for index, _ in probes:
+            assert index
+            assert all(type(adjacency) is frozenset for adjacency in index.values())
+            assert all(type(base & adjacency) is set for adjacency in index.values())
 
 
 def test_plan_is_compiled_once_per_rig_and_order(paper_context, paper_query):

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DataGraph
@@ -27,13 +27,31 @@ def random_graphs(draw, max_nodes: int = 18, max_extra_edges: int = 40):
     return DataGraph(["X"] * num_nodes, sorted(edges), name=f"prop-{seed}")
 
 
+def wide_cyclic_graph() -> DataGraph:
+    """150 nodes, so a closure mask spans three machine words: a 64-node
+    cycle feeding an acyclic chain with one cycle inside it and random
+    forward shortcuts, plus four isolated nodes."""
+    rng = random.Random(150)
+    edges = {(v, (v + 1) % 64) for v in range(64)}
+    edges |= {(v, v + 1) for v in range(63, 145)}
+    edges.add((130, 100))
+    edges |= {tuple(sorted(rng.sample(range(64, 146), 2))) for _ in range(40)}
+    return DataGraph(["X"] * 150, sorted(edges), name="wide-cyclic")
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph=random_graphs())
+@example(graph=wide_cyclic_graph())
 def test_transitive_closure_matches_bfs(graph):
     index = TransitiveClosureIndex(graph)
+    closure_edges = []
     for u in graph.nodes():
-        for v in graph.nodes():
-            assert index.reaches(u, v) == graph.reaches_bfs(u, v)
+        reached = [v for v in graph.nodes() if graph.reaches_bfs(u, v)]
+        assert [v for v in graph.nodes() if index.reaches(u, v)] == reached
+        assert index.reachable_set(u) == reached
+        closure_edges.extend((u, v) for v in reached if v != u)
+    assert index.closure_edges() == closure_edges
+    assert index.num_closure_edges() == len(closure_edges)
 
 
 @settings(max_examples=40, deadline=None)

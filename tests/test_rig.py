@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.exceptions import MatchingError
 from repro.graph.digraph import DataGraph
 from repro.matching.gm import GraphMatcher
 from repro.query.pattern import PatternQuery
@@ -22,8 +21,8 @@ def install(rig, edge, pairs):
         backward.setdefault(head, []).append(tail)
     rig.set_edge_adjacency(
         edge,
-        {tail: rig.make_set(heads) for tail, heads in forward.items()},
-        {head: rig.make_set(tails) for head, tails in backward.items()},
+        {tail: frozenset(heads) for tail, heads in forward.items()},
+        {head: frozenset(tails) for head, tails in backward.items()},
     )
 
 
@@ -44,11 +43,11 @@ class TestRuntimeIndexGraphStructure:
         assert set(rig.candidates(0)) == {A1, A2}
         assert rig.candidate_count(2) == 3
 
-    def test_forward_backward_adjacency(self, rig):
-        assert set(rig.forward_adjacency(0, 1, A1)) == {B0}
-        assert set(rig.backward_adjacency(0, 1, B2)) == {A2}
-        assert set(rig.forward_adjacency(1, 2, B2)) == {C0, C1, C2}
-        assert set(rig.forward_adjacency(0, 1, A0)) == set()
+    def test_forward_backward_index(self, rig):
+        assert rig.forward_index(0, 1)[A1] == {B0}
+        assert rig.backward_index(0, 1)[B2] == {A2}
+        assert rig.forward_index(1, 2)[B2] == {C0, C1, C2}
+        assert A0 not in rig.forward_index(0, 1)
 
     def test_edge_candidate_count(self, rig):
         assert rig.edge_candidate_count(0, 1) == 2
@@ -64,12 +63,12 @@ class TestRuntimeIndexGraphStructure:
         assert not rig.is_empty()
 
     def test_set_edge_adjacency_replaces_and_takes_ownership(self, rig, paper_query):
-        forward, backward = {A1: rig.make_set([B0, B2])}, {B0: rig.make_set([A1]), B2: rig.make_set([A1])}
+        forward, backward = {A1: frozenset([B0, B2])}, {B0: frozenset([A1]), B2: frozenset([A1])}
         rig.set_edge_adjacency(paper_query.edge(0, 1), forward, backward)
         assert rig.forward_index(0, 1) is forward and rig.backward_index(0, 1) is backward
-        assert set(rig.forward_adjacency(0, 1, A1)) == {B0, B2}
-        assert set(rig.backward_adjacency(0, 1, B2)) == {A1}
-        assert set(rig.forward_adjacency(0, 1, A2)) == set()  # replaced, not merged
+        assert rig.forward_index(0, 1)[A1] == {B0, B2}
+        assert rig.backward_index(0, 1)[B2] == {A1}
+        assert A2 not in rig.forward_index(0, 1)  # replaced, not merged
 
     def test_add_empty_heads_is_noop(self, rig, paper_query):
         before = rig.num_rig_edges()
@@ -79,7 +78,7 @@ class TestRuntimeIndexGraphStructure:
     def test_physical_edges_count_each_stored_set_once(self, rig, paper_query):
         # Nothing shared: every pair is stored once per direction.
         assert rig.num_physical_edges() == 2 * rig.num_rig_edges() == 14
-        heads, tails = rig.make_set([C0, C1]), rig.make_set([A1, A2])
+        heads, tails = frozenset([C0, C1]), frozenset([A1, A2])
         rig.set_edge_adjacency(
             paper_query.edge(0, 2), dict.fromkeys([A1, A2], heads), dict.fromkeys([C0, C1], tails)
         )
@@ -102,21 +101,6 @@ class TestRuntimeIndexGraphStructure:
         assert not rig.is_empty() and rig.num_rig_nodes() == 5
         assert rig.memo("derived", object) is not derived
 
-    def test_unknown_set_kind(self, paper_query):
-        with pytest.raises(MatchingError):
-            RuntimeIndexGraph(paper_query, set_kind="bogus")
-
-    def test_frozenset_is_not_a_set_kind(self, paper_query):
-        # It used to be accepted and then crashed in pruning (``cos(q)`` must
-        # be mutable); it had no caller and is gone.
-        with pytest.raises(MatchingError, match="unknown set kind 'frozenset'"):
-            RuntimeIndexGraph(paper_query, set_kind="frozenset")
-
-    def test_roaring_set_kind(self, paper_query):
-        rig = RuntimeIndexGraph(paper_query, set_kind="roaring")
-        rig.set_candidates(0, [A1, A2])
-        assert A1 in rig.candidates(0)
-
     def test_prune_unmatched_candidates(self, paper_query):
         rig = RuntimeIndexGraph(paper_query)
         rig.set_candidates(0, [A1])
@@ -131,6 +115,47 @@ class TestRuntimeIndexGraphStructure:
         assert set(rig.candidates(1)) == {B0}
         assert rig.num_rig_nodes() == 3  # the memoised aggregate was dropped
 
+    def test_prune_cascades_to_a_fixpoint(self, paper_query):
+        rig = RuntimeIndexGraph(paper_query)
+        rig.set_candidates(0, [A1, A2])
+        rig.set_candidates(1, [B0, B2])
+        rig.set_candidates(2, [C0])
+        install(rig, paper_query.edge(0, 1), [(A1, B0), (A2, B2)])
+        install(rig, paper_query.edge(0, 2), [(A1, C0), (A2, C0)])
+        install(rig, paper_query.edge(1, 2), [(B0, C0)])
+        # B2 has no C; only then does A2 lose its only B, on an earlier edge.
+        assert rig.prune_unmatched_candidates() == 2
+        assert (rig.candidates(0), rig.candidates(1), rig.candidates(2)) == ({A1}, {B0}, {C0})
+
+    def test_prune_keeps_a_candidate_with_one_live_partner(self, paper_query):
+        rig = RuntimeIndexGraph(paper_query)
+        rig.set_candidates(0, [A1, A2])
+        rig.set_candidates(1, [B0, B2])
+        rig.set_candidates(2, [C0])
+        install(rig, paper_query.edge(0, 1), [(A1, B0), (A1, B2), (A2, B0), (A2, B2)])
+        install(rig, paper_query.edge(0, 2), [(A1, C0), (A2, C0)])
+        install(rig, paper_query.edge(1, 2), [(B0, C0)])
+        assert rig.prune_unmatched_candidates() == 1
+        assert (rig.candidates(0), rig.candidates(1)) == ({A1, A2}, {B0})
+        assert rig.forward_index(0, 1)[A1] == {B0, B2}  # adjacency is left as stored
+
+    def test_prune_empties_the_rig_when_one_edge_has_no_pairs(self, paper_query):
+        rig = RuntimeIndexGraph(paper_query)
+        rig.set_candidates(0, [A1, A2])
+        rig.set_candidates(1, [B0, B2])
+        rig.set_candidates(2, [C0, C1])
+        install(rig, paper_query.edge(0, 1), [(A1, B0), (A2, B2)])
+        install(rig, paper_query.edge(0, 2), [(A1, C0), (A2, C1)])
+        install(rig, paper_query.edge(1, 2), [])
+        assert rig.prune_unmatched_candidates() == 6
+        assert rig.is_empty() and rig.num_rig_nodes() == 0
+
+    def test_prune_of_an_exact_rig_removes_nothing(self, paper_context, paper_query):
+        rig = build_rig(paper_context, paper_query).rig
+        before = {node: set(rig.candidates(node)) for node in rig.query.nodes()}
+        assert rig.prune_unmatched_candidates() == 0
+        assert {node: rig.candidates(node) for node in rig.query.nodes()} == before
+
 
 class TestBuildRIG:
     def test_refined_rig_matches_paper(self, paper_context, paper_query):
@@ -141,7 +166,7 @@ class TestBuildRIG:
         assert set(rig.candidates(1)) == {B0, B2}
         assert set(rig.candidates(2)) == {C0, C1, C2}
         # The redundant edge (b2, c1) survives double simulation (paper §4.5).
-        assert C1 in set(rig.forward_adjacency(1, 2, B2))
+        assert C1 in rig.forward_index(1, 2)[B2]
         # Edge candidates of (A, B) are exactly the occurrence set.
         assert set(rig.edge_candidates(0, 1)) == {(A1, B0), (A2, B2)}
 
@@ -191,20 +216,13 @@ class TestBuildRIG:
         rig = build_rig(paper_context, paper_query, options).rig
         assert set(rig.candidates(1)) == {B0, B2}
 
-    def test_frozenset_kind_is_a_typed_error_not_a_crash_in_pruning(self):
-        # One candidate (A at 1) has no partner: pruning must discard it from
-        # ``cos(q)``, which the "frozenset" kind could not do.
+    def test_match_rig_prunes_a_candidate_without_a_partner(self):
+        # One candidate (A at 1) has no partner: pruning discards it from
+        # ``cos(q)``.
         context = MatchContext(DataGraph("AAB", [(0, 2)]))
         query = PatternQuery(["A", "B"], [(0, 1, "child")])
-        with pytest.raises(MatchingError, match="unknown set kind 'frozenset'"):
-            build_rig(context, query, RIGOptions(set_kind="frozenset", filter_mode="match"))
         rig = build_rig(context, query, RIGOptions(filter_mode="match")).rig
         assert set(rig.candidates(0)) == {0}
-
-    def test_roaring_rig(self, paper_context, paper_query):
-        options = RIGOptions(set_kind="roaring")
-        rig = build_rig(paper_context, paper_query, options).rig
-        assert set(rig.candidates(0)) == {A1, A2}
 
 
 class TestSharedAdjacency:
@@ -241,16 +259,38 @@ class TestSharedAdjacency:
         forward = build_rig(MatchContext(graph), query).rig.forward_index(0, 1)
         assert forward[0] is forward[1] and forward[0] == {2, 3}
 
-    def test_default_kind_adjacency_is_immutable(self, rig):
+    def test_adjacency_is_immutable(self, rig):
         assert type(rig.forward_index(0, 1)[0]) is frozenset
         assert type(rig.candidates(0)) is set
         assert type(rig.candidates(1) & rig.forward_index(0, 1)[0]) is set
 
-    @pytest.mark.parametrize("set_kind", ["set", "roaring", "intbitset"])
-    def test_pruning_changes_candidates_only(self, set_kind):
+    @pytest.mark.parametrize("child_check", list(ChildCheckMethod))
+    @pytest.mark.parametrize("filter_mode", ["double_sim", "prefilter", "match"])
+    def test_every_build_path_stores_builtin_sets(
+        self, paper_context, paper_query, filter_mode, child_check
+    ):
+        # MJoin intersects ``cos(q)`` with adjacency and pruning calls
+        # ``isdisjoint`` on it, whichever way BuildRIG filled the RIG.
+        options = RIGOptions(filter_mode=filter_mode, child_check=child_check)
+        rig = build_rig(paper_context, paper_query, options).rig
+        assert not rig.is_empty()
+        for node in rig.query.nodes():
+            assert type(rig.candidates(node)) is set
+        for edge in rig.query.edges():
+            endpoints = edge.endpoints()
+            for index, partners in (
+                (rig.forward_index(*endpoints), rig.candidates(edge.target)),
+                (rig.backward_index(*endpoints), rig.candidates(edge.source)),
+            ):
+                assert index
+                for adjacency in index.values():
+                    assert type(adjacency) is frozenset
+                    assert type(partners & adjacency) is set
+
+    def test_pruning_changes_candidates_only(self):
         graph = DataGraph("AABB", [(0, 2), (0, 3), (1, 2)])
         query = PatternQuery(["A", "B"], [(0, 1, "child")])
-        options = RIGOptions(set_kind=set_kind, filter_mode="match", prune_after_expand=False)
+        options = RIGOptions(filter_mode="match", prune_after_expand=False)
         rig = build_rig(MatchContext(graph), query, options).rig
         rig.set_candidates(0, [1])  # head 3's only tail is gone
         indexes = [rig.forward_index(0, 1), rig.backward_index(0, 1)]

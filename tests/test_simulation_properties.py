@@ -82,7 +82,7 @@ def test_rig_losslessness(data):
         for edge in rig.query.edges():
             vp, vq = occurrence[edge.source], occurrence[edge.target]
             assert vp in rig.candidates(edge.source)
-            assert vq in set(rig.forward_adjacency(edge.source, edge.target, vp))
+            assert vq in rig.forward_index(edge.source, edge.target)[vp]
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,6 +94,24 @@ def test_mjoin_over_rig_equals_bruteforce(data):
     occurrences, _, _ = mjoin(rig, budget=UNLIMITED)
     expected = set(bruteforce_homomorphisms(graph, query))
     assert set(occurrences) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=graph_and_query())
+def test_rig_prune_leaves_every_candidate_a_partner_and_keeps_occurrences(data):
+    graph, query = data
+    rig = build_match_rig(MatchContext(graph), query).rig  # built without the prune
+    before = sum(map(rig.candidate_count, query.nodes()))
+    removed = rig.prune_unmatched_candidates()
+    assert removed == before - sum(map(rig.candidate_count, query.nodes()))
+    for edge in query.edges():
+        tails, heads = rig.candidates(edge.source), rig.candidates(edge.target)
+        forward = rig.forward_index(edge.source, edge.target)
+        backward = rig.backward_index(edge.source, edge.target)
+        assert all(forward.get(tail, frozenset()) & heads for tail in tails)
+        assert all(backward.get(head, frozenset()) & tails for head in heads)
+    for occurrence in bruteforce_homomorphisms(graph, query):
+        assert all(occurrence[node] in rig.candidates(node) for node in query.nodes())
 
 
 @settings(max_examples=25, deadline=None)
