@@ -246,7 +246,7 @@ def main() -> None:
                 for status in routed.replica_status():
                     print(f"  {status['target']}: head v{status['head_version']}, "
                           f"lag {status['lag_versions']} version(s)")
-                reads = routed.local_metrics()["routed_reads_total"]["values"]
+                reads = routed.registry.snapshot()["routed_reads_total"]["values"]
                 spread = {v["labels"]["target"]: int(v["value"]) for v in reads}
                 print(f"reads by target: {spread}")
     shutil.rmtree(primary_dir)

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
-from repro.exceptions import ProtocolError, StoreError
+from repro.exceptions import ProtocolError, StoreError, UnknownGraphError
 from repro.matching.result import MatchReport
 from repro.matching.stream import decode_page
 from repro.obs.context import TraceContext
@@ -265,7 +265,7 @@ class GraphClient(Reader):
     reconnect:
         When True (default), a connection dropped under an **idempotent
         read** (``query`` / ``count`` / ``explain`` / ``histogram`` /
-        ``run_batch`` / ``info`` / ``stats`` / ...) is transparently
+        ``run_batch`` / ``graphs`` / ``stats`` / ...) is transparently
         re-established — up to ``max_retries`` times, with bounded
         exponential backoff plus jitter — and the request resent.
         Writes (``ingest`` / ``apply`` / ...) are **never** retried: a
@@ -276,7 +276,8 @@ class GraphClient(Reader):
         metric on :attr:`registry`.
     registry:
         The :class:`~repro.obs.MetricsRegistry` client-side metrics land
-        in; by default the client creates its own (see :meth:`local_metrics`).
+        in; by default the client creates its own (read it with
+        ``client.registry.snapshot()``).
     """
 
     def __init__(
@@ -551,8 +552,15 @@ class GraphClient(Reader):
         return self
 
     def info(self, graph: Optional[str] = None) -> Dict[str, object]:
-        """Head version / node / edge counts of one tenant."""
-        return self._request("info", graph=self._graph_name(graph))
+        """Head version / node / edge counts of one tenant: its entry of
+        :meth:`graphs` (:class:`~repro.exceptions.UnknownGraphError` when
+        the catalog has no such tenant)."""
+        name = self._graph_name(graph)
+        infos = self.graphs()
+        for info in infos:
+            if info["name"] == name:
+                return info
+        raise UnknownGraphError(name, [info["name"] for info in infos])
 
     @property
     def graph_name(self) -> Optional[str]:
@@ -719,23 +727,15 @@ class GraphClient(Reader):
             return str(payload.get("text", ""))
         return dict(payload.get("metrics", {}))
 
-    def replica_status(self, graph: Optional[str] = None) -> Dict[str, object]:
-        """Replication state of one tenant on the connected node.
-
-        On a replica: ``replica=True`` plus connection/mode/lag detail
-        (``lag_versions`` / ``lag_seconds`` / ``frames_applied`` / ...).
-        On a primary: ``replica=False`` with the tenant's head version —
-        which is how a routing layer measures staleness bounds.
-        """
-        return self._request("replica_status", graph=self._graph_name(graph))
-
     def health(self, timeout: Optional[float] = None) -> Dict[str, object]:
         """The node's health summary (graph-less, cheap, probe-friendly).
 
         Returns ``{"status", "node", "role", "uptime_seconds", "tenants"}``
-        where each tenant entry carries its head version, WAL state,
-        replication lag and a ``ready`` / ``degraded`` / ``unhealthy``
-        classification (see :mod:`repro.obs.health`).  ``timeout`` bounds
+        where each tenant entry carries its head version, WAL state, a
+        ``ready`` / ``degraded`` / ``unhealthy`` classification (see
+        :mod:`repro.obs.health`) and, on a replica, ``replication``: its
+        tail's status (connection, mode, ``head_version``,
+        ``lag_versions`` / ``lag_seconds``, frame counters).  ``timeout`` bounds
         the *socket* wait: a node that cannot answer within it raises
         :class:`TimeoutError`, which routers treat as ``unreachable``.
         """
@@ -761,44 +761,27 @@ class GraphClient(Reader):
             after_seq=after_seq,
         )
 
-    def trace_spans(
+    def trace(
         self,
         trace_id: Optional[str] = None,
         graph: Optional[str] = None,
         limit: Optional[int] = None,
-    ) -> Tuple[Dict[str, object], ...]:
-        """Finished distributed-trace spans from one tenant's span ring.
+    ) -> Dict[str, list]:
+        """One tenant's recorded spans and slow-query entries, oldest first.
 
-        With ``trace_id``: every span this node recorded for that trace
-        (the raw material :func:`repro.obs.assemble_trace` stitches into
-        a cross-node tree).  Without: the most recent spans, oldest first.
+        Returns ``{"spans": [...], "slow_queries": [...]}``.  With
+        ``trace_id`` each list holds only that trace's entries: the spans
+        this node recorded for it (the raw material
+        :func:`repro.obs.assemble_trace` stitches into a cross-node tree)
+        and its slow-query records.  ``limit`` keeps each list's newest
+        entries.  A slow-query entry is the structured record the service
+        logged — wall seconds, query name, engine, status, match count,
+        version, and the full span tree when the query was traced; there
+        are none while the tenant has no slow-query threshold.
         """
-        payload = self._request(
-            "spans",
-            graph=self._graph_name(graph),
-            trace_id=trace_id,
-            limit=limit,
+        return self._request(
+            "trace", graph=self._graph_name(graph), trace_id=trace_id, limit=limit
         )
-        return tuple(payload.get("spans", ()))
-
-    def local_metrics(self) -> Dict[str, object]:
-        """This client's own metric families (``client_reconnects_total``)."""
-        return self.registry.snapshot()
-
-    def slow_queries(
-        self, graph: Optional[str] = None, limit: Optional[int] = None
-    ) -> Tuple[Dict[str, object], ...]:
-        """Recent entries of the tenant's slow-query log, oldest first.
-
-        Each entry is the structured record the service logged — wall
-        seconds, query name, engine, status, match count, version, and the
-        full span tree when the query was traced.  Empty when the tenant
-        has no slow-query threshold configured.
-        """
-        payload = self._request(
-            "slow_queries", graph=self._graph_name(graph), limit=limit
-        )
-        return tuple(payload.get("slow_queries", ()))
 
     def checkpoint(self, graph: Optional[str] = None) -> Dict[str, object]:
         """Checkpoint a durable tenant server-side: snapshot head, truncate log.

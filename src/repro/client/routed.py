@@ -19,7 +19,7 @@ surface:
   ``read_your_writes=True`` (default) pins this client to versions at or
   above its own last acknowledged write, and ``max_staleness=k`` bounds
   reads to within ``k`` versions of the last *known* primary head.  A
-  replica that cannot prove it meets the floor (cheap ``info`` probe,
+  replica that cannot prove it meets the floor (cheap ``health`` probe,
   cached for ``probe_ttl`` seconds) is skipped for that read; a replica
   whose connection fails is **evicted** and transparently re-probed
   after ``probe_interval`` seconds.  When no replica qualifies the read
@@ -476,25 +476,26 @@ class RoutedClient(Reader):
     # ------------------------------------------------------------------ #
 
     def replica_status(self, graph=None) -> List[Dict[str, object]]:
-        """Replication status of every configured replica (reachable ones)."""
+        """Replication status of every configured replica, probed now.
+
+        Each entry is the ``replication`` entry of the tenant in the
+        replica's ``health`` reply — its tail's status (``head_version``,
+        ``lag_versions``, ``connected``, ...) — plus ``target`` and
+        ``reachable``.  The probe is the router's own health probe, so it
+        refreshes the routing view (heads, lag, state) as well.
+        """
         name = self._graph_name(graph)
         statuses: List[Dict[str, object]] = []
         with self._lock:
             for node in self._replicas:
                 client = self._connect(node)
-                if client is None:
-                    statuses.append(
-                        {"target": node.label, "reachable": False}
-                    )
-                    continue
-                try:
-                    status = client.replica_status(graph=name)
-                except (ConnectionError, OSError):
-                    self._evict(node)
+                document = self._probe_health(node, client) if client is not None else None
+                if document is None:
                     statuses.append({"target": node.label, "reachable": False})
                     continue
-                status = dict(status)
-                status.update({"target": node.label, "reachable": True})
+                tenant = (document.get("tenants") or {}).get(name) or {}
+                status = dict(tenant.get("replication") or {})
+                status.update(target=node.label, reachable=True)
                 statuses.append(status)
         return statuses
 
@@ -529,9 +530,9 @@ class RoutedClient(Reader):
     ) -> List[Dict[str, object]]:
         """Every span of one trace visible from this router.
 
-        Merges the router's own root spans with the ``spans`` rings of the
-        primary and every reachable replica; feed the result to
-        :func:`repro.obs.assemble_trace` for the cross-node tree.
+        Merges the router's own root spans with the span rings (the
+        ``trace`` op) of the primary and every reachable replica; feed the
+        result to :func:`repro.obs.assemble_trace` for the cross-node tree.
         ``trace_id`` defaults to the router's most recent traced write.
         """
         name = self._graph_name(graph)
@@ -547,9 +548,7 @@ class RoutedClient(Reader):
                 if client is None:
                     continue
                 try:
-                    collected.extend(
-                        client.trace_spans(trace_id=trace_id, graph=name)
-                    )
+                    collected.extend(client.trace(trace_id=trace_id, graph=name)["spans"])
                 except Exception:
                     continue  # a node missing from the sweep shows up as orphans
         return collected
@@ -586,11 +585,6 @@ class RoutedClient(Reader):
                 "known_heads": dict(self._known_head),
                 "last_written": dict(self._last_written),
             }
-
-    def local_metrics(self) -> Dict[str, object]:
-        """This router's metric families (reads by target, writes, evictions,
-        per-replica observed lag)."""
-        return self.registry.snapshot()
 
     # ------------------------------------------------------------------ #
     # lifecycle

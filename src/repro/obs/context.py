@@ -8,7 +8,7 @@ frame and (via a thread-local) every fold, so one trace id names a tree
 of :class:`Span` records scattered across the client, the primary and
 every replica.  Each node keeps its part of the tree in a bounded
 :class:`SpanRecorder` (one per :class:`~repro.obs.Telemetry`, queryable
-over the wire with the ``spans`` op); :func:`assemble_trace` stitches
+over the wire with the ``trace`` op); :func:`assemble_trace` stitches
 the parts back into one tree.
 
 Wire form
@@ -35,6 +35,8 @@ import time
 import uuid
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional
+
+from repro.obs.events import tail
 
 __all__ = [
     "Span",
@@ -192,7 +194,7 @@ class Span:
 class SpanRecorder:
     """A node's bounded ring of finished span documents.
 
-    One per :class:`~repro.obs.Telemetry` bundle; the ``spans`` wire op
+    One per :class:`~repro.obs.Telemetry` bundle; the ``trace`` wire op
     reads it, cross-node assembly (:func:`assemble_trace`) merges several
     of them.  Thread-safe; overflow drops the oldest spans.
     """
@@ -213,12 +215,9 @@ class SpanRecorder:
                 del self._spans[: len(self._spans) - self.capacity]
 
     def recent(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """The newest spans, oldest first."""
+        """The newest spans, oldest first (copies: the ring stays intact)."""
         with self._lock:
-            spans = list(self._spans)
-        if limit is not None:
-            spans = spans[-max(0, int(limit)):]
-        return spans
+            return [dict(span) for span in tail(self._spans, limit)]
 
     def for_trace(self, trace_id: str) -> List[Dict[str, object]]:
         """Every retained span of one trace, oldest first."""

@@ -14,9 +14,22 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["EventLog"]
+__all__ = ["EventLog", "tail"]
+
+
+def tail(items: Iterable, limit: Optional[int] = None) -> list:
+    """The last ``limit`` of ``items`` (all of them when ``limit`` is None).
+
+    The one ``limit`` rule of every bounded ring the stack serves (events,
+    spans, slow queries) and of the fleet-wide merges over them: a
+    non-positive limit means none.
+    """
+    items = list(items)
+    if limit is None:
+        return items
+    return items[max(0, len(items) - max(0, int(limit))):]
 
 
 class EventLog:
@@ -69,9 +82,7 @@ class EventLog:
             events = [event for event in events if event["kind"] in wanted]
         if after_seq is not None:
             events = [event for event in events if int(event["seq"]) > int(after_seq)]
-        if limit is not None:
-            events = events[-max(0, int(limit)):]
-        return events
+        return tail(events, limit)
 
     @property
     def last_seq(self) -> int:

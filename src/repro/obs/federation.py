@@ -30,14 +30,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs import health as health_states
-from repro.obs.metrics import (
-    _escape_help,
-    _format_value,
-    _render_labels,
-)
+from repro.obs.events import tail
+from repro.obs.metrics import render_prometheus
 
 #: A scrape target: ``(host, port)`` or ``(host, port, label)``.
 NodeSpec = Union[Tuple[str, int], Tuple[str, int, str]]
@@ -142,8 +139,8 @@ class ClusterMonitor:
             try:
                 entry["tenants"][tenant] = client.server_metrics(graph=tenant)
             except Exception:
-                # Telemetry disabled for this tenant (or it was dropped
-                # mid-scrape): its families are simply absent this round.
+                # The tenant was dropped mid-scrape: its families are
+                # simply absent this round.
                 continue
         return entry
 
@@ -261,38 +258,9 @@ class ClusterMonitor:
     def to_prometheus(self) -> str:
         """The merged families + derived gauges in text exposition format."""
         document = self.snapshot()
-        lines: List[str] = []
-        merged: Dict[str, Dict[str, object]] = {}
-        merged.update(document.get("metrics") or {})
-        merged.update(document.get("derived") or {})
-        for name in sorted(merged):
-            family = merged[name]
-            help_text = str(family.get("help") or "")
-            if help_text:
-                lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} {family.get('type', 'untyped')}")
-            for value in family.get("values", ()):
-                labels = dict(value.get("labels") or {})
-                if "buckets" in value:
-                    for bound, count in value["buckets"].items():
-                        bucket_labels = dict(labels, le=str(bound))
-                        lines.append(
-                            f"{name}_bucket{_render_labels(bucket_labels)} {count}"
-                        )
-                    lines.append(
-                        f"{name}_sum{_render_labels(labels)} "
-                        f"{_format_value(float(value.get('sum') or 0.0))}"
-                    )
-                    lines.append(
-                        f"{name}_count{_render_labels(labels)} "
-                        f"{int(value.get('count') or 0)}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{_render_labels(labels)} "
-                        f"{_format_value(float(value.get('value') or 0.0))}"
-                    )
-        return "\n".join(lines) + "\n"
+        return render_prometheus(
+            {**(document.get("metrics") or {}), **(document.get("derived") or {})}
+        )
 
     def health(self) -> Dict[str, object]:
         """Per-node health from the latest scrape: ``label -> status``."""
@@ -321,47 +289,45 @@ class ClusterMonitor:
                 stamped["node"] = target.label
                 collected.append(stamped)
         collected.sort(key=lambda event: float(event.get("ts") or 0.0))
-        if limit is not None:
-            collected = collected[-max(0, int(limit)):]
-        return collected
+        return tail(collected, limit)
+
+    def _trace_replies(self, **fields) -> Iterator[Tuple[str, str, Dict[str, list]]]:
+        """``(node label, tenant, reply)`` of one ``trace`` op per reachable
+        node × tenant; a node that fails any request is dropped whole."""
+        for target in self._targets:
+            try:
+                client = target.connect(self.probe_timeout)
+                health = client.health(timeout=self.probe_timeout)
+                replies = [
+                    (tenant, client.trace(graph=tenant, **fields))
+                    for tenant in sorted(health.get("tenants") or {})
+                ]
+            except Exception:
+                target.drop()
+                continue
+            for tenant, reply in replies:
+                yield target.label, tenant, reply
 
     def slow_queries(
         self, limit: Optional[int] = None
     ) -> List[Dict[str, object]]:
-        """The fleet's slow-query tail, merged across nodes and tenants."""
-        collected: List[Dict[str, object]] = []
-        for target in self._targets:
-            try:
-                client = target.connect(self.probe_timeout)
-                health = client.health(timeout=self.probe_timeout)
-                for tenant in sorted((health.get("tenants") or {})):
-                    for entry in client.slow_queries(graph=tenant, limit=limit):
-                        stamped = dict(entry)
-                        stamped.update(node=target.label, tenant=tenant)
-                        collected.append(stamped)
-            except Exception:
-                target.drop()
-                continue
-        collected.sort(key=lambda entry: float(entry.get("finished_at") or 0.0))
-        if limit is not None:
-            collected = collected[-max(0, int(limit)):]
-        return collected
+        """The fleet's slow-query tail, merged across nodes and tenants,
+        oldest first."""
+        collected = [
+            dict(entry, node=node, tenant=tenant)
+            for node, tenant, reply in self._trace_replies(limit=limit)
+            for entry in reply["slow_queries"]
+        ]
+        collected.sort(key=lambda entry: float(entry.get("ts") or 0.0))
+        return tail(collected, limit)
 
     def trace_spans(self, trace_id: str) -> List[Dict[str, object]]:
         """Every span of one trace across all reachable nodes and tenants."""
-        collected: List[Dict[str, object]] = []
-        for target in self._targets:
-            try:
-                client = target.connect(self.probe_timeout)
-                health = client.health(timeout=self.probe_timeout)
-                for tenant in sorted((health.get("tenants") or {})):
-                    collected.extend(
-                        client.trace_spans(trace_id=trace_id, graph=tenant)
-                    )
-            except Exception:
-                target.drop()
-                continue
-        return collected
+        return [
+            span
+            for _, _, reply in self._trace_replies(trace_id=trace_id)
+            for span in reply["spans"]
+        ]
 
     # ------------------------------------------------------------------ #
     # background scraping

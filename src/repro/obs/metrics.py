@@ -4,8 +4,10 @@ The registry is the one metrics surface every layer of the stack records
 into, and the only place a count lives: a named family per metric, a child
 per label combination, two snapshot forms — a JSON-able document (what the
 wire protocol's ``metrics`` op ships) and the Prometheus text exposition
-format (what a scraper ingests) — and :meth:`MetricsRegistry.read`, through
-which every ``stats()`` document reads its numbers.  Dependency-free and
+format (what a scraper ingests; :func:`render_prometheus` writes it from
+the document, for one registry and for the cluster monitor's merge) — and
+:meth:`MetricsRegistry.read`, through which every ``stats()`` document
+reads its numbers.  Dependency-free and
 deliberately small:
 
 * **Counters** are monotone floats; nothing ever resets them.
@@ -68,6 +70,38 @@ def _render_labels(labels: Mapping[str, str]) -> str:
         for name, value in labels.items()
     )
     return "{" + body + "}"
+
+
+def render_prometheus(document: Mapping[str, Mapping]) -> str:
+    """A :meth:`MetricsRegistry.snapshot` document (or a merge of several)
+    in the Prometheus text exposition format (version 0.0.4), families in
+    name order."""
+    lines: List[str] = []
+    for name in sorted(document):
+        family = document[name]
+        help_text = str(family.get("help") or "")
+        if help_text:
+            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {family.get('type', 'untyped')}")
+        for value in family.get("values", ()):
+            labels = dict(value.get("labels") or {})
+            if "buckets" in value:
+                for bound, count in value["buckets"].items():
+                    bucket_labels = dict(labels, le=str(bound))
+                    lines.append(f"{name}_bucket{_render_labels(bucket_labels)} {count}")
+                lines.append(
+                    f"{name}_sum{_render_labels(labels)} "
+                    f"{_format_value(float(value.get('sum') or 0.0))}"
+                )
+                lines.append(
+                    f"{name}_count{_render_labels(labels)} {int(value.get('count') or 0)}"
+                )
+            else:
+                lines.append(
+                    f"{name}{_render_labels(labels)} "
+                    f"{_format_value(float(value.get('value') or 0.0))}"
+                )
+    return "\n".join(lines) + "\n"
 
 
 class _CounterChild:
@@ -434,41 +468,9 @@ class MetricsRegistry:
             }
         return document
 
-    def to_prometheus(
-        self, extra_labels: Optional[Mapping[str, str]] = None
-    ) -> str:
-        """The Prometheus text exposition format (version 0.0.4).
-
-        ``extra_labels`` are merged into every sample at render time — the
-        server uses this to stamp each tenant's registry with its
-        ``graph="<name>"`` label without the hot paths ever knowing it.
-        """
-        base = dict(extra_labels or {})
-        with self._lock:
-            families = sorted(self._families.items())
-        lines: List[str] = []
-        for name, family in families:
-            if family.help:
-                lines.append(f"# HELP {name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key, child in family.children():
-                labels = dict(base)
-                labels.update(zip(family.labelnames, key))
-                if family.kind == "histogram":
-                    for bound, count in child.cumulative():
-                        bucket_labels = dict(labels, le=_format_value(bound))
-                        lines.append(
-                            f"{name}_bucket{_render_labels(bucket_labels)} {count}"
-                        )
-                    lines.append(
-                        f"{name}_sum{_render_labels(labels)} {_format_value(child.sum)}"
-                    )
-                    lines.append(f"{name}_count{_render_labels(labels)} {child.count}")
-                else:
-                    lines.append(
-                        f"{name}{_render_labels(labels)} {_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n"
+    def to_prometheus(self) -> str:
+        """The Prometheus text exposition format (version 0.0.4)."""
+        return render_prometheus(self.snapshot())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricsRegistry({len(self.names())} families)"

@@ -8,7 +8,8 @@ re-running it.  ``threshold_seconds=None`` (the default) disables the log
 entirely; ``0.0`` records everything (useful in tests and benchmarks).
 
 Entries land in a bounded in-memory ring (served over the wire by the
-``slow_queries`` op) and, when ``path`` is given, are appended as one JSON
+``trace`` op, beside the tenant's spans; each traced entry carries its
+``trace_id``) and, when ``path`` is given, are appended as one JSON
 object per line to a file a human can ``tail -f`` or feed to ``jq``.
 """
 
@@ -19,6 +20,8 @@ import threading
 import time
 from collections import deque
 from typing import Dict, List, Optional
+
+from repro.obs.events import tail
 
 
 class SlowQueryLog:
@@ -76,9 +79,7 @@ class SlowQueryLog:
     def recent(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
         """The most recent entries, oldest first (capped at ``limit``)."""
         with self._lock:
-            entries = list(self._entries)
-        if limit is not None and limit >= 0:
-            entries = entries[-limit:] if limit else []
+            entries = tail(self._entries, limit)
         return [dict(entry) for entry in entries]
 
     def clear(self) -> None:

@@ -10,7 +10,7 @@ epochs, the :class:`~repro.store.VersionedGraphStore`, the
 :class:`~repro.service.QueryService` and (its registry) the
 :class:`~repro.wal.WalDurability` hook all count into it, and nowhere else;
 the wire server then merely *reads* the tenant's bundle for the
-``metrics`` and ``slow_queries`` ops.
+``metrics`` and ``trace`` ops.
 
 A layer built bare owns a private bundle; a layer built on a pre-built
 one (a store over a session or a WAL, a service over a store) adopts its
@@ -47,7 +47,7 @@ class Telemetry:
     span_capacity:
         Size of the cross-node span ring (see
         :class:`~repro.obs.context.SpanRecorder`): how many finished
-        distributed-trace spans this tenant retains for the ``spans``
+        distributed-trace spans this tenant retains for the ``trace``
         wire op and cross-node trace assembly.
     """
 

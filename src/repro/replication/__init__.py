@@ -17,9 +17,10 @@ pieces:
 * :class:`~repro.client.RoutedClient` (:mod:`repro.client.routed`) —
   client-side read/write splitting across the topology.
 
-Wire surface: ``subscribe_log`` / ``replica_status`` requests and
-``{"sub": s, "frames": [...], "head": h}`` shipping frames, all over the
-existing :mod:`repro.framing` codec.
+Wire surface: ``subscribe_log`` requests and ``{"sub": s, "frames":
+[...], "head": h}`` shipping frames, all over the existing
+:mod:`repro.framing` codec; a replica's ``health`` reply carries each
+tail's :meth:`ReplicaTail.status`.
 """
 
 from repro.replication.hub import (

@@ -32,8 +32,8 @@ A replica *server* is ``GraphServer(primary=(host, port))``: it builds
 one tail per replicated tenant into its catalog and serves them read-only
 over the ordinary wire protocol (match / stream / count / histogram /
 explain); writes answer with
-:class:`~repro.exceptions.ReadOnlyReplicaError`, and ``replica_status``
-reports replication lag in versions and seconds.
+:class:`~repro.exceptions.ReadOnlyReplicaError`, and each tenant's
+``health`` entry reports replication lag in versions and seconds.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class ReplicaTail:
         self._stop = threading.Event()
         self._force_bootstrap = False
 
-        # Status, read by replica_status / the lag gauges.
+        # Status, read by the health op / the lag gauges.
         self.mode: Optional[str] = None
         self.connected = False
         self.primary_head = -1
@@ -214,7 +214,7 @@ class ReplicaTail:
         return max(0.0, time.time() - self._last_published_at)
 
     def status(self) -> Dict[str, object]:
-        """The structured status ``replica_status`` answers with."""
+        """The structured status a replica's ``health`` reply carries per tenant."""
         return {
             "connected": self.connected,
             "mode": self.mode,

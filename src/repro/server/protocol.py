@@ -261,7 +261,6 @@ OPS: Dict[str, OpFlags] = {
     "graphs": _op("node", idempotent=True),
     "create_graph": _op("node", "name! labels edges exist_ok", write=True),
     "drop_graph": _op("node", "name! force delete_storage", write=True),
-    "info": _op("graph", idempotent=True),
     "ingest": _op("graph", "labels edges remove_edges trace", write=True),
     "apply": _op("graph", "delta! trace", write=True),
     "apply_async": _op("graph", "delta!", write=True),
@@ -298,17 +297,15 @@ OPS: Dict[str, OpFlags] = {
     "release": _op("node", "pin!"),
     "stats": _op("graph", idempotent=True),
     "metrics": _op("graph", "format", idempotent=True),
-    "slow_queries": _op("graph", "limit", idempotent=True),
     "checkpoint": _op("graph", write=True),
     "save": _op("graph", "path!"),
     "stream_open": _op(
         "graph", "query! engine budget page_size deadline_seconds window name trace", pin=True
     ),
     "subscribe_log": _op("graph", "from_version"),
-    "replica_status": _op("graph", idempotent=True),
     "health": _op("node", idempotent=True),
     "events": _op("node", "limit kinds after_seq", idempotent=True),
-    "spans": _op("graph", "trace_id limit", idempotent=True),
+    "trace": _op("graph", "trace_id limit", idempotent=True),
 }
 
 

@@ -6,7 +6,13 @@ facade capability — ``ingest`` / ``apply`` / ``apply_async`` / ``query`` /
 ``pin`` / ``stats`` / ``save`` — plus the tenant lifecycle of a
 :class:`~repro.server.catalog.GraphCatalog` (``create_graph`` /
 ``drop_graph`` / ``graphs``) is one request frame away (see
-:mod:`repro.server.protocol` for the frame format).
+:mod:`repro.server.protocol` for the frame format).  Each introspection
+question has one op: ``graphs`` (every tenant's head version and size),
+``health`` (role and per-tenant readiness; a replica tenant's entry
+carries its tail's full replication status), ``stats`` / ``metrics``
+(one tenant's counters), ``trace`` (one tenant's recorded spans and
+slow-query entries, optionally of one trace) and ``events`` (the node's
+lifecycle ring).
 
 Dispatch
 --------
@@ -76,7 +82,7 @@ from repro.matching.result import jsonable
 from repro.matching.stream import encode_page
 from repro.obs import context as trace_context
 from repro.obs import health as health_states
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, tail
 from repro.obs.log import configure as configure_logging, get_logger
 from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
@@ -115,14 +121,20 @@ def _metrics(graph: str, database: GraphDB, format: str = "json") -> Dict[str, o
     return {"format": format, key: database.metrics(format=format)}
 
 
-def _replica_status(graph: str, database: GraphDB) -> Dict[str, object]:
-    reporter = getattr(database, "replication_status", None)
+def _trace(
+    graph: str,
+    database: GraphDB,
+    trace_id: Optional[str] = None,
+    limit: Optional[int] = None,
+) -> Dict[str, object]:
+    """The tenant's span ring and slow-query log, each filtered to
+    ``trace_id`` when one is given, then cut to its ``limit`` newest."""
+    slow = database.slow_queries()
+    if trace_id is not None:
+        slow = [entry for entry in slow if entry.get("trace_id") == trace_id]
     return {
-        "graph": graph,
-        "replica": reporter is not None,
-        "read_only": bool(getattr(database, "read_only", False)),
-        "head_version": int(database.head_version),
-        **(reporter() if reporter is not None else {}),
+        "spans": tail(database.trace_spans(trace_id), limit),
+        "slow_queries": [jsonable(entry) for entry in tail(slow, limit)],
     }
 
 
@@ -606,26 +618,15 @@ class _Connection:
         self.server.events.emit("drop_graph", f"dropped graph {name!r}", graph=name)
         return {"dropped": name}
 
-    # Ops that are one GraphDB call.
-    _op_info = _on_executor(_info)
+    # Ops that only call the tenant's GraphDB.
     _op_stats = _on_executor(
         lambda graph, database: {
             key: jsonable(value) for key, value in database.stats().items()
         }
     )
     _op_metrics = _on_executor(_metrics)
-    _op_slow_queries = _on_executor(
-        lambda graph, database, limit=None: {
-            "slow_queries": [jsonable(entry) for entry in database.slow_queries(limit)]
-        }
-    )
-    _op_spans = _on_executor(
-        lambda graph, database, trace_id=None, limit=None: {
-            "spans": [dict(span) for span in database.trace_spans(trace_id, limit)]
-        }
-    )
+    _op_trace = _on_executor(_trace)
     _op_checkpoint = _on_executor(lambda graph, database: database.checkpoint())
-    _op_replica_status = _on_executor(_replica_status)
     _op_save = _on_executor(lambda graph, database, path: {"path": database.save(path)})
 
     # count / explain / histogram: one call on the resolved snapshot.
@@ -803,7 +804,8 @@ class _Connection:
         """Cheap, graph-less readiness probe: role, uptime, per-tenant state.
 
         Routers poll this with short timeouts instead of per-graph
-        ``info`` probes — one frame answers for every tenant, and a node
+        probes — one frame answers for every tenant (a replica tenant's
+        ``replication`` entry is its tail's full status), and a node
         that cannot answer it *at all* (frozen, partitioned) is the
         router's cue to mark it unreachable.
         """
@@ -838,12 +840,7 @@ class _Connection:
                 tail_status = None
                 reporter = getattr(database, "replication_status", None)
                 if reporter is not None:
-                    tail_status = reporter()
-                    entry["replication"] = {
-                        "connected": tail_status.get("connected"),
-                        "lag_versions": tail_status.get("lag_versions"),
-                        "lag_seconds": tail_status.get("lag_seconds"),
-                    }
+                    tail_status = entry["replication"] = reporter()
                 state = health_states.classify_tenant(
                     server.role,
                     tail_status,
@@ -921,8 +918,8 @@ class GraphServer:
         bootstrapped before the socket binds, tailing the primary's delta
         stream from then on.  Reads behave exactly as on the primary; every write op
         answers :class:`~repro.exceptions.ReadOnlyReplicaError`, and
-        ``replica_status`` reports the lag.  Without it the server is a
-        primary.
+        each tenant's ``health`` entry reports the lag.  Without it the
+        server is a primary.
     data_dir:
         Durable storage root (only with ``catalog=None``), one directory
         per tenant.  On a primary the server opens

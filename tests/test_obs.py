@@ -209,12 +209,6 @@ class TestMetricsRegistry:
         assert 'lat_seconds_bucket{le="+Inf"} 1' in text
         assert "lat_seconds_count 1" in text
 
-    def test_prometheus_extra_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total").inc()
-        text = registry.to_prometheus(extra_labels={"graph": "main"})
-        assert 'x_total{graph="main"} 1' in text
-
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 

@@ -5,7 +5,7 @@ Four layers, bottom-up:
 * the vocabulary — :class:`TraceContext` wire round-trips,
   :class:`SpanRecorder` rings, :func:`assemble_trace` stitching,
   :class:`EventLog` sequencing and the health-state lattice;
-* the wire surface — the ``health`` / ``events`` / ``spans`` ops and
+* the wire surface — the ``health`` / ``events`` / ``trace`` ops and
   ``server_errors_total`` on a live :class:`GraphServer`;
 * the distributed-trace bar — ONE traced write through
   :class:`RoutedClient` must come back as a single stitched tree:
@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro.api import GraphDB
 from repro.client import GraphClient, RoutedClient
 from repro.obs import (
     DEGRADED,
@@ -33,8 +34,10 @@ from repro.obs import (
     UNHEALTHY,
     UNREACHABLE,
     EventLog,
+    SlowQueryLog,
     Span,
     SpanRecorder,
+    Telemetry,
     TraceContext,
     assemble_trace,
     classify_tenant,
@@ -116,6 +119,15 @@ class TestSpanRecorder:
         recorder.record(Span("a", "t1").finish())
         recorder.record(Span("b", "t2").finish())
         assert [span["name"] for span in recorder.for_trace("t2")] == ["b"]
+
+    def test_reads_hand_out_copies(self):
+        # recent() used to return the ring's own documents, so a caller
+        # editing one rewrote the span every later reader saw.
+        recorder = SpanRecorder()
+        recorder.record(Span("a", "t1").finish())
+        recorder.recent()[0]["name"] = "edited"
+        recorder.for_trace("t1")[0]["name"] = "edited"
+        assert recorder.recent()[0]["name"] == "a"
 
     def test_finish_is_idempotent(self):
         span = Span("a", "t1")
@@ -295,12 +307,12 @@ class TestEventsOp:
         assert [e["kind"] for e in fresh["events"]] == ["custom"]
 
 
-class TestSpansOp:
+class TestTraceOp:
     def test_traced_ingest_records_server_spans(self, primary):
         _, client = primary
         context = TraceContext.new()
         client.ingest(labels=["D"], edges=[(0, 3)], trace=context)
-        spans = client.trace_spans(trace_id=context.trace_id)
+        spans = client.trace(trace_id=context.trace_id)["spans"]
         names = {span["name"] for span in spans}
         assert {"ingest", "fold", "publish"} <= names
         assert all(span["trace_id"] == context.trace_id for span in spans)
@@ -308,14 +320,65 @@ class TestSpansOp:
     def test_untraced_writes_record_nothing(self, primary):
         _, client = primary
         client.ingest(labels=["D"], edges=[(0, 3)])
-        assert client.trace_spans(limit=100) == ()
+        assert client.trace(limit=100) == {"spans": [], "slow_queries": []}
 
     def test_query_records_read_span(self, primary):
         _, client = primary
         context = TraceContext.new()
         client.query(PAPER_DSL, trace_id=context)
-        spans = client.trace_spans(trace_id=context.trace_id)
+        spans = client.trace(trace_id=context.trace_id)["spans"]
         assert [span["name"] for span in spans] == ["query"]
+
+
+class TestOneLimitRule:
+    """Every bounded ring, and the wire ops that serve one, cuts by one
+    rule: ``limit=None`` keeps everything, otherwise the newest
+    ``max(0, limit)`` entries — ``0`` and negative limits keep none."""
+
+    def _reader(self, request, ring):
+        """``limit -> [entry lists]`` over a source holding three entries."""
+        if ring == "EventLog":
+            events = EventLog()
+            for index in range(3):
+                events.emit("probe", str(index))
+            return lambda limit: [events.recent(limit)]
+        if ring == "SpanRecorder":
+            spans = SpanRecorder()
+            for index in range(3):
+                spans.record({"name": str(index)})
+            return lambda limit: [spans.recent(limit)]
+        if ring == "SlowQueryLog":
+            slow = SlowQueryLog(threshold_seconds=0.0)
+            for index in range(3):
+                slow.record(0.0, query=str(index))
+            return lambda limit: [slow.recent(limit)]
+        server, client = request.getfixturevalue("primary")
+        if ring == "events op":
+            for index in range(3):
+                server.events.emit("probe", str(index))
+            return lambda limit: [client.events(limit=limit, kinds=["probe"])["events"]]
+        database = GraphDB.from_edges(
+            ["A", "B"], [(0, 1)], telemetry=Telemetry(slow_query_seconds=0.0)
+        )
+        server.catalog.attach("rings", database, owned=True)
+        for _ in range(3):  # a traced query leaves one span and one slow entry
+            client.query(PAPER_DSL, graph="rings", trace_id=TraceContext.new())
+
+        def read(limit):
+            reply = client.trace(graph="rings", limit=limit)
+            return [reply["spans"], reply["slow_queries"]]
+
+        return read
+
+    @pytest.mark.parametrize("limit, kept", [(None, 3), (5, 3), (2, 2), (0, 0), (-1, 0)])
+    @pytest.mark.parametrize(
+        "ring", ["EventLog", "SpanRecorder", "SlowQueryLog", "events op", "trace op"]
+    )
+    def test_limit_keeps_the_newest(self, request, ring, limit, kept):
+        read = self._reader(request, ring)
+        for cut, everything in zip(read(limit), read(None)):
+            assert len(everything) == 3
+            assert cut == everything[3 - kept:]
 
 
 class TestServerErrorCounter:
@@ -448,6 +511,24 @@ class TestClusterTrace:
                     assert replication["connected"] is True
                     assert replication["lag_versions"] == 0
 
+    def test_replica_health_entry_is_the_tail_status(self):
+        # The health reply carries the tail's whole status document, the
+        # one source of a replica's lag (there is no separate status op).
+        with GraphServer() as server:
+            with GraphClient(*server.address) as client:
+                client.create_graph("paper", labels=["A", "B"], edges=[(0, 1)])
+                client.ingest(labels=["C"], edges=[(0, 2)])
+            with GraphServer(primary=server.address) as replica:
+                wait_until(
+                    lambda: replica.status()["paper"]["head_version"] == 1
+                    and replica.status()["paper"]["lag_versions"] == 0,
+                    message="replica catch-up",
+                )
+                with GraphClient(*replica.address) as tail_client:
+                    entry = tail_client.health()["tenants"]["paper"]
+                assert entry["replication"] == replica.status()["paper"]
+                assert entry["head_version"] == entry["replication"]["head_version"] == 1
+
 
 # ---------------------------------------------------------------------- #
 # routed client: lag surface + routing around a frozen node
@@ -501,7 +582,7 @@ class TestRoutedObservability:
                     (replica_stats,) = stats["replicas"]
                     assert replica_stats["status"] == READY
                     assert replica_stats["lag_versions"] == {"paper": 0}
-                    families = routed.local_metrics()
+                    families = routed.registry.snapshot()
                     lag_values = families["routed_replica_lag_versions"][
                         "values"
                     ]

@@ -24,8 +24,16 @@ import time
 
 import pytest
 
+from repro.api import GraphDB
 from repro.client import GraphClient
-from repro.obs import ClusterMonitor, MetricsRegistry, READY, UNREACHABLE
+from repro.obs import (
+    ClusterMonitor,
+    MetricsRegistry,
+    READY,
+    UNREACHABLE,
+    Telemetry,
+    TraceContext,
+)
 from repro.obs.console import main as console_main, render_dashboard
 from repro.server import GraphServer
 
@@ -254,6 +262,51 @@ def cluster():
                 replica.close()
 
 
+class TestFleetTrace:
+    """The monitor's drill-down over every node × tenant ``trace`` op."""
+
+    @pytest.fixture()
+    def two_nodes(self):
+        with GraphServer(node="node-a") as first, GraphServer(node="node-b") as second:
+            for server in (first, second):
+                database = GraphDB.from_edges(
+                    ["A", "B"], [(0, 1)], telemetry=Telemetry(slow_query_seconds=0.0)
+                )
+                server.catalog.attach("paper", database, owned=True)
+            monitor = ClusterMonitor([first.address, second.address])
+            try:
+                yield first, second, monitor
+            finally:
+                monitor.stop()
+
+    def test_slow_query_tail_is_ordered_by_time_across_nodes(self, two_nodes):
+        # The second node's query runs first.  The merge used to sort on a
+        # key no slow-log entry carries, so it kept node order and
+        # ``limit=1`` returned the second node's older entry.
+        first, second, monitor = two_nodes
+        for server, name in ((second, "older"), (first, "newer")):
+            with GraphClient(*server.address, graph="paper") as client:
+                client.query(PAPER_DSL, name=name)
+            time.sleep(0.01)
+        entries = monitor.slow_queries()
+        assert [entry["query"] for entry in entries] == ["older", "newer"]
+        (newest,) = monitor.slow_queries(limit=1)
+        assert newest["query"] == "newer"
+        assert newest["node"] == "{}:{}".format(*first.address)
+        assert newest["tenant"] == "paper"
+
+    def test_trace_spans_gathers_one_trace_from_every_node(self, two_nodes):
+        first, second, monitor = two_nodes
+        context = TraceContext.new()
+        for server in (first, second, first):
+            with GraphClient(*server.address, graph="paper") as client:
+                client.query(PAPER_DSL, trace_id=context)
+                client.query(PAPER_DSL, trace_id=TraceContext.new())
+        spans = monitor.trace_spans(context.trace_id)
+        assert sorted(span["node"] for span in spans) == ["node-a", "node-a", "node-b"]
+        assert all(span["trace_id"] == context.trace_id for span in spans)
+
+
 class TestLiveFederation:
     def test_lag_gauge_present_for_every_replica(self, cluster):
         server, replicas = cluster
@@ -298,6 +351,7 @@ class TestLiveFederation:
             document = monitor.scrape_once()
             events = monitor.events(limit=10)
             assert events, "fleet event tail should not be empty"
+            assert monitor.events(limit=0) == []
             assert all("node" in event for event in events)
             frame = render_dashboard(document, events=events)
             assert "cluster status: ready" in frame

@@ -13,7 +13,8 @@ A real :class:`GraphServer` on a loopback socket, exercised through
   JSON and Prometheus form;
 * rejection-time load context (queue depth, worker occupancy) crosses the
   wire on :class:`ServiceOverloadedError`;
-* the ``slow_queries`` op returns structured entries with span trees.
+* the ``trace`` op returns structured slow-query entries with span
+  trees, filtered to one trace on request.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class TestServerMetrics:
 # ---------------------------------------------------------------------- #
 
 
-class TestSlowQueriesOp:
+class TestTraceOpSlowQueries:
     @pytest.fixture
     def slow_client(self, server):
         graph = build_paper_graph()
@@ -286,7 +287,7 @@ class TestSlowQueriesOp:
     def test_entries_returned_oldest_first(self, slow_client):
         slow_client.query(build_paper_query(), name="first")
         slow_client.query(build_paper_query(), name="second")
-        entries = slow_client.slow_queries()
+        entries = slow_client.trace()["slow_queries"]
         names = [entry["query"] for entry in entries]
         assert names[-2:] == ["first", "second"]
         for entry in entries:
@@ -297,7 +298,7 @@ class TestSlowQueriesOp:
     def test_traced_entry_carries_span_tree(self, slow_client):
         trace_id = new_trace_id()
         slow_client.query(build_paper_query(), trace_id=trace_id)
-        entries = slow_client.slow_queries(limit=1)
+        entries = slow_client.trace(limit=1)["slow_queries"]
         assert len(entries) == 1
         trace = entries[0]["trace"]
         assert trace["trace_id"] == trace_id
@@ -306,8 +307,19 @@ class TestSlowQueriesOp:
     def test_limit(self, slow_client):
         for index in range(4):
             slow_client.query(build_paper_query(), name=f"q{index}")
-        assert len(slow_client.slow_queries(limit=2)) == 2
+        assert len(slow_client.trace(limit=2)["slow_queries"]) == 2
+
+    def test_trace_id_filters_spans_and_slow_queries(self, slow_client):
+        first, second = new_trace_id(), new_trace_id()
+        slow_client.query(build_paper_query(), name="first", trace_id=first)
+        slow_client.query(build_paper_query(), name="second", trace_id=second)
+        slow_client.query(build_paper_query(), name="untraced")
+        reply = slow_client.trace(trace_id=first)
+        assert [entry["query"] for entry in reply["slow_queries"]] == ["first"]
+        assert reply["slow_queries"][0]["trace_id"] == first
+        assert [span["name"] for span in reply["spans"]] == ["query"]
+        assert all(span["trace_id"] == first for span in reply["spans"])
 
     def test_empty_without_threshold(self, client):
         client.query(build_paper_query())
-        assert client.slow_queries(graph="paper") == ()
+        assert client.trace(graph="paper")["slow_queries"] == []

@@ -208,12 +208,12 @@ class TestReplicaServer:
                         client.drop_graph("paper", force=True)
                     assert [info["name"] for info in client.graphs()] == ["paper"]
 
-                    # replica status over the wire
-                    status = client.replica_status()
-                    assert status["replica"] is True
-                    assert status["read_only"] is True
-                    assert status["head_version"] == 1
-                    assert status["lag_versions"] == 0
+                    # replica status over the wire, in the health reply
+                    tenant = client.health()["tenants"]["paper"]
+                    assert tenant["read_only"] is True
+                    assert tenant["head_version"] == 1
+                    assert tenant["replication"]["head_version"] == 1
+                    assert tenant["replication"]["lag_versions"] == 0
 
                     # lag metric families are in the replica's server metrics
                     metrics = client.server_metrics()
@@ -335,8 +335,7 @@ class TestReplicaCrashRecovery:
                             lambda: rclient.info()["head_version"] == head,
                             message="replica convergence after restart",
                         )
-                        status = rclient.replica_status()
-                        assert status["replica"] is True
+                        status = rclient.health()["tenants"]["paper"]["replication"]
                         assert status["mode"] == "tail"
                         assert status["bootstraps"] == 0
                         assert status["head_version"] == head
@@ -390,7 +389,10 @@ class TestRoutedReads:
         writes = {method for method, path in routes.items() if path == "write"}
         assert writes == {op for op, flags in OPS.items() if flags.write} | {"save"}
         reads = {method for method, path in routes.items() if path == "read"}
-        assert {"stream_open" if m == "stream" else m for m in reads} <= set(OPS)
+        # A method named apart from the op it sends: stream opens a
+        # stream_open, and info reads its tenant's entry of graphs.
+        sent = {"stream": "stream_open", "info": "graphs"}
+        assert {sent.get(m, m) for m in reads} <= set(OPS)
 
     def test_read_sees_own_write_and_replicas_take_reads(self):
         # Each routed write adds one occurrence; the routed read issued right
@@ -424,7 +426,7 @@ class TestRoutedReads:
                     routed.health()  # refresh the router's view of replica heads
                     for _ in range(4):
                         assert routed.count(PAPER_DSL) == len(PAPER_ANSWER) + 5
-                    reads = routed.local_metrics()["routed_reads_total"]["values"]
+                    reads = routed.registry.snapshot()["routed_reads_total"]["values"]
                     assert sum(
                         sample["value"]
                         for sample in reads
@@ -462,7 +464,7 @@ class TestRoutedReads:
                             assert sorted(stream) == expected
                         batch = routed.run_batch({"q": PAPER_DSL})
                         assert sorted(batch.outcomes[0].occurrences) == expected
-                        reads = routed.local_metrics()["routed_reads_total"]["values"]
+                        reads = routed.registry.snapshot()["routed_reads_total"]["values"]
                         assert any(
                             sample["labels"].get("target") != "primary" and sample["value"]
                             for sample in reads
@@ -528,7 +530,7 @@ class TestRoutedFailover:
                 routed.ingest(labels=["D"], edges=())
 
             # reads were actually served by replicas
-            reads = routed.local_metrics()["routed_reads_total"]["values"]
+            reads = routed.registry.snapshot()["routed_reads_total"]["values"]
             replica_reads = sum(
                 sample["value"]
                 for sample in reads

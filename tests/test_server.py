@@ -333,6 +333,8 @@ class TestCatalog:
         with pytest.raises(UnknownGraphError):
             client.query(simple_query(), graph="nope")
         with pytest.raises(UnknownGraphError):
+            client.info(graph="nope")
+        with pytest.raises(UnknownGraphError):
             client.drop_graph("nope")
 
     def test_dropped_tenant_queries_fail(self, client):
@@ -545,7 +547,7 @@ class TestWireStreaming:
         # bytes read off the socket — every time, not "usually" (the count
         # used to be taken by the pump thread after the send returned).
         client._sock = counting = CountingSocket(client._sock)
-        client.info()  # the first tenant-scoped reply registers the family
+        client.stats()  # the first tenant-scoped reply registers the family
         for repetition in range(50):
             counted, received = bytes_sent(server), counting.received
             for _ in range(3):
@@ -559,7 +561,7 @@ class TestWireStreaming:
         # The error end frame used to go out without the tenant, so it was
         # the one stream frame missing from the counter.
         client._sock = counting = CountingSocket(client._sock)
-        client.info()
+        client.stats()
         counted, received = bytes_sent(server), counting.received
         stream = client.stream(simple_query(), engine=BrokenEngine.name, page_size=1)
         with pytest.raises(EngineError, match="broke mid-enumeration"):
@@ -573,7 +575,7 @@ class TestWireStreaming:
 
         raw = CountingSocket(socket.create_connection(server.address, timeout=10.0))
         try:
-            client.info()
+            client.stats()
             counted = bytes_sent(server)
             raw.sendall(encode_frame({"id": 1, "op": "subscribe_log", "graph": "paper"}))
             assert read_frame_sync(raw)["ok"] is True
@@ -892,13 +894,11 @@ class TestOpTable:
             snapshot.release,
             client.stats,
             lambda: client.server_metrics(format="prometheus"),
-            lambda: client.slow_queries(limit=2),
             client.checkpoint,  # in-memory tenant: refused, but sent
             lambda: client.save(str(tmp_path / "paper.json")),
-            client.replica_status,
             lambda: client.health(timeout=10.0),
             lambda: client.events(limit=5, kinds=["create_graph"], after_seq=0),
-            lambda: client.trace_spans(trace_id="t-query", limit=3),
+            lambda: client.trace(trace_id="t-query", limit=3),
             lambda: client.drop_graph("scratch", force=True, delete_storage=True),
         ]
         for call in calls:
@@ -952,11 +952,12 @@ class TestOpTable:
         client.graphs()
         snapshot = client.pin()
         snapshot.release()
-        client.info()
+        client.info()  # reads the node-scoped graphs op
+        client.stats()
         client.count(simple_query())
         values = client.server_metrics()["server_requests_total"]["values"]
         counted = {value["labels"]["op"] for value in values}
-        assert {"pin", "info", "count", "metrics"} <= counted
+        assert {"pin", "stats", "count", "metrics"} <= counted
         assert not counted & {"ping", "graphs", "release", "create_graph"}
         assert all(OPS[op].scope == "graph" for op in counted)
 
@@ -1023,7 +1024,7 @@ PROBES = [
     ({"op": "count", "query": PAPER_DSL, "budget": {"max_matches": "many"}}, "budget"),
     ({"op": "ingest", "edges": [[0]]}, "edges"),
     ({"op": "events", "limit": "x"}, "limit"),
-    ({"op": "spans", "limit": "x"}, "limit"),
+    ({"op": "trace", "limit": "x"}, "limit"),
     ({"op": "run_batch", "queries": [{"query": PAPER_DSL}], "workers": "x"}, "workers"),
     ({"op": "query", "query": PAPER_DSL, "deadline_seconds": "x"}, "deadline_seconds"),
     ({"op": "histogram", "query": PAPER_DSL, "node": "x"}, "node"),
