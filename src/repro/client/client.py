@@ -146,8 +146,9 @@ class RemoteStream(PagedResult):
     The wire analogue of :class:`~repro.service.StreamingResult`: pages
     arrive as the server's worker produces them (the first one typically
     long before the query completes), and the client's consumption rate
-    bounds the producer through credits — one granted per consumed page on
-    top of the initial ``window``.  The server holds the snapshot pin for
+    bounds the producer through credits — one granted per consumed page,
+    within the window the server's tenant sets (``stream_buffer_pages``,
+    reported as the ``stream_open`` reply's ``window``).  The server holds the snapshot pin for
     the stream's lifetime; :meth:`close` (or abandoning the iterator, or
     dropping the connection) cancels the producing worker and releases it.
 
@@ -260,8 +261,6 @@ class GraphClient(Reader):
     timeout:
         Default per-response wait in seconds (:class:`TimeoutError` past
         it); per-call ``timeout`` arguments override.
-    stream_window:
-        Credit window requested for this client's streams.
     reconnect:
         When True (default), a connection dropped under an **idempotent
         read** (``query`` / ``count`` / ``explain`` / ``histogram`` /
@@ -286,7 +285,6 @@ class GraphClient(Reader):
         port: int,
         graph: Optional[str] = None,
         timeout: Optional[float] = 60.0,
-        stream_window: int = 4,
         connect_timeout: float = 10.0,
         reconnect: bool = True,
         max_retries: int = 3,
@@ -303,7 +301,6 @@ class GraphClient(Reader):
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._graph = graph
-        self.stream_window = max(1, stream_window)
         self._reconnect_enabled = bool(reconnect)
         self._max_retries = max(0, int(max_retries))
         self._backoff_base = float(backoff_base)
@@ -681,7 +678,6 @@ class GraphClient(Reader):
             query=query,
             **options,
             page_size=page_size,
-            window=self.stream_window,
             trace=trace_id,
         )
         stream = RemoteStream(

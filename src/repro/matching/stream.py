@@ -59,8 +59,8 @@ Page = Tuple[Occurrence, ...]
 def encode_page(page: Page) -> Rows:
     """Wire form of one streamed occurrence page: the rows, packed.
 
-    The packing happens here, on the caller's thread (the server's pump
-    thread, inside its ``wire_encode`` timing);
+    The packing happens here, on the caller's thread (the service worker
+    sending a stream's page, inside the server's ``wire_encode`` timing);
     :func:`~repro.framing.encode_frame` only moves the finished block
     into the frame's tail.
     """

@@ -4,7 +4,7 @@ A :class:`Trace` answers "where did this query's time go?".  The serving
 stack records one child span per pipeline stage under a single root:
 
     queue_wait -> pin -> plan -> index_build -> first_match
-               -> stream_drain -> wire_encode
+               -> stream_drain -> stream_flush -> wire_encode
 
 The span taxonomy is documented in ``docs/architecture.md``; the service
 layer synthesises the engine-side stages from the phase timings every
@@ -37,11 +37,11 @@ def new_trace_id() -> str:
 class Trace:
     """One sampled query: a root span plus one level of stage spans.
 
-    Thread-safe: the server's event loop, a service worker and the stream
-    pump thread may all add spans to the same trace.  :meth:`finish` stamps
-    the root duration and may be called again later to *extend* it (the
-    stream pump finishes the trace a second time after the end frame, so
-    the root covers wire encoding too); :meth:`to_dict` renders the tree at
+    Thread-safe: the server's event loop and a service worker may both add
+    spans to the same trace.  :meth:`finish` stamps the root duration and
+    may be called again later to *extend* it (the server finishes the trace
+    a second time when it encodes the reply or a stream's end frame, so the
+    root covers wire encoding too); :meth:`to_dict` renders the tree at
     whatever moment it is called.
     """
 

@@ -106,7 +106,6 @@ __all__ = [
     "APPLY_REPORT",
     "FIELDS",
     "HEADER_BYTES",
-    "MAX_CREDIT_GRANT",
     "MAX_FRAME_BYTES",
     "OPS",
     "check_length",
@@ -121,11 +120,6 @@ __all__ = [
     "read_frame",
     "read_frame_sync",
 ]
-
-#: Most pages one ``credit`` frame may add to a stream's send window, and
-#: the largest window ``stream_open`` may ask for; larger values are
-#: clamped (no honest client runs this far ahead).
-MAX_CREDIT_GRANT = 1 << 16
 
 
 # ---------------------------------------------------------------------- #
@@ -300,7 +294,7 @@ OPS: Dict[str, OpFlags] = {
     "checkpoint": _op("graph", write=True),
     "save": _op("graph", "path!"),
     "stream_open": _op(
-        "graph", "query! engine budget page_size deadline_seconds window name trace", pin=True
+        "graph", "query! engine budget page_size deadline_seconds name trace", pin=True
     ),
     "subscribe_log": _op("graph", "from_version"),
     "health": _op("node", idempotent=True),
@@ -442,9 +436,6 @@ FIELDS: Dict[str, Codec] = {
     **dict.fromkeys(
         ("analyze", "delete_storage", "exist_ok", "force", "keep_occurrences"),
         Codec("a boolean", lambda value: type(value) is bool),
-    ),
-    "window": Codec(
-        "an integer >= 1", _is_count, lambda value: min(value, MAX_CREDIT_GRANT)
     ),
     "query": Codec("DSL text or a query object", _is_query, _query_from_wire, _query_to_wire),
     "queries": Codec(

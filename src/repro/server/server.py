@@ -30,24 +30,23 @@ pin or at the head, and encodes its answer with the reply codec its
 Execution model
 ---------------
 The event loop only ever parses frames and routes; every blocking call —
-ticket waits, folds, catalog builds, stream pumps — runs on a thread-pool
-executor, so one slow query never stalls another connection's frames.
+ticket waits, folds, catalog builds — runs on a thread-pool executor, so
+one slow query never stalls another connection's frames.
 Per-request errors answer with a typed error frame and the connection
 lives on; *framing* errors (truncation, non-JSON bodies) are
 unrecoverable and close the connection.
 
 Streaming
 ---------
-``stream_open`` starts a server-side :class:`StreamingResult` and a pump
-thread that forwards its pages as ``{"stream": s, "seq": k, "page": ...}``
-frames under **credit-based flow control**: the pump may run at most
-``window`` pages ahead of the client's ``credit`` grants (mirroring the
-service's ``stream_buffer_pages`` backpressure), so the client's first
-page arrives while the query is still enumerating and a slow client
-throttles the producer instead of growing the socket buffer.  A client
-that cancels (``stream_cancel``) or disconnects mid-stream closes the
-server-side result, which cancels the executing worker cooperatively and
-releases its snapshot pin — abandoned streams leak nothing.
+``stream_open`` starts a server-side :class:`StreamingResult` whose
+service worker sends each page itself — no thread relays them — as a
+``{"stream": s, "seq": k, "page": ...}`` frame under **credit-based flow
+control**: the stream's one window (the tenant's ``stream_buffer_pages``)
+keeps the worker at most that many pages ahead of the client's ``credit``
+grants, and its wait obeys the query's budget.  A client that cancels
+(``stream_cancel``) or disconnects mid-stream, or a failed send, closes
+the server-side result, which cancels the executing worker cooperatively
+and releases its snapshot pin — abandoned streams leak nothing.
 
 Disconnects
 -----------
@@ -71,6 +70,7 @@ from urllib.parse import quote
 from repro.api import GraphDB
 from repro.exceptions import (
     ProtocolError,
+    QueryCancelled,
     ReadOnlyReplicaError,
     ReplicationError,
     ReproError,
@@ -89,7 +89,6 @@ from repro.query.pattern import PatternQuery
 from repro.server.catalog import GraphCatalog
 from repro.server.protocol import (
     APPLY_REPORT,
-    MAX_CREDIT_GRANT,
     OPS,
     decode_request,
     encode_error,
@@ -97,7 +96,7 @@ from repro.server.protocol import (
     error_code,
     read_frame,
 )
-from repro.service.service import ServiceConfig, StreamingResult
+from repro.service.service import ServiceConfig, StreamingResult, StreamWindow
 
 
 def _decode_query(payload, name: Optional[str] = None) -> PatternQuery:
@@ -136,6 +135,36 @@ def _trace(
         "spans": tail(database.trace_spans(trace_id), limit),
         "slow_queries": [jsonable(entry) for entry in tail(slow, limit)],
     }
+
+
+def _tag_trace(error: BaseException, trace_id: Optional[str]) -> None:
+    """Carry ``trace_id`` on a traced request's error, so its payload
+    still correlates with the client's trace."""
+    if trace_id is not None and getattr(error, "trace_id", None) is None:
+        try:
+            error.trace_id = trace_id
+        except Exception:  # pragma: no cover - exotic exception types
+            pass
+
+
+def _with_trace(
+    wire: Dict[str, object], trace, encode_seconds: float, remainder: Optional[str] = None
+) -> Dict[str, object]:
+    """``wire`` carrying its query's trace, when the query was traced.
+
+    The service finished the root over queue/pin/run; the server appends
+    its ``wire_encode`` span and re-finishes, so the tree the client sees
+    covers the whole server-side wall clock.  A ``remainder`` span takes
+    the wall time no other span covers, so the children sum to the root.
+    """
+    if trace:
+        trace.add_span("wire_encode", encode_seconds)
+        trace.finish()
+        uncovered = trace.seconds - trace.span_seconds()
+        if remainder and uncovered > 0:
+            trace.add_span(remainder, uncovered)
+        wire["extra"]["trace"] = trace.to_dict()
+    return wire
 
 
 def _on_executor(call):
@@ -179,131 +208,93 @@ def _run_batch(graph, database, queries, snapshot=None, timeout=None, **options)
     return OPS["run_batch"].reply.encode(report)
 
 
-class _ServerStream:
-    """One streaming query being pumped to one connection, credit-gated."""
+class _ServerStream(StreamWindow):
+    """One streaming query's window on one connection, plus its socket.
+
+    The window stays shut until :meth:`open`, which runs once the
+    ``stream_open`` reply is written, so the client knows the stream id
+    before its first frame; an end frame that comes sooner waits for it.
+    """
 
     def __init__(
-        self,
-        connection: "_Connection",
-        stream_id: int,
-        result: StreamingResult,
-        window: int,
-        page_timeout: Optional[float],
-        database: Optional[GraphDB] = None,
+        self, connection: "_Connection", stream_id: int, database: GraphDB, size: int
     ) -> None:
+        super().__init__(size)
+        self._in_flight = self.size  # shut until open()
         self.connection = connection
         self.stream_id = stream_id
-        self.result = result
         self.database = database
-        self._credits = threading.Semaphore(max(1, window))
-        self._closed = threading.Event()
-        self._page_timeout = page_timeout
-        #: Accumulated page-encoding time, surfaced as the trace's
-        #: ``wire_encode`` span on the end frame.
-        self._encode_seconds = 0.0
+        self.result: Optional[StreamingResult] = None
+        self._opened = False
+        self._early_end: Optional[Dict[str, object]] = None
+        self._sequence = 0
+        #: Page and report encoding time, the trace's ``wire_encode`` span.
+        self.encode_seconds = 0.0
 
-    def grant(self, credits: int) -> None:
-        """Replenish the send window (a validated client ``credit`` frame)."""
-        self._credits.release(credits)
+    def open(self) -> None:
+        """Hand out the window (event loop, after the reply was written)."""
+        with self._cond:
+            self._opened = True
+            end, self._early_end = self._early_end, None
+        self.release(self.size)
+        if end is not None:
+            self._send_end(end)
+
+    def pump(self, page, deadline=None) -> None:
+        """Send one page under one credit (the query's worker thread); a
+        failed send abandons the stream."""
+        self.acquire(deadline)
+        encode_started = time.perf_counter()
+        frame = {"stream": self.stream_id, "seq": self._sequence, "page": encode_page(page)}
+        self.encode_seconds += time.perf_counter() - encode_started
+        self._sequence += 1
+        try:
+            self.connection.post(frame, self.database)
+        except (ConnectionError, RuntimeError):
+            self.close()
+            raise QueryCancelled() from None
+
+    def finish(self, ticket) -> None:
+        """Post the end frame: the finalised (count-only) report, or the
+        mapped error.  An abandoned stream ends silently."""
+        if self._abandoned:
+            return
+        error = ticket.error
+        if error is not None:
+            _tag_trace(error, ticket.trace.trace_id)
+            end = {"stream": self.stream_id, "end": True, "error": encode_error(error)}
+        else:
+            encode_started = time.perf_counter()
+            wire = ticket.report.to_wire(include_occurrences=False)
+            self.encode_seconds += time.perf_counter() - encode_started
+            # stream_flush: credit waits and frame hand-offs, the remainder.
+            wire = _with_trace(wire, ticket.trace, self.encode_seconds, "stream_flush")
+            end = {"stream": self.stream_id, "end": True, "report": wire}
+        with self._cond:
+            if not self._opened:
+                self._early_end = end
+                return
+        self._send_end(end)
+
+    def _send_end(self, end: Dict[str, object]) -> None:
+        try:
+            self.connection.post(end, self.database)
+        except (ConnectionError, RuntimeError):
+            pass  # connection gone; teardown releases the rest
+        self.close()
 
     def close(self) -> None:
-        """Stop pumping: cancel the producer and release the snapshot pin.
+        """Stop the stream: forget its id, cancel a live producer and
+        release the snapshot pin (idempotent; any thread).
 
-        Safe from the event loop: the blocking teardown
-        (:meth:`StreamingResult.close`) only flips flags and drains a
-        bounded queue; the pump thread observes the abandonment sentinel
-        and exits without sending an end frame.
+        Dropping the result breaks the cycle ticket -> window -> result ->
+        ticket, so the stream is freed without waiting for the collector.
         """
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._credits.release()  # wake a pump blocked on the window
-        self.result.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
-    def _acquire_credit(self) -> bool:
-        while not self._closed.is_set():
-            if self._credits.acquire(timeout=0.05):
-                if self._closed.is_set():
-                    return False
-                return True
-        return False
-
-    def pump(self) -> None:
-        """Forward pages to the client (runs on an executor thread).
-
-        Each page waits for one credit before it is sent; exhaustion sends
-        the terminal frame carrying the finalised (count-only) report, and
-        failures send the terminal frame carrying the mapped error.  Every
-        exit path closes the result — the producer is cancelled and the
-        pin released no matter how the stream ends.
-        """
-        error: Optional[BaseException] = None
-        try:
-            sequence = 0
-            for page in self.result.pages(timeout=self._page_timeout):
-                if not self._acquire_credit():
-                    return
-                encode_started = time.perf_counter()
-                frame = {
-                    "stream": self.stream_id,
-                    "seq": sequence,
-                    "page": encode_page(page),
-                }
-                self._encode_seconds += time.perf_counter() - encode_started
-                self.connection.send_from_thread(frame, self.database)
-                sequence += 1
-            if self._closed.is_set():
-                return
-            report = self.result.report(timeout=30.0)
-            encode_started = time.perf_counter()
-            wire = report.to_wire(include_occurrences=False)
-            self._encode_seconds += time.perf_counter() - encode_started
-            trace = self.result.ticket.trace
-            if trace:
-                # Extend the service-side span tree with the server's
-                # encoding cost and re-finish: the root now covers the
-                # whole stream drain including wire encoding.  The wall
-                # time the pump spent forwarding pages — credit waits,
-                # event-loop round trips — is accounted as ``stream_flush``
-                # (the remainder over the already-attributed stages), so
-                # the children keep summing to the root.
-                trace.add_span("wire_encode", self._encode_seconds)
-                trace.finish()
-                flush = trace.seconds - trace.span_seconds()
-                if flush > 0:
-                    trace.add_span("stream_flush", flush)
-                wire["extra"]["trace"] = trace.to_dict()
-            self.connection.send_from_thread(
-                {"stream": self.stream_id, "end": True, "report": wire},
-                self.database,
-            )
-        except Exception as exc:
-            error = exc
-        finally:
-            self.result.close()
-            self.connection.discard_stream(self.stream_id)
-        if error is not None and not self._closed.is_set():
-            trace = self.result.ticket.trace
-            if trace and getattr(error, "trace_id", None) is None:
-                try:
-                    error.trace_id = trace.trace_id
-                except Exception:  # pragma: no cover - exotic exception types
-                    pass
-            try:
-                self.connection.send_from_thread(
-                    {
-                        "stream": self.stream_id,
-                        "end": True,
-                        "error": encode_error(error),
-                    },
-                    self.database,
-                )
-            except Exception:  # connection already gone
-                pass
+        self.abandon()
+        self.connection._streams.pop(self.stream_id, None)
+        result, self.result = self.result, None
+        if result is not None:
+            result.close()
 
 
 class _Connection:
@@ -359,10 +350,12 @@ class _Connection:
                         continue
                     stream = self._streams.get(frame.get("stream"))
                     if stream is not None:
-                        stream.grant(min(credits, MAX_CREDIT_GRANT))
+                        stream.release(credits)
                     continue
                 if op == "stream_cancel":
-                    self.discard_stream(frame.get("stream"), close=True)
+                    stream = self._streams.get(frame.get("stream"))
+                    if stream is not None:
+                        stream.close()
                     continue
                 task = self._loop.create_task(self._dispatch(frame))
                 self._tasks.add(task)
@@ -427,11 +420,7 @@ class _Connection:
             context = trace_context.TraceContext.from_wire(frame.get("trace"))
             if context is not None:
                 trace_id = context.trace_id
-            if trace_id is not None and getattr(exc, "trace_id", None) is None:
-                try:
-                    exc.trace_id = trace_id
-                except Exception:  # pragma: no cover - exotic exception types
-                    pass
+            _tag_trace(exc, trace_id)
             self._count(
                 database,
                 "server_errors_total",
@@ -470,28 +459,39 @@ class _Connection:
     # sending
     # ------------------------------------------------------------------ #
 
+    def _write(self, data: bytes, database: Optional[GraphDB]) -> None:
+        """Write one encoded frame (event loop); its bytes count against
+        ``database``'s registry.
+
+        The count is taken before the frame reaches the transport
+        (``write`` may put it on the socket at once), so whoever has read
+        this frame — a client about to ask for ``server_metrics()``, a
+        thread reading the registry — sees it counted.  A frame posted
+        after teardown began is dropped.
+        """
+        if self._closing:
+            return
+        self._count(
+            database,
+            "server_bytes_sent_total",
+            "Bytes of response and stream frames sent for this tenant",
+            amount=len(data),
+        )
+        self._writer.write(data)
+
     async def _send(
         self, payload: Dict[str, object], database: Optional[GraphDB] = None
     ) -> None:
-        """Write one frame; its bytes count against ``database``'s registry.
+        """Write one frame, then wait out the transport's buffer.
 
-        The count is taken under the send lock before the frame reaches
-        the transport (``write`` may put it on the socket at once), so
-        whoever has read this frame — a client about to ask for
-        ``server_metrics()``, a thread reading the registry — sees it
-        counted.
+        The write happens before the first ``await``, so frames reach the
+        transport in the order they are sent: a ``stream_open`` reply is
+        written before the stream's window opens.
         """
         if self._closing:
             raise ConnectionError("connection is closing")
-        data = encode_frame(payload)
-        async with self._send_lock:
-            self._count(
-                database,
-                "server_bytes_sent_total",
-                "Bytes of response and stream frames sent for this tenant",
-                amount=len(data),
-            )
-            self._writer.write(data)
+        self._write(encode_frame(payload), database)
+        async with self._send_lock:  # one drain at a time (Python < 3.10 asserts)
             await self._writer.drain()
 
     async def _safe_send(
@@ -502,13 +502,23 @@ class _Connection:
         except (ConnectionError, RuntimeError, OSError):
             pass  # client went away mid-reply; teardown will follow
 
+    def post(self, payload: Dict[str, object], database: Optional[GraphDB]) -> None:
+        """Queue one stream frame for the socket from a worker thread.
+
+        Nothing waits for the write: the stream's credits bound its frames
+        in flight.  Raises once the connection is closing or the loop gone.
+        """
+        if self._closing:
+            raise ConnectionError("connection is closing")
+        self._loop.call_soon_threadsafe(self._write, encode_frame(payload), database)
+
     def send_from_thread(
         self, payload: Dict[str, object], database: Optional[GraphDB]
     ) -> None:
-        """Send one frame from a pump thread (raises once the connection dies).
+        """Send one frame from a log-shipper thread (raises once the connection dies).
 
         ``database`` is the tenant whose ``server_bytes_sent_total`` the
-        frame counts against — required, so no pump frame goes uncounted.
+        frame counts against — required, so no shipped frame goes uncounted.
         """
         future = asyncio.run_coroutine_threadsafe(
             self._send(payload, database), self._loop
@@ -552,16 +562,6 @@ class _Connection:
                 f"pin {token!r} belongs to graph {pinned_graph!r}, not {graph!r}"
             )
         return snapshot
-
-    def discard_stream(self, stream_id, close: bool = False) -> None:
-        """Forget (and optionally close) one stream; thread-safe enough.
-
-        Called from pump threads on normal exhaustion and from the event
-        loop on cancel frames / teardown.
-        """
-        stream = self._streams.pop(stream_id, None)
-        if stream is not None and close:
-            stream.close()
 
     def _ship(self, shipper, database) -> None:
         """Send one log subscription's payloads (runs on its own thread).
@@ -700,15 +700,7 @@ class _Connection:
                 database.telemetry.spans.record(span.finish())
         encode_started = time.perf_counter()
         wire = report.to_wire()
-        trace = ticket.trace
-        if trace:
-            # The service already finished the root over queue/pin/run;
-            # append the server's encoding cost and re-finish so the tree
-            # the client sees covers the full server-side wall clock.
-            trace.add_span("wire_encode", time.perf_counter() - encode_started)
-            trace.finish()
-            wire["extra"]["trace"] = trace.to_dict()
-        return wire
+        return _with_trace(wire, ticket.trace, time.perf_counter() - encode_started)
 
     async def _op_pin(self, graph, database, version=None):
         snapshot = database.store.pin(version)
@@ -724,50 +716,41 @@ class _Connection:
         return {"released": pin}
 
     async def _op_stream_open(
-        self, graph, database, query, snapshot=None, window=None, name=None, trace=None,
-        **options,
+        self, graph, database, query, snapshot=None, name=None, trace=None, **options
     ):
-        window = window or self.server.stream_window
         self._count(
             database,
             "server_streams_opened_total",
             "Streaming queries opened for this tenant",
         )
+        stream = _ServerStream(
+            self, next(self._ids), database, database.service.config.stream_buffer_pages
+        )
         # The stream holds its own pin at the snapshot's version for its whole
         # life.  Pages never accumulate server-side (keep_occurrences=False):
-        # the stream's memory bound is the service's page buffer plus this
-        # connection's credit window.
-        result = await self._run(
+        # the stream's memory bound is its window.
+        stream.result = await self._run(
             partial(
                 database.service.stream,
                 query,
                 version=snapshot.version if snapshot is not None else None,
                 keep_occurrences=False,
                 trace_id=trace.trace_id if trace is not None else None,
+                window=stream,
                 **options,
             )
         )
-        ident = next(self._ids)
-        stream = _ServerStream(
-            self,
-            ident,
-            result,
-            window,
-            self.server.stream_page_timeout,
-            database=database,
-        )
-        self._streams[ident] = stream
-        self._track_ticket(result.ticket)
-        # The reply goes out before the pump starts, so the client always
-        # sees the stream id before its first page frame.
-        reply = {
-            "stream": ident,
-            "version": result.version,
-            "window": window,
-            "page_size": result.page_size,
+        self._streams[stream.stream_id] = stream
+        self._track_ticket(stream.result.ticket)
+        # Runs after _dispatch has written the reply (``_send`` writes before
+        # it awaits), so the client sees the stream id before any frame of it.
+        self._loop.call_soon(stream.open)
+        return {
+            "stream": stream.stream_id,
+            "version": stream.result.version,
+            "window": stream.size,
+            "page_size": stream.result.page_size,
         }
-        self._loop.run_in_executor(self.server._executor, stream.pump)
-        return reply
 
     async def _op_subscribe_log(self, graph, database, from_version=None):
         # Lazy import: repro.replication imports the api/server layers,
@@ -874,7 +857,6 @@ class _Connection:
         self._closing = True
         for stream in list(self._streams.values()):
             stream.close()
-        self._streams.clear()
         for shipper in list(self._shippers.values()):
             shipper.stop()
         self._shippers.clear()
@@ -934,16 +916,9 @@ class GraphServer:
     host / port:
         Bind address; port 0 picks a free port (read it from
         :attr:`address` after :meth:`start`).
-    stream_window:
-        Default credit window per stream: how many pages the server pumps
-        ahead of the client's grants (clients may ask for their own window
-        at ``stream_open``).
-    stream_page_timeout:
-        Upper bound on the pump's wait for one page from the executing
-        worker (``None`` — the default — trusts budgets/deadlines to
-        terminate the query).
     service_config:
-        Default :class:`ServiceConfig` for catalogs the server creates.
+        Default :class:`ServiceConfig` for catalogs the server creates
+        (its ``stream_buffer_pages`` is each wire stream's credit window).
     log_level:
         When given (``"INFO"``, ``logging.DEBUG``, ...), attaches the
         library's managed log handler (see :func:`repro.obs.get_logger`)
@@ -962,8 +937,6 @@ class GraphServer:
         catalog: Optional[GraphCatalog] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        stream_window: int = 4,
-        stream_page_timeout: Optional[float] = None,
         service_config: Optional[ServiceConfig] = None,
         data_dir: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
@@ -1024,8 +997,6 @@ class GraphServer:
         self._owns_catalog = catalog is None
         self._host = host
         self._port = port
-        self.stream_window = max(1, stream_window)
-        self.stream_page_timeout = stream_page_timeout
         self.address: Optional[Tuple[str, int]] = None
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -21,13 +21,14 @@ Results
 -------
 :meth:`QueryService.submit` returns a :class:`QueryTicket` future;
 :meth:`QueryService.stream` returns a :class:`StreamingResult` whose pages
-are **pipelined**: the worker feeds a bounded page queue as the matcher's
-streaming iterator produces occurrences, so the first page is consumable
-while the query is still enumerating.  The result holds its snapshot pin
-until the consumer finishes (or abandons) paging, so pagination stays
-consistent with the version the query ran on even if the head moves; a
-consumer that walks away mid-stream cancels the producer and releases the
-pin through the closing page iterator (:class:`PageIterator`).
+are **pipelined**: the worker hands each page over under one credit of the
+stream's :class:`StreamWindow` as the matcher produces occurrences, so the
+first page is consumable while the query is still enumerating.  The
+result holds its snapshot pin until the consumer finishes (or abandons)
+paging, so pagination stays consistent with the version the query ran on
+even if the head moves; a consumer that walks away mid-stream cancels the
+producer and releases the pin through the closing page iterator
+(:class:`PageIterator`).
 """
 
 from __future__ import annotations
@@ -36,10 +37,16 @@ import itertools
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from repro.exceptions import ServiceOverloadedError, StoreError
+from repro.exceptions import (
+    QueryCancelled,
+    ServiceOverloadedError,
+    StoreError,
+    TimeoutExceeded,
+)
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
 from repro.obs.context import TraceContext
@@ -80,98 +87,115 @@ class ServiceConfig:
     default_engine: str = "GM"
     #: Default per-query budget (falls back to the store session's budget).
     default_budget: Optional[Budget] = None
-    #: Backpressure depth of a streaming query's page queue: the producer
-    #: runs at most this many pages ahead of the consumer before blocking.
-    #: With ``keep_occurrences=False`` this bounds the stream's in-flight
+    #: A stream's window, in process and on the wire: the producer runs at
+    #: most this many pages ahead of the consumer.  With
+    #: ``keep_occurrences=False`` this bounds the stream's in-flight
     #: occurrence buffering to ``(stream_buffer_pages + 1) * page_size``;
     #: the default ``keep_occurrences=True`` additionally accumulates the
     #: full occurrence list worker-side for the final ``report()``.
     stream_buffer_pages: int = 4
 
 
-class _StreamBuffer:
-    """Bounded page queue between a streaming worker and its consumer.
+class StreamWindow:
+    """One stream's credit window: the only bound between worker and consumer.
 
-    The worker calls :meth:`put_page` as pages fill (blocking once the
-    consumer is ``max_pages`` behind — that backpressure is what bounds a
-    stream's in-flight buffering) and the ticket's terminal transition
-    calls :meth:`finish` exactly once.  The consumer calls
-    :meth:`next_page`.  :meth:`abandon` (consumer walked away) unblocks a
-    waiting producer and makes every later ``put_page`` a fast no-op.
+    At most ``size`` pages are in flight: the worker takes one credit per
+    page (:meth:`acquire`), the consumer gives one back per page it takes
+    (:meth:`release`).  The wait obeys the stream's budget — it raises
+    :class:`~repro.exceptions.TimeoutExceeded` at the deadline and
+    :class:`~repro.exceptions.QueryCancelled` once the stream is abandoned
+    (the consumer walked away, or the ticket was cancelled) — so a stalled
+    consumer holds a worker no longer than the budget allows.  A subclass
+    delivers: :meth:`pump` hands one page over on the worker's thread,
+    :meth:`finish` ends the stream from the ticket's terminal transition.
     """
 
-    _DONE = object()
-    #: Producer poll period while blocked on a full queue (seconds); each
-    #: wakeup re-checks abandonment so a stalled consumer never wedges a
-    #: worker thread.
-    _POLL_SECONDS = 0.05
+    #: Seconds :meth:`pump` spent encoding pages for the wire, which the
+    #: server reports as the trace's ``wire_encode`` span.
+    encode_seconds = 0.0
 
-    def __init__(self, max_pages: int) -> None:
-        self._queue: "queue_module.Queue" = queue_module.Queue(maxsize=max(1, max_pages))
-        self._abandoned = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._finished = threading.Event()
+    def __init__(self, size: int) -> None:
+        self._cond = threading.Condition()
+        self.size = max(1, size)
+        self._in_flight = 0
+        self._abandoned = False
 
-    def put_page(self, page: Tuple[Tuple[int, ...], ...]) -> bool:
-        """Enqueue one page; False once the consumer abandoned the stream."""
-        while not self._abandoned.is_set():
-            try:
-                self._queue.put(page, timeout=self._POLL_SECONDS)
-                return True
-            except queue_module.Full:
-                continue
-        return False
+    def acquire(self, deadline: Optional[float] = None) -> None:
+        """Take one credit, waiting while the window is full.
 
-    def finish(self, error: Optional[BaseException] = None) -> None:
-        """Mark the stream complete (idempotent); wakes the consumer."""
-        if self._finished.is_set():
-            return
-        self._error = error
-        self._finished.set()
-        while not self._abandoned.is_set():
-            try:
-                self._queue.put(self._DONE, timeout=self._POLL_SECONDS)
-                return
-            except queue_module.Full:
-                continue
+        ``deadline`` is an absolute :func:`time.monotonic` timestamp.
+        """
+        with self._cond:
+            while not self._abandoned and self._in_flight >= self.size:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    raise TimeoutExceeded(remaining)
+                self._cond.wait(remaining)
+            if self._abandoned:
+                raise QueryCancelled()
+            self._in_flight += 1
+
+    def release(self, credits: int = 1) -> None:
+        """Give ``credits`` back; the window never grows past ``size``."""
+        with self._cond:
+            self._in_flight = max(0, self._in_flight - credits)
+            self._cond.notify_all()
 
     def abandon(self) -> None:
-        """Consumer-side teardown: unblock producer *and* consumer, drop pages.
+        """Stop the stream: a waiting or later :meth:`acquire` raises."""
+        with self._cond:
+            self._abandoned = True
+            self._cond.notify_all()
 
-        Besides unblocking a producer waiting on a full queue, this wakes a
-        consumer blocked in :meth:`next_page` from *another* thread (the wire
-        server's pump threads page in an executor while the connection
-        handler abandons from the event loop): the sentinel makes that
-        consumer's ``get`` return immediately instead of waiting out its
-        page timeout.
-        """
-        self._abandoned.set()
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-        try:
-            self._queue.put_nowait(self._DONE)
-        except queue_module.Full:  # pragma: no cover - queue was just drained
-            pass
+    def pump(self, page, deadline: Optional[float] = None) -> None:
+        raise NotImplementedError
+
+    def finish(self, ticket: "QueryTicket") -> None:
+        raise NotImplementedError
+
+
+class _PageQueue(StreamWindow):
+    """The in-process consumer's window: delivered pages wait in a deque,
+    and taking one gives its credit back."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
+        self._pages: deque = deque()
+        self._finished = False
+        self._error: Optional[BaseException] = None
+
+    def pump(self, page, deadline=None) -> None:
+        with self._cond:
+            self.acquire(deadline)
+            self._pages.append(page)
+            self._cond.notify_all()
+
+    def finish(self, ticket: "QueryTicket") -> None:
+        with self._cond:
+            self._finished = True
+            self._error = ticket.error
+            self._cond.notify_all()
 
     def next_page(self, timeout: Optional[float] = None):
-        """The next page, or ``None`` once the stream finished; re-raises a
-        failed ticket.
+        """The next page, or ``None`` once the stream finished (or was
+        abandoned); re-raises a failed ticket.
 
         ``timeout`` bounds the wait; exceeding it raises
         :class:`TimeoutError` (same contract as :meth:`QueryTicket.result`).
         """
-        try:
-            item = self._queue.get(timeout=timeout)
-        except queue_module.Empty:
-            raise TimeoutError(f"no streamed page within {timeout}s") from None
-        if item is not self._DONE:
-            return item
-        if self._error is not None and not self._abandoned.is_set():
-            raise self._error
-        return None
+        with self._cond:
+            if not self._cond.wait_for(
+                lambda: self._pages or self._finished or self._abandoned, timeout
+            ):
+                raise TimeoutError(f"no streamed page within {timeout}s")
+            if self._abandoned:
+                return None
+            if self._pages:
+                self.release()
+                return self._pages.popleft()
+            if self._error is not None:
+                raise self._error
+            return None
 
 
 class QueryTicket:
@@ -197,7 +221,7 @@ class QueryTicket:
         snapshot: Optional[StoreSnapshot] = None,
         name: Optional[str] = None,
         page_size: Optional[int] = None,
-        stream_buffer: Optional[_StreamBuffer] = None,
+        window: Optional[StreamWindow] = None,
         keep_occurrences: bool = True,
     ) -> None:
         self.ticket_id = next(self._ids)
@@ -207,10 +231,10 @@ class QueryTicket:
         self.budget = budget
         self.deadline = deadline
         self.snapshot = snapshot
-        #: Streaming execution: page size and the bounded page queue the
-        #: worker feeds (None for plain submit-and-wait tickets).
+        #: Streaming execution: page size and the credit window the worker
+        #: hands pages over through (None for plain submit-and-wait tickets).
         self.page_size = page_size
-        self.stream_buffer = stream_buffer
+        self.window = window
         self.keep_occurrences = keep_occurrences
         self.submitted_at = time.monotonic()
         #: The query's distributed trace (a no-op :data:`NULL_TRACE` unless
@@ -228,8 +252,11 @@ class QueryTicket:
         self._callback_lock = threading.Lock()
 
     def cancel(self) -> None:
-        """Request cooperative cancellation (idempotent)."""
+        """Request cooperative cancellation (idempotent); a streaming
+        worker waiting for a credit stops at once."""
         self.cancel_event.set()
+        if self.window is not None:
+            self.window.abandon()
 
     def add_done_callback(self, callback) -> None:
         """Run ``callback(ticket)`` once the ticket reaches a terminal state.
@@ -291,10 +318,10 @@ class QueryTicket:
         self.error = error
         self.seconds = time.monotonic() - self.submitted_at
         self._done.set()
-        if self.stream_buffer is not None:
+        if self.window is not None:
             # Every terminal path — done, cancelled, shed at dequeue,
-            # failed — wakes a paging consumer exactly once.
-            self.stream_buffer.finish(error=error)
+            # failed — ends the stream exactly once.
+            self.window.finish(self)
         with self._callback_lock:
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
@@ -398,26 +425,23 @@ class ServiceBatchReport(BatchReport):
 class StreamingResult(PagedResult):
     """Pipelined, paginated iteration over one query's occurrences.
 
-    Pages are fed by the executing worker through a bounded queue **as the
-    matcher produces them**: the first page is consumable while the query
-    is still enumerating, and a slow consumer exerts backpressure that
-    caps the producer's lead at the queue depth (no unbounded buffering in
-    the pipe).  The snapshot pin is held from submission until
-    :meth:`close` (or exhaustion of :meth:`pages`, or context-manager
-    exit, or the page iterator being closed/garbage-collected after an
-    abandoned ``for`` loop), so every page — no matter how slowly the
-    consumer drains — describes the same graph version.  Closing before
+    Pages are handed over by the executing worker through the stream's
+    :class:`StreamWindow` **as the matcher produces them**: the first page
+    is consumable while the query is still enumerating, and a slow consumer
+    exerts backpressure that caps the producer's lead at the window (no
+    unbounded buffering in the pipe); fed to another window (the wire
+    server's), it only holds the pin and the ticket.  The snapshot pin is
+    held from submission until :meth:`close` (or exhaustion of
+    :meth:`pages`, or context-manager exit, or the page iterator being
+    closed/garbage-collected after an abandoned ``for`` loop), so every
+    page — no matter how slowly the consumer drains — describes the same
+    graph version.  Closing before
     exhaustion cancels the producer cooperatively and releases the pin.
     """
 
     def __init__(self, ticket: QueryTicket, snapshot: StoreSnapshot, page_size: int) -> None:
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
-        if ticket.stream_buffer is None:
-            raise ValueError("ticket was not submitted with a stream buffer")
         self.ticket = ticket
         self.page_size = page_size
-        self._buffer = ticket.stream_buffer
         self._snapshot = snapshot
         self._version = snapshot.version
         self._closed = False
@@ -440,7 +464,7 @@ class StreamingResult(PagedResult):
         return self.ticket.result(timeout)
 
     def _next_page(self, timeout: Optional[float]):
-        return None if self._closed else self._buffer.next_page(timeout)
+        return None if self._closed else self.ticket.window.next_page(timeout)
 
     def close(self) -> None:
         """Cancel if still running and release the snapshot pin (idempotent)."""
@@ -448,7 +472,7 @@ class StreamingResult(PagedResult):
             self._closed = True
             if not self.ticket.done:
                 self.ticket.cancel()
-            self._buffer.abandon()
+            self.ticket.window.abandon()
             self._snapshot.release()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -608,6 +632,7 @@ class QueryService:
         page_size: Optional[int] = None,
         keep_occurrences: bool = True,
         trace_id: Optional[str] = None,
+        window: Optional[StreamWindow] = None,
     ) -> QueryTicket:
         """Admit one query for asynchronous execution.
 
@@ -619,11 +644,12 @@ class QueryService:
         pin); by default each query pins the head at execution time.
 
         ``page_size`` switches the ticket to streaming execution: the
-        worker feeds occurrence pages into a bounded queue as they are
-        produced (see :meth:`stream`, which wraps this in a
-        :class:`StreamingResult`).  ``keep_occurrences=False`` makes the
-        final report count-only — pages still flow, but the worker never
-        accumulates the full occurrence list.
+        worker hands pages to ``window`` (by default an in-process one of
+        ``stream_buffer_pages``) as they are produced (see :meth:`stream`,
+        which wraps this in a :class:`StreamingResult`).
+        ``keep_occurrences=False`` makes the final report count-only —
+        pages still flow, but the worker never accumulates the full
+        occurrence list.
 
         ``trace_id`` forces end-to-end tracing for this request regardless
         of the telemetry sample rate (the wire server passes the client's
@@ -641,12 +667,17 @@ class QueryService:
             if effective_deadline is not None
             else None
         )
-        stream_buffer = None
         if page_size is not None:
             if page_size <= 0:
                 raise ValueError(f"page_size must be positive, got {page_size}")
-            stream_buffer = _StreamBuffer(self.config.stream_buffer_pages)
+            window = window or _PageQueue(self.config.stream_buffer_pages)
         engine, budget = self.defaults(engine, budget)
+        # Callers inside a distributed trace may hand the whole context;
+        # the service's per-query trace keys on the id alone.  The trace
+        # starts before the ticket, so no queue_wait predates its root.
+        if isinstance(trace_id, TraceContext):
+            trace_id = trace_id.trace_id
+        trace = self.telemetry.tracer.trace("query", trace_id=trace_id)
         ticket = QueryTicket(
             query,
             engine=engine,
@@ -655,15 +686,11 @@ class QueryService:
             snapshot=snapshot,
             name=name,
             page_size=page_size,
-            stream_buffer=stream_buffer,
+            window=window,
             keep_occurrences=keep_occurrences,
         )
-        # Callers inside a distributed trace may hand the whole context;
-        # the service's per-query trace keys on the id alone.
-        if isinstance(trace_id, TraceContext):
-            trace_id = trace_id.trace_id
-        ticket.trace = self.telemetry.tracer.trace("query", trace_id=trace_id)
-        ticket.trace.annotate(query=ticket.name, engine=ticket.engine)
+        ticket.trace = trace
+        trace.annotate(query=ticket.name, engine=ticket.engine)
         with self._admission_lock:
             if self._closed:
                 raise StoreError("service is closed")
@@ -697,14 +724,16 @@ class QueryService:
         keep_occurrences: bool = True,
         trace_id: Optional[str] = None,
         version: Optional[int] = None,
+        window: Optional[StreamWindow] = None,
     ) -> StreamingResult:
         """Submit a query and page through its results as they are found.
 
-        True pipelined streaming: the worker pushes each page into the
-        result's bounded queue the moment the matcher has produced
+        True pipelined streaming: the worker hands each page over under one
+        credit of the stream's window the moment the matcher has produced
         ``page_size`` occurrences, so the first page is available *before*
         the query completes, and a slow consumer throttles the producer
-        instead of growing an unbounded pipe.  Pass
+        instead of growing an unbounded pipe.  ``window`` is a consumer
+        outside this process (the wire server's socket stream).  Pass
         ``keep_occurrences=False`` for a strictly memory-bounded stream —
         by default the worker also accumulates the occurrence list so
         :meth:`StreamingResult.report` stays complete.  The whole stream
@@ -722,6 +751,7 @@ class QueryService:
                 page_size=page_size,
                 keep_occurrences=keep_occurrences,
                 trace_id=trace_id,
+                window=window,
             )
         except Exception:
             snapshot.release()
@@ -847,7 +877,7 @@ class QueryService:
                 .with_cancel_event(ticket.cancel_event)
             )
             run_started = time.perf_counter()
-            if ticket.stream_buffer is not None:
+            if ticket.window is not None:
                 report = self._run_streaming(ticket, session, budget)
             else:
                 report = session.query(ticket.query, engine=ticket.engine, budget=budget)
@@ -889,15 +919,15 @@ class QueryService:
                 snapshot.release()
 
     def _run_streaming(self, ticket: QueryTicket, session, budget: Budget) -> MatchReport:
-        """Drive one streaming ticket: pump pages as matches are produced.
+        """Drive one streaming ticket: hand pages over as matches are produced.
 
-        The matcher's :class:`~repro.matching.stream.MatchStream` is
-        consumed one occurrence at a time; every ``page_size`` occurrences
-        a page is pushed into the ticket's bounded buffer (blocking on a
-        slow consumer — that backpressure *is* the memory bound).  A
-        consumer that abandons the stream flips the buffer, which stops
-        the pump and closes the match stream, cancelling the engine's
-        enumeration mid-search.
+        Every ``page_size`` occurrences of the matcher's
+        :class:`~repro.matching.stream.MatchStream` go to the ticket's
+        window under one credit (waiting on a slow consumer — that
+        backpressure *is* the memory bound).  The wait ends like a
+        match-loop checkpoint: ``TIMEOUT`` at the budget's time limit,
+        ``CANCELLED`` once abandoned; either way closing the match stream
+        cancels the engine's enumeration mid-search.
         """
         stream = session.stream(
             ticket.query,
@@ -905,25 +935,26 @@ class QueryService:
             budget=budget,
             keep_occurrences=ticket.keep_occurrences,
         )
-        buffer = ticket.stream_buffer
-        page_size = ticket.page_size or 1
-        page: list = []
-        abandoned = False
+        limit = budget.time_limit_seconds
+        deadline = None if limit is None else time.monotonic() + limit
+        pages = iter(lambda: tuple(itertools.islice(stream, ticket.page_size)), ())
+        stopped = None
         with stream:
-            for occurrence in stream:
-                page.append(occurrence)
-                if len(page) >= page_size:
-                    if not buffer.put_page(tuple(page)):
-                        abandoned = True
-                        break
-                    page = []
-            if not abandoned and page:
-                buffer.put_page(tuple(page))
-        # Exiting the ``with`` closed the stream: an abandoned (still-live)
+            try:
+                for page in pages:
+                    ticket.window.pump(page, deadline)
+            except TimeoutExceeded:
+                stopped = MatchStatus.TIMEOUT
+            except QueryCancelled:
+                stopped = MatchStatus.CANCELLED
+        # Exiting the ``with`` closed the stream: a stopped (still-live)
         # evaluation finalises as CANCELLED, a finished one keeps its
-        # terminal status.  No drain — the matches already produced are
-        # exactly what the consumer saw.
-        return stream.report(drain=False)
+        # terminal status — unless its last page never got through.  No
+        # drain — the matches already produced are what the consumer saw.
+        report = stream.report(drain=False)
+        if stopped is not None:
+            report.status = stopped
+        return report
 
     # ------------------------------------------------------------------ #
     # telemetry recording (worker side)
@@ -967,10 +998,11 @@ class QueryService:
         (``matching_seconds``), ``index_build`` the session-side artifact
         precompute if one ran, ``first_match`` the gap between planning
         and the first streamed occurrence, and ``stream_drain`` the
-        remainder of worker-side execution — so the children always sum to
-        ``queue_wait + pin + run`` and the tree stays within a few percent
-        of the root's wall clock.  The server later appends its
-        ``wire_encode`` span and re-finishes the same trace.
+        remainder of worker-side execution less the page encoding a wire
+        stream's window did (the server reports it as ``wire_encode``) — so
+        the children sum to ``queue_wait + pin + run`` and the tree stays
+        within a few percent of the root's wall clock.  The server later
+        appends its spans and re-finishes the same trace.
         """
         trace = ticket.trace
         if not trace:
@@ -984,7 +1016,8 @@ class QueryService:
             if first_match_at is not None
             else 0.0
         )
-        stream_drain = max(0.0, run_seconds - plan - index_build - first_match)
+        encoded = ticket.window.encode_seconds if ticket.window is not None else 0.0
+        stream_drain = max(0.0, run_seconds - plan - index_build - first_match - encoded)
         trace.add_span("queue_wait", queue_wait)
         trace.add_span("pin", pin_seconds)
         trace.add_span("plan", plan)

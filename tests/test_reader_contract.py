@@ -39,7 +39,7 @@ AB_DSL = "node a A\nnode b B\nedge a -> b"
 FOREIGN_OPTION = {
     "session": "deadline_seconds",
     "store.pin()": "deadline_seconds",
-    "GraphDB": "window",
+    "GraphDB": "pin",
     "db.pin()": "deadline_seconds",
     "GraphClient": "injective",
     "client.pin()": "injective",

@@ -49,7 +49,6 @@ from repro.query.pattern import EdgeType, PatternQuery
 from repro.server import GraphCatalog, GraphServer
 from repro.server.protocol import (
     FIELDS,
-    MAX_CREDIT_GRANT,
     OPS,
     encode_frame,
     read_frame_sync,
@@ -511,8 +510,8 @@ class TestWireStreaming:
             assert produced < FirehoseEngine.total, (
                 "producer ran to completion against an unread stream"
             )
-            # Bound: service page buffer + credit window + one page in flight.
-            assert produced <= 8 * (4 + 1 + 4 + 2), (
+            # Bound: the stream's one window + the page being filled.
+            assert produced <= 8 * (4 + 1), (
                 f"{produced} occurrences produced against a stalled consumer"
             )
         finally:
@@ -545,7 +544,7 @@ class TestWireStreaming:
         # never lag what a client has already received: after draining three
         # streams to their end frames, the tenant's byte delta equals the
         # bytes read off the socket — every time, not "usually" (the count
-        # used to be taken by the pump thread after the send returned).
+        # used to be taken by the sending thread after the send returned).
         client._sock = counting = CountingSocket(client._sock)
         client.stats()  # the first tenant-scoped reply registers the family
         for repetition in range(50):
@@ -785,7 +784,6 @@ class TestFailureSurface:
                         "query": PAPER_DSL,
                         "engine": SlowEngine.name,
                         "page_size": 1,
-                        "window": 1,
                     }
                 )
             )
@@ -991,7 +989,6 @@ MISTYPED = {
     "after_seq": 1.5,
     "page_size": 0,
     "workers": "x",
-    "window": "x",
     "deadline_seconds": "x",
     "timeout": "soon",
     "analyze": "yes",
@@ -1029,7 +1026,6 @@ PROBES = [
     ({"op": "query", "query": PAPER_DSL, "deadline_seconds": "x"}, "deadline_seconds"),
     ({"op": "histogram", "query": PAPER_DSL, "node": "x"}, "node"),
     ({"op": "subscribe_log", "from_version": "x"}, "from_version"),
-    ({"op": "stream_open", "query": PAPER_DSL, "window": "x"}, "window"),
     ({"op": "pin", "version": "0"}, "version"),
     # well-typed at the top, ill-typed inside
     ({"op": "apply", "delta": {"ops": [5]}}, "delta"),
@@ -1103,13 +1099,6 @@ class TestHostileArguments:
             assert [info["name"] for info in cli.graphs()] == ["paper"]
             assert cli.head_version == 0
             assert cli.count(PAPER_DSL) == len(PAPER_ANSWER)
-
-    def test_stream_window_is_clamped(self, paper_server):
-        reply = answer_then_ping(
-            paper_server,
-            {"op": "stream_open", "query": PAPER_DSL, "window": 10**12},
-        )
-        assert reply["result"]["window"] == MAX_CREDIT_GRANT
 
 
 # ---------------------------------------------------------------------- #
