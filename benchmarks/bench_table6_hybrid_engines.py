@@ -27,3 +27,16 @@ def test_regenerate_table6(benchmark, fast_budget):
     path = write_report(report)
     benchmark.extra_info["rows"] = len(report.rows)
     benchmark.extra_info["table_path"] = str(path)
+    # Both matchers answer the same hybrid query: wherever GM completes,
+    # Neo4j returns no more rows, and exactly GM's rows when it completes too.
+    runs = {
+        (query, matcher): (matches, status)
+        for _, query, matcher, _, matches, status in report.rows
+    }
+    for (query, matcher), (gm_matches, gm_status) in runs.items():
+        if matcher != "GM" or gm_status != "ok":
+            continue
+        neo4j_matches, neo4j_status = runs[(query, "Neo4j")]
+        assert neo4j_matches <= gm_matches, (query, neo4j_matches, gm_matches)
+        if neo4j_status == "ok":
+            assert neo4j_matches == gm_matches, (query, neo4j_matches, gm_matches)

@@ -47,21 +47,19 @@ class JMMatcher(Evaluator):
 
     name = "JM"
 
+    #: Queries of at most this many nodes are planned by subset DP, larger
+    #: ones greedily: the paper's DP enumeration stops scaling past ~10.
+    DP_PLAN_NODE_LIMIT = 10
+
     def __init__(
         self,
         graph: DataGraph,
         context: Optional[MatchContext] = None,
         budget: Optional[Budget] = None,
-        prefilter: bool = True,
-        apply_transitive_reduction: bool = True,
-        dp_plan_node_limit: int = 10,
     ) -> None:
         self.graph = graph
         self.context = context or MatchContext(graph)
         self.budget = budget or Budget()
-        self.prefilter = prefilter
-        self.apply_transitive_reduction = apply_transitive_reduction
-        self.dp_plan_node_limit = dp_plan_node_limit
 
     # ------------------------------------------------------------------ #
     # edge relations
@@ -109,7 +107,7 @@ class JMMatcher(Evaluator):
         edges = list(query.edges())
         if len(edges) <= 1:
             return edges, 1
-        if query.num_nodes <= self.dp_plan_node_limit and len(edges) <= 12:
+        if query.num_nodes <= self.DP_PLAN_NODE_LIMIT and len(edges) <= 12:
             return self._dp_plan(query, edges, relation_sizes)
         return self._greedy_plan(query, edges, relation_sizes), 1
 
@@ -194,36 +192,41 @@ class JMMatcher(Evaluator):
     # plan execution
     # ------------------------------------------------------------------ #
 
+    def _prepare(self, query: PatternQuery, clock):
+        """The matching phase both executors share.
+
+        Reduces ``query`` transitively, prefilters its candidates,
+        materialises one relation per remaining edge and chooses the plan.
+        Returns ``(candidates, relations, plan, plans_considered)``; an
+        edgeless query has an empty plan.
+        """
+        query = transitive_reduction(query)
+        candidates = node_prefilter(self.context, query)
+        relations: Dict[Tuple[int, int], EdgeRelation] = {}
+        for edge in query.edges():
+            clock.check_time()
+            relations[edge.endpoints()] = self._edge_relation(edge, candidates)
+        relation_sizes = {key: len(relation) for key, relation in relations.items()}
+        plan, plans_considered = self._plan(query, relation_sizes)
+        return candidates, relations, plan, plans_considered
+
     def match(self, query: PatternQuery, budget: Optional[Budget] = None) -> MatchReport:
         """Evaluate ``query`` with binary joins; see the class docstring."""
         budget = budget or self.budget
         clock = budget.start_clock()
         start = time.perf_counter()
-        original_query = query
         try:
-            if self.apply_transitive_reduction:
-                query = transitive_reduction(query)
-            candidates = (
-                node_prefilter(self.context, query)
-                if self.prefilter
-                else self.context.match_sets(query)
-            )
-            if query.num_edges == 0:
+            candidates, relations, plan, plans_considered = self._prepare(query, clock)
+            if not plan:
                 occurrences = [(value,) for value in sorted(candidates[0])]
                 return MatchReport(
-                    query_name=original_query.name,
+                    query_name=query.name,
                     algorithm="JM",
                     status=MatchStatus.OK,
                     occurrences=occurrences,
                     num_matches=len(occurrences),
                     matching_seconds=time.perf_counter() - start,
                 )
-            relations: Dict[Tuple[int, int], EdgeRelation] = {}
-            for edge in query.edges():
-                clock.check_time()
-                relations[edge.endpoints()] = self._edge_relation(edge, candidates)
-            relation_sizes = {key: len(relation) for key, relation in relations.items()}
-            plan, plans_considered = self._plan(query, relation_sizes)
             matching_seconds = time.perf_counter() - start
 
             enumeration_start = time.perf_counter()
@@ -233,7 +236,7 @@ class JMMatcher(Evaluator):
             enumeration_seconds = time.perf_counter() - enumeration_start
             status = MatchStatus.MATCH_LIMIT if hit_limit else MatchStatus.OK
             return MatchReport(
-                query_name=original_query.name,
+                query_name=query.name,
                 algorithm="JM",
                 status=status,
                 occurrences=occurrences,
@@ -247,14 +250,14 @@ class JMMatcher(Evaluator):
             )
         except TimeoutExceeded:
             return MatchReport(
-                query_name=original_query.name,
+                query_name=query.name,
                 algorithm="JM",
                 status=MatchStatus.TIMEOUT,
                 matching_seconds=time.perf_counter() - start,
             )
         except MemoryBudgetExceeded:
             return MatchReport(
-                query_name=original_query.name,
+                query_name=query.name,
                 algorithm="JM",
                 status=MatchStatus.OUT_OF_MEMORY,
                 matching_seconds=time.perf_counter() - start,
@@ -411,14 +414,8 @@ class JMMatcher(Evaluator):
         budget = budget or self.budget
         clock = budget.start_clock()
         start = time.perf_counter()
-        if self.apply_transitive_reduction:
-            query = transitive_reduction(query)
-        candidates = (
-            node_prefilter(self.context, query)
-            if self.prefilter
-            else self.context.match_sets(query)
-        )
-        if query.num_edges == 0:
+        candidates, relations, plan, plans_considered = self._prepare(query, clock)
+        if not plan:
             if info is not None:
                 info["matching_seconds"] = time.perf_counter() - start
             count = 0
@@ -429,12 +426,6 @@ class JMMatcher(Evaluator):
                 if clock.check_matches(count):
                     return
             return
-        relations: Dict[Tuple[int, int], EdgeRelation] = {}
-        for edge in query.edges():
-            clock.check_time()
-            relations[edge.endpoints()] = self._edge_relation(edge, candidates)
-        relation_sizes = {key: len(relation) for key, relation in relations.items()}
-        plan, plans_considered = self._plan(query, relation_sizes)
 
         # Materialise every join but the last; the final join streams.
         prefix, final_edge = plan[:-1], plan[-1]

@@ -12,19 +12,24 @@ solutions can vastly exceed the number of query solutions; every tree
 solution has to be checked against the non-tree edges, so TM's running time
 is driven by an intermediate result it cannot avoid.  Tree solutions are
 counted against the budget's intermediate cap and the wall-clock limit.
+
+A descendant edge reads the SCC condensation sweep GM's RIG build uses: the
+refinement's semijoins are ``tails_reaching`` / ``heads_reached`` and the
+edge's pairs (tree adjacency and non-tree checks alike) one
+``expand_reachability``, all under one ``Cones`` memo per query.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
-from repro.simulation.context import MatchContext
+from repro.simulation.context import Cones, MatchContext
 from repro.simulation.matchsets import node_prefilter
 
 
@@ -38,14 +43,10 @@ class TMMatcher(Evaluator):
         graph: DataGraph,
         context: Optional[MatchContext] = None,
         budget: Optional[Budget] = None,
-        prefilter: bool = True,
-        apply_transitive_reduction: bool = True,
     ) -> None:
         self.graph = graph
         self.context = context or MatchContext(graph)
         self.budget = budget or Budget()
-        self.prefilter = prefilter
-        self.apply_transitive_reduction = apply_transitive_reduction
 
     # ------------------------------------------------------------------ #
     # spanning tree extraction
@@ -85,6 +86,7 @@ class TMMatcher(Evaluator):
         tree_edges: List[PatternEdge],
         candidates: Dict[int, Set[int]],
         clock,
+        cones: Cones,
     ) -> Dict[int, Set[int]]:
         """Bottom-up + top-down refinement over the tree edges (exact on trees)."""
         context = self.context
@@ -95,56 +97,64 @@ class TMMatcher(Evaluator):
             for edge in tree_edges:
                 tails = candidates[edge.source]
                 heads = candidates[edge.target]
-                allowed_tails = context.backward_sources(edge, heads) if heads else set()
-                new_tails = tails & allowed_tails
+                if edge.is_child:
+                    new_tails = tails & context.backward_sources(edge, heads)
+                else:
+                    new_tails = context.tails_reaching(tails, heads, cones)
                 if len(new_tails) != len(tails):
-                    candidates[edge.source] = new_tails
+                    candidates[edge.source] = tails = new_tails
                     changed = True
-                allowed_heads = context.forward_targets(edge, tails) if tails else set()
-                new_heads = heads & allowed_heads
+                if edge.is_child:
+                    new_heads = heads & context.forward_targets(edge, tails)
+                else:
+                    new_heads = context.heads_reached(heads, tails, cones)
                 if len(new_heads) != len(heads):
                     candidates[edge.target] = new_heads
                     changed = True
         return candidates
+
+    def _edge_pairs(
+        self,
+        edges: List[PatternEdge],
+        candidates: Dict[int, Set[int]],
+        clock,
+        cones: Cones,
+    ) -> Dict[Tuple[int, int], Dict[int, FrozenSet[int]]]:
+        """Per query edge, ``{tail: heads it matches}`` over the candidates.
+
+        A child edge intersects each tail's successors with the head
+        candidates; a descendant edge takes the forward half of one
+        :meth:`~repro.simulation.context.MatchContext.expand_reachability`.
+        """
+        graph = self.graph
+        pairs: Dict[Tuple[int, int], Dict[int, FrozenSet[int]]] = {}
+        for edge in edges:
+            clock.check_time()
+            tails = candidates[edge.source]
+            heads = candidates[edge.target]
+            if edge.is_descendant:
+                per_tail, _ = self.context.expand_reachability(tails, heads, cones)
+            else:
+                per_tail = {}
+                for tail in tails:
+                    matched = graph.successor_set(tail) & heads
+                    if matched:
+                        per_tail[tail] = matched
+            pairs[edge.endpoints()] = per_tail
+        return pairs
 
     def _tree_adjacency(
         self,
         tree_edges: List[PatternEdge],
         candidates: Dict[int, Set[int]],
         clock,
+        cones: Cones,
     ) -> Dict[Tuple[int, int], Dict[int, List[int]]]:
         """Materialise, per tree edge, the matches restricted to candidates."""
-        context = self.context
-        graph = self.graph
-        adjacency: Dict[Tuple[int, int], Dict[int, List[int]]] = {}
-        for edge in tree_edges:
-            clock.check_time()
-            per_tail: Dict[int, List[int]] = {}
-            tails = candidates[edge.source]
-            heads = candidates[edge.target]
-            if edge.is_child:
-                for tail in tails:
-                    matched = graph.successor_set(tail) & heads
-                    if matched:
-                        per_tail[tail] = sorted(matched)
-            else:
-                reachability = context.reachability
-                use_bfs = len(heads) > 32
-                for tail in tails:
-                    if use_bfs:
-                        reachable = context.forward_reachable_set((tail,))
-                        matched = [head for head in heads if head in reachable]
-                    else:
-                        matched = [
-                            head
-                            for head in heads
-                            if (head != tail and reachability.reaches(tail, head))
-                            or (head == tail and reachability.reaches_strict(tail, head))
-                        ]
-                    if matched:
-                        per_tail[tail] = sorted(matched)
-            adjacency[edge.endpoints()] = per_tail
-        return adjacency
+        return {
+            key: {tail: sorted(heads) for tail, heads in per_tail.items()}
+            for key, per_tail in self._edge_pairs(tree_edges, candidates, clock, cones).items()
+        }
 
     def _enumerate_tree(
         self,
@@ -229,17 +239,13 @@ class TMMatcher(Evaluator):
         budget = budget or self.budget
         clock = budget.start_clock()
         start = time.perf_counter()
-        if self.apply_transitive_reduction:
-            query = transitive_reduction(query)
-        candidates = (
-            node_prefilter(self.context, query)
-            if self.prefilter
-            else self.context.match_sets(query)
-        )
+        query = transitive_reduction(query)
+        candidates = node_prefilter(self.context, query)
+        cones = Cones()
         tree_edges, non_tree_edges = self.spanning_tree(query)
-        if tree_edges or query.num_edges == 0:
-            candidates = self._refine_tree_candidates(query, tree_edges, candidates, clock)
-        adjacency = self._tree_adjacency(tree_edges, candidates, clock)
+        candidates = self._refine_tree_candidates(query, tree_edges, candidates, clock, cones)
+        adjacency = self._tree_adjacency(tree_edges, candidates, clock, cones)
+        non_tree_pairs = self._edge_pairs(non_tree_edges, candidates, clock, cones)
         extra: Dict[str, object] = {
             "tree_solutions": 0,
             "non_tree_edges": len(non_tree_edges),
@@ -250,7 +256,6 @@ class TMMatcher(Evaluator):
 
         if not all(candidates[node] for node in query.nodes()):
             return
-        context = self.context
         tree_solutions = 0
         count = 0
         for tree_occurrence in self._enumerate_tree(
@@ -260,10 +265,8 @@ class TMMatcher(Evaluator):
             extra["tree_solutions"] = tree_solutions
             clock.check_intermediate(tree_solutions)
             satisfied = all(
-                context.edge_match(
-                    edge, tree_occurrence[edge.source], tree_occurrence[edge.target]
-                )
-                for edge in non_tree_edges
+                tree_occurrence[target] in per_tail.get(tree_occurrence[source], ())
+                for (source, target), per_tail in non_tree_pairs.items()
             )
             if satisfied:
                 yield tree_occurrence

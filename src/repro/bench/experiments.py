@@ -38,7 +38,7 @@ from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 from repro.rig.build import RIGOptions, build_rig
 from repro.rig.stats import rig_statistics
-from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic
 
 
@@ -317,8 +317,9 @@ def fig13_rig_size(
         candidates = context.match_sets(query)
         tree_edges, _ = tm.spanning_tree(query)
         clock = budget.start_clock()
-        candidates = tm._refine_tree_candidates(query, tree_edges, candidates, clock)
-        adjacency = tm._tree_adjacency(tree_edges, candidates, clock)
+        cones = Cones()
+        candidates = tm._refine_tree_candidates(query, tree_edges, candidates, clock, cones)
+        adjacency = tm._tree_adjacency(tree_edges, candidates, clock, cones)
         construction = time.perf_counter() - start
         aux_nodes = sum(len(values) for values in candidates.values())
         aux_edges = sum(len(heads) for per_tail in adjacency.values() for heads in per_tail.values())

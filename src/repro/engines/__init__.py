@@ -17,10 +17,13 @@ corresponding system's behaviour in the paper's experiments:
 * :class:`TreeDecompEngine` (RapidMatch-like): spanning-tree candidate
   filtering followed by WCO-style enumeration with a density-driven order.
 
-All four only support edge-to-edge (child) semantics natively, mirroring the
-original systems; descendant edges must be rewritten through a transitive
-closure (see :func:`expand_descendant_edges`), which is exactly the
-experimental setup of Fig. 18.
+All four only support edge-to-edge semantics natively, mirroring the
+original systems, so each query edge reads the graph its type names
+(:meth:`Engine._relation`): a child edge the data graph, a descendant edge
+the transitive-closure-expanded graph (see :func:`expand_descendant_edges`;
+the experimental setup of Fig. 18).  A hybrid query therefore gets its own
+answer, the one GM and brute force give.  GF and RM share one
+node-at-a-time extension routine (:meth:`Engine._wco_extend`).
 
 Execution is incremental-first: every engine implements a lazy
 ``_iter_evaluate`` generator, :meth:`Engine.iter_matches` is the public

@@ -12,14 +12,15 @@ enumeration mid-search.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import AbstractSet, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Tuple, Union
 
-from repro.exceptions import EngineError, StaleIndexError
+from repro.exceptions import StaleIndexError
 from repro.explain.plan import QueryPlan
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
-from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
+from repro.query.pattern import PatternEdge, PatternQuery
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 
 
@@ -28,12 +29,12 @@ def expand_descendant_edges(
 ) -> Tuple[DataGraph, float]:
     """Materialise the transitive closure as extra edges of the data graph.
 
-    Engines that only support edge-to-edge semantics evaluate descendant
-    edges by first replacing the data graph with its transitive closure —
-    the indirect strategy the paper applies to GraphflowDB for D-queries
-    (§7.5).  A descendant edge maps to a path of length >= 1, so a node on
-    a cycle gets a self-loop.  Returns the expanded graph and the
-    expansion time in seconds.
+    Engines that only support edge-to-edge semantics evaluate a descendant
+    edge as an edge of the data graph's transitive closure — the indirect
+    strategy the paper applies to GraphflowDB for D-queries (§7.5).  A
+    descendant edge maps to a path of length >= 1, so a node on a cycle
+    gets a self-loop.  Returns the expanded graph and the expansion time in
+    seconds.
     """
     start = time.perf_counter()
     closure = closure or TransitiveClosureIndex(graph)
@@ -49,11 +50,6 @@ def expand_descendant_edges(
     return expanded, time.perf_counter() - start
 
 
-#: A transitive-closure index, or a zero-argument callable producing one.
-#: Callables let a shared cache (e.g. :class:`repro.session.QuerySession`)
-#: supply the closure lazily: it is only built if a descendant query arrives.
-ClosureSource = Union[TransitiveClosureIndex, Callable[[], TransitiveClosureIndex]]
-
 #: An expanded data graph, or a zero-argument callable producing one.
 ExpandedGraphSource = Union[DataGraph, Callable[[], DataGraph]]
 
@@ -61,16 +57,17 @@ ExpandedGraphSource = Union[DataGraph, Callable[[], DataGraph]]
 class Engine(Evaluator):
     """Base class for the comparator engines.
 
-    Engines natively support child-only queries.  If a query contains
-    descendant edges the engine either raises :class:`EngineError`
-    (``descendant_mode="reject"``), or rewrites the query against the
-    transitive-closure-expanded graph (``descendant_mode="closure"``),
-    charging the expansion to precomputation time.
+    Engines natively support edge-to-edge matching only.  A descendant
+    query edge is matched as an edge of the transitive-closure-expanded
+    graph, built on the first descendant edge the engine sees and charged
+    to precomputation time; child edges keep reading the data graph.
+    Labels and inverted lists always come from the data graph, which has
+    the same nodes and labels as the expanded one.
 
-    ``closure`` and ``expanded_graph`` allow a caller that already owns those
-    artifacts (a :class:`~repro.session.QuerySession`) to inject them so the
-    engine does not recompute them; a pre-built ``expanded_graph`` charges
-    zero expansion time to precomputation.
+    ``expanded_graph`` lets a caller that already owns the expanded graph
+    (a :class:`~repro.session.QuerySession`) inject it, or a callable that
+    produces it on first use, so the engine does not recompute it; an
+    injected graph charges zero expansion time to precomputation.
     """
 
     name = "engine"
@@ -79,21 +76,16 @@ class Engine(Evaluator):
         self,
         graph: DataGraph,
         budget: Optional[Budget] = None,
-        descendant_mode: str = "closure",
-        closure: Optional[ClosureSource] = None,
         expanded_graph: Optional[ExpandedGraphSource] = None,
     ) -> None:
         self.graph = graph
         self.budget = budget or Budget()
-        self.descendant_mode = descendant_mode
-        self._closure_source = closure
         self._expanded_source = expanded_graph if callable(expanded_graph) else None
         self._expanded_graph: Optional[DataGraph] = (
             None if callable(expanded_graph) else expanded_graph
         )
         if self._expanded_graph is not None:
             self._check_expanded(self._expanded_graph)
-        self._expansion_seconds = 0.0
         self._precompute_seconds = 0.0
         start = time.perf_counter()
         self._precompute(graph)
@@ -107,11 +99,12 @@ class Engine(Evaluator):
         """Per-engine precomputation (catalogs, indexes).  Default: none."""
 
     def _iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
+        self, query: PatternQuery, budget: Budget, profile=None
     ) -> Iterator[Tuple[int, ...]]:
-        """Lazily enumerate occurrences of a child-only query on ``graph``.
+        """Lazily enumerate occurrences of ``query``.
 
-        The streaming primitive every engine implements.  Implementations
+        The streaming primitive every engine implements; each query edge
+        reads the graph :meth:`_relation` names for it.  Implementations
         yield occurrences as the search finds them, call the budget
         clock's checkpoints from their inner loops, and must *not* enforce
         ``budget.max_matches`` themselves — the :meth:`iter_matches`
@@ -160,27 +153,21 @@ class Engine(Evaluator):
             )
         return expanded
 
-    def _graph_for(self, query: PatternQuery) -> Tuple[DataGraph, PatternQuery]:
-        if not query.descendant_edges():
-            return self.graph, query
-        if self.descendant_mode == "reject":
-            raise EngineError(
-                f"{self.name} only supports child-only (edge-to-edge) queries"
-            )
+    def _expanded(self) -> DataGraph:
+        """The closure-expanded graph: injected, or built on first use."""
         if self._expanded_graph is None:
             if self._expanded_source is not None:
                 self._expanded_graph = self._check_expanded(self._expanded_source())
             else:
-                source = self._closure_source
-                closure = source() if callable(source) else source
-                self._expanded_graph, self._expansion_seconds = expand_descendant_edges(
-                    self.graph, closure=closure
-                )
-                self._precompute_seconds += self._expansion_seconds
-        rewritten_edges = [
-            PatternEdge(edge.source, edge.target, EdgeType.CHILD) for edge in query.edges()
-        ]
-        return self._expanded_graph, query.with_edges(rewritten_edges, name=query.name)
+                self._expanded_graph, seconds = expand_descendant_edges(self.graph)
+                self._precompute_seconds += seconds
+        return self._expanded_graph
+
+    def _relation(self, edge: PatternEdge) -> DataGraph:
+        """The graph whose edges are the matches of query edge ``edge``: the
+        data graph for a child edge, the closure-expanded graph for a
+        descendant edge (a path of length >= 1)."""
+        return self.graph if edge.is_child else self._expanded()
 
     def iter_matches(
         self,
@@ -199,12 +186,14 @@ class Engine(Evaluator):
         exhausted mid-enumeration.  Closing the generator (or breaking out
         of a ``for`` loop that owns it) stops the search immediately.
 
-        ``info`` receives the engine's precomputation cost, and — when it
+        ``info`` receives the engine's precomputation cost (the expansion
+        included, when the query has a descendant edge), and — when it
         asks for per-operator actuals (EXPLAIN ANALYZE) — is threaded
         through to :meth:`_iter_evaluate` as its ``profile``.
         """
         budget = budget or self.budget
-        graph, rewritten = self._graph_for(query)
+        if query.descendant_edges():
+            self._expanded()
         profile = None
         if info is not None:
             info["extra"] = {"precompute_seconds": self._precompute_seconds}
@@ -212,7 +201,7 @@ class Engine(Evaluator):
                 profile = info
         clock = budget.start_clock()
         count = 0
-        for occurrence in self._iter_evaluate(graph, rewritten, budget, profile=profile):
+        for occurrence in self._iter_evaluate(query, budget, profile=profile):
             clock.check_time()
             yield occurrence
             count += 1
@@ -220,10 +209,85 @@ class Engine(Evaluator):
                 return
 
     # ------------------------------------------------------------------ #
+    # node-at-a-time extension (GF and RM)
+    # ------------------------------------------------------------------ #
+
+    def _wco_extend(
+        self,
+        query: PatternQuery,
+        order: Sequence[int],
+        domains: Mapping[int, AbstractSet[int]],
+        clock,
+        slots: Optional[List[List[int]]],
+    ) -> Iterator[Tuple[int, ...]]:
+        """Worst-case-optimal node-at-a-time enumeration along ``order``.
+
+        Position ``i`` binds ``order[i]`` to the values of its domain that
+        every query edge to an earlier position admits — the bound
+        partner's successor (or predecessor) set in the edge's
+        :meth:`_relation`, intersected smallest first.  Each full
+        assignment is yielded the moment the innermost extension completes,
+        so the first occurrence costs one root-to-leaf descent; closing the
+        generator abandons the backtracking stack wherever it stands.
+
+        ``slots`` (EXPLAIN ANALYZE) receives per position
+        ``[candidates, intersections, rows]``.
+        """
+        n = query.num_nodes
+        assignment: List[Optional[int]] = [None] * n
+        # Per position: (earlier node, its neighbour-set lookup) per query
+        # edge to an earlier position.
+        position_of = {node: position for position, node in enumerate(order)}
+        probes: List[List[Tuple[int, Callable[[int], AbstractSet[int]]]]] = [[] for _ in order]
+        for edge in query.edges():
+            relation = self._relation(edge)
+            if position_of[edge.source] < position_of[edge.target]:
+                probes[position_of[edge.target]].append((edge.source, relation.successor_set))
+            else:
+                probes[position_of[edge.source]].append((edge.target, relation.predecessor_set))
+
+        def candidates(position: int) -> List[int]:
+            domain = domains[order[position]]
+            operands = [
+                neighbours(assignment[earlier]) & domain
+                for earlier, neighbours in probes[position]
+            ]
+            if not operands:
+                local = list(domain)
+                if slots is not None:
+                    slots[position][0] += len(local)
+                return local
+            operands.sort(key=len)
+            result = operands[0]
+            for operand in operands[1:]:
+                result = result & operand
+                if not result:
+                    break
+            if slots is not None:
+                slots[position][0] += len(result)
+                slots[position][1] += len(operands)
+            return list(result)
+
+        def extend(position: int) -> Iterator[Tuple[int, ...]]:
+            clock.check_time()
+            if position == n:
+                yield tuple(assignment)
+                return
+            node = order[position]
+            for value in candidates(position):
+                assignment[node] = value
+                if slots is not None:
+                    slots[position][2] += 1
+                yield from extend(position + 1)
+                assignment[node] = None
+
+        yield from extend(0)
+
+    # ------------------------------------------------------------------ #
     # EXPLAIN
     # ------------------------------------------------------------------ #
 
-    def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
+    def _describe_plan(self, query: PatternQuery) -> QueryPlan:
         """The engine's operator tree for ``query`` (plan-only skeleton).
 
         The default is a single opaque evaluate operator; engines with a
@@ -236,11 +300,7 @@ class Engine(Evaluator):
 
     def describe_plan(self, query: PatternQuery) -> QueryPlan:
         """The engine's plan for ``query``, planned over precomputed statistics."""
-        graph, rewritten = self._graph_for(query)
-        plan = self._describe_plan(graph, rewritten)
+        plan = self._describe_plan(query)
         plan.query = query.name or "query"
-        expanded = graph is not self.graph
-        plan.artifacts.setdefault("expanded_graph", expanded)
-        if expanded:
-            plan.artifacts.setdefault("descendant_mode", self.descendant_mode)
+        plan.artifacts.setdefault("expanded_graph", bool(query.descendant_edges()))
         return plan

@@ -26,17 +26,16 @@ class BinaryJoinEngine(Engine):
     name = "Neo4j"
 
     def _precompute(self, graph: DataGraph) -> None:
-        # Plans only depend on the query structure and which of the two
-        # graphs (base / closure-expanded) is in play, so repeated queries on
-        # a long-lived engine skip re-planning.
-        self._plan_cache: Dict[Tuple[bool, PatternQuery], Tuple[int, List[PatternEdge]]] = {}
+        # Plans only depend on the query structure, so repeated queries on a
+        # long-lived engine skip re-planning.
+        self._plan_cache: Dict[PatternQuery, Tuple[int, List[PatternEdge]]] = {}
 
-    def _plan(self, graph: DataGraph, query: PatternQuery) -> Tuple[int, List[PatternEdge]]:
+    def _plan(self, query: PatternQuery) -> Tuple[int, List[PatternEdge]]:
         """Pick an anchor query node and a connected edge expansion order."""
-        cache_key = (graph is self.graph, query)
-        cached = self._plan_cache.get(cache_key)
+        cached = self._plan_cache.get(query)
         if cached is not None:
             return cached
+        graph = self.graph
         anchor = min(
             query.nodes(), key=lambda node: len(graph.inverted_list(query.label(node)))
         )
@@ -53,11 +52,12 @@ class BinaryJoinEngine(Engine):
             plan.append(chosen)
             bound.update(chosen.endpoints())
             remaining.remove(chosen)
-        self._plan_cache[cache_key] = (anchor, plan)
+        self._plan_cache[query] = (anchor, plan)
         return anchor, plan
 
-    def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
-        anchor, plan = self._plan(graph, query)
+    def _describe_plan(self, query: PatternQuery) -> QueryPlan:
+        graph = self.graph
+        anchor, plan = self._plan(query)
         children = [
             PlanOperator(
                 op="scan",
@@ -113,7 +113,7 @@ class BinaryJoinEngine(Engine):
         )
 
     def _iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
+        self, query: PatternQuery, budget: Budget, profile=None
     ) -> Iterator[Tuple[int, ...]]:
         """Expand-and-filter pipeline with a streaming projection tail.
 
@@ -125,7 +125,8 @@ class BinaryJoinEngine(Engine):
         until the first occurrence is requested.
         """
         clock = budget.start_clock()
-        anchor, plan = self._plan(graph, query)
+        graph = self.graph
+        anchor, plan = self._plan(query)
         # EXPLAIN ANALYZE: one actual-counter dict per pipeline operator
         # (scan + one per plan edge), aligned with _describe_plan's children.
         operators: Optional[List[Dict[str, int]]] = [] if profile is not None else None
@@ -140,6 +141,7 @@ class BinaryJoinEngine(Engine):
 
         for edge in plan:
             clock.check_time()
+            relation = self._relation(edge)
             source, target = edge.endpoints()
             source_bound = source in bound
             target_bound = target in bound
@@ -149,7 +151,7 @@ class BinaryJoinEngine(Engine):
                 target_position = bound.index(target)
                 for row in bindings:
                     clock.check_time()
-                    if graph.has_edge(row[source_position], row[target_position]):
+                    if relation.has_edge(row[source_position], row[target_position]):
                         next_bindings.append(row)
                         clock.check_intermediate(len(next_bindings))
             elif source_bound:
@@ -158,7 +160,7 @@ class BinaryJoinEngine(Engine):
                 bound.append(target)
                 for row in bindings:
                     clock.check_time()
-                    for child in graph.successors(row[source_position]):
+                    for child in relation.successors(row[source_position]):
                         if graph.label(child) == target_label:
                             next_bindings.append(row + (child,))
                             clock.check_intermediate(len(next_bindings))
@@ -168,7 +170,7 @@ class BinaryJoinEngine(Engine):
                 bound.append(source)
                 for row in bindings:
                     clock.check_time()
-                    for parent in graph.predecessors(row[target_position]):
+                    for parent in relation.predecessors(row[target_position]):
                         if graph.label(parent) == source_label:
                             next_bindings.append(row + (parent,))
                             clock.check_intermediate(len(next_bindings))

@@ -51,12 +51,11 @@ class RelationalEngine(Engine):
         self,
         graph: DataGraph,
         budget: Optional[Budget] = None,
-        descendant_mode: str = "closure",
         partitions: Optional[EdgePartitions] = None,
         **kwargs,
     ) -> None:
         self._prebuilt_partitions = partitions
-        super().__init__(graph, budget=budget, descendant_mode=descendant_mode, **kwargs)
+        super().__init__(graph, budget=budget, **kwargs)
 
     def _precompute(self, graph: DataGraph) -> None:
         if self._prebuilt_partitions is not None:
@@ -64,19 +63,21 @@ class RelationalEngine(Engine):
         else:
             self._partitions = build_edge_partitions(graph)
 
-    def _edge_relation(self, graph: DataGraph, query: PatternQuery, source: int, target: int):
-        key = (query.label(source), query.label(target))
-        if graph is self.graph:
+    def _edge_relation(self, query: PatternQuery, edge: PatternEdge) -> List[Tuple[int, int]]:
+        """The data pairs matching ``edge``, labels included."""
+        key = (query.label(edge.source), query.label(edge.target))
+        if edge.is_child:
             return self._partitions.get(key, [])
-        # Operating on the transitive-closure-expanded graph: partition lazily.
+        # A descendant edge reads the closure-expanded graph: partition lazily.
+        label = self.graph.label
         return [
             (u, v)
-            for u, v in graph.edges()
-            if graph.label(u) == key[0] and graph.label(v) == key[1]
+            for u, v in self._relation(edge).edges()
+            if label(u) == key[0] and label(v) == key[1]
         ]
 
     def _join_plan(
-        self, graph: DataGraph, query: PatternQuery
+        self, query: PatternQuery
     ) -> Tuple[List[PatternEdge], Dict[Tuple[int, int], int]]:
         """Connected join order, smallest relation first, with relation sizes.
 
@@ -84,10 +85,7 @@ class RelationalEngine(Engine):
         construction the executed one.
         """
         edges = list(query.edges())
-        sizes = {
-            edge.endpoints(): len(self._edge_relation(graph, query, *edge.endpoints()))
-            for edge in edges
-        }
+        sizes = {edge.endpoints(): len(self._edge_relation(query, edge)) for edge in edges}
         remaining = sorted(edges, key=lambda edge: sizes[edge.endpoints()])
         plan = [remaining.pop(0)]
         covered = set(plan[0].endpoints())
@@ -100,7 +98,9 @@ class RelationalEngine(Engine):
             remaining.remove(chosen)
         return plan, sizes
 
-    def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
+    def _describe_plan(self, query: PatternQuery) -> QueryPlan:
+        graph = self.graph
+        artifacts = {"partitions": bool(query.child_edges())}
         if not query.edges():
             root = PlanOperator(
                 op="project_dedup",
@@ -120,9 +120,9 @@ class RelationalEngine(Engine):
                 analyze=False,
                 root=root,
                 vertex_order=list(query.nodes()),
-                artifacts={"partitions": graph is self.graph},
+                artifacts=artifacts,
             )
-        plan, sizes = self._join_plan(graph, query)
+        plan, sizes = self._join_plan(query)
         first = plan[0]
         children = [
             PlanOperator(
@@ -158,11 +158,11 @@ class RelationalEngine(Engine):
             analyze=False,
             root=root,
             vertex_order=bound,
-            artifacts={"partitions": graph is self.graph},
+            artifacts=artifacts,
         )
 
     def _iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
+        self, query: PatternQuery, budget: Budget, profile=None
     ) -> Iterator[Tuple[int, ...]]:
         """Hash-join pipeline with a streaming projection tail.
 
@@ -175,19 +175,19 @@ class RelationalEngine(Engine):
         clock = budget.start_clock()
         edges = list(query.edges())
         if not edges:
-            nodes = graph.inverted_list(query.label(0))
+            nodes = self.graph.inverted_list(query.label(0))
             if profile is not None:
                 profile["operators"] = [{"rows": len(nodes)}]
             yield from ((node,) for node in nodes)
             return
 
-        plan, _ = self._join_plan(graph, query)
+        plan, _ = self._join_plan(query)
         operators: Optional[List[Dict[str, int]]] = [] if profile is not None else None
 
         first = plan[0]
         bound: List[int] = list(first.endpoints())
         rows: List[Tuple[int, ...]] = [
-            tuple(pair) for pair in self._edge_relation(graph, query, *first.endpoints())
+            tuple(pair) for pair in self._edge_relation(query, first)
         ]
         clock.check_intermediate(len(rows))
         if operators is not None:
@@ -195,7 +195,7 @@ class RelationalEngine(Engine):
 
         for edge in plan[1:]:
             clock.check_time()
-            relation = self._edge_relation(graph, query, *edge.endpoints())
+            relation = self._edge_relation(query, edge)
             source, target = edge.endpoints()
             source_bound = source in bound
             target_bound = target in bound

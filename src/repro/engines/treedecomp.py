@@ -12,13 +12,13 @@ the same three steps with a degeneracy-style density order:
 3. WCO-style backtracking enumeration, visiting the densest query nodes
    first (ties broken by candidate-set size).
 
-It supports child-only queries natively; descendant edges go through the
-transitive-closure expansion of the base class.
+Like every engine it matches a child edge on the data graph and a
+descendant edge on the closure-expanded graph of the base class.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.explain.plan import PlanOperator, QueryPlan
 from repro.graph.digraph import DataGraph
@@ -60,11 +60,9 @@ class TreeDecompEngine(Engine):
         self._tree_cache[query] = tree
         return tree
 
-    def _filter_candidates(
-        self, graph: DataGraph, query: PatternQuery, clock
-    ) -> Dict[int, Set[int]]:
+    def _filter_candidates(self, query: PatternQuery, clock) -> Dict[int, Set[int]]:
         candidates = {
-            node: set(graph.inverted_set(query.label(node))) for node in query.nodes()
+            node: set(self.graph.inverted_set(query.label(node))) for node in query.nodes()
         }
         tree = self._spanning_tree(query)
         changed = True
@@ -72,6 +70,7 @@ class TreeDecompEngine(Engine):
             changed = False
             clock.check_time()
             for edge in tree:
+                graph = self._relation(edge)
                 tails = candidates[edge.source]
                 heads = candidates[edge.target]
                 allowed_tails = set()
@@ -123,12 +122,12 @@ class TreeDecompEngine(Engine):
     # EXPLAIN
     # ------------------------------------------------------------------ #
 
-    def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
+    def _describe_plan(self, query: PatternQuery) -> QueryPlan:
         # The plan phase runs the tree filter (RM's matching phase) so the
         # per-step estimates are the filtered candidate-set sizes the real
         # execution would enumerate over — enumeration itself never runs.
         clock = self.budget.start_clock()
-        candidates = self._filter_candidates(graph, query, clock)
+        candidates = self._filter_candidates(query, clock)
         order = self._order(query, candidates)
         tree = self._spanning_tree(query)
         children = [
@@ -136,7 +135,7 @@ class TreeDecompEngine(Engine):
                 op="tree_filter",
                 label=f"tree filter ({len(tree)} tree edges)",
                 estimate=sum(
-                    len(graph.inverted_list(query.label(node))) for node in query.nodes()
+                    len(self.graph.inverted_list(query.label(node))) for node in query.nodes()
                 ),
                 details={"tree": [repr(edge) for edge in tree]},
             )
@@ -168,7 +167,7 @@ class TreeDecompEngine(Engine):
     # ------------------------------------------------------------------ #
 
     def _iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
+        self, query: PatternQuery, budget: Budget, profile=None
     ) -> Iterator[Tuple[int, ...]]:
         """Tree-filter, then enumerate lazily.
 
@@ -178,64 +177,17 @@ class TreeDecompEngine(Engine):
         its innermost extension completes.
         """
         clock = budget.start_clock()
-        candidates = self._filter_candidates(graph, query, clock)
-        n = query.num_nodes
+        candidates = self._filter_candidates(query, clock)
         filtered_total = sum(len(values) for values in candidates.values())
         # EXPLAIN ANALYZE: per-position [candidates, intersections, rows].
-        slots = [[0, 0, 0] for _ in range(n)] if profile is not None else None
-
-        def flush() -> None:
+        slots = [[0, 0, 0] for _ in query.nodes()] if profile is not None else None
+        try:
+            if all(candidates.values()):
+                order = self._order(query, candidates)
+                yield from self._wco_extend(query, order, candidates, clock, slots)
+        finally:
             if profile is not None:
                 profile["operators"] = [{"rows": filtered_total}] + [
                     {"rows": rows, "candidates": produced, "intersections": intersections}
                     for produced, intersections, rows in slots
                 ]
-
-        if any(not candidate_set for candidate_set in candidates.values()):
-            flush()
-            return
-        order = self._order(query, candidates)
-        assignment: List[Optional[int]] = [None] * n
-
-        def local_candidates(position: int) -> List[int]:
-            node = order[position]
-            operands: List[Set[int]] = []
-            for earlier in order[:position]:
-                value = assignment[earlier]
-                if query.has_edge(earlier, node):
-                    operands.append(graph.successor_set(value) & candidates[node])
-                if query.has_edge(node, earlier):
-                    operands.append(graph.predecessor_set(value) & candidates[node])
-            if not operands:
-                local = list(candidates[node])
-                if slots is not None:
-                    slots[position][0] += len(local)
-                return local
-            operands.sort(key=len)
-            result = operands[0]
-            for operand in operands[1:]:
-                result = result & operand
-                if not result:
-                    break
-            if slots is not None:
-                slots[position][0] += len(result)
-                slots[position][1] += len(operands)
-            return list(result)
-
-        def extend(position: int) -> Iterator[Tuple[int, ...]]:
-            clock.check_time()
-            if position == n:
-                yield tuple(assignment)
-                return
-            node = order[position]
-            for value in local_candidates(position):
-                assignment[node] = value
-                if slots is not None:
-                    slots[position][2] += 1
-                yield from extend(position + 1)
-                assignment[node] = None
-
-        try:
-            yield from extend(0)
-        finally:
-            flush()

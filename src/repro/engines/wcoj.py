@@ -87,14 +87,13 @@ class WCOJEngine(Engine):
         self,
         graph: DataGraph,
         budget: Optional[Budget] = None,
-        descendant_mode: str = "closure",
         catalog_max_entries: Optional[int] = None,
         catalog: Optional[Catalog] = None,
         **kwargs,
     ) -> None:
         self._catalog_max_entries = catalog_max_entries
         self._prebuilt_catalog = catalog
-        super().__init__(graph, budget=budget, descendant_mode=descendant_mode, **kwargs)
+        super().__init__(graph, budget=budget, **kwargs)
 
     def _precompute(self, graph: DataGraph) -> None:
         if self._prebuilt_catalog is not None:
@@ -110,8 +109,9 @@ class WCOJEngine(Engine):
     # ordering
     # ------------------------------------------------------------------ #
 
-    def _order(self, graph: DataGraph, query: PatternQuery) -> List[int]:
+    def _order(self, query: PatternQuery) -> List[int]:
         """Connected node order by catalog-estimated candidate cardinality."""
+        graph = self.graph
         cardinality = {
             node: len(graph.inverted_list(query.label(node))) for node in query.nodes()
         }
@@ -145,9 +145,9 @@ class WCOJEngine(Engine):
     # EXPLAIN
     # ------------------------------------------------------------------ #
 
-    def _step_estimate(self, graph: DataGraph, query: PatternQuery, node: int) -> int:
+    def _step_estimate(self, query: PatternQuery, node: int) -> int:
         """Catalog-based candidate estimate for one extension step."""
-        cardinality = len(graph.inverted_list(query.label(node)))
+        cardinality = len(self.graph.inverted_list(query.label(node)))
         estimates = [
             self.catalog.edge_cardinality(query.label(node), query.label(child))
             for child in query.children(node)
@@ -157,13 +157,13 @@ class WCOJEngine(Engine):
         ]
         return min(estimates) if estimates else cardinality
 
-    def _describe_plan(self, graph: DataGraph, query: PatternQuery) -> QueryPlan:
-        order = self._order(graph, query)
+    def _describe_plan(self, query: PatternQuery) -> QueryPlan:
+        order = self._order(query)
         children = [
             PlanOperator(
                 op="wco_extend",
                 label=f"wco extend u{node} [{query.label(node)}]",
-                estimate=self._step_estimate(graph, query, node),
+                estimate=self._step_estimate(query, node),
                 details={"position": position, "node": node},
             )
             for position, node in enumerate(order)
@@ -192,63 +192,15 @@ class WCOJEngine(Engine):
     # ------------------------------------------------------------------ #
 
     def _iter_evaluate(
-        self, graph: DataGraph, query: PatternQuery, budget: Budget, profile=None
+        self, query: PatternQuery, budget: Budget, profile=None
     ) -> Iterator[Tuple[int, ...]]:
-        """Node-at-a-time WCO join as a lazy generator.
-
-        Each full assignment is yielded the moment the innermost extension
-        completes, so the first occurrence costs one root-to-leaf descent —
-        not the whole search.  Closing the generator abandons the
-        backtracking stack wherever it stands.
-        """
+        """Node-at-a-time WCO join over the label inverted lists, lazily."""
         clock = budget.start_clock()
-        order = self._order(graph, query)
-        n = query.num_nodes
-        assignment: List[Optional[int]] = [None] * n
-        label_sets = {node: graph.inverted_set(query.label(node)) for node in query.nodes()}
+        domains = {node: self.graph.inverted_set(query.label(node)) for node in query.nodes()}
         # EXPLAIN ANALYZE: per-position [candidates, intersections, rows].
-        slots = [[0, 0, 0] for _ in range(n)] if profile is not None else None
-
-        def candidates(position: int) -> List[int]:
-            node = order[position]
-            operands: List[set] = []
-            for earlier in order[:position]:
-                value = assignment[earlier]
-                if query.has_edge(earlier, node):
-                    operands.append(graph.successor_set(value) & label_sets[node])
-                if query.has_edge(node, earlier):
-                    operands.append(graph.predecessor_set(value) & label_sets[node])
-            if not operands:
-                local = list(label_sets[node])
-                if slots is not None:
-                    slots[position][0] += len(local)
-                return local
-            operands.sort(key=len)
-            result = operands[0]
-            for operand in operands[1:]:
-                result = result & operand
-                if not result:
-                    break
-            if slots is not None:
-                slots[position][0] += len(result)
-                slots[position][1] += len(operands)
-            return list(result)
-
-        def extend(position: int) -> Iterator[Tuple[int, ...]]:
-            clock.check_time()
-            if position == n:
-                yield tuple(assignment)
-                return
-            node = order[position]
-            for value in candidates(position):
-                assignment[node] = value
-                if slots is not None:
-                    slots[position][2] += 1
-                yield from extend(position + 1)
-                assignment[node] = None
-
+        slots = [[0, 0, 0] for _ in query.nodes()] if profile is not None else None
         try:
-            yield from extend(0)
+            yield from self._wco_extend(query, self._order(query), domains, clock, slots)
         finally:
             if profile is not None:
                 profile["operators"] = [

@@ -228,7 +228,7 @@ class QuerySession:
     @property
     def reachability(self) -> ReachabilityIndex:
         """The context's per-pair reachability index, built on first read
-        (ISO, TM and JM ask for it; GM never does)."""
+        (ISO and JM ask for it; GM and TM never do)."""
         return self.context.reachability
 
     @property

@@ -63,7 +63,8 @@ concurrent builds share nothing but the read-only arrays.
 
 :meth:`MatchContext.forward_reachable_set` / ``backward_reachable_set`` are
 the plain whole-graph BFS: the reference the condensation operations are
-tested against, and what the JM / TM baselines still expand with.
+tested against, and what the JM baseline still expands with (TM uses the
+condensation operations, under one :class:`Cones` per query).
 """
 
 from __future__ import annotations

@@ -69,16 +69,18 @@ class TestJMMatcher:
         assert report.num_matches == 2
         assert report.status is MatchStatus.MATCH_LIMIT
 
-    def test_without_prefilter_and_reduction(self, paper_graph, paper_context, paper_query, paper_answer):
-        matcher = JMMatcher(
-            paper_graph, context=paper_context, prefilter=False, apply_transitive_reduction=False
-        )
-        assert matcher.match(paper_query).occurrence_set() == paper_answer
-
-    def test_greedy_plan_for_large_queries(self, paper_graph, paper_context, paper_query, paper_answer):
-        matcher = JMMatcher(paper_graph, context=paper_context, dp_plan_node_limit=1)
-        report = matcher.match(paper_query)
-        assert report.occurrence_set() == paper_answer
+    def test_greedy_plan_for_large_queries(self, paper_graph, paper_context):
+        # 11 nodes (past the DP limit of 10) and 10 edges (within DP's edge
+        # limit): one A with five B children, each reaching its own C.
+        size = 5
+        edges = [(0, b, "child") for b in range(1, size + 1)]
+        edges += [(b, b + size, "descendant") for b in range(1, size + 1)]
+        query = PatternQuery(["A"] + ["B"] * size + ["C"] * size, edges, name="star")
+        assert query.num_nodes > JMMatcher.DP_PLAN_NODE_LIMIT
+        report = JMMatcher(paper_graph, context=paper_context).match(query)
+        expected = frozenset(bruteforce_homomorphisms(paper_graph, query))
+        assert len(expected) == 2**size + 3**size  # a1 via b0, a2 via b2
+        assert report.occurrence_set() == expected
         assert report.extra["plans_considered"] == 1
 
 
@@ -124,10 +126,6 @@ class TestTMMatcher:
     def test_single_node_query(self, paper_graph, paper_context):
         report = TMMatcher(paper_graph, context=paper_context).match(PatternQuery(["C"], []))
         assert report.num_matches == 3
-
-    def test_without_prefilter(self, paper_graph, paper_context, paper_query, paper_answer):
-        matcher = TMMatcher(paper_graph, context=paper_context, prefilter=False)
-        assert matcher.match(paper_query).occurrence_set() == paper_answer
 
 
 class TestISOMatcher:

@@ -10,12 +10,10 @@ partitions), so the comparator engines here answer from artifacts rebuilt
 on the new version, while a snapshot pinned before the writes keeps the
 artifacts of its own.
 
-The comparator engines answer a descendant edge through the
-closure-expanded graph, and they evaluate *every* edge of a query that has
-one there (the rewriting GF needs for D-queries).  On C- and D-queries that
-is the query's own answer; on a hybrid query it is the answer of its
-descendant-only relaxation, so that is what brute force checks them
-against (as ``test_engines.py`` does on the paper graph).
+The comparator engines match a child edge on the data graph and a
+descendant edge on the closure-expanded graph, edge by edge, so all eight
+evaluators are checked against brute force of the query itself — C-, D-
+and hybrid queries alike.
 """
 
 from hypothesis import given, settings
@@ -24,13 +22,12 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import bruteforce_homomorphisms
 from repro.dynamic import GraphDelta
 from repro.graph.generators import random_labeled_graph
-from repro.query.generators import random_pattern_query, to_descendant_only
+from repro.query.generators import random_pattern_query
 from repro.store import VersionedGraphStore
 
 #: Matchers exercised by the property: the RIG pipeline, one ablation, the
 #: four comparator engines and two navigational baselines.
 ENGINES = ("GM", "GM-F", "Neo4j", "EH", "GF", "RM", "JM", "TM")
-COMPARATOR_ENGINES = ("Neo4j", "EH", "GF", "RM")
 
 #: The session properties that build the four comparator artifacts.
 COMPARATOR_ARTIFACTS = ("transitive_closure", "expanded_graph", "catalog", "partitions")
@@ -109,14 +106,8 @@ def _answers(snapshot, query):
 
 
 def _bruteforce(graph, query):
-    """The answer each engine must return on ``graph``, by brute force."""
-    exact = set(bruteforce_homomorphisms(graph, query))
-    rewritten = exact
-    if query.descendant_edges():
-        rewritten = set(bruteforce_homomorphisms(graph, to_descendant_only(query)))
-    return {
-        engine: rewritten if engine in COMPARATOR_ENGINES else exact for engine in ENGINES
-    }
+    """The answer every engine must return on ``graph``, by brute force."""
+    return set(bruteforce_homomorphisms(graph, query))
 
 
 @given(mutation_case())
@@ -129,7 +120,7 @@ def test_every_version_answers_like_brute_force(case):
         for artifact in COMPARATOR_ARTIFACTS:
             getattr(pinned.session, artifact)
         before = _answers(pinned, query)
-        assert before == _bruteforce(graph, query)
+        assert before == dict.fromkeys(ENGINES, _bruteforce(graph, query))
 
         for delta in deltas:
             head_version = store.head_version
@@ -139,9 +130,8 @@ def test_every_version_answers_like_brute_force(case):
                 assert store.head_version == head_version
                 assert report.patched == [] and report.invalidated == []
             with store.pin() as head:
-                oracle = _bruteforce(head.graph, query)
+                expected = _bruteforce(head.graph, query)
                 for engine, answer in _answers(head, query).items():
-                    expected = oracle[engine]
                     assert answer == expected, (
                         f"{engine} diverged at version {head.version}: "
                         f"extra={sorted(answer - expected)[:5]} "

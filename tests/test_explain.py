@@ -138,8 +138,8 @@ class TestGMExplain:
 
 
 class TestLazyReachabilityIndex:
-    """GM plans and runs on the condensation; the per-pair index is built
-    only for the matchers that ask per-pair questions."""
+    """GM and TM run on the condensation; the per-pair index is built only
+    for the matchers that ask per-pair questions (ISO, and JM)."""
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -168,7 +168,13 @@ class TestLazyReachabilityIndex:
         assert "condensation" in steps
         assert built == []
 
-    @pytest.mark.parametrize("engine", ["ISO", "TM", "JM"])
+    def test_tm_reads_the_condensation_too(self, monkeypatch, paper_graph, paper_query):
+        built = self._count_builds(monkeypatch)
+        session = QuerySession(paper_graph)
+        assert session.query(paper_query, engine="TM").occurrence_set() == PAPER_ANSWER
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ["ISO", "JM"])
     def test_per_pair_matchers_build_it_on_demand(self, monkeypatch, paper_graph, paper_query, engine):
         built = self._count_builds(monkeypatch)
         session = QuerySession(paper_graph)
@@ -193,14 +199,14 @@ class TestEngineExplain:
     def test_analyze_root_rows_match_own_eager_report(
         self, engine_class, paper_graph, paper_query
     ):
-        # The engines evaluate the descendant-relaxed closure-mode query
-        # (5 matches on the paper example, not the 4 of PAPER_ANSWER);
-        # the parity contract is against their *own* eager report.
+        # Each edge reads the graph its type names, so the engines answer
+        # the hybrid query itself: the 4 rows of PAPER_ANSWER.
         engine = engine_class(paper_graph)
         plan = engine.explain(paper_query, analyze=True)
         report = engine.match(paper_query)
-        assert plan.root.actual["rows"] == report.num_matches
+        assert plan.root.actual["rows"] == report.num_matches == len(PAPER_ANSWER)
         assert plan.execution["rows"] == report.num_matches
+        assert plan.artifacts["expanded_graph"] is True
         assert len(plan.root.children) >= 1
         for child in plan.root.children:
             assert child.actual, "every operator must carry actual counters"

@@ -51,7 +51,7 @@ class GateEngine(Engine):
     name = "GATE-TEST"
     gate = threading.Event()
 
-    def _iter_evaluate(self, graph, query, budget, profile=None):
+    def _iter_evaluate(self, query, budget, profile=None):
         type(self).gate.wait(30.0)
         yield from ()
 

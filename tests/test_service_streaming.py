@@ -48,7 +48,7 @@ class SlowEngine(Engine):
     total = 60
     delay = 0.01
 
-    def _iter_evaluate(self, graph, query, budget, profile=None):
+    def _iter_evaluate(self, query, budget, profile=None):
         event = budget.cancel_event
         for index in range(self.total):
             if event is not None and event.is_set():
@@ -64,7 +64,7 @@ class FirehoseEngine(Engine):
     total = 10_000
     produced = 0  # class-level: reset per test
 
-    def _iter_evaluate(self, graph, query, budget, profile=None):
+    def _iter_evaluate(self, query, budget, profile=None):
         for index in range(self.total):
             type(self).produced += 1
             yield tuple(index for _ in query.nodes())
@@ -75,7 +75,7 @@ class BrokenEngine(Engine):
 
     name = "BROKEN-TEST"
 
-    def _iter_evaluate(self, graph, query, budget, profile=None):
+    def _iter_evaluate(self, query, budget, profile=None):
         yield tuple(0 for _ in query.nodes())
         raise ValueError("boom mid-stream")
 

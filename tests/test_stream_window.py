@@ -42,7 +42,7 @@ class EndlessEngine(Engine):
     name = "ENDLESS-WINDOW"
     total = 1_000_000
 
-    def _iter_evaluate(self, graph, query, budget, profile=None):
+    def _iter_evaluate(self, query, budget, profile=None):
         for index in range(self.total):
             yield tuple(index for _ in query.nodes())
 
