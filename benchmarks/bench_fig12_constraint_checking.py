@@ -4,7 +4,7 @@ import pytest
 
 from conftest import BENCH_SCALE_FAST, representative_query, write_report
 from repro.bench.experiments import fig12_constraint_checking
-from repro.rig.build import RIGOptions, build_rig
+from repro.rig.build import build_rig
 from repro.simulation.context import ChildCheckMethod
 from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic
 
@@ -15,8 +15,8 @@ from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic
 )
 def test_rig_construction_by_child_check_method(benchmark, method, em_graph, em_context):
     query = representative_query(em_graph, kind="C", template="HQ11")
-    options = RIGOptions(child_check=method, simulation_options=SimulationOptions(child_check=method))
-    benchmark(lambda: build_rig(em_context, query, options))
+    simulation = SimulationOptions(child_check=method)
+    benchmark(lambda: build_rig(em_context, query, simulation=simulation))
 
 
 @pytest.mark.parametrize("algorithm", ["Gra", "Dag", "DagMap"])

@@ -71,8 +71,8 @@ from repro.query import (
     random_pattern_query,
 )
 from repro.reachability import build_reachability_index
-from repro.simulation import MatchContext, fbsim, fbsim_basic, fbsim_dag
-from repro.rig import build_rig, RIGOptions, RuntimeIndexGraph
+from repro.simulation import MatchContext, fbsim, fbsim_basic
+from repro.rig import build_rig, RuntimeIndexGraph
 from repro.matching import (
     Budget,
     MatchReport,
@@ -133,9 +133,7 @@ __all__ = [
     "MatchContext",
     "fbsim",
     "fbsim_basic",
-    "fbsim_dag",
     "build_rig",
-    "RIGOptions",
     "RuntimeIndexGraph",
     "Budget",
     "MatchReport",

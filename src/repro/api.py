@@ -132,9 +132,9 @@ class GraphDB(Reader):
         count into the registry of any pre-built part (:class:`ValueError`
         otherwise).
 
-        ``session_kwargs`` (``ordering``, ``budget``, ...) are
-        forwarded to the underlying :class:`QuerySession` when one is
-        created here; ``config`` tunes the serving layer.
+        ``session_kwargs`` (``budget``) are forwarded to the underlying
+        :class:`QuerySession` when one is created here; ``config`` tunes
+        the serving layer.
         """
         owns_store = True
         if isinstance(source, VersionedGraphStore):

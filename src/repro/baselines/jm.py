@@ -219,10 +219,12 @@ class JMMatcher(Evaluator):
             candidates, relations, plan, plans_considered = self._prepare(query, clock)
             if not plan:
                 occurrences = [(value,) for value in sorted(candidates[0])]
+                hit_limit = clock.check_matches(len(occurrences))
+                occurrences = occurrences[: budget.max_matches]
                 return MatchReport(
                     query_name=query.name,
                     algorithm="JM",
-                    status=MatchStatus.OK,
+                    status=MatchStatus.MATCH_LIMIT if hit_limit else MatchStatus.OK,
                     occurrences=occurrences,
                     num_matches=len(occurrences),
                     matching_seconds=time.perf_counter() - start,

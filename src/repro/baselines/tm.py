@@ -27,6 +27,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
+from repro.query.classify import spanning_tree
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.simulation.context import Cones, MatchContext
@@ -47,34 +48,6 @@ class TMMatcher(Evaluator):
         self.graph = graph
         self.context = context or MatchContext(graph)
         self.budget = budget or Budget()
-
-    # ------------------------------------------------------------------ #
-    # spanning tree extraction
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def spanning_tree(query: PatternQuery) -> Tuple[List[PatternEdge], List[PatternEdge]]:
-        """Split the query edges into a spanning tree and the remaining edges.
-
-        The tree is grown over the undirected structure starting from node 0
-        (queries are connected); edge directions and types are preserved.
-        """
-        in_tree = {0}
-        tree_edges: List[PatternEdge] = []
-        remaining = list(query.edges())
-        changed = True
-        while changed and len(in_tree) < query.num_nodes:
-            changed = False
-            for edge in list(remaining):
-                source_in = edge.source in in_tree
-                target_in = edge.target in in_tree
-                if source_in ^ target_in:
-                    tree_edges.append(edge)
-                    remaining.remove(edge)
-                    in_tree.update(edge.endpoints())
-                    changed = True
-        non_tree = [edge for edge in query.edges() if edge not in tree_edges]
-        return tree_edges, non_tree
 
     # ------------------------------------------------------------------ #
     # tree evaluation
@@ -242,7 +215,7 @@ class TMMatcher(Evaluator):
         query = transitive_reduction(query)
         candidates = node_prefilter(self.context, query)
         cones = Cones()
-        tree_edges, non_tree_edges = self.spanning_tree(query)
+        tree_edges, non_tree_edges = spanning_tree(query)
         candidates = self._refine_tree_candidates(query, tree_edges, candidates, clock, cones)
         adjacency = self._tree_adjacency(tree_edges, candidates, clock, cones)
         non_tree_pairs = self._edge_pairs(non_tree_edges, candidates, clock, cones)

@@ -28,6 +28,7 @@ from repro.graph.generators import with_label_count
 from repro.graph.transform import node_prefix_subgraph, undirected_double
 from repro.matching.gm import GMVariant, GraphMatcher
 from repro.matching.result import Budget
+from repro.query.classify import spanning_tree
 from repro.query.generators import (
     instantiate_template,
     to_descendant_only,
@@ -36,7 +37,7 @@ from repro.query.pattern import PatternQuery
 from repro.query.transitive import transitive_closure
 from repro.reachability.bfl import BloomFilterLabeling
 from repro.reachability.transitive_closure import TransitiveClosureIndex
-from repro.rig.build import RIGOptions, build_rig
+from repro.rig.build import build_rig
 from repro.rig.stats import rig_statistics
 from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.fbsim import SimulationOptions, fbsim, fbsim_basic
@@ -245,10 +246,8 @@ def fig12_constraint_checking(
     child_queries = query_set(graph, kind="C", templates=templates)
     for query in child_queries.values():
         for method_name, method in methods.items():
-            options = RIGOptions(child_check=method)
-            options.simulation_options = SimulationOptions(child_check=method)
             start = time.perf_counter()
-            build_rig(context, query, options)
+            build_rig(context, query, simulation=SimulationOptions(child_check=method))
             report.rows.append(("a", query.name, method_name, time.perf_counter() - start))
 
     # Part (b): H-queries, double-simulation construction time per algorithm.
@@ -315,7 +314,7 @@ def fig13_rig_size(
         tm = TMMatcher(graph, context=context, budget=budget)
         start = time.perf_counter()
         candidates = context.match_sets(query)
-        tree_edges, _ = tm.spanning_tree(query)
+        tree_edges, _ = spanning_tree(query)
         clock = budget.start_clock()
         cones = Cones()
         candidates = tm._refine_tree_candidates(query, tree_edges, candidates, clock, cones)

@@ -4,19 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.baselines.iso import ISOMatcher
-from repro.baselines.jm import JMMatcher
-from repro.baselines.tm import TMMatcher
-from repro.engines.binary_join import BinaryJoinEngine
-from repro.engines.relational import RelationalEngine
-from repro.engines.treedecomp import TreeDecompEngine
-from repro.engines.wcoj import WCOJEngine
 from repro.exceptions import MemoryBudgetExceeded
 from repro.graph.digraph import DataGraph
-from repro.matching.gm import GMVariant, GraphMatcher
-from repro.matching.ordering import OrderingMethod
 from repro.matching.result import Budget, MatchStatus
 from repro.query.pattern import PatternQuery
 from repro.session import QuerySession
@@ -30,36 +21,6 @@ DEFAULT_BENCH_BUDGET = Budget(
 )
 
 
-def _gm_factory(variant: GMVariant, ordering: OrderingMethod = OrderingMethod.JO):
-    def factory(graph: DataGraph, context: MatchContext, budget: Budget) -> GraphMatcher:
-        return GraphMatcher(graph, context=context, variant=variant, ordering=ordering, budget=budget)
-
-    return factory
-
-
-_MATCHER_FACTORIES: Dict[str, Callable[[DataGraph, MatchContext, Budget], object]] = {
-    "GM": _gm_factory(GMVariant.GM),
-    "GM-S": _gm_factory(GMVariant.GM_S),
-    "GM-F": _gm_factory(GMVariant.GM_F),
-    "GM-NR": _gm_factory(GMVariant.GM_NR),
-    "GM-JO": _gm_factory(GMVariant.GM, OrderingMethod.JO),
-    "GM-RI": _gm_factory(GMVariant.GM, OrderingMethod.RI),
-    "GM-BJ": _gm_factory(GMVariant.GM, OrderingMethod.BJ),
-    "JM": lambda graph, context, budget: JMMatcher(graph, context=context, budget=budget),
-    "TM": lambda graph, context, budget: TMMatcher(graph, context=context, budget=budget),
-    "ISO": lambda graph, context, budget: ISOMatcher(graph, context=context, budget=budget),
-    "GF": lambda graph, context, budget: WCOJEngine(graph, budget=budget),
-    "EH": lambda graph, context, budget: RelationalEngine(graph, budget=budget),
-    "RM": lambda graph, context, budget: TreeDecompEngine(graph, budget=budget),
-    "Neo4j": lambda graph, context, budget: BinaryJoinEngine(graph, budget=budget),
-}
-
-
-def available_matchers() -> Sequence[str]:
-    """Names accepted by :func:`make_matcher`."""
-    return tuple(sorted(_MATCHER_FACTORIES))
-
-
 def make_matcher(
     name: str,
     graph: DataGraph,
@@ -67,23 +28,20 @@ def make_matcher(
     budget: Budget,
     session: Optional[QuerySession] = None,
 ):
-    """Instantiate a matcher / engine by its benchmark name.
+    """Instantiate a matcher / engine by its benchmark name (one of
+    :meth:`QuerySession.available_matchers`).
 
     When ``session`` is given, the matcher is obtained from (and cached in)
     the session, so every matcher of one experiment shares the session's
     pre-built indexes instead of rebuilding its own.  The shared instance
     keeps the *session's* default budget — pass ``budget`` to each ``match``
     call (as :func:`run_workload` does) rather than relying on the default.
+    Without one, the matcher is new and an engine pays its own
+    precomputation (Table 5's ``precompute_s``).
     """
     if session is not None:
         return session.matcher(name)
-    try:
-        factory = _MATCHER_FACTORIES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown matcher {name!r}; available: {', '.join(available_matchers())}"
-        ) from exc
-    return factory(graph, context, budget)
+    return QuerySession.new_matcher(name, graph, context, budget)
 
 
 @dataclass

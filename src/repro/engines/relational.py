@@ -62,19 +62,18 @@ class RelationalEngine(Engine):
             self._partitions = self._prebuilt_partitions
         else:
             self._partitions = build_edge_partitions(graph)
+        # The closure-expanded graph's partitions, built by the first
+        # descendant edge (the engine lives for one graph version).
+        self._expanded_partitions: Optional[EdgePartitions] = None
 
     def _edge_relation(self, query: PatternQuery, edge: PatternEdge) -> List[Tuple[int, int]]:
         """The data pairs matching ``edge``, labels included."""
         key = (query.label(edge.source), query.label(edge.target))
         if edge.is_child:
             return self._partitions.get(key, [])
-        # A descendant edge reads the closure-expanded graph: partition lazily.
-        label = self.graph.label
-        return [
-            (u, v)
-            for u, v in self._relation(edge).edges()
-            if label(u) == key[0] and label(v) == key[1]
-        ]
+        if self._expanded_partitions is None:
+            self._expanded_partitions = build_edge_partitions(self._relation(edge))
+        return self._expanded_partitions.get(key, [])
 
     def _join_plan(
         self, query: PatternQuery

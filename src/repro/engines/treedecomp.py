@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.explain.plan import PlanOperator, QueryPlan
-from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget
-from repro.query.pattern import PatternEdge, PatternQuery
+from repro.query.classify import spanning_tree
+from repro.query.pattern import PatternQuery
 from repro.engines.base import Engine
 
 
@@ -36,35 +36,11 @@ class TreeDecompEngine(Engine):
     # candidate filtering along a spanning tree
     # ------------------------------------------------------------------ #
 
-    def _precompute(self, graph: DataGraph) -> None:
-        # Spanning trees depend only on the query structure; cache them so a
-        # long-lived engine skips recomputation on repeated queries.
-        self._tree_cache: Dict[PatternQuery, List[PatternEdge]] = {}
-
-    def _spanning_tree(self, query: PatternQuery) -> List[PatternEdge]:
-        cached = self._tree_cache.get(query)
-        if cached is not None:
-            return cached
-        in_tree = {0}
-        tree: List[PatternEdge] = []
-        remaining = list(query.edges())
-        progress = True
-        while progress and len(in_tree) < query.num_nodes:
-            progress = False
-            for edge in list(remaining):
-                if (edge.source in in_tree) ^ (edge.target in in_tree):
-                    tree.append(edge)
-                    in_tree.update(edge.endpoints())
-                    remaining.remove(edge)
-                    progress = True
-        self._tree_cache[query] = tree
-        return tree
-
     def _filter_candidates(self, query: PatternQuery, clock) -> Dict[int, Set[int]]:
         candidates = {
             node: set(self.graph.inverted_set(query.label(node))) for node in query.nodes()
         }
-        tree = self._spanning_tree(query)
+        tree, _ = spanning_tree(query)
         changed = True
         while changed:
             changed = False
@@ -129,7 +105,7 @@ class TreeDecompEngine(Engine):
         clock = self.budget.start_clock()
         candidates = self._filter_candidates(query, clock)
         order = self._order(query, candidates)
-        tree = self._spanning_tree(query)
+        tree, _ = spanning_tree(query)
         children = [
             PlanOperator(
                 op="tree_filter",

@@ -4,7 +4,9 @@
 
 1. query transitive reduction (§3) — skipped by the GM-NR variant;
 2. node selection — node pre-filter + double simulation (GM), double
-   simulation only (GM-S), pre-filter only (GM-F);
+   simulation only (GM-S), pre-filter only (GM-F) — the
+   :class:`~repro.rig.build.GMVariant` picks steps 1–2 and is
+   :func:`~repro.rig.build.build_rig`'s one switch;
 3. RIG construction (BuildRIG, §4.5);
 4. search-order selection (JO / RI / BJ, §5.2);
 5. MJoin occurrence enumeration (§5.1).
@@ -18,8 +20,6 @@ separated, which is how the paper reports query time.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from enum import Enum
 from typing import Iterator, MutableMapping, Optional, Sequence, Tuple
 
 from repro.explain.plan import PlanOperator, QueryPlan, plan_digest
@@ -29,33 +29,8 @@ from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternQuery
-from repro.rig.build import RIGBuildReport, RIGOptions, build_rig
+from repro.rig.build import GMVariant, RIGBuildReport, build_rig
 from repro.simulation.context import MatchContext
-
-
-class GMVariant(Enum):
-    """The GM ablations used throughout the paper's experiments."""
-
-    #: Full pipeline: pre-filter + double simulation + transitive reduction.
-    GM = "GM"
-    #: No node pre-filtering before double simulation.
-    GM_S = "GM-S"
-    #: Node pre-filtering only (no double simulation).
-    GM_F = "GM-F"
-    #: No query transitive reduction.
-    GM_NR = "GM-NR"
-
-
-def _options_for_variant(variant: GMVariant, base: RIGOptions) -> RIGOptions:
-    if variant is GMVariant.GM:
-        return replace(base, filter_mode="double_sim", prefilter=True, transitive_reduction=True)
-    if variant is GMVariant.GM_S:
-        return replace(base, filter_mode="double_sim", prefilter=False, transitive_reduction=True)
-    if variant is GMVariant.GM_F:
-        return replace(base, filter_mode="prefilter", transitive_reduction=True)
-    if variant is GMVariant.GM_NR:
-        return replace(base, filter_mode="double_sim", prefilter=True, transitive_reduction=False)
-    raise ValueError(f"unknown GM variant {variant!r}")
 
 
 class GraphMatcher(Evaluator):
@@ -69,12 +44,10 @@ class GraphMatcher(Evaluator):
         An existing :class:`MatchContext` to reuse (shares the condensation
         and label tables across many queries, as the benchmarks do).
     variant:
-        Which GM ablation to run (default the full GM pipeline).
+        Which GM ablation to run (default the full GM pipeline); it alone
+        configures BuildRIG's node selection and query reduction.
     ordering:
         Search-order strategy for the enumeration phase (default JO).
-    rig_options:
-        Overrides for BuildRIG (set representation, child-check method,
-        simulation tuning, ...).
     budget:
         Default per-query limits; ``match`` accepts a per-call override.
     rig_cache:
@@ -92,7 +65,6 @@ class GraphMatcher(Evaluator):
         context: Optional[MatchContext] = None,
         variant: GMVariant = GMVariant.GM,
         ordering: OrderingMethod = OrderingMethod.JO,
-        rig_options: Optional[RIGOptions] = None,
         budget: Optional[Budget] = None,
         rig_cache: Optional[MutableMapping[PatternQuery, RIGBuildReport]] = None,
     ) -> None:
@@ -100,7 +72,6 @@ class GraphMatcher(Evaluator):
         self.context = context or MatchContext(graph)
         self.variant = variant
         self.ordering = ordering
-        self.rig_options = _options_for_variant(variant, rig_options or RIGOptions())
         self.budget = budget or Budget()
         self.rig_cache = rig_cache
 
@@ -121,7 +92,7 @@ class GraphMatcher(Evaluator):
 
     def build_rig(self, query: PatternQuery) -> RIGBuildReport:
         """Run only the summarization phase (useful for the Fig. 13 ablation)."""
-        return build_rig(self.context, query, self.rig_options)
+        return build_rig(self.context, query, self.variant)
 
     def _rig_for(self, query: PatternQuery) -> tuple[RIGBuildReport, bool]:
         """Fetch the query's RIG from the cache, building (and storing) on miss."""
@@ -129,7 +100,7 @@ class GraphMatcher(Evaluator):
             cached = self.rig_cache.get(query)
             if cached is not None:
                 return cached, True
-        report = build_rig(self.context, query, self.rig_options)
+        report = build_rig(self.context, query, self.variant)
         if self.rig_cache is not None:
             self.rig_cache[query] = report
         return report, False
@@ -301,7 +272,7 @@ class GraphMatcher(Evaluator):
                 "simulation_passes": build.simulation.passes if build.simulation else 0,
                 "condensation_sweeps": build.condensation_sweeps,
                 "condensation_sweeps_served": build.condensation_sweeps_served,
-                "transitive_reduction": self.rig_options.transitive_reduction,
+                "transitive_reduction": self.variant is not GMVariant.GM_NR,
             },
         )
 

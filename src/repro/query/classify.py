@@ -4,7 +4,8 @@ The paper groups its designed query templates into four classes (§7.1):
 *acyclic* (the undirected version is a forest/tree), *cyclic* (contains an
 undirected cycle), *clique* (the undirected version is complete) and *combo*
 (more than two undirected cycles).  This module implements that
-classification plus dag tests / topological orders over the *directed*
+classification, the undirected spanning tree the tree-based matchers (TM,
+RM) filter along, and dag tests / topological orders over the *directed*
 query, which the simulation algorithms need.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from repro.query.pattern import PatternQuery
+from repro.query.pattern import PatternEdge, PatternQuery
 
 
 class QueryClass(Enum):
@@ -75,6 +76,28 @@ def classify_query(query: PatternQuery) -> QueryClass:
     if cycles > 2:
         return QueryClass.COMBO
     return QueryClass.CYCLIC
+
+
+def spanning_tree(query: PatternQuery) -> Tuple[List[PatternEdge], List[PatternEdge]]:
+    """Split the query edges into a spanning tree and the remaining edges.
+
+    The tree is grown over the undirected structure starting from node 0
+    (queries are connected); edge directions and types are preserved.
+    """
+    in_tree = {0}
+    tree_edges: List[PatternEdge] = []
+    remaining = list(query.edges())
+    changed = True
+    while changed and len(in_tree) < query.num_nodes:
+        changed = False
+        for edge in list(remaining):
+            if (edge.source in in_tree) ^ (edge.target in in_tree):
+                tree_edges.append(edge)
+                remaining.remove(edge)
+                in_tree.update(edge.endpoints())
+                changed = True
+    non_tree = [edge for edge in query.edges() if edge not in tree_edges]
+    return tree_edges, non_tree
 
 
 # ---------------------------------------------------------------------- #

@@ -8,17 +8,18 @@ homomorphism from the query to the data graph (Proposition 4.1) and serves
 as the search space for the enumeration phase.
 
 :func:`build_rig` implements Algorithm 4 (BuildRIG): node selection by
-double simulation (or by the weaker node pre-filter / no filter, for the
-GM-F and match-RIG ablations) followed by node expansion into edges.
+double simulation (or by the weaker node pre-filter, for the GM-F ablation;
+the :class:`GMVariant` picks) followed by node expansion into edges.
+:func:`build_match_rig` builds the unfiltered match RIG.
 """
 
 from repro.rig.graph import RuntimeIndexGraph
-from repro.rig.build import RIGOptions, RIGBuildReport, build_rig, build_match_rig
+from repro.rig.build import GMVariant, RIGBuildReport, build_rig, build_match_rig
 from repro.rig.stats import RIGStatistics, rig_statistics
 
 __all__ = [
     "RuntimeIndexGraph",
-    "RIGOptions",
+    "GMVariant",
     "RIGBuildReport",
     "build_rig",
     "build_match_rig",

@@ -2,10 +2,11 @@
 
 Two phases:
 
-1. **node selection** — choose ``cos(q)`` for every query node.  The refined
-   RIG uses double simulation (optionally preceded by the node pre-filter);
-   the GM-F ablation uses the pre-filter only; the match RIG uses the raw
-   match sets.
+1. **node selection** — choose ``cos(q)`` for every query node.  The
+   :class:`GMVariant` picks how: the node pre-filter then double simulation
+   (GM, and GM-NR, which also skips the query's transitive reduction),
+   double simulation alone (GM-S) or the pre-filter alone (GM-F).  The match
+   RIG (:func:`build_match_rig`) keeps the raw match sets.
 2. **node expansion** — for every query edge, compute both adjacency
    directions (tail -> heads, head -> tails) and hand the two dicts to
    :meth:`RuntimeIndexGraph.set_edge_adjacency`, which owns them from then
@@ -17,52 +18,47 @@ Two phases:
    checking of §4.5) whose equal answers — every tail of one component —
    share one frozen set object.
 
+:class:`~repro.simulation.fbsim.SimulationOptions` is the one tuning struct:
+its ``child_check`` drives both the simulation's checks and the expansion.
+
 Both phases draw their condensation cones from one
 :class:`~repro.simulation.context.Cones` memo made per ``build_rig`` call:
 each (direction, component set) is swept once, by whichever fbsim check or
 expansion asks first, and the memo is dropped with the build (the report
 keeps only its two counts).  After expansion a candidate may have lost every
-partner on some edge; ``prune_after_expand`` removes it with
-:meth:`RuntimeIndexGraph.prune_unmatched_candidates` — unless the simulation
-reached its fixpoint (its last pass pruned nothing), where every candidate
-already has a partner on every incident edge and the prune could remove
-nothing.  GM-F (pre-filter only) and ``max_passes`` runs still prune.
+partner on some edge.  :meth:`RuntimeIndexGraph.prune_unmatched_candidates`
+removes it exactly when selection stopped short of the simulation's fixpoint
+— GM-F, or a ``max_passes`` cut: at the fixpoint (the last pass pruned
+nothing) every candidate already has a partner on every incident edge and
+the prune could remove nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
 from repro.query.transitive import transitive_reduction
 from repro.rig.graph import Adjacency, RuntimeIndexGraph
 from repro.simulation.context import ChildCheckMethod, Cones, Gains, MatchContext
-from repro.simulation.fbsim import SimulationOptions, SimulationResult, fbsim, fbsim_basic
+from repro.simulation.fbsim import SimulationOptions, SimulationResult, fbsim
 from repro.simulation.matchsets import node_prefilter
 
 
-@dataclass
-class RIGOptions:
-    """Configuration of BuildRIG (GM and its ablations)."""
+class GMVariant(Enum):
+    """The GM ablations used throughout the paper's experiments."""
 
-    #: Node-selection strategy: "double_sim" (GM / GM-S), "prefilter" (GM-F)
-    #: or "match" (no filtering: the match RIG).
-    filter_mode: str = "double_sim"
-    #: Apply the node pre-filter before double simulation (GM yes, GM-S no).
-    prefilter: bool = True
-    #: Which double-simulation algorithm to use: "fbsim" (Dag+Δ) or "basic".
-    simulation_algorithm: str = "fbsim"
-    #: Tuning options forwarded to the simulation algorithm.
-    simulation_options: SimulationOptions = field(default_factory=SimulationOptions)
-    #: How direct-connectivity constraints are checked during expansion.
-    child_check: ChildCheckMethod = ChildCheckMethod.BIT_BAT
-    #: Apply query transitive reduction before building (GM yes, GM-NR no).
-    transitive_reduction: bool = True
-    #: Drop candidates with no surviving adjacency after expansion.  Skipped
-    #: after a simulation that reached its fixpoint: it would remove nothing.
-    prune_after_expand: bool = True
+    #: Full pipeline: pre-filter + double simulation + transitive reduction.
+    GM = "GM"
+    #: No node pre-filtering before double simulation.
+    GM_S = "GM-S"
+    #: Node pre-filtering only (no double simulation).
+    GM_F = "GM-F"
+    #: No query transitive reduction.
+    GM_NR = "GM-NR"
 
 
 @dataclass
@@ -111,22 +107,35 @@ class RIGBuildReport:
 
 
 def _select_candidates(
-    context: MatchContext, query: PatternQuery, options: RIGOptions, cones: Cones
-) -> tuple[Dict[int, Set[int]], Optional[SimulationResult]]:
+    context: MatchContext,
+    query: PatternQuery,
+    variant: GMVariant,
+    simulation: SimulationOptions,
+    cones: Cones,
+) -> Tuple[Dict[int, Set[int]], Optional[SimulationResult]]:
     """Node-selection phase: compute ``cos(q)`` for every query node."""
-    if options.filter_mode == "match":
-        return context.match_sets(query), None
-    if options.filter_mode == "prefilter":
+    if variant is GMVariant.GM_F:
         return node_prefilter(context, query), None
-    if options.filter_mode != "double_sim":
-        raise ValueError(f"unknown filter mode {options.filter_mode!r}")
+    initial = None if variant is GMVariant.GM_S else node_prefilter(context, query)
+    result = fbsim(context, query, initial, simulation, cones)
+    return result.candidates, result
 
-    initial = node_prefilter(context, query) if options.prefilter else None
-    if options.simulation_algorithm == "basic":
-        simulation = fbsim_basic(context, query, initial, options.simulation_options, cones)
-    else:
-        simulation = fbsim(context, query, initial, options.simulation_options, cones)
-    return simulation.candidates, simulation
+
+def _expand(
+    context: MatchContext,
+    query: PatternQuery,
+    candidates: Dict[int, Set[int]],
+    child_check: ChildCheckMethod,
+    cones: Cones,
+) -> RuntimeIndexGraph:
+    """Node-expansion phase: the RIG over ``candidates``, every edge set."""
+    rig = RuntimeIndexGraph(query)
+    for node, nodes in candidates.items():
+        rig.set_candidates(node, nodes)
+    if not rig.is_empty():
+        for edge in query.edges():
+            _expand_edge(context, rig, edge, candidates, child_check, cones)
+    return rig
 
 
 def _expand_edge(
@@ -134,7 +143,7 @@ def _expand_edge(
     rig: RuntimeIndexGraph,
     edge: PatternEdge,
     candidates: Dict[int, Set[int]],
-    options: RIGOptions,
+    child_check: ChildCheckMethod,
     cones: Cones,
 ) -> None:
     """Node-expansion phase for one query edge."""
@@ -146,7 +155,7 @@ def _expand_edge(
 
     if not edge.is_child:
         forward, backward = context.expand_reachability(tails, heads, cones)
-    elif options.child_check is ChildCheckMethod.BIN_SEARCH:
+    elif child_check is ChildCheckMethod.BIN_SEARCH:
         pairs = [(u, v) for u in tails for v in heads if graph.has_edge_binary_search(u, v)]
         forward = _index(pairs)
         backward = _index((v, u) for u, v in pairs)
@@ -172,30 +181,25 @@ def _index(pairs) -> Adjacency:
 def build_rig(
     context: MatchContext,
     query: PatternQuery,
-    options: Optional[RIGOptions] = None,
+    variant: GMVariant = GMVariant.GM,
+    simulation: Optional[SimulationOptions] = None,
 ) -> RIGBuildReport:
-    """Build a refined RIG for ``query`` over the context's data graph."""
-    options = options or RIGOptions()
-    if options.transitive_reduction:
+    """Build the refined RIG of ``variant`` for ``query`` over the context's
+    data graph, tuned by ``simulation``."""
+    simulation = simulation or SimulationOptions()
+    if variant is not GMVariant.GM_NR:
         query = transitive_reduction(query)
 
     cones = Cones()  # this build's alone: dropped with it, never shared
     start = time.perf_counter()
-    candidates, simulation = _select_candidates(context, query, options, cones)
+    candidates, result = _select_candidates(context, query, variant, simulation, cones)
     select_seconds = time.perf_counter() - start
-    # At the simulation's fixpoint every candidate has a partner on every
-    # incident edge, so the RIG-level prune could remove nothing.
-    exact = simulation is not None and simulation.pruned_per_pass[-1] == 0
 
-    rig = RuntimeIndexGraph(query)
     start = time.perf_counter()
-    for node, nodes in candidates.items():
-        rig.set_candidates(node, nodes)
-    if not rig.is_empty():
-        for edge in query.edges():
-            _expand_edge(context, rig, edge, candidates, options, cones)
-        if options.prune_after_expand and not exact:
-            rig.prune_unmatched_candidates()
+    rig = _expand(context, query, candidates, simulation.child_check, cones)
+    # Short of the fixpoint a candidate may have lost every partner.
+    if not rig.is_empty() and (result is None or result.pruned_per_pass[-1]):
+        rig.prune_unmatched_candidates()
     expand_seconds = time.perf_counter() - start
 
     return RIGBuildReport(
@@ -203,7 +207,7 @@ def build_rig(
         query=query,
         select_seconds=select_seconds,
         expand_seconds=expand_seconds,
-        simulation=simulation,
+        simulation=result,
         candidates_after_selection=sum(len(nodes) for nodes in candidates.values()),
         condensation_sweeps=cones.computed,
         condensation_sweeps_served=cones.served,
@@ -211,7 +215,21 @@ def build_rig(
 
 
 def build_match_rig(context: MatchContext, query: PatternQuery) -> RIGBuildReport:
-    """Build the match RIG ``G^m_Q`` (no filtering; candidate sets = match sets)."""
-    options = RIGOptions(filter_mode="match", transitive_reduction=False,
-                         prune_after_expand=False)
-    return build_rig(context, query, options)
+    """Build the match RIG ``G^m_Q``: candidate sets are the match sets, the
+    query is not reduced and nothing is pruned."""
+    cones = Cones()
+    start = time.perf_counter()
+    candidates = context.match_sets(query)
+    select_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    rig = _expand(context, query, candidates, ChildCheckMethod.BIT_BAT, cones)
+    return RIGBuildReport(
+        rig=rig,
+        query=query,
+        select_seconds=select_seconds,
+        expand_seconds=time.perf_counter() - start,
+        simulation=None,
+        candidates_after_selection=sum(len(nodes) for nodes in candidates.values()),
+        condensation_sweeps=cones.computed,
+        condensation_sweeps_served=cones.served,
+    )

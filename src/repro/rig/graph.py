@@ -16,10 +16,11 @@ CPython's built-in sets, which already do set algebra in C: ``cos(q)`` is a
 ``set`` and every adjacency list a ``frozenset``.
 
 :meth:`RuntimeIndexGraph.prune_unmatched_candidates` is the RIG-level
-fixpoint that drops candidates with no partner left on some edge.  BuildRIG
-runs it only when node selection stopped short of the double simulation's
-fixpoint (GM-F, ``max_passes``): after an exact simulation it provably
-removes nothing and is skipped.
+fixpoint that drops candidates with no partner left on some edge.
+:func:`~repro.rig.build.build_rig` alone decides when it runs: exactly when
+node selection stopped short of the double simulation's fixpoint (GM-F, a
+``max_passes`` cut).  After an exact simulation it provably removes nothing
+and is skipped; the match RIG never prunes.
 """
 
 from __future__ import annotations

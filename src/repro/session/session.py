@@ -37,7 +37,7 @@ from repro.obs.telemetry import Telemetry
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
-from repro.rig.build import RIGBuildReport, RIGOptions
+from repro.rig.build import RIGBuildReport
 from repro.session.batch import BatchReport, QueryOutcome
 from repro.simulation.context import MatchContext
 
@@ -101,8 +101,9 @@ class QuerySession:
     ----------
     graph:
         The data graph to serve queries on.
-    ordering / rig_options / budget:
-        Defaults forwarded to the GM matchers the session constructs.
+    budget:
+        The default per-query budget of every matcher the session
+        constructs.
     telemetry:
         The :class:`~repro.obs.Telemetry` whose registry the session counts
         into.  A session built bare owns a private one; the epochs of a
@@ -143,14 +144,10 @@ class QuerySession:
     def __init__(
         self,
         graph: DataGraph,
-        ordering: OrderingMethod = OrderingMethod.JO,
-        rig_options: Optional[RIGOptions] = None,
         budget: Optional[Budget] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.graph = graph
-        self.ordering = ordering
-        self.rig_options = rig_options or RIGOptions()
         self.budget = budget or Budget()
         #: The telemetry bundle the session counts into.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -255,11 +252,11 @@ class QuerySession:
     # matcher construction
     # ------------------------------------------------------------------ #
 
-    _GM_SPECS: Dict[str, Tuple[GMVariant, Optional[OrderingMethod]]] = {
-        "GM": (GMVariant.GM, None),
-        "GM-S": (GMVariant.GM_S, None),
-        "GM-F": (GMVariant.GM_F, None),
-        "GM-NR": (GMVariant.GM_NR, None),
+    _GM_SPECS: Dict[str, Tuple[GMVariant, OrderingMethod]] = {
+        "GM": (GMVariant.GM, OrderingMethod.JO),
+        "GM-S": (GMVariant.GM_S, OrderingMethod.JO),
+        "GM-F": (GMVariant.GM_F, OrderingMethod.JO),
+        "GM-NR": (GMVariant.GM_NR, OrderingMethod.JO),
         "GM-JO": (GMVariant.GM, OrderingMethod.JO),
         "GM-RI": (GMVariant.GM, OrderingMethod.RI),
         "GM-BJ": (GMVariant.GM, OrderingMethod.BJ),
@@ -314,39 +311,57 @@ class QuerySession:
             cache = self._rig_caches[key] = self._new_rig_cache()
         return cache
 
-    def _build_matcher(self, name: str):
-        if name in self._GM_SPECS:
-            variant, ordering = self._GM_SPECS[name]
+    @classmethod
+    def new_matcher(
+        cls,
+        name: str,
+        graph: DataGraph,
+        context: MatchContext,
+        budget: Budget,
+        rig_cache: Optional[Dict[PatternQuery, RIGBuildReport]] = None,
+    ):
+        """A new evaluator for matcher ``name`` over ``graph``.
+
+        GM variants and the baselines run on ``context`` (a GM variant keeps
+        its RIGs in ``rig_cache``, when given); an engine builds its own
+        artifacts, charged to its precomputation.
+        """
+        if name in cls._GM_SPECS:
+            variant, ordering = cls._GM_SPECS[name]
             return GraphMatcher(
-                self.graph,
-                context=self.context,
+                graph,
+                context=context,
                 variant=variant,
-                ordering=ordering or self.ordering,
-                rig_options=self.rig_options,
-                budget=self.budget,
-                rig_cache=self._rig_cache_for(variant),
+                ordering=ordering,
+                budget=budget,
+                rig_cache=rig_cache,
             )
-        if name in self._BASELINE_CLASSES:
-            return self._BASELINE_CLASSES[name](
-                self.graph, context=self.context, budget=self.budget
-            )
-        if name in self._ENGINE_CLASSES:
-            engine_class = self._ENGINE_CLASSES[name]
-            kwargs: Dict[str, object] = {
-                "budget": self.budget,
-                # Lazy providers: the closure / expanded graph are only built
-                # if this engine actually sees a descendant query, and are
-                # then shared with every other engine of the session.
-                "expanded_graph": lambda: self.expanded_graph,
-            }
-            if engine_class is WCOJEngine:
-                kwargs["catalog"] = self.catalog
-            if engine_class is RelationalEngine:
-                kwargs["partitions"] = self.partitions
-            return engine_class(self.graph, **kwargs)
+        if name in cls._BASELINE_CLASSES:
+            return cls._BASELINE_CLASSES[name](graph, context=context, budget=budget)
+        if name in cls._ENGINE_CLASSES:
+            return cls._ENGINE_CLASSES[name](graph, budget=budget)
         raise KeyError(
-            f"unknown matcher {name!r}; available: {', '.join(self.available_matchers())}"
+            f"unknown matcher {name!r}; available: {', '.join(cls.available_matchers())}"
         )
+
+    def _build_matcher(self, name: str):
+        engine_class = self._ENGINE_CLASSES.get(name)
+        if engine_class is None:
+            spec = self._GM_SPECS.get(name)
+            rig_cache = self._rig_cache_for(spec[0]) if spec else None
+            return self.new_matcher(name, self.graph, self.context, self.budget, rig_cache)
+        kwargs: Dict[str, object] = {
+            "budget": self.budget,
+            # Lazy providers: the closure / expanded graph are only built
+            # if this engine actually sees a descendant query, and are
+            # then shared with every other engine of the session.
+            "expanded_graph": lambda: self.expanded_graph,
+        }
+        if engine_class is WCOJEngine:
+            kwargs["catalog"] = self.catalog
+        if engine_class is RelationalEngine:
+            kwargs["partitions"] = self.partitions
+        return engine_class(self.graph, **kwargs)
 
     def matcher(self, name: str = "GM"):
         """The session's shared matcher / engine instance for ``name``.
@@ -729,13 +744,7 @@ class QuerySession:
         artifact.
         """
         with self._lock:
-            clone = QuerySession(
-                self.graph,
-                ordering=self.ordering,
-                rig_options=self.rig_options,
-                budget=self.budget,
-                telemetry=self.telemetry,
-            )
+            clone = QuerySession(self.graph, budget=self.budget, telemetry=self.telemetry)
             clone._context = self._context
             clone._comparators = dict(self._comparators)
             clone._rig_caches = dict(self._rig_caches)

@@ -11,8 +11,9 @@ This package provides:
 
 * :class:`MatchContext` — match sets, edge-match tests, batch forward /
   backward expansion sets, and node pre-filtering;
-* :func:`fbsim_basic` (FBSimBas), :func:`fbsim_dag` (FBSimDag) and
-  :func:`fbsim` (FBSim, dag + Δ) with the tuning options of §4.4–4.5;
+* :func:`fbsim_basic` (FBSimBas) and :func:`fbsim` (FBSim: the FBSimDag
+  loop over a dag decomposition, plus a sweep of its back edges), tuned by
+  :class:`SimulationOptions` (§4.4–4.5);
 * :func:`dual_simulation` — the classic edge-to-edge dual simulation,
   kept as a point of comparison.
 """
@@ -23,7 +24,6 @@ from repro.simulation.fbsim import (
     SimulationOptions,
     SimulationResult,
     fbsim_basic,
-    fbsim_dag,
     fbsim,
     forward_simulation,
     backward_simulation,
@@ -38,7 +38,6 @@ __all__ = [
     "SimulationOptions",
     "SimulationResult",
     "fbsim_basic",
-    "fbsim_dag",
     "fbsim",
     "forward_simulation",
     "backward_simulation",

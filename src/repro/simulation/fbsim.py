@@ -1,9 +1,12 @@
-"""Double-simulation algorithms: FBSimBas, FBSimDag and FBSim (dag + Δ).
+"""Double-simulation algorithms: FBSimBas and FBSim (Dag+Δ).
 
-All three compute the same relation — the double simulation ``FB`` of the
-query by the data graph (Definition 1) — but differ in the order in which
-they examine query edges, which governs how many passes are needed to reach
-the fixpoint (the Fig. 12(b) comparison).  They share:
+Both compute the same relation — the double simulation ``FB`` of the query
+by the data graph (Definition 1) — but differ in the order in which they
+examine query edges, which governs how many passes are needed to reach the
+fixpoint (the Fig. 12(b) comparison).  FBSim walks a dag decomposition of
+the query in topological order (FBSimDag, Algorithm 2) and sweeps the back
+edges it set aside after each pass (Algorithm 3); on a dag query that is the
+same loop with no back edges.  They share:
 
 * initial candidates: the match sets ``ms(q)`` (or a caller-provided
   refinement, e.g. the node pre-filter output);
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
-from repro.query.classify import dag_decomposition, is_dag, topological_order
+from repro.query.classify import dag_decomposition, topological_order
 from repro.query.pattern import PatternEdge, PatternQuery
 from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 
@@ -201,17 +204,17 @@ def fbsim_basic(
 
 
 # ---------------------------------------------------------------------- #
-# FBSimDag — topological order (Algorithm 2)
+# FBSim — dag + back edges (Algorithms 2 and 3)
 # ---------------------------------------------------------------------- #
 
 
 def _dag_pass(
     context: MatchContext,
-    query: PatternQuery,
-    dag_edges: Sequence[PatternEdge],
     order: Sequence[int],
+    out_edges: Dict[int, List[PatternEdge]],
+    in_edges: Dict[int, List[PatternEdge]],
     candidates: Dict[int, Set[int]],
-    options: SimulationOptions,
+    method: ChildCheckMethod,
     dirty: Optional[Set[int]],
     cones: Cones,
 ) -> Tuple[int, Set[int]]:
@@ -219,12 +222,6 @@ def _dag_pass(
 
     Returns ``(pruned, changed_nodes)``.
     """
-    out_edges: Dict[int, List[PatternEdge]] = {node: [] for node in query.nodes()}
-    in_edges: Dict[int, List[PatternEdge]] = {node: [] for node in query.nodes()}
-    for edge in dag_edges:
-        out_edges[edge.source].append(edge)
-        in_edges[edge.target].append(edge)
-
     pruned = 0
     changed: Set[int] = set()
 
@@ -233,7 +230,7 @@ def _dag_pass(
         for edge in out_edges[node]:
             if dirty is not None and node not in dirty and edge.target not in dirty and edge.target not in changed:
                 continue
-            removed = _prune_tail(context, edge, candidates, options.child_check, cones)
+            removed = _prune_tail(context, edge, candidates, method, cones)
             if removed:
                 pruned += removed
                 changed.add(node)
@@ -243,60 +240,12 @@ def _dag_pass(
         for edge in in_edges[node]:
             if dirty is not None and node not in dirty and edge.source not in dirty and edge.source not in changed:
                 continue
-            removed = _prune_head(context, edge, candidates, options.child_check, cones)
+            removed = _prune_head(context, edge, candidates, method, cones)
             if removed:
                 pruned += removed
                 changed.add(node)
 
     return pruned, changed
-
-
-def fbsim_dag(
-    context: MatchContext,
-    query: PatternQuery,
-    initial: Optional[Dict[int, Set[int]]] = None,
-    options: Optional[SimulationOptions] = None,
-    cones: Optional[Cones] = None,
-) -> SimulationResult:
-    """Compute double simulation for a dag pattern by topological traversals."""
-    options = options or SimulationOptions()
-    cones = cones or Cones()
-    order = topological_order(query)
-    if order is None:
-        raise QueryError("fbsim_dag requires a dag pattern; use fbsim for cyclic patterns")
-    start = time.perf_counter()
-    candidates = _initial_candidates(context, query, initial)
-
-    passes = 0
-    total_pruned = 0
-    pruned_per_pass: List[int] = []
-    dirty: Optional[Set[int]] = None  # None = first pass, check everything
-    while True:
-        passes += 1
-        pruned_this_pass, changed = _dag_pass(
-            context, query, query.edges(), order, candidates, options, dirty, cones
-        )
-        total_pruned += pruned_this_pass
-        pruned_per_pass.append(pruned_this_pass)
-        if pruned_this_pass == 0:
-            break
-        if options.max_passes is not None and passes >= options.max_passes:
-            break
-        dirty = changed if options.use_change_flags else None
-
-    return SimulationResult(
-        candidates=candidates,
-        passes=passes,
-        pruned=total_pruned,
-        algorithm="FBSimDag",
-        elapsed_seconds=time.perf_counter() - start,
-        pruned_per_pass=pruned_per_pass,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# FBSim — dag + back edges (Algorithm 3)
-# ---------------------------------------------------------------------- #
 
 
 def fbsim(
@@ -314,41 +263,39 @@ def fbsim(
     """
     options = options or SimulationOptions()
     cones = cones or Cones()
-    if is_dag(query):
-        result = fbsim_dag(context, query, initial, options, cones)
-        return SimulationResult(
-            candidates=result.candidates,
-            passes=result.passes,
-            pruned=result.pruned,
-            algorithm="FBSim",
-            elapsed_seconds=result.elapsed_seconds,
-            pruned_per_pass=result.pruned_per_pass,
-        )
-
     start = time.perf_counter()
-    dag_edges, back_edges = dag_decomposition(query)
-    dag_query = query.with_edges(dag_edges, name=f"{query.name}-dag")
-    order = topological_order(dag_query)
-    if order is None:  # pragma: no cover - decomposition guarantees a dag
-        raise QueryError("dag decomposition produced a cyclic edge set")
+    order = topological_order(query)
+    if order is None:
+        dag_edges, back_edges = dag_decomposition(query)
+        order = topological_order(query.with_edges(dag_edges, name=f"{query.name}-dag"))
+        if order is None:  # pragma: no cover - decomposition guarantees a dag
+            raise QueryError("dag decomposition produced a cyclic edge set")
+    else:  # a dag keeps its own edge order, and so its pass-by-pass counts
+        dag_edges, back_edges = query.edges(), []
+    out_edges: Dict[int, List[PatternEdge]] = {node: [] for node in query.nodes()}
+    in_edges: Dict[int, List[PatternEdge]] = {node: [] for node in query.nodes()}
+    for edge in dag_edges:
+        out_edges[edge.source].append(edge)
+        in_edges[edge.target].append(edge)
 
+    method = options.child_check
     candidates = _initial_candidates(context, query, initial)
     passes = 0
     total_pruned = 0
     pruned_per_pass: List[int] = []
-    dirty: Optional[Set[int]] = None
+    dirty: Optional[Set[int]] = None  # None = first pass, check everything
     while True:
         passes += 1
         pruned_this_pass, changed = _dag_pass(
-            context, query, dag_edges, order, candidates, options, dirty, cones
+            context, order, out_edges, in_edges, candidates, method, dirty, cones
         )
         # FBSimBas-style sweep over the back edges.
         for edge in back_edges:
-            removed = _prune_tail(context, edge, candidates, options.child_check, cones)
+            removed = _prune_tail(context, edge, candidates, method, cones)
             if removed:
                 pruned_this_pass += removed
                 changed.add(edge.source)
-            removed = _prune_head(context, edge, candidates, options.child_check, cones)
+            removed = _prune_head(context, edge, candidates, method, cones)
             if removed:
                 pruned_this_pass += removed
                 changed.add(edge.target)

@@ -258,7 +258,7 @@ class VersionedGraphStore:
         :class:`ValueError`.
     session_kwargs:
         Forwarded to :class:`QuerySession` when ``graph`` is a plain data
-        graph (``ordering``, ``rig_options``, ``budget``).
+        graph (``budget``).
     """
 
     def __init__(

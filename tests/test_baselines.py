@@ -7,6 +7,7 @@ from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher
 from repro.baselines.tm import TMMatcher
 from repro.matching.result import Budget, MatchStatus
+from repro.query.classify import spanning_tree
 from repro.query.generators import to_child_only
 from repro.query.pattern import PatternQuery
 
@@ -51,6 +52,17 @@ class TestJMMatcher:
         report = JMMatcher(paper_graph, context=paper_context).match(PatternQuery(["B"], []))
         assert report.num_matches == 4
 
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_single_node_query_stops_at_the_match_cap(self, paper_graph, paper_context, cap):
+        matcher = JMMatcher(paper_graph, context=paper_context, budget=Budget(max_matches=cap))
+        query = PatternQuery(["B"], [])
+        report = matcher.match(query)
+        streamed = matcher.match_stream(query).report()
+        assert report.num_matches == len(report.occurrences) == cap
+        assert report.status is MatchStatus.MATCH_LIMIT
+        assert report.occurrences == streamed.occurrences
+        assert streamed.status is MatchStatus.MATCH_LIMIT
+
     def test_out_of_memory_on_tiny_budget(self, small_random_graph):
         from repro.query.generators import random_pattern_query, to_descendant_only
 
@@ -91,7 +103,7 @@ class TestTMMatcher:
         assert report.algorithm == "TM"
 
     def test_spanning_tree_split(self, paper_query):
-        tree, non_tree = TMMatcher.spanning_tree(paper_query)
+        tree, non_tree = spanning_tree(paper_query)
         assert len(tree) == 2
         assert len(non_tree) == 1
         covered = set()

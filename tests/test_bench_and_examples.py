@@ -12,7 +12,6 @@ from repro.bench.harness import (
     DEFAULT_BENCH_BUDGET,
     QueryRun,
     WorkloadResult,
-    available_matchers,
     make_matcher,
     run_workload,
 )
@@ -26,6 +25,7 @@ from repro.bench.workloads import (
     template_class,
 )
 from repro.matching.result import Budget
+from repro.session import QuerySession
 from repro.simulation.context import MatchContext
 
 TINY_BUDGET = Budget(max_matches=500, time_limit_seconds=5.0, max_intermediate_results=50_000)
@@ -66,7 +66,7 @@ class TestHarness:
     def test_all_matchers_constructible(self):
         graph = bench_graph("em", scale=0.1)
         context = MatchContext(graph)
-        for name in available_matchers():
+        for name in QuerySession.available_matchers():
             matcher = make_matcher(name, graph, context, TINY_BUDGET)
             assert matcher is not None
 

@@ -25,12 +25,11 @@ from repro.exceptions import (
     TimeoutExceeded,
 )
 from repro.graph.generators import random_labeled_graph
-from repro.matching.gm import GraphMatcher
 from repro.matching.mjoin import mjoin
 from repro.matching.ordering import bj_order, jo_order, ri_order
 from repro.matching.result import Budget
 from repro.query.generators import random_pattern_query
-from repro.rig.build import RIGOptions, build_rig
+from repro.rig.build import GMVariant, build_match_rig, build_rig
 from repro.simulation.context import MatchContext
 from repro.simulation.fbsim import SimulationOptions, fbsim
 
@@ -53,21 +52,16 @@ class TestExceptions:
 
 
 class TestRIGConstructionVariants:
-    @pytest.mark.parametrize("filter_mode", ["double_sim", "prefilter", "match"])
-    def test_mjoin_answer_independent_of_filter_mode(
-        self, paper_context, paper_query, paper_answer, filter_mode
+    @pytest.mark.parametrize("variant", [*GMVariant, None], ids=lambda v: v.value if v else "match")
+    def test_mjoin_answer_independent_of_node_selection(
+        self, paper_context, paper_query, paper_answer, variant
     ):
-        rig = build_rig(paper_context, paper_query, RIGOptions(filter_mode=filter_mode)).rig
+        if variant is None:
+            rig = build_match_rig(paper_context, paper_query).rig
+        else:
+            rig = build_rig(paper_context, paper_query, variant).rig
         occurrences, _, _ = mjoin(rig)
         assert frozenset(occurrences) == paper_answer
-
-    @pytest.mark.parametrize("algorithm", ["fbsim", "basic"])
-    def test_gm_end_to_end_with_simulation_algorithm(
-        self, paper_graph, paper_context, paper_query, paper_answer, algorithm
-    ):
-        options = RIGOptions(simulation_algorithm=algorithm)
-        matcher = GraphMatcher(paper_graph, context=paper_context, rig_options=options)
-        assert matcher.match(paper_query).occurrence_set() == paper_answer
 
 
 @st.composite
@@ -117,14 +111,15 @@ class TestApproximateSimulation:
 
     @pytest.mark.parametrize("max_passes", [1, 2])
     def test_truncated_simulation_still_answers_the_paper_query(
-        self, paper_graph, paper_context, paper_query, paper_answer, max_passes
+        self, paper_context, paper_query, paper_answer, max_passes
     ):
         # A pass budget can stop node selection short of its fixpoint (one
         # pass does here); BuildRIG then prunes the expanded RIG instead, and
         # the answer is the same either way.
-        options = RIGOptions(simulation_options=SimulationOptions(max_passes=max_passes))
-        matcher = GraphMatcher(paper_graph, context=paper_context, rig_options=options)
-        assert matcher.match(paper_query).occurrence_set() == paper_answer
+        simulation = SimulationOptions(max_passes=max_passes)
+        rig = build_rig(paper_context, paper_query, simulation=simulation).rig
+        occurrences, _, _ = mjoin(rig)
+        assert frozenset(occurrences) == paper_answer
 
 
 class TestRemainingExperimentDrivers:

@@ -23,8 +23,9 @@ from repro.matching.gm import GraphMatcher, mjoin_iter
 from repro.matching.mjoin import compile_plan
 from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget, MatchStatus
-from repro.rig.build import RIGOptions, build_rig
+from repro.rig.build import build_rig
 from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.fbsim import SimulationOptions
 from test_simulation_properties import graph_and_query
 from test_streaming import fanout_graph, path_query
 
@@ -94,7 +95,8 @@ def test_child_checks_do_identical_work_on_the_paper_fixture(
     # Every child check builds the same RIG, so MJoin runs the same search.
     work = {}
     for child_check in ChildCheckMethod:
-        rig = build_rig(paper_context, paper_query, RIGOptions(child_check=child_check)).rig
+        simulation = SimulationOptions(child_check=child_check)
+        rig = build_rig(paper_context, paper_query, simulation=simulation).rig
         stats: dict = {}
         rows = list(
             mjoin_iter(rig, search_order(rig.query, rig, method), _budget(None), stats=stats)

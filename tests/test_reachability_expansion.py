@@ -30,7 +30,7 @@ from repro.matching.gm import GraphMatcher
 from repro.query.generators import all_template_queries, random_pattern_query
 from repro.query.pattern import PatternQuery
 from repro.reachability.base import BFSReachability
-from repro.rig.build import RIGOptions, build_rig
+from repro.rig.build import GMVariant, build_rig
 from repro.rig.graph import RuntimeIndexGraph
 from repro.session import QuerySession
 from repro.store import VersionedGraphStore
@@ -317,7 +317,7 @@ def test_built_rig_equals_per_pair_rig(data):
     context = MatchContext(graph, reachability=BFSReachability(graph))
     candidates, pairs = None, None
     for child_check in ChildCheckMethod:
-        report = build_rig(context, query, RIGOptions(child_check=child_check))
+        report = build_rig(context, query, simulation=SimulationOptions(child_check=child_check))
         if candidates is None:
             candidates, pairs = per_pair_rig(context, report.query)
         rig = report.rig
@@ -595,16 +595,10 @@ def test_each_cone_is_swept_once_per_build_and_counted(monkeypatch):
 # ---------------------------------------------------------------------- #
 
 
-#: Builds that stop short of the simulation's fixpoint.  FBSimBas checks the
-#: edges in query order, so its one pass is often short; FBSimDag's is rarely.
+#: Builds that stop short of the simulation's fixpoint: (variant, options).
 INEXACT_BUILDS = {
-    "GM-F": RIGOptions(filter_mode="prefilter"),
-    "max_passes=1": RIGOptions(simulation_options=SimulationOptions(max_passes=1)),
-    "FBSimBas max_passes=1": RIGOptions(
-        prefilter=False,
-        simulation_algorithm="basic",
-        simulation_options=SimulationOptions(max_passes=1),
-    ),
+    "GM-F": (GMVariant.GM_F, None),
+    "max_passes=1": (GMVariant.GM, SimulationOptions(max_passes=1)),
 }
 
 
@@ -618,20 +612,20 @@ def test_post_expand_prune_is_skipped_exactly_after_a_fixpoint(data):
     prune = RuntimeIndexGraph.prune_unmatched_candidates
     calls = []
 
-    def build(options):
+    def build(variant=GMVariant.GM, simulation=None):
         calls.clear()
         with mock.patch.object(
             RuntimeIndexGraph,
             "prune_unmatched_candidates",
             lambda rig: calls.append(prune(rig)) or calls[-1],
         ):
-            return build_rig(context, query, options)
+            return build_rig(context, query, variant, simulation)
 
-    exact = build(RIGOptions())
+    exact = build()
     assert exact.simulation.pruned_per_pass[-1] == 0 and calls == []
     assert prune(exact.rig) == 0
-    for name, options in INEXACT_BUILDS.items():
-        report = build(options)
+    for name, (variant, simulation) in INEXACT_BUILDS.items():
+        report = build(variant, simulation)
         simulation = report.simulation
         if simulation is None:
             expanded = all(node_prefilter(context, report.query).values())
@@ -645,12 +639,11 @@ def test_post_expand_prune_is_skipped_exactly_after_a_fixpoint(data):
             assert rig_signature(report.rig)[0] == rig_signature(exact.rig)[0], name
 
 
-@pytest.mark.parametrize("name", ["GM-F", "FBSimBas max_passes=1"])
-def test_a_build_short_of_the_fixpoint_still_prunes(name):
-    # A at 4 reaches only B at 3, which reaches no C: GM-F's label test keeps
-    # 4, and FBSimBas's one pass checks A -> B before B -> C drops 3.
+def test_a_build_short_of_the_fixpoint_still_prunes():
+    # A at 4 reaches only B at 3, which reaches no C: GM-F's label test drops
+    # 3 but keeps 4, and only the post-expand prune drops 4.
     graph = DataGraph("ABCBA", [(0, 1), (1, 2), (4, 3)])
     query = PatternQuery(["A", "B", "C"], [(0, 1, "descendant"), (1, 2, "descendant")])
-    report = build_rig(MatchContext(graph), query, INEXACT_BUILDS[name])
+    report = build_rig(MatchContext(graph), query, GMVariant.GM_F)
     assert report.candidates_after_selection == 4
     assert rig_signature(report.rig)[0] == {0: {0}, 1: {1}, 2: {2}}

@@ -5,10 +5,11 @@ import pytest
 from repro.graph.digraph import DataGraph
 from repro.matching.gm import GraphMatcher
 from repro.query.pattern import PatternQuery
-from repro.rig.build import RIGOptions, build_match_rig, build_rig
+from repro.rig.build import GMVariant, build_match_rig, build_rig
 from repro.rig.graph import RuntimeIndexGraph
 from repro.rig.stats import rig_statistics
 from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.fbsim import SimulationOptions
 
 from fixtures_paper import A0, A1, A2, B0, B1, B2, B3, C0, C1, C2
 
@@ -179,15 +180,9 @@ class TestBuildRIG:
 
     def test_prefilter_mode_between_match_and_refined(self, paper_context, paper_query):
         refined = build_rig(paper_context, paper_query).rig
-        prefilter_only = build_rig(
-            paper_context, paper_query, RIGOptions(filter_mode="prefilter")
-        ).rig
+        prefilter_only = build_rig(paper_context, paper_query, GMVariant.GM_F).rig
         match_rig = build_match_rig(paper_context, paper_query).rig
         assert refined.num_rig_nodes() <= prefilter_only.num_rig_nodes() <= match_rig.num_rig_nodes()
-
-    def test_unknown_filter_mode(self, paper_context, paper_query):
-        with pytest.raises(ValueError):
-            build_rig(paper_context, paper_query, RIGOptions(filter_mode="bogus"))
 
     def test_report_timings(self, paper_context, paper_query):
         report = build_rig(paper_context, paper_query)
@@ -206,23 +201,19 @@ class TestBuildRIG:
     def test_child_check_methods_build_same_rig(self, paper_context, paper_query):
         reference = build_rig(paper_context, paper_query).rig
         for method in ChildCheckMethod:
-            options = RIGOptions(child_check=method)
-            rig = build_rig(paper_context, paper_query, options).rig
+            simulation = SimulationOptions(child_check=method)
+            rig = build_rig(paper_context, paper_query, simulation=simulation).rig
             assert set(rig.edge_candidates(0, 1)) == set(reference.edge_candidates(0, 1))
             assert set(rig.edge_candidates(1, 2)) == set(reference.edge_candidates(1, 2))
 
-    def test_basic_simulation_algorithm_option(self, paper_context, paper_query):
-        options = RIGOptions(simulation_algorithm="basic")
-        rig = build_rig(paper_context, paper_query, options).rig
-        assert set(rig.candidates(1)) == {B0, B2}
-
-    def test_match_rig_prunes_a_candidate_without_a_partner(self):
-        # One candidate (A at 1) has no partner: pruning discards it from
-        # ``cos(q)``.
+    def test_match_rig_keeps_a_candidate_without_a_partner(self):
+        # ``G^m_Q``'s candidate sets are the match sets: A at 1 has no
+        # partner and stays.
         context = MatchContext(DataGraph("AAB", [(0, 2)]))
         query = PatternQuery(["A", "B"], [(0, 1, "child")])
-        rig = build_rig(context, query, RIGOptions(filter_mode="match")).rig
-        assert set(rig.candidates(0)) == {0}
+        rig = build_match_rig(context, query).rig
+        assert set(rig.candidates(0)) == {0, 1}
+        assert set(rig.edge_candidates(0, 1)) == {(0, 2)}
 
 
 class TestSharedAdjacency:
@@ -264,15 +255,21 @@ class TestSharedAdjacency:
         assert type(rig.candidates(0)) is set
         assert type(rig.candidates(1) & rig.forward_index(0, 1)[0]) is set
 
-    @pytest.mark.parametrize("child_check", list(ChildCheckMethod))
-    @pytest.mark.parametrize("filter_mode", ["double_sim", "prefilter", "match"])
+    @pytest.mark.parametrize(
+        "variant, child_check",
+        [(v, c) for v in GMVariant for c in ChildCheckMethod] + [(None, None)],
+        ids=lambda value: "match" if value is None else value.value,
+    )
     def test_every_build_path_stores_builtin_sets(
-        self, paper_context, paper_query, filter_mode, child_check
+        self, paper_context, paper_query, variant, child_check
     ):
         # MJoin intersects ``cos(q)`` with adjacency and pruning calls
         # ``isdisjoint`` on it, whichever way BuildRIG filled the RIG.
-        options = RIGOptions(filter_mode=filter_mode, child_check=child_check)
-        rig = build_rig(paper_context, paper_query, options).rig
+        if variant is None:
+            rig = build_match_rig(paper_context, paper_query).rig
+        else:
+            simulation = SimulationOptions(child_check=child_check)
+            rig = build_rig(paper_context, paper_query, variant, simulation).rig
         assert not rig.is_empty()
         for node in rig.query.nodes():
             assert type(rig.candidates(node)) is set
@@ -290,8 +287,7 @@ class TestSharedAdjacency:
     def test_pruning_changes_candidates_only(self):
         graph = DataGraph("AABB", [(0, 2), (0, 3), (1, 2)])
         query = PatternQuery(["A", "B"], [(0, 1, "child")])
-        options = RIGOptions(filter_mode="match", prune_after_expand=False)
-        rig = build_rig(MatchContext(graph), query, options).rig
+        rig = build_match_rig(MatchContext(graph), query).rig
         rig.set_candidates(0, [1])  # head 3's only tail is gone
         indexes = [rig.forward_index(0, 1), rig.backward_index(0, 1)]
         before = [{key: (id(value), set(value)) for key, value in index.items()} for index in indexes]

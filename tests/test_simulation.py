@@ -1,8 +1,5 @@
 """Tests for MatchContext, node pre-filtering and the FB-simulation algorithms."""
 
-import pytest
-
-from repro.exceptions import QueryError
 from repro.graph.digraph import DataGraph
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.simulation.context import ChildCheckMethod, MatchContext
@@ -12,7 +9,6 @@ from repro.simulation.fbsim import (
     backward_simulation,
     fbsim,
     fbsim_basic,
-    fbsim_dag,
     forward_simulation,
 )
 from repro.simulation.matchsets import match_sets, node_prefilter
@@ -127,12 +123,9 @@ class TestFBSimulationPaperExample:
         assert result.algorithm == "FBSimBas"
 
     def test_double_simulation_dag(self, paper_context, paper_query):
-        result = fbsim_dag(paper_context, paper_query)
-        assert result.candidates == fbsim_basic(paper_context, paper_query).candidates
-        assert result.algorithm == "FBSimDag"
-
-    def test_double_simulation_dispatch(self, paper_context, paper_query):
+        # The paper query is a dag: FBSim's loop runs with no back edges.
         result = fbsim(paper_context, paper_query)
+        assert result.candidates == fbsim_basic(paper_context, paper_query).candidates
         assert result.candidates[1] == {B0, B2}
         assert result.algorithm == "FBSim"
 
@@ -181,14 +174,6 @@ class TestFBSimulationOptions:
         with_flags = fbsim(paper_context, paper_query, options=SimulationOptions(use_change_flags=True))
         without_flags = fbsim(paper_context, paper_query, options=SimulationOptions(use_change_flags=False))
         assert with_flags.candidates == without_flags.candidates
-
-    def test_fbsim_dag_rejects_cyclic_query(self, paper_context):
-        cyclic = PatternQuery(
-            ["A", "B", "C"],
-            [(0, 1, "child"), (1, 2, "child"), (2, 0, "descendant")],
-        )
-        with pytest.raises(QueryError):
-            fbsim_dag(paper_context, cyclic)
 
     def test_fbsim_handles_cyclic_query(self, paper_context):
         cyclic = PatternQuery(

@@ -3,13 +3,17 @@
 A static AST check: every name an ``import`` binds must be read somewhere
 in its module — as a name, the base of an attribute, or inside a string
 annotation.  Names listed in the module's ``__all__`` are exports, and
-package ``__init__`` modules exist to re-export, so both are exempt.
+package ``__init__`` modules exist to re-export, so both are exempt — and
+every name a package's ``__all__`` exports must resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,3 +86,9 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == []
     module.write_text("from typing import Dict\nimport os\n")
     assert unused_imports(module) == [(1, "Dict"), (2, "os")]
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.rig", "repro.simulation", "repro.matching"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
