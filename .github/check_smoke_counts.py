@@ -4,9 +4,10 @@ Run ``python3 -m perf --smoke --traced`` and then
 ``python3 .github/check_smoke_counts.py default``, or
 ``python3 -m perf --smoke --traced --seed 7919`` and then
 ``python3 .github/check_smoke_counts.py held_out``.  RIG sizes, simulation
-passes / pruning, MJoin rows and, on the serving workloads, frames, stream
-pages, requests, round trips and WAL bytes per pass are properties of the
-inputs, not of the machine, so ``perf/out/result-*-trace1.json`` must equal
+passes / pruning, MJoin rows and work (candidates, intersections) and, on the
+serving workloads, frames, stream pages, requests, round trips and WAL bytes
+per pass are properties of the inputs and the search order, not of the
+machine, so ``perf/out/result-*-trace1.json`` must equal
 ``.github/perf-smoke-counts.json`` (its top-level entry for the default seed,
 its ``held_out`` entry for the held-out one).  Exits 1 and names every
 counter that differs.

@@ -25,7 +25,7 @@ from typing import Iterator, MutableMapping, Optional, Sequence, Tuple
 from repro.explain.plan import PlanOperator, QueryPlan, plan_digest
 from repro.graph.digraph import DataGraph
 from repro.matching.mjoin import mjoin_iter
-from repro.matching.ordering import OrderingMethod, search_order
+from repro.matching.ordering import OrderingMethod, extension_estimate, search_order
 from repro.matching.result import Budget
 from repro.matching.stream import Evaluator
 from repro.query.pattern import PatternQuery
@@ -251,7 +251,7 @@ class GraphMatcher(Evaluator):
         root = PlanOperator(
             op="mjoin",
             label=f"MJoin [{self.name}]",
-            estimate=None if empty else self._estimate_rows(reduced, rig),
+            estimate=None if empty else self._estimate_rows(rig),
             details={"injective": injective},
             children=steps,
         )
@@ -277,17 +277,10 @@ class GraphMatcher(Evaluator):
         )
 
     @staticmethod
-    def _estimate_rows(query: PatternQuery, rig) -> int:
+    def _estimate_rows(rig) -> int:
         """Independence-assumption occurrence estimate from RIG statistics."""
-        estimate = 1.0
-        for node in query.nodes():
-            estimate *= max(rig.candidate_count(node), 0)
-        for edge in query.edges():
-            tail = rig.candidate_count(edge.source)
-            head = rig.candidate_count(edge.target)
-            if tail == 0 or head == 0:
-                return 0
-            estimate *= rig.edge_candidate_count(edge.source, edge.target) / float(
-                tail * head
-            )
+        estimate, placed = 1.0, set()
+        for node in rig.query.nodes():
+            estimate = extension_estimate(rig, node, placed, estimate)
+            placed.add(node)
         return int(round(estimate))

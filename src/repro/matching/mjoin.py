@@ -2,17 +2,24 @@
 
 Given a runtime index graph, MJoin enumerates the query's occurrences by a
 backtracking search that matches one query node per step.  At step ``i`` the
-local candidate set of the current query node is obtained by intersecting
-its RIG candidate set with the RIG adjacency lists of every already-matched
-neighbour — a node-at-a-time (worst-case-optimal-style) multiway join that
-never materialises intermediate relations.
+local candidate set of the current query node is the intersection of the RIG
+adjacency lists of every already-matched neighbour — a node-at-a-time
+(worst-case-optimal-style) multiway join that never materialises
+intermediate relations.  The RIG candidate set ``cos(q)`` itself is read only
+where no neighbour is matched yet (the first position): every adjacency list
+already lies inside its partner's ``cos``, so intersecting with it again
+would change nothing.
 
 The join structure depends only on the RIG and the search order, so it is
 resolved once — :func:`compile_plan` — into, per position, the adjacency
 dicts to probe and the earlier positions whose values key them.  The search
 loop then only looks adjacency up and intersects it: ``dict.get`` and ``&``
 (``-`` under ``injective``), ``len`` and iteration, each one C-level
-operation on the RIG's built-in sets.
+operation on the RIG's built-in sets.  A position with one probe allocates
+nothing: its local candidates are the RIG's own shared ``frozenset``.
+
+Every yielded row is a homomorphism, because each query edge is checked by
+the probe of its later endpoint.
 
 The enumerator supports the paper's match cap and wall-clock budget, and an
 ``injective`` flag that adds the one-to-one constraint of subgraph
@@ -22,23 +29,24 @@ isomorphism (the extension the paper calls "promising" in §7.2).
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget
-from repro.rig.graph import RuntimeIndexGraph
+from repro.rig.graph import Adjacency, RuntimeIndexGraph
 
 #: One compiled search position: ``(node, base, probes, clashes)``.
 #:
 #: * ``node`` — the query node matched here, which is also its slot in the
 #:   row buffer (rows are indexed by query node, not by position);
-#: * ``base`` — ``cos(node)``;
+#: * ``base`` — ``cos(node)`` at a position without probes (the first, or
+#:   one with no edge to an earlier node), else ``None``;
 #: * ``probes`` — ``(adjacency dict, earlier node)`` pairs: the local
 #:   candidates are the intersection of ``dict[row[earlier node]]`` over all
-#:   pairs, and of ``base``;
+#:   pairs (``base`` when there are none);
 #: * ``clashes`` — injective plans only: earlier nodes whose candidates
-#:   overlap ``base``, i.e. the only values this position could repeat.
-Step = Tuple[int, object, Tuple[Tuple[dict, int], ...], Tuple[int, ...]]
+#:   overlap ``cos(node)``, i.e. the only values this position could repeat.
+Step = Tuple[int, Optional[Set[int]], Tuple[Tuple[Adjacency, int], ...], Tuple[int, ...]]
 
 
 def compile_plan(
@@ -63,7 +71,7 @@ def _compile(rig: RuntimeIndexGraph, order: Tuple[int, ...], injective: bool) ->
                 probes.append((rig.forward_index(earlier, node), earlier))
             if injective and len(base & rig.candidates(earlier)):
                 clashes.append(earlier)
-        steps.append((node, base, tuple(probes), tuple(clashes)))
+        steps.append((node, None if probes else base, tuple(probes), tuple(clashes)))
     return tuple(steps)
 
 
@@ -87,7 +95,7 @@ def mjoin_iter(
 
     ``stats`` (a mutable mapping) receives the enumeration's work counters
     — ``candidates`` (local candidate vertices produced across all search
-    positions) and ``intersections`` (adjacency lists intersected) — and
+    positions) and ``intersections`` (adjacency lists probed) — and
     ``step_stats`` (a mutable list, EXPLAIN ANALYZE) one dict per position:
     ``{"candidates", "intersections", "rows"}``, where ``rows``
     counts the partial assignments extended at that position (at the last
@@ -136,11 +144,16 @@ def mjoin_iter(
             node = plan[depth][0]
             below = depth + 1
             next_node, base, probes, clashes = plan[below]
+            if probes:
+                (first, key), rest = probes[0], probes[1:]
             for value in iterators[depth]:
                 row[node] = value
-                local = base
-                for index, earlier in probes:
-                    local = local & index.get(row[earlier], empty)
+                if base is None:
+                    local = first.get(row[key], empty)
+                    for index, earlier in rest:
+                        local = local & index.get(row[earlier], empty)
+                else:
+                    local = base
                 computed[below] += 1
                 size = len(local)
                 if not size:

@@ -4,8 +4,13 @@ Three strategies, matching the paper's experimental comparison (Table 4):
 
 * ``JO`` — greedy, RIG-statistics-driven: start from the query node with the
   smallest candidate occurrence set, then repeatedly append the adjacent
-  query node with the smallest candidate set (connectivity enforced to avoid
-  Cartesian products).
+  query node with the smallest estimated extension fan-out
+  (:func:`extension_estimate`: ``|cos(v)|`` times the selectivity of every
+  RIG query edge joining ``v`` to the placed nodes).  Ranking by bare
+  ``|cos(v)|`` would place a pendant leaf with many partners per value
+  before the node that closes a cycle, and MJoin would then repeat the
+  cycle's closing intersection once per leaf value.  Connectivity is
+  enforced to avoid Cartesian products.
 * ``RI`` — purely topological (Bonnici et al.): prefer nodes with the most
   edges to already-ordered nodes, breaking ties by edges to unordered
   neighbours of ordered nodes, then by degree; independent of the data.
@@ -14,12 +19,16 @@ Three strategies, matching the paper's experimental comparison (Table 4):
   cardinalities.  Exponential in the number of query nodes, so it refuses
   queries beyond a node limit (the paper observes it "does not scale to
   large queries with tens of nodes").
+
+JO, BJ and EXPLAIN's row estimate share one independence estimate,
+:func:`extension_estimate`, over the RIG query (the reduced query whose edges
+MJoin probes).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 from repro.exceptions import MatchingError
 from repro.query.pattern import PatternQuery
@@ -35,30 +44,84 @@ class OrderingMethod(Enum):
 
 
 # ---------------------------------------------------------------------- #
-# JO — greedy cardinality-based ordering
+# The independence estimate (JO, BJ, EXPLAIN)
+# ---------------------------------------------------------------------- #
+
+
+def _edge_selectivity(rig: RuntimeIndexGraph, source: int, target: int) -> float:
+    """Estimated fraction of candidate pairs connected under a query edge."""
+    tail = rig.candidate_count(source)
+    head = rig.candidate_count(target)
+    if tail == 0 or head == 0:
+        return 0.0
+    return rig.edge_candidate_count(source, target) / float(tail * head)
+
+
+def _joins(rig: RuntimeIndexGraph) -> Dict[int, Dict[int, Tuple[float, ...]]]:
+    """Per query node, per RIG-query neighbour: the selectivity of each edge
+    joining them, the node's own out-edge first.  Neighbours are ascending so
+    that a product's order does not depend on the query's edge order.
+    Memoised on the RIG, so an order pays for each edge's statistics once."""
+
+    def compute() -> Dict[int, Dict[int, Tuple[float, ...]]]:
+        joins: Dict[int, Dict[int, Tuple[float, ...]]] = {node: {} for node in rig.query.nodes()}
+        for edge in rig.query.edges():
+            source, target = edge.endpoints()
+            selectivity = (_edge_selectivity(rig, source, target),)
+            joins[source][target] = selectivity + joins[source].get(target, ())
+            joins[target][source] = joins[target].get(source, ()) + selectivity
+        return {node: dict(sorted(others.items())) for node, others in joins.items()}
+
+    return rig.memo("joins", compute)
+
+
+def extension_estimate(
+    rig: RuntimeIndexGraph, node: int, placed: Collection[int], rows: float = 1.0
+) -> float:
+    """Estimated rows after extending ``rows`` partial rows over ``placed``
+    by ``node``: ``rows × |cos(node)| × Π sel(e)`` over the RIG query's edges
+    ``e`` between ``node`` and ``placed`` (independence assumption)."""
+    estimate = rows * rig.candidate_count(node)
+    for other, selectivities in _joins(rig)[node].items():
+        if other in placed:
+            for selectivity in selectivities:
+                estimate *= selectivity
+    return estimate
+
+
+# ---------------------------------------------------------------------- #
+# JO — greedy fan-out-based ordering
 # ---------------------------------------------------------------------- #
 
 
 def jo_order(query: PatternQuery, rig: RuntimeIndexGraph) -> List[int]:
-    """Greedy join ordering driven by RIG candidate-set cardinalities."""
-    remaining = set(query.nodes())
+    """Greedy join ordering driven by RIG statistics.
+
+    Starts from the smallest ``cos`` (ties by id), then appends the frontier
+    node with the smallest :func:`extension_estimate` (ties by ``|cos|``,
+    then id).  The edges are read from ``rig.query`` — the query MJoin's
+    probes come from — whatever form of ``query`` (which has the same nodes)
+    the caller passes.
+    """
+    joins = _joins(rig)
     sizes = {node: rig.candidate_count(node) for node in query.nodes()}
+    remaining = set(sizes)
     start = min(remaining, key=lambda node: (sizes[node], node))
     order = [start]
+    placed = {start}
     remaining.discard(start)
+    frontier = set(joins[start])
     while remaining:
-        frontier = [
-            node
-            for node in remaining
-            if any(neighbor in order for neighbor in query.neighbors(node))
-        ]
-        if not frontier:
-            # Disconnected query (should not happen for paper queries); fall
-            # back to the globally smallest remaining node.
-            frontier = list(remaining)
-        chosen = min(frontier, key=lambda node: (sizes[node], node))
+        # A disconnected query (no paper query is) falls back to every node.
+        candidates = frontier & remaining or remaining
+        chosen = min(
+            candidates,
+            key=lambda node: (extension_estimate(rig, node, placed), sizes[node], node),
+        )
         order.append(chosen)
+        placed.add(chosen)
         remaining.discard(chosen)
+        frontier.update(joins[chosen])
     return order
 
 
@@ -105,23 +168,14 @@ def ri_order(query: PatternQuery) -> List[int]:
 # ---------------------------------------------------------------------- #
 
 
-def _edge_selectivity(rig: RuntimeIndexGraph, source: int, target: int) -> float:
-    """Estimated fraction of candidate pairs connected under a query edge."""
-    tail = rig.candidate_count(source)
-    head = rig.candidate_count(target)
-    if tail == 0 or head == 0:
-        return 0.0
-    return rig.edge_candidate_count(source, target) / float(tail * head)
-
-
 def bj_order(
     query: PatternQuery, rig: RuntimeIndexGraph, max_nodes: int = 18
 ) -> List[int]:
     """Optimal left-deep ordering by subset dynamic programming.
 
     The cost of an order is the estimated total number of intermediate
-    tuples produced when extending the partial match node by node, using
-    independence-assumption selectivity estimates from the RIG.  Raises
+    tuples produced when extending the partial match node by node, each
+    step's cardinality the :func:`extension_estimate` of the RIG.  Raises
     :class:`MatchingError` for queries with more than ``max_nodes`` nodes
     (the DP enumerates all subsets).
     """
@@ -130,25 +184,12 @@ def bj_order(
         raise MatchingError(
             f"BJ ordering is limited to {max_nodes} query nodes (query has {n})"
         )
-    sizes = {node: float(max(rig.candidate_count(node), 1)) for node in query.nodes()}
-    selectivity: Dict[Tuple[int, int], float] = {}
-    for edge in query.edges():
-        selectivity[edge.endpoints()] = max(_edge_selectivity(rig, *edge.endpoints()), 1e-9)
-
-    def extension_cardinality(prefix_cardinality: float, prefix: frozenset, node: int) -> float:
-        estimate = prefix_cardinality * sizes[node]
-        for other in prefix:
-            if query.has_edge(node, other):
-                estimate *= selectivity[(node, other)]
-            if query.has_edge(other, node):
-                estimate *= selectivity[(other, node)]
-        return estimate
-
     # DP state: frozenset of placed nodes -> (total cost, result cardinality, order)
     best: Dict[frozenset, Tuple[float, float, Tuple[int, ...]]] = {}
     for node in query.nodes():
         state = frozenset((node,))
-        best[state] = (sizes[node], sizes[node], (node,))
+        cardinality = extension_estimate(rig, node, ())
+        best[state] = (cardinality, cardinality, (node,))
 
     for size in range(1, n):
         current_states = [state for state in best if len(state) == size]
@@ -165,7 +206,7 @@ def bj_order(
                     if candidate not in state
                 ):
                     continue
-                new_cardinality = extension_cardinality(cardinality, state, node)
+                new_cardinality = extension_estimate(rig, node, state, cardinality)
                 new_cost = cost + new_cardinality
                 new_state = state | {node}
                 incumbent = best.get(new_state)

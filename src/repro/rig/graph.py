@@ -44,8 +44,11 @@ class RuntimeIndexGraph:
     candidates with equal answers (all tails of one SCC, say) hold the *same*
     ``frozenset``, so the type enforces the sharing rule (and
     ``set & frozenset`` is still a ``set``).  MJoin intersects (``&``),
-    ordering takes ``len``, :meth:`prune_unmatched_candidates` only shrinks
-    ``cos(q)`` — the one mutable ``set`` per query node.  :meth:`num_rig_edges`
+    ordering takes ``len``; :meth:`prune_unmatched_candidates` shrinks
+    ``cos(q)`` — the one mutable ``set`` per query node — and replaces the
+    adjacency dicts by restricted copies, never touching a shared set.
+    Invariant: every adjacency key lies in its own ``cos`` and every
+    adjacency list inside its partner's ``cos``.  :meth:`num_rig_edges`
     counts candidate pairs (logical); :meth:`num_physical_edges` counts what
     is stored.
     """
@@ -175,6 +178,11 @@ class RuntimeIndexGraph:
         occurrence.  Removing such nodes tightens the RIG; returns the number
         of candidates removed.  That happens only when the candidates were not
         an exact double simulation — BuildRIG skips the call otherwise.
+
+        Adjacency is then restricted to the surviving candidates (see
+        :meth:`_restrict_adjacency`), so every key lies in its own ``cos``,
+        every list inside its partner's ``cos``, and :meth:`num_rig_edges`
+        counts live pairs only.
         """
         removed_total = 0
         changed = True
@@ -205,8 +213,43 @@ class RuntimeIndexGraph:
                     target_candidates.discard(head)
                     removed_total += 1
                     changed = True
+        if removed_total:
+            self._restrict_adjacency()
         self._memo.clear()
         return removed_total
+
+    def _restrict_adjacency(self) -> None:
+        """Drop every adjacency key outside its own ``cos`` and every value
+        element outside its partner's ``cos``.
+
+        Each (set object, partner) is restricted once, so candidates that
+        shared one ``frozenset`` share its restriction, and a set that lost
+        nothing is kept as it is.  At the prune's fixpoint every surviving
+        key keeps a partner, so no restricted list is empty.
+        """
+        # (id of an original set, partner node) -> (original, restriction);
+        # holding the original keeps its id from being reused meanwhile.
+        restricted: Dict[Tuple[int, int], Tuple[FrozenSet[int], FrozenSet[int]]] = {}
+
+        def restrict(index: Adjacency, own: int, partner: int) -> Adjacency:
+            keep = self._cos[own]
+            partners = self._cos[partner]
+            result: Adjacency = {}
+            for candidate, adjacency in index.items():
+                if candidate not in keep:
+                    continue
+                slot = (id(adjacency), partner)
+                entry = restricted.get(slot)
+                if entry is None:
+                    live = adjacency if adjacency <= partners else frozenset(adjacency & partners)
+                    entry = restricted[slot] = (adjacency, live)
+                result[candidate] = entry[1]
+            return result
+
+        for source, target in self._forward:
+            key = (source, target)
+            self._forward[key] = restrict(self._forward[key], source, target)
+            self._backward[key] = restrict(self._backward[key], target, source)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -4,8 +4,8 @@ cancellation coverage.
 One oracle (``baselines/bruteforce.py``) against every way the enumerator can
 be driven — search order, injectivity, match cap, drained or closed early —
 plus the accounting identities the ``stats`` / ``step_stats`` channels and
-EXPLAIN ANALYZE promise for each such run, and the built-in set types the
-kernel intersects.
+EXPLAIN ANALYZE promise for each such run, the RIG sets the kernel probes,
+and the pendant-leaf order that would multiply a cycle's closing work.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce_homomorphisms, bruteforce_isomorphisms
 from repro.exceptions import QueryCancelled, TimeoutExceeded
+from repro.graph.digraph import DataGraph
 from repro.matching.gm import GraphMatcher, mjoin_iter
 from repro.matching.mjoin import compile_plan
 from repro.matching.ordering import OrderingMethod, search_order
 from repro.matching.result import Budget, MatchStatus
+from repro.query.pattern import PatternQuery
 from repro.rig.build import build_rig
 from repro.simulation.context import ChildCheckMethod, MatchContext
 from repro.simulation.fbsim import SimulationOptions
@@ -111,17 +113,96 @@ def test_child_checks_do_identical_work_on_the_paper_fixture(
 
 @pytest.mark.parametrize("method", list(OrderingMethod))
 def test_local_candidates_are_builtin_sets(paper_context, paper_query, method):
-    # The kernel intersects with the built-in ``&``: no operand is converted
-    # on the way.  Each step's base is its node's ``cos(q)``, a ``set``;
-    # every probed adjacency is the RIG's shared ``frozenset``; and their
-    # intersection is a ``set`` again.
+    # The kernel probes the RIG's own sets with the built-in ``&``: nothing is
+    # copied or converted on the way.  A position with probes starts from its
+    # first probe's adjacency — a shared ``frozenset`` inside the partner's
+    # ``cos`` — and has no base; ``cos(q)``, a ``set``, is the base only where
+    # nothing is probed (the first position).
     rig = build_rig(paper_context, paper_query).rig
-    for _, base, probes, _ in compile_plan(rig, search_order(rig.query, rig, method)):
-        assert type(base) is set
-        for index, _ in probes:
+    plan = compile_plan(rig, search_order(rig.query, rig, method))
+    assert plan[0][2] == ()
+    for node, base, probes, _ in plan:
+        if probes:
+            assert base is None
+        else:
+            assert base is rig.candidates(node) and type(base) is set
+        for index, earlier in probes:
             assert index
-            assert all(type(adjacency) is frozenset for adjacency in index.values())
-            assert all(type(base & adjacency) is set for adjacency in index.values())
+            assert index is rig.forward_index(earlier, node) or index is rig.backward_index(
+                node, earlier
+            )
+            for adjacency in index.values():
+                assert type(adjacency) is frozenset
+                assert adjacency <= rig.candidates(node)
+                assert type(adjacency & adjacency) is frozenset
+
+
+class TestPendantLeaf:
+    """A triangle A->B->C, A->C plus a pendant reachability leaf A=>D.
+
+    Every A reaches every D through a hub, so D has fewer candidates than B
+    or C but ``|cos(D)|`` partners per A.  Ranking by bare ``|cos|`` places D
+    second, and the triangle's closing intersection then runs once per
+    (A, D, B) row instead of once per (A, B) row.
+    """
+
+    AS, PER_A, DS = 10, 3, 25  # |cos(D)| = 25 < |cos(B)| = |cos(C)| = 30
+
+    def _graph_and_query(self):
+        labels, edges = ["X"], []  # node 0: the hub every A reaches every D through
+
+        def add(label):
+            labels.append(label)
+            return len(labels) - 1
+
+        a_nodes = [add("A") for _ in range(self.AS)]
+        b_nodes = [[add("B") for _ in range(self.PER_A)] for _ in a_nodes]
+        c_nodes = [[add("C") for _ in range(self.PER_A)] for _ in a_nodes]
+        for i, a in enumerate(a_nodes):
+            edges.append((a, 0))
+            for j in range(self.PER_A):
+                edges += [(a, b_nodes[i][j]), (a, c_nodes[i][j]), (b_nodes[i][j], c_nodes[i][j])]
+                # A B-to-C edge that does not close a triangle.
+                edges.append((b_nodes[i][j], c_nodes[(i + 1) % self.AS][j]))
+        edges += [(0, add("D")) for _ in range(self.DS)]
+        query = PatternQuery(
+            ["A", "B", "C", "D"],
+            [(0, 1, "child"), (1, 2, "child"), (0, 2, "child"), (0, 3, "descendant")],
+            name="triangle+pendant",
+        )
+        return DataGraph(labels, edges, name="pendant"), query
+
+    def _closing_work(self, rig, order):
+        """Adjacency lists probed where the triangle closes, and the rows."""
+        step_stats: list = []
+        rows = list(mjoin_iter(rig, order, _budget(None), step_stats=step_stats))
+        closing = max(order.index(node) for node in (0, 1, 2))
+        return step_stats[closing]["intersections"], rows
+
+    def test_jo_closes_the_triangle_before_the_leaf(self):
+        graph, query = self._graph_and_query()
+        rig = build_rig(MatchContext(graph), query).rig
+        assert rig.candidate_count(3) < min(rig.candidate_count(1), rig.candidate_count(2))
+        order = search_order(rig.query, rig, OrderingMethod.JO)
+        assert order[-1] == 3
+        # The closing position probes two lists per (A, B) prefix row, and no more.
+        prefix_rows = rig.edge_candidate_count(0, 1)
+        work, rows = self._closing_work(rig, order)
+        assert work <= 2 * prefix_rows
+        # The |cos|-ranked order, leaf second, does the closing work per leaf value.
+        leaf_second, leaf_rows = self._closing_work(rig, [0, 3, 1, 2])
+        assert leaf_second == self.DS * work and sorted(leaf_rows) == sorted(rows)
+
+    def test_every_order_and_a_capped_prefix_are_answers(self):
+        graph, query = self._graph_and_query()
+        expected = set(bruteforce_homomorphisms(graph, query))
+        assert len(expected) == self.AS * self.PER_A * self.DS
+        rig = build_rig(MatchContext(graph), query).rig
+        for method in OrderingMethod:
+            rows = list(mjoin_iter(rig, search_order(rig.query, rig, method), _budget(None)))
+            assert len(rows) == len(expected) and set(rows) == expected
+        capped = list(mjoin_iter(rig, budget=_budget(7)))
+        assert len(capped) == len(set(capped)) == 7 and set(capped) <= expected
 
 
 def test_plan_is_compiled_once_per_rig_and_order(paper_context, paper_query):

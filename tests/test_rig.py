@@ -138,7 +138,28 @@ class TestRuntimeIndexGraphStructure:
         install(rig, paper_query.edge(1, 2), [(B0, C0)])
         assert rig.prune_unmatched_candidates() == 1
         assert (rig.candidates(0), rig.candidates(1)) == ({A1, A2}, {B0})
-        assert rig.forward_index(0, 1)[A1] == {B0, B2}  # adjacency is left as stored
+        # Adjacency is restricted to the survivors: no pair names B2 any more.
+        assert rig.forward_index(0, 1) == {A1: {B0}, A2: {B0}}
+        assert rig.backward_index(0, 1) == {B0: {A1, A2}}
+        assert rig.num_rig_edges() == 2 + 2 + 1
+
+    def test_prune_restricts_a_shared_set_once(self, paper_query):
+        rig = RuntimeIndexGraph(paper_query)
+        rig.set_candidates(0, [A1, A2])
+        rig.set_candidates(1, [B0, B2])
+        rig.set_candidates(2, [C0])
+        shared, tails = frozenset([B0, B2]), frozenset([A1, A2])
+        rig.set_edge_adjacency(
+            paper_query.edge(0, 1), {A1: shared, A2: shared}, {B0: tails, B2: tails}
+        )
+        install(rig, paper_query.edge(0, 2), [(A1, C0), (A2, C0)])
+        kept = rig.forward_index(0, 2)[A1]
+        install(rig, paper_query.edge(1, 2), [(B0, C0)])
+        assert rig.prune_unmatched_candidates() == 1
+        forward = rig.forward_index(0, 1)
+        assert forward[A1] == {B0} and forward[A1] is forward[A2]  # still one object
+        assert B2 not in rig.backward_index(0, 1)
+        assert rig.forward_index(0, 2)[A1] is kept  # lost nothing: not copied
 
     def test_prune_empties_the_rig_when_one_edge_has_no_pairs(self, paper_query):
         rig = RuntimeIndexGraph(paper_query)
@@ -263,8 +284,8 @@ class TestSharedAdjacency:
     def test_every_build_path_stores_builtin_sets(
         self, paper_context, paper_query, variant, child_check
     ):
-        # MJoin intersects ``cos(q)`` with adjacency and pruning calls
-        # ``isdisjoint`` on it, whichever way BuildRIG filled the RIG.
+        # MJoin intersects adjacency lists and pruning calls ``isdisjoint``
+        # on them, whichever way BuildRIG filled the RIG.
         if variant is None:
             rig = build_match_rig(paper_context, paper_query).rig
         else:
@@ -284,7 +305,7 @@ class TestSharedAdjacency:
                     assert type(adjacency) is frozenset
                     assert type(partners & adjacency) is set
 
-    def test_pruning_changes_candidates_only(self):
+    def test_pruning_never_mutates_installed_adjacency(self):
         graph = DataGraph("AABB", [(0, 2), (0, 3), (1, 2)])
         query = PatternQuery(["A", "B"], [(0, 1, "child")])
         rig = build_match_rig(MatchContext(graph), query).rig
@@ -295,8 +316,11 @@ class TestSharedAdjacency:
         assert rig.prune_unmatched_candidates() == 1
         assert set(rig.candidates(0)) == {1} and set(rig.candidates(1)) == {2}
         after = [{key: (id(value), set(value)) for key, value in index.items()} for index in indexes]
-        assert after == before
-        assert indexes[0] is rig.forward_index(0, 1) and indexes[1] is rig.backward_index(0, 1)
+        assert after == before  # the installed dicts and sets are untouched ...
+        # ... and the RIG holds restricted copies; a set that lost nothing is reused.
+        assert rig.forward_index(0, 1) == {1: {2}} and rig.forward_index(0, 1)[1] is indexes[0][1]
+        assert rig.backward_index(0, 1) == {2: {1}}
+        assert rig.num_rig_edges() == 1
 
     def test_shared_layout_allocates_a_fraction_of_the_per_pair_layout(self):
         """Memory guard, no timing: on the sparse shape (uniform random,
