@@ -16,7 +16,8 @@ the pieces most applications need:
 * :class:`Budget` / :class:`MatchReport` — per-query limits and outcomes;
 * :class:`MatchStream` — incremental (pipelined) match iteration with
   running counters, finalising into a :class:`MatchReport`;
-* :class:`QuerySession` — cached-index batch execution over one graph;
+* :class:`QuerySession` — cached per-graph indexes shared by every query
+  over one graph;
 * :class:`GraphDelta` / :class:`MutableDataGraph` — batched graph updates
   with incremental index maintenance (``session.apply(delta)``);
 * :class:`GraphDB` — the unified facade: open / ingest / apply / query /
@@ -86,12 +87,11 @@ from repro.matching import (
 )
 from repro.baselines import JMMatcher, TMMatcher, ISOMatcher, bruteforce_homomorphisms
 from repro.dynamic import ApplyReport, GraphDelta, MutableDataGraph
-from repro.session import BatchReport, QuerySession
+from repro.session import QuerySession
 from repro.store import StoreSnapshot, VersionedGraphStore
 from repro.service import (
     QueryService,
     QueryTicket,
-    ServiceBatchReport,
     ServiceConfig,
     StreamingResult,
 )
@@ -151,7 +151,6 @@ __all__ = [
     "ApplyReport",
     "GraphDelta",
     "MutableDataGraph",
-    "BatchReport",
     "QuerySession",
     "QueryCancelled",
     "StaleIndexError",
@@ -161,7 +160,6 @@ __all__ = [
     "VersionedGraphStore",
     "QueryService",
     "QueryTicket",
-    "ServiceBatchReport",
     "ServiceConfig",
     "StreamingResult",
     "GraphDB",

@@ -31,7 +31,7 @@ working — the facade only composes them.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.maintenance import ApplyReport
@@ -41,7 +41,7 @@ from repro.matching.result import Budget, MatchReport
 from repro.obs.telemetry import Telemetry
 from repro.query.parser import parse_query
 from repro.query.pattern import PatternQuery
-from repro.service.service import QueryService, ServiceBatchReport, ServiceConfig, StreamingResult
+from repro.service.service import QueryService, ServiceConfig, StreamingResult
 from repro.session.session import QuerySession
 from repro.store.versioned import Reader, StoreSnapshot, VersionedGraphStore
 
@@ -391,21 +391,6 @@ class GraphDB(Reader):
             keep_occurrences=keep_occurrences,
             trace_id=trace_id,
         )
-
-    def run_batch(self, queries, **options) -> ServiceBatchReport:
-        """Execute a whole batch against a pin of the head; see
-        :meth:`QueryService.run_batch` for the options.
-
-        ``queries`` is a name -> query mapping or an iterable of queries,
-        each a :class:`PatternQuery` or DSL text.  Every entry has one
-        outcome, in order, named by its key or ``query.name``; unnamed text
-        parses as ``q{index}`` — as the wire server names a remote batch.
-        """
-        if isinstance(queries, Mapping):
-            queries = {name: self._as_query(query, name) for name, query in queries.items()}
-        else:
-            queries = [self._as_query(query, f"q{index}") for index, query in enumerate(queries)]
-        return self.service.run_batch(queries, **options)
 
     def pin(self, version: Optional[int] = None) -> StoreSnapshot:
         """Pin a version (head by default) for repeated consistent reads.

@@ -4,8 +4,7 @@ A :class:`GraphClient` speaks the frame protocol of
 :mod:`repro.server.protocol` over one blocking socket and exposes the same
 method surface as :class:`~repro.api.GraphDB` — ``ingest`` / ``apply`` /
 ``apply_async`` / ``query`` / ``stream`` / ``count`` / ``histogram`` /
-``explain`` / ``run_batch`` / ``pin`` / ``stats`` / ``save`` — plus the
-catalog's tenant
+``explain`` / ``pin`` / ``stats`` / ``save`` — plus the catalog's tenant
 lifecycle (``create_graph`` / ``drop_graph`` / ``graphs``).  Existing
 facade callers switch transports without code changes::
 
@@ -16,8 +15,8 @@ facade callers switch transports without code changes::
 
 Results come back as the same domain objects the facade returns —
 :class:`~repro.matching.result.MatchReport`,
-:class:`~repro.dynamic.ApplyReport`,
-:class:`~repro.service.ServiceBatchReport` — and server-side errors
+:class:`~repro.dynamic.ApplyReport`, :class:`~repro.explain.QueryPlan` —
+and server-side errors
 re-raise as the same exception classes (a shed request raises
 :class:`~repro.exceptions.ServiceOverloadedError` with its ``reason``, a
 missing tenant raises :class:`~repro.exceptions.UnknownGraphError`, a
@@ -264,7 +263,7 @@ class GraphClient(Reader):
     reconnect:
         When True (default), a connection dropped under an **idempotent
         read** (``query`` / ``count`` / ``explain`` / ``histogram`` /
-        ``run_batch`` / ``graphs`` / ``stats`` / ...) is transparently
+        ``graphs`` / ``stats`` / ...) is transparently
         re-established — up to ``max_retries`` times, with bounded
         exponential backoff plus jitter — and the request resent.
         Writes (``ingest`` / ``apply`` / ...) are **never** retried: a

@@ -14,7 +14,7 @@ surface:
   exactly one home, and silently retrying a fold the server may already
   have applied would double it.
 * **reads** (``query`` / ``count`` / ``explain`` / ``histogram`` /
-  ``run_batch`` / ``stream``) fan out across the replicas round-robin,
+  ``stream``) fan out across the replicas round-robin,
   subject to a staleness floor built from the version chain:
   ``read_your_writes=True`` (default) pins this client to versions at or
   above its own last acknowledged write, and ``max_staleness=k`` bounds
@@ -463,7 +463,7 @@ class RoutedClient(Reader):
         self._note_write(self._graph_name(graph), version)
 
     # ------------------------------------------------------------------ #
-    # reads -> replicas (primary fallback); the six Reader verbs arrive
+    # reads -> replicas (primary fallback); the five Reader verbs arrive
     # through _read as well
     # ------------------------------------------------------------------ #
 

@@ -1,10 +1,7 @@
 """Shared quantile helpers: one percentile definition for the whole stack.
 
-Three layers grew their own percentile code (``BatchReport``, the service's
-latency stats, benchmark helpers); this module is the single canonical
-implementation they now all import.  The nearest-rank definition is kept
-bit-for-bit identical to the original ``repro.session.batch.percentile`` so
-historical numbers stay comparable.
+:func:`percentile` is the one nearest-rank percentile definition (the
+service's latency stats read it), so numbers stay comparable over history.
 
 :class:`Reservoir` is the bounded companion: a uniform sample over an
 unbounded observation stream (Vitter's algorithm R), so long-running
@@ -23,8 +20,7 @@ from typing import List, Optional, Sequence
 def percentile(samples: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of ``samples`` (``fraction`` in ``[0, 1]``).
 
-    Returns ``0.0`` for an empty sample set, matching the historical
-    behaviour of the batch-report percentiles.
+    Returns ``0.0`` for an empty sample set.
     """
     if not samples:
         return 0.0

@@ -270,7 +270,7 @@ class GraphCatalog:
     ) -> None:
         """Remove a tenant; an owned database is closed (workers stopped).
 
-        A tenant with live pinned snapshots — a client-held pin, a batch
+        A tenant with live pinned snapshots — a client-held pin, a query
         mid-flight, a server stream still paging — is **refused**
         (:class:`~repro.exceptions.CatalogError` naming the pin count):
         closing its store under those readers would yank every pinned

@@ -70,12 +70,10 @@ from repro.explain.plan import QueryPlan
 from repro.framing import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
-    Rows,
     check_length,
     decode_body,
     decode_length,
     encode_frame,
-    rows_from_wire,
 )
 from repro.exceptions import (
     CatalogError,
@@ -96,11 +94,9 @@ from repro.exceptions import (
     UnknownGraphError,
     WalError,
 )
-from repro.matching.result import Budget, MatchReport, jsonable
+from repro.matching.result import Budget, MatchReport
 from repro.obs.context import TraceContext
 from repro.query.pattern import PatternQuery
-from repro.service.service import ServiceBatchReport
-from repro.session.batch import QueryOutcome
 
 __all__ = [
     "APPLY_REPORT",
@@ -198,52 +194,6 @@ def _apply_report_from_wire(payload: Dict[str, object]) -> ApplyReport:
     )
 
 
-def _batch_report_to_wire(report: ServiceBatchReport) -> Dict[str, object]:
-    """Each outcome's occurrences travel as one packed rows block."""
-    return {
-        "engine": report.engine,
-        "wall_seconds": report.wall_seconds,
-        "workers": report.workers,
-        "cache_hits": dict(report.cache_hits),
-        "cache_misses": dict(report.cache_misses),
-        "version": report.version,
-        "outcomes": [
-            {
-                "name": outcome.name,
-                "seconds": outcome.seconds,
-                "num_matches": outcome.num_matches,
-                "status": outcome.status,
-                "occurrences": Rows(outcome.occurrences),
-                "extra": {key: jsonable(value) for key, value in outcome.extra.items()},
-            }
-            for outcome in report.outcomes
-        ],
-    }
-
-
-def _batch_report_from_wire(payload: Dict[str, object]) -> ServiceBatchReport:
-    outcomes = [
-        QueryOutcome(
-            name=str(raw.get("name", "query")),
-            seconds=float(raw.get("seconds", 0.0)),
-            num_matches=int(raw.get("num_matches", 0)),
-            status=str(raw.get("status", "ok")),
-            occurrences=rows_from_wire(raw.get("occurrences", ()), "occurrences"),
-            extra=dict(raw.get("extra", ())),
-        )
-        for raw in payload.get("outcomes", ())
-    ]
-    return ServiceBatchReport(
-        engine=str(payload.get("engine", "GM")),
-        outcomes=outcomes,
-        wall_seconds=float(payload.get("wall_seconds", 0.0)),
-        workers=int(payload.get("workers", 1)),
-        cache_hits=dict(payload.get("cache_hits", ())),
-        cache_misses=dict(payload.get("cache_misses", ())),
-        version=int(payload.get("version", -1)),
-    )
-
-
 #: The answer of the folding ops (``ingest``, ``apply``, ``apply_wait``).
 APPLY_REPORT = Reply(_apply_report_to_wire, _apply_report_from_wire)
 
@@ -281,11 +231,6 @@ OPS: Dict[str, OpFlags] = {
             lambda histogram: {"histogram": histogram},
             lambda payload: dict(payload["histogram"]),
         ),
-    ),
-    "run_batch": _op(
-        "graph", "queries! engine budget workers keep_occurrences timeout",
-        idempotent=True, pin=True,
-        reply=Reply(_batch_report_to_wire, _batch_report_from_wire),
     ),
     "pin": _op("graph", "version"),
     "release": _op("node", "pin!"),
@@ -360,28 +305,6 @@ def _query_to_wire(query):
     )
 
 
-def _is_batch(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(entry, dict)
-        and _is_query(entry.get("query"))
-        and (entry.get("name") is None or _is_text(entry["name"]))
-        for entry in value
-    )
-
-
-def _batch_from_wire(value):
-    """``[{"name": ..., "query": ...}, ...]`` -> ``[(name, query), ...]``."""
-    return [(entry.get("name"), _query_from_wire(entry["query"])) for entry in value]
-
-
-def _batch_to_wire(queries):
-    if isinstance(queries, Mapping):
-        pairs = queries.items()
-    else:
-        pairs = ((getattr(query, "name", None), query) for query in queries)
-    return [{"name": name, "query": _query_to_wire(query)} for name, query in pairs]
-
-
 #: The budget limits a request may set, and what each must be.
 _BUDGET_LIMITS = {
     "max_matches": _is_int,
@@ -428,19 +351,16 @@ FIELDS: Dict[str, Codec] = {
     **dict.fromkeys(
         ("version", "from_version", "node", "limit", "after_seq"), Codec("an integer", _is_int)
     ),
-    **dict.fromkeys(("page_size", "workers"), Codec("an integer >= 1", _is_count)),
+    "page_size": Codec("an integer >= 1", _is_count),
     **dict.fromkeys(
         ("deadline_seconds", "timeout"),
         Codec("a number", lambda value: type(value) in (int, float)),
     ),
     **dict.fromkeys(
-        ("analyze", "delete_storage", "exist_ok", "force", "keep_occurrences"),
+        ("analyze", "delete_storage", "exist_ok", "force"),
         Codec("a boolean", lambda value: type(value) is bool),
     ),
     "query": Codec("DSL text or a query object", _is_query, _query_from_wire, _query_to_wire),
-    "queries": Codec(
-        "a list of {name, query} objects", _is_batch, _batch_from_wire, _batch_to_wire
-    ),
     "budget": Codec(
         "an object of integer (seconds: number) or null limits",
         _is_budget,

@@ -2,8 +2,8 @@
 
 The server puts the :class:`~repro.api.GraphDB` facade on the wire: every
 facade capability — ``ingest`` / ``apply`` / ``apply_async`` / ``query`` /
-``stream`` / ``count`` / ``explain`` / ``histogram`` / ``run_batch`` /
-``pin`` / ``stats`` / ``save`` — plus the tenant lifecycle of a
+``stream`` / ``count`` / ``explain`` / ``histogram`` / ``pin`` / ``stats``
+/ ``save`` — plus the tenant lifecycle of a
 :class:`~repro.server.catalog.GraphCatalog` (``create_graph`` /
 ``drop_graph`` / ``graphs``) is one request frame away (see
 :mod:`repro.server.protocol` for the frame format).  Each introspection
@@ -64,7 +64,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import quote
 
 from repro.api import GraphDB
@@ -193,19 +193,6 @@ def _read(verb: str):
         return encode(read(query, engine=engine, budget=budget, **options))
 
     return _on_executor(call)
-
-
-def _run_batch(graph, database, queries, snapshot=None, timeout=None, **options):
-    """``run_batch`` on the service at the resolved snapshot: one query per
-    entry, in order, named ``name or query.name or f"q{index}"`` (unnamed
-    DSL text parses as ``q{index}``)."""
-    batch: List[PatternQuery] = []
-    for index, (name, payload) in enumerate(queries):
-        query = _decode_query(payload, name or f"q{index}")
-        query.name = name or query.name or f"q{index}"
-        batch.append(query)
-    report = database.service.run_batch(batch, snapshot=snapshot, **options)
-    return OPS["run_batch"].reply.encode(report)
 
 
 class _ServerStream(StreamWindow):
@@ -633,7 +620,6 @@ class _Connection:
     _op_count = _read("count")
     _op_explain = _read("explain")
     _op_histogram = _read("histogram")
-    _op_run_batch = _on_executor(_run_batch)
 
     async def _fold(self, op, graph, database, trace, fold) -> Dict[str, object]:
         """Run one write under the request's trace context; its apply report.

@@ -3,10 +3,11 @@
 The serving layer on top of :mod:`repro.store`:
 
 * :class:`QueryService` — a worker pool executing queries against pinned
-  MVCC snapshots; batch execution (:meth:`~QueryService.run_batch`) pins
-  one version for the whole batch, single submits pin the head at
-  execution time.  Writes go to the store (``service.store.apply`` or
-  its background writer queue).
+  MVCC snapshots; a submit pins the head at execution time, or runs in
+  the caller's ``snapshot`` — many queries at one version are one
+  ``store.pin()`` plus one :meth:`~QueryService.submit` per query, each
+  admitted, traced and counted like any other.  Writes go to the store
+  (``service.store.apply`` or its background writer queue).
 * **Admission control** — a bounded queue sheds on overload
   (:class:`~repro.exceptions.ServiceOverloadedError`), per-request
   deadlines shed stale queued work and clamp the running query's
@@ -24,7 +25,9 @@ The serving layer on top of :mod:`repro.store`:
 
 >>> with QueryService(graph, config=ServiceConfig(workers=4)) as service:
 ...     ticket = service.submit(query)            # admission-controlled
-...     batch = service.run_batch(queries)        # one pinned version
+...     with service.store.pin() as snap:         # one pinned version
+...         tickets = [service.submit(q, snapshot=snap) for q in queries]
+...         reports = [t.result() for t in tickets]
 ...     service.store.apply(delta)                # publishes a new head
 ...     service.stats_snapshot()["latency_p95_seconds"]
 """
@@ -32,7 +35,6 @@ The serving layer on top of :mod:`repro.store`:
 from repro.service.service import (
     QueryService,
     QueryTicket,
-    ServiceBatchReport,
     ServiceConfig,
     StreamingResult,
     TICKET_CANCELLED,
@@ -46,7 +48,6 @@ from repro.service.service import (
 __all__ = [
     "QueryService",
     "QueryTicket",
-    "ServiceBatchReport",
     "ServiceConfig",
     "StreamingResult",
     "TICKET_CANCELLED",

@@ -1,9 +1,9 @@
 """Concurrent query service over a versioned graph store.
 
 :class:`QueryService` is the serving layer: a fixed worker pool executes
-admitted queries against **pinned store snapshots**, so a query (or a whole
-batch) always answers from one consistent graph version while the store
-folds updates behind it.
+admitted queries against **pinned store snapshots**, so a query (or every
+query submitted into one caller's snapshot) answers from one consistent
+graph version while the store folds updates behind it.
 
 Admission control
 -----------------
@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import (
     QueryCancelled,
@@ -54,7 +54,6 @@ from repro.obs.quantiles import Reservoir, percentile
 from repro.obs.telemetry import Telemetry, require_one_registry
 from repro.obs.trace import NULL_TRACE
 from repro.query.pattern import PatternQuery
-from repro.session.batch import BatchReport
 from repro.store.versioned import StoreSnapshot, VersionedGraphStore
 
 #: Ticket lifecycle states.
@@ -414,14 +413,6 @@ class PagedResult:
         self.close()
 
 
-@dataclass
-class ServiceBatchReport(BatchReport):
-    """A :class:`BatchReport` that also names the pinned graph version."""
-
-    #: The store version every query of the batch was answered against.
-    version: int = -1
-
-
 class StreamingResult(PagedResult):
     """Pipelined, paginated iteration over one query's occurrences.
 
@@ -759,54 +750,6 @@ class QueryService:
         return StreamingResult(ticket, snapshot, page_size)
 
     # ------------------------------------------------------------------ #
-    # batches
-    # ------------------------------------------------------------------ #
-
-    def run_batch(
-        self,
-        queries: Union[Mapping[str, PatternQuery], Iterable[PatternQuery]],
-        engine: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        workers: Optional[int] = None,
-        keep_occurrences: bool = True,
-        snapshot: Optional[StoreSnapshot] = None,
-    ) -> ServiceBatchReport:
-        """Execute a whole batch against one pinned version.
-
-        The batch pins the head (or runs inside the caller's ``snapshot``)
-        and fans out over the epoch session's thread pool; every query of
-        the batch is therefore answered from the same graph version even
-        while the store publishes new heads.  The report carries that
-        version alongside the usual latency/throughput aggregates.
-        """
-        engine, budget = self.defaults(engine, budget)
-        own_pin = snapshot is None
-        snap = snapshot or self.store.pin()
-        try:
-            report = snap.run_batch(
-                queries,
-                engine=engine,
-                workers=workers if workers is not None else self.config.workers,
-                budget=budget,
-                keep_occurrences=keep_occurrences,
-            )
-            for outcome in report.outcomes:
-                self._m_submitted.inc()
-                self._note_completed(outcome.seconds, outcome.status)
-            return ServiceBatchReport(
-                engine=report.engine,
-                outcomes=report.outcomes,
-                wall_seconds=report.wall_seconds,
-                workers=report.workers,
-                cache_hits=report.cache_hits,
-                cache_misses=report.cache_misses,
-                version=snap.version,
-            )
-        finally:
-            if own_pin:
-                snap.release()
-
-    # ------------------------------------------------------------------ #
     # worker pool
     # ------------------------------------------------------------------ #
 
@@ -1064,12 +1007,11 @@ class QueryService:
         """Service counts, latency percentiles and the store's gauges.
 
         Every count is a read of the ``service_*`` families.  Latencies run
-        from admission to completion (for a batch query, its execution
-        time); the percentiles are nearest-rank over the latency
-        :class:`~repro.obs.Reservoir`, a uniform sample of the service's
-        whole history.  Sheds split by reason: ``queue_full`` (queue at
-        capacity at submit time) and ``deadline`` (expired before a worker
-        picked the request up).
+        from admission to completion; the percentiles are nearest-rank over
+        the latency :class:`~repro.obs.Reservoir`, a uniform sample of the
+        service's whole history.  Sheds split by reason: ``queue_full``
+        (queue at capacity at submit time) and ``deadline`` (expired before
+        a worker picked the request up).
         """
         read = self.telemetry.registry.read
         status_counts = {

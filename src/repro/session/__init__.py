@@ -1,4 +1,4 @@
-"""Cached-index batch query execution: the :class:`QuerySession` façade.
+"""Cached-index query execution: the :class:`QuerySession` façade.
 
 Why a session?
 --------------
@@ -53,31 +53,28 @@ in-place :meth:`~QuerySession.apply` raise so updates cannot bypass the
 store.  A standalone (unfrozen) session still supports in-place ``apply``
 for single-owner use.
 
-When to prefer ``run_batch``
-----------------------------
-Use :meth:`QuerySession.query` for one-off, latency-sensitive calls.  Use
-:meth:`QuerySession.run_batch` whenever you have a *workload*: it warms the
-matcher once, optionally fans the queries out over a thread pool
-(``workers=N``) while enforcing per-query :class:`~repro.matching.result.Budget`
-limits, and returns a :class:`BatchReport` with latency percentiles,
-solved/match counts, throughput and the cache-counter deltas for the batch —
-the numbers a serving system actually monitors.
+Many queries
+------------
+A session answers one query per call; there is no batch verb.  A session
+is one graph version until :meth:`QuerySession.apply`, so a workload is a
+loop of :meth:`QuerySession.query` calls — from any number of threads,
+since match execution only reads shared state.  Under a store, pin the
+version first (``store.pin()`` / ``GraphDB.pin()``) and read through the
+snapshot; for admitted parallel execution (queue limit, deadlines,
+tracing) submit each query to the service with
+``QueryService.submit(query, snapshot=snap)``.
 
 >>> session = QuerySession(graph)
->>> report = session.run_batch(queries, engine="GM", workers=4)
->>> report.p50, report.throughput_qps, report.cache_hits
+>>> reports = [session.query(q, engine="GM") for q in queries]
+>>> session.cache_counts()["misses"] # artifacts built for the workload
 >>> session.apply(delta)             # graph update: patch, don't rebuild
->>> session.run_batch(queries)       # served against the new version
+>>> session.query(queries[0])        # served against the new version
 """
 
 from repro.dynamic.maintenance import ApplyReport
-from repro.session.batch import BatchReport, QueryOutcome, percentile
 from repro.session.session import QuerySession
 
 __all__ = [
     "ApplyReport",
-    "BatchReport",
-    "QueryOutcome",
     "QuerySession",
-    "percentile",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.iso import ISOMatcher
 from repro.baselines.jm import JMMatcher
@@ -38,7 +38,6 @@ from repro.query.pattern import PatternQuery
 from repro.reachability.base import ReachabilityIndex
 from repro.reachability.transitive_closure import TransitiveClosureIndex
 from repro.rig.build import RIGBuildReport
-from repro.session.batch import BatchReport, QueryOutcome
 from repro.simulation.context import MatchContext
 
 
@@ -61,15 +60,6 @@ _COMPARATOR_BUILDERS: Dict[str, Callable[["QuerySession"], object]] = {
     "catalog": lambda session: build_catalog(session.graph),
     "partitions": lambda session: build_edge_partitions(session.graph),
 }
-
-
-def _delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, int]:
-    """Per-artifact increase between two ``by="artifact"`` registry reads."""
-    return {
-        key: int(value - before.get(key, 0))
-        for key, value in after.items()
-        if value != before.get(key, 0)
-    }
 
 
 class _ObservedRigCache(dict):
@@ -137,8 +127,8 @@ class QuerySession:
     counter, only go up.
 
     Thread safety: artifact construction is serialised by an internal lock;
-    match execution itself only reads shared state, so :meth:`run_batch` may
-    fan queries out over a thread pool.
+    match execution itself only reads shared state, so any number of
+    threads may call :meth:`query` / :meth:`stream` on one session.
     """
 
     def __init__(
@@ -281,7 +271,7 @@ class QuerySession:
         """Register a custom :class:`~repro.engines.base.Engine` subclass.
 
         The engine becomes addressable by ``name`` in :meth:`query` /
-        :meth:`stream` / :meth:`run_batch` (and therefore through the
+        :meth:`stream` / :meth:`count` (and therefore through the
         store, the service and the :class:`~repro.api.GraphDB` facade).
         Registration is process-wide (the registry is class-level) and
         overwrites an existing entry with the same name — tests should
@@ -516,71 +506,6 @@ class QuerySession:
             histogram[label] = histogram.get(label, 0) + 1
         return histogram
 
-    def run_batch(
-        self,
-        queries: Union[Mapping[str, PatternQuery], Iterable[PatternQuery]],
-        engine: str = "GM",
-        workers: int = 1,
-        budget: Optional[Budget] = None,
-        injective: bool = False,
-        keep_occurrences: bool = True,
-    ) -> BatchReport:
-        """Execute a batch of queries and return aggregate statistics.
-
-        ``queries`` is either a name -> query mapping or an iterable of
-        queries (named by their ``.name``).  ``workers > 1`` fans the batch
-        out over a thread pool; every query still honours the per-query
-        ``budget`` (time limit, match cap, intermediate cap).  Results are
-        returned in input order regardless of worker count.
-        """
-        if isinstance(queries, Mapping):
-            items: List[Tuple[str, PatternQuery]] = list(queries.items())
-        else:
-            items = [(query.name, query) for query in queries]
-
-        # Warm the matcher once so worker threads never race its construction.
-        self.matcher(engine)
-        registry = self.telemetry.registry
-        hits_before = registry.read("session_cache_hits_total", by="artifact")
-        misses_before = registry.read("session_cache_misses_total", by="artifact")
-
-        def run_one(item: Tuple[str, PatternQuery]) -> QueryOutcome:
-            name, query = item
-            started = time.perf_counter()
-            report = self.query(query, engine=engine, budget=budget, injective=injective)
-            elapsed = time.perf_counter() - started
-            return QueryOutcome(
-                name=name,
-                seconds=elapsed,
-                num_matches=report.num_matches,
-                status=report.status.value,
-                occurrences=tuple(report.occurrences) if keep_occurrences else (),
-                extra=dict(report.extra),
-            )
-
-        wall_start = time.perf_counter()
-        if workers > 1 and len(items) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_one, items))
-        else:
-            outcomes = [run_one(item) for item in items]
-        wall_seconds = time.perf_counter() - wall_start
-
-        return BatchReport(
-            engine=engine,
-            outcomes=outcomes,
-            wall_seconds=wall_seconds,
-            workers=max(1, workers),
-            cache_hits=_delta(
-                hits_before, registry.read("session_cache_hits_total", by="artifact")
-            ),
-            cache_misses=_delta(
-                misses_before, registry.read("session_cache_misses_total", by="artifact")
-            ),
-        )
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -708,7 +633,7 @@ class QuerySession:
     def freeze(self) -> None:
         """Mark this session as an immutable store epoch.
 
-        A frozen session keeps serving reads (queries, batches) but
+        A frozen session keeps serving reads (queries, streams) but
         :meth:`apply` raises :class:`~repro.exceptions.StoreError`: graph
         updates must flow through the owning
         :class:`~repro.store.VersionedGraphStore`, which forks a fresh

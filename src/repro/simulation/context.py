@@ -598,14 +598,6 @@ class MatchContext:
             return self.reachability.reaches_strict(u, v)
         return self.reachability.reaches(u, v)
 
-    def edge_match_with_method(
-        self, edge: PatternEdge, u: int, v: int, method: ChildCheckMethod
-    ) -> bool:
-        """Like :meth:`edge_match` but honouring the child-check method."""
-        if edge.is_child and method is ChildCheckMethod.BIN_SEARCH:
-            return self.graph.has_edge_binary_search(u, v)
-        return self.edge_match(edge, u, v)
-
     # ------------------------------------------------------------------ #
     # batch expansions over candidate sets
     # ------------------------------------------------------------------ #

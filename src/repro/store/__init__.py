@@ -3,8 +3,8 @@
 The dynamic subsystem makes *update-then-query* cheap for a
 single-threaded owner: :meth:`QuerySession.apply` moves the session itself
 to the next graph version.  Concurrent readers cannot share a session that
-moves under them, though — a long-running batch must answer from one
-version throughout.  This package serves them with multi-version
+moves under them, though — a reader that asks many questions must get
+every answer from one version.  This package serves them with multi-version
 concurrency control:
 
 * :class:`VersionedGraphStore` — an immutable **version chain**.  Each
@@ -17,7 +17,7 @@ concurrency control:
   an optional background writer queue (:meth:`~VersionedGraphStore.apply_async`)
   folds a streamed feed in submission order.
 * :class:`StoreSnapshot` — an epoch **pin** with refcounted release.  A
-  batch pins the version it starts on and is guaranteed bit-identical
+  reader pins the version it starts on and is guaranteed bit-identical
   answers for that version no matter how many writes land meanwhile;
   releasing the last pin lets the store garbage-collect the epoch and its
   cached indexes.
@@ -29,7 +29,7 @@ a tiny chain mutex, folding happens outside it.
 
 >>> store = VersionedGraphStore(graph)
 >>> with store.pin() as snap:          # epoch pinned
-...     snap.run_batch(queries)        # consistent at snap.version
+...     reports = [snap.query(q) for q in queries]   # all at snap.version
 >>> store.apply(delta)                 # publishes a new head meanwhile
 """
 

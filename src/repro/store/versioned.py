@@ -11,8 +11,8 @@ Concurrency contract
 --------------------
 * **Readers pin, never lock.**  :meth:`VersionedGraphStore.pin` increments
   a refcount on the current head under a tiny chain mutex and hands back a
-  :class:`StoreSnapshot`; every read the snapshot serves — single queries,
-  whole batches — sees that one version forever, no matter how many writes
+  :class:`StoreSnapshot`; every read the snapshot serves — queries, counts,
+  streams — sees that one version forever, no matter how many writes
   publish behind it.
 * **Writers fold, then publish.**  :meth:`VersionedGraphStore.apply` forks
   the head's session (:meth:`QuerySession.fork`: it shares the built
@@ -71,18 +71,19 @@ class VersionRecord:
 
 
 class Reader:
-    """The six read verbs, declared once over one abstract :meth:`_read`.
+    """The five read verbs, declared once over one abstract :meth:`_read`.
 
     Every layer that forwards reads — a pinned :class:`StoreSnapshot`, the
     :class:`~repro.api.GraphDB` facade, the wire
     :class:`~repro.client.GraphClient` and its server-side pins, the replica
     router — is a ``Reader`` and writes only ``_read(verb, *args,
     **options)``; a layer overrides a verb only where it does different
-    work.  :class:`~repro.session.QuerySession` implements all six itself:
+    work.  :class:`~repro.session.QuerySession` implements all five itself:
     it is where evaluation happens.
 
-    Each verb takes the query (DSL text is accepted from the facade up) or,
-    for :meth:`run_batch`, the batch, plus keyword options.  Which options a
+    Each verb takes one query (DSL text is accepted from the facade up)
+    plus keyword options; many queries at one version are a pin plus one
+    read per query.  Which options a
     layer takes is the layer's own (``docs/architecture.md``, "The reader
     surface"); one it does not take raises :class:`TypeError` before
     anything runs or any frame is sent.
@@ -130,12 +131,6 @@ class Reader:
         version until it is drained or closed.
         """
         return self._read("stream", query=query, **options)
-
-    def run_batch(self, queries, **options):
-        """Execute a batch — a name -> query mapping or an iterable of
-        queries — against one graph version; a batch report with one
-        outcome per query."""
-        return self._read("run_batch", queries=queries, **options)
 
     def _read(self, verb: str, *args, **options):
         """Answer one read verb: the one method a reader layer writes."""
@@ -436,7 +431,7 @@ class VersionedGraphStore:
         """Total live pins across every retained epoch.
 
         The gauge a catalog consults before dropping a tenant: a non-zero
-        count means snapshots (and the batches / streams reading through
+        count means snapshots (and the reads / streams going through
         them) are still outstanding.
         """
         with self._chain_lock:

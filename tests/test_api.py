@@ -114,11 +114,13 @@ class TestQuerySurface:
             assert db.count(build_paper_query()) == len(PAPER_ANSWER)
             assert db.count(build_paper_query(), budget=Budget(max_matches=2)) == 2
 
-    def test_run_batch_pins_one_version(self):
+    def test_a_pin_answers_many_queries_at_one_version(self):
         with GraphDB.open(build_paper_graph()) as db:
-            report = db.run_batch({"q1": build_paper_query(), "q2": build_paper_query()})
-            assert report.version == 0
-            assert report.num_queries == 2
+            with db.pin() as snapshot:
+                db.ingest(labels=["A"], edges=[])
+                reports = [snapshot.query(build_paper_query()) for _ in range(2)]
+                assert snapshot.version == 0 and db.head_version == 1
+            assert all(report.occurrence_set() == PAPER_ANSWER for report in reports)
 
 
 class TestWriteSurface:

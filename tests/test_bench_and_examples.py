@@ -143,6 +143,15 @@ class TestExperimentDrivers:
         assert report.rows
         assert len(report.headers) >= 4
 
+    def test_table4_reports_matches_and_mjoin_work(self):
+        report = ALL_EXPERIMENTS["table4"](datasets=("ep",), scale=0.08, budget=TINY_BUDGET)
+        assert report.headers[2] == "matches"
+        assert report.headers[-3:] == ("GM-RI_isect", "GM-JO_isect", "GM-BJ_isect")
+        answered = [row for row in report.rows if row[2]]
+        assert answered, "no Table 4 query has an answer at this scale"
+        for row in answered:  # an answer means MJoin ran under every ordering
+            assert all(isinstance(count, int) and count > 0 for count in row[-3:]), row
+
     def test_run_all_cli_subset(self, tmp_path, capsys):
         output = tmp_path / "out.txt"
         exit_code = run_all_main(["table6", "--scale", "0.08", "--output", str(output)])

@@ -227,8 +227,6 @@ class TestEvaluatorContract:
         calls = (
             lambda: session.query(query, engine=name, injective=True).occurrence_set(),
             lambda: set(session.stream(query, engine=name, injective=True)),
-            lambda: {tuple(o) for o in session.run_batch(
-                [query], engine=name, injective=True).outcomes[0].occurrences},
         )
         for call in calls:
             try:

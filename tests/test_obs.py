@@ -55,16 +55,6 @@ class TestQuantiles:
     def test_percentile_unsorted_input(self):
         assert percentile([5.0, 1.0, 3.0], 0.5) == 3.0
 
-    def test_session_batch_reexports_shared_percentile(self):
-        # The three historical copies collapsed onto repro.obs.quantiles;
-        # the old import paths must keep answering.
-        from repro.obs.quantiles import percentile as canonical
-        from repro.session import percentile as via_session
-        from repro.session.batch import percentile as via_batch
-
-        assert via_session is canonical
-        assert via_batch is canonical
-
     def test_reservoir_below_capacity_keeps_everything(self):
         reservoir = Reservoir(capacity=16)
         for value in range(10):

@@ -1,15 +1,15 @@
 """One set of books: every count lives in the tenant's metrics registry.
 
-* a durable tenant driven through every counter (query, stream, batch,
-  both shed reasons, cancel, failure, no-op apply, epoch GC, checkpoint,
-  checkpoint failure) reports in ``stats()`` exactly what ``metrics()``
+* a durable tenant driven through every counter (query, stream, pinned
+  submits, both shed reasons, cancel, failure, no-op apply, epoch GC,
+  checkpoint, checkpoint failure) reports in ``stats()`` exactly what ``metrics()``
   holds, family by family;
 * every family the metric-naming table of ``docs/architecture.md`` names is
   registered after such a run;
 * counts taken before a layer joins a tenant are not lost: a pre-built
   store or WAL brings its registry along;
-* session counts are per tenant (per session only when bare), survive
-  ``clear()``, and a batch reports the registry's delta.
+* session counts are per tenant (per session only when bare) and survive
+  ``clear()``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ def tenant(tmp_path):
         query = build_paper_query()
         assert db.query(PAPER_DSL).occurrence_set() == PAPER_ANSWER
         assert {row for page in db.stream(PAPER_DSL, page_size=2).pages() for row in page} == PAPER_ANSWER
-        db.run_batch([PAPER_DSL, PAPER_DSL])
+        with db.pin() as snapshot:
+            for _ in range(2):
+                db.service.submit(query, snapshot=snapshot).result(timeout=30.0)
         with pytest.raises(ServiceOverloadedError):
             db.query(PAPER_DSL, deadline_seconds=-1.0)
 
@@ -265,12 +267,3 @@ class TestSessionCounts:
                 # one RIG built per epoch, both counted in the tenant's book
                 assert head.session.cache_counts("rig")["misses"] == 2
                 assert old_session.cache_counts() == head.session.cache_counts()
-
-    def test_batch_reports_the_registry_delta(self, paper_graph, paper_query):
-        session = QuerySession(paper_graph)
-        session.query(paper_query)
-        before = session.cache_counts("rig")
-        batch = session.run_batch({"a": paper_query, "b": paper_query})
-        after = session.cache_counts("rig")
-        assert batch.cache_hits["rig"] == after["hits"] - before["hits"] == 2
-        assert "rig" not in batch.cache_misses

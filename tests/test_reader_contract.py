@@ -1,10 +1,10 @@
-"""The reader contract: seven readers, six verbs, one answer.
+"""The reader contract: seven readers, five verbs, one answer.
 
 Every layer that answers reads — the evaluating :class:`QuerySession`, a
 pinned store snapshot, the :class:`GraphDB` facade and its pins, the wire
 client and its server-side pins, and the replica router — must answer each
-of the six read verbs (``query`` / ``count`` / ``histogram`` / ``explain``
-/ ``stream`` / ``run_batch``) exactly as the session does, refuse an option
+of the five read verbs (``query`` / ``count`` / ``histogram`` / ``explain``
+/ ``stream``) exactly as the session does, refuse an option
 it does not take with :class:`TypeError` before any frame leaves, and
 define in its class body only the verbs it genuinely overrides (everything
 else is :class:`~repro.store.Reader`'s one declaration over ``_read``).
@@ -26,13 +26,12 @@ from repro.store import Reader, StoreSnapshot, VersionedGraphStore
 
 pytestmark = pytest.mark.timeout(120)
 
-VERBS = ("query", "count", "histogram", "explain", "stream", "run_batch")
+VERBS = ("query", "count", "histogram", "explain", "stream")
 
 PAPER_DSL = (
     "node a A\nnode b B\nnode c C\n"
     "edge a -> b\nedge a -> c\nedge b => c"
 )
-AB_DSL = "node a A\nnode b B\nedge a -> b"
 
 #: Per reader: an option that layer does not take (in-process layers take
 #: no wire-only knob; the wire takes no evaluator-only one).
@@ -49,11 +48,6 @@ FOREIGN_OPTION = {
 
 def ab_query(name: str = "ab") -> PatternQuery:
     return PatternQuery(labels=["A", "B"], edges=[(0, 1, EdgeType.CHILD)], name=name)
-
-
-def outcomes(report) -> list:
-    """A batch report's outcomes, in order, as ``(name, status, rows)``."""
-    return [(o.name, o.status, o.occurrence_set()) for o in report.outcomes]
 
 
 def serve(database: GraphDB):
@@ -113,20 +107,14 @@ def answers(reader) -> dict:
     with reader.stream(query) as stream:
         streamed = list(stream)
     plan = reader.explain(query)
-    batch = reader.run_batch({"q0": query, "q1": ab_query()})
-    # Entries that share a name (one query twice, or two unnamed queries:
-    # both take the default name "query") each keep their outcome.
-    unnamed_ac = PatternQuery(labels=["A", "C"], edges=[(0, 1, EdgeType.CHILD)])
-    shared = reader.run_batch([query, query, ab_query("query"), unnamed_ac])
     return {
         "query": reader.query(query).occurrence_set(),
+        "query(ab)": reader.query(ab_query()).occurrence_set(),
         "count": reader.count(query),
         "histogram": reader.histogram(query),
         "histogram(node=1)": reader.histogram(query, node=1),
         "explain": (plan.engine, plan.ordering, plan.vertex_order, plan.digest()),
         "stream": sorted(streamed),
-        "run_batch": outcomes(batch),
-        "run_batch(shared names)": outcomes(shared),
     }
 
 
@@ -153,13 +141,30 @@ class TestEveryReader:
         self, readers, name, verb, sent_frames
     ):
         reader = readers[name]
-        subject = {"queries": [build_paper_query()]} if verb == "run_batch" else {
-            "query": build_paper_query()
-        }
         for option in ("bogus", FOREIGN_OPTION[name]):
             with pytest.raises(TypeError):
-                getattr(reader, verb)(**subject, **{option: True})
+                getattr(reader, verb)(build_paper_query(), **{option: True})
         assert sent_frames == []
+
+
+#: The readers that take DSL text as well as a parsed query: the facade and
+#: every reader on the wire (where the server parses the text).
+TEXT_READERS = ("GraphDB", "GraphClient", "client.pin()", "RoutedClient")
+
+
+class TestTextQueries:
+    @pytest.mark.parametrize("name", TEXT_READERS)
+    def test_text_answers_what_the_parsed_query_answers(self, readers, name):
+        reader, session, query = readers[name], readers["session"], build_paper_query()
+        with reader.stream(PAPER_DSL) as stream:
+            streamed = sorted(stream)
+        with session.stream(query) as stream:
+            expected = sorted(stream)
+        assert reader.query(PAPER_DSL).occurrence_set() == set(PAPER_ANSWER)
+        assert reader.count(PAPER_DSL) == session.count(query)
+        assert reader.histogram(PAPER_DSL, node=1) == session.histogram(query, node=1)
+        assert reader.explain(PAPER_DSL).digest() == session.explain(query).digest()
+        assert streamed == expected
 
 
 class TestStructure:
@@ -169,7 +174,7 @@ class TestStructure:
             RemoteSnapshot: set(),
             RoutedClient: set(),
             GraphClient: {"query", "stream"},
-            GraphDB: {"query", "stream", "run_batch"},
+            GraphDB: {"query", "stream"},
         }
         for cls, allowed in overrides.items():
             assert issubclass(cls, Reader), cls
@@ -205,21 +210,3 @@ class TestTenantDefaults:
         finally:
             server.close()
             database.close()
-
-
-class TestTextBatches:
-    def test_a_text_batch_answers_alike_in_process_and_over_the_wire(self):
-        database = GraphDB.open(build_paper_graph())
-        server = serve(database)
-        batch = [PAPER_DSL, AB_DSL, build_paper_query()]
-        try:
-            local = database.run_batch(batch)
-            with GraphClient(*server.address, graph="paper", timeout=60.0) as client:
-                remote = client.run_batch(batch)
-        finally:
-            server.close()
-            database.close()
-
-        assert outcomes(local) == outcomes(remote)
-        assert [name for name, _, _ in outcomes(local)] == ["q0", "q1", "Q-paper"]
-        assert outcomes(local)[0][2] == set(PAPER_ANSWER)

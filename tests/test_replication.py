@@ -384,7 +384,6 @@ class TestRoutedReads:
         routed.save("g.json")
         for method in ("query", "count", "explain", "histogram", "stream"):
             getattr(routed, method)(PAPER_DSL)
-        routed.run_batch([PAPER_DSL])
         routed.info()
         writes = {method for method, path in routes.items() if path == "write"}
         assert writes == {op for op, flags in OPS.items() if flags.write} | {"save"}
@@ -462,8 +461,7 @@ class TestRoutedReads:
                         assert sorted(routed.query(PAPER_DSL).occurrences) == expected
                         with routed.stream(PAPER_DSL, page_size=2) as stream:
                             assert sorted(stream) == expected
-                        batch = routed.run_batch({"q": PAPER_DSL})
-                        assert sorted(batch.outcomes[0].occurrences) == expected
+                        assert routed.count(PAPER_DSL) == len(expected)
                         reads = routed.registry.snapshot()["routed_reads_total"]["values"]
                         assert any(
                             sample["labels"].get("target") != "primary" and sample["value"]

@@ -16,10 +16,12 @@ synchronous :class:`GraphClient`:
 
 from __future__ import annotations
 
+import re
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,7 @@ from repro.server.protocol import (
     FIELDS,
     OPS,
     encode_frame,
+    encode_request,
     read_frame_sync,
 )
 from repro.server.server import _Connection
@@ -58,6 +61,8 @@ from repro.service import ServiceConfig
 from repro.session import QuerySession
 
 pytestmark = pytest.mark.timeout(120)
+
+ARCHITECTURE_DOC = Path(__file__).resolve().parent.parent / "docs" / "architecture.md"
 
 PAPER_DSL = (
     "node a A\nnode b B\nnode c C\n"
@@ -217,16 +222,15 @@ class TestFacadeParity:
         assert report.num_matches == 2
         assert report.status is MatchStatus.MATCH_LIMIT
 
-    def test_run_batch_matches_in_process(self, client):
+    def test_pinned_reads_match_in_process(self, client):
         session = QuerySession(build_paper_graph())
-        local = session.run_batch({"q0": build_paper_query(), "q1": simple_query()})
-        remote = client.run_batch({"q0": build_paper_query(), "q1": simple_query()})
-        assert remote.version == 0
-        assert remote.num_queries == local.num_queries == 2
-        by_name = {outcome.name: outcome for outcome in remote.outcomes}
-        for outcome in local.outcomes:
-            assert by_name[outcome.name].occurrence_set() == outcome.occurrence_set()
-            assert by_name[outcome.name].status == outcome.status
+        with client.pin() as snapshot:
+            assert snapshot.version == 0
+            for query in (build_paper_query(), simple_query()):
+                local = session.query(query)
+                remote = snapshot.query(query)
+                assert remote.occurrence_set() == local.occurrence_set()
+                assert remote.status == local.status
 
     def test_stream_pages_equal_query_occurrences(self, client):
         remote_pages = []
@@ -295,8 +299,7 @@ class TestWrites:
             assert client.head_version == 1
             # The pinned snapshot still answers from version 0 ...
             assert snapshot.count(simple_query()) == before
-            batch = snapshot.run_batch([simple_query()])
-            assert batch.version == 0
+            assert snapshot.query(simple_query()).num_matches == before
             # ... while unpinned reads see the new head.
             assert client.count(simple_query()) == before + 1
 
@@ -387,7 +390,7 @@ class TestCatalog:
     def test_concurrent_pinned_clients_on_one_tenant(self, server, client):
         # Eight connections share ONE tenant while a writer keeps publishing
         # deltas that change the answer.  Each client pins whatever head it
-        # finds, and every batch / stream it reads through the pin must
+        # finds, and every query / stream it reads through the pin must
         # equal an in-process run on that same (still retained) version.
         db = server.catalog.get("paper")
         queries = {"paper": build_paper_query(), "ab": simple_query()}
@@ -410,12 +413,11 @@ class TestCatalog:
                 with GraphClient(*server.address, graph="paper", timeout=60.0) as cli:
                     for _ in range(rounds):
                         with cli.pin() as remote, db.store.pin(remote.version) as local:
-                            batch = remote.run_batch(queries)
-                            assert batch.version == remote.version
-                            for outcome in batch.outcomes:
-                                truth = local.query(queries[outcome.name])
-                                assert outcome.occurrence_set() == truth.occurrence_set()
-                                assert outcome.num_matches == truth.num_matches
+                            for query in queries.values():
+                                answer = remote.query(query)
+                                truth = local.query(query)
+                                assert answer.occurrence_set() == truth.occurrence_set()
+                                assert answer.num_matches == truth.num_matches
                             with remote.stream(queries["paper"], page_size=2) as stream:
                                 assert stream.version == remote.version
                                 streamed = [
@@ -828,10 +830,33 @@ class TestOpTable:
         assert set(OPS) == handlers
         assert {flags.scope for flags in OPS.values()} == {"node", "graph"}
         declared = {field for flags in OPS.values() for field in flags.fields}
-        assert declared <= set(FIELDS)
+        # Every codec serves a declared field; ``graph`` rides on any frame.
+        assert set(FIELDS) == declared | {"graph"}
         for op, flags in OPS.items():
             assert flags.required <= set(flags.fields), op
             assert ("pin" in flags.fields) == flags.pin or op == "release", op
+
+    def test_the_architecture_doc_table_is_the_op_table(self):
+        text = ARCHITECTURE_DOC.read_text(encoding="utf-8")
+        section = text[text.index("**The op table.**"):text.index("What each column drives:")]
+        stated = re.search(r"declares each of the\s+(\d+) request ops", section)
+        assert stated and int(stated.group(1)) == len(OPS)
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 6 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = cells[1:]
+        assert list(rows) == list(OPS)
+        for op, (scope, write, idempotent, pin, fields) in rows.items():
+            flags = OPS[op]
+            names = re.findall(r"`(\w+)(!?)`", fields)
+            # A pin-reading op's ``pin`` field is the pin column, not a listed field.
+            declared = tuple(field for field in flags.fields if not (flags.pin and field == "pin"))
+            assert (scope, write == "yes", idempotent == "yes", pin == "yes") == (
+                flags.scope, flags.write, flags.idempotent, flags.pin
+            ), op
+            assert tuple(name for name, _ in names) == declared, op
+            assert {name for name, bang in names if bang} == flags.required, op
 
     def test_no_write_op_is_idempotent(self):
         writes = {op for op, flags in OPS.items() if flags.write}
@@ -881,10 +906,6 @@ class TestOpTable:
                 query, engine="GM", analyze=True, budget=budget, timeout=30.0
             ),
             lambda: snapshot.histogram(query, node=0, engine="GM", budget=budget, name="q"),
-            lambda: snapshot.run_batch(
-                {"q": query}, engine="GM", budget=budget, workers=1,
-                keep_occurrences=False, timeout=30.0,
-            ),
             lambda: snapshot.stream(
                 query, engine="GM", budget=budget, page_size=2,
                 deadline_seconds=30.0, name="q", trace_id="t-stream",
@@ -978,7 +999,6 @@ MISTYPED = {
     "edges": [[0]],
     "remove_edges": [[0, "1"]],
     "query": 42,
-    "queries": [{"query": 42}],
     "budget": {"max_matches": "many"},
     "delta": "add everything",
     "trace": 17,
@@ -988,14 +1008,12 @@ MISTYPED = {
     "limit": "x",
     "after_seq": 1.5,
     "page_size": 0,
-    "workers": "x",
     "deadline_seconds": "x",
     "timeout": "soon",
     "analyze": "yes",
     "delete_storage": 1,
     "exist_ok": "no",
     "force": "yes",
-    "keep_occurrences": 0,
 }
 
 #: Well-typed values for the required fields, so the mistyped one is the
@@ -1005,7 +1023,6 @@ WELL_TYPED = {
     "delta": {"base_num_nodes": 0, "ops": []},
     "token": "a1",
     "query": PAPER_DSL,
-    "queries": [{"name": "q", "query": PAPER_DSL}],
     "pin": "p1",
     "path": "unused.json",
 }
@@ -1022,7 +1039,6 @@ PROBES = [
     ({"op": "ingest", "edges": [[0]]}, "edges"),
     ({"op": "events", "limit": "x"}, "limit"),
     ({"op": "trace", "limit": "x"}, "limit"),
-    ({"op": "run_batch", "queries": [{"query": PAPER_DSL}], "workers": "x"}, "workers"),
     ({"op": "query", "query": PAPER_DSL, "deadline_seconds": "x"}, "deadline_seconds"),
     ({"op": "histogram", "query": PAPER_DSL, "node": "x"}, "node"),
     ({"op": "subscribe_log", "from_version": "x"}, "from_version"),
@@ -1030,7 +1046,8 @@ PROBES = [
     # well-typed at the top, ill-typed inside
     ({"op": "apply", "delta": {"ops": [5]}}, "delta"),
     ({"op": "query", "query": {"labels": ["A", "B"], "edges": [1]}}, "query"),
-    ({"op": "run_batch", "queries": [{"query": {"labels": ["A"], "edges": [1]}}]}, "queries"),
+    # a retired op: "unknown op 'run_batch'", and the socket lives on
+    ({"op": "run_batch"}, "run_batch"),
 ]
 
 
@@ -1088,6 +1105,20 @@ class TestHostileArguments:
         assert reply["error"]["code"] == "protocol", reply["error"]
         assert request_["op"] in reply["error"]["message"]
         assert repr(field) in reply["error"]["message"]
+
+    @pytest.mark.parametrize("field", ["queries", "workers", "keep_occurrences"])
+    def test_a_retired_batch_field_is_neither_sent_nor_read(self, paper_server, field):
+        # No op declares it: the client refuses it before a frame exists,
+        # and a frame that carries one anyway is answered as if it did not
+        # (undeclared fields reach no codec and no handler).
+        with pytest.raises(TypeError, match=f"count takes no {field!r}"):
+            encode_request("count", query=PAPER_DSL, **{field: 8})
+        assert all(field not in flags.fields for flags in OPS.values())
+        reply = answer_then_ping(
+            paper_server, {"op": "count", "query": PAPER_DSL, field: "mistyped"}
+        )
+        assert reply["ok"] is True, reply
+        assert reply["result"] == {"count": len(PAPER_ANSWER)}
 
     def test_a_missing_required_field_names_it(self, paper_server):
         reply = answer_then_ping(paper_server, {"op": "count"})

@@ -62,39 +62,46 @@ class TestSubmitAndQuery:
             service.submit(paper_query)
 
 
-class TestBatchesAndVersions:
-    def test_batch_carries_pinned_version(self, service, paper_query):
-        batch = service.run_batch({"q": paper_query, "again": paper_query})
-        assert batch.version == 0
-        assert batch.num_queries == 2 and batch.solved_count == 2
+class TestSnapshotsAndVersions:
+    """Many queries at one version: a pin, then one admitted submit each."""
 
-    def test_batch_after_apply_sees_new_version(self, service, paper_query):
+    def test_submits_into_one_snapshot_share_its_version(self, service, paper_query):
+        with service.store.pin() as snapshot:
+            tickets = [service.submit(paper_query, snapshot=snapshot) for _ in range(2)]
+            reports = [ticket.result(timeout=30.0) for ticket in tickets]
+        assert [ticket.pinned_version for ticket in tickets] == [0, 0]
+        assert all(report.occurrence_set() == PAPER_ANSWER for report in reports)
+
+    def test_submit_after_apply_sees_new_version(self, service, paper_query):
         delta, node = _new_a_delta(service.store.graph)
         service.store.apply(delta)
-        batch = service.run_batch({"q": paper_query})
-        assert batch.version == 1
-        assert (node, B0, C0) in batch.answers()["q"]
+        ticket = service.submit(paper_query)
+        assert (node, B0, C0) in ticket.result(timeout=30.0).occurrence_set()
+        assert ticket.pinned_version == 1
 
-    def test_batch_on_explicit_snapshot_is_version_stable(self, service, paper_query):
+    def test_submit_on_explicit_snapshot_is_version_stable(self, service, paper_query):
         snapshot = service.store.pin()
         try:
             delta, _node = _new_a_delta(service.store.graph)
             service.store.apply(delta)
-            batch = service.run_batch({"q": paper_query}, snapshot=snapshot)
-            assert batch.version == 0
-            assert batch.answers()["q"] == PAPER_ANSWER
+            ticket = service.submit(paper_query, snapshot=snapshot)
+            assert ticket.result(timeout=30.0).occurrence_set() == PAPER_ANSWER
+            assert ticket.pinned_version == 0
         finally:
             snapshot.release()
 
-    def test_batch_queries_count_as_completions(self, service, paper_query):
-        first = service.run_batch({"q": paper_query})
+    def test_snapshot_submits_are_counted_like_any_query(self, service, paper_query):
+        with service.store.pin() as first:
+            service.submit(paper_query, snapshot=first).result(timeout=30.0)
         delta, _node = _new_a_delta(service.store.graph)
         service.store.apply(delta)
-        second = service.run_batch({"q": paper_query})
-        assert (first.version, second.version) == (0, 1)
+        with service.store.pin() as second:
+            service.submit(paper_query, snapshot=second).result(timeout=30.0)
         snapshot = service.stats_snapshot()
         assert snapshot["submitted"] == snapshot["completed"] == 2
         assert snapshot["status_counts"] == {"ok": 2}
+        read = service.telemetry.registry.read
+        assert read("engine_queries_total") == read("service_completed_total") == 2
 
 
 class TestAdmissionControl:

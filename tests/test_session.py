@@ -1,4 +1,7 @@
-"""Tests for the QuerySession cached-index batch execution layer."""
+"""Tests for the QuerySession cached-index execution layer."""
+
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -13,8 +16,7 @@ from repro.graph.generators import random_labeled_graph
 from repro.matching.gm import GMVariant, GraphMatcher
 from repro.matching.result import Budget, MatchStatus
 from repro.query.generators import random_pattern_query, to_child_only
-from repro.session import BatchReport, QuerySession, percentile
-from repro.session.batch import QueryOutcome
+from repro.session import QuerySession
 
 ENGINE_CLASSES = {
     "Neo4j": BinaryJoinEngine,
@@ -131,8 +133,8 @@ class TestCacheReuse:
             session.matcher("nope")
 
 
-class TestRunBatch:
-    """(c) parallel run_batch returns the same answers as serial execution."""
+class TestParallelReads:
+    """(c) queries fanned over threads answer exactly as serial execution."""
 
     @pytest.fixture(scope="class")
     def workload_graph(self):
@@ -147,73 +149,40 @@ class TestRunBatch:
             queries[f"C{seed}"] = to_child_only(query, name=f"C{seed}")
         return queries
 
+    @staticmethod
+    def _answers(session, workload, workers, **options):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            reports = pool.map(partial(session.query, **options), workload.values())
+            return {name: report.occurrence_set() for name, report in zip(workload, reports)}
+
     def test_parallel_equals_serial(self, workload_graph, workload):
-        serial = QuerySession(workload_graph).run_batch(workload, workers=1)
-        parallel = QuerySession(workload_graph).run_batch(workload, workers=4)
-        assert serial.answers() == parallel.answers()
-        assert [outcome.name for outcome in serial.outcomes] == [
-            outcome.name for outcome in parallel.outcomes
-        ]
-        assert parallel.workers == 4
+        serial = QuerySession(workload_graph)
+        expected = {name: serial.query(query).occurrence_set() for name, query in workload.items()}
+        assert self._answers(QuerySession(workload_graph), workload, 4) == expected
 
     def test_parallel_on_one_session_is_stable(self, workload_graph, workload):
         session = QuerySession(workload_graph)
-        first = session.run_batch(workload, workers=4)
-        second = session.run_batch(workload, workers=4)
-        assert first.answers() == second.answers()
-        # The second batch is fully cache-served: no builds at all.
-        assert not second.cache_misses
+        first = self._answers(session, workload, 4)
+        misses = session.cache_counts()["misses"]
+        assert self._answers(session, workload, 4) == first
+        # The second round is fully cache-served: no builds at all.
+        assert session.cache_counts()["misses"] == misses
 
-    def test_batch_aggregates(self, session, paper_query):
-        report = session.run_batch({"a": paper_query, "b": paper_query, "c": paper_query})
-        assert isinstance(report, BatchReport)
-        assert report.num_queries == 3
-        assert report.solved_count == 3
-        assert report.total_matches == 3 * len(PAPER_ANSWER)
-        assert report.wall_seconds > 0
-        assert report.throughput_qps > 0
-        assert 0 < report.p50 <= report.p90 <= report.p99
-        assert report.outcome_for("a") is not None
-        assert report.outcome_for("zzz") is None
-        assert "latency" in report.summary()
+    @pytest.mark.parametrize("engine", ["GM", "JM", "TM", *sorted(ENGINE_CLASSES)])
+    def test_parallel_equals_serial_on_each_engine(self, workload_graph, workload, engine):
+        serial = QuerySession(workload_graph)
+        expected = {
+            name: serial.query(query, engine=engine).occurrence_set()
+            for name, query in workload.items()
+        }
+        assert any(expected.values())
+        parallel = self._answers(QuerySession(workload_graph), workload, 4, engine=engine)
+        assert parallel == expected
 
-    def test_batch_accepts_query_sequence(self, session, paper_query):
-        report = session.run_batch([paper_query])
-        assert report.num_queries == 1
-        assert report.outcomes[0].name == paper_query.name
-        assert report.outcomes[0].solved
-
-    def test_batch_respects_budget(self, session, paper_query):
-        report = session.run_batch(
-            {"capped": paper_query}, budget=Budget(max_matches=1)
-        )
-        outcome = report.outcomes[0]
-        assert outcome.num_matches == 1
-        assert outcome.status == MatchStatus.MATCH_LIMIT.value
-
-    def test_batch_engines(self, session, paper_query):
-        for name in sorted(ENGINE_CLASSES):
-            report = session.run_batch({"q": paper_query}, engine=name)
-            assert report.engine == name
-            assert report.outcomes[0].solved
-
-    def test_keep_occurrences_false(self, session, paper_query):
-        report = session.run_batch({"q": paper_query}, keep_occurrences=False)
-        assert report.outcomes[0].occurrences == ()
-        assert report.outcomes[0].num_matches == len(PAPER_ANSWER)
-
-
-class TestBatchHelpers:
-    def test_percentile_nearest_rank(self):
-        samples = [0.1, 0.2, 0.3, 0.4]
-        assert percentile(samples, 0.5) == 0.2
-        assert percentile(samples, 1.0) == 0.4
-        assert percentile([], 0.5) == 0.0
-
-    def test_outcome_solved(self):
-        assert QueryOutcome("q", 0.0, 1, "ok").solved
-        assert QueryOutcome("q", 0.0, 1, "match_limit").solved
-        assert not QueryOutcome("q", 0.0, 0, "timeout").solved
+    def test_query_respects_budget(self, session, paper_query):
+        report = session.query(paper_query, budget=Budget(max_matches=1))
+        assert report.num_matches == 1
+        assert report.status is MatchStatus.MATCH_LIMIT
 
 
 class TestHarnessIntegration:

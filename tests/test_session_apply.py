@@ -139,13 +139,6 @@ class TestApplySemantics:
             == cold.query(paper_query).occurrence_set()
         )
 
-    def test_batch_after_apply(self, session, paper_query):
-        session.run_batch({"q": paper_query})
-        delta, node = _new_a_delta(session.graph)
-        session.apply(delta)
-        batch = session.run_batch({"q": paper_query})
-        assert (node, B0, C0) in batch.answers()["q"]
-
 
 class TestClearContract:
     def test_clear_drops_artifacts_not_counts(self, session, paper_query):

@@ -11,6 +11,7 @@ exactly the answers of a from-scratch standalone matcher:
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,14 +88,13 @@ def test_repeated_session_queries_are_stable_and_cached(data, repeats):
 
 @settings(max_examples=8, deadline=None)
 @given(data=graph_and_query(), workers=st.integers(min_value=2, max_value=4))
-def test_run_batch_parallel_equals_serial(data, workers):
+def test_parallel_queries_equal_serial(data, workers):
     graph, query = data
     rng = random.Random(7)
-    queries = {
-        f"q{i}": random_pattern_query(graph, 3, seed=rng.randrange(10_000))
-        for i in range(4)
-    }
-    queries["base"] = query
-    serial = QuerySession(graph).run_batch(queries, workers=1)
-    parallel = QuerySession(graph).run_batch(queries, workers=workers)
-    assert serial.answers() == parallel.answers()
+    queries = [random_pattern_query(graph, 3, seed=rng.randrange(10_000)) for _ in range(4)]
+    queries.append(query)
+    serial = QuerySession(graph)
+    expected = [serial.query(q).occurrence_set() for q in queries]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        reports = list(pool.map(QuerySession(graph).query, queries))
+    assert [report.occurrence_set() for report in reports] == expected

@@ -1,8 +1,12 @@
 """Tests for MatchContext, node pre-filtering and the FB-simulation algorithms."""
 
+from unittest import mock
+
+import pytest
+
 from repro.graph.digraph import DataGraph
 from repro.query.pattern import EdgeType, PatternQuery
-from repro.simulation.context import ChildCheckMethod, MatchContext
+from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.dual import dual_simulation
 from repro.simulation.fbsim import (
     SimulationOptions,
@@ -43,10 +47,6 @@ class TestMatchContext:
         edge = paper_query.edge(1, 2)
         assert not context.edge_match(edge, 1, 1)  # not on a cycle
         assert context.edge_match(edge, 2, 2)  # self-loop cycle
-
-    def test_edge_match_with_binary_search_method(self, paper_context, paper_query):
-        edge = paper_query.edge(0, 1)
-        assert paper_context.edge_match_with_method(edge, A1, B0, ChildCheckMethod.BIN_SEARCH)
 
     def test_forward_and_backward_reachable_sets(self, paper_context):
         forward = paper_context.forward_reachable_set({A1})
@@ -189,6 +189,70 @@ class TestFBSimulationOptions:
         query = PatternQuery(["Z", "A"], [(0, 1, "child")])
         result = fbsim_basic(paper_context, query)
         assert result.is_empty()
+
+
+def _alternating_path(length: int) -> DataGraph:
+    """``a0 -> b0 -> a1 -> b1 -> ...``: a cycle query ``A -> B -> A`` loses
+    the path's ends a few nodes per pass, so the fixpoint takes many passes."""
+    labels = ["A", "B"] * length
+    return DataGraph(labels, [(node, node + 1) for node in range(2 * length - 1)])
+
+
+#: ``A -> B -> A``: one dag edge and one back edge.
+CYCLE = PatternQuery(["A", "B"], [(0, 1, "child"), (1, 0, "child")])
+
+
+class TestFBSimulationAccounting:
+    """The pass and prune counts the Fig. 12 ablations report."""
+
+    @pytest.mark.parametrize("simulate", [fbsim, fbsim_basic])
+    def test_a_cut_stops_at_exactly_max_passes(self, simulate):
+        context = MatchContext(_alternating_path(10))
+        assert simulate(context, CYCLE).passes > 3
+        for cut in (1, 2, 3):
+            result = simulate(context, CYCLE, options=SimulationOptions(max_passes=cut))
+            assert result.passes == len(result.pruned_per_pass) == cut
+
+    @pytest.mark.parametrize("simulate", [fbsim, fbsim_basic])
+    def test_pruned_per_pass_sums_to_the_candidates_removed(self, simulate):
+        context = MatchContext(_alternating_path(10))
+        initial = sum(len(nodes) for nodes in context.match_sets(CYCLE).values())
+        result = simulate(context, CYCLE)
+        assert result.is_empty()  # a path holds no cycle
+        assert sum(result.pruned_per_pass) == result.pruned == initial
+        assert all(pruned > 0 for pruned in result.pruned_per_pass[:-1])
+        assert result.pruned_per_pass[-1] == 0
+
+    @pytest.mark.parametrize("simulate", [fbsim, fbsim_basic])
+    def test_the_callers_cone_memo_is_the_one_used(self, simulate, paper_context, paper_query):
+        cones = Cones()
+        simulate(paper_context, paper_query, cones=cones)
+        assert cones.computed > 0  # the descendant edge swept its cones here
+
+    @pytest.mark.parametrize("method", list(ChildCheckMethod))
+    @pytest.mark.parametrize("simulate", [fbsim, fbsim_basic])
+    def test_each_child_check_method_takes_its_own_path(self, simulate, method, paper_context):
+        child_only = PatternQuery(["A", "B", "C"], [(0, 1, "child"), (0, 2, "child")])
+        with mock.patch.object(
+            paper_context, "forward_targets", wraps=paper_context.forward_targets
+        ) as forward_targets, mock.patch.object(
+            paper_context, "backward_sources", wraps=paper_context.backward_sources
+        ) as backward_sources, mock.patch.object(
+            DataGraph, "has_edge_binary_search", autospec=True,
+            side_effect=DataGraph.has_edge_binary_search,
+        ) as binary_search:
+            simulate(paper_context, child_only, options=SimulationOptions(child_check=method))
+        calls = {
+            "forward_targets": forward_targets.called,
+            "backward_sources": backward_sources.called,
+            "has_edge_binary_search": binary_search.called,
+        }
+        expected = {
+            ChildCheckMethod.BIT_BAT: {"forward_targets", "backward_sources"},
+            ChildCheckMethod.BIN_SEARCH: {"has_edge_binary_search"},
+            ChildCheckMethod.BIT_ITER: set(),
+        }[method]
+        assert {name for name, called in calls.items() if called} == expected
 
 
 class TestDualSimulation:

@@ -1,9 +1,10 @@
 """Concurrent read/write races over the versioned store.
 
 The MVCC correctness claim under real thread interleavings: N reader
-threads run batches while a writer folds a mixed delta stream; every
-batch must be *internally consistent with the version it pinned* — its
-answers must equal what a cold session built from scratch on that
+threads each pin a version and read every query through the snapshot
+while a writer folds a mixed delta stream; every pinned round must be
+*internally consistent with the version it pinned* — its answers must
+equal what a cold session built from scratch on that
 version's graph computes.  A torn artifact (a reader observing a
 half-patched index) would break that equality.
 
@@ -13,6 +14,7 @@ marked ``slow`` (and capped by pytest-timeout where installed).
 
 import random
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -56,71 +58,63 @@ def _mixed_delta(graph, rng: random.Random) -> GraphDelta:
     return delta
 
 
-def _run_stress(num_nodes, num_edges, num_readers, batches_per_reader, num_deltas, seed=17):
+def _answers(reader, queries):
+    """Each query's answer set, read one query at a time through ``reader``."""
+    return {
+        name: reader.query(query, budget=STRESS_BUDGET).occurrence_set()
+        for name, query in queries.items()
+    }
+
+
+def _run_stress(num_nodes, num_edges, num_readers, rounds_per_reader, num_deltas, seed=17):
     graph = random_labeled_graph(
         num_nodes=num_nodes, num_edges=num_edges, num_labels=4, seed=seed
     )
     queries = _stress_queries(graph)
     session = QuerySession(graph, budget=STRESS_BUDGET)
     session.transitive_closure
-    session.run_batch(queries, budget=STRESS_BUDGET)
+    _answers(session, queries)
     store = VersionedGraphStore(session)
 
     records = []
     records_lock = threading.Lock()
-    errors = []
     start_barrier = threading.Barrier(num_readers + 1)
 
     def reader_loop() -> None:
-        try:
-            start_barrier.wait(timeout=30.0)
-            for _round in range(batches_per_reader):
-                with store.pin() as snapshot:
-                    report = snapshot.run_batch(queries, budget=STRESS_BUDGET)
-                    record = (snapshot.version, snapshot.graph, report.answers())
-                with records_lock:
-                    records.append(record)
-        except BaseException as exc:  # surface thread failures in the test
-            errors.append(exc)
+        start_barrier.wait(timeout=30.0)
+        for _round in range(rounds_per_reader):
+            with store.pin() as snapshot:
+                record = (snapshot.version, snapshot.graph, _answers(snapshot, queries))
+            with records_lock:
+                records.append(record)
 
     def writer_loop() -> None:
-        try:
-            rng = random.Random(seed + 1)
-            start_barrier.wait(timeout=30.0)
-            for _round in range(num_deltas):
-                store.apply(_mixed_delta(store.graph, rng))
-        except BaseException as exc:
-            errors.append(exc)
+        rng = random.Random(seed + 1)
+        start_barrier.wait(timeout=30.0)
+        for _round in range(num_deltas):
+            store.apply(_mixed_delta(store.graph, rng))
 
-    threads = [
-        threading.Thread(target=reader_loop, name=f"stress-reader-{i}")
-        for i in range(num_readers)
-    ]
-    threads.append(threading.Thread(target=writer_loop, name="stress-writer"))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
-        assert not thread.is_alive(), f"{thread.name} wedged"
-    assert not errors, errors
+    with ThreadPoolExecutor(max_workers=num_readers + 1) as pool:
+        futures = [pool.submit(reader_loop) for _ in range(num_readers)]
+        futures.append(pool.submit(writer_loop))
+        for future in futures:
+            future.result(timeout=120.0)  # re-raises a reader's or the writer's failure
 
     # The writer folded every delta (some may have been no-ops) and every
-    # reader batch completed.
-    assert len(records) == num_readers * batches_per_reader
+    # reader round completed.
+    assert len(records) == num_readers * rounds_per_reader
 
-    # Every batch's answers must equal a cold rebuild of its pinned version.
+    # Every round's answers must equal a cold rebuild of its pinned version.
     graphs = {}
-    for version, graph_at_version, _answers in records:
+    for version, graph_at_version, _answers_at_version in records:
         graphs.setdefault(version, graph_at_version)
     expected = {
-        version: QuerySession(graph_at_version, budget=STRESS_BUDGET)
-        .run_batch(queries, budget=STRESS_BUDGET)
-        .answers()
+        version: _answers(QuerySession(graph_at_version, budget=STRESS_BUDGET), queries)
         for version, graph_at_version in graphs.items()
     }
     for version, _graph, answers in records:
         assert answers == expected[version], (
-            f"batch pinned to version {version} diverged from a cold rebuild"
+            f"round pinned to version {version} diverged from a cold rebuild"
         )
     store.close()
     return records, graphs
@@ -128,12 +122,12 @@ def _run_stress(num_nodes, num_edges, num_readers, batches_per_reader, num_delta
 
 @pytest.mark.timeout(120)
 def test_concurrent_readers_with_writer_short():
-    """Tier-1 variant: 3 readers x 4 batches racing 6 folds."""
+    """Tier-1 variant: 3 readers x 4 pinned rounds racing 6 folds."""
     records, graphs = _run_stress(
-        num_nodes=80, num_edges=200, num_readers=3, batches_per_reader=4, num_deltas=6
+        num_nodes=80, num_edges=200, num_readers=3, rounds_per_reader=4, num_deltas=6
     )
     versions = {version for version, _graph, _answers in records}
-    assert versions, "no batches recorded"
+    assert versions, "no rounds recorded"
 
 
 @pytest.mark.slow
@@ -144,7 +138,7 @@ def test_concurrent_readers_with_writer_stress():
         num_nodes=200,
         num_edges=600,
         num_readers=6,
-        batches_per_reader=10,
+        rounds_per_reader=10,
         num_deltas=25,
         seed=29,
     )

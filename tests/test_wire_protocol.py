@@ -40,19 +40,15 @@ from repro.query.pattern import EdgeType, PatternQuery
 from repro.server.protocol import (
     APPLY_REPORT,
     MAX_FRAME_BYTES,
-    OPS,
     connect,
     decode_error,
     encode_error,
     encode_frame,
     read_frame_sync,
 )
-from repro.service.service import ServiceBatchReport
-from repro.session.batch import QueryOutcome
 
-# The apply-report codec and the reply codec the op table declares for batches.
+# The apply-report codec the folding ops share.
 encode_apply_report, decode_apply_report = APPLY_REPORT
-encode_batch_report, decode_batch_report = OPS["run_batch"].reply
 
 
 def roundtrip_frames(*payloads):
@@ -335,8 +331,6 @@ class TestDomainWireForms:
             decode_page(payload)
         with pytest.raises(ProtocolError, match="list of rows"):
             MatchReport.from_wire({"occurrences": payload})
-        with pytest.raises(ProtocolError, match="list of rows"):
-            decode_batch_report({"outcomes": [{"occurrences": payload}]})
 
     def test_apply_report_roundtrip(self):
         report = ApplyReport(
@@ -345,33 +339,6 @@ class TestDomainWireForms:
         )
         restored = decode_apply_report(encode_apply_report(report))
         assert restored == report
-
-    def test_batch_report_roundtrip(self):
-        report = ServiceBatchReport(
-            engine="GM",
-            outcomes=[
-                QueryOutcome(
-                    name="q0", seconds=0.5, num_matches=2, status="ok",
-                    occurrences=((1, 2), (3, 4)), extra={"rig": object()},
-                ),
-                QueryOutcome(name="q1", seconds=0.1, num_matches=0, status="timeout"),
-            ],
-            wall_seconds=0.6,
-            workers=2,
-            cache_hits={"rig": 1},
-            cache_misses={"closure": 1},
-            version=3,
-        )
-        wire = encode_batch_report(report)
-        restored = decode_batch_report(through_a_frame(wire))
-        assert restored.version == 3
-        assert restored.engine == "GM"
-        assert len(restored.outcomes) == 2
-        assert restored.outcomes[0].occurrence_set() == {(1, 2), (3, 4)}
-        assert restored.outcomes[0].solved
-        assert not restored.outcomes[1].solved
-        assert restored.cache_hits == {"rig": 1}
-        assert isinstance(restored.outcomes[0].extra["rig"], str)
 
 
 # ---------------------------------------------------------------------- #
@@ -525,24 +492,17 @@ class TestRowFrames:
             occurrences=[(1, 70_000), (3, 4)], num_matches=2,
             extra={"mjoin": {"candidates": 9}},
         )
-        batch = ServiceBatchReport(
-            engine="GM",
-            outcomes=[
-                QueryOutcome(name="q0", seconds=0.5, num_matches=2, status="ok",
-                             occurrences=((1, 2), (3, 4))),
-                QueryOutcome(name="q1", seconds=0.1, num_matches=0, status="ok"),
-                QueryOutcome(name="q2", seconds=0.1, num_matches=1, status="ok",
-                             occurrences=((2**40, 5, 6),)),
-            ],
-            wall_seconds=0.6, workers=2, version=3,
+        wide = MatchReport(
+            query_name="w", algorithm="GM", status=MatchStatus.OK,
+            occurrences=[(2**40, 5, 6)], num_matches=1,
         )
-        reply, batch_reply, page = roundtrip_frames(
+        reply, wide_reply, page = roundtrip_frames(
             {"id": 1, "ok": True, "result": report.to_wire()},
-            {"id": 2, "ok": True, "result": encode_batch_report(batch)},
+            {"id": 2, "ok": True, "result": wide.to_wire()},
             {"stream": 1, "seq": 0, "page": encode_page(((7, 8, 9),))},
         )
         assert MatchReport.from_wire(reply["result"]) == report
-        assert decode_batch_report(batch_reply["result"]) == batch
+        assert MatchReport.from_wire(wide_reply["result"]) == wide
         assert decode_page(page["page"]) == ((7, 8, 9),)
 
 
