@@ -13,10 +13,11 @@ solution has to be checked against the non-tree edges, so TM's running time
 is driven by an intermediate result it cannot avoid.  Tree solutions are
 counted against the budget's intermediate cap and the wall-clock limit.
 
-A descendant edge reads the SCC condensation sweep GM's RIG build uses: the
-refinement's semijoins are ``tails_reaching`` / ``heads_reached`` and the
-edge's pairs (tree adjacency and non-tree checks alike) one
-``expand_reachability``, all under one ``Cones`` memo per query.
+The refinement's semijoins are GM's simulation checks,
+``tails_reaching`` / ``heads_reached``, on both edge kinds.  A descendant
+edge reads the SCC condensation sweep GM's RIG build uses: its semijoins and
+its pairs (tree adjacency and non-tree checks alike, one
+``expand_reachability``) share one ``Cones`` memo per query.
 """
 
 from __future__ import annotations
@@ -70,17 +71,11 @@ class TMMatcher(Evaluator):
             for edge in tree_edges:
                 tails = candidates[edge.source]
                 heads = candidates[edge.target]
-                if edge.is_child:
-                    new_tails = tails & context.backward_sources(edge, heads)
-                else:
-                    new_tails = context.tails_reaching(tails, heads, cones)
+                new_tails = context.tails_reaching(edge, tails, heads, cones)
                 if len(new_tails) != len(tails):
                     candidates[edge.source] = tails = new_tails
                     changed = True
-                if edge.is_child:
-                    new_heads = heads & context.forward_targets(edge, tails)
-                else:
-                    new_heads = context.heads_reached(heads, tails, cones)
+                new_heads = context.heads_reached(edge, heads, tails, cones)
                 if len(new_heads) != len(heads):
                     candidates[edge.target] = new_heads
                     changed = True

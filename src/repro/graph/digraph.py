@@ -183,9 +183,11 @@ class DataGraph:
     def has_edge_binary_search(self, u: int, v: int) -> bool:
         """Edge test by binary search over the sorted adjacency list.
 
-        This is the ``binSearch`` method compared in Fig. 12(a) of the paper;
-        :meth:`has_edge` (hash-set membership) and the set intersections of
-        :mod:`repro.rig.build` (bitIter / bitBat) are the alternatives.
+        This is the ``binSearch`` method compared in Fig. 12(a) of the paper.
+        The alternatives test :meth:`successor_set` / :meth:`predecessor_set`
+        instead: bitIter intersects one with the whole candidate set, and
+        bitBat's semijoin (``MatchContext.tails_reaching`` / ``heads_reached``)
+        asks ``isdisjoint``, which stops at the first partner.
         """
         adjacency = self._succ[u]
         index = bisect_left(adjacency, v)

@@ -270,6 +270,7 @@ class GraphMatcher(Evaluator):
                 "rig_edges": rig.num_rig_edges(),
                 "rig_physical_edges": rig.num_physical_edges(),
                 "simulation_passes": build.simulation.passes if build.simulation else 0,
+                "simulation_checks": build.simulation.checks if build.simulation else 0,
                 "condensation_sweeps": build.condensation_sweeps,
                 "condensation_sweeps_served": build.condensation_sweeps_served,
                 "transitive_reduction": self.variant is not GMVariant.GM_NR,

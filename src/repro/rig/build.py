@@ -5,18 +5,23 @@ Two phases:
 1. **node selection** — choose ``cos(q)`` for every query node.  The
    :class:`GMVariant` picks how: the node pre-filter then double simulation
    (GM, and GM-NR, which also skips the query's transitive reduction),
-   double simulation alone (GM-S) or the pre-filter alone (GM-F).  The match
-   RIG (:func:`build_match_rig`) keeps the raw match sets.
+   double simulation alone (GM-S) or the pre-filter alone (GM-F).  Each
+   simulation check is one semijoin (:meth:`MatchContext.tails_reaching` /
+   ``heads_reached``): on a direct edge under bitBat a candidate's adjacency
+   set is tested for a partner and the test stops at the first one, nothing
+   is unioned.  The match RIG (:func:`build_match_rig`) keeps the raw match
+   sets.
 2. **node expansion** — for every query edge, compute both adjacency
    directions (tail -> heads, head -> tails) and hand the two dicts to
    :meth:`RuntimeIndexGraph.set_edge_adjacency`, which owns them from then
    on.  Nothing is assembled pair by pair: a direct edge is one C-level
-   adjacency-list ∩ candidate-set intersection per tail and per head
-   (bitIter / bitBat; binSearch, the Fig. 12(a) ablation, tests each pair and
-   transposes), and a reachability edge is one sweep of the SCC condensation
-   per direction (:meth:`MatchContext.expand_reachability`, the batch
-   checking of §4.5) whose equal answers — every tail of one component —
-   share one frozen set object.
+   adjacency-set ∩ candidate-set intersection per tail and per head (bitIter
+   and bitBat alike: here every partner is wanted, not the first; binSearch,
+   the Fig. 12(a) ablation, tests each pair and transposes), and a
+   reachability edge is one sweep of the SCC condensation per direction
+   (:meth:`MatchContext.expand_reachability`, the batch checking of §4.5)
+   whose equal answers — every tail of one component — share one frozen set
+   object.
 
 :class:`~repro.simulation.fbsim.SimulationOptions` is the one tuning struct:
 its ``child_check`` drives both the simulation's checks and the expansion.

@@ -7,16 +7,17 @@ phase of query evaluation needs:
 * per-node label bitsets of children / parents / descendants / ancestors
   (:meth:`MatchContext.label_bits`, what node pre-filtering tests);
 * edge-match tests ``(u, v) ∈ ms(e)`` for child and descendant edges;
-* *batch* forward / backward expansion over candidate sets, the
-  set-at-a-time formulation (§4.5 "batch checking direct connectivity
-  constraints"): adjacency unions for direct edges, and for reachability
-  edges two operations on the SCC condensation —
-  :meth:`MatchContext.expand_reachability` (both adjacency directions of a
-  query edge from one sweep each, equal answers sharing one set object —
-  what BuildRIG installs as is) and
+* one semijoin per direction over candidate sets, for both edge kinds:
   :meth:`MatchContext.tails_reaching` / :meth:`MatchContext.heads_reached`
-  (the semijoins double simulation uses).  The label summaries run on the
-  same condensation arrays.
+  keep the candidates with a partner on the other side (the checks of double
+  simulation, §4.5 "batch checking direct connectivity constraints").  On a
+  direct edge each candidate's adjacency ``frozenset`` is tested against the
+  partner set and the test stops at the first partner; on a reachability
+  edge it is one cone of the SCC condensation;
+* :meth:`MatchContext.expand_reachability`: both adjacency directions of a
+  reachability edge from one condensation sweep each, equal answers sharing
+  one set object — what BuildRIG installs as is.  The label summaries run on
+  the same condensation arrays.
 
 The condensation is GM's whole reachability index: flat per-component arrays
 (:class:`~repro.graph.transform.Condensation`) computed from the graph by
@@ -74,6 +75,7 @@ from functools import reduce
 from itertools import product
 from operator import or_
 from typing import (
+    AbstractSet,
     Collection,
     Dict,
     FrozenSet,
@@ -101,7 +103,9 @@ class ChildCheckMethod(Enum):
     BIN_SEARCH = "binSearch"
     #: Per-node intersection of the adjacency list with the candidate set.
     BIT_ITER = "bitIter"
-    #: Batch: union of adjacency lists, one intersection with the candidate set.
+    #: Batch: one semijoin of the candidate set with the partner set, each
+    #: candidate's adjacency ``frozenset`` tested with ``isdisjoint`` (stops at
+    #: the first partner) — the paper unions the partners' adjacency bitmaps.
     BIT_BAT = "bitBat"
 
 
@@ -599,7 +603,7 @@ class MatchContext:
         return self.reachability.reaches(u, v)
 
     # ------------------------------------------------------------------ #
-    # batch expansions over candidate sets
+    # whole-graph BFS: the reference, and JM's expansion
     # ------------------------------------------------------------------ #
 
     def forward_reachable_set(self, sources: Iterable[int]) -> Set[int]:
@@ -634,30 +638,9 @@ class MatchContext:
             frontier = next_frontier
         return visited
 
-    def forward_targets(self, edge: PatternEdge, sources: Iterable[int]) -> Set[int]:
-        """Batch expansion: all data nodes ``v`` with some ``u`` in ``sources``
-        such that ``(u, v) ∈ ms(edge)`` (ignoring labels)."""
-        if edge.is_child:
-            graph = self.graph
-            result: Set[int] = set()
-            for source in sources:
-                result.update(graph.successors(source))
-            return result
-        return self.forward_reachable_set(sources)
-
-    def backward_sources(self, edge: PatternEdge, targets: Iterable[int]) -> Set[int]:
-        """Batch expansion: all data nodes ``u`` with some ``v`` in ``targets``
-        such that ``(u, v) ∈ ms(edge)`` (ignoring labels)."""
-        if edge.is_child:
-            graph = self.graph
-            result: Set[int] = set()
-            for target in targets:
-                result.update(graph.predecessors(target))
-            return result
-        return self.backward_reachable_set(targets)
-
     # ------------------------------------------------------------------ #
-    # reachability edges, set-at-a-time on the SCC condensation
+    # set-at-a-time: reachability expansion on the SCC condensation, and the
+    # semijoins of both edge kinds
     # ------------------------------------------------------------------ #
 
     def _components(self) -> Condensation:
@@ -712,19 +695,41 @@ class MatchContext:
         )
 
     def tails_reaching(
-        self, tails: Iterable[int], heads: Iterable[int], cones: Optional[Cones] = None
+        self,
+        edge: PatternEdge,
+        tails: Iterable[int],
+        heads: AbstractSet[int],
+        cones: Optional[Cones] = None,
     ) -> Set[int]:
-        """Semijoin of a reachability edge: the ``tails`` that reach some head
-        by a path of length >= 1 — the cone up the condensation from the
-        heads' components, swept once per ``cones`` (the build's memo)."""
+        """Semijoin of ``edge``'s forward check: the ``tails`` with a partner
+        among ``heads``.
+
+        On a direct edge that is a child among ``heads``: each tail's
+        successor ``frozenset`` is tested with ``isdisjoint``, which walks
+        the smaller side and stops at the first partner.  On a reachability
+        edge it is a head reached by a path of length >= 1: the cone up the
+        condensation from the heads' components, swept once per ``cones``
+        (the build's memo).
+        """
+        if edge.is_child:
+            successors = self.graph.successor_set
+            return {tail for tail in tails if not successors(tail).isdisjoint(heads)}
         return _with_partner(self._components(), cones or Cones(), tails, heads, downward=False)
 
     def heads_reached(
-        self, heads: Iterable[int], tails: Iterable[int], cones: Optional[Cones] = None
+        self,
+        edge: PatternEdge,
+        heads: Iterable[int],
+        tails: AbstractSet[int],
+        cones: Optional[Cones] = None,
     ) -> Set[int]:
-        """Semijoin of a reachability edge: the ``heads`` some tail reaches by
-        a path of length >= 1 — the cone down the condensation from the
-        tails' components, swept once per ``cones`` (the build's memo)."""
+        """Semijoin of ``edge``'s backward check: the ``heads`` with a partner
+        among ``tails`` — a parent on a direct edge, a tail reaching the head
+        by a path of length >= 1 on a reachability edge (the mirror of
+        :meth:`tails_reaching`)."""
+        if edge.is_child:
+            predecessors = self.graph.predecessor_set
+            return {head for head in heads if not predecessors(head).isdisjoint(tails)}
         return _with_partner(self._components(), cones or Cones(), heads, tails, downward=True)
 
     # ------------------------------------------------------------------ #

@@ -15,15 +15,23 @@ same loop with no back edges.  They share:
 * a *backward* check per edge: drop from ``FB(qj)`` every node with no
   partner in ``FB(qi)``.
 
-The checks are implemented set-at-a-time ("bitBat"), as §4.5 describes: the
-partner test for an entire candidate set is one union of adjacency lists
-followed by one intersection (direct edges) or one semijoin on the SCC
-condensation (reachability edges, :meth:`MatchContext.tails_reaching` /
-``heads_reached``).  The condensation cones those semijoins need are kept in
-a :class:`~repro.simulation.context.Cones` memo for the whole run (and, under
+Each check is one semijoin of the candidate set against its partner set
+(:meth:`MatchContext.tails_reaching` / ``heads_reached``), as §4.5's batch
+checking describes.  On a direct edge ("bitBat") a candidate's adjacency
+``frozenset`` is tested for a common node with the partner set, stopping at
+the first one; on a reachability edge the semijoin runs on the SCC
+condensation.  The condensation cones those semijoins need are kept in a
+:class:`~repro.simulation.context.Cones` memo for the whole run (and, under
 ``build_rig``, for its expansion phase too), so a cone is swept once however
 many incident edges and passes ask for it.  Per-node methods (binSearch /
 bitIter) are also available for direct edges, for the Fig. 12(a) ablation.
+
+FBSim's change flags (DagMap) re-run a check in a later pass only when its
+*partner* side changed since the check last ran: the head set for a forward
+check, the tail set for a backward one.  A candidate set that merely shrank
+cannot make its remaining members lose a partner, so a skipped check could
+not have pruned, and the candidates after every pass equal the unflagged
+run's.  ``SimulationResult.checks`` counts the checks a run made.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ class SimulationOptions:
     #: Stop after this many passes (approximate FB).  The paper's evaluation
     #: fixes this to 3; ``None`` runs to the fixpoint (exact FB).
     max_passes: Optional[int] = None
-    #: Skip re-checking constraints whose operand sets did not change in the
-    #: previous pass (the "DagMap" change-flag optimisation).
+    #: Skip re-checking a constraint whose partner set did not change since
+    #: the check last ran (the "DagMap" change-flag optimisation).
     use_change_flags: bool = True
     #: How direct-connectivity constraints are checked.
     child_check: ChildCheckMethod = ChildCheckMethod.BIT_BAT
@@ -62,6 +70,9 @@ class SimulationResult:
     algorithm: str
     elapsed_seconds: float
     pruned_per_pass: List[int] = field(default_factory=list)
+    #: Edge checks (forward and backward) the run made; FBSim's change flags
+    #: skip the ones that could not prune.
+    checks: int = 0
 
     def is_empty(self) -> bool:
         """True if some query node has no candidates (the answer is empty)."""
@@ -93,10 +104,8 @@ def _prune_tail(
         pruned = len(tail_set)
         tail_set.clear()
         return pruned
-    if edge.is_descendant:
-        survivors = context.tails_reaching(tail_set, head_set, cones)
-    elif method is ChildCheckMethod.BIT_BAT:
-        survivors = tail_set & context.backward_sources(edge, head_set)
+    if edge.is_descendant or method is ChildCheckMethod.BIT_BAT:
+        survivors = context.tails_reaching(edge, tail_set, head_set, cones)
     else:
         graph = context.graph
         if method is ChildCheckMethod.BIN_SEARCH:
@@ -129,10 +138,8 @@ def _prune_head(
         pruned = len(head_set)
         head_set.clear()
         return pruned
-    if edge.is_descendant:
-        survivors = context.heads_reached(head_set, tail_set, cones)
-    elif method is ChildCheckMethod.BIT_BAT:
-        survivors = head_set & context.forward_targets(edge, tail_set)
+    if edge.is_descendant or method is ChildCheckMethod.BIT_BAT:
+        survivors = context.heads_reached(edge, head_set, tail_set, cones)
     else:
         graph = context.graph
         if method is ChildCheckMethod.BIN_SEARCH:
@@ -176,7 +183,7 @@ def fbsim_basic(
     candidates = _initial_candidates(context, query, initial)
     edges = query.edges()
 
-    passes = 0
+    passes = checks = 0
     total_pruned = 0
     pruned_per_pass: List[int] = []
     while True:
@@ -186,6 +193,7 @@ def fbsim_basic(
             pruned_this_pass += _prune_tail(context, edge, candidates, options.child_check, cones)
         for edge in edges:  # backwardPrune
             pruned_this_pass += _prune_head(context, edge, candidates, options.child_check, cones)
+        checks += 2 * len(edges)
         total_pruned += pruned_this_pass
         pruned_per_pass.append(pruned_this_pass)
         if pruned_this_pass == 0:
@@ -200,6 +208,7 @@ def fbsim_basic(
         algorithm="FBSimBas",
         elapsed_seconds=time.perf_counter() - start,
         pruned_per_pass=pruned_per_pass,
+        checks=checks,
     )
 
 
@@ -217,19 +226,23 @@ def _dag_pass(
     method: ChildCheckMethod,
     dirty: Optional[Set[int]],
     cones: Cones,
-) -> Tuple[int, Set[int]]:
+) -> Tuple[int, Set[int], int]:
     """One FBSimDag pass (bottom-up forward sim, then top-down backward sim).
 
-    Returns ``(pruned, changed_nodes)``.
+    ``dirty`` holds the query nodes whose candidates changed in the previous
+    pass (``None``: check everything); a check runs when its partner node is
+    dirty or changed earlier in this pass.  Returns ``(pruned,
+    changed_nodes, checks)``.
     """
-    pruned = 0
+    pruned = checks = 0
     changed: Set[int] = set()
 
     # forwardSim: reverse topological order, check outgoing edges.
     for node in reversed(order):
         for edge in out_edges[node]:
-            if dirty is not None and node not in dirty and edge.target not in dirty and edge.target not in changed:
+            if dirty is not None and edge.target not in dirty and edge.target not in changed:
                 continue
+            checks += 1
             removed = _prune_tail(context, edge, candidates, method, cones)
             if removed:
                 pruned += removed
@@ -238,14 +251,15 @@ def _dag_pass(
     # backwardSim: topological order, check incoming edges.
     for node in order:
         for edge in in_edges[node]:
-            if dirty is not None and node not in dirty and edge.source not in dirty and edge.source not in changed:
+            if dirty is not None and edge.source not in dirty and edge.source not in changed:
                 continue
+            checks += 1
             removed = _prune_head(context, edge, candidates, method, cones)
             if removed:
                 pruned += removed
                 changed.add(node)
 
-    return pruned, changed
+    return pruned, changed, checks
 
 
 def fbsim(
@@ -280,15 +294,16 @@ def fbsim(
 
     method = options.child_check
     candidates = _initial_candidates(context, query, initial)
-    passes = 0
+    passes = checks = 0
     total_pruned = 0
     pruned_per_pass: List[int] = []
     dirty: Optional[Set[int]] = None  # None = first pass, check everything
     while True:
         passes += 1
-        pruned_this_pass, changed = _dag_pass(
+        pruned_this_pass, changed, dag_checks = _dag_pass(
             context, order, out_edges, in_edges, candidates, method, dirty, cones
         )
+        checks += dag_checks + 2 * len(back_edges)
         # FBSimBas-style sweep over the back edges.
         for edge in back_edges:
             removed = _prune_tail(context, edge, candidates, method, cones)
@@ -314,6 +329,7 @@ def fbsim(
         algorithm="FBSim",
         elapsed_seconds=time.perf_counter() - start,
         pruned_per_pass=pruned_per_pass,
+        checks=checks,
     )
 
 

@@ -28,7 +28,7 @@ from repro.graph.digraph import DataGraph
 from repro.graph.generators import random_labeled_graph
 from repro.matching.gm import GraphMatcher
 from repro.query.generators import all_template_queries, random_pattern_query
-from repro.query.pattern import PatternQuery
+from repro.query.pattern import EdgeType, PatternEdge, PatternQuery
 from repro.reachability.base import BFSReachability
 from repro.rig.build import GMVariant, build_rig
 from repro.rig.graph import RuntimeIndexGraph
@@ -39,6 +39,10 @@ from repro.simulation.fbsim import SimulationOptions
 from repro.simulation.matchsets import node_prefilter
 
 from test_simulation_properties import graph_and_query
+
+#: A reachability query edge: what the semijoins below are asked about.
+PATH = PatternEdge(0, 1, EdgeType.DESCENDANT)
+
 
 @st.composite
 def digraph_with_candidates(draw):
@@ -87,8 +91,8 @@ def assert_matches_reference(context, tails, heads):
     # One object per distinct answer, in each direction.
     for index in (forward, backward):
         assert len({id(matched) for matched in index.values()}) == len(set(index.values()))
-    assert context.tails_reaching(tails, heads) == set(expected)
-    assert context.heads_reached(heads, tails) == set(backward)
+    assert context.tails_reaching(PATH, tails, heads) == set(expected)
+    assert context.heads_reached(PATH, heads, tails) == set(backward)
 
 
 def old_label_fixpoint(context):
@@ -131,8 +135,8 @@ def test_self_pair_needs_a_cycle():
     forward, backward = context.expand_reachability(everyone, everyone)
     assert forward == {0: {0}, 1: {1, 2}, 2: {1, 2}, 3: {4}}
     assert backward == {0: {0}, 1: {1, 2}, 2: {1, 2}, 4: {3}}
-    assert context.tails_reaching(everyone, everyone) == {0, 1, 2, 3}
-    assert context.heads_reached(everyone, everyone) == {0, 1, 2, 4}
+    assert context.tails_reaching(PATH, everyone, everyone) == {0, 1, 2, 3}
+    assert context.heads_reached(PATH, everyone, everyone) == {0, 1, 2, 4}
     rig = build_rig(context, PatternQuery(["A", "A"], [(0, 1, "descendant")])).rig
     assert set(rig.edge_candidates(0, 1)) == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 4)}
     assert index_pairs(rig.backward_index(0, 1), flip=True) == set(rig.edge_candidates(0, 1))
@@ -499,11 +503,11 @@ def test_one_builds_cones_answer_like_per_tail_bfs(data, steps):
         down = (True, frozenset(component_of[tail] for tail in tails))
         up = (False, frozenset(component_of[head] for head in heads))
         if step == "tails":
-            tails = context.tails_reaching(tails, heads, cones)
+            tails = context.tails_reaching(PATH, tails, heads, cones)
             assert tails == set(expected)
             asked.append(up)
         elif step == "heads":
-            heads = context.heads_reached(heads, tails, cones)
+            heads = context.heads_reached(PATH, heads, tails, cones)
             assert heads == set(transposed(expected))
             asked.append(down)
         elif step == "expand":
@@ -564,8 +568,11 @@ def test_threads_sharing_one_context_build_the_sequential_rigs():
 
 def test_each_cone_is_swept_once_per_build_and_counted(monkeypatch):
     # 0 -> 1 -> 2 is an A -> B -> C path.  B at 3 reaches no C (the
-    # pre-filter drops it), so pass 1 drops A at 4 and pass 2 re-checks the
-    # two edges at A: 4 cones swept, 2 served in pass 2 and 4 in expansion.
+    # pre-filter drops it), so pass 1 (4 checks) drops A at 4 and pass 2
+    # re-checks only the backward check of A -> B, whose partner side (A)
+    # changed.  Its forward check is skipped: B's candidates did not change
+    # since it ran, so every A it kept still reaches a B and it could not
+    # prune.  4 cones swept, 1 served in pass 2 and 4 in expansion.
     graph = DataGraph("ABCBA", [(0, 1), (1, 2), (4, 3)])
     query = PatternQuery(["A", "B", "C"], [(0, 1, "descendant"), (1, 2, "descendant")])
     swept = []
@@ -580,12 +587,14 @@ def test_each_cone_is_swept_once_per_build_and_counted(monkeypatch):
     matcher = GraphMatcher(graph)
     report = matcher.build_rig(query)
     assert report.simulation.passes == 2
+    assert report.simulation.checks == 5
     # One sweep per distinct (direction, component set): a return to one
     # sweep per call repeats keys here.
     assert report.condensation_sweeps == len(swept) == len(set(swept)) == 4
-    assert report.condensation_sweeps_served == 6
+    assert report.condensation_sweeps_served == 5
     artifacts = matcher.explain(query).artifacts
-    assert (artifacts["condensation_sweeps"], artifacts["condensation_sweeps_served"]) == (4, 6)
+    assert (artifacts["condensation_sweeps"], artifacts["condensation_sweeps_served"]) == (4, 5)
+    assert artifacts["simulation_checks"] == 5
     extra = matcher.match(query).extra
     assert "condensation_sweeps" not in extra and "condensation_sweeps_served" not in extra
 

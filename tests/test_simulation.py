@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.graph.digraph import DataGraph
+from repro.matching.gm import GraphMatcher
 from repro.query.pattern import EdgeType, PatternQuery
 from repro.simulation.context import ChildCheckMethod, Cones, MatchContext
 from repro.simulation.dual import dual_simulation
@@ -55,15 +56,16 @@ class TestMatchContext:
         assert A2 in backward and B1 in backward and B2 in backward
         assert A1 not in backward
 
-    def test_forward_targets_child_vs_descendant(self, paper_context, paper_query):
+    def test_heads_reached_child_vs_descendant(self, paper_context, paper_query):
         child_edge = paper_query.edge(0, 1)
         descendant_edge = paper_query.edge(1, 2)
-        assert paper_context.forward_targets(child_edge, {A1}) == {B0, C0, C1}
-        assert C0 in paper_context.forward_targets(descendant_edge, {B0})
+        everyone = set(paper_context.graph.nodes())
+        assert paper_context.heads_reached(child_edge, everyone, {A1}) == {B0, C0, C1}
+        assert C0 in paper_context.heads_reached(descendant_edge, everyone, {B0})
 
-    def test_backward_sources(self, paper_context, paper_query):
+    def test_tails_reaching_child(self, paper_context, paper_query):
         child_edge = paper_query.edge(0, 1)
-        assert A1 in paper_context.backward_sources(child_edge, {B0})
+        assert A1 in paper_context.tails_reaching(child_edge, set(paper_context.graph.nodes()), {B0})
 
     def test_label_summaries(self, paper_context):
         bit_c = paper_context.label_bit("C")
@@ -229,26 +231,40 @@ class TestFBSimulationAccounting:
         simulate(paper_context, paper_query, cones=cones)
         assert cones.computed > 0  # the descendant edge swept its cones here
 
+    def test_checks_count_the_checks_run(self, paper_context, paper_query):
+        # Three edges, two passes, six checks a pass without flags.  Pass 1
+        # prunes A (forward A -> B) and B (backward A -> B); C never changes,
+        # so DagMap's pass 2 skips the forward checks of B => C and A -> C.
+        def checks(simulate, **options):
+            return simulate(paper_context, paper_query, options=SimulationOptions(**options))
+
+        assert [checks(fbsim_basic).checks, checks(fbsim, use_change_flags=False).checks] == [12, 12]
+        dag_map = checks(fbsim)
+        assert (dag_map.passes, dag_map.pruned_per_pass, dag_map.checks) == (2, [3, 0], 10)
+        # GM pre-filters first, which leaves its one pass nothing to prune.
+        artifacts = GraphMatcher(paper_context.graph).explain(paper_query).artifacts
+        assert (artifacts["simulation_passes"], artifacts["simulation_checks"]) == (1, 6)
+
     @pytest.mark.parametrize("method", list(ChildCheckMethod))
     @pytest.mark.parametrize("simulate", [fbsim, fbsim_basic])
     def test_each_child_check_method_takes_its_own_path(self, simulate, method, paper_context):
         child_only = PatternQuery(["A", "B", "C"], [(0, 1, "child"), (0, 2, "child")])
         with mock.patch.object(
-            paper_context, "forward_targets", wraps=paper_context.forward_targets
-        ) as forward_targets, mock.patch.object(
-            paper_context, "backward_sources", wraps=paper_context.backward_sources
-        ) as backward_sources, mock.patch.object(
+            paper_context, "tails_reaching", wraps=paper_context.tails_reaching
+        ) as tails_reaching, mock.patch.object(
+            paper_context, "heads_reached", wraps=paper_context.heads_reached
+        ) as heads_reached, mock.patch.object(
             DataGraph, "has_edge_binary_search", autospec=True,
             side_effect=DataGraph.has_edge_binary_search,
         ) as binary_search:
             simulate(paper_context, child_only, options=SimulationOptions(child_check=method))
         calls = {
-            "forward_targets": forward_targets.called,
-            "backward_sources": backward_sources.called,
+            "tails_reaching": tails_reaching.called,
+            "heads_reached": heads_reached.called,
             "has_edge_binary_search": binary_search.called,
         }
         expected = {
-            ChildCheckMethod.BIT_BAT: {"forward_targets", "backward_sources"},
+            ChildCheckMethod.BIT_BAT: {"tails_reaching", "heads_reached"},
             ChildCheckMethod.BIN_SEARCH: {"has_edge_binary_search"},
             ChildCheckMethod.BIT_ITER: set(),
         }[method]
