@@ -149,7 +149,8 @@ def main() -> None:
             # Telemetry is on by default: every layer mirrors its counters
             # into one per-tenant metrics registry, snapshotable over the
             # wire (or as Prometheus text via format="prometheus").  A
-            # trace_id on any query forces an end-to-end span tree.
+            # trace_id on any query traces it: a root span with one child
+            # span per stage, in the reply and in the tenant's span ring.
             metrics = remote.server_metrics(graph="quickstart")
             interesting = [
                 "service_completed_total", "session_cache_hits_total",

@@ -22,10 +22,10 @@ the pieces most applications need:
   with incremental index maintenance (``session.apply(delta)``);
 * :class:`GraphDB` — the unified facade: open / ingest / apply / query /
   stream / count / histogram / stats over the whole store + service stack;
-* :class:`Telemetry` / :class:`MetricsRegistry` / :class:`Tracer` /
-  :class:`SlowQueryLog` — the unified observability context threaded
-  through every layer (``repro.obs``): labelled metric families, sampled
-  end-to-end query traces, and a structured slow-query log;
+* :class:`Telemetry` / :class:`MetricsRegistry` / :class:`SlowQueryLog`
+  — the unified observability context threaded through every layer
+  (``repro.obs``): labelled metric families, end-to-end query traces as
+  linked spans (traced on request), and a structured slow-query log;
 * :class:`GraphServer` / :class:`GraphCatalog` / :class:`GraphClient` —
   multi-tenant network serving of the facade over a length-prefixed JSON
   frame protocol (``repro.server`` / ``repro.client``);
@@ -97,7 +97,7 @@ from repro.service import (
 )
 from repro.api import GraphDB
 from repro.explain import PlanOperator, QueryPlan, plan_digest
-from repro.obs import MetricsRegistry, SlowQueryLog, Telemetry, Tracer
+from repro.obs import MetricsRegistry, SlowQueryLog, Telemetry
 from repro.wal import DeltaLog, RecoveryReport, WalDurability
 from repro.server import GraphCatalog, GraphServer
 from repro.client import GraphClient, RemoteSnapshot, RemoteStream, RoutedClient
@@ -169,7 +169,6 @@ __all__ = [
     "MetricsRegistry",
     "SlowQueryLog",
     "Telemetry",
-    "Tracer",
     "DeltaLog",
     "RecoveryReport",
     "WalDurability",

@@ -84,7 +84,7 @@ class GraphDB(Reader):
         self.store = store
         self.service = QueryService(store, config=config, telemetry=telemetry)
         #: The database's :class:`~repro.obs.Telemetry` context — metrics
-        #: registry, tracer and slow-query log — shared by every layer
+        #: registry, slow-query log and span ring — shared by every layer
         #: (store, sessions, WAL, service); the store's unless given.
         self.telemetry = self.service.telemetry
         self._owns_store = owns_store
@@ -357,9 +357,10 @@ class GraphDB(Reader):
         """Evaluate one query (DSL text or :class:`PatternQuery`) to completion.
 
         Admission-controlled and version-pinned: the query runs on a
-        worker against a pinned snapshot of the head.  ``trace_id`` forces
-        end-to-end tracing regardless of the telemetry sample rate; the
-        span tree lands in ``report.extra["trace"]``.
+        worker against a pinned snapshot of the head.  ``trace_id`` traces
+        the query: its root ``query`` span and one child span per stage land
+        in the span ring (:meth:`trace_spans`), and the tree — the root's
+        span document plus ``spans`` — in ``report.extra["trace"]``.
         """
         return self.service.submit(
             self._as_query(query, name),

@@ -647,11 +647,13 @@ class GraphClient(Reader):
         """Evaluate one query to completion (see :meth:`GraphDB.query`).
 
         ``trace_id`` (any short string, e.g.
-        :func:`repro.obs.new_trace_id`) forces end-to-end tracing
-        server-side regardless of the tenant's sample rate; the resulting
-        span tree — queue wait, pin, plan, enumeration, wire encoding —
-        comes back in ``report.extra["trace"]``, and the same id rides on
-        the error payload if the request fails instead.
+        :func:`repro.obs.new_trace_id`, or a :class:`~repro.obs.TraceContext`)
+        traces the query server-side: its root ``query`` span and one child
+        per stage — queue wait, pin, plan, enumeration, wire encoding — land
+        in the tenant's span ring (:meth:`trace`) and come back in
+        ``report.extra["trace"]``, and the same id rides on the error
+        payload if the request fails instead.  An unsampled context only
+        tags the error payload and the slow-log entry.
         """
         return self._read("query", query=query, trace=trace_id, **options)
 
@@ -666,9 +668,10 @@ class GraphClient(Reader):
     ) -> RemoteStream:
         """Open a pipelined stream: pages flow before the query finishes.
 
-        With ``trace_id`` the stream's terminal report carries the span
-        tree in ``extra["trace"]``, including the server's accumulated
-        ``wire_encode`` time across all page frames.
+        With ``trace_id`` (as in :meth:`query`) the stream's terminal
+        report carries the span tree in ``extra["trace"]``, including the
+        server's accumulated ``wire_encode`` time across all page frames
+        and the ``stream_flush`` remainder.
         """
         graph_name = self._graph_name(graph)
         payload = self._request(

@@ -10,26 +10,28 @@ server, WAL durability, engines) share this one surface:
   documents (``GraphDB.stats``, ``QueryService.stats_snapshot``,
   ``VersionedGraphStore.counters``, ``WalDurability.counters``) are reads
   of it (:meth:`MetricsRegistry.read`).
-* :class:`Tracer` / :class:`Trace` — sampled per-query span trees
+* :class:`Span` / :class:`SpanRecorder` — the one span model.  A traced
+  query is a root ``query`` span whose children are its stages
   (queue-wait → pin → plan → index-build → first-match → stream-drain →
-  wire-encode) with trace ids that propagate from ``GraphClient`` through
-  the wire frames to the service and engine layers and back — including
-  through error payloads.
+  wire-encode), recorded into the tenant's span ring; its trace id
+  propagates from ``GraphClient`` through the wire frames to the service
+  and back — including through error payloads.
 * :class:`SlowQueryLog` — a JSON-lines record (bounded ring + optional
-  file) of every query over a configurable threshold, span breakdown
-  included.
-* :class:`Telemetry` — the bundle of all three, threaded through
-  ``GraphDB`` → store → service → WAL as one context object.
+  file) of every query over a configurable threshold, the traced query's
+  span tree included.
+* :class:`Telemetry` — the bundle of registry, slow log and span ring,
+  threaded through ``GraphDB`` → store → service → WAL as one context
+  object.
 * :func:`percentile` / :class:`Reservoir` — the single shared quantile
   implementation (nearest-rank) and its bounded-memory sampling companion.
 
 The cluster observability plane (PR 10) extends the surface across nodes:
 
-* :class:`TraceContext` / :class:`Span` / :class:`SpanRecorder` /
-  :func:`assemble_trace` — cross-node trace propagation: one trace id
-  follows a write from the routing client through the primary's fold,
-  journal and publish into every replica's apply (see
-  :mod:`repro.obs.context`).
+* :class:`TraceContext` / :func:`assemble_trace` — cross-node trace
+  propagation: one trace id and sampling bit follow a read or a write
+  from the routing client through the primary's fold, journal and
+  publish into every replica's apply, and the spans each node recorded
+  stitch back into one tree (see :mod:`repro.obs.context`).
 * :mod:`repro.obs.health` — the shared ``ready`` / ``degraded`` /
   ``unhealthy`` / ``unreachable`` vocabulary behind the ``health`` wire
   op and the router's probing.
@@ -48,6 +50,7 @@ from repro.obs.context import (
     TraceContext,
     assemble_trace,
     new_span_id,
+    new_trace_id,
     trace_span,
 )
 from repro.obs.events import EventLog
@@ -72,7 +75,6 @@ from repro.obs.metrics import (
 from repro.obs.quantiles import Reservoir, percentile
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACE, Trace, Tracer, new_trace_id
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -86,16 +88,13 @@ __all__ = [
     "GaugeFamily",
     "HistogramFamily",
     "MetricsRegistry",
-    "NULL_TRACE",
     "Reservoir",
     "SlowQueryLog",
     "Span",
     "SpanRecorder",
     "Telemetry",
     "TenantLoggerAdapter",
-    "Trace",
     "TraceContext",
-    "Tracer",
     "assemble_trace",
     "classify_tenant",
     "configure_logging",

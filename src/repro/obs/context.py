@@ -1,11 +1,12 @@
-"""Cross-node trace propagation: contexts, spans, recorders, assembly.
+"""Traces: contexts, spans, recorders, assembly.
 
-PR 7's :class:`~repro.obs.trace.Trace` answers "where did this query's
-time go?" *inside one process*.  This module makes a trace survive the
-hops PRs 5–9 added: a :class:`TraceContext` — ``(trace_id, parent
-span_id, sampling bit)`` — rides every wire frame, every replication
-frame and (via a thread-local) every fold, so one trace id names a tree
-of :class:`Span` records scattered across the client, the primary and
+:class:`Span` is the one span record: a traced query's stages (its
+``query`` root with ``queue_wait``, ``pin``, ``plan``, ... children, see
+:meth:`repro.service.QueryService.submit`) and a write's fold, journal and
+publish are all spans, linked by ids.  A :class:`TraceContext` —
+``(trace_id, parent span_id, sampling bit)`` — rides every wire frame,
+every replication frame and (via a thread-local) every fold, so one trace
+id names a tree of spans scattered across the client, the primary and
 every replica.  Each node keeps its part of the tree in a bounded
 :class:`SpanRecorder` (one per :class:`~repro.obs.Telemetry`, queryable
 over the wire with the ``trace`` op); :func:`assemble_trace` stitches
@@ -14,9 +15,9 @@ the parts back into one tree.
 Wire form
 ---------
 ``TraceContext.to_wire()`` is ``{"id": ..., "span": ..., "sampled":
-...}``; :meth:`TraceContext.from_wire` also accepts the **legacy plain
-string** trace id PR 7 clients put in the frame's ``trace`` field, so
-old clients force-sample new servers unchanged.
+...}``; :meth:`TraceContext.from_wire` also accepts a **plain string**
+trace id in the frame's ``trace`` field (what ``GraphClient.query(q,
+trace_id="...")`` sends): a sampled context with no parent span.
 
 Propagation inside a process
 ----------------------------
@@ -46,8 +47,14 @@ __all__ = [
     "assemble_trace",
     "current",
     "new_span_id",
+    "new_trace_id",
     "trace_span",
 ]
+
+
+def new_trace_id() -> str:
+    """A fresh 16-hex-character trace id."""
+    return uuid.uuid4().hex[:16]
 
 
 def new_span_id() -> str:
@@ -80,8 +87,6 @@ class TraceContext:
     @classmethod
     def new(cls) -> "TraceContext":
         """A fresh sampled root context (no parent span yet)."""
-        from repro.obs.trace import new_trace_id
-
         return cls(new_trace_id(), None, True)
 
     def child(self, span_id: str) -> "TraceContext":

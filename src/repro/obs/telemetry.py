@@ -2,10 +2,13 @@
 
 A :class:`Telemetry` bundles the three observability surfaces —
 :class:`~repro.obs.metrics.MetricsRegistry`,
-:class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.slowlog.SlowQueryLog` — so the stack passes a single
-handle down instead of three.  One instance per tenant, handed to each
-layer when it is constructed: the :class:`~repro.session.QuerySession`
+:class:`~repro.obs.slowlog.SlowQueryLog` and the span ring
+(:class:`~repro.obs.context.SpanRecorder`) — so the stack passes a single
+handle down instead of three.  There is no sampling knob: a query is
+traced exactly when its caller passes a trace id or a sampled
+:class:`~repro.obs.context.TraceContext`.  One instance per tenant,
+handed to each layer when it is constructed: the
+:class:`~repro.session.QuerySession`
 epochs, the :class:`~repro.store.VersionedGraphStore`, the
 :class:`~repro.service.QueryService` and (its registry) the
 :class:`~repro.wal.WalDurability` hook all count into it, and nowhere else;
@@ -25,46 +28,39 @@ from typing import Optional
 from repro.obs.context import SpanRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import Tracer
 
 
 class Telemetry:
-    """Per-tenant observability bundle: registry + tracer + slow log + spans.
+    """Per-tenant observability bundle: registry + slow log + spans.
 
     Parameters
     ----------
-    registry / tracer / slow_log / spans:
+    registry / slow_log / spans:
         Pre-built components to adopt; anything omitted is constructed from
         the scalar knobs below.
-    sample_rate:
-        Tracer sampling probability for unforced queries (default ``0.0``:
-        only explicitly requested trace ids produce traces).
     slow_query_seconds:
         Slow-log threshold; ``None`` (default) disables the log, ``0.0``
         records every query.
     slow_log_path:
         Optional JSON-lines file the slow log also appends to.
     span_capacity:
-        Size of the cross-node span ring (see
+        Size of the span ring (see
         :class:`~repro.obs.context.SpanRecorder`): how many finished
-        distributed-trace spans this tenant retains for the ``trace``
-        wire op and cross-node trace assembly.
+        spans — traced queries' stages, traced writes' folds — this tenant
+        retains for the ``trace`` wire op and cross-node trace assembly.
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         slow_log: Optional[SlowQueryLog] = None,
         spans: Optional[SpanRecorder] = None,
-        sample_rate: float = 0.0,
         slow_query_seconds: Optional[float] = None,
         slow_log_path: Optional[str] = None,
         slow_log_capacity: int = 128,
         span_capacity: int = 512,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(sample_rate=sample_rate)
         self.slow_log = (
             slow_log
             if slow_log is not None
@@ -78,8 +74,8 @@ class Telemetry:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Telemetry(registry={self.registry!r}, tracer={self.tracer!r}, "
-            f"slow_log={self.slow_log!r})"
+            f"Telemetry(registry={self.registry!r}, slow_log={self.slow_log!r}, "
+            f"spans={self.spans!r})"
         )
 
 

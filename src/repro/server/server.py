@@ -148,22 +148,26 @@ def _tag_trace(error: BaseException, trace_id: Optional[str]) -> None:
 
 
 def _with_trace(
-    wire: Dict[str, object], trace, encode_seconds: float, remainder: Optional[str] = None
+    wire: Dict[str, object],
+    database: GraphDB,
+    ticket,
+    node: Optional[str],
+    encode_seconds: float,
+    remainder: Optional[str] = None,
 ) -> Dict[str, object]:
-    """``wire`` carrying its query's trace, when the query was traced.
+    """``wire`` carrying its query's trace, when the query was sampled.
 
-    The service finished the root over queue/pin/run; the server appends
-    its ``wire_encode`` span and re-finishes, so the tree the client sees
-    covers the whole server-side wall clock.  A ``remainder`` span takes
-    the wall time no other span covers, so the children sum to the root.
+    The service added the stage spans under the root; the server adds its
+    ``wire_encode`` span and ends the trace, so the tree the client sees —
+    the same spans the tenant's ring and slow log get — covers the whole
+    server-side wall clock.  A ``remainder`` span takes the wall time no
+    other span covers, so the children sum to the root.
     """
-    if trace:
-        trace.add_span("wire_encode", encode_seconds)
-        trace.finish()
-        uncovered = trace.seconds - trace.span_seconds()
-        if remainder and uncovered > 0:
-            trace.add_span(remainder, uncovered)
-        wire["extra"]["trace"] = trace.to_dict()
+    if ticket.trace is not None:
+        ticket.add_span("wire_encode", encode_seconds)
+    trace = database.service.end_trace(ticket, node, remainder)
+    if trace is not None:
+        wire["extra"]["trace"] = trace
     return wire
 
 
@@ -244,18 +248,23 @@ class _ServerStream(StreamWindow):
     def finish(self, ticket) -> None:
         """Post the end frame: the finalised (count-only) report, or the
         mapped error.  An abandoned stream ends silently."""
-        if self._abandoned:
-            return
-        error = ticket.error
-        if error is not None:
-            _tag_trace(error, ticket.trace.trace_id)
+        error, node = ticket.error, self.connection.server.node
+        if self._abandoned or error is not None:
+            if not ticket.service_ends_trace:
+                self.database.service.end_trace(ticket, node)
+            if self._abandoned:
+                return
+            _tag_trace(error, ticket.trace_id)
             end = {"stream": self.stream_id, "end": True, "error": encode_error(error)}
         else:
             encode_started = time.perf_counter()
             wire = ticket.report.to_wire(include_occurrences=False)
             self.encode_seconds += time.perf_counter() - encode_started
-            # stream_flush: credit waits and frame hand-offs, the remainder.
-            wire = _with_trace(wire, ticket.trace, self.encode_seconds, "stream_flush")
+            if not ticket.service_ends_trace:
+                # stream_flush: credit waits and frame hand-offs, the remainder.
+                wire = _with_trace(
+                    wire, self.database, ticket, node, self.encode_seconds, "stream_flush"
+                )
             end = {"stream": self.stream_id, "end": True, "report": wire}
         with self._cond:
             if not self._opened:
@@ -663,30 +672,25 @@ class _Connection:
         return APPLY_REPORT.encode(report)
 
     async def _op_query(self, graph, database, query, timeout=None, trace=None, **options):
-        # A propagated read context also lands one op span in the tenant's
-        # cross-node ring, so routed reads show up on whichever node
-        # served them when the trace is assembled fleet-wide.
-        span = None
-        if trace is not None and trace.sampled:
-            span = trace_context.Span(
-                "query",
-                trace.trace_id,
-                parent_id=trace.span_id,
-                node=self.server.node,
-                graph=graph,
-            )
-        ticket = database.service.submit(
-            query, trace_id=trace.trace_id if trace is not None else None, **options
-        )
+        # A traced read's spans carry this node, so routed reads show up on
+        # whichever node served them when the trace is assembled fleet-wide.
+        ticket = database.service.submit(query, trace_id=trace, **options)
         self._track_ticket(ticket)
         try:
             report = await self._run(ticket.result, timeout)
-        finally:
-            if span is not None:
-                database.telemetry.spans.record(span.finish())
+        except BaseException:
+            if not ticket.service_ends_trace:  # end it whenever the ticket finishes
+                ticket.add_done_callback(
+                    partial(database.service.end_trace, node=self.server.node)
+                )
+            raise
         encode_started = time.perf_counter()
         wire = report.to_wire()
-        return _with_trace(wire, ticket.trace, time.perf_counter() - encode_started)
+        if ticket.service_ends_trace:
+            return wire
+        return _with_trace(
+            wire, database, ticket, self.server.node, time.perf_counter() - encode_started
+        )
 
     async def _op_pin(self, graph, database, version=None):
         snapshot = database.store.pin(version)
@@ -721,7 +725,7 @@ class _Connection:
                 query,
                 version=snapshot.version if snapshot is not None else None,
                 keep_occurrences=False,
-                trace_id=trace.trace_id if trace is not None else None,
+                trace_id=trace,
                 window=stream,
                 **options,
             )

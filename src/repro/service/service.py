@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import (
     QueryCancelled,
@@ -49,10 +49,9 @@ from repro.exceptions import (
 )
 from repro.graph.digraph import DataGraph
 from repro.matching.result import Budget, MatchReport, MatchStatus
-from repro.obs.context import TraceContext
+from repro.obs.context import Span, TraceContext
 from repro.obs.quantiles import Reservoir, percentile
 from repro.obs.telemetry import Telemetry, require_one_registry
-from repro.obs.trace import NULL_TRACE
 from repro.query.pattern import PatternQuery
 from repro.store.versioned import StoreSnapshot, VersionedGraphStore
 
@@ -236,10 +235,17 @@ class QueryTicket:
         self.window = window
         self.keep_occurrences = keep_occurrences
         self.submitted_at = time.monotonic()
-        #: The query's distributed trace (a no-op :data:`NULL_TRACE` unless
-        #: the owning service sampled this request or the caller forced a
-        #: trace id through the wire protocol).
-        self.trace = NULL_TRACE
+        #: The caller's trace id (tags the error payload and the slow-log
+        #: entry, sampled or not), and for a sampled trace its root
+        #: ``query`` :class:`~repro.obs.Span` and the root's finished
+        #: children, in stage order; ``None`` / empty when untraced.
+        self.trace_id: Optional[str] = None
+        self.trace: Optional[Span] = None
+        self.spans: List[Span] = []
+        #: Whether the service ends the trace when the ticket finishes; a
+        #: caller that passed a :class:`~repro.obs.TraceContext` ends it
+        #: with :meth:`QueryService.end_trace`.
+        self.service_ends_trace = True
         self.status = TICKET_QUEUED
         self.report: Optional[MatchReport] = None
         self.error: Optional[BaseException] = None
@@ -303,6 +309,17 @@ class QueryTicket:
                 "without a report"
             )
         return self.report
+
+    def add_span(self, name: str, seconds: float) -> None:
+        """Append one finished child of the root, laid after the last one."""
+        root = self.trace
+        span = Span(name, root.trace_id, parent_id=root.span_id)
+        span.started_at = root.started_at + sum(child.seconds for child in self.spans)
+        self.spans.append(span.finish(seconds))
+
+    def trace_document(self) -> Dict[str, object]:
+        """The root's span document plus ``spans``, its children's."""
+        return dict(self.trace.to_dict(), spans=[span.to_dict() for span in self.spans])
 
     # internal: terminal transitions (worker / service side only) -------- #
 
@@ -642,10 +659,16 @@ class QueryService:
         pages still flow, but the worker never accumulates the full
         occurrence list.
 
-        ``trace_id`` forces end-to-end tracing for this request regardless
-        of the telemetry sample rate (the wire server passes the client's
-        propagated id through here); without it the service's
-        :class:`~repro.obs.trace.Tracer` decides by sampling.
+        ``trace_id`` traces this request: a plain id, or a
+        :class:`~repro.obs.TraceContext` (what the wire server passes)
+        whose span becomes the root's parent.  A traced query is one root
+        ``query`` :class:`~repro.obs.Span` (``ticket.trace``) with one
+        child per stage (``ticket.spans``); an unsampled context only tags
+        the error payload and the slow-log entry.  For a plain id the
+        service ends the trace when the query finishes: the spans land in
+        the telemetry's span ring, the tree in ``report.extra["trace"]``
+        and the slow-log entry.  A context's caller adds its own stages
+        and ends the trace with :meth:`end_trace`.
         """
         self._m_submitted.inc()
         effective_deadline = (
@@ -663,12 +686,19 @@ class QueryService:
                 raise ValueError(f"page_size must be positive, got {page_size}")
             window = window or _PageQueue(self.config.stream_buffer_pages)
         engine, budget = self.defaults(engine, budget)
-        # Callers inside a distributed trace may hand the whole context;
-        # the service's per-query trace keys on the id alone.  The trace
-        # starts before the ticket, so no queue_wait predates its root.
-        if isinstance(trace_id, TraceContext):
-            trace_id = trace_id.trace_id
-        trace = self.telemetry.tracer.trace("query", trace_id=trace_id)
+        # The root starts before the ticket, so no queue_wait predates it.
+        context = trace_id
+        if trace_id is not None and not isinstance(trace_id, TraceContext):
+            context = TraceContext(str(trace_id))
+        root = None
+        if context is not None and context.sampled:
+            root = Span(
+                "query",
+                context.trace_id,
+                parent_id=context.span_id,
+                query=name or query.name,
+                engine=engine,
+            )
         ticket = QueryTicket(
             query,
             engine=engine,
@@ -680,8 +710,9 @@ class QueryService:
             window=window,
             keep_occurrences=keep_occurrences,
         )
-        ticket.trace = trace
-        trace.annotate(query=ticket.name, engine=ticket.engine)
+        if context is not None:
+            ticket.trace_id, ticket.trace = context.trace_id, root
+            ticket.service_ends_trace = not isinstance(trace_id, TraceContext)
         with self._admission_lock:
             if self._closed:
                 raise StoreError("service is closed")
@@ -834,12 +865,15 @@ class QueryService:
             self._finish_trace(
                 ticket, report, version, queue_wait, pin_seconds, run_seconds
             )
+            if ticket.service_ends_trace and ticket.trace is not None:
+                report.extra["trace"] = self._end_spans(ticket, None)
             if report.status is MatchStatus.CANCELLED:
                 ticket._finish(TICKET_CANCELLED, report=report)
             else:
                 ticket._finish(TICKET_DONE, report=report)
             self._note_completed(ticket.seconds, report.status.value)
-            self._record_slow_query(ticket, report, version)
+            if ticket.service_ends_trace:
+                self._record_slow_query(ticket, report.extra.get("trace"))
         except Exception as exc:  # engine/user errors surface via result()
             if ticket.cancel_event.is_set():
                 # A cancel that landed mid-setup (e.g. StreamingResult.close()
@@ -934,7 +968,7 @@ class QueryService:
         pin_seconds: float,
         run_seconds: float,
     ) -> None:
-        """Synthesise the query's span tree and attach it to the report.
+        """Add the query's stage spans under its root, from its timings.
 
         The stage breakdown is reconstructed from the engine's own timings:
         ``plan`` is the matcher's preparation+search phase
@@ -944,11 +978,10 @@ class QueryService:
         remainder of worker-side execution less the page encoding a wire
         stream's window did (the server reports it as ``wire_encode``) — so
         the children sum to ``queue_wait + pin + run`` and the tree stays
-        within a few percent of the root's wall clock.  The server later
-        appends its spans and re-finishes the same trace.
+        within a few percent of the root's wall clock.
         """
-        trace = ticket.trace
-        if not trace:
+        root = ticket.trace
+        if root is None:
             return
         extra = report.extra
         plan = float(report.matching_seconds or 0.0)
@@ -961,40 +994,82 @@ class QueryService:
         )
         encoded = ticket.window.encode_seconds if ticket.window is not None else 0.0
         stream_drain = max(0.0, run_seconds - plan - index_build - first_match - encoded)
-        trace.add_span("queue_wait", queue_wait)
-        trace.add_span("pin", pin_seconds)
-        trace.add_span("plan", plan)
+        ticket.add_span("queue_wait", queue_wait)
+        ticket.add_span("pin", pin_seconds)
+        ticket.add_span("plan", plan)
         if index_build:
-            trace.add_span("index_build", index_build)
+            ticket.add_span("index_build", index_build)
         if first_match_at is not None:
-            trace.add_span("first_match", first_match)
-        trace.add_span("stream_drain", stream_drain)
-        trace.annotate(
+            ticket.add_span("first_match", first_match)
+        ticket.add_span("stream_drain", stream_drain)
+        root.meta.update(
             status=report.status.value,
             version=version,
             num_matches=report.num_matches,
         )
-        plan_digest = report.extra.get("plan_digest")
+        plan_digest = extra.get("plan_digest")
         if plan_digest:
-            trace.annotate(plan_digest=plan_digest)
-        trace.finish()
-        extra["trace"] = trace.to_dict()
+            root.meta["plan_digest"] = plan_digest
 
-    def _record_slow_query(self, ticket: QueryTicket, report, version: int) -> None:
+    def _end_spans(
+        self, ticket: QueryTicket, node: Optional[str], remainder: Optional[str] = None
+    ) -> Dict[str, object]:
+        """Stamp the root, give the wall time no child covers to a
+        ``remainder`` child, record every span into the span ring (children
+        first) and render the tree."""
+        root = ticket.trace
+        root.finish()
+        uncovered = root.seconds - sum(span.seconds for span in ticket.spans)
+        if remainder and uncovered > 0:
+            ticket.add_span(remainder, uncovered)
+        for span in ticket.spans + [root]:
+            span.node = node
+            self.telemetry.spans.record(span)
+        return ticket.trace_document()
+
+    def end_trace(
+        self,
+        ticket: QueryTicket,
+        node: Optional[str] = None,
+        remainder: Optional[str] = None,
+    ) -> Optional[Dict[str, object]]:
+        """End the trace of a ticket submitted with a
+        :class:`~repro.obs.TraceContext`, once the ticket is terminal.
+
+        The caller first adds its own stages (the wire server's
+        ``wire_encode``) with :meth:`QueryTicket.add_span`; ``remainder``
+        names a last child taking the wall time no other covers, so the
+        children sum to the root.  Every span is stamped
+        with ``node`` and recorded into the span ring once, then the
+        slow-log entry is written with the same tree.  Returns the tree —
+        the root's document plus ``spans``, its children's — or ``None``
+        for an unsampled context.
+        """
+        document = None
+        if ticket.trace is not None:
+            document = self._end_spans(ticket, node, remainder)
+        if ticket.report is not None and ticket.pinned_version is not None:  # it ran
+            self._record_slow_query(ticket, document)
+        return document
+
+    def _record_slow_query(
+        self, ticket: QueryTicket, trace: Optional[Dict[str, object]]
+    ) -> None:
         """Append one structured entry to the slow-query log if over threshold."""
         log = self.telemetry.slow_log
         if not log.enabled or ticket.seconds is None:
             return
+        report = ticket.report
         log.record(
             ticket.seconds,
             query=ticket.name,
             engine=ticket.engine,
             status=report.status.value,
             num_matches=report.num_matches,
-            version=version,
-            trace_id=ticket.trace.trace_id,
+            version=ticket.pinned_version,
+            trace_id=ticket.trace_id,
             plan_digest=report.extra.get("plan_digest"),
-            trace=ticket.trace.to_dict(),
+            trace=trace,
             # BuildRIG's phase timings, present when this query paid them.
             **{
                 key: report.extra[key]

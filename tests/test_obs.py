@@ -2,7 +2,7 @@
 
 Covers the dependency-free ``repro.obs`` primitives — metric families,
 concurrent registry mutation, nearest-rank quantiles and the bounded
-reservoir, the tracer's sampling/forcing contract, and the structured
+reservoir, the span model a traced query is made of, and the structured
 slow-query log — plus the in-process :class:`GraphDB` wiring: every layer
 mirrors into one registry, the legacy stats accessors keep their exact
 semantics (including reset-on-clear), and the registry counters stay
@@ -22,15 +22,16 @@ from repro.exceptions import ServiceOverloadedError
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    NULL_TRACE,
     Reservoir,
     SlowQueryLog,
+    Span,
+    SpanRecorder,
     Telemetry,
-    Trace,
-    Tracer,
+    TraceContext,
     new_trace_id,
     percentile,
 )
+from repro.obs.context import activate, trace_span
 from repro.server import GraphCatalog, GraphServer
 
 pytestmark = pytest.mark.timeout(120)
@@ -299,69 +300,48 @@ class TestRegistryConcurrency:
 # ---------------------------------------------------------------------- #
 
 
-class TestTracer:
-    def test_zero_sample_rate_returns_null_trace(self):
-        tracer = Tracer(sample_rate=0.0)
-        trace = tracer.trace("query")
-        assert trace is NULL_TRACE
-        assert not trace
-        assert trace.to_dict() is None
-
-    def test_full_sample_rate_returns_real_trace(self):
-        tracer = Tracer(sample_rate=1.0)
-        trace = tracer.trace("query")
-        assert trace
-        assert trace.trace_id
-
-    def test_explicit_trace_id_forces_tracing(self):
-        tracer = Tracer(sample_rate=0.0)
-        trace = tracer.trace("query", trace_id="forced01")
-        assert trace
-        assert trace.trace_id == "forced01"
-
-    def test_partial_sampling_is_deterministic_with_seed(self):
-        tracer = Tracer(sample_rate=0.5, seed=42)
-        sampled = [bool(tracer.trace("q")) for _ in range(200)]
-        assert any(sampled) and not all(sampled)
-
-    def test_null_trace_operations_are_noops(self):
-        NULL_TRACE.add_span("x", 1.0)
-        NULL_TRACE.annotate(a=1)
-        NULL_TRACE.finish()
-        with NULL_TRACE.span("y"):
-            pass
-        assert NULL_TRACE.trace_id is None
-
+class TestSpan:
     def test_trace_spans_and_meta(self):
-        trace = Trace("query", trace_id="t1")
-        trace.add_span("plan", 0.25, engine="GM")
-        trace.add_span("negative_clamped", -1.0)
-        trace.annotate(status="ok")
-        trace.finish()
-        document = trace.to_dict()
+        root = Span("query", "t1", status="ok")
+        plan = Span("plan", "t1", parent_id=root.span_id, engine="GM").finish(0.25)
+        clamped = Span("negative_clamped", "t1", parent_id=root.span_id).finish(-1.0)
+        document = root.finish().to_dict()
         assert document["trace_id"] == "t1"
-        assert [span["name"] for span in document["spans"]] == [
-            "plan",
-            "negative_clamped",
-        ]
-        assert document["spans"][0]["engine"] == "GM"
-        assert document["spans"][1]["seconds"] == 0.0
         assert document["meta"]["status"] == "ok"
         assert document["seconds"] >= 0.0
+        assert [span.parent_id for span in (plan, clamped)] == [root.span_id] * 2
+        assert plan.to_dict()["meta"]["engine"] == "GM"
+        assert clamped.to_dict()["seconds"] == 0.0
 
-    def test_finish_latest_wins(self):
-        trace = Trace("query")
-        trace.finish()
-        first = trace.seconds
-        trace.finish()
-        assert trace.seconds >= first
+    def test_trace_span_measures_under_the_active_context(self):
+        recorder = SpanRecorder()
+        with activate(TraceContext("t1", "parent"), recorder=recorder, node="n1"):
+            with trace_span("work", step=1) as span:
+                assert span is not None
+        (document,) = recorder.recent()
+        assert (document["name"], document["parent_id"]) == ("work", "parent")
+        assert document["node"] == "n1" and document["meta"] == {"step": 1}
+        assert document["seconds"] >= 0.0
 
-    def test_span_context_manager_measures(self):
-        trace = Trace("query")
-        with trace.span("work"):
-            pass
-        assert trace.span_seconds() >= 0.0
-        assert trace.to_dict()["spans"][0]["name"] == "work"
+    def test_unsampled_context_records_nothing(self):
+        recorder = SpanRecorder()
+        with activate(TraceContext("t1", sampled=False), recorder=recorder):
+            with trace_span("work") as span:
+                assert span is None
+        assert len(recorder) == 0
+
+    def test_plain_trace_id_traces_one_query(self):
+        dsl = "node a A\nnode b B\nedge a -> b"
+        with GraphDB.from_edges(["A", "B"], [(0, 1)]) as db:
+            untraced = db.query(dsl)
+            report = db.query(dsl, trace_id="forced01")
+            ring = db.trace_spans()
+        assert "trace" not in untraced.extra
+        trace = report.extra["trace"]
+        assert (trace["trace_id"], trace["name"]) == ("forced01", "query")
+        children = [span["span_id"] for span in trace["spans"]]
+        assert [span["span_id"] for span in ring] == children + [trace["span_id"]]
+        assert sum(span["seconds"] for span in trace["spans"]) <= trace["seconds"]
 
     def test_new_trace_ids_are_unique(self):
         identifiers = {new_trace_id() for _ in range(64)}
@@ -426,8 +406,8 @@ class TestSlowQueryLog:
 
 class TestTelemetryWiring:
     def test_telemetry_builds_parts_from_knobs(self):
-        telemetry = Telemetry(sample_rate=1.0, slow_query_seconds=0.5)
-        assert telemetry.tracer.sample_rate == 1.0
+        telemetry = Telemetry(slow_query_seconds=0.5, span_capacity=8)
+        assert telemetry.spans.capacity == 8
         assert telemetry.slow_log.enabled
         assert telemetry.registry.names() == []
 

@@ -323,11 +323,16 @@ class TestTraceOp:
         assert client.trace(limit=100) == {"spans": [], "slow_queries": []}
 
     def test_query_records_read_span(self, primary):
-        _, client = primary
+        server, client = primary
         context = TraceContext.new()
         client.query(PAPER_DSL, trace_id=context)
         spans = client.trace(trace_id=context.trace_id)["spans"]
-        assert [span["name"] for span in spans] == ["query"]
+        *stages, root = spans
+        assert root["name"] == "query"
+        names = [span["name"] for span in stages]
+        assert names[:3] == ["queue_wait", "pin", "plan"] and names[-1] == "wire_encode"
+        assert all(span["parent_id"] == root["span_id"] for span in stages)
+        assert {span["node"] for span in spans} == {server.node}
 
 
 class TestOneLimitRule:
@@ -361,8 +366,9 @@ class TestOneLimitRule:
             ["A", "B"], [(0, 1)], telemetry=Telemetry(slow_query_seconds=0.0)
         )
         server.catalog.attach("rings", database, owned=True)
-        for _ in range(3):  # a traced query leaves one span and one slow entry
-            client.query(PAPER_DSL, graph="rings", trace_id=TraceContext.new())
+        for index in range(3):  # three spans and three slow-log entries
+            database.telemetry.spans.record(Span(str(index), "t").finish())
+            database.telemetry.slow_log.record(0.0, query=str(index))
 
         def read(limit):
             reply = client.trace(graph="rings", limit=limit)

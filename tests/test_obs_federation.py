@@ -303,8 +303,10 @@ class TestFleetTrace:
                 client.query(PAPER_DSL, trace_id=context)
                 client.query(PAPER_DSL, trace_id=TraceContext.new())
         spans = monitor.trace_spans(context.trace_id)
-        assert sorted(span["node"] for span in spans) == ["node-a", "node-a", "node-b"]
+        roots = [span["node"] for span in spans if span["name"] == "query"]
+        assert sorted(roots) == ["node-a", "node-a", "node-b"]
         assert all(span["trace_id"] == context.trace_id for span in spans)
+        assert all(span["node"] in ("node-a", "node-b") for span in spans)
 
 
 class TestLiveFederation:

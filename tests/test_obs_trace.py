@@ -14,7 +14,10 @@ A real :class:`GraphServer` on a loopback socket, exercised through
 * rejection-time load context (queue depth, worker occupancy) crosses the
   wire on :class:`ServiceOverloadedError`;
 * the ``trace`` op returns structured slow-query entries with span
-  trees, filtered to one trace on request.
+  trees, filtered to one trace on request;
+* one span model: a traced query's reply, the tenant's span ring and its
+  slow-log entry name the same spans, and an unsampled context leaves
+  none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fixtures_paper import build_paper_graph, build_paper_query
 from repro.api import GraphDB
 from repro.client import GraphClient
 from repro.exceptions import ServiceOverloadedError
-from repro.obs import Telemetry, new_trace_id
+from repro.obs import Telemetry, TraceContext, assemble_trace, new_trace_id
 from repro.server import GraphCatalog, GraphServer
 from repro.server.protocol import decode_error, encode_error
 
@@ -317,8 +320,84 @@ class TestTraceOpSlowQueries:
         reply = slow_client.trace(trace_id=first)
         assert [entry["query"] for entry in reply["slow_queries"]] == ["first"]
         assert reply["slow_queries"][0]["trace_id"] == first
-        assert [span["name"] for span in reply["spans"]] == ["query"]
+        tree = assemble_trace(reply["spans"])
+        assert [root["span"]["name"] for root in tree["roots"]] == ["query"]
         assert all(span["trace_id"] == first for span in reply["spans"])
+
+    @pytest.mark.parametrize("mode", ["query", "stream"])
+    def test_reply_ring_and_slow_log_name_the_same_spans(self, slow_client, mode):
+        trace_id = new_trace_id()
+        if mode == "query":
+            report = slow_client.query(build_paper_query(), trace_id=trace_id)
+        else:
+            stream = slow_client.stream(build_paper_query(), page_size=1, trace_id=trace_id)
+            assert list(stream)
+            report = stream.report()
+        reply = slow_client.trace(trace_id=trace_id)
+        tree = assemble_trace(reply["spans"])
+        assert [root["span"]["name"] for root in tree["roots"]] == ["query"]
+        assert tree["orphans"] == []
+        trace = report.extra["trace"]
+        assert tree["root"]["span"]["span_id"] == trace["span_id"]
+        children = [
+            (child["span"]["span_id"], child["span"]["seconds"])
+            for child in tree["root"]["children"]
+        ]
+        assert children == [(span["span_id"], span["seconds"]) for span in trace["spans"]]
+        (entry,) = reply["slow_queries"]
+        logged = entry["trace"]
+        assert logged["span_id"] == trace["span_id"]
+        assert [span["span_id"] for span in logged["spans"]] == [
+            span_id for span_id, _ in children
+        ]
+
+    @pytest.mark.parametrize("mode", ["query", "stream"])
+    def test_unsampled_context_leaves_no_spans(self, slow_client, mode):
+        context = TraceContext(new_trace_id(), None, sampled=False)
+        if mode == "query":
+            report = slow_client.query(build_paper_query(), trace_id=context)
+        else:
+            stream = slow_client.stream(build_paper_query(), trace_id=context)
+            assert list(stream)
+            report = stream.report()
+        assert "trace" not in report.extra
+        reply = slow_client.trace(trace_id=context.trace_id)
+        assert reply["spans"] == []
+        (entry,) = reply["slow_queries"]
+        assert entry["trace_id"] == context.trace_id
+        assert entry["trace"] is None
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_shed_query_tags_its_error_and_ends_its_trace(self, slow_client, sampled):
+        context = TraceContext(new_trace_id(), None, sampled=sampled)
+        with pytest.raises(ServiceOverloadedError) as excinfo:
+            slow_client.query(build_paper_query(), deadline_seconds=0.0, trace_id=context)
+        assert excinfo.value.trace_id == context.trace_id
+        spans = slow_client.trace(trace_id=context.trace_id)["spans"]
+        assert [span["name"] for span in spans] == (["query"] if sampled else [])
+
+    def test_abandoned_stream_still_ends_its_trace(self, server, slow_client):
+        # 64 matches, one per page: the worker waits on the stream's window
+        # when the client walks away, so the stream ends cancelled.
+        wide = GraphDB.from_edges(["A"] * 64 + ["B"], [(a, 64) for a in range(64)])
+        server.catalog.attach("wide", wide, owned=True)
+        trace_id = new_trace_id()
+        stream = slow_client.stream(
+            "node a A\nnode b B\nedge a -> b", page_size=1, graph="wide",
+            trace_id=trace_id,
+        )
+        next(iter(stream.pages(timeout=30.0)))
+        stream.close()
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            spans = slow_client.trace(graph="wide", trace_id=trace_id)["spans"]
+            if spans:
+                break
+            time.sleep(0.02)
+        tree = assemble_trace(spans)
+        assert [root["span"]["name"] for root in tree["roots"]] == ["query"]
+        assert tree["orphans"] == []
+        assert tree["root"]["span"]["meta"].get("status") != "ok"
 
     def test_empty_without_threshold(self, client):
         client.query(build_paper_query())
